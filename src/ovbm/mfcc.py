@@ -1,6 +1,6 @@
 """MFCC feature images with a fixed, fully specified parameterization.
 
-Pipeline: pre-emphasis -> rectangular framing -> radix-2 FFT power
+Pipeline: pre-emphasis -> rectangular framing -> NumPy real-FFT power
 spectrum (|X|^2 / fft_size) -> mel triangular filterbank -> log with a
 floor -> orthonormal DCT-II -> sinusoidal liftering -> coefficient 0
 replaced by the log total frame energy.
@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import AudioClip, EmptyAudio
 
@@ -136,15 +137,23 @@ def mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
+_FILTERBANK_CACHE: dict = {}
+
+
 def mel_filterbank(params: MfccParams) -> FilterBank:
     """Triangular filters with centers equally spaced on the mel axis.
 
     Centers are quantized to FFT bins; if two adjacent edge/center
     points land on the same bin the bank is over-resolved for this FFT
-    size and we refuse rather than silently merging filters.
+    size and we refuse rather than silently merging filters. Banks are
+    cached by the parameters they depend on and returned read-only.
     """
     params.validate()
     nfft = params.fft_size
+    key = (params.num_filters, nfft, params.sample_rate, params.low_freq,
+           params.resolved_high_freq)
+    if key in _FILTERBANK_CACHE:
+        return _FILTERBANK_CACHE[key]
     mel_points = np.linspace(
         hz_to_mel(params.low_freq),
         hz_to_mel(params.resolved_high_freq),
@@ -156,14 +165,16 @@ def mel_filterbank(params: MfccParams) -> FilterBank:
         raise TooManyFilters(
             f"{params.num_filters} filters collide on a {nfft}-point FFT grid"
         )
-    weights = np.zeros((params.num_filters, nfft // 2 + 1), dtype=np.float64)
-    for j in range(params.num_filters):
-        left, center, right = bins[j], bins[j + 1], bins[j + 2]
-        for i in range(left, center):
-            weights[j, i] = (i - left) / (center - left)
-        for i in range(center, right):
-            weights[j, i] = (right - i) / (right - center)
-    return FilterBank(weights, bins)
+    i = np.arange(nfft // 2 + 1)[None, :]
+    left, center, right = bins[:-2, None], bins[1:-1, None], bins[2:, None]
+    rising = (i - left) / (center - left)
+    falling = (right - i) / (right - center)
+    weights = np.maximum(0.0, np.minimum(rising, falling))
+    weights.setflags(write=False)
+    bins.setflags(write=False)
+    bank = FilterBank(weights, bins)
+    _FILTERBANK_CACHE[key] = bank
+    return bank
 
 
 def preemphasize(samples: np.ndarray, coeff: float) -> np.ndarray:
@@ -175,10 +186,11 @@ def preemphasize(samples: np.ndarray, coeff: float) -> np.ndarray:
 
 
 def frame_signal(clip: AudioClip, params: MfccParams) -> np.ndarray:
-    """Pre-emphasize then slice into overlapping rectangular frames.
+    """Pre-emphasize then slice into overlapping rectangular frames,
+    returned as a read-only strided view of the padded signal.
 
-    Frame count is 1 + ceil((N - L) / S); the tail frame is zero-padded.
-    Signals shorter than one frame are zero-padded up to L first.
+    Frame count is 1 + ceil((N - L) / S), and at least 1; the tail frame
+    is zero-padded, so a signal shorter than one frame gives one frame.
     """
     if clip.sample_rate != params.sample_rate:
         raise RateMismatch(
@@ -188,54 +200,19 @@ def frame_signal(clip: AudioClip, params: MfccParams) -> np.ndarray:
         raise EmptyAudio("cannot frame an empty clip")
     y = preemphasize(clip.samples, params.preemphasis)
     L, S = params.frame_len, params.frame_step
-    if y.size < L:
-        y = np.concatenate([y, np.zeros(L - y.size)])
-    num_frames = 1 + -(-(y.size - L) // S)  # 1 + ceil((N - L) / S)
-    padded_len = (num_frames - 1) * S + L
-    if padded_len > y.size:
-        y = np.concatenate([y, np.zeros(padded_len - y.size)])
-    idx = np.arange(num_frames)[:, None] * S + np.arange(L)[None, :]
-    return y[idx]
-
-
-def _bit_reversal(n: int) -> np.ndarray:
-    levels = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for _ in range(levels):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
-def fft_radix2(x: np.ndarray) -> np.ndarray:
-    """Iterative decimation-in-time radix-2 FFT over the last axis.
-
-    The last axis length must be a power of two. Vectorized over any
-    leading axes so a whole frame matrix transforms in one call.
-    """
-    x = np.asarray(x)
-    n = x.shape[-1]
-    if n == 0 or n & (n - 1):
-        raise ValueError("FFT length must be a power of two")
-    prefix = x.shape[:-1]
-    y = x[..., _bit_reversal(n)].astype(np.complex128)
-    m = 1
-    while m < n:
-        twiddle = np.exp((-1j * np.pi / m) * np.arange(m))
-        y = y.reshape(prefix + (n // (2 * m), 2, m))
-        even = y[..., 0, :]
-        odd = y[..., 1, :] * twiddle
-        y = np.concatenate([even + odd, even - odd], axis=-1).reshape(prefix + (n,))
-        m *= 2
-    return y
+    num_frames = 1 + max(0, -(-(y.size - L) // S))  # 1 + ceil((N - L) / S)
+    pad = (num_frames - 1) * S + L - y.size
+    if pad > 0:
+        y = np.concatenate([y, np.zeros(pad)])
+    return sliding_window_view(y, L)[::S]
 
 
 def power_spectrum(frames: np.ndarray, fft_size: int) -> np.ndarray:
-    """|FFT|^2 / fft_size over the one-sided spectrum (fft_size//2 + 1 bins)."""
-    padded = np.zeros(frames.shape[:-1] + (fft_size,), dtype=np.float64)
-    padded[..., : frames.shape[-1]] = frames
-    spec = fft_radix2(padded)[..., : fft_size // 2 + 1]
+    """|FFT|^2 / fft_size over the one-sided spectrum (fft_size//2 + 1 bins).
+
+    Frames shorter than fft_size are zero-padded by the transform.
+    """
+    spec = np.fft.rfft(frames, n=fft_size, axis=-1)
     return (spec.real**2 + spec.imag**2) / fft_size
 
 
@@ -255,13 +232,14 @@ _DCT_CACHE: dict = {}
 
 def dct2_matrix(size: int) -> np.ndarray:
     """Orthonormal DCT-II basis; row k dotted with a signal gives
-    coefficient k."""
+    coefficient k. Cached by size and returned read-only."""
     if size not in _DCT_CACHE:
         j = np.arange(size, dtype=np.float64)
         k = np.arange(size, dtype=np.float64)[:, None]
         mat = np.cos(np.pi * k * (2.0 * j + 1.0) / (2.0 * size))
         mat[0] *= math.sqrt(1.0 / size)
         mat[1:] *= math.sqrt(2.0 / size)
+        mat.setflags(write=False)
         _DCT_CACHE[size] = mat
     return _DCT_CACHE[size]
 

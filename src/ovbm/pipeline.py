@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -112,8 +113,11 @@ class RunConfig:
     def validate(self) -> None:
         if not self.manifest:
             raise ValueError("manifest path is required")
-        if self.chunk_size <= 0 or self.stride <= 0:
-            raise ValueError("chunk size and stride must be positive")
+        for name in ("chunk_size", "stride", "learning_rate"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, float)) and math.isfinite(value)
+                    and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
         for name in ("pretrain_epochs", "tune_epochs", "fusion_epochs",

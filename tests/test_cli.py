@@ -78,6 +78,15 @@ class TestTrain:
         assert code == 2
         assert "manifest" in stderr
 
+    def test_nan_learning_rate(self, tmp_path, corpus_dir, capsys):
+        code, _, stderr = run_cli(
+            capsys, "train", "--manifest",
+            os.path.join(corpus_dir, "manifest.csv"),
+            "--out", str(tmp_path / "r"), "--lr", "nan")
+        assert code == 2
+        assert "learning_rate" in stderr
+        assert not os.path.exists(tmp_path / "r")
+
     def test_missing_manifest_file(self, tmp_path, capsys):
         code, _, stderr = run_cli(capsys, "train", "--manifest",
                                   str(tmp_path / "nope.csv"),

@@ -13,7 +13,6 @@ from ovbm.mfcc import (
     RateMismatch,
     TooManyFilters,
     dct2_matrix,
-    fft_radix2,
     frame_signal,
     hz_to_mel,
     lifter_weights,
@@ -69,6 +68,39 @@ class TestFilterbank:
             mel_filterbank(MfccParams(num_cepstra=8, num_filters=300,
                                       fft_size=512))
 
+    @pytest.mark.parametrize("params", [
+        FAST,
+        MfccParams(num_cepstra=13, num_filters=26, fft_size=512),
+        MfccParams(),
+        MfccParams(num_cepstra=8, num_filters=20, fft_size=1024,
+                   sample_rate=22050, low_freq=120.0, high_freq=7000.0),
+    ], ids=["fast", "run_default", "reference", "band_limited"])
+    def test_weights_match_loop_formula_bitwise(self, params):
+        fb = mel_filterbank(params)
+        bins = fb.bin_points
+        want = np.zeros((params.num_filters, params.fft_size // 2 + 1))
+        for j in range(params.num_filters):
+            left, center, right = bins[j], bins[j + 1], bins[j + 2]
+            for i in range(left, center):
+                want[j, i] = (i - left) / (center - left)
+            for i in range(center, right):
+                want[j, i] = (right - i) / (right - center)
+        assert fb.weights.tobytes() == want.tobytes()
+
+    def test_cached_by_params(self):
+        a = mel_filterbank(FAST)
+        assert mel_filterbank(MfccParams(num_cepstra=8, num_filters=16,
+                                         fft_size=512)) is a
+        assert mel_filterbank(MfccParams(num_cepstra=8, num_filters=17,
+                                         fft_size=512)) is not a
+
+    def test_cached_arrays_read_only(self):
+        fb = mel_filterbank(FAST)
+        with pytest.raises(ValueError):
+            fb.weights[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            fb.bin_points[0] = 3
+
 
 class TestFraming:
     def test_preemphasis_matches_loop(self):
@@ -81,12 +113,12 @@ class TestFraming:
         np.testing.assert_allclose(y, expected)
         assert y[0] == x[0]
 
-    @given(st.integers(320, 20000))
+    @given(st.integers(1, 20000))
     def test_frame_count_formula(self, n):
         clip = AudioClip(np.zeros(n), 16000)
         frames = frame_signal(clip, MfccParams())
         L, S = 320, 160
-        assert frames.shape == (1 + -(-(n - L) // S), L)
+        assert frames.shape == (1 + max(0, -(-(n - L) // S)), L)
 
     def test_tail_zero_padded(self):
         x = np.ones(400)  # frame 1 covers 160..480, needs 80 pad samples
@@ -107,25 +139,34 @@ class TestFraming:
                                           padded[i * 160:i * 160 + 320])
 
 
-def _naive_dft(x):
-    n = x.size
-    k = np.arange(n)
-    M = np.exp(-2j * np.pi * np.outer(k, k) / n)
-    return M @ x
+def _direct_power_spectrum(frames, fft_size):
+    """|X_k|^2 / fft_size from explicit cos/sin sums over the unpadded
+    samples, one frame at a time."""
+    flat = frames.reshape(-1, frames.shape[-1])
+    n = np.arange(flat.shape[-1])
+    out = np.zeros((flat.shape[0], fft_size // 2 + 1))
+    for f, frame in enumerate(flat):
+        for k in range(fft_size // 2 + 1):
+            angle = 2.0 * np.pi * k * n / fft_size
+            re = np.sum(frame * np.cos(angle))
+            im = -np.sum(frame * np.sin(angle))
+            out[f, k] = (re * re + im * im) / fft_size
+    return out.reshape(frames.shape[:-1] + (fft_size // 2 + 1,))
 
 
 class TestFft:
-    @pytest.mark.parametrize("n", [2, 8, 64, 256])
-    def test_matches_naive_dft(self, n):
-        rng = np.random.default_rng(n)
-        x = rng.normal(size=n)
-        got = fft_radix2(x.astype(complex)[None, :])[0]
-        want = _naive_dft(x)
-        assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-10
-
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError):
-            fft_radix2(np.zeros((1, 12), dtype=complex))
+    @pytest.mark.parametrize("shape,fft_size", [
+        ((3, 20), 64),        # frames shorter than the FFT: zero-padded
+        ((5, 32), 32),        # 2-D batch of frames
+        ((2, 3, 24), 32),     # 3-D batch of frames
+    ], ids=["zero_padded", "batch_2d", "batch_3d"])
+    def test_matches_direct_dft_sum(self, shape, fft_size):
+        rng = np.random.default_rng(sum(shape) + fft_size)
+        frames = rng.normal(size=shape)
+        got = power_spectrum(frames, fft_size)
+        want = _direct_power_spectrum(frames, fft_size)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
     def test_power_spectrum_scaling(self):
         x = np.zeros((1, 8))
@@ -145,6 +186,14 @@ class TestDctLifter:
         row2 = np.sqrt(2.0 / 5.0) * np.cos(np.pi * 2 * (2 * n + 1) / (2 * 5))
         np.testing.assert_allclose(D[2], row2)
         np.testing.assert_allclose(D[0], np.full(5, np.sqrt(1.0 / 5.0)))
+
+    def test_dct_cached_read_only(self):
+        D = dct2_matrix(7)
+        assert dct2_matrix(7) is D
+        with pytest.raises(ValueError):
+            D[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            D *= 2.0
 
     def test_lifter_formula(self):
         w = lifter_weights(8)
@@ -186,9 +235,7 @@ class TestMfccProperties:
         clip = _clip(0.1)
         image = mfcc(clip, params).values
         y = preemphasize(clip.samples, params.preemphasis)
-        frame0 = np.zeros(512, dtype=complex)
-        frame0[:320] = y[:320]
-        half = np.abs(_naive_dft(frame0))[:257] ** 2 / 512.0
+        half = _direct_power_spectrum(y[:320], 512)
         assert image[0, 0] == pytest.approx(np.log(half.sum()), rel=1e-9)
 
     def test_scaling_moves_only_c0(self):

@@ -39,6 +39,13 @@ class TestRunConfig:
         {"strategy": "last:x"},
         {"fft_size": 100},          # must cover one analysis window
         {"num_cepstra": 40},        # more cepstra than filters
+        {"learning_rate": 0.0},
+        {"learning_rate": -1.0},
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
+        {"learning_rate": "0.1"},
+        {"chunk_size": float("nan")},
+        {"stride": float("inf")},
     ])
     def test_rejects(self, overrides):
         config = RunConfig(**{"manifest": "m.csv", **overrides})
