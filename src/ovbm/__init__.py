@@ -2,7 +2,7 @@
 mask, a residual-CNN biomarker ensemble with metadata fusion, and
 per-subject saliency reports."""
 
-from .aggregation import AggregationScheme, Diagnosis, aggregate, decide, diagnose
+from .aggregation import AggregationScheme, Diagnosis, aggregate, decide
 from .audio_io import (
     AudioClip,
     SubjectRecord,
@@ -18,13 +18,12 @@ from .fusion import (
     FusionModel,
     FusionSample,
     build_fusion,
-    fuse_forward,
     load_ensemble,
     metadata_vector,
     save_ensemble,
     train_fusion,
 )
-from .mfcc import MfccImage, MfccParams, load_mfcc, mfcc, mfcc_oracle, save_mfcc
+from .mfcc import MfccImage, MfccParams, mfcc, mfcc_oracle
 from .models import (
     BiomarkerModel,
     BiomarkerRegistry,
@@ -58,14 +57,14 @@ from .util import derive_seed
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregationScheme", "Diagnosis", "aggregate", "decide", "diagnose",
+    "AggregationScheme", "Diagnosis", "aggregate", "decide",
     "AudioClip", "SubjectRecord", "SynthSpec", "load_wav", "parse_manifest",
     "synth_clip", "write_wav",
     "Chunk", "ChunkPlan", "brainos_sizes", "chunk_plan", "extract_chunks",
     "PoissonMaskConfig", "apply_poisson_mask", "poisson_pmf",
-    "FusionModel", "FusionSample", "build_fusion", "fuse_forward",
-    "load_ensemble", "metadata_vector", "save_ensemble", "train_fusion",
-    "MfccImage", "MfccParams", "load_mfcc", "mfcc", "mfcc_oracle", "save_mfcc",
+    "FusionModel", "FusionSample", "build_fusion", "load_ensemble",
+    "metadata_vector", "save_ensemble", "train_fusion",
+    "MfccImage", "MfccParams", "mfcc", "mfcc_oracle",
     "BiomarkerModel", "BiomarkerRegistry", "CnnArch", "TrainConfig",
     "TransferStrategy", "build_registry", "init_cnn", "load_model",
     "save_model", "train",

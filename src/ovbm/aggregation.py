@@ -13,10 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio_io import AudioClip, SubjectRecord
-from .chunker import chunk_plan, extract_chunks
-from .fusion import FusionModel, fuse_from_embeddings, member_embeddings, metadata_vector
-
 
 class EmptyList(ValueError):
     """Aggregation over zero chunks is undefined."""
@@ -87,35 +83,7 @@ class Diagnosis:
         }
 
 
-def ensemble_chunk_probs(clip: AudioClip, fusion: FusionModel, members: list,
-                         metadata: np.ndarray, params, chunk_size: float,
-                         stride: float, mask=None) -> list:
-    """P(positive) per chunk for one recording through the ensemble."""
-    plan = chunk_plan(clip.duration, chunk_size, stride)
-    chunks = extract_chunks(clip, plan, params, mask)
-    emb = np.concatenate([member_embeddings(m, chunks) for m in members], axis=1)
-    meta = np.broadcast_to(np.asarray(metadata, dtype=np.float64),
-                           (len(chunks), len(metadata))).copy()
-    probs, _ = fuse_from_embeddings(fusion, emb, meta)
-    return [float(p) for p in probs[:, 1]]
-
-
 def decide(probability: float, threshold: float) -> str:
     """Ties go to the positive side: screening prefers a false alarm
     over a miss."""
     return "positive" if probability >= threshold else "negative"
-
-
-def diagnose(record: SubjectRecord, clip: AudioClip, fusion: FusionModel,
-             members: list, params, chunk_size: float, stride: float,
-             scheme: AggregationScheme, threshold: float = 0.5,
-             mask=None) -> Diagnosis:
-    """Chunk the recording, score every chunk, aggregate, threshold."""
-    metadata = metadata_vector(record.gender, record.age)
-    chunk_probs = ensemble_chunk_probs(clip, fusion, members, metadata, params,
-                                       chunk_size, stride, mask)
-    probability = aggregate(chunk_probs, scheme)
-    return Diagnosis(
-        record.subject_id, probability, decide(probability, threshold),
-        threshold, scheme.value, chunk_probs, chunk_size, stride,
-    )

@@ -32,10 +32,6 @@ class MemberOrderMismatch(ValueError):
     """Members were supplied in a different order than at build time."""
 
 
-class UnknownMember(ValueError):
-    pass
-
-
 class DimMismatch(ValueError):
     pass
 
@@ -126,51 +122,35 @@ def fusion_backward(fusion: FusionModel, cache: dict, targets: np.ndarray):
     return grads, dx
 
 
-_REGISTRY = None
-
-
-def _registry():
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = M.build_registry()
-    return _REGISTRY
+# Members whose input is always masked, whatever the run's mask setting.
+_ALWAYS_MASK = frozenset(e.biomarker_id for e in M.build_registry().entries
+                         if e.always_mask)
 
 
 def member_input_image(member: M.BiomarkerModel, chunk: Chunk):
     """Per-member preprocessing: the degradation-sensitive member always
     sees masked features; others take the chunk image as produced."""
-    try:
-        entry = _registry().by_id(member.biomarker_id)
-    except KeyError:
-        return chunk.features
-    if entry.always_mask and not chunk.masked:
+    if member.biomarker_id in _ALWAYS_MASK and not chunk.masked:
         return apply_poisson_mask(chunk.features, PoissonMaskConfig())
     return chunk.features
 
 
-def member_embeddings(member: M.BiomarkerModel, chunks: list,
-                      batch: int = 64) -> np.ndarray:
-    """[N, E] embeddings of a member over a chunk list."""
-    x = np.stack([M.prepare_input(member, member_input_image(member, c))
-                  for c in chunks])
-    out = []
-    for i in range(0, x.shape[0], batch):
-        emb, _, _ = M.forward_batch(member, x[i:i + batch])
-        out.append(emb)
-    return np.concatenate(out, axis=0)
+def member_inputs(member: M.BiomarkerModel, chunks: list) -> np.ndarray:
+    """[N, H, W] fitted inputs of a member over a chunk list."""
+    return np.stack([M.prepare_input(member, member_input_image(member, c))
+                     for c in chunks])
 
 
-def fuse_forward(fusion: FusionModel, chunk: Chunk, members: list,
-                 metadata: np.ndarray) -> float:
-    """P(positive) for one chunk through the full ensemble."""
+def score_chunks(fusion: FusionModel, members: list, chunks: list,
+                 metadata: np.ndarray):
+    """Score one recording's chunks. Returns (ensemble probs [N, 2],
+    [each member's own-head probs [N, K]])."""
     _check_member_order(fusion, members)
-    embs = []
-    for m in members:
-        emb, _ = M.forward(m, member_input_image(m, chunk))
-        embs.append(emb)
-    emb = np.concatenate(embs)[None, :]
-    probs, _ = fuse_from_embeddings(fusion, emb, np.asarray(metadata)[None, :])
-    return float(probs[0, 1])
+    outputs = [M.forward_batches(m, member_inputs(m, chunks)) for m in members]
+    emb = np.concatenate([e for e, _ in outputs], axis=1)
+    meta = np.broadcast_to(metadata, (len(chunks), metadata.size)).copy()
+    probs, _ = fuse_from_embeddings(fusion, emb, meta)
+    return probs, [p for _, p in outputs]
 
 
 # -------------------------------------------------------------- train
@@ -192,56 +172,32 @@ class FusionTrainResult:
     epoch_losses: list = field(default_factory=list)
 
 
-def _member_inputs(member: M.BiomarkerModel, samples: list) -> np.ndarray:
-    return np.stack([
-        M.prepare_input(member, member_input_image(member, s.chunk))
-        for s in samples
-    ])
-
-
 def train_fusion(fusion: FusionModel, members: list, samples: list,
-                 config: M.TrainConfig, member_strategy: M.TransferStrategy,
-                 pt: bool = False) -> FusionTrainResult:
+                 config: M.TrainConfig,
+                 member_strategy: M.TransferStrategy) -> FusionTrainResult:
     """Jointly train the fusion layer and whatever member layers the
-    strategy permits, on a chunk-level labeled dataset.
-
-    With pt=True each member is first fine-tuned individually on the
-    same data (fresh two-way head) before the joint phase; this is the
-    training-order variant, and it produces different final weights
-    than joint-only training.
-    """
+    strategy permits, on a chunk-level labeled dataset."""
     _check_member_order(fusion, members)
     labels = np.array([int(s.label) for s in samples])
     if len(set(labels.tolist())) < 2:
         raise M.SingleClassDataset("fusion training data has fewer than two classes")
-
-    if pt:
-        tuned = []
-        for m in members:
-            head_seed = derive_seed(config.seed, "pt_head", m.biomarker_id)
-            m2 = M.replace_head(m, NUM_CLASSES, head_seed)
-            member_data = [(member_input_image(m2, s.chunk), s.label)
-                           for s in samples]
-            member_config = M.TrainConfig(
-                learning_rate=config.learning_rate, epochs=config.epochs,
-                batch_size=config.batch_size,
-                seed=derive_seed(config.seed, "pt_train", m.biomarker_id),
-                split_fraction=config.split_fraction,
-            )
-            tuned.append(M.train(m2, member_data, member_config,
-                                 member_strategy).model)
-        members = tuned
 
     members = [M.apply_transfer_strategy(m, member_strategy) for m in members]
     fusion = clone_fusion(fusion)
 
     # Member layers the joint loss can actually reach: everything the
     # strategy unfroze except the member's own classification head.
-    member_needed = []
-    for m in members:
-        needed = {name for name, on in m.trainable.items() if on and name != "head"}
-        member_needed.append(needed)
-    joint_members_move = any(member_needed)
+    member_needed = [{name for name, on in m.trainable.items()
+                      if on and name != "head"} for m in members]
+    chunks = [s.chunk for s in samples]
+    inputs = [member_inputs(m, chunks) for m in members]
+
+    def embed_all():
+        return np.concatenate([M.forward_batches(m, x)[0]
+                               for m, x in zip(members, inputs)], axis=1)
+
+    # Members frozen below the embedding: compute embeddings once.
+    emb_all = None if any(member_needed) else embed_all()
 
     split_rng = np.random.default_rng(derive_seed(config.seed, "split"))
     train_idx, test_idx = M.stratified_split(labels, config.split_fraction,
@@ -249,71 +205,43 @@ def train_fusion(fusion: FusionModel, members: list, samples: list,
     meta = np.stack([np.asarray(s.metadata, dtype=np.float64) for s in samples])
     shuffle_rng = np.random.default_rng(derive_seed(config.seed, "shuffle"))
     fusion_state = nn.AdamState(fusion.weights)
+    member_states = [nn.AdamState(m.weights) for m in members]
+    dims = np.cumsum([0] + [m.arch.embedding_dim for m in members])
     epoch_losses: list = []
     t = 0
+    for _ in range(config.epochs):
+        order = shuffle_rng.permutation(len(train_idx))
+        losses = []
+        for start in range(0, len(order), config.batch_size):
+            sel = [train_idx[i] for i in order[start:start + config.batch_size]]
+            if emb_all is None:
+                outs = [M.forward_batch(m, x[sel], want_cache=True)
+                        for m, x in zip(members, inputs)]
+                emb = np.concatenate([e for e, _, _ in outs], axis=1)
+            else:
+                emb = emb_all[sel]
+            _, fcache = fuse_from_embeddings(fusion, emb, meta[sel],
+                                             want_cache=True)
+            losses.append(nn.cross_entropy(fcache["logits"], labels[sel])
+                          * len(sel))
+            fgrads, dx = fusion_backward(fusion, fcache, labels[sel])
+            t += 1
+            M.adam_step(fusion.weights, fgrads, fusion_state, config, t)
+            for i, needed in enumerate(member_needed):
+                if needed:
+                    grads = M.backward_from_embedding(
+                        members[i], outs[i][2], dx[:, dims[i]:dims[i + 1]],
+                        needed)
+                    M.adam_step(members[i].weights, grads, member_states[i],
+                                config, t)
+        epoch_losses.append(float(np.sum(losses) / len(order)))
 
-    if not joint_members_move:
-        # Members frozen below the embedding: compute embeddings once.
-        emb_all = np.concatenate(
-            [member_embeddings(m, [s.chunk for s in samples]) for m in members],
-            axis=1,
-        )
-        for _ in range(config.epochs):
-            order = shuffle_rng.permutation(len(train_idx))
-            losses = []
-            for start in range(0, len(order), config.batch_size):
-                sel = [train_idx[i] for i in order[start:start + config.batch_size]]
-                probs, cache = fuse_from_embeddings(fusion, emb_all[sel], meta[sel],
-                                                    want_cache=True)
-                losses.append(nn.cross_entropy(cache["logits"], labels[sel])
-                              * len(sel))
-                grads, _ = fusion_backward(fusion, cache, labels[sel])
-                t += 1
-                M.adam_step(fusion.weights, grads, fusion_state, config, t)
-            epoch_losses.append(float(np.sum(losses) / len(order)))
-        train_probs, _ = fuse_from_embeddings(fusion, emb_all[train_idx],
-                                              meta[train_idx])
-        test_probs, _ = fuse_from_embeddings(fusion, emb_all[test_idx],
-                                             meta[test_idx])
-    else:
-        inputs = [_member_inputs(m, samples) for m in members]
-        member_states = [nn.AdamState(m.weights) for m in members]
-        dims = np.cumsum([0] + [m.arch.embedding_dim for m in members])
-        for _ in range(config.epochs):
-            order = shuffle_rng.permutation(len(train_idx))
-            losses = []
-            for start in range(0, len(order), config.batch_size):
-                sel = [train_idx[i] for i in order[start:start + config.batch_size]]
-                caches = []
-                embs = []
-                for m, x in zip(members, inputs):
-                    emb, _, cache = M.forward_batch(m, x[sel], want_cache=True)
-                    caches.append(cache)
-                    embs.append(emb)
-                emb_cat = np.concatenate(embs, axis=1)
-                probs, fcache = fuse_from_embeddings(fusion, emb_cat, meta[sel],
-                                                     want_cache=True)
-                losses.append(nn.cross_entropy(fcache["logits"], labels[sel])
-                              * len(sel))
-                fgrads, dx = fusion_backward(fusion, fcache, labels[sel])
-                t += 1
-                M.adam_step(fusion.weights, fgrads, fusion_state, config, t)
-                for i, (m, cache, needed) in enumerate(
-                        zip(members, caches, member_needed)):
-                    if not needed:
-                        continue
-                    d_emb = dx[:, dims[i]:dims[i + 1]]
-                    grads = M.backward_from_embedding(m, cache, d_emb, needed)
-                    M.adam_step(m.weights, grads, member_states[i], config, t)
-            epoch_losses.append(float(np.sum(losses) / len(order)))
-        emb_all = np.concatenate(
-            [member_embeddings(m, [s.chunk for s in samples]) for m in members],
-            axis=1,
-        )
-        train_probs, _ = fuse_from_embeddings(fusion, emb_all[train_idx],
-                                              meta[train_idx])
-        test_probs, _ = fuse_from_embeddings(fusion, emb_all[test_idx],
-                                             meta[test_idx])
+    if emb_all is None:
+        emb_all = embed_all()
+    train_probs, _ = fuse_from_embeddings(fusion, emb_all[train_idx],
+                                          meta[train_idx])
+    test_probs, _ = fuse_from_embeddings(fusion, emb_all[test_idx],
+                                         meta[test_idx])
 
     def acc(probs, idx):
         if not idx:
@@ -322,26 +250,6 @@ def train_fusion(fusion: FusionModel, members: list, samples: list,
 
     return FusionTrainResult(fusion, members, acc(train_probs, train_idx),
                              acc(test_probs, test_idx), epoch_losses)
-
-
-def ablate_member(fusion: FusionModel, members: list, member_id: str,
-                  replacement: M.BiomarkerModel):
-    """Swap one member for a replacement with the same embedding width.
-    Returns (fusion', members'); inputs are left untouched."""
-    _check_member_order(fusion, members)
-    if member_id not in fusion.member_ids:
-        raise UnknownMember(member_id)
-    idx = fusion.member_ids.index(member_id)
-    if replacement.arch.embedding_dim != fusion.member_dims[idx]:
-        raise DimMismatch(
-            f"replacement embeds {replacement.arch.embedding_dim} dims, "
-            f"slot expects {fusion.member_dims[idx]}"
-        )
-    new_fusion = clone_fusion(fusion)
-    new_fusion.member_ids[idx] = replacement.biomarker_id
-    new_members = list(members)
-    new_members[idx] = replacement
-    return new_fusion, new_members
 
 
 # --------------------------------------------------------- persistence

@@ -22,9 +22,6 @@ from .audio_io import AudioClip, EmptyAudio
 
 CEP_LIFTER = 22  # sinusoidal lifter length applied to the cepstra
 
-MFCC_MAGIC = b"MFCC"
-MFCC_FORMAT_VERSION = 1
-
 
 class RateMismatch(ValueError):
     """Clip sample rate disagrees with the MFCC parameterization."""
@@ -67,8 +64,12 @@ class MfccParams:
         return self.sample_rate / 2.0 if self.high_freq is None else self.high_freq
 
     def validate(self) -> None:
-        if self.window_len <= 0 or self.window_step <= 0:
-            raise ValueError("window_len and window_step must be positive")
+        for name in ("window_len", "window_step", "log_floor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not 0.0 <= self.preemphasis < 1.0:
+            raise ValueError(f"preemphasis must be in [0, 1), got {self.preemphasis!r}")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
         if self.num_filters < 1 or self.num_cepstra < 1:
@@ -79,14 +80,10 @@ class MfccParams:
             raise ValueError("fft_size must cover a whole frame")
         if self.fft_size & (self.fft_size - 1) or self.fft_size == 0:
             raise ValueError("fft_size must be a power of two")
-        if not 0.0 <= self.preemphasis < 1.0:
-            raise ValueError("preemphasis must be in [0, 1)")
         if not 0.0 <= self.low_freq < self.resolved_high_freq:
             raise ValueError("need 0 <= low_freq < high_freq")
         if self.resolved_high_freq > self.sample_rate / 2.0 + 1e-9:
             raise ValueError("high_freq above Nyquist")
-        if self.log_floor <= 0:
-            raise ValueError("log_floor must be positive")
 
     def to_dict(self) -> dict:
         return {
@@ -325,31 +322,3 @@ def mfcc_oracle(clip: AudioClip, params: MfccParams | None = None) -> MfccImage:
                               * math.sin(math.pi * k / CEP_LIFTER))
         feat[f, 0] = math.log(max(ps.sum(), params.log_floor))
     return MfccImage(feat, params, (0.0, clip.duration))
-
-
-def save_mfcc(path, image) -> None:
-    """Feature cache format: magic, u32 version, u32 rows, u32 cols,
-    float32 row-major little-endian values."""
-    values = image.values if isinstance(image, MfccImage) else np.asarray(image)
-    rows, cols = values.shape
-    header = MFCC_MAGIC + np.array(
-        [MFCC_FORMAT_VERSION, rows, cols], dtype="<u4"
-    ).tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header + values.astype("<f4").tobytes())
-
-
-def load_mfcc(path) -> np.ndarray:
-    """Read a feature cache file back as float64 (stored as float32)."""
-    from pathlib import Path
-
-    data = Path(path).read_bytes()
-    if len(data) < 16 or data[:4] != MFCC_MAGIC:
-        raise ValueError(f"{path}: not a feature cache file")
-    version, rows, cols = np.frombuffer(data[4:16], dtype="<u4")
-    if version != MFCC_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
-    body = np.frombuffer(data[16:], dtype="<f4")
-    if body.size != rows * cols:
-        raise ValueError(f"{path}: payload size mismatch")
-    return body.reshape(rows, cols).astype(np.float64)

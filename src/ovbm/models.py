@@ -21,6 +21,7 @@ from .util import derive_seed
 
 WEIGHT_MAGIC = b"OVBM"
 WEIGHT_FORMAT_VERSION = 1
+EVAL_BATCH = 64  # images per inference forward pass
 
 
 class ShapeMismatch(ValueError):
@@ -457,13 +458,23 @@ def _accuracy_from_probs(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(np.argmax(probs, axis=1) == labels))
 
 
-def _eval_probs(model: BiomarkerModel, x: np.ndarray,
-                batch: int = 64) -> np.ndarray:
-    out = []
-    for i in range(0, x.shape[0], batch):
-        _, probs, _ = forward_batch(model, x[i:i + batch])
-        out.append(probs)
-    return np.concatenate(out, axis=0)
+def forward_batches(model: BiomarkerModel, x: np.ndarray):
+    """Inference over fitted inputs x [N, H, W] in batches of
+    EVAL_BATCH. Returns (embeddings [N, E], probs [N, K])."""
+    embs, probs = [np.zeros((0, model.arch.embedding_dim))], \
+        [np.zeros((0, model.num_classes))]
+    for i in range(0, x.shape[0], EVAL_BATCH):
+        emb, p, _ = forward_batch(model, x[i:i + EVAL_BATCH])
+        embs.append(emb)
+        probs.append(p)
+    return np.concatenate(embs, axis=0), np.concatenate(probs, axis=0)
+
+
+def _head_forward(model: BiomarkerModel, emb: np.ndarray) -> dict:
+    """Head outputs over given embeddings, keyed like a forward_batch
+    cache so that backward_batch can read them."""
+    logits = nn.linear(emb, model.weights["head.w"], model.weights["head.b"])
+    return {"emb": emb, "logits": logits, "probs": nn.softmax(logits)}
 
 
 def train(model: BiomarkerModel, dataset: list, config: TrainConfig,
@@ -489,51 +500,37 @@ def train(model: BiomarkerModel, dataset: list, config: TrainConfig,
     x_test, y_test = x_all[test_idx], labels[test_idx]
 
     needed = {name for name, on in model.trainable.items() if on}
-    head_only = needed == {"head"}
+
+    def embed(x):
+        return forward_batches(model, x)[0]
+
+    # With only the head trainable the embeddings never change, so they
+    # are computed once and each step is a softmax regression on them.
+    emb_train = embed(x_train) if needed == {"head"} else None
     shuffle_rng = np.random.default_rng(derive_seed(config.seed, "shuffle"))
     state = nn.AdamState(model.weights)
     epoch_losses: list = []
     t = 0
+    for _ in range(config.epochs):
+        order = shuffle_rng.permutation(len(train_idx))
+        losses = []
+        for start in range(0, len(order), config.batch_size):
+            sel = order[start:start + config.batch_size]
+            yb = y_train[sel]
+            if emb_train is None:
+                _, _, cache = forward_batch(model, x_train[sel], want_cache=True)
+            else:
+                cache = _head_forward(model, emb_train[sel])
+            losses.append(nn.cross_entropy(cache["logits"], yb) * len(sel))
+            grads = backward_batch(model, cache, yb, needed)
+            t += 1
+            adam_step(model.weights, grads, state, config, t)
+        epoch_losses.append(float(np.sum(losses) / len(order)))
 
-    if head_only:
-        # Frozen feature extractor: embeddings never change, so compute
-        # them once and train the head as a small softmax regression.
-        emb_train = _eval_embeddings(model, x_train)
-        emb_test = _eval_embeddings(model, x_test)
-        for _ in range(config.epochs):
-            order = shuffle_rng.permutation(len(train_idx))
-            losses = []
-            for start in range(0, len(order), config.batch_size):
-                sel = order[start:start + config.batch_size]
-                e, y = emb_train[sel], y_train[sel]
-                logits = nn.linear(e, model.weights["head.w"], model.weights["head.b"])
-                probs = nn.softmax(logits)
-                losses.append(nn.cross_entropy(logits, y) * len(sel))
-                dlogits = nn.softmax_ce_backward(probs, y)
-                grads = {"head.w": dlogits.T @ e, "head.b": dlogits.sum(axis=0)}
-                t += 1
-                adam_step(model.weights, grads, state, config, t)
-            epoch_losses.append(float(np.sum(losses) / len(order)))
-        train_probs = nn.softmax(nn.linear(emb_train, model.weights["head.w"],
-                                           model.weights["head.b"]))
-        test_probs = nn.softmax(nn.linear(emb_test, model.weights["head.w"],
-                                          model.weights["head.b"]))
-    else:
-        for _ in range(config.epochs):
-            order = shuffle_rng.permutation(len(train_idx))
-            losses = []
-            for start in range(0, len(order), config.batch_size):
-                sel = order[start:start + config.batch_size]
-                xb, yb = x_train[sel], y_train[sel]
-                _, _, cache = forward_batch(model, xb, want_cache=True)
-                losses.append(nn.cross_entropy(cache["logits"], yb) * len(sel))
-                grads = backward_batch(model, cache, yb, needed)
-                t += 1
-                adam_step(model.weights, grads, state, config, t)
-            epoch_losses.append(float(np.sum(losses) / len(order)))
-        train_probs = _eval_probs(model, x_train)
-        test_probs = _eval_probs(model, x_test)
-
+    if emb_train is None:
+        emb_train = embed(x_train)
+    train_probs = _head_forward(model, emb_train)["probs"]
+    test_probs = _head_forward(model, embed(x_test))["probs"]
     return TrainResult(
         model,
         _accuracy_from_probs(train_probs, y_train),
@@ -542,15 +539,6 @@ def train(model: BiomarkerModel, dataset: list, config: TrainConfig,
         train_idx,
         test_idx,
     )
-
-
-def _eval_embeddings(model: BiomarkerModel, x: np.ndarray,
-                     batch: int = 64) -> np.ndarray:
-    out = []
-    for i in range(0, x.shape[0], batch):
-        emb, _, _ = forward_batch(model, x[i:i + batch])
-        out.append(emb)
-    return np.concatenate(out, axis=0) if out else np.zeros((0, model.arch.embedding_dim))
 
 
 # ----------------------------------------------------------- registry

@@ -32,12 +32,11 @@ from .fusion import (
     FusionSample,
     FusionTrainResult,
     build_fusion,
-    fuse_from_embeddings,
     load_ensemble,
-    member_embeddings,
     member_input_image,
     metadata_vector,
     save_ensemble,
+    score_chunks,
     train_fusion,
 )
 from .mfcc import MfccParams
@@ -113,6 +112,9 @@ class RunConfig:
     def validate(self) -> None:
         if not self.manifest:
             raise ValueError("manifest path is required")
+        for f in dataclasses.fields(self):
+            if f.type == "float" and isinstance(getattr(self, f.name), bool):
+                raise ValueError(f"{f.name} must be a number, not a bool")
         for name in ("chunk_size", "stride", "learning_rate"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value)
@@ -122,8 +124,9 @@ class RunConfig:
             raise ValueError("threshold must lie in [0, 1]")
         for name in ("pretrain_epochs", "tune_epochs", "fusion_epochs",
                      "surrogate_per_class", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
         if not 0.0 < self.split_fraction < 1.0:
             raise ValueError("split_fraction must lie in (0, 1)")
         self.parsed_scheme()
@@ -213,19 +216,17 @@ class TrainedPipeline:
         return [self.tuned[mid] for mid in self.member_ids]
 
 
-def _ensemble_chunk_probs(fusion, members, chunks, metadata) -> list:
-    emb = np.concatenate([member_embeddings(m, chunks) for m in members], axis=1)
-    meta = np.broadcast_to(metadata, (len(chunks), metadata.size)).copy()
-    probs, _ = fuse_from_embeddings(fusion, emb, meta)
-    return [float(p) for p in probs[:, 1]]
-
-
-def _member_chunk_probs(member, chunks) -> list:
-    """P(positive) per chunk from a tuned member's own head."""
-    x = np.stack([M.prepare_input(member, member_input_image(member, c))
-                  for c in chunks])
-    _, probs, _ = M.forward_batch(member, x)
-    return [float(p) for p in probs[:, 1]]
+def _diagnose(config: RunConfig, fusion, members: list, record: SubjectRecord,
+              chunks: list) -> Diagnosis:
+    """Score a subject's chunks through an ensemble, aggregate, threshold."""
+    probs, _ = score_chunks(fusion, members, chunks,
+                            metadata_vector(record.gender, record.age))
+    chunk_probs = [float(p) for p in probs[:, 1]]
+    scheme = config.parsed_scheme()
+    probability = aggregate(chunk_probs, scheme)
+    return Diagnosis(record.subject_id, probability,
+                     decide(probability, config.threshold), config.threshold,
+                     scheme.value, chunk_probs, config.chunk_size, config.stride)
 
 
 def _subject_metrics(diagnoses: list, records: list, threshold: float) -> dict:
@@ -335,17 +336,12 @@ def _run_metrics(pipe: TrainedPipeline, store: FeatureStore,
     config = pipe.config
     scheme = config.parsed_scheme()
 
+    def run_chunks(rec):
+        return store.chunks(rec, config.chunk_size, config.stride)
+
     def ensemble_diagnoses(fusion, members, recs):
-        out = []
-        for rec in recs:
-            chunks = store.chunks(rec, config.chunk_size, config.stride)
-            metadata = metadata_vector(rec.gender, rec.age)
-            probs = _ensemble_chunk_probs(fusion, members, chunks, metadata)
-            p = aggregate(probs, scheme)
-            out.append(Diagnosis(rec.subject_id, p, decide(p, config.threshold),
-                                 config.threshold, scheme.value, probs,
-                                 config.chunk_size, config.stride))
-        return out
+        return [_diagnose(config, fusion, members, rec, run_chunks(rec))
+                for rec in recs]
 
     train_diag = ensemble_diagnoses(pipe.main_fusion, pipe.main_members,
                                     train_records)
@@ -353,22 +349,25 @@ def _run_metrics(pipe: TrainedPipeline, store: FeatureStore,
                                    test_records)
     pt_test = ensemble_diagnoses(pipe.pt_fusion, pipe.pt_members, test_records)
 
-    member_acc: dict = {}
-    detections: dict = {}
+    # Each tuned member decides a test subject by its own head. The
+    # pretuned fusion was built over the tuned members, so it takes them
+    # in its member order; its ensemble output is not used here.
+    hits = {mid: 0 for mid in pipe.member_ids}
+    detections: dict = {mid: [] for mid in pipe.member_ids}
+    for rec in test_records:
+        _, own_probs = score_chunks(pipe.pt_fusion, pipe.tuned_members,
+                                    run_chunks(rec),
+                                    metadata_vector(rec.gender, rec.age))
+        for mid, probs in zip(pipe.member_ids, own_probs):
+            positive = decide(aggregate(probs[:, 1], scheme),
+                              config.threshold) == "positive"
+            hits[mid] += int(positive == bool(rec.label))
+            if positive and rec.label == 1:
+                detections[mid].append(rec.subject_id)
+    member_acc = {mid: hits[mid] / len(test_records) if test_records else 0.0
+                  for mid in pipe.member_ids}
+    detections = {mid: sorted(d) for mid, d in detections.items()}
     test_positives = sorted(r.subject_id for r in test_records if r.label == 1)
-    for mid in pipe.member_ids:
-        member = pipe.tuned[mid]
-        hits = 0
-        detected = []
-        for rec in test_records:
-            chunks = store.chunks(rec, config.chunk_size, config.stride)
-            p = aggregate(_member_chunk_probs(member, chunks), scheme)
-            positive = decide(p, config.threshold) == "positive"
-            hits += int(positive == bool(rec.label))
-            if positive and rec.subject_id in test_positives:
-                detected.append(rec.subject_id)
-        member_acc[mid] = hits / len(test_records) if test_records else 0.0
-        detections[mid] = sorted(detected)
     best_id = max(member_acc, key=lambda k: (member_acc[k], k))
 
     return {
@@ -380,9 +379,7 @@ def _run_metrics(pipe: TrainedPipeline, store: FeatureStore,
             "subjects": len(train_records) + len(test_records),
             "train_subjects": len(train_records),
             "test_subjects": len(test_records),
-            "fusion_samples": sum(
-                len(store.chunks(r, config.chunk_size, config.stride))
-                for r in train_records),
+            "fusion_samples": sum(len(run_chunks(r)) for r in train_records),
         },
         "train": _subject_metrics(train_diag, train_records, config.threshold),
         "test": _subject_metrics(test_diag, test_records, config.threshold),
@@ -476,17 +473,11 @@ def evaluate_manifest(pipe: TrainedPipeline, manifest_path: str) -> dict:
     config = pipe.config
     records = parse_manifest(manifest_path)
     store = FeatureStore(manifest_path, config.mfcc_params(), config.mask())
-    scheme = config.parsed_scheme()
-    diagnoses = []
-    for rec in records:
-        chunks = store.chunks(rec, config.chunk_size, config.stride)
-        probs = _ensemble_chunk_probs(pipe.main_fusion, pipe.main_members,
-                                      chunks, metadata_vector(rec.gender, rec.age))
-        p = aggregate(probs, scheme)
-        diagnoses.append(Diagnosis(rec.subject_id, p,
-                                   decide(p, config.threshold),
-                                   config.threshold, scheme.value, probs,
-                                   config.chunk_size, config.stride))
+    diagnoses = [
+        _diagnose(config, pipe.main_fusion, pipe.main_members, rec,
+                  store.chunks(rec, config.chunk_size, config.stride))
+        for rec in records
+    ]
     out = _subject_metrics(diagnoses, records, config.threshold)
     out["subjects"] = {
         d.subject_id: {"probability": d.probability, "label": d.label}
@@ -497,12 +488,10 @@ def evaluate_manifest(pipe: TrainedPipeline, manifest_path: str) -> dict:
 
 def diagnose_subject(pipe: TrainedPipeline, record: SubjectRecord,
                      clip: AudioClip) -> Diagnosis:
-    from .aggregation import diagnose
-
     config = pipe.config
-    return diagnose(record, clip, pipe.main_fusion, pipe.main_members,
-                    config.mfcc_params(), config.chunk_size, config.stride,
-                    config.parsed_scheme(), config.threshold, config.mask())
+    plan = chunk_plan(clip.duration, config.chunk_size, config.stride)
+    chunks = extract_chunks(clip, plan, config.mfcc_params(), config.mask())
+    return _diagnose(config, pipe.main_fusion, pipe.main_members, record, chunks)
 
 
 def subject_saliency(pipe: TrainedPipeline, record: SubjectRecord,

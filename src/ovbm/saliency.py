@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregation import AggregationScheme, aggregate, ensemble_chunk_probs
+from .aggregation import AggregationScheme, aggregate
 from .audio_io import AudioClip, SubjectRecord
 from .chunker import chunk_plan, extract_chunks
-from .fusion import member_embeddings, member_input_image, metadata_vector
-from .models import BiomarkerRegistry, build_registry, forward_batch, prepare_input
+from .fusion import metadata_vector, score_chunks
+from .models import BiomarkerRegistry, build_registry
 
 SALIENCY_CSV_COLUMNS = "subject_id,family,biomarker_id,score"
 
@@ -58,14 +58,6 @@ class SaliencyMap:
                 for e in self.entries]
 
 
-def _member_healthy_probs(member, chunks) -> list:
-    """P(class 0) per chunk from the member's own head."""
-    x = np.stack([prepare_input(member, member_input_image(member, c))
-                  for c in chunks])
-    _, probs, _ = forward_batch(member, x)
-    return [float(p) for p in probs[:, 0]]
-
-
 def saliency_map(record: SubjectRecord, clip: AudioClip, tuned_members: list,
                  main_fusion, main_members: list, pt_fusion, pt_members: list,
                  params, chunk_size: float, stride: float,
@@ -80,46 +72,47 @@ def saliency_map(record: SubjectRecord, clip: AudioClip, tuned_members: list,
     """
     registry = registry or build_registry()
     metadata = metadata_vector(record.gender, record.age)
-    tuned_by_id = {m.biomarker_id: m for m in tuned_members}
+    tuned_ids = {m.biomarker_id for m in tuned_members}
+    for entry in registry.model_entries():
+        if entry.biomarker_id not in tuned_ids:
+            raise MissingBiomarker(entry.biomarker_id)
 
-    plan = chunk_plan(clip.duration, chunk_size, stride)
-    run_chunks = extract_chunks(clip, plan, params, mask)
+    def extract(size: float, step: float) -> list:
+        return extract_chunks(clip, chunk_plan(clip.duration, size, step),
+                              params, mask)
 
-    # Main-ensemble P(positive) per chunk at the run's chunk size.
-    emb = np.concatenate([member_embeddings(m, run_chunks)
-                          for m in main_members], axis=1)
-    meta = np.broadcast_to(metadata, (len(run_chunks), metadata.size)).copy()
-    from .fusion import fuse_from_embeddings
+    run_chunks = extract(chunk_size, stride)
+    # Main-ensemble probs per distinct chunk plan, each scored once.
+    main = {(chunk_size, stride): score_chunks(main_fusion, main_members,
+                                               run_chunks, metadata)[0]}
 
-    main_probs, _ = fuse_from_embeddings(main_fusion, emb, meta)
-    main_healthy = [float(p) for p in main_probs[:, 0]]
+    def main_probs(size: float, step: float) -> np.ndarray:
+        if (size, step) not in main:
+            main[(size, step)] = score_chunks(main_fusion, main_members,
+                                              extract(size, step), metadata)[0]
+        return main[(size, step)]
+
+    pt_probs, _ = score_chunks(pt_fusion, pt_members, run_chunks, metadata)
+    # The pretuned fusion was built over the tuned members, so it takes
+    # them in its member order; only their own-head outputs are read.
+    _, own_probs = score_chunks(pt_fusion, tuned_members, run_chunks, metadata)
+    own_healthy = {m.biomarker_id: p[:, 0]
+                   for m, p in zip(tuned_members, own_probs)}
 
     entries = []
     for entry in registry.entries:
         if entry.trainable_model:
-            member = tuned_by_id.get(entry.biomarker_id)
-            if member is None:
-                raise MissingBiomarker(entry.biomarker_id)
-            healthy = _member_healthy_probs(member, run_chunks)
-            score = aggregate(healthy, scheme)
+            score = aggregate(own_healthy[entry.biomarker_id], scheme)
         elif entry.kind == "ensemble_chunk_size":
             # Re-chunk at the probe size; stride is capped so windows
             # keep covering the recording without gaps.
-            probe_stride = min(stride, entry.chunk_size)
-            probs = ensemble_chunk_probs(
-                clip, main_fusion, main_members, metadata, params,
-                entry.chunk_size, probe_stride, mask,
-            )
-            score = aggregate([1.0 - p for p in probs], scheme)
+            probs = main_probs(entry.chunk_size, min(stride, entry.chunk_size))
+            score = aggregate(1.0 - probs[:, 1], scheme)
         elif entry.kind == "ensemble_scheme":
-            score = aggregate(main_healthy, AggregationScheme(entry.scheme))
+            score = aggregate(main_probs(chunk_size, stride)[:, 0],
+                              AggregationScheme(entry.scheme))
         elif entry.kind == "ensemble_pt":
-            probs = ensemble_chunk_probs(
-                clip, pt_fusion, pt_members, metadata, params,
-                chunk_size, stride, mask,
-            )
-            score = aggregate([1.0 - p for p in probs],
-                              AggregationScheme.AVERAGE)
+            score = aggregate(1.0 - pt_probs[:, 1], AggregationScheme.AVERAGE)
         else:
             raise MissingBiomarker(f"no scorer for {entry.biomarker_id}")
         entries.append(SaliencyEntry(entry.biomarker_id, entry.family,

@@ -87,6 +87,17 @@ class TestTrain:
         assert "learning_rate" in stderr
         assert not os.path.exists(tmp_path / "r")
 
+    def test_fractional_batch_size(self, tmp_path, corpus_dir, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"batch_size": 2.5}))
+        code, _, stderr = run_cli(
+            capsys, "train", "--config", str(config_path),
+            "--manifest", os.path.join(corpus_dir, "manifest.csv"),
+            "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert "batch_size" in stderr
+        assert not os.path.exists(tmp_path / "r")
+
     def test_missing_manifest_file(self, tmp_path, capsys):
         code, _, stderr = run_cli(capsys, "train", "--manifest",
                                   str(tmp_path / "nope.csv"),

@@ -1,5 +1,5 @@
-"""Metadata fusion network: forward/backward, joint training, ensemble
-serialization, member ablation."""
+"""Metadata fusion network: forward/backward, chunk scoring, joint
+training, ensemble serialization."""
 
 import threading
 
@@ -15,16 +15,14 @@ from ovbm.fusion import (
     EnsembleDigestMismatch,
     FusionSample,
     MemberOrderMismatch,
-    UnknownMember,
-    ablate_member,
     build_fusion,
-    fuse_forward,
     fuse_from_embeddings,
     fusion_backward,
     load_ensemble,
     member_input_image,
     metadata_vector,
     save_ensemble,
+    score_chunks,
     train_fusion,
 )
 from ovbm.mfcc import MfccImage, MfccParams
@@ -90,14 +88,19 @@ class TestFuseForward:
         members = make_members()
         fusion = build_fusion(members, seed=1)
         with pytest.raises(MemberOrderMismatch):
-            fuse_forward(fusion, make_chunk(), list(reversed(members)),
+            score_chunks(fusion, list(reversed(members)), [make_chunk()],
                          metadata_vector())
 
     def test_single_chunk_prob(self):
         members = make_members()
         fusion = build_fusion(members, seed=2)
-        p = fuse_forward(fusion, make_chunk(), members, metadata_vector("F", 70))
-        assert 0.0 <= p <= 1.0
+        probs, own = score_chunks(fusion, members, [make_chunk()],
+                                  metadata_vector("F", 70))
+        assert probs.shape == (1, 2)
+        assert 0.0 <= probs[0, 1] <= 1.0
+        # each member's own 3-way head, read from the same forward pass
+        assert [p.shape for p in own] == [(1, 3), (1, 3)]
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestFusionBackward:
@@ -189,24 +192,6 @@ class TestTrainFusion:
             # member heads sit off the joint loss path
             assert m.weights["head.w"].tobytes() == b["head.w"].tobytes()
 
-    def test_pt_variant_differs_from_joint(self):
-        members = make_members()
-        fusion = build_fusion(members, seed=7)
-        samples = make_samples()
-        config = TrainConfig(epochs=2, seed=3)
-        joint = train_fusion(fusion, members, samples, config,
-                             TransferStrategy.last_n(1))
-        pt = train_fusion(fusion, members, samples, config,
-                          TransferStrategy.last_n(1), pt=True)
-        # individual pretuning re-heads members to 2 classes and shifts
-        # the trainable convs before the joint phase sees them
-        assert pt.members[0].num_classes == 2
-        assert not np.array_equal(pt.members[0].weights["block1.conv2.w"],
-                                  joint.members[0].weights["block1.conv2.w"])
-        assert any(not np.array_equal(pt.fusion.weights[k],
-                                      joint.fusion.weights[k])
-                   for k in pt.fusion.weights)
-
     def test_deterministic(self):
         members = make_members()
         fusion = build_fusion(members, seed=8)
@@ -255,37 +240,6 @@ class TestTrainFusion:
             for k in want.fusion.weights:
                 np.testing.assert_array_equal(got.fusion.weights[k],
                                               want.fusion.weights[k])
-
-
-class TestAblation:
-    def test_swap_changes_output(self):
-        members = make_members()
-        fusion = build_fusion(members, seed=11)
-        replacement = init_cnn(MICRO_ARCH, 3, seed=99, biomarker_id="fresh")
-        new_fusion, new_members = ablate_member(fusion, members, "m1",
-                                                replacement)
-        assert new_fusion.member_ids == ["m0", "fresh"]
-        assert fusion.member_ids == ["m0", "m1"]  # original untouched
-        chunk = make_chunk(seed=42)
-        p_old = fuse_forward(fusion, chunk, members, metadata_vector())
-        p_new = fuse_forward(new_fusion, chunk, new_members, metadata_vector())
-        assert p_old != p_new
-
-    def test_unknown_member(self):
-        members = make_members()
-        fusion = build_fusion(members, seed=11)
-        with pytest.raises(UnknownMember):
-            ablate_member(fusion, members, "nope", members[0])
-
-    def test_dim_mismatch(self):
-        members = make_members()
-        fusion = build_fusion(members, seed=11)
-        from ovbm.models import CnnArch
-
-        wide = init_cnn(CnnArch((10, 8), 2, 1, 8), 2, seed=0,
-                        biomarker_id="wide")
-        with pytest.raises(DimMismatch):
-            ablate_member(fusion, members, "m1", wide)
 
 
 class TestEnsembleFiles:

@@ -16,14 +16,12 @@ from ovbm.mfcc import (
     frame_signal,
     hz_to_mel,
     lifter_weights,
-    load_mfcc,
     mel_filterbank,
     mel_to_hz,
     mfcc,
     mfcc_oracle,
     power_spectrum,
     preemphasize,
-    save_mfcc,
 )
 
 FAST = MfccParams(num_cepstra=8, num_filters=16, fft_size=512)
@@ -256,27 +254,16 @@ class TestMfccProperties:
                  MfccParams(num_cepstra=20, num_filters=10, fft_size=512))
 
 
-class TestMfccCache:
-    def test_round_trip_exact(self, tmp_path):
-        image = mfcc(_clip(0.1), FAST)
-        path = tmp_path / "f.mfcc"
-        save_mfcc(path, image)
-        out = load_mfcc(path)
-        np.testing.assert_array_equal(
-            out, image.values.astype(np.float32).astype(np.float64))
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "f.mfcc"
-        save_mfcc(path, mfcc(_clip(0.05), FAST))
-        raw = bytearray(path.read_bytes())
-        raw[:4] = b"XXXX"
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError):
-            load_mfcc(path)
-
-    def test_truncated(self, tmp_path):
-        path = tmp_path / "f.mfcc"
-        save_mfcc(path, mfcc(_clip(0.05), FAST))
-        path.write_bytes(path.read_bytes()[:-10])
-        with pytest.raises(ValueError):
-            load_mfcc(path)
+class TestParamsValidate:
+    @pytest.mark.parametrize("field",
+                             ["window_len", "window_step", "log_floor",
+                              "preemphasis"])
+    @pytest.mark.parametrize("value", [float("inf"), -float("inf"),
+                                       float("nan")])
+    def test_rejects_non_finite(self, field, value):
+        params = MfccParams(num_cepstra=8, num_filters=16, fft_size=512,
+                            **{field: value})
+        with pytest.raises(ValueError, match=field):
+            params.validate()
+        with pytest.raises(ValueError, match=field):
+            mfcc(_clip(0.05), params)

@@ -20,6 +20,7 @@ from ovbm.pipeline import (
     resolve_wav_path,
     run_training,
     save_pipeline,
+    subject_saliency,
 )
 
 
@@ -46,6 +47,16 @@ class TestRunConfig:
         {"learning_rate": "0.1"},
         {"chunk_size": float("nan")},
         {"stride": float("inf")},
+        {"pretrain_epochs": float("inf")},
+        {"tune_epochs": 2.0},
+        {"fusion_epochs": True},
+        {"surrogate_per_class": 0},
+        {"batch_size": 2.5},
+        {"batch_size": "8"},
+        {"learning_rate": True},
+        {"threshold": False},
+        {"split_fraction": True},
+        {"window_step": float("inf")},
     ])
     def test_rejects(self, overrides):
         config = RunConfig(**{"manifest": "m.csv", **overrides})
@@ -218,3 +229,28 @@ class TestInference:
         assert d.label in ("positive", "negative")
         # 5-8 s clips at 2 s / 2 s give ceil-based window counts
         assert len(d.chunk_probabilities) >= 3
+
+
+class TestOneScoringPath:
+    """Eval, diagnose and the run-chunking saliency entries all read the
+    same ensemble scores."""
+
+    def test_eval_equals_diagnose_bitwise(self, micro_pipeline):
+        config = micro_pipeline.config
+        result = evaluate_manifest(micro_pipeline, config.manifest)
+        for rec in parse_manifest(config.manifest):
+            clip = load_clip(config.manifest, rec, config.sample_rate)
+            d = diagnose_subject(micro_pipeline, rec, clip)
+            assert result["subjects"][rec.subject_id]["probability"] \
+                == d.probability
+
+    def test_saliency_identities(self, micro_pipeline):
+        config = micro_pipeline.config
+        assert (config.chunk_size, config.stride) == (2.0, 2.0)
+        for rec in parse_manifest(config.manifest)[:3]:
+            clip = load_clip(config.manifest, rec, config.sample_rate)
+            d = diagnose_subject(micro_pipeline, rec, clip)
+            smap = subject_saliency(micro_pipeline, rec, clip)
+            for entry_id in ("symbolic_average", "brainos_chunk2"):
+                assert abs(smap.by_id(entry_id).score
+                           - (1.0 - d.probability)) <= 1e-12
