@@ -1,0 +1,81 @@
+#!/usr/bin/env python3
+"""Print one sha256 per file that the micro test config produces through
+`ovbm train`, `eval`, `diagnose` and `saliency --subjects all --compare
+s000,s001`, under the frozen, last:1 and all strategies with the Poisson
+mask on and off.
+
+    python3 scripts/output_digests.py --work /tmp/ovbm-digests > a.txt
+
+Run it in two checkouts with the same --work (each run's config.json
+records the manifest path) and `diff` the two listings: no difference
+means every artifact and report is byte-identical. It is not part of the
+test suite; it takes a few minutes on two cores.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import json
+import os
+import shutil
+import sys
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
+
+from conftest import micro_run_config  # noqa: E402
+from ovbm.cli import main as ovbm  # noqa: E402
+from ovbm.synthesis import write_corpus  # noqa: E402
+
+STRATEGIES = ("frozen", "last:1", "all")
+CORPUS_SUBJECTS, CORPUS_SEED = 8, 3  # the test suite's corpus_dir fixture
+
+
+def run(*argv) -> None:
+    with contextlib.redirect_stdout(sys.stderr):
+        code = ovbm(list(argv))
+    if code != 0:
+        sys.exit(f"ovbm {' '.join(argv)} exited with {code}")
+
+
+def main() -> None:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--work", required=True,
+                   help="scratch directory; emptied first")
+    work = os.path.abspath(p.parse_args().work)
+    shutil.rmtree(work, ignore_errors=True)
+    corpus = os.path.join(work, "corpus")
+    write_corpus(corpus, CORPUS_SUBJECTS, seed=CORPUS_SEED)
+    manifest = os.path.join(corpus, "manifest.csv")
+    base = micro_run_config(corpus).to_dict()
+
+    for strategy in STRATEGIES:
+        for mask in (True, False):
+            out = os.path.join(work, f"{strategy.replace(':', '')}_mask_"
+                                     f"{'on' if mask else 'off'}")
+            os.makedirs(out)
+            config = os.path.join(out, "config_in.json")
+            with open(config, "w") as fh:
+                json.dump(dict(base, strategy=strategy, poisson_mask=mask), fh)
+            run_dir = os.path.join(out, "run")
+            run("train", "--config", config, "--out", run_dir)
+            run("eval", "--run", run_dir, "--manifest", manifest,
+                "--out", os.path.join(out, "eval.json"))
+            run("diagnose", "--run", run_dir, "--manifest", manifest,
+                "--out", os.path.join(out, "diagnoses.json"))
+            run("saliency", "--run", run_dir, "--manifest", manifest,
+                "--subjects", "all", "--compare", "s000,s001",
+                "--out", os.path.join(out, "saliency"))
+
+    for dirpath, dirnames, filenames in os.walk(work):
+        dirnames.sort()
+        for name in sorted(filenames):
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            print(f"{digest}  {os.path.relpath(path, work)}")
+
+
+if __name__ == "__main__":
+    main()

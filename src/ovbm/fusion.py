@@ -17,6 +17,7 @@ from . import models as M
 from . import nn
 from .chunker import Chunk
 from .degradation import PoissonMaskConfig, apply_poisson_mask
+from .mfcc import MfccImage
 from .util import atomic_write_bytes, derive_seed, sha256_file
 
 HIDDEN_DIM = 1024
@@ -127,30 +128,51 @@ _ALWAYS_MASK = frozenset(e.biomarker_id for e in M.build_registry().entries
                          if e.always_mask)
 
 
-def member_input_image(member: M.BiomarkerModel, chunk: Chunk):
-    """Per-member preprocessing: the degradation-sensitive member always
-    sees masked features; others take the chunk image as produced."""
-    if member.biomarker_id in _ALWAYS_MASK and not chunk.masked:
-        return apply_poisson_mask(chunk.features, PoissonMaskConfig())
-    return chunk.features
-
-
 def member_inputs(member: M.BiomarkerModel, chunks: list) -> np.ndarray:
-    """[N, H, W] fitted inputs of a member over a chunk list."""
-    return np.stack([M.prepare_input(member, member_input_image(member, c))
-                     for c in chunks])
+    """[N, H, W] fitted inputs of a member over a chunk list. The
+    degradation-sensitive member always sees masked features: a chunk
+    not masked at extraction is masked here, after the crop to the
+    member's frame count (the mask is elementwise)."""
+    remask = member.biomarker_id in _ALWAYS_MASK
+    inputs = []
+    for c in chunks:
+        x = M.prepare_input(member, c.features)
+        if remask and not c.masked:
+            x = apply_poisson_mask(MfccImage(x, c.features.params),
+                                   PoissonMaskConfig()).values
+        inputs.append(x)
+    return np.stack(inputs)
+
+
+def _body_key(member: M.BiomarkerModel) -> tuple:
+    """Everything a member's embedding of a chunk depends on: its id
+    (which sets the input transform), architecture and non-head tensors."""
+    return (member.biomarker_id, member.arch,
+            tuple((name, w.tobytes()) for name, w in sorted(member.weights.items())
+                  if not name.startswith("head.")))
 
 
 def score_chunks(fusion: FusionModel, members: list, chunks: list,
-                 metadata: np.ndarray):
+                 metadata: np.ndarray, memo: dict | None = None):
     """Score one recording's chunks. Returns (ensemble probs [N, 2],
-    [each member's own-head probs [N, K]])."""
+    [each member's own-head probs [N, K]]).
+
+    `memo` is owned by the caller and holds embeddings of this one chunk
+    list by member body, so calls that share it run each distinct body
+    once (under the `frozen` strategy the main, pretuned and tuned
+    members all share theirs). Own-head probabilities are computed from
+    the embeddings in the batches `forward_batches` uses."""
     _check_member_order(fusion, members)
-    outputs = [M.forward_batches(m, member_inputs(m, chunks)) for m in members]
-    emb = np.concatenate([e for e, _ in outputs], axis=1)
+    memo = {} if memo is None else memo
+    embs = []
+    for m in members:
+        key = _body_key(m)
+        if key not in memo:
+            memo[key] = M.forward_batches(m, member_inputs(m, chunks))[0]
+        embs.append(memo[key])
     meta = np.broadcast_to(metadata, (len(chunks), metadata.size)).copy()
-    probs, _ = fuse_from_embeddings(fusion, emb, meta)
-    return probs, [p for _, p in outputs]
+    probs, _ = fuse_from_embeddings(fusion, np.concatenate(embs, axis=1), meta)
+    return probs, [M.head_batches(m, e) for m, e in zip(members, embs)]
 
 
 # -------------------------------------------------------------- train

@@ -213,17 +213,6 @@ def power_spectrum(frames: np.ndarray, fft_size: int) -> np.ndarray:
     return (spec.real**2 + spec.imag**2) / fft_size
 
 
-def filterbank_energies(clip: AudioClip, params: MfccParams):
-    """Pre-DCT quantities: (filter energies [F x nfilt], total frame
-    energy [F]). Exposed separately so tests can check them directly."""
-    frames = frame_signal(clip, params)
-    ps = power_spectrum(frames, params.fft_size)
-    bank = mel_filterbank(params)
-    energies = ps @ bank.weights.T
-    total = ps.sum(axis=1)
-    return energies, total
-
-
 _DCT_CACHE: dict = {}
 
 
@@ -246,17 +235,49 @@ def lifter_weights(num_cepstra: int) -> np.ndarray:
     return 1.0 + (CEP_LIFTER / 2.0) * np.sin(np.pi * n / CEP_LIFTER)
 
 
-def mfcc(clip: AudioClip, params: MfccParams | None = None,
-         source_span: tuple | None = None) -> MfccImage:
-    """Compute the MFCC image of a clip."""
-    params = MfccParams() if params is None else params
-    params.validate()
-    energies, total = filterbank_energies(clip, params)
+# Frames featurized per batch, which bounds the spectra held at once.
+# A batch is never shorter than this unless the whole input is: OpenBLAS
+# rounds small matrix products differently from large ones, and at this
+# size every row comes out as it would in any larger batch.
+BLOCK_FRAMES = 256
+
+
+def _cepstra(frames: np.ndarray, params: MfccParams) -> np.ndarray:
+    """MFCC rows of pre-emphasized frames [F x frame_len]."""
+    ps = power_spectrum(frames, params.fft_size)
+    energies = ps @ mel_filterbank(params).weights.T
     log_energies = np.log(np.maximum(energies, params.log_floor))
     basis = dct2_matrix(params.num_filters)[: params.num_cepstra]
     feat = log_energies @ basis.T
     feat *= lifter_weights(params.num_cepstra)[None, :]
-    feat[:, 0] = np.log(np.maximum(total, params.log_floor))
+    feat[:, 0] = np.log(np.maximum(ps.sum(axis=1), params.log_floor))
+    return feat
+
+
+def mfcc(clip: AudioClip, params: MfccParams | None = None,
+         source_span: tuple | None = None,
+         extra_frames: np.ndarray | None = None) -> MfccImage:
+    """Compute the MFCC image of a clip.
+
+    `extra_frames` [E x frame_len] are already pre-emphasized frames
+    (the chunker's frames that lie off the clip's frame grid). They are
+    featurized in the same batches as the clip's own frames, and their
+    rows follow the clip's rows.
+    """
+    params = MfccParams() if params is None else params
+    params.validate()
+    grid = frame_signal(clip, params)
+    extra = np.zeros((0, params.frame_len)) if extra_frames is None else extra_frames
+    total = len(grid) + len(extra)
+    feat = np.empty((total, params.num_cepstra))
+    parts = max(1, total // BLOCK_FRAMES)
+    edges = [total * i // parts for i in range(parts + 1)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        block = grid[lo:hi]
+        if hi > len(grid):
+            block = np.concatenate(
+                [block, extra[max(lo - len(grid), 0):hi - len(grid)]])
+        feat[lo:hi] = _cepstra(block, params)
     span = (0.0, clip.duration) if source_span is None else tuple(source_span)
     return MfccImage(feat, params, span)
 
@@ -299,26 +320,27 @@ def mfcc_oracle(clip: AudioClip, params: MfccParams | None = None) -> MfccImage:
     cos_m, sin_m = np.cos(angles), np.sin(angles)
     bank = mel_filterbank(params)
 
+    # One explicit DFT product over all frames at once.
+    padded = np.zeros((num_frames, nfft))
+    for f, frame in enumerate(frames):
+        padded[f, :L] = frame
+    re = padded @ cos_m.T
+    im = -(padded @ sin_m.T)
+    ps = (re * re + im * im) / nfft
+
     nfilt, ncep = params.num_filters, params.num_cepstra
+    energies = np.zeros((num_frames, nfilt))
+    for j in range(nfilt):
+        energies[:, j] = np.sum(bank.weights[j] * ps, axis=1)
+    loge = np.log(np.maximum(energies, params.log_floor))
+
     scale0, scale = math.sqrt(1.0 / nfilt), math.sqrt(2.0 / nfilt)
     feat = np.zeros((num_frames, ncep))
-    for f, frame in enumerate(frames):
-        padded = np.zeros(nfft)
-        padded[:L] = frame
-        re = cos_m @ padded
-        im = -(sin_m @ padded)
-        ps = (re * re + im * im) / nfft
-
-        energies = np.zeros(nfilt)
-        for j in range(nfilt):
-            energies[j] = np.sum(bank.weights[j] * ps)
-        loge = np.log(np.maximum(energies, params.log_floor))
-
-        for k in range(ncep):
-            c = np.sum(loge * np.cos(np.pi * k * (2.0 * np.arange(nfilt) + 1.0)
-                                     / (2.0 * nfilt)))
-            c *= scale0 if k == 0 else scale
-            feat[f, k] = c * (1.0 + (CEP_LIFTER / 2.0)
-                              * math.sin(math.pi * k / CEP_LIFTER))
-        feat[f, 0] = math.log(max(ps.sum(), params.log_floor))
+    for k in range(ncep):
+        # literal DCT-II row k, built once per clip
+        row = np.cos(np.pi * k * (2.0 * np.arange(nfilt) + 1.0) / (2.0 * nfilt))
+        c = np.sum(loge * row, axis=1) * (scale0 if k == 0 else scale)
+        feat[:, k] = c * (1.0 + (CEP_LIFTER / 2.0)
+                          * math.sin(math.pi * k / CEP_LIFTER))
+    feat[:, 0] = np.log(np.maximum(ps.sum(axis=1), params.log_floor))
     return MfccImage(feat, params, (0.0, clip.duration))

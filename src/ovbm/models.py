@@ -477,6 +477,15 @@ def _head_forward(model: BiomarkerModel, emb: np.ndarray) -> dict:
     return {"emb": emb, "logits": logits, "probs": nn.softmax(logits)}
 
 
+def head_batches(model: BiomarkerModel, emb: np.ndarray) -> np.ndarray:
+    """Own-head probabilities over embeddings [N, E], computed in the
+    EVAL_BATCH batches of `forward_batches`, so the two agree bit for bit."""
+    probs = [np.zeros((0, model.num_classes))]
+    for i in range(0, emb.shape[0], EVAL_BATCH):
+        probs.append(_head_forward(model, emb[i:i + EVAL_BATCH])["probs"])
+    return np.concatenate(probs, axis=0)
+
+
 def train(model: BiomarkerModel, dataset: list, config: TrainConfig,
           strategy: TransferStrategy) -> TrainResult:
     """Mini-batch Adam on a labeled image dataset.

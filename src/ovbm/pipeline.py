@@ -33,7 +33,7 @@ from .fusion import (
     FusionTrainResult,
     build_fusion,
     load_ensemble,
-    member_input_image,
+    member_inputs,
     metadata_vector,
     save_ensemble,
     score_chunks,
@@ -132,6 +132,9 @@ class RunConfig:
         self.parsed_scheme()
         self.parsed_strategy()
         self.mfcc_params().validate()
+        if self.chunk_size < self.window_len:
+            raise ValueError(f"chunk_size {self.chunk_size!r} s is shorter than "
+                             f"one window (window_len {self.window_len!r} s)")
         self.arch().validate()
 
     def to_dict(self) -> dict:
@@ -217,10 +220,11 @@ class TrainedPipeline:
 
 
 def _diagnose(config: RunConfig, fusion, members: list, record: SubjectRecord,
-              chunks: list) -> Diagnosis:
-    """Score a subject's chunks through an ensemble, aggregate, threshold."""
+              chunks: list, memo: dict | None = None) -> Diagnosis:
+    """Score a subject's chunks through an ensemble, aggregate, threshold.
+    `memo` is `score_chunks`'s embedding memo for this chunk list."""
     probs, _ = score_chunks(fusion, members, chunks,
-                            metadata_vector(record.gender, record.age))
+                            metadata_vector(record.gender, record.age), memo)
     chunk_probs = [float(p) for p in probs[:, 1]]
     scheme = config.parsed_scheme()
     probability = aggregate(chunk_probs, scheme)
@@ -292,11 +296,13 @@ def run_training(config: RunConfig) -> TrainedPipeline:
     # 3. per-member fine-tune on the target task (kept for saliency and
     # the pretuned ensemble; their own heads never see joint gradients)
     tuned: dict = {}
+    chunks = [s.chunk for s in samples]
     for entry in entries:
         mid = entry.biomarker_id
         member = M.replace_head(pretrained[mid], 2,
                                 derive_seed(config.seed, "tune_head", mid))
-        data = [(member_input_image(member, s.chunk), s.label) for s in samples]
+        data = list(zip(member_inputs(member, chunks),
+                        (s.label for s in samples)))
         result = M.train(member, data,
                          config.train_config(
                              config.tune_epochs,
@@ -339,8 +345,13 @@ def _run_metrics(pipe: TrainedPipeline, store: FeatureStore,
     def run_chunks(rec):
         return store.chunks(rec, config.chunk_size, config.stride)
 
+    # One embedding memo per test subject's chunks, shared by the main,
+    # pretuned and tuned scoring below.
+    memos = {rec.subject_id: {} for rec in test_records}
+
     def ensemble_diagnoses(fusion, members, recs):
-        return [_diagnose(config, fusion, members, rec, run_chunks(rec))
+        return [_diagnose(config, fusion, members, rec, run_chunks(rec),
+                          memos.get(rec.subject_id))
                 for rec in recs]
 
     train_diag = ensemble_diagnoses(pipe.main_fusion, pipe.main_members,
@@ -357,7 +368,8 @@ def _run_metrics(pipe: TrainedPipeline, store: FeatureStore,
     for rec in test_records:
         _, own_probs = score_chunks(pipe.pt_fusion, pipe.tuned_members,
                                     run_chunks(rec),
-                                    metadata_vector(rec.gender, rec.age))
+                                    metadata_vector(rec.gender, rec.age),
+                                    memos[rec.subject_id])
         for mid, probs in zip(pipe.member_ids, own_probs):
             positive = decide(aggregate(probs[:, 1], scheme),
                               config.threshold) == "positive"

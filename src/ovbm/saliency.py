@@ -77,25 +77,34 @@ def saliency_map(record: SubjectRecord, clip: AudioClip, tuned_members: list,
         if entry.biomarker_id not in tuned_ids:
             raise MissingBiomarker(entry.biomarker_id)
 
-    def extract(size: float, step: float) -> list:
-        return extract_chunks(clip, chunk_plan(clip.duration, size, step),
-                              params, mask)
+    # Every distinct chunk plan (the run's, then the chunk-scale
+    # probes, whose stride is capped so windows keep covering the
+    # recording without gaps), all cut from one featurization.
+    run_plan = (chunk_size, stride)
+    keys = list(dict.fromkeys(
+        [run_plan] + [(e.chunk_size, min(stride, e.chunk_size))
+                      for e in registry.entries
+                      if e.kind == "ensemble_chunk_size"]))
+    plans = [chunk_plan(clip.duration, size, step) for size, step in keys]
+    flat = extract_chunks(clip, plans, params, mask)
+    chunks, start = {}, 0
+    for key, plan in zip(keys, plans):
+        chunks[key] = flat[start:start + plan.count]
+        start += plan.count
 
-    run_chunks = extract(chunk_size, stride)
-    # Main-ensemble probs per distinct chunk plan, each scored once.
-    main = {(chunk_size, stride): score_chunks(main_fusion, main_members,
-                                               run_chunks, metadata)[0]}
-
-    def main_probs(size: float, step: float) -> np.ndarray:
-        if (size, step) not in main:
-            main[(size, step)] = score_chunks(main_fusion, main_members,
-                                              extract(size, step), metadata)[0]
-        return main[(size, step)]
-
-    pt_probs, _ = score_chunks(pt_fusion, pt_members, run_chunks, metadata)
+    # The main, pretuned and tuned members score the run's chunks through
+    # one memo, so each distinct member body runs once on them.
+    memo: dict = {}
+    main = {key: score_chunks(main_fusion, main_members, chunks[key],
+                              metadata, memo if key == run_plan else None)[0]
+            for key in keys}
+    run_chunks = chunks[run_plan]
+    pt_probs, _ = score_chunks(pt_fusion, pt_members, run_chunks, metadata,
+                               memo)
     # The pretuned fusion was built over the tuned members, so it takes
     # them in its member order; only their own-head outputs are read.
-    _, own_probs = score_chunks(pt_fusion, tuned_members, run_chunks, metadata)
+    _, own_probs = score_chunks(pt_fusion, tuned_members, run_chunks,
+                                metadata, memo)
     own_healthy = {m.biomarker_id: p[:, 0]
                    for m, p in zip(tuned_members, own_probs)}
 
@@ -104,12 +113,10 @@ def saliency_map(record: SubjectRecord, clip: AudioClip, tuned_members: list,
         if entry.trainable_model:
             score = aggregate(own_healthy[entry.biomarker_id], scheme)
         elif entry.kind == "ensemble_chunk_size":
-            # Re-chunk at the probe size; stride is capped so windows
-            # keep covering the recording without gaps.
-            probs = main_probs(entry.chunk_size, min(stride, entry.chunk_size))
+            probs = main[(entry.chunk_size, min(stride, entry.chunk_size))]
             score = aggregate(1.0 - probs[:, 1], scheme)
         elif entry.kind == "ensemble_scheme":
-            score = aggregate(main_probs(chunk_size, stride)[:, 0],
+            score = aggregate(main[run_plan][:, 0],
                               AggregationScheme(entry.scheme))
         elif entry.kind == "ensemble_pt":
             score = aggregate(1.0 - pt_probs[:, 1], AggregationScheme.AVERAGE)

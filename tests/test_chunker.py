@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ovbm.audio_io import AudioClip, SynthSpec, synth_clip
+from ovbm.audio_io import AudioClip, SynthSpec, pad_to, synth_clip
 from ovbm.chunker import brainos_sizes, chunk_plan, extract_chunks
-from ovbm.degradation import PoissonMaskConfig
+import ovbm.chunker as chunker
+from ovbm.degradation import PoissonMaskConfig, apply_poisson_mask
 from ovbm.mfcc import MfccParams, mfcc
 
 
@@ -89,8 +90,7 @@ class TestExtract:
         tail = clip.samples[int(round(start * 16000)):]
         padded = np.concatenate([tail, np.zeros(32000 - tail.size)])
         want = mfcc(AudioClip(padded, 16000), FAST).values
-        np.testing.assert_allclose(chunks[-1].features.values, want,
-                                   atol=1e-12)
+        np.testing.assert_array_equal(chunks[-1].features.values, want)
 
     def test_interior_chunk_matches_direct_slice(self):
         clip = _clip(6.0)
@@ -98,8 +98,7 @@ class TestExtract:
         chunks = extract_chunks(clip, plan, FAST)
         piece = clip.samples[32000:64000]
         want = mfcc(AudioClip(piece, 16000), FAST).values
-        np.testing.assert_allclose(chunks[1].features.values, want,
-                                   atol=1e-12)
+        np.testing.assert_array_equal(chunks[1].features.values, want)
 
     def test_mask_flag_and_effect(self):
         clip = _clip(4.0)
@@ -111,6 +110,75 @@ class TestExtract:
             assert not np.array_equal(a.features.values, b.features.values)
             assert np.all(np.abs(b.features.values)
                           <= np.abs(a.features.values) + 1e-15)
+
+
+def _own_mfcc(clip, plan, span, mask):
+    """The per-chunk definition: `mfcc` of the chunk's own samples, cut
+    from the clip zero-padded to the plan's last window, then masked."""
+    final_end = plan.intervals[-1][1]
+    padded = pad_to(clip, final_end) if final_end > clip.duration else clip
+    a, b = (int(round(t * clip.sample_rate)) for t in span)
+    image = mfcc(AudioClip(padded.samples[a:b].copy(), clip.sample_rate), FAST)
+    return image if mask is None else apply_poisson_mask(image, mask)
+
+
+def _assert_own_mfcc(clip, plan, chunks, mask):
+    assert [c.span for c in chunks] == plan.intervals
+    for c in chunks:
+        np.testing.assert_array_equal(
+            c.features.values, _own_mfcc(clip, plan, c.span, mask).values)
+
+
+MASKS = [None, PoissonMaskConfig()]
+
+
+class TestOneFeaturization:
+    """Chunks are cut from one featurization of the recording, yet each
+    chunk image equals `mfcc` of that chunk alone bit for bit, row 0
+    (where pre-emphasis restarts) included."""
+
+    # (clip s, chunk s, stride s): on the frame grid; stride off the
+    # 10 ms grid; long chunks; chunk length off the grid (partial last
+    # frame); a 15 ms stride; the (2, 2) clip ends 0.1 s into its last
+    # chunk, so that chunk is mostly zero padding.
+    @pytest.mark.parametrize("mask", MASKS, ids=["plain", "masked"])
+    @pytest.mark.parametrize("duration,size,stride", [
+        (4.1, 2.0, 2.0), (5.0, 2.0, 1.5), (9.1, 8.0, 2.0),
+        (6.3, 2.005, 2.0), (2.3, 2.0, 0.015)])
+    def test_every_chunk_is_its_own_mfcc(self, duration, size, stride, mask):
+        clip = _clip(duration)
+        plan = chunk_plan(clip.duration, size, stride)
+        _assert_own_mfcc(clip, plan, extract_chunks(clip, plan, FAST, mask),
+                         mask)
+
+    def test_short_chunks_within_1e12(self):
+        # A chunk of a few frames, featurized alone, goes through
+        # OpenBLAS's small-matrix kernels, which round differently from
+        # the recording's large batches; the rows still agree to 1e-12.
+        clip = _clip(1.0)
+        plan = chunk_plan(clip.duration, 0.1, 0.05)
+        for c in extract_chunks(clip, plan, FAST):
+            np.testing.assert_allclose(
+                c.features.values, _own_mfcc(clip, plan, c.span, None).values,
+                rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("mask", MASKS, ids=["plain", "masked"])
+    def test_saliency_plans_share_one_featurization(self, mask, monkeypatch):
+        calls = []
+        monkeypatch.setattr(chunker, "mfcc",
+                            lambda *a, **k: calls.append(1) or mfcc(*a, **k))
+        clip = _clip(9.1)
+        plans = [chunk_plan(clip.duration, size, 2.0)
+                 for size in [4.0] + brainos_sizes()]
+        chunks = extract_chunks(clip, plans, FAST, mask)
+        assert len(calls) == 1
+        assert len(chunks) == sum(p.count for p in plans)
+        start = 0
+        for plan in plans:
+            part = chunks[start:start + plan.count]
+            assert [c.index for c in part] == list(range(plan.count))
+            _assert_own_mfcc(clip, plan, part, mask)
+            start += plan.count
 
 
 def test_brainos_sizes():

@@ -98,6 +98,15 @@ class TestTrain:
         assert "batch_size" in stderr
         assert not os.path.exists(tmp_path / "r")
 
+    def test_chunk_shorter_than_window(self, tmp_path, corpus_dir, capsys):
+        code, _, stderr = run_cli(
+            capsys, "train", "--manifest",
+            os.path.join(corpus_dir, "manifest.csv"),
+            "--out", str(tmp_path / "r"), "--chunk-size", "0.01")
+        assert code == 2
+        assert "chunk_size 0.01" in stderr and "window_len 0.02" in stderr
+        assert not os.path.exists(tmp_path / "r")
+
     def test_missing_manifest_file(self, tmp_path, capsys):
         code, _, stderr = run_cli(capsys, "train", "--manifest",
                                   str(tmp_path / "nope.csv"),

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import MICRO_ARCH
 from ovbm.chunker import Chunk
+from ovbm.degradation import apply_poisson_mask
 from ovbm.fusion import (
     HIDDEN_DIM,
     DimMismatch,
@@ -19,14 +20,21 @@ from ovbm.fusion import (
     fuse_from_embeddings,
     fusion_backward,
     load_ensemble,
-    member_input_image,
+    member_inputs,
     metadata_vector,
     save_ensemble,
     score_chunks,
     train_fusion,
 )
 from ovbm.mfcc import MfccImage, MfccParams
-from ovbm.models import TrainConfig, TransferStrategy, init_cnn
+from ovbm.models import (
+    TrainConfig,
+    TransferStrategy,
+    fit_frames,
+    forward_batches,
+    init_cnn,
+    replace_head,
+)
 
 
 def make_members(n=2, num_classes=3, seed=0):
@@ -102,6 +110,21 @@ class TestFuseForward:
         assert [p.shape for p in own] == [(1, 3), (1, 3)]
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_memo_reuses_bodies_and_keeps_own_heads(self):
+        members = make_members()
+        fusion = build_fusion(members, seed=2)
+        # same bodies under new heads, as frozen tuning leaves them
+        retuned = [replace_head(m, 2, seed=9) for m in members]
+        chunks = [make_chunk(seed=i) for i in range(70)]  # two batches
+        memo: dict = {}
+        score_chunks(fusion, members, chunks, metadata_vector(), memo)
+        assert len(memo) == 2
+        _, own = score_chunks(fusion, retuned, chunks, metadata_vector(), memo)
+        assert len(memo) == 2
+        for m, p in zip(retuned, own):
+            np.testing.assert_array_equal(
+                p, forward_batches(m, member_inputs(m, chunks))[1])
+
 
 class TestFusionBackward:
     def test_matches_fd(self):
@@ -149,19 +172,26 @@ class TestAlwaysMask:
     def test_masked_member_input(self):
         member = init_cnn(MICRO_ARCH, 2, seed=0,
                           biomarker_id="poisson_muscular")
-        plain_chunk = make_chunk(masked=False)
-        out = member_input_image(member, plain_chunk)
-        assert not np.array_equal(out.values, plain_chunk.features.values)
-        assert np.all(np.abs(out.values)
-                      <= np.abs(plain_chunk.features.values) + 1e-15)
+        rng = np.random.default_rng(3)
+        image = MfccImage(rng.normal(0.0, 2.5, size=(16, 8)),
+                          MfccParams(num_cepstra=8, num_filters=16,
+                                     fft_size=512), (0.0, 2.0))
+        plain_chunk = Chunk(0, (0.0, 2.0), image, False)
+        out = member_inputs(member, [plain_chunk])[0]
+        # masking the member's 10-frame crop equals cropping the masked image
+        want = fit_frames(apply_poisson_mask(image).values, 10)
+        np.testing.assert_array_equal(out, want)
+        assert not np.array_equal(out, fit_frames(image.values, 10))
         # already-masked chunks pass through untouched
         masked_chunk = make_chunk(masked=True)
-        assert member_input_image(member, masked_chunk) is masked_chunk.features
+        np.testing.assert_array_equal(member_inputs(member, [masked_chunk])[0],
+                                      masked_chunk.features.values)
 
     def test_other_members_passthrough(self):
         member = init_cnn(MICRO_ARCH, 2, seed=0, biomarker_id="cough_origin")
         chunk = make_chunk()
-        assert member_input_image(member, chunk) is chunk.features
+        np.testing.assert_array_equal(member_inputs(member, [chunk])[0],
+                                      chunk.features.values)
 
 
 class TestTrainFusion:

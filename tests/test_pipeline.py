@@ -7,12 +7,18 @@ import os
 import numpy as np
 import pytest
 
+import ovbm.models as M
+import ovbm.pipeline as P
+import ovbm.saliency as S
 from conftest import micro_run_config
 from ovbm.audio_io import parse_manifest
+from ovbm.chunker import chunk_plan
+from ovbm.fusion import FusionTrainResult, score_chunks
 from ovbm.pipeline import (
     FeatureStore,
     RunConfig,
     UnknownConfigKey,
+    _run_metrics,
     diagnose_subject,
     evaluate_manifest,
     load_clip,
@@ -57,6 +63,7 @@ class TestRunConfig:
         {"threshold": False},
         {"split_fraction": True},
         {"window_step": float("inf")},
+        {"chunk_size": 0.01},        # shorter than one 20 ms window
     ])
     def test_rejects(self, overrides):
         config = RunConfig(**{"manifest": "m.csv", **overrides})
@@ -254,3 +261,81 @@ class TestOneScoringPath:
             for entry_id in ("symbolic_average", "brainos_chunk2"):
                 assert abs(smap.by_id(entry_id).score
                            - (1.0 - d.probability)) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def last1_pipeline(corpus_dir):
+    return run_training(micro_run_config(corpus_dir, strategy="last:1"))
+
+
+def _probe_plan_counts(pipe, clip) -> list:
+    """Chunk counts of the distinct plans one saliency map scores, the
+    run's plan first."""
+    config = pipe.config
+    keys = [(config.chunk_size, config.stride)] + [
+        (e.chunk_size, min(config.stride, e.chunk_size))
+        for e in pipe.registry.entries if e.kind == "ensemble_chunk_size"]
+    return [chunk_plan(clip.duration, *k).count for k in dict.fromkeys(keys)]
+
+
+class TestEmbeddingMemo:
+    """Scoring calls that share an embedding memo run each distinct
+    member body once per chunk, and give the same bits as scoring alone."""
+
+    @pytest.mark.parametrize("fixture", ["micro_pipeline", "last1_pipeline"])
+    def test_shared_memo_is_bit_identical(self, fixture, request,
+                                          monkeypatch):
+        pipe = request.getfixturevalue(fixture)
+        config = pipe.config
+        records = parse_manifest(config.manifest)
+        m = pipe.metrics
+        main = FusionTrainResult(pipe.main_fusion, pipe.main_members,
+                                 m["fusion"]["chunk_train_accuracy"],
+                                 m["fusion"]["chunk_test_accuracy"],
+                                 [m["fusion"]["final_epoch_loss"]])
+        pt = FusionTrainResult(pipe.pt_fusion, pipe.pt_members,
+                               m["pt_fusion"]["chunk_train_accuracy"],
+                               m["pt_fusion"]["chunk_test_accuracy"])
+        train = [r for r in records if r.subject_id in m["train_subjects"]]
+        test = [r for r in records if r.subject_id in m["test_subjects"]]
+
+        def outputs():
+            store = FeatureStore(config.manifest, config.mfcc_params(),
+                                 config.mask())
+            metrics = _run_metrics(pipe, store, train, test, main, pt)
+            maps = [subject_saliency(pipe, r, store.clip(r)).to_rows()
+                    for r in records]
+            return json.dumps(metrics, sort_keys=True), maps
+
+        shared = outputs()
+        assert shared[0] == json.dumps(pipe.metrics, sort_keys=True)
+
+        def alone(fusion, members, chunks, metadata, memo=None):
+            return score_chunks(fusion, members, chunks, metadata)
+
+        monkeypatch.setattr(P, "score_chunks", alone)
+        monkeypatch.setattr(S, "score_chunks", alone)
+        assert outputs() == shared
+
+    @pytest.mark.parametrize("fixture,run_plan_images", [
+        ("micro_pipeline", 8),    # main, pretuned and tuned share bodies
+        ("last1_pipeline", 24)])  # joint and tune training moved them all
+    def test_saliency_images_per_chunk(self, fixture, run_plan_images,
+                                       request, monkeypatch):
+        pipe = request.getfixturevalue(fixture)
+        config = pipe.config
+        rec = parse_manifest(config.manifest)[0]
+        clip = load_clip(config.manifest, rec, config.sample_rate)
+        images = []
+        forward_batch = M.forward_batch
+
+        def counting(model, x, want_cache=False):
+            images.append(x.shape[0])
+            return forward_batch(model, x, want_cache)
+
+        monkeypatch.setattr(M, "forward_batch", counting)
+        subject_saliency(pipe, rec, clip)
+        run_count, *probe_counts = _probe_plan_counts(pipe, clip)
+        assert probe_counts  # the 8, 14 and 20 s probes
+        assert sum(images) == (run_plan_images * run_count
+                               + 8 * sum(probe_counts))
