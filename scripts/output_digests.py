@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Print one sha256 per file that the micro test config produces through
-`ovbm train`, `eval`, `diagnose` and `saliency --subjects all --compare
-s000,s001`, under the frozen, last:1 and all strategies with the Poisson
-mask on and off.
+`ovbm train`, `eval`, `diagnose`, `saliency --subjects all --compare
+s000,s001` and `report uniqueness`, under the frozen, last:1 and all
+strategies with the Poisson mask on and off, plus one `report ablation`
+per strategy pairing its mask-off and mask-on runs.
 
     python3 scripts/output_digests.py --work /tmp/ovbm-digests > a.txt
 
@@ -51,9 +52,10 @@ def main() -> None:
     base = micro_run_config(corpus).to_dict()
 
     for strategy in STRATEGIES:
+        name = strategy.replace(":", "")
+        runs = {}
         for mask in (True, False):
-            out = os.path.join(work, f"{strategy.replace(':', '')}_mask_"
-                                     f"{'on' if mask else 'off'}")
+            out = os.path.join(work, f"{name}_mask_{'on' if mask else 'off'}")
             os.makedirs(out)
             config = os.path.join(out, "config_in.json")
             with open(config, "w") as fh:
@@ -67,6 +69,11 @@ def main() -> None:
             run("saliency", "--run", run_dir, "--manifest", manifest,
                 "--subjects", "all", "--compare", "s000,s001",
                 "--out", os.path.join(out, "saliency"))
+            run("report", "uniqueness", "--run", run_dir,
+                "--out", os.path.join(out, "uniqueness"))
+            runs[mask] = run_dir
+        run("report", "ablation", "--pairs", f"{runs[False]}:{runs[True]}",
+            "--out", os.path.join(work, f"{name}_ablation"))
 
     for dirpath, dirnames, filenames in os.walk(work):
         dirnames.sort()

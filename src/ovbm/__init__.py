@@ -12,7 +12,7 @@ from .audio_io import (
     synth_clip,
     write_wav,
 )
-from .chunker import Chunk, ChunkPlan, brainos_sizes, chunk_plan, extract_chunks
+from .chunker import Chunk, ChunkPlan, chunk_plan, extract_chunks
 from .degradation import PoissonMaskConfig, apply_poisson_mask, poisson_pmf
 from .fusion import (
     FusionModel,
@@ -60,7 +60,7 @@ __all__ = [
     "AggregationScheme", "Diagnosis", "aggregate", "decide",
     "AudioClip", "SubjectRecord", "SynthSpec", "load_wav", "parse_manifest",
     "synth_clip", "write_wav",
-    "Chunk", "ChunkPlan", "brainos_sizes", "chunk_plan", "extract_chunks",
+    "Chunk", "ChunkPlan", "chunk_plan", "extract_chunks",
     "PoissonMaskConfig", "apply_poisson_mask", "poisson_pmf",
     "FusionModel", "FusionSample", "build_fusion", "load_ensemble",
     "metadata_vector", "save_ensemble", "train_fusion",

@@ -140,10 +140,3 @@ def extract_chunks(clip: AudioClip, plans: ChunkPlan | list, params: MfccParams,
     return [Chunk(i, span, MfccImage(image.values[r], params, span),
                   masked=mask is not None)
             for (i, span), r in zip(spans, rows)]
-
-
-def brainos_sizes() -> list:
-    """Chunk sizes (seconds) at which the ensemble is probed for the
-    chunk-scale biomarker family. All are multiples of the default
-    stride so coverage is gap-free."""
-    return [2, 8, 14, 20]

@@ -152,17 +152,13 @@ def _body_key(member: M.BiomarkerModel) -> tuple:
                   if not name.startswith("head.")))
 
 
-def score_chunks(fusion: FusionModel, members: list, chunks: list,
-                 metadata: np.ndarray, memo: dict | None = None):
-    """Score one recording's chunks. Returns (ensemble probs [N, 2],
-    [each member's own-head probs [N, K]]).
+def embed_chunks(members: list, chunks: list, memo: dict | None = None) -> list:
+    """Each member's embeddings [N, E] of one recording's chunks.
 
     `memo` is owned by the caller and holds embeddings of this one chunk
     list by member body, so calls that share it run each distinct body
     once (under the `frozen` strategy the main, pretuned and tuned
-    members all share theirs). Own-head probabilities are computed from
-    the embeddings in the batches `forward_batches` uses."""
-    _check_member_order(fusion, members)
+    members all share theirs)."""
     memo = {} if memo is None else memo
     embs = []
     for m in members:
@@ -170,9 +166,18 @@ def score_chunks(fusion: FusionModel, members: list, chunks: list,
         if key not in memo:
             memo[key] = M.forward_batches(m, member_inputs(m, chunks))[0]
         embs.append(memo[key])
+    return embs
+
+
+def score_chunks(fusion: FusionModel, members: list, chunks: list,
+                 metadata: np.ndarray, memo: dict | None = None) -> np.ndarray:
+    """Ensemble class probabilities [N, 2] of one recording's chunks.
+    `memo` is `embed_chunks`'s embedding memo for this chunk list."""
+    _check_member_order(fusion, members)
+    embs = embed_chunks(members, chunks, memo)
     meta = np.broadcast_to(metadata, (len(chunks), metadata.size)).copy()
     probs, _ = fuse_from_embeddings(fusion, np.concatenate(embs, axis=1), meta)
-    return probs, [M.head_batches(m, e) for m, e in zip(members, embs)]
+    return probs
 
 
 # -------------------------------------------------------------- train

@@ -109,14 +109,6 @@ class MfccImage:
     params: MfccParams
     source_span: tuple = (0.0, 0.0)
 
-    @property
-    def num_frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def num_coefficients(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass
 class FilterBank:

@@ -127,9 +127,6 @@ class TransferStrategy:
             return TransferStrategy.last_n(int(text.split(":", 1)[1]))
         raise ValueError(f"unknown strategy {text!r} (frozen | last:N | all)")
 
-    def describe(self) -> str:
-        return {"frozen": "frozen", "all": "all"}.get(self.kind, f"last:{self.n}")
-
 
 @dataclass
 class TrainConfig:
@@ -683,7 +680,9 @@ def _weight_file_bytes(descriptor: dict, weights: dict, order: list) -> bytes:
 
 
 def read_weight_file(path):
-    """Returns (descriptor dict, weights dict)."""
+    """Returns (descriptor dict, weights dict). The tensor records must
+    be exactly the descriptor's `tensors` list, in order, so a file cut
+    at a record boundary fails here rather than at first use."""
     from pathlib import Path
 
     buf = Path(path).read_bytes()
@@ -696,6 +695,9 @@ def read_weight_file(path):
         raise ValueError(f"{path}: truncated weight file")
     descriptor = json.loads(buf[12:12 + desc_len].decode("utf-8"))
     weights = unpack_tensor_records(buf, 12 + desc_len)
+    if list(weights) != descriptor.get("tensors"):
+        raise ValueError(f"{path}: tensor records do not match the "
+                         f"descriptor (truncated or tampered weight file)")
     return descriptor, weights
 
 

@@ -32,6 +32,7 @@ from .fusion import (
     FusionSample,
     FusionTrainResult,
     build_fusion,
+    embed_chunks,
     load_ensemble,
     member_inputs,
     metadata_vector,
@@ -49,6 +50,10 @@ FORMAT_VERSION = 1
 
 class UnknownConfigKey(ValueError):
     """Config source contains a key RunConfig does not define."""
+
+
+# Python types each RunConfig field annotation accepts.
+_FIELD_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
 
 
 @dataclass
@@ -110,22 +115,24 @@ class RunConfig:
         return M.TransferStrategy.parse(self.strategy)
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            # a bool is an int to Python, but never a number here
+            if (not isinstance(value, _FIELD_TYPES[f.type])
+                    or (f.type != "bool" and isinstance(value, bool))):
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
         if not self.manifest:
             raise ValueError("manifest path is required")
-        for f in dataclasses.fields(self):
-            if f.type == "float" and isinstance(getattr(self, f.name), bool):
-                raise ValueError(f"{f.name} must be a number, not a bool")
         for name in ("chunk_size", "stride", "learning_rate"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)
-                    and value > 0):
+            if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
         for name in ("pretrain_epochs", "tune_epochs", "fusion_epochs",
                      "surrogate_per_class", "batch_size"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            if value < 1:
                 raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
         if not 0.0 < self.split_fraction < 1.0:
             raise ValueError("split_fraction must lie in (0, 1)")
@@ -172,27 +179,21 @@ def load_clip(manifest_path: str, record: SubjectRecord,
 
 
 class FeatureStore:
-    """Per-subject clip and chunk cache for one run."""
+    """Per-subject chunk cache for one training run, which reads each
+    training subject's chunks again for its metrics."""
 
     def __init__(self, manifest_path: str, params: MfccParams,
                  mask: PoissonMaskConfig | None):
         self.manifest_path = manifest_path
         self.params = params
         self.mask = mask
-        self._clips: dict = {}
         self._chunks: dict = {}
-
-    def clip(self, record: SubjectRecord) -> AudioClip:
-        if record.subject_id not in self._clips:
-            self._clips[record.subject_id] = load_clip(
-                self.manifest_path, record, self.params.sample_rate)
-        return self._clips[record.subject_id]
 
     def chunks(self, record: SubjectRecord, chunk_size: float,
                stride: float) -> list:
         key = (record.subject_id, chunk_size, stride)
         if key not in self._chunks:
-            clip = self.clip(record)
+            clip = load_clip(self.manifest_path, record, self.params.sample_rate)
             plan = chunk_plan(clip.duration, chunk_size, stride)
             self._chunks[key] = extract_chunks(clip, plan, self.params, self.mask)
         return self._chunks[key]
@@ -202,7 +203,6 @@ class FeatureStore:
 class TrainedPipeline:
     config: RunConfig
     registry: M.BiomarkerRegistry
-    pretrained: dict            # biomarker_id -> surrogate-task model
     tuned: dict                 # biomarker_id -> 2-way fine-tuned model
     main_fusion: object
     main_members: list
@@ -222,9 +222,9 @@ class TrainedPipeline:
 def _diagnose(config: RunConfig, fusion, members: list, record: SubjectRecord,
               chunks: list, memo: dict | None = None) -> Diagnosis:
     """Score a subject's chunks through an ensemble, aggregate, threshold.
-    `memo` is `score_chunks`'s embedding memo for this chunk list."""
-    probs, _ = score_chunks(fusion, members, chunks,
-                            metadata_vector(record.gender, record.age), memo)
+    `memo` is `embed_chunks`'s embedding memo for this chunk list."""
+    probs = score_chunks(fusion, members, chunks,
+                         metadata_vector(record.gender, record.age), memo)
     chunk_probs = [float(p) for p in probs[:, 1]]
     scheme = config.parsed_scheme()
     probability = aggregate(chunk_probs, scheme)
@@ -329,7 +329,7 @@ def run_training(config: RunConfig) -> TrainedPipeline:
                           derive_seed(config.seed, "fusion_train", "pt")),
                       strategy)
 
-    pipe = TrainedPipeline(config, registry, pretrained, tuned,
+    pipe = TrainedPipeline(config, registry, tuned,
                            main.fusion, main.members, pt.fusion, pt.members)
     pipe.metrics = _run_metrics(pipe, store, train_records, test_records,
                                 main, pt)
@@ -360,18 +360,14 @@ def _run_metrics(pipe: TrainedPipeline, store: FeatureStore,
                                    test_records)
     pt_test = ensemble_diagnoses(pipe.pt_fusion, pipe.pt_members, test_records)
 
-    # Each tuned member decides a test subject by its own head. The
-    # pretuned fusion was built over the tuned members, so it takes them
-    # in its member order; its ensemble output is not used here.
+    # Each tuned member decides a test subject by its own head.
     hits = {mid: 0 for mid in pipe.member_ids}
     detections: dict = {mid: [] for mid in pipe.member_ids}
     for rec in test_records:
-        _, own_probs = score_chunks(pipe.pt_fusion, pipe.tuned_members,
-                                    run_chunks(rec),
-                                    metadata_vector(rec.gender, rec.age),
-                                    memos[rec.subject_id])
-        for mid, probs in zip(pipe.member_ids, own_probs):
-            positive = decide(aggregate(probs[:, 1], scheme),
+        members = pipe.tuned_members
+        embs = embed_chunks(members, run_chunks(rec), memos[rec.subject_id])
+        for mid, m, emb in zip(pipe.member_ids, members, embs):
+            positive = decide(aggregate(M.head_batches(m, emb)[:, 1], scheme),
                               config.threshold) == "positive"
             hits[mid] += int(positive == bool(rec.label))
             if positive and rec.label == 1:
@@ -438,8 +434,6 @@ def save_pipeline(pipe: TrainedPipeline, out_dir: str) -> None:
     atomic_write_text(os.path.join(out_dir, "metrics.json"),
                       json.dumps(pipe.metrics, indent=2, sort_keys=True) + "\n")
     for mid in pipe.member_ids:
-        M.save_model(os.path.join(models_dir, f"member_pre_{mid}.ovbm"),
-                     pipe.pretrained[mid], meta)
         M.save_model(os.path.join(models_dir, f"member_tuned_{mid}.ovbm"),
                      pipe.tuned[mid], meta)
     save_ensemble(os.path.join(out_dir, "ensemble_main"),
@@ -462,20 +456,17 @@ def load_pipeline(out_dir: str) -> TrainedPipeline:
             metrics = json.load(fh)
 
     registry = M.build_registry()
-    pretrained: dict = {}
     tuned: dict = {}
     for entry in registry.model_entries():
         mid = entry.biomarker_id
-        for kind, dest in (("pre", pretrained), ("tuned", tuned)):
-            path = os.path.join(out_dir, "models", f"member_{kind}_{mid}.ovbm")
-            if not os.path.exists(path):
-                raise FileNotFoundError(f"missing weight file {path}")
-            dest[mid] = M.load_model(path)
+        path = os.path.join(out_dir, "models", f"member_tuned_{mid}.ovbm")
+        if not os.path.exists(path):
+            raise FileNotFoundError(f"missing weight file {path}")
+        tuned[mid] = M.load_model(path)
     main_fusion, main_members = load_ensemble(os.path.join(out_dir, "ensemble_main"))
     pt_fusion, pt_members = load_ensemble(os.path.join(out_dir, "ensemble_pt"))
-    return TrainedPipeline(config, registry, pretrained, tuned,
-                           main_fusion, main_members, pt_fusion, pt_members,
-                           metrics)
+    return TrainedPipeline(config, registry, tuned, main_fusion, main_members,
+                           pt_fusion, pt_members, metrics)
 
 
 # ----------------------------------------------------------- per-subject
@@ -484,10 +475,9 @@ def evaluate_manifest(pipe: TrainedPipeline, manifest_path: str) -> dict:
     """Subject accuracy of the saved main ensemble on a manifest."""
     config = pipe.config
     records = parse_manifest(manifest_path)
-    store = FeatureStore(manifest_path, config.mfcc_params(), config.mask())
     diagnoses = [
-        _diagnose(config, pipe.main_fusion, pipe.main_members, rec,
-                  store.chunks(rec, config.chunk_size, config.stride))
+        diagnose_subject(pipe, rec,
+                         load_clip(manifest_path, rec, config.sample_rate))
         for rec in records
     ]
     out = _subject_metrics(diagnoses, records, config.threshold)

@@ -17,8 +17,8 @@ import numpy as np
 from .aggregation import AggregationScheme, aggregate
 from .audio_io import AudioClip, SubjectRecord
 from .chunker import chunk_plan, extract_chunks
-from .fusion import metadata_vector, score_chunks
-from .models import BiomarkerRegistry, build_registry
+from .fusion import embed_chunks, metadata_vector, score_chunks
+from .models import build_registry, head_batches
 
 SALIENCY_CSV_COLUMNS = "subject_id,family,biomarker_id,score"
 
@@ -61,8 +61,7 @@ class SaliencyMap:
 def saliency_map(record: SubjectRecord, clip: AudioClip, tuned_members: list,
                  main_fusion, main_members: list, pt_fusion, pt_members: list,
                  params, chunk_size: float, stride: float,
-                 scheme: AggregationScheme, mask=None,
-                 registry: BiomarkerRegistry | None = None) -> SaliencyMap:
+                 scheme: AggregationScheme, mask=None) -> SaliencyMap:
     """Score all 16 roster entries for one subject.
 
     Sensory/cognitive scores come from each tuned member's own head;
@@ -70,7 +69,7 @@ def saliency_map(record: SubjectRecord, clip: AudioClip, tuned_members: list,
     symbolic scores re-aggregate the main ensemble under each scheme
     plus the per-member-pretuned ensemble under the flat average.
     """
-    registry = registry or build_registry()
+    registry = build_registry()
     metadata = metadata_vector(record.gender, record.age)
     tuned_ids = {m.biomarker_id for m in tuned_members}
     for entry in registry.model_entries():
@@ -96,17 +95,14 @@ def saliency_map(record: SubjectRecord, clip: AudioClip, tuned_members: list,
     # one memo, so each distinct member body runs once on them.
     memo: dict = {}
     main = {key: score_chunks(main_fusion, main_members, chunks[key],
-                              metadata, memo if key == run_plan else None)[0]
+                              metadata, memo if key == run_plan else None)
             for key in keys}
     run_chunks = chunks[run_plan]
-    pt_probs, _ = score_chunks(pt_fusion, pt_members, run_chunks, metadata,
-                               memo)
-    # The pretuned fusion was built over the tuned members, so it takes
-    # them in its member order; only their own-head outputs are read.
-    _, own_probs = score_chunks(pt_fusion, tuned_members, run_chunks,
-                                metadata, memo)
-    own_healthy = {m.biomarker_id: p[:, 0]
-                   for m, p in zip(tuned_members, own_probs)}
+    pt_probs = score_chunks(pt_fusion, pt_members, run_chunks, metadata, memo)
+    own_healthy = {m.biomarker_id: head_batches(m, emb)[:, 0]
+                   for m, emb in zip(tuned_members,
+                                     embed_chunks(tuned_members, run_chunks,
+                                                  memo))}
 
     entries = []
     for entry in registry.entries:

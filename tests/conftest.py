@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from ovbm.models import CnnArch
+from ovbm.models import CnnArch, pack_tensor_records, read_weight_file
 from ovbm.pipeline import RunConfig, TrainedPipeline, run_training, save_pipeline
 from ovbm.synthesis import write_corpus
 
@@ -33,6 +33,15 @@ MICRO_ARCH = CnnArch(input_shape=(10, 8), stem_channels=2, num_blocks=1,
 @pytest.fixture
 def micro_arch() -> CnnArch:
     return MICRO_ARCH
+
+
+def record_boundaries(path) -> list:
+    """Byte offsets at which each tensor record of a weight file starts."""
+    descriptor, weights = read_weight_file(path)
+    names = descriptor["tensors"]
+    start = path.stat().st_size - len(pack_tensor_records(weights, names))
+    return [start + len(pack_tensor_records(weights, names[:k]))
+            for k in range(len(names))]
 
 
 def random_images(n: int, shape=(10, 8), seed: int = 0) -> list:

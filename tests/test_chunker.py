@@ -6,10 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ovbm.audio_io import AudioClip, SynthSpec, pad_to, synth_clip
-from ovbm.chunker import brainos_sizes, chunk_plan, extract_chunks
+from ovbm.chunker import chunk_plan, extract_chunks
 import ovbm.chunker as chunker
 from ovbm.degradation import PoissonMaskConfig, apply_poisson_mask
 from ovbm.mfcc import MfccParams, mfcc
+from ovbm.models import build_registry
 
 
 def enumerate_windows(duration, size, stride):
@@ -169,7 +170,8 @@ class TestOneFeaturization:
                             lambda *a, **k: calls.append(1) or mfcc(*a, **k))
         clip = _clip(9.1)
         plans = [chunk_plan(clip.duration, size, 2.0)
-                 for size in [4.0] + brainos_sizes()]
+                 for size in [4.0] + [e.chunk_size for e in
+                                      build_registry().family("brainos")]]
         chunks = extract_chunks(clip, plans, FAST, mask)
         assert len(calls) == 1
         assert len(chunks) == sum(p.count for p in plans)
@@ -180,6 +182,3 @@ class TestOneFeaturization:
             _assert_own_mfcc(clip, plan, part, mask)
             start += plan.count
 
-
-def test_brainos_sizes():
-    assert brainos_sizes() == [2.0, 8.0, 14.0, 20.0]

@@ -3,18 +3,31 @@
 import json
 import os
 import shutil
+from pathlib import Path
 
 import pytest
 
-from conftest import micro_run_config
+from conftest import micro_run_config, record_boundaries
 from ovbm.audio_io import parse_manifest
 from ovbm.cli import main
+from ovbm.models import save_model
+from ovbm.pipeline import load_pipeline
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def cut_copy(run_dir: str, tmp_path, *rel) -> tuple:
+    """A copy of a run whose weight file at `rel` ends just before its
+    last tensor record. Returns (copy, cut file)."""
+    broken = str(tmp_path / "broken")
+    shutil.copytree(run_dir, broken)
+    victim = Path(broken, *rel)
+    victim.write_bytes(victim.read_bytes()[:record_boundaries(victim)[-1]])
+    return broken, victim
 
 
 class TestSynth:
@@ -98,6 +111,22 @@ class TestTrain:
         assert "batch_size" in stderr
         assert not os.path.exists(tmp_path / "r")
 
+    @pytest.mark.parametrize("field,value", [
+        ("poisson_mask", "off"),   # truthy: would train with the mask on
+        ("fft_size", 512.0),
+    ])
+    def test_wrongly_typed_field(self, field, value, tmp_path, corpus_dir,
+                                 capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({field: value}))
+        code, _, stderr = run_cli(
+            capsys, "train", "--config", str(config_path),
+            "--manifest", os.path.join(corpus_dir, "manifest.csv"),
+            "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert field in stderr
+        assert not os.path.exists(tmp_path / "r")
+
     def test_chunk_shorter_than_window(self, tmp_path, corpus_dir, capsys):
         code, _, stderr = run_cli(
             capsys, "train", "--manifest",
@@ -139,13 +168,42 @@ class TestEval:
                                     tmp_path, capsys):
         broken = str(tmp_path / "broken")
         shutil.copytree(micro_run_dir, broken)
-        victim = os.path.join(broken, "models", "member_pre_cough_origin.ovbm")
+        victim = os.path.join(broken, "models", "member_tuned_cough_origin.ovbm")
         os.unlink(victim)
         code, _, stderr = run_cli(
             capsys, "eval", "--run", broken,
             "--manifest", os.path.join(corpus_dir, "manifest.csv"))
         assert code == 3
-        assert "member_pre_cough_origin.ovbm" in stderr
+        assert "member_tuned_cough_origin.ovbm" in stderr
+
+    def test_cut_fusion_file(self, micro_run_dir, corpus_dir, tmp_path,
+                             capsys):
+        broken, victim = cut_copy(micro_run_dir, tmp_path,
+                                  "ensemble_main", "fusion.ovbm")
+        code, _, stderr = run_cli(
+            capsys, "eval", "--run", broken,
+            "--manifest", os.path.join(corpus_dir, "manifest.csv"))
+        assert code == 2
+        assert str(victim) in stderr
+
+    def test_pretrained_member_files_are_ignored(self, micro_run_dir,
+                                                 corpus_dir, tmp_path, capsys):
+        # runs saved before models/ dropped the pretrained copies still load
+        old = str(tmp_path / "old_layout")
+        shutil.copytree(micro_run_dir, old)
+        for m in load_pipeline(micro_run_dir).main_members:
+            save_model(os.path.join(old, "models",
+                                    f"member_pre_{m.biomarker_id}.ovbm"), m)
+        outputs = []
+        for run_dir, name in ((micro_run_dir, "new.json"), (old, "old.json")):
+            out = str(tmp_path / name)
+            code, _, _ = run_cli(
+                capsys, "eval", "--run", run_dir,
+                "--manifest", os.path.join(corpus_dir, "manifest.csv"),
+                "--out", out)
+            assert code == 0
+            outputs.append(Path(out).read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestDiagnose:
@@ -194,6 +252,17 @@ class TestSaliency:
         with open(os.path.join(out, "comparison.csv")) as fh:
             assert fh.readline().strip() == \
                 "biomarker_id,family,delta_s000_minus_s001"
+
+    def test_cut_member_file(self, micro_run_dir, corpus_dir, tmp_path,
+                             capsys):
+        broken, victim = cut_copy(micro_run_dir, tmp_path, "models",
+                                  "member_tuned_cough_origin.ovbm")
+        code, _, stderr = run_cli(
+            capsys, "saliency", "--run", broken,
+            "--manifest", os.path.join(corpus_dir, "manifest.csv"),
+            "--subjects", "s000", "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert str(victim) in stderr
 
     def test_bad_compare(self, micro_run_dir, corpus_dir, tmp_path, capsys):
         code, _, stderr = run_cli(

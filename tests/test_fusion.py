@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import MICRO_ARCH
+from conftest import MICRO_ARCH, record_boundaries
 from ovbm.chunker import Chunk
 from ovbm.degradation import apply_poisson_mask
 from ovbm.fusion import (
@@ -17,6 +17,7 @@ from ovbm.fusion import (
     FusionSample,
     MemberOrderMismatch,
     build_fusion,
+    embed_chunks,
     fuse_from_embeddings,
     fusion_backward,
     load_ensemble,
@@ -32,6 +33,7 @@ from ovbm.models import (
     TransferStrategy,
     fit_frames,
     forward_batches,
+    head_batches,
     init_cnn,
     replace_head,
 )
@@ -102,13 +104,16 @@ class TestFuseForward:
     def test_single_chunk_prob(self):
         members = make_members()
         fusion = build_fusion(members, seed=2)
-        probs, own = score_chunks(fusion, members, [make_chunk()],
-                                  metadata_vector("F", 70))
+        probs = score_chunks(fusion, members, [make_chunk()],
+                             metadata_vector("F", 70))
         assert probs.shape == (1, 2)
         assert 0.0 <= probs[0, 1] <= 1.0
-        # each member's own 3-way head, read from the same forward pass
-        assert [p.shape for p in own] == [(1, 3), (1, 3)]
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+        # each member's own 3-way head, read from its embeddings
+        embs = embed_chunks(members, [make_chunk()])
+        assert [e.shape for e in embs] == [(1, 4), (1, 4)]
+        own = [head_batches(m, e) for m, e in zip(members, embs)]
+        assert [p.shape for p in own] == [(1, 3), (1, 3)]
 
     def test_memo_reuses_bodies_and_keeps_own_heads(self):
         members = make_members()
@@ -117,13 +122,16 @@ class TestFuseForward:
         retuned = [replace_head(m, 2, seed=9) for m in members]
         chunks = [make_chunk(seed=i) for i in range(70)]  # two batches
         memo: dict = {}
-        score_chunks(fusion, members, chunks, metadata_vector(), memo)
+        probs = score_chunks(fusion, members, chunks, metadata_vector(), memo)
         assert len(memo) == 2
-        _, own = score_chunks(fusion, retuned, chunks, metadata_vector(), memo)
+        np.testing.assert_array_equal(
+            probs, score_chunks(fusion, members, chunks, metadata_vector()))
+        embs = embed_chunks(retuned, chunks, memo)
         assert len(memo) == 2
-        for m, p in zip(retuned, own):
+        for m, e in zip(retuned, embs):
             np.testing.assert_array_equal(
-                p, forward_batches(m, member_inputs(m, chunks))[1])
+                head_batches(m, e),
+                forward_batches(m, member_inputs(m, chunks))[1])
 
 
 class TestFusionBackward:
@@ -304,3 +312,15 @@ class TestEnsembleFiles:
         with pytest.raises(FileNotFoundError) as err:
             load_ensemble(tmp_path)
         assert "member_m1.ovbm" in str(err.value)
+
+    def test_fusion_cut_at_record_boundary(self, tmp_path):
+        members = make_members()
+        save_ensemble(tmp_path, build_fusion(members, seed=12), members)
+        path = tmp_path / "fusion.ovbm"
+        raw = path.read_bytes()
+        cuts = record_boundaries(path)
+        assert len(cuts) == 4
+        for cut in cuts:
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ValueError, match="fusion.ovbm"):
+                load_ensemble(tmp_path)

@@ -4,8 +4,7 @@ weight files, and the fixed biomarker roster."""
 import numpy as np
 import pytest
 
-from conftest import MICRO_ARCH, random_images
-from ovbm.chunker import brainos_sizes
+from conftest import MICRO_ARCH, random_images, record_boundaries
 from ovbm.models import (
     BiomarkerModel,
     CnnArch,
@@ -273,6 +272,17 @@ class TestWeightFiles:
         with pytest.raises(ValueError):
             load_model(path)
 
+    def test_cut_at_record_boundary(self, tmp_path):
+        path = tmp_path / "m.ovbm"
+        save_model(path, init_cnn(MICRO_ARCH, 2, seed=0))
+        raw = path.read_bytes()
+        cuts = record_boundaries(path)
+        assert len(cuts) == 2 * len(layer_names(MICRO_ARCH))
+        for cut in cuts:
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ValueError, match="m.ovbm"):
+                load_model(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_model(tmp_path / "nope.ovbm")
@@ -308,7 +318,7 @@ class TestRegistry:
     def test_chunk_probe_sizes_match(self):
         reg = build_registry()
         sizes = [e.chunk_size for e in reg.family("brainos")]
-        assert sizes == brainos_sizes()
+        assert sizes == [2.0, 8.0, 14.0, 20.0]
 
     def test_symbolic_schemes(self):
         reg = build_registry()

@@ -7,13 +7,14 @@ import os
 import numpy as np
 import pytest
 
+import ovbm.fusion as F
 import ovbm.models as M
 import ovbm.pipeline as P
 import ovbm.saliency as S
 from conftest import micro_run_config
 from ovbm.audio_io import parse_manifest
 from ovbm.chunker import chunk_plan
-from ovbm.fusion import FusionTrainResult, score_chunks
+from ovbm.fusion import FusionTrainResult
 from ovbm.pipeline import (
     FeatureStore,
     RunConfig,
@@ -64,6 +65,20 @@ class TestRunConfig:
         {"split_fraction": True},
         {"window_step": float("inf")},
         {"chunk_size": 0.01},        # shorter than one 20 ms window
+        {"fft_size": 512.0},
+        {"num_filters": 16.0},
+        {"stem_channels": 4.0},
+        {"threshold": "0.5"},
+        {"split_fraction": "0.7"},
+        {"window_len": "0.02"},
+        {"scheme": 3},
+        {"poisson_mask": "off"},     # a non-empty string is truthy
+        {"seed": 1.5},
+        {"seed": True},
+        {"poisson_mask": 1},
+        {"manifest": 5},
+        {"label": None},
+        {"strategy": 1},
     ])
     def test_rejects(self, overrides):
         config = RunConfig(**{"manifest": "m.csv", **overrides})
@@ -107,28 +122,30 @@ class TestPaths:
         rec = parse_manifest(config.manifest)[0]
         first = store.chunks(rec, 2.0, 2.0)
         assert store.chunks(rec, 2.0, 2.0) is first
-        assert store.clip(rec) is store.clip(rec)
 
 
 class TestTrainedRun:
     def test_roster_and_head_widths(self, micro_pipeline):
         pipe = micro_pipeline
         assert len(pipe.member_ids) == 8
+        main = {m.biomarker_id: m for m in pipe.main_members}
         for entry in pipe.registry.model_entries():
-            assert pipe.pretrained[entry.biomarker_id].num_classes == \
-                entry.num_classes
+            # joint training never touches a member's surrogate-task head
+            assert main[entry.biomarker_id].num_classes == entry.num_classes
             assert pipe.tuned[entry.biomarker_id].num_classes == 2
 
     def test_frozen_tuning_kept_bodies(self, micro_pipeline):
-        # run strategy is "frozen": fine-tuning may only move the head,
-        # so every other tensor must match pretraining bit for bit
+        # run strategy is "frozen": fine-tuning and joint training may
+        # only move heads, so every other tensor of a tuned member must
+        # match the main ensemble's (pretrained) member bit for bit
         pipe = micro_pipeline
-        for mid in pipe.member_ids:
-            pre, tuned = pipe.pretrained[mid], pipe.tuned[mid]
+        for pre, tuned in zip(pipe.main_members, pipe.tuned_members):
+            assert pre.biomarker_id == tuned.biomarker_id
             for key, w in tuned.weights.items():
                 if key.startswith("head."):
                     continue
-                assert w.tobytes() == pre.weights[key].tobytes(), (mid, key)
+                assert w.tobytes() == pre.weights[key].tobytes(), \
+                    (pre.biomarker_id, key)
 
     def test_metrics_shape(self, micro_pipeline):
         m = micro_pipeline.metrics
@@ -168,7 +185,9 @@ class TestArtifacts:
         for sub in ("ensemble_main", "ensemble_pt"):
             assert os.path.exists(os.path.join(micro_run_dir, sub, "fusion.ovbm"))
         models = os.listdir(os.path.join(micro_run_dir, "models"))
-        assert len(models) == 16  # pre + tuned per member
+        assert sorted(models) == sorted(
+            f"member_tuned_{e.biomarker_id}.ovbm"
+            for e in M.build_registry().model_entries())
 
     def test_round_trip(self, micro_pipeline, micro_run_dir):
         loaded = load_pipeline(micro_run_dir)
@@ -303,18 +322,21 @@ class TestEmbeddingMemo:
             store = FeatureStore(config.manifest, config.mfcc_params(),
                                  config.mask())
             metrics = _run_metrics(pipe, store, train, test, main, pt)
-            maps = [subject_saliency(pipe, r, store.clip(r)).to_rows()
+            maps = [subject_saliency(pipe, r, load_clip(
+                        config.manifest, r, config.sample_rate)).to_rows()
                     for r in records]
             return json.dumps(metrics, sort_keys=True), maps
 
         shared = outputs()
         assert shared[0] == json.dumps(pipe.metrics, sort_keys=True)
 
-        def alone(fusion, members, chunks, metadata, memo=None):
-            return score_chunks(fusion, members, chunks, metadata)
+        embed_chunks = F.embed_chunks
 
-        monkeypatch.setattr(P, "score_chunks", alone)
-        monkeypatch.setattr(S, "score_chunks", alone)
+        def alone(members, chunks, memo=None):
+            return embed_chunks(members, chunks)
+
+        for module in (F, P, S):
+            monkeypatch.setattr(module, "embed_chunks", alone)
         assert outputs() == shared
 
     @pytest.mark.parametrize("fixture,run_plan_images", [
