@@ -3,7 +3,9 @@
 `ovbm train`, `eval`, `diagnose`, `saliency --subjects all --compare
 s000,s001` and `report uniqueness`, under the frozen, last:1 and all
 strategies with the Poisson mask on and off, plus one `report ablation`
-per strategy pairing its mask-off and mask-on runs.
+per strategy pairing its mask-off and mask-on runs. One more frozen run
+uses 0.5 s chunks under a 64-frame crop, so every member input there is
+zero-padded.
 
     python3 scripts/output_digests.py --work /tmp/ovbm-digests > a.txt
 
@@ -31,6 +33,9 @@ from ovbm.synthesis import write_corpus  # noqa: E402
 
 STRATEGIES = ("frozen", "last:1", "all")
 CORPUS_SUBJECTS, CORPUS_SEED = 8, 3  # the test suite's corpus_dir fixture
+# Chunks of 49 frames, shorter than the crop.
+SHORT_CHUNKS = dict(strategy="frozen", chunk_size=0.5, stride=0.5,
+                    arch_frames=64)
 
 
 def run(*argv) -> None:
@@ -38,6 +43,27 @@ def run(*argv) -> None:
         code = ovbm(list(argv))
     if code != 0:
         sys.exit(f"ovbm {' '.join(argv)} exited with {code}")
+
+
+def run_all(out: str, config: dict, manifest: str) -> str:
+    """Train one config into `out` and run every per-run command on it;
+    returns the run directory."""
+    os.makedirs(out)
+    config_path = os.path.join(out, "config_in.json")
+    with open(config_path, "w") as fh:
+        json.dump(config, fh)
+    run_dir = os.path.join(out, "run")
+    run("train", "--config", config_path, "--out", run_dir)
+    run("eval", "--run", run_dir, "--manifest", manifest,
+        "--out", os.path.join(out, "eval.json"))
+    run("diagnose", "--run", run_dir, "--manifest", manifest,
+        "--out", os.path.join(out, "diagnoses.json"))
+    run("saliency", "--run", run_dir, "--manifest", manifest,
+        "--subjects", "all", "--compare", "s000,s001",
+        "--out", os.path.join(out, "saliency"))
+    run("report", "uniqueness", "--run", run_dir,
+        "--out", os.path.join(out, "uniqueness"))
+    return run_dir
 
 
 def main() -> None:
@@ -56,24 +82,12 @@ def main() -> None:
         runs = {}
         for mask in (True, False):
             out = os.path.join(work, f"{name}_mask_{'on' if mask else 'off'}")
-            os.makedirs(out)
-            config = os.path.join(out, "config_in.json")
-            with open(config, "w") as fh:
-                json.dump(dict(base, strategy=strategy, poisson_mask=mask), fh)
-            run_dir = os.path.join(out, "run")
-            run("train", "--config", config, "--out", run_dir)
-            run("eval", "--run", run_dir, "--manifest", manifest,
-                "--out", os.path.join(out, "eval.json"))
-            run("diagnose", "--run", run_dir, "--manifest", manifest,
-                "--out", os.path.join(out, "diagnoses.json"))
-            run("saliency", "--run", run_dir, "--manifest", manifest,
-                "--subjects", "all", "--compare", "s000,s001",
-                "--out", os.path.join(out, "saliency"))
-            run("report", "uniqueness", "--run", run_dir,
-                "--out", os.path.join(out, "uniqueness"))
-            runs[mask] = run_dir
+            runs[mask] = run_all(out, dict(base, strategy=strategy,
+                                           poisson_mask=mask), manifest)
         run("report", "ablation", "--pairs", f"{runs[False]}:{runs[True]}",
             "--out", os.path.join(work, f"{name}_ablation"))
+    run_all(os.path.join(work, "short_chunks"), dict(base, **SHORT_CHUNKS),
+            manifest)
 
     for dirpath, dirnames, filenames in os.walk(work):
         dirnames.sort()

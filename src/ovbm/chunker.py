@@ -3,8 +3,9 @@
 A recording of any length is cut into fixed-size windows placed at
 stride multiples starting at zero; the tail is zero-padded so the last
 window is always whole. With the default 2 s stride a 78 s recording at
-chunk size 2 yields exactly 39 chunks. The recording is featurized once
-for all the chunk plans asked of it.
+chunk size 2 yields exactly 39 chunks. Chunk images are cropped here to
+the member input's frame count, and only the frames the crops read are
+featurized, once for all the chunk plans asked of the recording.
 """
 
 from __future__ import annotations
@@ -61,43 +62,36 @@ def chunk_plan(duration: float, chunk_size: float,
     return ChunkPlan(chunk_size, stride, intervals)
 
 
-def _frame_rows(num_samples: int, windows: list, params: MfccParams):
-    """Where each window's frames come from in one featurization of a
-    recording of `num_samples` samples.
+def _crop_rows(windows: list, params: MfccParams, frames: int):
+    """Which frames each window's crop reads.
 
     A window's own framing (`frame_signal` on its samples) starts frames
-    every frame_step samples. A frame equals the recording's frame at
-    the same start when it lies on the recording's frame grid, reads
-    frame_len real samples, and is not the window's first frame, where
-    pre-emphasis restarts. Every other frame is keyed by (start sample,
-    restarts, real samples read), and each distinct key becomes one
-    extra frame. Returns (row indices per window, keys [E x 3]); extra
-    frame e is row grid + e.
+    every frame_step samples; its crop is the centre `frames` of them,
+    or all of them, centred between zero rows, when it has fewer. Each
+    crop frame is keyed by (start sample, restarts, real samples read):
+    pre-emphasis restarts at a window's first frame, and a frame reads
+    zeros past its window's end. Returns (distinct keys [K x 3], rows
+    [windows x frames] into them, -1 for a zero row).
     """
     L, S = params.frame_len, params.frame_step
-    grid = 1 + max(0, -(-(num_samples - L) // S))  # as frame_signal counts
-    starts, restarts, reals, counts = [], [], [], []
+    keys, slots = [], []
     for a, b in windows:
         if b <= a:
             raise EmptyAudio("cannot frame an empty chunk")
-        count = 1 + max(0, -(-(b - a - L) // S))
-        s = a + S * np.arange(count)
-        restart = np.zeros(count, dtype=bool)
-        restart[0] = a > 0  # at sample 0 the recording restarts too
-        starts.append(s)
-        restarts.append(restart)
-        reals.append(np.clip(b - s, 0, L))
-        counts.append(count)
-    s, restart, real = (np.concatenate(v) for v in (starts, restarts, reals))
-    on_grid = ~restart & (real == L) & (s % S == 0)
-    rows = s // S
-    keys, inverse = np.unique(np.stack([s, restart, real], axis=1)[~on_grid],
-                              axis=0, return_inverse=True)
-    rows[~on_grid] = grid + inverse.ravel()
-    return np.split(rows, np.cumsum(counts)[:-1]), keys
+        count = 1 + max(0, -(-(b - a - L) // S))  # as frame_signal counts
+        j = max(0, (count - frames) // 2) + np.arange(min(count, frames))
+        s = a + S * j
+        # pre-emphasis restarts at a window's first frame (at 0 it does anyway)
+        keys.append(np.stack([s, (j == 0) & (a > 0), np.clip(b - s, 0, L)], 1))
+        slots.append(max(0, (frames - count) // 2) + np.arange(j.size))
+    keys, inverse = np.unique(np.concatenate(keys), axis=0, return_inverse=True)
+    rows = np.full((len(windows), frames), -1)
+    rows[np.repeat(np.arange(len(windows)), [len(t) for t in slots]),
+         np.concatenate(slots)] = inverse.ravel()
+    return keys, rows
 
 
-def _extra_frames(samples: np.ndarray, keys: np.ndarray,
+def _build_frames(samples: np.ndarray, keys: np.ndarray,
                   params: MfccParams) -> np.ndarray:
     """Pre-emphasized frames for (start, restarts, real) keys: `real`
     samples from `start`, then zeros, computed as `preemphasize` would
@@ -114,14 +108,18 @@ def _extra_frames(samples: np.ndarray, keys: np.ndarray,
 
 
 def extract_chunks(clip: AudioClip, plans: ChunkPlan | list, params: MfccParams,
-                   mask: PoissonMaskConfig | None = None) -> list:
-    """Featurize the clip once and cut every plan's chunk images from it.
+                   mask: PoissonMaskConfig | None, frames: int) -> list:
+    """Chunk images of every plan, each exactly what a member reads.
 
     `plans` is one ChunkPlan or a list of them; the chunks of all plans
-    come back in plan order, each indexed within its own plan. The clip
-    is zero-padded out to the last window's end. Each chunk image equals
-    `mfcc` of that chunk's own samples bit for bit (see `_frame_rows`).
-    An optional Poisson mask is applied once, to the whole featurization.
+    come back in plan order, each indexed within its own plan. A chunk
+    image is the crop of `mfcc` of the chunk's own samples (the clip
+    zero-padded out to the last window's end) to `frames` rows: its
+    centre rows, or all of its rows centred between zero rows when it
+    has fewer. Only the distinct frames of the crops are built, and
+    they are featurized in one `mfcc` call, bit for bit as each chunk's
+    own `mfcc` would give them (see `_crop_rows`). An optional Poisson
+    mask is applied once, to those rows; it maps zero rows to zero.
     """
     plans = [plans] if isinstance(plans, ChunkPlan) else list(plans)
     if not plans or not all(p.intervals for p in plans):
@@ -131,12 +129,13 @@ def extract_chunks(clip: AudioClip, plans: ChunkPlan | list, params: MfccParams,
     padded = pad_to(clip, final_end) if final_end > clip.duration else clip
     windows = [(int(round(start * rate)), int(round(end * rate)))
                for p in plans for start, end in p.intervals]
-    rows, keys = _frame_rows(padded.samples.size, windows, params)
-    image = mfcc(padded, params,
-                 extra_frames=_extra_frames(padded.samples, keys, params))
+    keys, rows = _crop_rows(windows, params, frames)
+    image = mfcc(clip, params,
+                 frames=_build_frames(padded.samples, keys, params))
     if mask is not None:
         image = apply_poisson_mask(image, mask)
+    table = np.vstack([image.values, np.zeros(params.num_cepstra)])
     spans = [(i, span) for p in plans for i, span in enumerate(p.intervals)]
-    return [Chunk(i, span, MfccImage(image.values[r], params, span),
+    return [Chunk(i, span, MfccImage(table[r], params, span),
                   masked=mask is not None)
             for (i, span), r in zip(spans, rows)]

@@ -347,10 +347,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except OSError as exc:  # FileNotFoundError included
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError) as exc:

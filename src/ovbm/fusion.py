@@ -17,8 +17,7 @@ from . import models as M
 from . import nn
 from .chunker import Chunk
 from .degradation import PoissonMaskConfig, apply_poisson_mask
-from .mfcc import MfccImage
-from .util import atomic_write_bytes, derive_seed, sha256_file
+from .util import atomic_write_bytes, derive_seed, named_errors, sha256_file
 
 HIDDEN_DIM = 1024
 METADATA_DIM = 3  # gender one-hot (F, M) + age/100
@@ -129,18 +128,16 @@ _ALWAYS_MASK = frozenset(e.biomarker_id for e in M.build_registry().entries
 
 
 def member_inputs(member: M.BiomarkerModel, chunks: list) -> np.ndarray:
-    """[N, H, W] fitted inputs of a member over a chunk list. The
+    """[N, H, W] inputs of a member over a chunk list. The
     degradation-sensitive member always sees masked features: a chunk
-    not masked at extraction is masked here, after the crop to the
-    member's frame count (the mask is elementwise)."""
+    not masked at extraction is masked here."""
     remask = member.biomarker_id in _ALWAYS_MASK
     inputs = []
     for c in chunks:
-        x = M.prepare_input(member, c.features)
+        image = c.features
         if remask and not c.masked:
-            x = apply_poisson_mask(MfccImage(x, c.features.params),
-                                   PoissonMaskConfig()).values
-        inputs.append(x)
+            image = apply_poisson_mask(image, PoissonMaskConfig())
+        inputs.append(M.prepare_input(member, image))
     return np.stack(inputs)
 
 
@@ -319,22 +316,26 @@ def load_ensemble(dir_path):
     from pathlib import Path
 
     dir_path = Path(dir_path)
-    descriptor, weights = M.read_weight_file(dir_path / "fusion.ovbm")
+    fusion_path = dir_path / "fusion.ovbm"
+    descriptor, weights = M.read_weight_file(fusion_path)
     if descriptor.get("kind") != "fusion":
         raise ValueError(f"{dir_path}: fusion.ovbm is not a fusion file")
+    with named_errors(fusion_path):
+        fusion = FusionModel(list(descriptor["member_ids"]),
+                             list(descriptor["member_dims"]),
+                             int(descriptor["metadata_dim"]), weights)
+        digests = [descriptor["member_digests"].get(mid)
+                   for mid in fusion.member_ids]
     members = []
-    for mid in descriptor["member_ids"]:
+    for mid, expected in zip(fusion.member_ids, digests):
         path = dir_path / f"member_{mid}.ovbm"
         if not path.exists():
             raise FileNotFoundError(f"missing member weight file {path}")
         digest = sha256_file(path)
-        expected = descriptor["member_digests"].get(mid)
         if digest != expected:
             raise EnsembleDigestMismatch(
                 f"{path}: digest {digest[:12]}... does not match the "
                 f"fusion manifest"
             )
         members.append(M.load_model(path))
-    fusion = FusionModel(descriptor["member_ids"], descriptor["member_dims"],
-                         descriptor["metadata_dim"], weights)
     return fusion, members

@@ -228,9 +228,9 @@ def lifter_weights(num_cepstra: int) -> np.ndarray:
 
 
 # Frames featurized per batch, which bounds the spectra held at once.
-# A batch is never shorter than this unless the whole input is: OpenBLAS
-# rounds small matrix products differently from large ones, and at this
-# size every row comes out as it would in any larger batch.
+# No batch is shorter than this: a shorter input is zero-padded to it.
+# OpenBLAS rounds small matrix products differently from large ones, and
+# at this size every row comes out as it would in any larger batch.
 BLOCK_FRAMES = 256
 
 
@@ -248,30 +248,30 @@ def _cepstra(frames: np.ndarray, params: MfccParams) -> np.ndarray:
 
 def mfcc(clip: AudioClip, params: MfccParams | None = None,
          source_span: tuple | None = None,
-         extra_frames: np.ndarray | None = None) -> MfccImage:
+         frames: np.ndarray | None = None) -> MfccImage:
     """Compute the MFCC image of a clip.
 
-    `extra_frames` [E x frame_len] are already pre-emphasized frames
-    (the chunker's frames that lie off the clip's frame grid). They are
-    featurized in the same batches as the clip's own frames, and their
-    rows follow the clip's rows.
+    `frames` [F x frame_len] are pre-emphasized frames cut from the clip
+    (the chunker's crop frames); when given, they are featurized in
+    place of the clip's own framing. Each row depends only on its frame.
     """
     params = MfccParams() if params is None else params
     params.validate()
-    grid = frame_signal(clip, params)
-    extra = np.zeros((0, params.frame_len)) if extra_frames is None else extra_frames
-    total = len(grid) + len(extra)
-    feat = np.empty((total, params.num_cepstra))
-    parts = max(1, total // BLOCK_FRAMES)
-    edges = [total * i // parts for i in range(parts + 1)]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        block = grid[lo:hi]
-        if hi > len(grid):
-            block = np.concatenate(
-                [block, extra[max(lo - len(grid), 0):hi - len(grid)]])
-        feat[lo:hi] = _cepstra(block, params)
+    if frames is None:
+        frames = frame_signal(clip, params)
+    elif clip.sample_rate != params.sample_rate:
+        raise RateMismatch(f"frames at {clip.sample_rate} Hz, params "
+                           f"expect {params.sample_rate} Hz")
+    total = len(frames)
+    if total < BLOCK_FRAMES:
+        frames = np.concatenate(
+            [frames, np.zeros((BLOCK_FRAMES - total, params.frame_len))])
+    parts = len(frames) // BLOCK_FRAMES
+    edges = [len(frames) * i // parts for i in range(parts + 1)]
+    feat = np.concatenate([_cepstra(frames[lo:hi], params)
+                           for lo, hi in zip(edges[:-1], edges[1:])])
     span = (0.0, clip.duration) if source_span is None else tuple(source_span)
-    return MfccImage(feat, params, span)
+    return MfccImage(feat[:total], params, span)
 
 
 def mfcc_oracle(clip: AudioClip, params: MfccParams | None = None) -> MfccImage:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import nn
 from .mfcc import MfccImage
-from .util import derive_seed
+from .util import derive_seed, named_errors
 
 WEIGHT_MAGIC = b"OVBM"
 WEIGHT_FORMAT_VERSION = 1
@@ -42,8 +42,8 @@ class SingleClassDataset(ValueError):
 
 @dataclass(frozen=True)
 class CnnArch:
-    """input_shape: (frames, coefficients). Images whose frame count
-    differs are center-cropped/padded along the frame axis."""
+    """input_shape: (frames, coefficients), the exact shape of a member
+    input; `chunker.extract_chunks` crops chunk images to it."""
 
     input_shape: tuple
     stem_channels: int = 8
@@ -235,33 +235,17 @@ def apply_transfer_strategy(model: BiomarkerModel,
 
 # ------------------------------------------------------------- forward
 
-def fit_frames(values: np.ndarray, target_frames: int) -> np.ndarray:
-    """Center-crop or zero-pad along axis 0 to `target_frames` rows."""
-    frames = values.shape[0]
-    if frames == target_frames:
-        return values
-    if frames > target_frames:
-        start = (frames - target_frames) // 2
-        return values[start:start + target_frames]
-    before = (target_frames - frames) // 2
-    after = target_frames - frames - before
-    return np.pad(values, ((before, after), (0, 0)))
-
-
 def prepare_input(model: BiomarkerModel, image) -> np.ndarray:
+    """The image's values, which must have the arch's input shape."""
     values = image.values if isinstance(image, MfccImage) else np.asarray(image)
-    if values.ndim != 2:
-        raise ShapeMismatch("expected a 2-D feature image")
-    frames, coeffs = model.arch.input_shape
-    if values.shape[1] != coeffs:
-        raise ShapeMismatch(
-            f"image has {values.shape[1]} coefficients, arch expects {coeffs}"
-        )
-    return fit_frames(values, frames)
+    if values.shape != model.arch.input_shape:
+        raise ShapeMismatch(f"image is {values.shape}, arch expects "
+                            f"{model.arch.input_shape}")
+    return values
 
 
 def forward_batch(model: BiomarkerModel, x: np.ndarray, want_cache: bool = False):
-    """x: [B, H, W] already fitted. Returns (embeddings, probs, cache)."""
+    """x: [B, H, W] member inputs. Returns (embeddings, probs, cache)."""
     w = model.weights
     a = x[:, None, :, :]
     cache: dict = {"x": a} if want_cache else None
@@ -306,10 +290,6 @@ def forward(model: BiomarkerModel, image):
     return emb[0], probs[0]
 
 
-def _conv_index(name: str, convs: list) -> int:
-    return convs.index(name)
-
-
 def backward_from_embedding(model: BiomarkerModel, cache: dict,
                             d_emb: np.ndarray, needed: set) -> dict:
     """Backprop from an embedding gradient. `needed` is the set of layer
@@ -324,7 +304,7 @@ def backward_from_embedding(model: BiomarkerModel, cache: dict,
         grads["embed.w"] = d_emb.T @ g
         grads["embed.b"] = d_emb.sum(axis=0)
 
-    needed_conv_idx = [_conv_index(c, convs) for c in needed if c in convs]
+    needed_conv_idx = [convs.index(c) for c in needed if c in convs]
     if not needed_conv_idx:
         return grads
     min_needed = min(needed_conv_idx)
@@ -456,7 +436,7 @@ def _accuracy_from_probs(probs: np.ndarray, labels: np.ndarray) -> float:
 
 
 def forward_batches(model: BiomarkerModel, x: np.ndarray):
-    """Inference over fitted inputs x [N, H, W] in batches of
+    """Inference over member inputs x [N, H, W] in batches of
     EVAL_BATCH. Returns (embeddings [N, E], probs [N, K])."""
     embs, probs = [np.zeros((0, model.arch.embedding_dim))], \
         [np.zeros((0, model.num_classes))]
@@ -693,9 +673,11 @@ def read_weight_file(path):
         raise ValueError(f"{path}: unsupported weight format version {version}")
     if 12 + desc_len > len(buf):
         raise ValueError(f"{path}: truncated weight file")
-    descriptor = json.loads(buf[12:12 + desc_len].decode("utf-8"))
+    with named_errors(path):  # only a JSON object takes a string key
+        descriptor = json.loads(buf[12:12 + desc_len].decode("utf-8"))
+        tensors = descriptor["tensors"]
     weights = unpack_tensor_records(buf, 12 + desc_len)
-    if list(weights) != descriptor.get("tensors"):
+    if list(weights) != tensors:
         raise ValueError(f"{path}: tensor records do not match the "
                          f"descriptor (truncated or tampered weight file)")
     return descriptor, weights
@@ -727,10 +709,11 @@ def load_model(path) -> BiomarkerModel:
     descriptor, weights = read_weight_file(path)
     if descriptor.get("kind") != "biomarker":
         raise ValueError(f"{path}: not a biomarker model file")
-    arch = CnnArch.from_dict(descriptor["arch"])
-    model = BiomarkerModel(
-        descriptor["biomarker_id"], arch, descriptor["num_classes"],
-        weights, {k: bool(v) for k, v in descriptor["trainable"].items()},
-    )
-    model.validate()
+    with named_errors(path):
+        model = BiomarkerModel(
+            descriptor["biomarker_id"], CnnArch.from_dict(descriptor["arch"]),
+            descriptor["num_classes"], weights,
+            {k: bool(v) for k, v in descriptor["trainable"].items()},
+        )
+        model.validate()
     return model

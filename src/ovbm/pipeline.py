@@ -43,7 +43,7 @@ from .fusion import (
 from .mfcc import MfccParams
 from .saliency import SaliencyMap, saliency_map
 from .synthesis import surrogate_dataset
-from .util import atomic_write_text, config_digest, derive_seed
+from .util import atomic_write_text, config_digest, derive_seed, named_errors
 
 FORMAT_VERSION = 1
 
@@ -183,10 +183,11 @@ class FeatureStore:
     training subject's chunks again for its metrics."""
 
     def __init__(self, manifest_path: str, params: MfccParams,
-                 mask: PoissonMaskConfig | None):
+                 mask: PoissonMaskConfig | None, frames: int):
         self.manifest_path = manifest_path
         self.params = params
         self.mask = mask
+        self.frames = frames
         self._chunks: dict = {}
 
     def chunks(self, record: SubjectRecord, chunk_size: float,
@@ -195,7 +196,8 @@ class FeatureStore:
         if key not in self._chunks:
             clip = load_clip(self.manifest_path, record, self.params.sample_rate)
             plan = chunk_plan(clip.duration, chunk_size, stride)
-            self._chunks[key] = extract_chunks(clip, plan, self.params, self.mask)
+            self._chunks[key] = extract_chunks(clip, plan, self.params,
+                                               self.mask, self.frames)
         return self._chunks[key]
 
 
@@ -257,7 +259,8 @@ def run_training(config: RunConfig) -> TrainedPipeline:
     params = config.mfcc_params()
     arch = config.arch()
     strategy = config.parsed_strategy()
-    store = FeatureStore(config.manifest, params, config.mask())
+    store = FeatureStore(config.manifest, params, config.mask(),
+                         config.arch_frames)
 
     # 1. hold out whole subjects, stratified by label
     labels = [r.label for r in records]
@@ -273,7 +276,7 @@ def run_training(config: RunConfig) -> TrainedPipeline:
         data = surrogate_dataset(entry, params,
                                  derive_seed(config.seed, "surrogate",
                                              entry.biomarker_id),
-                                 config.surrogate_per_class)
+                                 config.surrogate_per_class, config.arch_frames)
         model0 = M.init_cnn(arch, entry.num_classes,
                             derive_seed(config.seed, "init", entry.biomarker_id),
                             entry.biomarker_id)
@@ -446,9 +449,9 @@ def load_pipeline(out_dir: str) -> TrainedPipeline:
     config_path = os.path.join(out_dir, "config.json")
     if not os.path.exists(config_path):
         raise FileNotFoundError(f"missing run config {config_path}")
-    with open(config_path) as fh:
-        payload = json.load(fh)
-    config = RunConfig.from_dict(payload["config"])
+    with named_errors(config_path), open(config_path, encoding="utf-8") as fh:
+        config = RunConfig.from_dict(json.load(fh)["config"])
+        config.validate()
     metrics_path = os.path.join(out_dir, "metrics.json")
     metrics = {}
     if os.path.exists(metrics_path):
@@ -492,7 +495,8 @@ def diagnose_subject(pipe: TrainedPipeline, record: SubjectRecord,
                      clip: AudioClip) -> Diagnosis:
     config = pipe.config
     plan = chunk_plan(clip.duration, config.chunk_size, config.stride)
-    chunks = extract_chunks(clip, plan, config.mfcc_params(), config.mask())
+    chunks = extract_chunks(clip, plan, config.mfcc_params(), config.mask(),
+                            config.arch_frames)
     return _diagnose(config, pipe.main_fusion, pipe.main_members, record, chunks)
 
 
@@ -502,5 +506,6 @@ def subject_saliency(pipe: TrainedPipeline, record: SubjectRecord,
     return saliency_map(record, clip, pipe.tuned_members,
                         pipe.main_fusion, pipe.main_members,
                         pipe.pt_fusion, pipe.pt_members,
-                        config.mfcc_params(), config.chunk_size, config.stride,
+                        config.mfcc_params(), config.arch_frames,
+                        config.chunk_size, config.stride,
                         config.parsed_scheme(), config.mask())

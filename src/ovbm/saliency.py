@@ -60,7 +60,7 @@ class SaliencyMap:
 
 def saliency_map(record: SubjectRecord, clip: AudioClip, tuned_members: list,
                  main_fusion, main_members: list, pt_fusion, pt_members: list,
-                 params, chunk_size: float, stride: float,
+                 params, frames: int, chunk_size: float, stride: float,
                  scheme: AggregationScheme, mask=None) -> SaliencyMap:
     """Score all 16 roster entries for one subject.
 
@@ -68,6 +68,7 @@ def saliency_map(record: SubjectRecord, clip: AudioClip, tuned_members: list,
     chunk-scale scores run the main ensemble at the fixed probe sizes;
     symbolic scores re-aggregate the main ensemble under each scheme
     plus the per-member-pretuned ensemble under the flat average.
+    `frames` is the members' input frame count.
     """
     registry = build_registry()
     metadata = metadata_vector(record.gender, record.age)
@@ -85,7 +86,7 @@ def saliency_map(record: SubjectRecord, clip: AudioClip, tuned_members: list,
                       for e in registry.entries
                       if e.kind == "ensemble_chunk_size"]))
     plans = [chunk_plan(clip.duration, size, step) for size, step in keys]
-    flat = extract_chunks(clip, plans, params, mask)
+    flat = extract_chunks(clip, plans, params, mask, frames)
     chunks, start = {}, 0
     for key, plan in zip(keys, plans):
         chunks[key] = flat[start:start + plan.count]

@@ -13,8 +13,9 @@ import os
 import numpy as np
 
 from .audio_io import MANIFEST_COLUMNS, AudioClip, SynthSpec, synth_clip, write_wav
-from .degradation import PoissonMaskConfig, apply_poisson_mask
-from .mfcc import MfccParams, mfcc
+from .chunker import chunk_plan, extract_chunks
+from .degradation import PoissonMaskConfig
+from .mfcc import MfccParams
 from .models import RegistryEntry
 from .util import derive_seed
 
@@ -80,11 +81,12 @@ def surrogate_spec(entry: RegistryEntry, class_id: int, index: int,
 
 
 def surrogate_dataset(entry: RegistryEntry, params: MfccParams, seed: int,
-                      n_per_class: int) -> list:
+                      n_per_class: int, frames: int) -> list:
     """Labeled (MfccImage, class) pairs for pretraining one member.
 
-    Always-masked members are pretrained on masked features so their
-    train and inference distributions match.
+    Each clip is one chunk, featurized by the chunker like any recording
+    and cropped to `frames` rows. Always-masked members are pretrained
+    on masked features so their train and inference distributions match.
     """
     if n_per_class < 1:
         raise ValueError("need at least one clip per class")
@@ -93,10 +95,10 @@ def surrogate_dataset(entry: RegistryEntry, params: MfccParams, seed: int,
     for class_id in range(entry.num_classes):
         for i in range(n_per_class):
             spec = surrogate_spec(entry, class_id, i, seed, params.sample_rate)
-            image = mfcc(synth_clip(spec), params)
-            if mask is not None:
-                image = apply_poisson_mask(image, mask)
-            dataset.append((image, class_id))
+            clip = synth_clip(spec)
+            plan = chunk_plan(clip.duration, clip.duration)
+            chunk, = extract_chunks(clip, plan, params, mask, frames)
+            dataset.append((chunk.features, class_id))
     return dataset
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -35,6 +36,16 @@ def sha256_bytes(data: bytes) -> str:
 
 def sha256_file(path) -> str:
     return sha256_bytes(Path(path).read_bytes())
+
+
+@contextmanager
+def named_errors(path):
+    """Reading a decoded file's fields: bad bytes or JSON, a missing key
+    or a field of the wrong type raises a ValueError naming the file."""
+    try:
+        yield
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed file: {exc!r}") from None
 
 
 def atomic_write_bytes(path, data: bytes) -> None:

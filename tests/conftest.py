@@ -1,4 +1,6 @@
+import json
 import os
+import struct
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
@@ -42,6 +44,42 @@ def record_boundaries(path) -> list:
     start = path.stat().st_size - len(pack_tensor_records(weights, names))
     return [start + len(pack_tensor_records(weights, names[:k]))
             for k in range(len(names))]
+
+
+def _edited(edit):
+    """Descriptor bytes: the file's descriptor JSON after `edit`."""
+    def replace(descriptor):
+        edit(descriptor)
+        return json.dumps(descriptor).encode("utf-8")
+    return replace
+
+
+# Malformed descriptors: each maps a weight file's descriptor to bytes.
+BAD_DESCRIPTORS = {
+    "not_an_object": lambda d: b"[]",
+    "not_utf8": lambda d: b"\xff\xfe{}",
+    "invalid_json": lambda d: b'{"kind": ',
+}
+BAD_MODEL_DESCRIPTORS = dict(BAD_DESCRIPTORS, **{
+    "arch_is_a_number": _edited(lambda d: d.update(arch=5)),
+    "input_shape_is_a_number": _edited(
+        lambda d: d["arch"].update(input_shape=5)),
+    "trainable_is_a_list": _edited(lambda d: d.update(trainable=[])),
+})
+BAD_FUSION_DESCRIPTORS = dict(BAD_DESCRIPTORS, **{
+    "member_digests_is_a_list": _edited(lambda d: d.update(member_digests=[])),
+})
+
+
+def replace_descriptor(path, make) -> None:
+    """Rewrite a weight file's descriptor as `make(descriptor)` bytes,
+    keeping its header and tensor records."""
+    descriptor, _ = read_weight_file(path)
+    buf = path.read_bytes()
+    (length,) = struct.unpack_from("<I", buf, 8)
+    raw = make(descriptor)
+    path.write_bytes(buf[:8] + struct.pack("<I", len(raw)) + raw
+                     + buf[12 + length:])
 
 
 def random_images(n: int, shape=(10, 8), seed: int = 0) -> list:

@@ -9,8 +9,9 @@ from ovbm.audio_io import AudioClip, SynthSpec, pad_to, synth_clip
 from ovbm.chunker import chunk_plan, extract_chunks
 import ovbm.chunker as chunker
 from ovbm.degradation import PoissonMaskConfig, apply_poisson_mask
-from ovbm.mfcc import MfccParams, mfcc
+from ovbm.mfcc import MfccImage, MfccParams, mfcc
 from ovbm.models import build_registry
+from ovbm.synthesis import surrogate_dataset, surrogate_spec
 
 
 def enumerate_windows(duration, size, stride):
@@ -64,6 +65,7 @@ class TestPlan:
 
 
 FAST = MfccParams(num_cepstra=8, num_filters=16, fft_size=512)
+WHOLE = 199  # the frame count of a 2 s chunk, so its image is not cut
 
 
 def _clip(duration):
@@ -71,14 +73,27 @@ def _clip(duration):
                                                 ("noise", 0.0, 0.2)], seed=1))
 
 
+def _centre(values, frames):
+    """The crop rule, stated directly: the centre `frames` rows, or all
+    rows centred between zero rows when there are fewer."""
+    n = values.shape[0]
+    if n >= frames:
+        start = (n - frames) // 2
+        return values[start:start + frames]
+    out = np.zeros((frames, values.shape[1]))
+    before = (frames - n) // 2
+    out[before:before + n] = values
+    return out
+
+
 class TestExtract:
     def test_uniform_shapes_and_spans(self):
         clip = _clip(5.0)
         plan = chunk_plan(clip.duration, 2.0, 1.5)
-        chunks = extract_chunks(clip, plan, FAST)
+        chunks = extract_chunks(clip, plan, FAST, None, WHOLE)
         assert len(chunks) == plan.count
         shapes = {c.features.values.shape for c in chunks}
-        assert len(shapes) == 1
+        assert shapes == {(WHOLE, FAST.num_cepstra)}
         assert [c.span for c in chunks] == plan.intervals
         assert [c.index for c in chunks] == list(range(plan.count))
         assert all(not c.masked for c in chunks)
@@ -86,7 +101,7 @@ class TestExtract:
     def test_final_chunk_zero_padded(self):
         clip = _clip(5.0)
         plan = chunk_plan(clip.duration, 2.0, 1.5)
-        chunks = extract_chunks(clip, plan, FAST)
+        chunks = extract_chunks(clip, plan, FAST, None, WHOLE)
         start, end = plan.intervals[-1]
         tail = clip.samples[int(round(start * 16000)):]
         padded = np.concatenate([tail, np.zeros(32000 - tail.size)])
@@ -96,7 +111,7 @@ class TestExtract:
     def test_interior_chunk_matches_direct_slice(self):
         clip = _clip(6.0)
         plan = chunk_plan(clip.duration, 2.0, 2.0)
-        chunks = extract_chunks(clip, plan, FAST)
+        chunks = extract_chunks(clip, plan, FAST, None, WHOLE)
         piece = clip.samples[32000:64000]
         want = mfcc(AudioClip(piece, 16000), FAST).values
         np.testing.assert_array_equal(chunks[1].features.values, want)
@@ -104,8 +119,8 @@ class TestExtract:
     def test_mask_flag_and_effect(self):
         clip = _clip(4.0)
         plan = chunk_plan(clip.duration, 2.0, 2.0)
-        plain = extract_chunks(clip, plan, FAST)
-        masked = extract_chunks(clip, plan, FAST, PoissonMaskConfig())
+        plain = extract_chunks(clip, plan, FAST, None, WHOLE)
+        masked = extract_chunks(clip, plan, FAST, PoissonMaskConfig(), WHOLE)
         assert all(c.masked for c in masked)
         for a, b in zip(plain, masked):
             assert not np.array_equal(a.features.values, b.features.values)
@@ -113,30 +128,58 @@ class TestExtract:
                           <= np.abs(a.features.values) + 1e-15)
 
 
-def _own_mfcc(clip, plan, span, mask):
+class TestCrop:
+    """The chunker crops every chunk image to the member input's frame
+    count: a member reads exactly the chunk image."""
+
+    def test_short_window_is_centred_between_zero_rows(self):
+        clip = _clip(1.0)
+        plan = chunk_plan(clip.duration, 0.1, 0.1)  # 9 frames a chunk
+        own = mfcc(AudioClip(clip.samples[1600:3200].copy(), 16000), FAST)
+        assert own.values.shape[0] == 9
+        image = extract_chunks(clip, plan, FAST, None, 16)[1].features.values
+        assert image.shape == (16, FAST.num_cepstra)
+        assert np.all(image[:3] == 0.0) and np.all(image[12:] == 0.0)
+        np.testing.assert_array_equal(image[3:12], own.values)
+
+    def test_long_window_keeps_its_centre_rows(self):
+        clip = _clip(6.0)
+        plan = chunk_plan(clip.duration, 2.0, 2.0)  # 199 frames a chunk
+        own = mfcc(AudioClip(clip.samples[32000:64000].copy(), 16000), FAST)
+        image = extract_chunks(clip, plan, FAST, None, 16)[1].features.values
+        np.testing.assert_array_equal(image, own.values[91:107])
+
+
+def _own_mfcc(clip, plan, span, mask, frames):
     """The per-chunk definition: `mfcc` of the chunk's own samples, cut
-    from the clip zero-padded to the plan's last window, then masked."""
+    from the clip zero-padded to the plan's last window, cropped to
+    `frames` rows, then masked."""
     final_end = plan.intervals[-1][1]
     padded = pad_to(clip, final_end) if final_end > clip.duration else clip
     a, b = (int(round(t * clip.sample_rate)) for t in span)
     image = mfcc(AudioClip(padded.samples[a:b].copy(), clip.sample_rate), FAST)
+    image = MfccImage(_centre(image.values, frames), FAST, span)
     return image if mask is None else apply_poisson_mask(image, mask)
 
 
-def _assert_own_mfcc(clip, plan, chunks, mask):
+def _assert_own_mfcc(clip, plan, chunks, mask, frames):
     assert [c.span for c in chunks] == plan.intervals
     for c in chunks:
         np.testing.assert_array_equal(
-            c.features.values, _own_mfcc(clip, plan, c.span, mask).values)
+            c.features.values,
+            _own_mfcc(clip, plan, c.span, mask, frames).values)
 
 
 MASKS = [None, PoissonMaskConfig()]
+# A crop inside every chunk, one wider than a 2 s chunk, and one wider
+# than any chunk here.
+CROPS = (16, 300, 1000)
 
 
 class TestOneFeaturization:
-    """Chunks are cut from one featurization of the recording, yet each
-    chunk image equals `mfcc` of that chunk alone bit for bit, row 0
-    (where pre-emphasis restarts) included."""
+    """Chunks are cut from one featurization of the recording's crop
+    frames, yet each chunk image equals the crop of `mfcc` of that chunk
+    alone bit for bit, row 0 (where pre-emphasis restarts) included."""
 
     # (clip s, chunk s, stride s): on the frame grid; stride off the
     # 10 ms grid; long chunks; chunk length off the grid (partial last
@@ -149,19 +192,18 @@ class TestOneFeaturization:
     def test_every_chunk_is_its_own_mfcc(self, duration, size, stride, mask):
         clip = _clip(duration)
         plan = chunk_plan(clip.duration, size, stride)
-        _assert_own_mfcc(clip, plan, extract_chunks(clip, plan, FAST, mask),
-                         mask)
+        for frames in CROPS:
+            _assert_own_mfcc(
+                clip, plan, extract_chunks(clip, plan, FAST, mask, frames),
+                mask, frames)
 
-    def test_short_chunks_within_1e12(self):
-        # A chunk of a few frames, featurized alone, goes through
-        # OpenBLAS's small-matrix kernels, which round differently from
-        # the recording's large batches; the rows still agree to 1e-12.
+    def test_short_chunks_bit_identical(self):
+        # A chunk of a few frames, featurized alone, is zero-padded to a
+        # whole block like the recording's frames, so rows agree exactly.
         clip = _clip(1.0)
         plan = chunk_plan(clip.duration, 0.1, 0.05)
-        for c in extract_chunks(clip, plan, FAST):
-            np.testing.assert_allclose(
-                c.features.values, _own_mfcc(clip, plan, c.span, None).values,
-                rtol=0.0, atol=1e-12)
+        _assert_own_mfcc(clip, plan, extract_chunks(clip, plan, FAST, None, 16),
+                         None, 16)
 
     @pytest.mark.parametrize("mask", MASKS, ids=["plain", "masked"])
     def test_saliency_plans_share_one_featurization(self, mask, monkeypatch):
@@ -172,13 +214,46 @@ class TestOneFeaturization:
         plans = [chunk_plan(clip.duration, size, 2.0)
                  for size in [4.0] + [e.chunk_size for e in
                                       build_registry().family("brainos")]]
-        chunks = extract_chunks(clip, plans, FAST, mask)
+        chunks = extract_chunks(clip, plans, FAST, mask, 64)
         assert len(calls) == 1
         assert len(chunks) == sum(p.count for p in plans)
         start = 0
         for plan in plans:
             part = chunks[start:start + plan.count]
             assert [c.index for c in part] == list(range(plan.count))
-            _assert_own_mfcc(clip, plan, part, mask)
+            _assert_own_mfcc(clip, plan, part, mask, 64)
             start += plan.count
 
+    def test_only_crop_frames_are_featurized(self, monkeypatch):
+        # Four 8 s windows 0.5 s apart (799 frames each) and one 20 s
+        # window on a 9.1 s clip. The 64-frame crops start at 3.67,
+        # 4.17, 4.67 and 5.17 s, so they share frames: 214 distinct ones.
+        # The 20 s window's crop starts at 9.67 s, in the padding.
+        rows = []
+        monkeypatch.setattr(
+            chunker, "mfcc",
+            lambda *a, **k: rows.append(len(k["frames"])) or mfcc(*a, **k))
+        clip = _clip(9.1)
+        plans = [chunk_plan(clip.duration, 8.0, 0.5),
+                 chunk_plan(clip.duration, 20.0, 2.0)]
+        assert [p.count for p in plans] == [4, 1]
+        extract_chunks(clip, plans, FAST, None, 64)
+        assert rows == [214 + 64]
+
+
+class TestSurrogates:
+    """Pretraining images come through the chunker, one window a clip."""
+
+    @pytest.mark.parametrize("biomarker_id", ["poisson_muscular",
+                                              "cough_origin"])
+    def test_image_is_centre_crop_of_clip_mfcc(self, biomarker_id):
+        entry = build_registry().by_id(biomarker_id)
+        data = surrogate_dataset(entry, FAST, seed=5, n_per_class=2, frames=64)
+        assert [y for _, y in data] == [0, 0, 1, 1]
+        for (image, y), i in zip(data, [0, 1, 0, 1]):
+            spec = surrogate_spec(entry, y, i, 5, FAST.sample_rate)
+            want = MfccImage(_centre(mfcc(synth_clip(spec), FAST).values, 64),
+                             FAST)
+            if entry.always_mask:
+                want = apply_poisson_mask(want)
+            np.testing.assert_array_equal(image.values, want.values)

@@ -7,7 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import micro_run_config, record_boundaries
+from conftest import (
+    BAD_FUSION_DESCRIPTORS,
+    BAD_MODEL_DESCRIPTORS,
+    micro_run_config,
+    record_boundaries,
+    replace_descriptor,
+)
 from ovbm.audio_io import parse_manifest
 from ovbm.cli import main
 from ovbm.models import save_model
@@ -180,6 +186,44 @@ class TestEval:
                              capsys):
         broken, victim = cut_copy(micro_run_dir, tmp_path,
                                   "ensemble_main", "fusion.ovbm")
+        code, _, stderr = run_cli(
+            capsys, "eval", "--run", broken,
+            "--manifest", os.path.join(corpus_dir, "manifest.csv"))
+        assert code == 2
+        assert str(victim) in stderr
+
+    @pytest.mark.parametrize("rel,case", [
+        *((("models", "member_tuned_cough_origin.ovbm"), case)
+          for case in sorted(BAD_MODEL_DESCRIPTORS)),
+        *((("ensemble_main", "fusion.ovbm"), case)
+          for case in sorted(BAD_FUSION_DESCRIPTORS)),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_malformed_descriptor(self, rel, case, micro_run_dir, corpus_dir,
+                                  tmp_path, capsys):
+        broken = str(tmp_path / "broken")
+        shutil.copytree(micro_run_dir, broken)
+        victim = Path(broken, *rel)
+        replace_descriptor(victim, {**BAD_MODEL_DESCRIPTORS,
+                                    **BAD_FUSION_DESCRIPTORS}[case])
+        code, _, stderr = run_cli(
+            capsys, "eval", "--run", broken,
+            "--manifest", os.path.join(corpus_dir, "manifest.csv"))
+        assert code == 2
+        assert str(victim) in stderr
+
+    @pytest.mark.parametrize("edit", [
+        lambda saved: "[]",
+        lambda saved: '{"config": []}',
+        lambda saved: "{",
+        lambda saved: json.dumps(
+            dict(saved, config=dict(saved["config"], chunk_size="2"))),
+    ], ids=["list", "config_is_a_list", "invalid_json", "field_of_wrong_type"])
+    def test_malformed_run_config(self, edit, micro_run_dir, corpus_dir,
+                                  tmp_path, capsys):
+        broken = str(tmp_path / "broken")
+        shutil.copytree(micro_run_dir, broken)
+        victim = Path(broken, "config.json")
+        victim.write_text(edit(json.loads(victim.read_text())))
         code, _, stderr = run_cli(
             capsys, "eval", "--run", broken,
             "--manifest", os.path.join(corpus_dir, "manifest.csv"))

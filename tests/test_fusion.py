@@ -6,7 +6,12 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import MICRO_ARCH, record_boundaries
+from conftest import (
+    BAD_FUSION_DESCRIPTORS,
+    MICRO_ARCH,
+    record_boundaries,
+    replace_descriptor,
+)
 from ovbm.chunker import Chunk
 from ovbm.degradation import apply_poisson_mask
 from ovbm.fusion import (
@@ -31,7 +36,6 @@ from ovbm.mfcc import MfccImage, MfccParams
 from ovbm.models import (
     TrainConfig,
     TransferStrategy,
-    fit_frames,
     forward_batches,
     head_batches,
     init_cnn,
@@ -181,15 +185,13 @@ class TestAlwaysMask:
         member = init_cnn(MICRO_ARCH, 2, seed=0,
                           biomarker_id="poisson_muscular")
         rng = np.random.default_rng(3)
-        image = MfccImage(rng.normal(0.0, 2.5, size=(16, 8)),
+        image = MfccImage(rng.normal(0.0, 2.5, size=(10, 8)),
                           MfccParams(num_cepstra=8, num_filters=16,
                                      fft_size=512), (0.0, 2.0))
         plain_chunk = Chunk(0, (0.0, 2.0), image, False)
         out = member_inputs(member, [plain_chunk])[0]
-        # masking the member's 10-frame crop equals cropping the masked image
-        want = fit_frames(apply_poisson_mask(image).values, 10)
-        np.testing.assert_array_equal(out, want)
-        assert not np.array_equal(out, fit_frames(image.values, 10))
+        np.testing.assert_array_equal(out, apply_poisson_mask(image).values)
+        assert not np.array_equal(out, image.values)
         # already-masked chunks pass through untouched
         masked_chunk = make_chunk(masked=True)
         np.testing.assert_array_equal(member_inputs(member, [masked_chunk])[0],
@@ -324,3 +326,12 @@ class TestEnsembleFiles:
             path.write_bytes(raw[:cut])
             with pytest.raises(ValueError, match="fusion.ovbm"):
                 load_ensemble(tmp_path)
+
+    @pytest.mark.parametrize("case", sorted(BAD_FUSION_DESCRIPTORS))
+    def test_malformed_descriptor(self, case, tmp_path):
+        members = make_members()
+        save_ensemble(tmp_path, build_fusion(members, seed=12), members)
+        replace_descriptor(tmp_path / "fusion.ovbm",
+                           BAD_FUSION_DESCRIPTORS[case])
+        with pytest.raises(ValueError, match="fusion.ovbm"):
+            load_ensemble(tmp_path)

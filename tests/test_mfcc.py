@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ovbm.audio_io import AudioClip, SynthSpec, synth_clip
 from ovbm.mfcc import (
+    BLOCK_FRAMES,
     CEP_LIFTER,
     MfccParams,
     OracleTooLarge,
@@ -247,6 +248,23 @@ class TestMfccProperties:
         clip = _clip(0.1)
         np.testing.assert_array_equal(mfcc(clip, FAST).values,
                                       mfcc(clip, FAST).values)
+
+    def test_any_run_of_frames_matches_whole_clip(self):
+        # Featurizing a run of a clip's frames on its own, however short,
+        # gives exactly the rows of the whole clip's featurization.
+        clip = _clip(3.0, seed=21)
+        frames = frame_signal(clip, FAST)
+        whole = mfcc(clip, FAST).values
+        assert len(frames) == 299
+        for n in range(1, BLOCK_FRAMES + 2):
+            lo = 7 * n % (len(frames) - n + 1)
+            got = mfcc(clip, FAST, frames=frames[lo:lo + n]).values
+            np.testing.assert_array_equal(got, whole[lo:lo + n])
+
+    def test_frames_rate_mismatch(self):
+        frames = frame_signal(_clip(0.1), FAST)
+        with pytest.raises(RateMismatch):
+            mfcc(AudioClip(np.zeros(800), 8000), FAST, frames=frames)
 
     def test_num_cepstra_le_filters_enforced(self):
         with pytest.raises(ValueError):

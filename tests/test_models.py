@@ -4,7 +4,13 @@ weight files, and the fixed biomarker roster."""
 import numpy as np
 import pytest
 
-from conftest import MICRO_ARCH, random_images, record_boundaries
+from conftest import (
+    BAD_MODEL_DESCRIPTORS,
+    MICRO_ARCH,
+    random_images,
+    record_boundaries,
+    replace_descriptor,
+)
 from ovbm.models import (
     BiomarkerModel,
     CnnArch,
@@ -81,12 +87,14 @@ class TestForward:
         np.testing.assert_allclose(probs.sum(axis=1), np.ones(5), atol=1e-12)
         assert np.all(probs >= 0.0)
 
-    def test_frame_fitting(self):
+    def test_frame_mismatch(self):
+        # the chunker crops chunk images; a member takes only its shape
         model = init_cnn(MICRO_ARCH, 2, seed=1)
-        short = prepare_input(model, np.ones((4, 8)))
-        long = prepare_input(model, np.ones((30, 8)))
-        assert short.shape == long.shape == (10, 8)
-        assert np.all(short[:3] == 0.0) and np.all(short[7:] == 0.0)
+        for frames in (4, 9, 11, 30):
+            with pytest.raises(ShapeMismatch):
+                prepare_input(model, np.ones((frames, 8)))
+        with pytest.raises(ShapeMismatch):
+            prepare_input(model, np.ones(80))
 
     def test_coeff_mismatch(self):
         model = init_cnn(MICRO_ARCH, 2, seed=1)
@@ -286,6 +294,14 @@ class TestWeightFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_model(tmp_path / "nope.ovbm")
+
+    @pytest.mark.parametrize("case", sorted(BAD_MODEL_DESCRIPTORS))
+    def test_malformed_descriptor(self, case, tmp_path):
+        path = tmp_path / "m.ovbm"
+        save_model(path, init_cnn(MICRO_ARCH, 2, seed=0))
+        replace_descriptor(path, BAD_MODEL_DESCRIPTORS[case])
+        with pytest.raises(ValueError, match="m.ovbm"):
+            load_model(path)
 
 
 class TestRegistry:

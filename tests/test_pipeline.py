@@ -118,7 +118,7 @@ class TestPaths:
     def test_feature_store_caches(self, corpus_dir):
         config = micro_run_config(corpus_dir)
         store = FeatureStore(config.manifest, config.mfcc_params(),
-                             config.mask())
+                             config.mask(), config.arch_frames)
         rec = parse_manifest(config.manifest)[0]
         first = store.chunks(rec, 2.0, 2.0)
         assert store.chunks(rec, 2.0, 2.0) is first
@@ -320,7 +320,7 @@ class TestEmbeddingMemo:
 
         def outputs():
             store = FeatureStore(config.manifest, config.mfcc_params(),
-                                 config.mask())
+                                 config.mask(), config.arch_frames)
             metrics = _run_metrics(pipe, store, train, test, main, pt)
             maps = [subject_saliency(pipe, r, load_clip(
                         config.manifest, r, config.sample_rate)).to_rows()

@@ -241,5 +241,6 @@ class TestSaliencyMap:
             saliency_map(record, clip, pipe.tuned_members[:-1],
                          pipe.main_fusion, pipe.main_members,
                          pipe.pt_fusion, pipe.pt_members,
-                         config.mfcc_params(), config.chunk_size,
-                         config.stride, config.parsed_scheme(), config.mask())
+                         config.mfcc_params(), config.arch_frames,
+                         config.chunk_size, config.stride,
+                         config.parsed_scheme(), config.mask())
