@@ -12,11 +12,10 @@ from .audio_io import (
     synth_clip,
     write_wav,
 )
-from .chunker import Chunk, ChunkPlan, chunk_plan, extract_chunks
+from .chunker import ChunkPlan, Chunks, chunk_plan, extract_chunks
 from .degradation import PoissonMaskConfig, apply_poisson_mask, poisson_pmf
 from .fusion import (
     FusionModel,
-    FusionSample,
     build_fusion,
     load_ensemble,
     metadata_vector,
@@ -60,9 +59,9 @@ __all__ = [
     "AggregationScheme", "Diagnosis", "aggregate", "decide",
     "AudioClip", "SubjectRecord", "SynthSpec", "load_wav", "parse_manifest",
     "synth_clip", "write_wav",
-    "Chunk", "ChunkPlan", "chunk_plan", "extract_chunks",
+    "ChunkPlan", "Chunks", "chunk_plan", "extract_chunks",
     "PoissonMaskConfig", "apply_poisson_mask", "poisson_pmf",
-    "FusionModel", "FusionSample", "build_fusion", "load_ensemble",
+    "FusionModel", "build_fusion", "load_ensemble",
     "metadata_vector", "save_ensemble", "train_fusion",
     "MfccImage", "MfccParams", "mfcc", "mfcc_oracle",
     "BiomarkerModel", "BiomarkerRegistry", "CnnArch", "TrainConfig",

@@ -17,7 +17,7 @@ import numpy as np
 
 from .audio_io import AudioClip, EmptyAudio, pad_to
 from .degradation import PoissonMaskConfig, apply_poisson_mask
-from .mfcc import MfccImage, MfccParams, mfcc
+from .mfcc import MfccParams, mfcc
 
 DEFAULT_STRIDE = 2.0
 
@@ -33,12 +33,22 @@ class ChunkPlan:
         return len(self.intervals)
 
 
-@dataclass
-class Chunk:
-    index: int
-    span: tuple
-    features: MfccImage
-    masked: bool = False
+class Chunks:
+    """Every chunk image of one recording, each exactly what a member
+    reads: `images` [N, frames, num_cepstra], read-only. `masked` says
+    whether the run's Poisson mask was applied at extraction.
+    `embeddings` holds member embeddings of these images by member body,
+    filled by `fusion.embed_chunks`, so every call on the same Chunks runs
+    each distinct body once."""
+
+    def __init__(self, images: np.ndarray, masked: bool):
+        self.images = np.asarray(images, dtype=np.float64).view()
+        self.images.flags.writeable = False
+        self.masked = masked
+        self.embeddings: dict = {}
+
+    def __len__(self) -> int:
+        return len(self.images)
 
 
 def chunk_plan(duration: float, chunk_size: float,
@@ -108,11 +118,11 @@ def _build_frames(samples: np.ndarray, keys: np.ndarray,
 
 
 def extract_chunks(clip: AudioClip, plans: ChunkPlan | list, params: MfccParams,
-                   mask: PoissonMaskConfig | None, frames: int) -> list:
+                   mask: PoissonMaskConfig | None, frames: int) -> Chunks:
     """Chunk images of every plan, each exactly what a member reads.
 
-    `plans` is one ChunkPlan or a list of them; the chunks of all plans
-    come back in plan order, each indexed within its own plan. A chunk
+    `plans` is one ChunkPlan or a list of them; the images of all plans
+    come back in plan order, each plan's in interval order. A chunk
     image is the crop of `mfcc` of the chunk's own samples (the clip
     zero-padded out to the last window's end) to `frames` rows: its
     centre rows, or all of its rows centred between zero rows when it
@@ -135,7 +145,4 @@ def extract_chunks(clip: AudioClip, plans: ChunkPlan | list, params: MfccParams,
     if mask is not None:
         image = apply_poisson_mask(image, mask)
     table = np.vstack([image.values, np.zeros(params.num_cepstra)])
-    spans = [(i, span) for p in plans for i, span in enumerate(p.intervals)]
-    return [Chunk(i, span, MfccImage(table[r], params, span),
-                  masked=mask is not None)
-            for (i, span), r in zip(spans, rows)]
+    return Chunks(table[rows], masked=mask is not None)

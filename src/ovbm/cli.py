@@ -20,6 +20,7 @@ import os
 import sys
 
 from .audio_io import parse_manifest
+from .models import build_registry
 from .pipeline import (
     RunConfig,
     TrainedPipeline,
@@ -286,20 +287,15 @@ def cmd_saliency(args) -> int:
     return 0
 
 
-_DEFAULT_UNIQUENESS_MEMBERS = [
-    "ww_context_kitchen", "ww_unique_tipping",
-    "ww_inferred_jar", "ww_salient_overflow",
-]
-
-
 def cmd_report_uniqueness(args) -> int:
     pipe = _load_run(args.run)
     detections = pipe.metrics.get("detections")
     positives = pipe.metrics.get("test_positives")
     if not detections or positives is None:
         raise ValueError("run has no stored detection metrics; retrain first")
+    cognitive = build_registry().family("cognitive")
     members = (args.members.split(",") if args.members
-               else _DEFAULT_UNIQUENESS_MEMBERS)
+               else [e.biomarker_id for e in cognitive])
     missing = [m for m in members if m not in detections]
     if missing:
         raise ValueError(f"no detections for members: {', '.join(missing)}")

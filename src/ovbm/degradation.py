@@ -64,4 +64,4 @@ def apply_poisson_mask(image: MfccImage,
     """Return a new image with every value attenuated by its pmf factor."""
     config = PoissonMaskConfig() if config is None else config
     factors = mask_factors(image.values, config)
-    return MfccImage(factors * image.values, image.params, image.source_span)
+    return MfccImage(factors * image.values, image.params)

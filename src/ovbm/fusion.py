@@ -15,8 +15,8 @@ import numpy as np
 
 from . import models as M
 from . import nn
-from .chunker import Chunk
-from .degradation import PoissonMaskConfig, apply_poisson_mask
+from .chunker import Chunks
+from .degradation import PoissonMaskConfig, mask_factors
 from .util import atomic_write_bytes, derive_seed, named_errors, sha256_file
 
 HIDDEN_DIM = 1024
@@ -26,10 +26,6 @@ NUM_CLASSES = 2
 
 class EmptyMembers(ValueError):
     """A fusion network needs at least one member."""
-
-
-class MemberOrderMismatch(ValueError):
-    """Members were supplied in a different order than at build time."""
 
 
 class DimMismatch(ValueError):
@@ -55,23 +51,29 @@ def metadata_vector(gender: str = "unknown", age: int | None = None) -> np.ndarr
 
 @dataclass
 class FusionModel:
-    member_ids: list
-    member_dims: list
-    metadata_dim: int
+    """An ensemble: its members, in fusion input order, and the fusion
+    network's weights."""
+
+    members: list
     weights: dict  # hidden.w/b, head.w/b
 
     @property
+    def member_ids(self) -> list:
+        return [m.biomarker_id for m in self.members]
+
+    @property
+    def member_dims(self) -> list:
+        return [m.arch.embedding_dim for m in self.members]
+
+    @property
     def input_dim(self) -> int:
-        return int(sum(self.member_dims) + self.metadata_dim)
+        return sum(self.member_dims) + METADATA_DIM
 
 
-def build_fusion(members: list, metadata_dim: int = METADATA_DIM,
-                 seed: int = 0) -> FusionModel:
+def build_fusion(members: list, seed: int = 0) -> FusionModel:
     if not members:
         raise EmptyMembers("no members")
-    member_ids = [m.biomarker_id for m in members]
-    member_dims = [m.arch.embedding_dim for m in members]
-    input_dim = sum(member_dims) + metadata_dim
+    input_dim = sum(m.arch.embedding_dim for m in members) + METADATA_DIM
     rng = np.random.default_rng(seed)
     weights = {
         "hidden.w": nn.he_uniform(rng, (HIDDEN_DIM, input_dim), fan_in=input_dim),
@@ -79,25 +81,12 @@ def build_fusion(members: list, metadata_dim: int = METADATA_DIM,
         "head.w": nn.he_uniform(rng, (NUM_CLASSES, HIDDEN_DIM), fan_in=HIDDEN_DIM),
         "head.b": np.zeros(NUM_CLASSES),
     }
-    return FusionModel(member_ids, member_dims, metadata_dim, weights)
-
-
-def clone_fusion(fusion: FusionModel) -> FusionModel:
-    return FusionModel(
-        list(fusion.member_ids), list(fusion.member_dims), fusion.metadata_dim,
-        {k: w.copy() for k, w in fusion.weights.items()},
-    )
-
-
-def _check_member_order(fusion: FusionModel, members: list) -> None:
-    ids = [m.biomarker_id for m in members]
-    if ids != fusion.member_ids:
-        raise MemberOrderMismatch(f"expected {fusion.member_ids}, got {ids}")
+    return FusionModel(list(members), weights)
 
 
 def fuse_from_embeddings(fusion: FusionModel, emb: np.ndarray,
                          metadata: np.ndarray, want_cache: bool = False):
-    """emb: [B, sum(member_dims)], metadata: [B, metadata_dim].
+    """emb: [B, sum(member_dims)], metadata: [B, METADATA_DIM].
     Returns (probs [B, 2], cache)."""
     x = np.concatenate([emb, metadata], axis=1)
     if x.shape[1] != fusion.input_dim:
@@ -127,18 +116,18 @@ _ALWAYS_MASK = frozenset(e.biomarker_id for e in M.build_registry().entries
                          if e.always_mask)
 
 
-def member_inputs(member: M.BiomarkerModel, chunks: list) -> np.ndarray:
-    """[N, H, W] inputs of a member over a chunk list. The
-    degradation-sensitive member always sees masked features: a chunk
-    not masked at extraction is masked here."""
-    remask = member.biomarker_id in _ALWAYS_MASK
-    inputs = []
-    for c in chunks:
-        image = c.features
-        if remask and not c.masked:
-            image = apply_poisson_mask(image, PoissonMaskConfig())
-        inputs.append(M.prepare_input(member, image))
-    return np.stack(inputs)
+def member_inputs(member: M.BiomarkerModel, chunks: Chunks) -> np.ndarray:
+    """[N, H, W] inputs of a member over one recording's chunks. The
+    degradation-sensitive member always sees masked features: chunks
+    not masked at extraction are masked here (the mask is elementwise,
+    so masking all images at once changes no bit)."""
+    x = chunks.images
+    if x.shape[1:] != member.arch.input_shape:
+        raise M.ShapeMismatch(f"chunk images are {x.shape[1:]}, arch expects "
+                              f"{member.arch.input_shape}")
+    if member.biomarker_id in _ALWAYS_MASK and not chunks.masked:
+        x = mask_factors(x, PoissonMaskConfig()) * x
+    return x
 
 
 def _body_key(member: M.BiomarkerModel) -> tuple:
@@ -149,29 +138,27 @@ def _body_key(member: M.BiomarkerModel) -> tuple:
                   if not name.startswith("head.")))
 
 
-def embed_chunks(members: list, chunks: list, memo: dict | None = None) -> list:
-    """Each member's embeddings [N, E] of one recording's chunks.
+def embed_chunks(members: list, chunks: Chunks) -> list:
+    """Each member's embeddings [N, E] of a recording's chunks.
 
-    `memo` is owned by the caller and holds embeddings of this one chunk
-    list by member body, so calls that share it run each distinct body
-    once (under the `frozen` strategy the main, pretuned and tuned
-    members all share theirs)."""
-    memo = {} if memo is None else memo
+    Embeddings are kept on `chunks.embeddings` by member body, so calls
+    on the same Chunks run each distinct body once (under the `frozen`
+    strategy the main, pretuned and tuned members all share theirs)."""
     embs = []
     for m in members:
         key = _body_key(m)
-        if key not in memo:
-            memo[key] = M.forward_batches(m, member_inputs(m, chunks))[0]
-        embs.append(memo[key])
+        if key not in chunks.embeddings:
+            chunks.embeddings[key] = M.forward_batches(
+                m, member_inputs(m, chunks))[0]
+        embs.append(chunks.embeddings[key])
     return embs
 
 
-def score_chunks(fusion: FusionModel, members: list, chunks: list,
-                 metadata: np.ndarray, memo: dict | None = None) -> np.ndarray:
-    """Ensemble class probabilities [N, 2] of one recording's chunks.
-    `memo` is `embed_chunks`'s embedding memo for this chunk list."""
-    _check_member_order(fusion, members)
-    embs = embed_chunks(members, chunks, memo)
+def score_chunks(fusion: FusionModel, chunks: Chunks,
+                 metadata: np.ndarray) -> np.ndarray:
+    """Ensemble class probabilities [N, 2] of a recording's chunks, for a
+    subject's metadata vector."""
+    embs = embed_chunks(fusion.members, chunks)
     meta = np.broadcast_to(metadata, (len(chunks), metadata.size)).copy()
     probs, _ = fuse_from_embeddings(fusion, np.concatenate(embs, axis=1), meta)
     return probs
@@ -180,53 +167,48 @@ def score_chunks(fusion: FusionModel, members: list, chunks: list,
 # -------------------------------------------------------------- train
 
 @dataclass
-class FusionSample:
-    chunk: Chunk
-    metadata: np.ndarray
-    label: int
-    subject_id: str = ""
-
-
-@dataclass
 class FusionTrainResult:
     fusion: FusionModel
-    members: list
     train_accuracy: float
     test_accuracy: float
     epoch_losses: list = field(default_factory=list)
 
 
-def train_fusion(fusion: FusionModel, members: list, samples: list,
-                 config: M.TrainConfig,
+def train_fusion(fusion: FusionModel, chunks: Chunks, metadata: np.ndarray,
+                 labels, config: M.TrainConfig,
                  member_strategy: M.TransferStrategy) -> FusionTrainResult:
     """Jointly train the fusion layer and whatever member layers the
-    strategy permits, on a chunk-level labeled dataset."""
-    _check_member_order(fusion, members)
-    labels = np.array([int(s.label) for s in samples])
+    strategy permits, on labeled chunks: `metadata` [N, METADATA_DIM]
+    and `labels` [N] are each chunk's subject's. The input ensemble is
+    not mutated. Bodies the strategy freezes are embedded through
+    `embed_chunks`, so they run once per Chunks across calls."""
+    labels = np.array([int(y) for y in labels])
     if len(set(labels.tolist())) < 2:
         raise M.SingleClassDataset("fusion training data has fewer than two classes")
 
-    members = [M.apply_transfer_strategy(m, member_strategy) for m in members]
-    fusion = clone_fusion(fusion)
+    members = [M.apply_transfer_strategy(m, member_strategy)
+               for m in fusion.members]
+    fusion = FusionModel(members, {k: w.copy() for k, w in fusion.weights.items()})
 
     # Member layers the joint loss can actually reach: everything the
     # strategy unfroze except the member's own classification head.
     member_needed = [{name for name, on in m.trainable.items()
                       if on and name != "head"} for m in members]
-    chunks = [s.chunk for s in samples]
-    inputs = [member_inputs(m, chunks) for m in members]
 
     def embed_all():
-        return np.concatenate([M.forward_batches(m, x)[0]
-                               for m, x in zip(members, inputs)], axis=1)
+        return np.concatenate(embed_chunks(members, chunks), axis=1)
 
     # Members frozen below the embedding: compute embeddings once.
-    emb_all = None if any(member_needed) else embed_all()
+    if any(member_needed):
+        inputs = [member_inputs(m, chunks) for m in members]
+        emb_all = None
+    else:
+        emb_all = embed_all()
 
     split_rng = np.random.default_rng(derive_seed(config.seed, "split"))
     train_idx, test_idx = M.stratified_split(labels, config.split_fraction,
                                              split_rng)
-    meta = np.stack([np.asarray(s.metadata, dtype=np.float64) for s in samples])
+    meta = np.asarray(metadata, dtype=np.float64)
     shuffle_rng = np.random.default_rng(derive_seed(config.seed, "shuffle"))
     fusion_state = nn.AdamState(fusion.weights)
     member_states = [nn.AdamState(m.weights) for m in members]
@@ -272,7 +254,7 @@ def train_fusion(fusion: FusionModel, members: list, samples: list,
             return float("nan")
         return float(np.mean(np.argmax(probs, axis=1) == labels[idx]))
 
-    return FusionTrainResult(fusion, members, acc(train_probs, train_idx),
+    return FusionTrainResult(fusion, acc(train_probs, train_idx),
                              acc(test_probs, test_idx), epoch_losses)
 
 
@@ -285,7 +267,7 @@ def fusion_file_bytes(fusion: FusionModel, member_digests: dict,
         "kind": "fusion",
         "member_ids": fusion.member_ids,
         "member_dims": fusion.member_dims,
-        "metadata_dim": fusion.metadata_dim,
+        "metadata_dim": METADATA_DIM,
         "hidden_dim": HIDDEN_DIM,
         "member_digests": dict(sorted(member_digests.items())),
         "tensors": order,
@@ -294,16 +276,15 @@ def fusion_file_bytes(fusion: FusionModel, member_digests: dict,
     return M._weight_file_bytes(descriptor, fusion.weights, order)
 
 
-def save_ensemble(dir_path, fusion: FusionModel, members: list,
+def save_ensemble(dir_path, fusion: FusionModel,
                   meta: dict | None = None) -> None:
     """One weight file per member plus a fusion file that records each
     member file's digest, so mismatched mixtures refuse to load."""
     from pathlib import Path
 
-    _check_member_order(fusion, members)
     dir_path = Path(dir_path)
     digests = {}
-    for m in members:
+    for m in fusion.members:
         path = dir_path / f"member_{m.biomarker_id}.ovbm"
         atomic_write_bytes(path, M.model_file_bytes(m, meta))
         digests[m.biomarker_id] = sha256_file(path)
@@ -311,8 +292,8 @@ def save_ensemble(dir_path, fusion: FusionModel, members: list,
                        fusion_file_bytes(fusion, digests, meta))
 
 
-def load_ensemble(dir_path):
-    """Returns (fusion, members) after digest verification."""
+def load_ensemble(dir_path) -> FusionModel:
+    """The saved ensemble, after digest verification of every member."""
     from pathlib import Path
 
     dir_path = Path(dir_path)
@@ -321,13 +302,11 @@ def load_ensemble(dir_path):
     if descriptor.get("kind") != "fusion":
         raise ValueError(f"{dir_path}: fusion.ovbm is not a fusion file")
     with named_errors(fusion_path):
-        fusion = FusionModel(list(descriptor["member_ids"]),
-                             list(descriptor["member_dims"]),
-                             int(descriptor["metadata_dim"]), weights)
-        digests = [descriptor["member_digests"].get(mid)
-                   for mid in fusion.member_ids]
+        member_ids = list(descriptor["member_ids"])
+        digests = [descriptor["member_digests"].get(mid) for mid in member_ids]
+        recorded = [descriptor["member_dims"], descriptor["metadata_dim"]]
     members = []
-    for mid, expected in zip(fusion.member_ids, digests):
+    for mid, expected in zip(member_ids, digests):
         path = dir_path / f"member_{mid}.ovbm"
         if not path.exists():
             raise FileNotFoundError(f"missing member weight file {path}")
@@ -338,4 +317,8 @@ def load_ensemble(dir_path):
                 f"fusion manifest"
             )
         members.append(M.load_model(path))
-    return fusion, members
+    fusion = FusionModel(members, weights)
+    if recorded != [fusion.member_dims, METADATA_DIM]:
+        raise ValueError(f"{fusion_path}: member_dims and metadata_dim "
+                         f"{recorded} do not match the members")
+    return fusion

@@ -102,12 +102,10 @@ class MfccParams:
 
 @dataclass
 class MfccImage:
-    """values: [num_frames x num_cepstra] float64; source_span is the
-    (start, end) seconds this image was cut from."""
+    """values: [num_frames x num_cepstra] float64."""
 
     values: np.ndarray
     params: MfccParams
-    source_span: tuple = (0.0, 0.0)
 
 
 @dataclass
@@ -247,7 +245,6 @@ def _cepstra(frames: np.ndarray, params: MfccParams) -> np.ndarray:
 
 
 def mfcc(clip: AudioClip, params: MfccParams | None = None,
-         source_span: tuple | None = None,
          frames: np.ndarray | None = None) -> MfccImage:
     """Compute the MFCC image of a clip.
 
@@ -270,8 +267,7 @@ def mfcc(clip: AudioClip, params: MfccParams | None = None,
     edges = [len(frames) * i // parts for i in range(parts + 1)]
     feat = np.concatenate([_cepstra(frames[lo:hi], params)
                            for lo, hi in zip(edges[:-1], edges[1:])])
-    span = (0.0, clip.duration) if source_span is None else tuple(source_span)
-    return MfccImage(feat[:total], params, span)
+    return MfccImage(feat[:total], params)
 
 
 def mfcc_oracle(clip: AudioClip, params: MfccParams | None = None) -> MfccImage:
@@ -335,4 +331,4 @@ def mfcc_oracle(clip: AudioClip, params: MfccParams | None = None) -> MfccImage:
         feat[:, k] = c * (1.0 + (CEP_LIFTER / 2.0)
                           * math.sin(math.pi * k / CEP_LIFTER))
     feat[:, 0] = np.log(np.maximum(ps.sum(axis=1), params.log_floor))
-    return MfccImage(feat, params, (0.0, clip.duration))
+    return MfccImage(feat, params)

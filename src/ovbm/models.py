@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .mfcc import MfccImage
 from .util import derive_seed, named_errors
 
 WEIGHT_MAGIC = b"OVBM"
 WEIGHT_FORMAT_VERSION = 1
 EVAL_BATCH = 64  # images per inference forward pass
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class ShapeMismatch(ValueError):
@@ -134,9 +134,6 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 8
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     split_fraction: float = 0.7
 
 
@@ -236,8 +233,8 @@ def apply_transfer_strategy(model: BiomarkerModel,
 # ------------------------------------------------------------- forward
 
 def prepare_input(model: BiomarkerModel, image) -> np.ndarray:
-    """The image's values, which must have the arch's input shape."""
-    values = image.values if isinstance(image, MfccImage) else np.asarray(image)
+    """An image as an array, which must have the arch's input shape."""
+    values = np.asarray(image)
     if values.shape != model.arch.input_shape:
         raise ShapeMismatch(f"image is {values.shape}, arch expects "
                             f"{model.arch.input_shape}")
@@ -395,7 +392,7 @@ def adam_step(weights: dict, grads: dict, state: nn.AdamState,
     for key, g in grads.items():
         weights[key], state.m[key], state.v[key] = nn.adam_update(
             weights[key], g, state.m[key], state.v[key], t,
-            config.learning_rate, config.beta1, config.beta2, config.eps,
+            config.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
         )
     return weights, state
 
@@ -425,8 +422,6 @@ class TrainResult:
     train_accuracy: float
     test_accuracy: float
     epoch_losses: list
-    train_indices: list = field(default_factory=list)
-    test_indices: list = field(default_factory=list)
 
 
 def _accuracy_from_probs(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -522,8 +517,6 @@ def train(model: BiomarkerModel, dataset: list, config: TrainConfig,
         _accuracy_from_probs(train_probs, y_train),
         _accuracy_from_probs(test_probs, y_test),
         epoch_losses,
-        train_idx,
-        test_idx,
     )
 
 

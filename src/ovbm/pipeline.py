@@ -26,10 +26,10 @@ import numpy as np
 from . import models as M
 from .aggregation import AggregationScheme, Diagnosis, aggregate, decide
 from .audio_io import AudioClip, SubjectRecord, load_wav, parse_manifest, resample_linear
-from .chunker import chunk_plan, extract_chunks
+from .chunker import Chunks, chunk_plan, extract_chunks
 from .degradation import PoissonMaskConfig
 from .fusion import (
-    FusionSample,
+    FusionModel,
     FusionTrainResult,
     build_fusion,
     embed_chunks,
@@ -191,7 +191,7 @@ class FeatureStore:
         self._chunks: dict = {}
 
     def chunks(self, record: SubjectRecord, chunk_size: float,
-               stride: float) -> list:
+               stride: float) -> Chunks:
         key = (record.subject_id, chunk_size, stride)
         if key not in self._chunks:
             clip = load_clip(self.manifest_path, record, self.params.sample_rate)
@@ -206,10 +206,8 @@ class TrainedPipeline:
     config: RunConfig
     registry: M.BiomarkerRegistry
     tuned: dict                 # biomarker_id -> 2-way fine-tuned model
-    main_fusion: object
-    main_members: list
-    pt_fusion: object
-    pt_members: list
+    main: FusionModel
+    pt: FusionModel             # fusion over the tuned members
     metrics: dict = field(default_factory=dict)
 
     @property
@@ -221,12 +219,11 @@ class TrainedPipeline:
         return [self.tuned[mid] for mid in self.member_ids]
 
 
-def _diagnose(config: RunConfig, fusion, members: list, record: SubjectRecord,
-              chunks: list, memo: dict | None = None) -> Diagnosis:
-    """Score a subject's chunks through an ensemble, aggregate, threshold.
-    `memo` is `embed_chunks`'s embedding memo for this chunk list."""
-    probs = score_chunks(fusion, members, chunks,
-                         metadata_vector(record.gender, record.age), memo)
+def _diagnose(config: RunConfig, fusion: FusionModel, record: SubjectRecord,
+              chunks: Chunks) -> Diagnosis:
+    """Score a subject's chunks through an ensemble, aggregate, threshold."""
+    probs = score_chunks(fusion, chunks,
+                         metadata_vector(record.gender, record.age))
     chunk_probs = [float(p) for p in probs[:, 1]]
     scheme = config.parsed_scheme()
     probability = aggregate(chunk_probs, scheme)
@@ -288,24 +285,25 @@ def run_training(config: RunConfig) -> TrainedPipeline:
                          M.TransferStrategy.all_layers())
         pretrained[entry.biomarker_id] = result.model
 
-    # chunk-level target dataset from the training subjects
-    samples = []
-    for rec in train_records:
-        metadata = metadata_vector(rec.gender, rec.age)
-        for chunk in store.chunks(rec, config.chunk_size, config.stride):
-            samples.append(FusionSample(chunk, metadata, rec.label,
-                                        rec.subject_id))
+    # chunk-level target dataset from the training subjects: each chunk
+    # carries its subject's metadata and label
+    parts = [store.chunks(rec, config.chunk_size, config.stride)
+             for rec in train_records]
+    counts = [len(c) for c in parts]
+    chunks = Chunks(np.concatenate([c.images for c in parts]),
+                    config.poisson_mask)
+    metadata = np.repeat([metadata_vector(r.gender, r.age)
+                          for r in train_records], counts, axis=0)
+    labels = np.repeat([r.label for r in train_records], counts)
 
     # 3. per-member fine-tune on the target task (kept for saliency and
     # the pretuned ensemble; their own heads never see joint gradients)
     tuned: dict = {}
-    chunks = [s.chunk for s in samples]
     for entry in entries:
         mid = entry.biomarker_id
         member = M.replace_head(pretrained[mid], 2,
                                 derive_seed(config.seed, "tune_head", mid))
-        data = list(zip(member_inputs(member, chunks),
-                        (s.label for s in samples)))
+        data = list(zip(member_inputs(member, chunks), labels))
         result = M.train(member, data,
                          config.train_config(
                              config.tune_epochs,
@@ -313,27 +311,21 @@ def run_training(config: RunConfig) -> TrainedPipeline:
                          strategy)
         tuned[mid] = result.model
 
-    # 4. joint fusion training
-    member_order = [pretrained[e.biomarker_id] for e in entries]
-    fusion0 = build_fusion(member_order,
-                           seed=derive_seed(config.seed, "fusion", "main"))
-    main = train_fusion(fusion0, member_order, samples,
-                        config.train_config(
-                            config.fusion_epochs,
-                            derive_seed(config.seed, "fusion_train", "main")),
-                        strategy)
+    # 4. joint fusion training, over the pretrained members (main) and
+    # the tuned members (pt); under `frozen` the two share their member
+    # bodies, so the pt ensemble reuses the main one's chunk embeddings
+    results = {}
+    for name, source in (("main", pretrained), ("pt", tuned)):
+        fusion0 = build_fusion([source[e.biomarker_id] for e in entries],
+                               seed=derive_seed(config.seed, "fusion", name))
+        results[name] = train_fusion(
+            fusion0, chunks, metadata, labels,
+            config.train_config(config.fusion_epochs,
+                                derive_seed(config.seed, "fusion_train", name)),
+            strategy)
+    main, pt = results["main"], results["pt"]
 
-    tuned_order = [tuned[e.biomarker_id] for e in entries]
-    fusion_pt0 = build_fusion(tuned_order,
-                              seed=derive_seed(config.seed, "fusion", "pt"))
-    pt = train_fusion(fusion_pt0, tuned_order, samples,
-                      config.train_config(
-                          config.fusion_epochs,
-                          derive_seed(config.seed, "fusion_train", "pt")),
-                      strategy)
-
-    pipe = TrainedPipeline(config, registry, tuned,
-                           main.fusion, main.members, pt.fusion, pt.members)
+    pipe = TrainedPipeline(config, registry, tuned, main.fusion, pt.fusion)
     pipe.metrics = _run_metrics(pipe, store, train_records, test_records,
                                 main, pt)
     return pipe
@@ -348,27 +340,21 @@ def _run_metrics(pipe: TrainedPipeline, store: FeatureStore,
     def run_chunks(rec):
         return store.chunks(rec, config.chunk_size, config.stride)
 
-    # One embedding memo per test subject's chunks, shared by the main,
-    # pretuned and tuned scoring below.
-    memos = {rec.subject_id: {} for rec in test_records}
+    # The main, pretuned and tuned members score each test subject's
+    # cached chunks, which keep their embeddings by member body.
+    def ensemble_diagnoses(fusion, recs):
+        return [_diagnose(config, fusion, rec, run_chunks(rec)) for rec in recs]
 
-    def ensemble_diagnoses(fusion, members, recs):
-        return [_diagnose(config, fusion, members, rec, run_chunks(rec),
-                          memos.get(rec.subject_id))
-                for rec in recs]
-
-    train_diag = ensemble_diagnoses(pipe.main_fusion, pipe.main_members,
-                                    train_records)
-    test_diag = ensemble_diagnoses(pipe.main_fusion, pipe.main_members,
-                                   test_records)
-    pt_test = ensemble_diagnoses(pipe.pt_fusion, pipe.pt_members, test_records)
+    train_diag = ensemble_diagnoses(pipe.main, train_records)
+    test_diag = ensemble_diagnoses(pipe.main, test_records)
+    pt_test = ensemble_diagnoses(pipe.pt, test_records)
 
     # Each tuned member decides a test subject by its own head.
     hits = {mid: 0 for mid in pipe.member_ids}
     detections: dict = {mid: [] for mid in pipe.member_ids}
     for rec in test_records:
         members = pipe.tuned_members
-        embs = embed_chunks(members, run_chunks(rec), memos[rec.subject_id])
+        embs = embed_chunks(members, run_chunks(rec))
         for mid, m, emb in zip(pipe.member_ids, members, embs):
             positive = decide(aggregate(M.head_batches(m, emb)[:, 1], scheme),
                               config.threshold) == "positive"
@@ -439,10 +425,8 @@ def save_pipeline(pipe: TrainedPipeline, out_dir: str) -> None:
     for mid in pipe.member_ids:
         M.save_model(os.path.join(models_dir, f"member_tuned_{mid}.ovbm"),
                      pipe.tuned[mid], meta)
-    save_ensemble(os.path.join(out_dir, "ensemble_main"),
-                  pipe.main_fusion, pipe.main_members, meta)
-    save_ensemble(os.path.join(out_dir, "ensemble_pt"),
-                  pipe.pt_fusion, pipe.pt_members, meta)
+    save_ensemble(os.path.join(out_dir, "ensemble_main"), pipe.main, meta)
+    save_ensemble(os.path.join(out_dir, "ensemble_pt"), pipe.pt, meta)
 
 
 def load_pipeline(out_dir: str) -> TrainedPipeline:
@@ -455,8 +439,10 @@ def load_pipeline(out_dir: str) -> TrainedPipeline:
     metrics_path = os.path.join(out_dir, "metrics.json")
     metrics = {}
     if os.path.exists(metrics_path):
-        with open(metrics_path) as fh:
+        with named_errors(metrics_path), open(metrics_path, encoding="utf-8") as fh:
             metrics = json.load(fh)
+            if not isinstance(metrics, dict):
+                raise ValueError("run metrics must be a JSON object")
 
     registry = M.build_registry()
     tuned: dict = {}
@@ -466,10 +452,10 @@ def load_pipeline(out_dir: str) -> TrainedPipeline:
         if not os.path.exists(path):
             raise FileNotFoundError(f"missing weight file {path}")
         tuned[mid] = M.load_model(path)
-    main_fusion, main_members = load_ensemble(os.path.join(out_dir, "ensemble_main"))
-    pt_fusion, pt_members = load_ensemble(os.path.join(out_dir, "ensemble_pt"))
-    return TrainedPipeline(config, registry, tuned, main_fusion, main_members,
-                           pt_fusion, pt_members, metrics)
+    return TrainedPipeline(config, registry, tuned,
+                           load_ensemble(os.path.join(out_dir, "ensemble_main")),
+                           load_ensemble(os.path.join(out_dir, "ensemble_pt")),
+                           metrics)
 
 
 # ----------------------------------------------------------- per-subject
@@ -497,15 +483,13 @@ def diagnose_subject(pipe: TrainedPipeline, record: SubjectRecord,
     plan = chunk_plan(clip.duration, config.chunk_size, config.stride)
     chunks = extract_chunks(clip, plan, config.mfcc_params(), config.mask(),
                             config.arch_frames)
-    return _diagnose(config, pipe.main_fusion, pipe.main_members, record, chunks)
+    return _diagnose(config, pipe.main, record, chunks)
 
 
 def subject_saliency(pipe: TrainedPipeline, record: SubjectRecord,
                      clip: AudioClip) -> SaliencyMap:
     config = pipe.config
-    return saliency_map(record, clip, pipe.tuned_members,
-                        pipe.main_fusion, pipe.main_members,
-                        pipe.pt_fusion, pipe.pt_members,
+    return saliency_map(record, clip, pipe.tuned_members, pipe.main, pipe.pt,
                         config.mfcc_params(), config.arch_frames,
                         config.chunk_size, config.stride,
                         config.parsed_scheme(), config.mask())

@@ -16,8 +16,8 @@ import numpy as np
 
 from .aggregation import AggregationScheme, aggregate
 from .audio_io import AudioClip, SubjectRecord
-from .chunker import chunk_plan, extract_chunks
-from .fusion import embed_chunks, metadata_vector, score_chunks
+from .chunker import Chunks, chunk_plan, extract_chunks
+from .fusion import FusionModel, embed_chunks, metadata_vector, score_chunks
 from .models import build_registry, head_batches
 
 SALIENCY_CSV_COLUMNS = "subject_id,family,biomarker_id,score"
@@ -59,15 +59,15 @@ class SaliencyMap:
 
 
 def saliency_map(record: SubjectRecord, clip: AudioClip, tuned_members: list,
-                 main_fusion, main_members: list, pt_fusion, pt_members: list,
-                 params, frames: int, chunk_size: float, stride: float,
-                 scheme: AggregationScheme, mask=None) -> SaliencyMap:
+                 main: FusionModel, pt: FusionModel, params, frames: int,
+                 chunk_size: float, stride: float, scheme: AggregationScheme,
+                 mask=None) -> SaliencyMap:
     """Score all 16 roster entries for one subject.
 
     Sensory/cognitive scores come from each tuned member's own head;
     chunk-scale scores run the main ensemble at the fixed probe sizes;
     symbolic scores re-aggregate the main ensemble under each scheme
-    plus the per-member-pretuned ensemble under the flat average.
+    plus the per-member-pretuned ensemble `pt` under the flat average.
     `frames` is the members' input frame count.
     """
     registry = build_registry()
@@ -87,33 +87,28 @@ def saliency_map(record: SubjectRecord, clip: AudioClip, tuned_members: list,
                       if e.kind == "ensemble_chunk_size"]))
     plans = [chunk_plan(clip.duration, size, step) for size, step in keys]
     flat = extract_chunks(clip, plans, params, mask, frames)
-    chunks, start = {}, 0
-    for key, plan in zip(keys, plans):
-        chunks[key] = flat[start:start + plan.count]
-        start += plan.count
+    ends = np.cumsum([p.count for p in plans])
+    chunks = {key: Chunks(flat.images[end - plan.count:end], flat.masked)
+              for key, plan, end in zip(keys, plans, ends)}
 
-    # The main, pretuned and tuned members score the run's chunks through
-    # one memo, so each distinct member body runs once on them.
-    memo: dict = {}
-    main = {key: score_chunks(main_fusion, main_members, chunks[key],
-                              metadata, memo if key == run_plan else None)
-            for key in keys}
+    # The main, pretuned and tuned members all score the run's chunks,
+    # so each distinct member body runs once on them.
+    main_probs = {key: score_chunks(main, chunks[key], metadata) for key in keys}
     run_chunks = chunks[run_plan]
-    pt_probs = score_chunks(pt_fusion, pt_members, run_chunks, metadata, memo)
+    pt_probs = score_chunks(pt, run_chunks, metadata)
     own_healthy = {m.biomarker_id: head_batches(m, emb)[:, 0]
                    for m, emb in zip(tuned_members,
-                                     embed_chunks(tuned_members, run_chunks,
-                                                  memo))}
+                                     embed_chunks(tuned_members, run_chunks))}
 
     entries = []
     for entry in registry.entries:
         if entry.trainable_model:
             score = aggregate(own_healthy[entry.biomarker_id], scheme)
         elif entry.kind == "ensemble_chunk_size":
-            probs = main[(entry.chunk_size, min(stride, entry.chunk_size))]
+            probs = main_probs[(entry.chunk_size, min(stride, entry.chunk_size))]
             score = aggregate(1.0 - probs[:, 1], scheme)
         elif entry.kind == "ensemble_scheme":
-            score = aggregate(main[run_plan][:, 0],
+            score = aggregate(main_probs[run_plan][:, 0],
                               AggregationScheme(entry.scheme))
         elif entry.kind == "ensemble_pt":
             score = aggregate(1.0 - pt_probs[:, 1], AggregationScheme.AVERAGE)

@@ -82,7 +82,8 @@ def surrogate_spec(entry: RegistryEntry, class_id: int, index: int,
 
 def surrogate_dataset(entry: RegistryEntry, params: MfccParams, seed: int,
                       n_per_class: int, frames: int) -> list:
-    """Labeled (MfccImage, class) pairs for pretraining one member.
+    """Labeled (image [frames, num_cepstra], class) pairs for pretraining
+    one member.
 
     Each clip is one chunk, featurized by the chunker like any recording
     and cropped to `frames` rows. Always-masked members are pretrained
@@ -97,8 +98,8 @@ def surrogate_dataset(entry: RegistryEntry, params: MfccParams, seed: int,
             spec = surrogate_spec(entry, class_id, i, seed, params.sample_rate)
             clip = synth_clip(spec)
             plan = chunk_plan(clip.duration, clip.duration)
-            chunk, = extract_chunks(clip, plan, params, mask, frames)
-            dataset.append((chunk.features, class_id))
+            chunks = extract_chunks(clip, plan, params, mask, frames)
+            dataset.append((chunks.images[0], class_id))
     return dataset
 
 

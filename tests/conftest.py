@@ -68,6 +68,9 @@ BAD_MODEL_DESCRIPTORS = dict(BAD_DESCRIPTORS, **{
 })
 BAD_FUSION_DESCRIPTORS = dict(BAD_DESCRIPTORS, **{
     "member_digests_is_a_list": _edited(lambda d: d.update(member_digests=[])),
+    "member_dims_disagree": _edited(
+        lambda d: d.update(member_dims=[n + 1 for n in d["member_dims"]])),
+    "metadata_dim_disagrees": _edited(lambda d: d.update(metadata_dim=4)),
 })
 
 

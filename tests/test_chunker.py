@@ -92,11 +92,18 @@ class TestExtract:
         plan = chunk_plan(clip.duration, 2.0, 1.5)
         chunks = extract_chunks(clip, plan, FAST, None, WHOLE)
         assert len(chunks) == plan.count
-        shapes = {c.features.values.shape for c in chunks}
-        assert shapes == {(WHOLE, FAST.num_cepstra)}
-        assert [c.span for c in chunks] == plan.intervals
-        assert [c.index for c in chunks] == list(range(plan.count))
-        assert all(not c.masked for c in chunks)
+        assert chunks.images.shape == (plan.count, WHOLE, FAST.num_cepstra)
+        assert not chunks.masked
+        assert chunks.embeddings == {}
+
+    def test_images_are_read_only(self):
+        clip = _clip(4.0)
+        chunks = extract_chunks(clip, chunk_plan(clip.duration, 2.0, 2.0),
+                                FAST, None, 16)
+        with pytest.raises(ValueError):
+            chunks.images[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            chunks.images[1][:] = 0.0
 
     def test_final_chunk_zero_padded(self):
         clip = _clip(5.0)
@@ -106,7 +113,7 @@ class TestExtract:
         tail = clip.samples[int(round(start * 16000)):]
         padded = np.concatenate([tail, np.zeros(32000 - tail.size)])
         want = mfcc(AudioClip(padded, 16000), FAST).values
-        np.testing.assert_array_equal(chunks[-1].features.values, want)
+        np.testing.assert_array_equal(chunks.images[-1], want)
 
     def test_interior_chunk_matches_direct_slice(self):
         clip = _clip(6.0)
@@ -114,18 +121,17 @@ class TestExtract:
         chunks = extract_chunks(clip, plan, FAST, None, WHOLE)
         piece = clip.samples[32000:64000]
         want = mfcc(AudioClip(piece, 16000), FAST).values
-        np.testing.assert_array_equal(chunks[1].features.values, want)
+        np.testing.assert_array_equal(chunks.images[1], want)
 
     def test_mask_flag_and_effect(self):
         clip = _clip(4.0)
         plan = chunk_plan(clip.duration, 2.0, 2.0)
         plain = extract_chunks(clip, plan, FAST, None, WHOLE)
         masked = extract_chunks(clip, plan, FAST, PoissonMaskConfig(), WHOLE)
-        assert all(c.masked for c in masked)
-        for a, b in zip(plain, masked):
-            assert not np.array_equal(a.features.values, b.features.values)
-            assert np.all(np.abs(b.features.values)
-                          <= np.abs(a.features.values) + 1e-15)
+        assert masked.masked
+        for a, b in zip(plain.images, masked.images):
+            assert not np.array_equal(a, b)
+            assert np.all(np.abs(b) <= np.abs(a) + 1e-15)
 
 
 class TestCrop:
@@ -137,7 +143,7 @@ class TestCrop:
         plan = chunk_plan(clip.duration, 0.1, 0.1)  # 9 frames a chunk
         own = mfcc(AudioClip(clip.samples[1600:3200].copy(), 16000), FAST)
         assert own.values.shape[0] == 9
-        image = extract_chunks(clip, plan, FAST, None, 16)[1].features.values
+        image = extract_chunks(clip, plan, FAST, None, 16).images[1]
         assert image.shape == (16, FAST.num_cepstra)
         assert np.all(image[:3] == 0.0) and np.all(image[12:] == 0.0)
         np.testing.assert_array_equal(image[3:12], own.values)
@@ -146,7 +152,7 @@ class TestCrop:
         clip = _clip(6.0)
         plan = chunk_plan(clip.duration, 2.0, 2.0)  # 199 frames a chunk
         own = mfcc(AudioClip(clip.samples[32000:64000].copy(), 16000), FAST)
-        image = extract_chunks(clip, plan, FAST, None, 16)[1].features.values
+        image = extract_chunks(clip, plan, FAST, None, 16).images[1]
         np.testing.assert_array_equal(image, own.values[91:107])
 
 
@@ -158,16 +164,16 @@ def _own_mfcc(clip, plan, span, mask, frames):
     padded = pad_to(clip, final_end) if final_end > clip.duration else clip
     a, b = (int(round(t * clip.sample_rate)) for t in span)
     image = mfcc(AudioClip(padded.samples[a:b].copy(), clip.sample_rate), FAST)
-    image = MfccImage(_centre(image.values, frames), FAST, span)
+    image = MfccImage(_centre(image.values, frames), FAST)
     return image if mask is None else apply_poisson_mask(image, mask)
 
 
-def _assert_own_mfcc(clip, plan, chunks, mask, frames):
-    assert [c.span for c in chunks] == plan.intervals
-    for c in chunks:
+def _assert_own_mfcc(clip, plan, images, mask, frames):
+    """`images` are the plan's chunk images, in interval order."""
+    assert len(images) == plan.count
+    for image, span in zip(images, plan.intervals):
         np.testing.assert_array_equal(
-            c.features.values,
-            _own_mfcc(clip, plan, c.span, mask, frames).values)
+            image, _own_mfcc(clip, plan, span, mask, frames).values)
 
 
 MASKS = [None, PoissonMaskConfig()]
@@ -194,7 +200,8 @@ class TestOneFeaturization:
         plan = chunk_plan(clip.duration, size, stride)
         for frames in CROPS:
             _assert_own_mfcc(
-                clip, plan, extract_chunks(clip, plan, FAST, mask, frames),
+                clip, plan,
+                extract_chunks(clip, plan, FAST, mask, frames).images,
                 mask, frames)
 
     def test_short_chunks_bit_identical(self):
@@ -202,7 +209,8 @@ class TestOneFeaturization:
         # whole block like the recording's frames, so rows agree exactly.
         clip = _clip(1.0)
         plan = chunk_plan(clip.duration, 0.1, 0.05)
-        _assert_own_mfcc(clip, plan, extract_chunks(clip, plan, FAST, None, 16),
+        _assert_own_mfcc(clip, plan,
+                         extract_chunks(clip, plan, FAST, None, 16).images,
                          None, 16)
 
     @pytest.mark.parametrize("mask", MASKS, ids=["plain", "masked"])
@@ -219,9 +227,8 @@ class TestOneFeaturization:
         assert len(chunks) == sum(p.count for p in plans)
         start = 0
         for plan in plans:
-            part = chunks[start:start + plan.count]
-            assert [c.index for c in part] == list(range(plan.count))
-            _assert_own_mfcc(clip, plan, part, mask, 64)
+            _assert_own_mfcc(clip, plan,
+                             chunks.images[start:start + plan.count], mask, 64)
             start += plan.count
 
     def test_only_crop_frames_are_featurized(self, monkeypatch):
@@ -256,4 +263,4 @@ class TestSurrogates:
                              FAST)
             if entry.always_mask:
                 want = apply_poisson_mask(want)
-            np.testing.assert_array_equal(image.values, want.values)
+            np.testing.assert_array_equal(image, want.values)

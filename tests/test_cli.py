@@ -235,7 +235,7 @@ class TestEval:
         # runs saved before models/ dropped the pretrained copies still load
         old = str(tmp_path / "old_layout")
         shutil.copytree(micro_run_dir, old)
-        for m in load_pipeline(micro_run_dir).main_members:
+        for m in load_pipeline(micro_run_dir).main.members:
             save_model(os.path.join(old, "models",
                                     f"member_pre_{m.biomarker_id}.ovbm"), m)
         outputs = []
@@ -349,6 +349,21 @@ class TestReports:
         with open(os.path.join(out, "ablation.csv")) as fh:
             lines = fh.read().strip().splitlines()
         assert lines[-1] == "Avg improvement,,,0.0"
+
+    @pytest.mark.parametrize("report", ["uniqueness", "ablation"])
+    @pytest.mark.parametrize("text", ["[]", "{"], ids=["list", "invalid_json"])
+    def test_malformed_metrics(self, report, text, micro_run_dir, tmp_path,
+                               capsys):
+        broken = str(tmp_path / "broken")
+        shutil.copytree(micro_run_dir, broken)
+        victim = Path(broken, "metrics.json")
+        victim.write_text(text)
+        where = (["--run", broken] if report == "uniqueness"
+                 else ["--pairs", f"{micro_run_dir}:{broken}"])
+        code, _, stderr = run_cli(capsys, "report", report, *where,
+                                  "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert str(victim) in stderr
 
     def test_ablation_bad_pair(self, tmp_path, capsys):
         code, _, stderr = run_cli(capsys, "report", "ablation",

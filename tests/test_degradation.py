@@ -20,8 +20,7 @@ from ovbm.mfcc import MfccImage, MfccParams
 
 def _image(values):
     return MfccImage(np.asarray(values, dtype=np.float64),
-                     MfccParams(num_cepstra=8, num_filters=16, fft_size=512),
-                     (0.0, 1.0))
+                     MfccParams(num_cepstra=8, num_filters=16, fft_size=512))
 
 
 class TestPmf:
@@ -87,11 +86,10 @@ class TestMask:
         want = np.array([math.exp(-1) / math.factorial(int(x)) for x in k])
         np.testing.assert_allclose(factors, want, rtol=1e-12)
 
-    def test_preserves_params_and_span(self):
+    def test_preserves_params(self):
         img = _image(np.ones((3, 8)))
         out = apply_poisson_mask(img)
         assert out.params is img.params
-        assert out.source_span == img.source_span
 
     def test_rate_validation(self):
         with pytest.raises(ValueError):

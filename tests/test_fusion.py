@@ -12,15 +12,13 @@ from conftest import (
     record_boundaries,
     replace_descriptor,
 )
-from ovbm.chunker import Chunk
+from ovbm.chunker import Chunks
 from ovbm.degradation import apply_poisson_mask
 from ovbm.fusion import (
     HIDDEN_DIM,
     DimMismatch,
     EmptyMembers,
     EnsembleDigestMismatch,
-    FusionSample,
-    MemberOrderMismatch,
     build_fusion,
     embed_chunks,
     fuse_from_embeddings,
@@ -49,24 +47,24 @@ def make_members(n=2, num_classes=3, seed=0):
             for i in range(n)]
 
 
-def make_chunk(seed=0, offset=0.0, masked=False):
-    rng = np.random.default_rng(seed)
-    image = MfccImage(rng.normal(size=(10, 8)) + offset,
-                      MfccParams(num_cepstra=8, num_filters=16, fft_size=512),
-                      (0.0, 2.0))
-    return Chunk(0, (0.0, 2.0), image, masked)
+def make_image(seed=0, offset=0.0):
+    return np.random.default_rng(seed).normal(size=(10, 8)) + offset
+
+
+def make_chunks(n=1, masked=False):
+    return Chunks(np.stack([make_image(seed=i) for i in range(n)]), masked)
 
 
 def make_samples(n=24, seed=0, separation=2.5):
-    """Chunk-level dataset whose classes differ in image mean and age."""
-    samples = []
-    for i in range(n):
-        label = i % 2
-        chunk = make_chunk(seed=seed + i,
-                           offset=separation if label else -separation)
-        metadata = metadata_vector("F" if label else "M", 80 if label else 60)
-        samples.append(FusionSample(chunk, metadata, label, f"s{i}"))
-    return samples
+    """(chunks, metadata, labels) whose classes differ in image mean and
+    age."""
+    labels = np.arange(n) % 2
+    chunks = Chunks(np.stack([
+        make_image(seed=seed + i, offset=separation if y else -separation)
+        for i, y in enumerate(labels)]), False)
+    metadata = np.stack([metadata_vector("F" if y else "M", 80 if y else 60)
+                         for y in labels])
+    return chunks, metadata, labels
 
 
 class TestMetadata:
@@ -98,23 +96,15 @@ class TestFuseForward:
         with pytest.raises(EmptyMembers):
             build_fusion([])
 
-    def test_member_order_enforced(self):
-        members = make_members()
-        fusion = build_fusion(members, seed=1)
-        with pytest.raises(MemberOrderMismatch):
-            score_chunks(fusion, list(reversed(members)), [make_chunk()],
-                         metadata_vector())
-
     def test_single_chunk_prob(self):
         members = make_members()
         fusion = build_fusion(members, seed=2)
-        probs = score_chunks(fusion, members, [make_chunk()],
-                             metadata_vector("F", 70))
+        probs = score_chunks(fusion, make_chunks(), metadata_vector("F", 70))
         assert probs.shape == (1, 2)
         assert 0.0 <= probs[0, 1] <= 1.0
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         # each member's own 3-way head, read from its embeddings
-        embs = embed_chunks(members, [make_chunk()])
+        embs = embed_chunks(members, make_chunks())
         assert [e.shape for e in embs] == [(1, 4), (1, 4)]
         own = [head_batches(m, e) for m, e in zip(members, embs)]
         assert [p.shape for p in own] == [(1, 3), (1, 3)]
@@ -124,14 +114,15 @@ class TestFuseForward:
         fusion = build_fusion(members, seed=2)
         # same bodies under new heads, as frozen tuning leaves them
         retuned = [replace_head(m, 2, seed=9) for m in members]
-        chunks = [make_chunk(seed=i) for i in range(70)]  # two batches
-        memo: dict = {}
-        probs = score_chunks(fusion, members, chunks, metadata_vector(), memo)
-        assert len(memo) == 2
+        chunks = make_chunks(70)  # two batches
+        probs = score_chunks(fusion, chunks, metadata_vector())
+        assert len(chunks.embeddings) == 2
+        # bit-identical to scoring without a cache
         np.testing.assert_array_equal(
-            probs, score_chunks(fusion, members, chunks, metadata_vector()))
-        embs = embed_chunks(retuned, chunks, memo)
-        assert len(memo) == 2
+            probs, score_chunks(fusion, Chunks(chunks.images, False),
+                                metadata_vector()))
+        embs = embed_chunks(retuned, chunks)
+        assert len(chunks.embeddings) == 2
         for m, e in zip(retuned, embs):
             np.testing.assert_array_equal(
                 head_batches(m, e),
@@ -185,23 +176,24 @@ class TestAlwaysMask:
         member = init_cnn(MICRO_ARCH, 2, seed=0,
                           biomarker_id="poisson_muscular")
         rng = np.random.default_rng(3)
-        image = MfccImage(rng.normal(0.0, 2.5, size=(10, 8)),
-                          MfccParams(num_cepstra=8, num_filters=16,
-                                     fft_size=512), (0.0, 2.0))
-        plain_chunk = Chunk(0, (0.0, 2.0), image, False)
-        out = member_inputs(member, [plain_chunk])[0]
-        np.testing.assert_array_equal(out, apply_poisson_mask(image).values)
-        assert not np.array_equal(out, image.values)
+        images = rng.normal(0.0, 2.5, size=(3, 10, 8))
+        out = member_inputs(member, Chunks(images, False))
+        # the whole array is masked at once, bit for bit as image by image
+        params = MfccParams(num_cepstra=8, num_filters=16, fft_size=512)
+        for got, image in zip(out, images):
+            np.testing.assert_array_equal(
+                got, apply_poisson_mask(MfccImage(image, params)).values)
+            assert not np.array_equal(got, image)
         # already-masked chunks pass through untouched
-        masked_chunk = make_chunk(masked=True)
-        np.testing.assert_array_equal(member_inputs(member, [masked_chunk])[0],
-                                      masked_chunk.features.values)
+        masked = make_chunks(masked=True)
+        np.testing.assert_array_equal(member_inputs(member, masked),
+                                      masked.images)
 
     def test_other_members_passthrough(self):
         member = init_cnn(MICRO_ARCH, 2, seed=0, biomarker_id="cough_origin")
-        chunk = make_chunk()
-        np.testing.assert_array_equal(member_inputs(member, [chunk])[0],
-                                      chunk.features.values)
+        chunks = make_chunks()
+        np.testing.assert_array_equal(member_inputs(member, chunks),
+                                      chunks.images)
 
 
 class TestTrainFusion:
@@ -209,10 +201,10 @@ class TestTrainFusion:
         members = make_members()
         fusion = build_fusion(members, seed=5)
         before = [{k: w.copy() for k, w in m.weights.items()} for m in members]
-        result = train_fusion(fusion, members, make_samples(),
+        result = train_fusion(fusion, *make_samples(),
                               TrainConfig(epochs=3, seed=1),
                               TransferStrategy.frozen())
-        for m, b in zip(result.members, before):
+        for m, b in zip(result.fusion.members, before):
             for k, w in m.weights.items():
                 assert w.tobytes() == b[k].tobytes()
         assert any(not np.array_equal(result.fusion.weights[k],
@@ -223,10 +215,10 @@ class TestTrainFusion:
         members = make_members()
         fusion = build_fusion(members, seed=6)
         before = [{k: w.copy() for k, w in m.weights.items()} for m in members]
-        result = train_fusion(fusion, members, make_samples(),
+        result = train_fusion(fusion, *make_samples(),
                               TrainConfig(epochs=2, seed=2),
                               TransferStrategy.all_layers())
-        for m, b in zip(result.members, before):
+        for m, b in zip(result.fusion.members, before):
             assert not np.array_equal(m.weights["stem.w"], b["stem.w"])
             assert not np.array_equal(m.weights["embed.w"], b["embed.w"])
             # member heads sit off the joint loss path
@@ -237,10 +229,8 @@ class TestTrainFusion:
         fusion = build_fusion(members, seed=8)
         samples = make_samples()
         config = TrainConfig(epochs=2, seed=4)
-        a = train_fusion(fusion, members, samples, config,
-                         TransferStrategy.frozen())
-        b = train_fusion(fusion, members, samples, config,
-                         TransferStrategy.frozen())
+        a = train_fusion(fusion, *samples, config, TransferStrategy.frozen())
+        b = train_fusion(fusion, *samples, config, TransferStrategy.frozen())
         for k in a.fusion.weights:
             np.testing.assert_array_equal(a.fusion.weights[k],
                                           b.fusion.weights[k])
@@ -253,7 +243,7 @@ class TestTrainFusion:
             for k in m.weights:
                 m.weights[k][:] = 0.0
         fusion = build_fusion(members, seed=9)
-        result = train_fusion(fusion, members, make_samples(n=40, separation=0.0),
+        result = train_fusion(fusion, *make_samples(n=40, separation=0.0),
                               TrainConfig(epochs=20, seed=5),
                               TransferStrategy.frozen())
         assert result.train_accuracy >= 0.9
@@ -263,12 +253,12 @@ class TestTrainFusion:
         fusion = build_fusion(members, seed=10)
         samples = make_samples()
         config = TrainConfig(epochs=2, seed=6)
-        want = train_fusion(fusion, members, samples, config,
+        want = train_fusion(fusion, *samples, config,
                             TransferStrategy.frozen())
         results = [None, None]
 
         def work(slot):
-            results[slot] = train_fusion(fusion, members, samples, config,
+            results[slot] = train_fusion(fusion, *samples, config,
                                          TransferStrategy.frozen())
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
@@ -286,10 +276,9 @@ class TestEnsembleFiles:
     def test_round_trip(self, tmp_path):
         members = make_members()
         fusion = build_fusion(members, seed=12)
-        save_ensemble(tmp_path, fusion, members, meta={"seed": 12})
-        out_fusion, out_members = load_ensemble(tmp_path)
-        assert out_fusion.member_ids == fusion.member_ids
-        assert [m.biomarker_id for m in out_members] == ["m0", "m1"]
+        save_ensemble(tmp_path, fusion, meta={"seed": 12})
+        out_fusion = load_ensemble(tmp_path)
+        assert out_fusion.member_ids == fusion.member_ids == ["m0", "m1"]
         for k in fusion.weights:
             np.testing.assert_array_equal(
                 out_fusion.weights[k],
@@ -298,7 +287,7 @@ class TestEnsembleFiles:
     def test_digest_mismatch(self, tmp_path):
         members = make_members()
         fusion = build_fusion(members, seed=12)
-        save_ensemble(tmp_path, fusion, members)
+        save_ensemble(tmp_path, fusion)
         path = tmp_path / "member_m0.ovbm"
         raw = bytearray(path.read_bytes())
         raw[-1] ^= 0xFF
@@ -309,7 +298,7 @@ class TestEnsembleFiles:
     def test_missing_member_file(self, tmp_path):
         members = make_members()
         fusion = build_fusion(members, seed=12)
-        save_ensemble(tmp_path, fusion, members)
+        save_ensemble(tmp_path, fusion)
         (tmp_path / "member_m1.ovbm").unlink()
         with pytest.raises(FileNotFoundError) as err:
             load_ensemble(tmp_path)
@@ -317,7 +306,7 @@ class TestEnsembleFiles:
 
     def test_fusion_cut_at_record_boundary(self, tmp_path):
         members = make_members()
-        save_ensemble(tmp_path, build_fusion(members, seed=12), members)
+        save_ensemble(tmp_path, build_fusion(members, seed=12))
         path = tmp_path / "fusion.ovbm"
         raw = path.read_bytes()
         cuts = record_boundaries(path)
@@ -330,7 +319,7 @@ class TestEnsembleFiles:
     @pytest.mark.parametrize("case", sorted(BAD_FUSION_DESCRIPTORS))
     def test_malformed_descriptor(self, case, tmp_path):
         members = make_members()
-        save_ensemble(tmp_path, build_fusion(members, seed=12), members)
+        save_ensemble(tmp_path, build_fusion(members, seed=12))
         replace_descriptor(tmp_path / "fusion.ovbm",
                            BAD_FUSION_DESCRIPTORS[case])
         with pytest.raises(ValueError, match="fusion.ovbm"):

@@ -7,13 +7,14 @@ import os
 import numpy as np
 import pytest
 
+import ovbm
 import ovbm.fusion as F
 import ovbm.models as M
 import ovbm.pipeline as P
 import ovbm.saliency as S
 from conftest import micro_run_config
 from ovbm.audio_io import parse_manifest
-from ovbm.chunker import chunk_plan
+from ovbm.chunker import Chunks, chunk_plan
 from ovbm.fusion import FusionTrainResult
 from ovbm.pipeline import (
     FeatureStore,
@@ -128,7 +129,7 @@ class TestTrainedRun:
     def test_roster_and_head_widths(self, micro_pipeline):
         pipe = micro_pipeline
         assert len(pipe.member_ids) == 8
-        main = {m.biomarker_id: m for m in pipe.main_members}
+        main = {m.biomarker_id: m for m in pipe.main.members}
         for entry in pipe.registry.model_entries():
             # joint training never touches a member's surrogate-task head
             assert main[entry.biomarker_id].num_classes == entry.num_classes
@@ -139,7 +140,7 @@ class TestTrainedRun:
         # only move heads, so every other tensor of a tuned member must
         # match the main ensemble's (pretrained) member bit for bit
         pipe = micro_pipeline
-        for pre, tuned in zip(pipe.main_members, pipe.tuned_members):
+        for pre, tuned in zip(pipe.main.members, pipe.tuned_members):
             assert pre.biomarker_id == tuned.biomarker_id
             for key, w in tuned.weights.items():
                 if key.startswith("head."):
@@ -168,9 +169,9 @@ class TestTrainedRun:
 
     def test_determinism(self, corpus_dir, micro_pipeline):
         again = run_training(micro_run_config(corpus_dir))
-        for k, w in again.main_fusion.weights.items():
+        for k, w in again.main.weights.items():
             np.testing.assert_array_equal(
-                w, micro_pipeline.main_fusion.weights[k])
+                w, micro_pipeline.main.weights[k])
         for mid in again.member_ids:
             for k, w in again.tuned[mid].weights.items():
                 np.testing.assert_array_equal(
@@ -199,9 +200,9 @@ class TestArtifacts:
             for k in want:
                 np.testing.assert_array_equal(
                     got[k], want[k].astype(np.float32).astype(np.float64))
-        for k, w in micro_pipeline.main_fusion.weights.items():
+        for k, w in micro_pipeline.main.weights.items():
             np.testing.assert_array_equal(
-                loaded.main_fusion.weights[k],
+                loaded.main.weights[k],
                 w.astype(np.float32).astype(np.float64))
 
     def test_config_json_content(self, micro_pipeline, micro_run_dir):
@@ -298,8 +299,9 @@ def _probe_plan_counts(pipe, clip) -> list:
 
 
 class TestEmbeddingMemo:
-    """Scoring calls that share an embedding memo run each distinct
-    member body once per chunk, and give the same bits as scoring alone."""
+    """Scoring calls on the same Chunks, which keep their embeddings by
+    member body, run each distinct member body once per chunk, and give
+    the same bits as scoring alone."""
 
     @pytest.mark.parametrize("fixture", ["micro_pipeline", "last1_pipeline"])
     def test_shared_memo_is_bit_identical(self, fixture, request,
@@ -308,11 +310,11 @@ class TestEmbeddingMemo:
         config = pipe.config
         records = parse_manifest(config.manifest)
         m = pipe.metrics
-        main = FusionTrainResult(pipe.main_fusion, pipe.main_members,
+        main = FusionTrainResult(pipe.main,
                                  m["fusion"]["chunk_train_accuracy"],
                                  m["fusion"]["chunk_test_accuracy"],
                                  [m["fusion"]["final_epoch_loss"]])
-        pt = FusionTrainResult(pipe.pt_fusion, pipe.pt_members,
+        pt = FusionTrainResult(pipe.pt,
                                m["pt_fusion"]["chunk_train_accuracy"],
                                m["pt_fusion"]["chunk_test_accuracy"])
         train = [r for r in records if r.subject_id in m["train_subjects"]]
@@ -332,8 +334,8 @@ class TestEmbeddingMemo:
 
         embed_chunks = F.embed_chunks
 
-        def alone(members, chunks, memo=None):
-            return embed_chunks(members, chunks)
+        def alone(members, chunks):  # a fresh, empty cache every call
+            return embed_chunks(members, Chunks(chunks.images, chunks.masked))
 
         for module in (F, P, S):
             monkeypatch.setattr(module, "embed_chunks", alone)
@@ -361,3 +363,54 @@ class TestEmbeddingMemo:
         assert probe_counts  # the 8, 14 and 20 s probes
         assert sum(images) == (run_plan_images * run_count
                                + 8 * sum(probe_counts))
+
+    @pytest.mark.parametrize("strategy", ["frozen", "last:1"])
+    def test_fusion_training_images(self, strategy, corpus_dir, monkeypatch):
+        # Member images forwarded inside the main and pretuned
+        # `train_fusion` calls. Under `frozen` the two ensembles share
+        # their bodies, so the pretuned one reuses the main one's
+        # embeddings of the N training chunks: 8 x N images in all.
+        # Under `last:1` each call trains its 8 members on the training
+        # split every epoch, then embeds all N chunks once.
+        images, inside = [], []
+        forward_batch, train_fusion = M.forward_batch, P.train_fusion
+
+        def counting(model, x, want_cache=False):
+            if inside:
+                images.append(x.shape[0])
+            return forward_batch(model, x, want_cache)
+
+        def traced(*args):
+            inside.append(True)
+            try:
+                return train_fusion(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(M, "forward_batch", counting)
+        monkeypatch.setattr(P, "train_fusion", traced)
+        config = micro_run_config(corpus_dir, strategy=strategy,
+                                  pretrain_epochs=1, tune_epochs=1,
+                                  fusion_epochs=2)
+        metrics = run_training(config).metrics
+        n = metrics["counts"]["fusion_samples"]
+        if strategy == "frozen":
+            assert sum(images) == 8 * n
+        else:
+            # the split's size depends only on the chunk labels
+            store = FeatureStore(config.manifest, config.mfcc_params(),
+                                 config.mask(), config.arch_frames)
+            train = [r for r in parse_manifest(config.manifest)
+                     if r.subject_id in metrics["train_subjects"]]
+            labels = np.repeat([r.label for r in train],
+                               [len(store.chunks(r, 2.0, 2.0)) for r in train])
+            assert labels.size == n
+            split, _ = M.stratified_split(labels, config.split_fraction,
+                                          np.random.default_rng(0))
+            assert sum(images) == 2 * 8 * (config.fusion_epochs * len(split) + n)
+
+
+class TestPackage:
+    def test_every_exported_name_resolves(self):
+        for name in ovbm.__all__:
+            assert hasattr(ovbm, name), name

@@ -239,8 +239,6 @@ class TestSaliencyMap:
         config = pipe.config
         with pytest.raises(MissingBiomarker):
             saliency_map(record, clip, pipe.tuned_members[:-1],
-                         pipe.main_fusion, pipe.main_members,
-                         pipe.pt_fusion, pipe.pt_members,
-                         config.mfcc_params(), config.arch_frames,
+                         pipe.main, pipe.pt, config.mfcc_params(), config.arch_frames,
                          config.chunk_size, config.stride,
                          config.parsed_scheme(), config.mask())
