@@ -5,7 +5,10 @@ s000,s001` and `report uniqueness`, under the frozen, last:1 and all
 strategies with the Poisson mask on and off, plus one `report ablation`
 per strategy pairing its mask-off and mask-on runs. One more frozen run
 uses 0.5 s chunks under a 64-frame crop, so every member input there is
-zero-padded.
+zero-padded. After the digests come two plain lines per run: each
+subject's decision label from `diagnoses.json`, and every accuracy field
+of `metrics.json`. A change that moves float bits but no decision then
+differs in digest lines only.
 
     python3 scripts/output_digests.py --work /tmp/ovbm-digests > a.txt
 
@@ -45,6 +48,29 @@ def run(*argv) -> None:
         sys.exit(f"ovbm {' '.join(argv)} exited with {code}")
 
 
+def accuracy_fields(obj, prefix=""):
+    """(dotted key, value) for every key of a metrics tree that names an
+    accuracy, in key order."""
+    for key in sorted(obj):
+        value, name = obj[key], prefix + key
+        if isinstance(value, dict):
+            yield from accuracy_fields(value, name + ".")
+        elif "accuracy" in key:
+            yield name, value
+
+
+def outcome_lines(out: str) -> list:
+    """The decision labels and accuracies of the run trained into `out`."""
+    name = os.path.basename(out)
+    with open(os.path.join(out, "diagnoses.json")) as fh:
+        diagnoses = json.load(fh)
+    with open(os.path.join(out, "run", "metrics.json")) as fh:
+        metrics = json.load(fh)
+    labels = " ".join(f"{sid}={d['label']}" for sid, d in sorted(diagnoses.items()))
+    accuracies = " ".join(f"{k}={v!r}" for k, v in accuracy_fields(metrics))
+    return [f"labels {name}: {labels}", f"accuracy {name}: {accuracies}"]
+
+
 def run_all(out: str, config: dict, manifest: str) -> str:
     """Train one config into `out` and run every per-run command on it;
     returns the run directory."""
@@ -76,6 +102,7 @@ def main() -> None:
     write_corpus(corpus, CORPUS_SUBJECTS, seed=CORPUS_SEED)
     manifest = os.path.join(corpus, "manifest.csv")
     base = micro_run_config(corpus).to_dict()
+    outs = []
 
     for strategy in STRATEGIES:
         name = strategy.replace(":", "")
@@ -84,10 +111,11 @@ def main() -> None:
             out = os.path.join(work, f"{name}_mask_{'on' if mask else 'off'}")
             runs[mask] = run_all(out, dict(base, strategy=strategy,
                                            poisson_mask=mask), manifest)
+            outs.append(out)
         run("report", "ablation", "--pairs", f"{runs[False]}:{runs[True]}",
             "--out", os.path.join(work, f"{name}_ablation"))
-    run_all(os.path.join(work, "short_chunks"), dict(base, **SHORT_CHUNKS),
-            manifest)
+    outs.append(os.path.join(work, "short_chunks"))
+    run_all(outs[-1], dict(base, **SHORT_CHUNKS), manifest)
 
     for dirpath, dirnames, filenames in os.walk(work):
         dirnames.sort()
@@ -96,6 +124,8 @@ def main() -> None:
             with open(path, "rb") as fh:
                 digest = hashlib.sha256(fh.read()).hexdigest()
             print(f"{digest}  {os.path.relpath(path, work)}")
+    for out in outs:
+        print("\n".join(outcome_lines(out)))
 
 
 if __name__ == "__main__":

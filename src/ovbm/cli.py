@@ -44,7 +44,7 @@ from .saliency import (
     uniqueness_json,
     uniqueness_report,
 )
-from .util import atomic_write_text
+from .util import atomic_write_text, named_errors
 
 # train flags that shadow RunConfig fields (flag dest -> field)
 _TRAIN_OVERRIDES = {
@@ -317,14 +317,13 @@ def cmd_report_ablation(args) -> int:
         parts = pair.split(":")
         if len(parts) != 2:
             raise ValueError(f"bad pair {pair!r}; expected without:with")
-        without_pipe = _load_run(parts[0])
-        with_pipe = _load_run(parts[1])
-        label = with_pipe.config.label
-        rows.append((
-            label,
-            100.0 * without_pipe.metrics["test"]["subject_accuracy"],
-            100.0 * with_pipe.metrics["test"]["subject_accuracy"],
-        ))
+        accuracies = []
+        for run_dir in parts:
+            pipe = _load_run(run_dir)
+            with named_errors(os.path.join(run_dir, "metrics.json")):
+                accuracies.append(100.0 * pipe.metrics["test"]["subject_accuracy"])
+        # the label is the with-mask run's, as the pair's last
+        rows.append((pipe.config.label, *accuracies))
     report = ablation_report(rows)
     os.makedirs(args.out, exist_ok=True)
     atomic_write_text(os.path.join(args.out, "ablation.csv"),

@@ -365,6 +365,21 @@ class TestReports:
         assert code == 2
         assert str(victim) in stderr
 
+    @pytest.mark.parametrize("text", [
+        "{}", '{"test": []}', '{"test": {"subject_accuracy": "x"}}'],
+        ids=["no_test", "test_list", "accuracy_str"])
+    def test_malformed_ablation_accuracy(self, text, micro_run_dir, tmp_path,
+                                         capsys):
+        broken = str(tmp_path / "broken")
+        shutil.copytree(micro_run_dir, broken)
+        victim = Path(broken, "metrics.json")
+        victim.write_text(text)
+        code, _, stderr = run_cli(capsys, "report", "ablation",
+                                  "--pairs", f"{micro_run_dir}:{broken}",
+                                  "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert str(victim) in stderr
+
     def test_ablation_bad_pair(self, tmp_path, capsys):
         code, _, stderr = run_cli(capsys, "report", "ablation",
                                   "--pairs", "solo", "--out",

@@ -224,6 +224,20 @@ class TestTrainFusion:
             # member heads sit off the joint loss path
             assert m.weights["head.w"].tobytes() == b["head.w"].tobytes()
 
+    def test_input_ensemble_not_mutated(self):
+        members = make_members()
+        fusion = build_fusion(members, seed=7)
+        before = {k: w.copy() for k, w in fusion.weights.items()}
+        before_members = [{k: w.copy() for k, w in m.weights.items()}
+                          for m in members]
+        train_fusion(fusion, *make_samples(), TrainConfig(epochs=2, seed=3),
+                     TransferStrategy.all_layers())
+        for k, w in fusion.weights.items():
+            np.testing.assert_array_equal(w, before[k])
+        for m, b in zip(fusion.members, before_members):
+            for k, w in m.weights.items():
+                np.testing.assert_array_equal(w, b[k])
+
     def test_deterministic(self):
         members = make_members()
         fusion = build_fusion(members, seed=8)

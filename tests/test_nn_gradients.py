@@ -71,6 +71,32 @@ class TestConv:
         assert rel_err(dw, fd_grad(loss, w)) < 1e-6
         assert rel_err(db, fd_grad(loss, b)) < 1e-6
 
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_stem_matches_direct_loops(self, batch):
+        # Ci = 1 takes the im2col path; an odd 7x5 map with a bias
+        rng = np.random.default_rng(10 + batch)
+        x = rng.normal(size=(batch, 1, 7, 5))
+        w = rng.normal(size=(4, 1, 3, 3))
+        b = rng.normal(size=4)
+        np.testing.assert_allclose(nn.conv3x3(x, w, b),
+                                   conv3x3_direct(x, w, b), atol=1e-12)
+
+    def test_stem_weight_grads_vs_fd(self):
+        # the stem trains without propagating to its input
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(2, 1, 7, 5))
+        w = rng.normal(size=(3, 1, 3, 3))
+        b = rng.normal(size=3)
+        r = rng.normal(size=(2, 3, 7, 5))
+
+        def loss():
+            return float(np.sum(nn.conv3x3(x, w, b) * r))
+
+        dx, dw, db = nn.conv3x3_backward(r, x, w, need_dx=False)
+        assert dx is None
+        assert rel_err(dw, fd_grad(loss, w)) < 1e-6
+        assert rel_err(db, fd_grad(loss, b)) < 1e-6
+
 
 class TestPoolingAndLinear:
     def test_avgpool_values(self):
@@ -174,10 +200,30 @@ class TestAdam:
             np.testing.assert_allclose(m, mm, atol=1e-15)
             np.testing.assert_allclose(v, vm, atol=1e-15)
 
+    def test_in_place_matches_recurrence_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        w = rng.normal(size=(1024, 259))
+        m = np.zeros_like(w)
+        v = np.zeros_like(w)
+        wm, mm, vm = w.copy(), m.copy(), v.copy()
+        lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+        for t in range(1, 6):
+            g = rng.normal(scale=10.0 ** -t, size=w.shape)
+            out = nn.adam_update(w, g, m, v, t, lr, b1, b2, eps)
+            assert all(a is b for a, b in zip(out, (w, m, v)))
+            mm = b1 * mm + (1 - b1) * g
+            vm = b2 * vm + (1 - b2) * (g * g)
+            mhat = mm / (1 - b1**t)
+            vhat = vm / (1 - b2**t)
+            wm = wm - lr * mhat / (np.sqrt(vhat) + eps)
+            np.testing.assert_array_equal(w, wm)
+            np.testing.assert_array_equal(m, mm)
+            np.testing.assert_array_equal(v, vm)
+
     def test_zero_grad_is_noop(self):
         w = np.array([1.0, 2.0])
-        out, m, v = nn.adam_update(w, np.zeros(2), np.zeros(2), np.zeros(2),
-                                   1, 1e-3, 0.9, 0.999, 1e-8)
+        out, m, v = nn.adam_update(w.copy(), np.zeros(2), np.zeros(2),
+                                   np.zeros(2), 1, 1e-3, 0.9, 0.999, 1e-8)
         np.testing.assert_array_equal(out, w)
 
 
