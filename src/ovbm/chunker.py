@@ -38,7 +38,7 @@ class Chunks:
     reads: `images` [N, frames, num_cepstra], read-only. `masked` says
     whether the run's Poisson mask was applied at extraction.
     `embeddings` holds member embeddings of these images by member body,
-    filled by `fusion.embed_chunks`, so every call on the same Chunks runs
+    filled by `models.embed_chunks`, so every call on the same Chunks runs
     each distinct body once."""
 
     def __init__(self, images: np.ndarray, masked: bool):

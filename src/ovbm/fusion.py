@@ -9,15 +9,14 @@ classification heads sit off the fusion loss path and never move here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import models as M
 from . import nn
 from .chunker import Chunks
-from .degradation import PoissonMaskConfig, mask_factors
-from .util import atomic_write_bytes, derive_seed, named_errors, sha256_file
+from .util import atomic_write_bytes, named_errors, sha256_file
 
 HIDDEN_DIM = 1024
 METADATA_DIM = 3  # gender one-hot (F, M) + age/100
@@ -111,151 +110,76 @@ def fusion_backward(fusion: FusionModel, cache: dict, targets: np.ndarray):
     return grads, dx
 
 
-# Members whose input is always masked, whatever the run's mask setting.
-_ALWAYS_MASK = frozenset(e.biomarker_id for e in M.build_registry().entries
-                         if e.always_mask)
-
-
-def member_inputs(member: M.BiomarkerModel, chunks: Chunks) -> np.ndarray:
-    """[N, H, W] inputs of a member over one recording's chunks. The
-    degradation-sensitive member always sees masked features: chunks
-    not masked at extraction are masked here (the mask is elementwise,
-    so masking all images at once changes no bit)."""
-    x = chunks.images
-    if x.shape[1:] != member.arch.input_shape:
-        raise M.ShapeMismatch(f"chunk images are {x.shape[1:]}, arch expects "
-                              f"{member.arch.input_shape}")
-    if member.biomarker_id in _ALWAYS_MASK and not chunks.masked:
-        x = mask_factors(x, PoissonMaskConfig()) * x
-    return x
-
-
-def _body_key(member: M.BiomarkerModel) -> tuple:
-    """Everything a member's embedding of a chunk depends on: its id
-    (which sets the input transform), architecture and non-head tensors."""
-    return (member.biomarker_id, member.arch,
-            tuple((name, w.tobytes()) for name, w in sorted(member.weights.items())
-                  if not name.startswith("head.")))
-
-
-def embed_chunks(members: list, chunks: Chunks) -> list:
-    """Each member's embeddings [N, E] of a recording's chunks.
-
-    Embeddings are kept on `chunks.embeddings` by member body, so calls
-    on the same Chunks run each distinct body once (under the `frozen`
-    strategy the main, pretuned and tuned members all share theirs)."""
-    embs = []
-    for m in members:
-        key = _body_key(m)
-        if key not in chunks.embeddings:
-            chunks.embeddings[key] = M.forward_batches(
-                m, member_inputs(m, chunks))[0]
-        embs.append(chunks.embeddings[key])
-    return embs
-
-
 def score_chunks(fusion: FusionModel, chunks: Chunks,
                  metadata: np.ndarray) -> np.ndarray:
-    """Ensemble class probabilities [N, 2] of a recording's chunks, for a
-    subject's metadata vector."""
-    embs = embed_chunks(fusion.members, chunks)
-    meta = np.broadcast_to(metadata, (len(chunks), metadata.size)).copy()
+    """Ensemble class probabilities [N, 2] of chunks, given each chunk's
+    subject's metadata [N, METADATA_DIM] (or one subject's vector, for
+    every chunk)."""
+    embs = M.embed_chunks(fusion.members, chunks)
+    meta = np.broadcast_to(metadata, (len(chunks), METADATA_DIM)).copy()
     probs, _ = fuse_from_embeddings(fusion, np.concatenate(embs, axis=1), meta)
     return probs
 
 
 # -------------------------------------------------------------- train
 
-@dataclass
-class FusionTrainResult:
-    fusion: FusionModel
-    train_accuracy: float
-    test_accuracy: float
-    epoch_losses: list = field(default_factory=list)
-
-
 def train_fusion(fusion: FusionModel, chunks: Chunks, metadata: np.ndarray,
                  labels, config: M.TrainConfig,
-                 member_strategy: M.TransferStrategy) -> FusionTrainResult:
+                 member_strategy: M.TransferStrategy) -> M.TrainResult:
     """Jointly train the fusion layer and whatever member layers the
-    strategy permits, on labeled chunks: `metadata` [N, METADATA_DIM]
-    and `labels` [N] are each chunk's subject's. The input ensemble is
-    not mutated. Bodies the strategy freezes are embedded through
-    `embed_chunks`, so they run once per Chunks across calls."""
+    strategy permits through `models.fit`, on labeled chunks: `metadata`
+    [N, METADATA_DIM] and `labels` [N] are each chunk's subject's. The
+    input ensemble is not mutated. Bodies the strategy freezes are
+    embedded through `embed_chunks`, so they run once per Chunks across
+    calls. The result's `model` is the trained FusionModel."""
     labels = np.array([int(y) for y in labels])
-    if len(set(labels.tolist())) < 2:
-        raise M.SingleClassDataset("fusion training data has fewer than two classes")
-
     members = [M.apply_transfer_strategy(m, member_strategy)
                for m in fusion.members]
     fusion = FusionModel(members, {k: w.copy() for k, w in fusion.weights.items()})
+    meta = np.asarray(metadata, dtype=np.float64)
 
     # Member layers the joint loss can actually reach: everything the
     # strategy unfroze except the member's own classification head.
     member_needed = [{name for name, on in m.trainable.items()
                       if on and name != "head"} for m in members]
-
-    def embed_all():
-        return np.concatenate(embed_chunks(members, chunks), axis=1)
-
-    # Members frozen below the embedding: compute embeddings once.
-    if any(member_needed):
-        inputs = [member_inputs(m, chunks) for m in members]
-        emb_all = None
+    frozen = not any(member_needed)
+    if frozen:
+        emb_all = np.concatenate(M.embed_chunks(members, chunks), axis=1)
     else:
-        emb_all = embed_all()
-
-    split_rng = np.random.default_rng(derive_seed(config.seed, "split"))
-    train_idx, test_idx = M.stratified_split(labels, config.split_fraction,
-                                             split_rng)
-    meta = np.asarray(metadata, dtype=np.float64)
-    shuffle_rng = np.random.default_rng(derive_seed(config.seed, "shuffle"))
+        inputs = [M.member_inputs(m, chunks) for m in members]
     fusion_state = nn.AdamState(fusion.weights)
     member_states = [nn.AdamState(m.weights) for m in members]
     dims = np.cumsum([0] + [m.arch.embedding_dim for m in members])
-    epoch_losses: list = []
-    t = 0
-    for _ in range(config.epochs):
-        order = shuffle_rng.permutation(len(train_idx))
-        losses = []
-        for start in range(0, len(order), config.batch_size):
-            sel = [train_idx[i] for i in order[start:start + config.batch_size]]
-            if emb_all is None:
-                outs = [M.forward_batch(m, x[sel], want_cache=True)
-                        for m, x in zip(members, inputs)]
-                emb = np.concatenate([e for e, _, _ in outs], axis=1)
-            else:
-                emb = emb_all[sel]
-            _, fcache = fuse_from_embeddings(fusion, emb, meta[sel],
-                                             want_cache=True)
-            losses.append(nn.cross_entropy(fcache["logits"], labels[sel])
-                          * len(sel))
-            fgrads, dx = fusion_backward(fusion, fcache, labels[sel])
-            t += 1
-            M.adam_step(fusion.weights, fgrads, fusion_state, config, t)
-            for i, needed in enumerate(member_needed):
-                if needed:
-                    grads = M.backward_from_embedding(
-                        members[i], outs[i][2], dx[:, dims[i]:dims[i + 1]],
-                        needed)
-                    M.adam_step(members[i].weights, grads, member_states[i],
-                                config, t)
-        epoch_losses.append(float(np.sum(losses) / len(order)))
 
-    if emb_all is None:
-        emb_all = embed_all()
-    train_probs, _ = fuse_from_embeddings(fusion, emb_all[train_idx],
-                                          meta[train_idx])
-    test_probs, _ = fuse_from_embeddings(fusion, emb_all[test_idx],
-                                         meta[test_idx])
+    def step(batch, t):
+        if frozen:
+            emb = emb_all[batch]
+        else:
+            outs = [M.forward_batch(m, x[batch], want_cache=True)
+                    for m, x in zip(members, inputs)]
+            emb = np.concatenate([e for e, _, _ in outs], axis=1)
+        _, fcache = fuse_from_embeddings(fusion, emb, meta[batch],
+                                         want_cache=True)
+        loss = nn.cross_entropy(fcache["logits"], labels[batch])
+        fgrads, dx = fusion_backward(fusion, fcache, labels[batch])
+        M.adam_step(fusion.weights, fgrads, fusion_state, config, t)
+        for i, needed in enumerate(member_needed):
+            if needed:
+                grads = M.backward_from_embedding(
+                    members[i], outs[i][2], dx[:, dims[i]:dims[i + 1]], needed)
+                M.adam_step(members[i].weights, grads, member_states[i],
+                            config, t)
+        return loss
 
-    def acc(probs, idx):
-        if not idx:
-            return float("nan")
-        return float(np.mean(np.argmax(probs, axis=1) == labels[idx]))
+    train_idx, test_idx, epoch_losses = M.fit(labels, config, step)
+    emb_all = np.concatenate(M.embed_chunks(members, chunks), axis=1)
 
-    return FusionTrainResult(fusion, acc(train_probs, train_idx),
-                             acc(test_probs, test_idx), epoch_losses)
+    def accuracy(idx):
+        probs, _ = fuse_from_embeddings(fusion, emb_all[idx], meta[idx])
+        return M.accuracy(probs, labels[idx])
+
+    return M.TrainResult(fusion, accuracy(train_idx), accuracy(test_idx),
+                         epoch_losses)
 
 
 # --------------------------------------------------------- persistence

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
+from .chunker import Chunks
+from .degradation import PoissonMaskConfig, mask_factors
 from .util import derive_seed, named_errors
 
 WEIGHT_MAGIC = b"OVBM"
@@ -28,7 +30,7 @@ class ShapeMismatch(ValueError):
     """Input image shape is incompatible with the model architecture."""
 
 
-class NonFiniteActivation(FloatingPointError):
+class NonFiniteActivation(ValueError):
     """Forward pass produced NaN/Inf; weights are corrupt."""
 
 
@@ -270,7 +272,8 @@ def forward_batch(model: BiomarkerModel, x: np.ndarray, want_cache: bool = False
     emb = nn.linear(g, w["embed.w"], w["embed.b"])
     logits = nn.linear(emb, w["head.w"], w["head.b"])
     if not (np.isfinite(emb).all() and np.isfinite(logits).all()):
-        raise NonFiniteActivation("non-finite activation; weights corrupt")
+        raise NonFiniteActivation(f"member {model.biomarker_id!r}: non-finite "
+                                  f"activation; weights corrupt")
     probs = nn.softmax(logits)
     if want_cache:
         cache["g"] = g
@@ -418,16 +421,10 @@ def stratified_split(labels, fraction: float, rng: np.random.Generator):
 
 @dataclass
 class TrainResult:
-    model: BiomarkerModel
+    model: object  # a BiomarkerModel, or a fusion.FusionModel
     train_accuracy: float
     test_accuracy: float
     epoch_losses: list
-
-
-def _accuracy_from_probs(probs: np.ndarray, labels: np.ndarray) -> float:
-    if probs.shape[0] == 0:
-        return float("nan")
-    return float(np.mean(np.argmax(probs, axis=1) == labels))
 
 
 def forward_batches(model: BiomarkerModel, x: np.ndarray):
@@ -458,64 +455,75 @@ def head_batches(model: BiomarkerModel, emb: np.ndarray) -> np.ndarray:
     return np.concatenate(probs, axis=0)
 
 
-def train(model: BiomarkerModel, dataset: list, config: TrainConfig,
-          strategy: TransferStrategy) -> TrainResult:
-    """Mini-batch Adam on a labeled image dataset.
-
-    The input model is not mutated. Dataset order, the stratified
-    70/30 split, and per-epoch shuffles are all driven by sub-seeds of
-    config.seed, so a (model, dataset, config) triple trains the same
-    way every time.
+def fit(labels: np.ndarray, config: TrainConfig, step):
+    """The training loop of every model kind: a stratified split of the
+    labeled items, then `config.epochs` shuffled passes over the
+    training side in mini-batches. `step(batch, t)` takes one Adam step
+    on the items at indices `batch` (step index t, from 1) and returns
+    their mean loss. The split and the shuffles are drawn from sub-seeds
+    of config.seed. Returns (train indices, test indices, epoch losses).
     """
-    labels = np.array([int(y) for _, y in dataset])
     if len(set(labels.tolist())) < 2:
         raise SingleClassDataset("training data has fewer than two classes")
-    model = apply_transfer_strategy(model, strategy)
-    if int(labels.max()) >= model.num_classes:
-        raise ValueError("label outside the model's class range")
-
-    x_all = np.stack([prepare_input(model, img) for img, _ in dataset])
     split_rng = np.random.default_rng(derive_seed(config.seed, "split"))
     train_idx, test_idx = stratified_split(labels, config.split_fraction, split_rng)
-    x_train, y_train = x_all[train_idx], labels[train_idx]
-    x_test, y_test = x_all[test_idx], labels[test_idx]
-
-    needed = {name for name, on in model.trainable.items() if on}
-
-    def embed(x):
-        return forward_batches(model, x)[0]
-
-    # With only the head trainable the embeddings never change, so they
-    # are computed once and each step is a softmax regression on them.
-    emb_train = embed(x_train) if needed == {"head"} else None
+    train_idx = np.array(train_idx, dtype=int)
     shuffle_rng = np.random.default_rng(derive_seed(config.seed, "shuffle"))
-    state = nn.AdamState(model.weights)
     epoch_losses: list = []
     t = 0
     for _ in range(config.epochs):
-        order = shuffle_rng.permutation(len(train_idx))
+        order = train_idx[shuffle_rng.permutation(train_idx.size)]
         losses = []
-        for start in range(0, len(order), config.batch_size):
-            sel = order[start:start + config.batch_size]
-            yb = y_train[sel]
-            if emb_train is None:
-                _, _, cache = forward_batch(model, x_train[sel], want_cache=True)
-            else:
-                cache = _head_forward(model, emb_train[sel])
-            losses.append(nn.cross_entropy(cache["logits"], yb) * len(sel))
-            grads = backward_batch(model, cache, yb, needed)
+        for start in range(0, order.size, config.batch_size):
+            batch = order[start:start + config.batch_size]
             t += 1
-            adam_step(model.weights, grads, state, config, t)
-        epoch_losses.append(float(np.sum(losses) / len(order)))
+            losses.append(step(batch, t) * batch.size)
+        epoch_losses.append(float(np.sum(losses) / order.size))
+    return train_idx, np.array(test_idx, dtype=int), epoch_losses
 
-    if emb_train is None:
-        emb_train = embed(x_train)
-    train_probs = _head_forward(model, emb_train)["probs"]
-    test_probs = _head_forward(model, embed(x_test))["probs"]
+
+def accuracy(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Share of rows whose most probable class is the label; NaN for none."""
+    if probs.shape[0] == 0:
+        return float("nan")
+    return float(np.mean(np.argmax(probs, axis=1) == labels))
+
+
+def train(model: BiomarkerModel, chunks: Chunks, labels, config: TrainConfig,
+          strategy: TransferStrategy) -> TrainResult:
+    """Mini-batch Adam through `fit` on chunks and their labels [N].
+
+    The input model is not mutated. With only the head trainable the
+    embeddings never change, so they are read once from `embed_chunks`
+    (which keeps them on the Chunks) and each step is a softmax
+    regression on them.
+    """
+    labels = np.array([int(y) for y in labels])
+    model = apply_transfer_strategy(model, strategy)
+    if int(labels.max()) >= model.num_classes:
+        raise ValueError("label outside the model's class range")
+    needed = {name for name, on in model.trainable.items() if on}
+    head_only = needed == {"head"}
+    source = (embed_chunks([model], chunks)[0] if head_only
+              else member_inputs(model, chunks))
+    state = nn.AdamState(model.weights)
+
+    def step(batch, t):
+        if head_only:
+            cache = _head_forward(model, source[batch])
+        else:
+            _, _, cache = forward_batch(model, source[batch], want_cache=True)
+        loss = nn.cross_entropy(cache["logits"], labels[batch])
+        grads = backward_batch(model, cache, labels[batch], needed)
+        adam_step(model.weights, grads, state, config, t)
+        return loss
+
+    train_idx, test_idx, epoch_losses = fit(labels, config, step)
+    emb = embed_chunks([model], chunks)[0]
     return TrainResult(
         model,
-        _accuracy_from_probs(train_probs, y_train),
-        _accuracy_from_probs(test_probs, y_test),
+        accuracy(_head_forward(model, emb[train_idx])["probs"], labels[train_idx]),
+        accuracy(_head_forward(model, emb[test_idx])["probs"], labels[test_idx]),
         epoch_losses,
     )
 
@@ -598,6 +606,51 @@ def build_registry() -> BiomarkerRegistry:
         e("symbolic_pretuned", "symbolic", "ensemble_pt"),
     ]
     return BiomarkerRegistry(entries)
+
+
+# -------------------------------------------------- chunk embeddings
+
+# Members whose input is always masked, whatever the run's mask setting.
+_ALWAYS_MASK = frozenset(e.biomarker_id for e in build_registry().entries
+                         if e.always_mask)
+
+
+def member_inputs(member: BiomarkerModel, chunks: Chunks) -> np.ndarray:
+    """[N, H, W] inputs of a member over chunks. The degradation-sensitive
+    member always sees masked features: chunks not masked at extraction
+    are masked here (the mask is elementwise, so masking all images at
+    once changes no bit)."""
+    x = chunks.images
+    if x.shape[1:] != member.arch.input_shape:
+        raise ShapeMismatch(f"chunk images are {x.shape[1:]}, arch expects "
+                            f"{member.arch.input_shape}")
+    if member.biomarker_id in _ALWAYS_MASK and not chunks.masked:
+        x = mask_factors(x, PoissonMaskConfig()) * x
+    return x
+
+
+def _body_key(member: BiomarkerModel) -> tuple:
+    """Everything a member's embedding of a chunk depends on: its id
+    (which sets the input transform), architecture and non-head tensors."""
+    return (member.biomarker_id, member.arch,
+            tuple((name, w.tobytes()) for name, w in sorted(member.weights.items())
+                  if not name.startswith("head.")))
+
+
+def embed_chunks(members: list, chunks: Chunks) -> list:
+    """Each member's embeddings [N, E] of chunks.
+
+    Embeddings are kept on `chunks.embeddings` by member body, so calls
+    on the same Chunks run each distinct body once: under the `frozen`
+    strategy the tune step, both fusion trainings and the run's
+    training-subject scores share the pretrained bodies' embeddings."""
+    embs = []
+    for m in members:
+        key = _body_key(m)
+        if key not in chunks.embeddings:
+            chunks.embeddings[key] = forward_batches(m, member_inputs(m, chunks))[0]
+        embs.append(chunks.embeddings[key])
+    return embs
 
 
 # ---------------------------------------------------------- weight IO

@@ -30,11 +30,8 @@ from .chunker import Chunks, chunk_plan, extract_chunks
 from .degradation import PoissonMaskConfig
 from .fusion import (
     FusionModel,
-    FusionTrainResult,
     build_fusion,
-    embed_chunks,
     load_ensemble,
-    member_inputs,
     metadata_vector,
     save_ensemble,
     score_chunks,
@@ -179,26 +176,22 @@ def load_clip(manifest_path: str, record: SubjectRecord,
 
 
 class FeatureStore:
-    """Per-subject chunk cache for one training run, which reads each
-    training subject's chunks again for its metrics."""
+    """Per-subject chunk cache for one training run: each subject's
+    chunks under the run's chunk plan, features and crop."""
 
-    def __init__(self, manifest_path: str, params: MfccParams,
-                 mask: PoissonMaskConfig | None, frames: int):
-        self.manifest_path = manifest_path
-        self.params = params
-        self.mask = mask
-        self.frames = frames
+    def __init__(self, config: RunConfig):
+        self.config = config
         self._chunks: dict = {}
 
-    def chunks(self, record: SubjectRecord, chunk_size: float,
-               stride: float) -> Chunks:
-        key = (record.subject_id, chunk_size, stride)
-        if key not in self._chunks:
-            clip = load_clip(self.manifest_path, record, self.params.sample_rate)
-            plan = chunk_plan(clip.duration, chunk_size, stride)
-            self._chunks[key] = extract_chunks(clip, plan, self.params,
-                                               self.mask, self.frames)
-        return self._chunks[key]
+    def chunks(self, record: SubjectRecord) -> Chunks:
+        if record.subject_id not in self._chunks:
+            config = self.config
+            clip = load_clip(config.manifest, record, config.sample_rate)
+            plan = chunk_plan(clip.duration, config.chunk_size, config.stride)
+            self._chunks[record.subject_id] = extract_chunks(
+                clip, plan, config.mfcc_params(), config.mask(),
+                config.arch_frames)
+        return self._chunks[record.subject_id]
 
 
 @dataclass
@@ -219,17 +212,28 @@ class TrainedPipeline:
         return [self.tuned[mid] for mid in self.member_ids]
 
 
-def _diagnose(config: RunConfig, fusion: FusionModel, record: SubjectRecord,
-              chunks: Chunks) -> Diagnosis:
-    """Score a subject's chunks through an ensemble, aggregate, threshold."""
-    probs = score_chunks(fusion, chunks,
-                         metadata_vector(record.gender, record.age))
-    chunk_probs = [float(p) for p in probs[:, 1]]
+def _metadata_rows(records: list, counts: list) -> np.ndarray:
+    """[sum(counts), METADATA_DIM]: each subject's vector, once per chunk."""
+    return np.repeat([metadata_vector(r.gender, r.age) for r in records],
+                     counts, axis=0)
+
+
+def _diagnoses(config: RunConfig, fusion: FusionModel, records: list,
+               counts: list, chunks: Chunks) -> list:
+    """Score subjects' chunks (`counts[i]` of `records[i]`, laid end to
+    end) through an ensemble once; aggregate and threshold each
+    subject's."""
+    probs = score_chunks(fusion, chunks, _metadata_rows(records, counts))
     scheme = config.parsed_scheme()
-    probability = aggregate(chunk_probs, scheme)
-    return Diagnosis(record.subject_id, probability,
-                     decide(probability, config.threshold), config.threshold,
-                     scheme.value, chunk_probs, config.chunk_size, config.stride)
+    diagnoses = []
+    for record, p in zip(records, np.split(probs[:, 1], np.cumsum(counts)[:-1])):
+        chunk_probs = [float(x) for x in p]
+        probability = aggregate(chunk_probs, scheme)
+        diagnoses.append(Diagnosis(
+            record.subject_id, probability, decide(probability, config.threshold),
+            config.threshold, scheme.value, chunk_probs, config.chunk_size,
+            config.stride))
+    return diagnoses
 
 
 def _subject_metrics(diagnoses: list, records: list, threshold: float) -> dict:
@@ -256,8 +260,7 @@ def run_training(config: RunConfig) -> TrainedPipeline:
     params = config.mfcc_params()
     arch = config.arch()
     strategy = config.parsed_strategy()
-    store = FeatureStore(config.manifest, params, config.mask(),
-                         config.arch_frames)
+    store = FeatureStore(config)
 
     # 1. hold out whole subjects, stratified by label
     labels = [r.label for r in records]
@@ -277,7 +280,10 @@ def run_training(config: RunConfig) -> TrainedPipeline:
         model0 = M.init_cnn(arch, entry.num_classes,
                             derive_seed(config.seed, "init", entry.biomarker_id),
                             entry.biomarker_id)
-        result = M.train(model0, data,
+        result = M.train(model0,
+                         Chunks(np.stack([image for image, _ in data]),
+                                masked=entry.always_mask),
+                         [label for _, label in data],
                          config.train_config(
                              config.pretrain_epochs,
                              derive_seed(config.seed, "pretrain",
@@ -286,14 +292,13 @@ def run_training(config: RunConfig) -> TrainedPipeline:
         pretrained[entry.biomarker_id] = result.model
 
     # chunk-level target dataset from the training subjects: each chunk
-    # carries its subject's metadata and label
-    parts = [store.chunks(rec, config.chunk_size, config.stride)
-             for rec in train_records]
+    # carries its subject's metadata and label. Every later stage reads
+    # this one Chunks, so each distinct member body embeds it once.
+    parts = [store.chunks(rec) for rec in train_records]
     counts = [len(c) for c in parts]
     chunks = Chunks(np.concatenate([c.images for c in parts]),
                     config.poisson_mask)
-    metadata = np.repeat([metadata_vector(r.gender, r.age)
-                          for r in train_records], counts, axis=0)
+    metadata = _metadata_rows(train_records, counts)
     labels = np.repeat([r.label for r in train_records], counts)
 
     # 3. per-member fine-tune on the target task (kept for saliency and
@@ -303,8 +308,7 @@ def run_training(config: RunConfig) -> TrainedPipeline:
         mid = entry.biomarker_id
         member = M.replace_head(pretrained[mid], 2,
                                 derive_seed(config.seed, "tune_head", mid))
-        data = list(zip(member_inputs(member, chunks), labels))
-        result = M.train(member, data,
+        result = M.train(member, chunks, labels,
                          config.train_config(
                              config.tune_epochs,
                              derive_seed(config.seed, "tune", mid)),
@@ -312,8 +316,7 @@ def run_training(config: RunConfig) -> TrainedPipeline:
         tuned[mid] = result.model
 
     # 4. joint fusion training, over the pretrained members (main) and
-    # the tuned members (pt); under `frozen` the two share their member
-    # bodies, so the pt ensemble reuses the main one's chunk embeddings
+    # the tuned members (pt)
     results = {}
     for name, source in (("main", pretrained), ("pt", tuned)):
         fusion0 = build_fusion([source[e.biomarker_id] for e in entries],
@@ -325,36 +328,41 @@ def run_training(config: RunConfig) -> TrainedPipeline:
             strategy)
     main, pt = results["main"], results["pt"]
 
-    pipe = TrainedPipeline(config, registry, tuned, main.fusion, pt.fusion)
-    pipe.metrics = _run_metrics(pipe, store, train_records, test_records,
-                                main, pt)
+    pipe = TrainedPipeline(config, registry, tuned, main.model, pt.model)
+    pipe.metrics = _run_metrics(pipe, store, train_records, chunks,
+                                test_records, main, pt)
     return pipe
 
 
 def _run_metrics(pipe: TrainedPipeline, store: FeatureStore,
-                 train_records: list, test_records: list,
-                 main: FusionTrainResult, pt: FusionTrainResult) -> dict:
+                 train_records: list, train_chunks: Chunks, test_records: list,
+                 main: M.TrainResult, pt: M.TrainResult) -> dict:
+    """`train_chunks` holds the training subjects' chunks end to end, in
+    `train_records` order, as the run trained on them."""
     config = pipe.config
     scheme = config.parsed_scheme()
 
-    def run_chunks(rec):
-        return store.chunks(rec, config.chunk_size, config.stride)
+    # The training subjects are scored on the run's training Chunks,
+    # whose embeddings the training stages left on it; the main,
+    # pretuned and tuned members score each test subject's cached chunks.
+    train_diag = _diagnoses(config, pipe.main, train_records,
+                            [len(store.chunks(r)) for r in train_records],
+                            train_chunks)
 
-    # The main, pretuned and tuned members score each test subject's
-    # cached chunks, which keep their embeddings by member body.
-    def ensemble_diagnoses(fusion, recs):
-        return [_diagnose(config, fusion, rec, run_chunks(rec)) for rec in recs]
+    def test_diagnoses(fusion):
+        return [_diagnoses(config, fusion, [rec], [len(c)], c)[0]
+                for rec, c in zip(test_records, test_chunks)]
 
-    train_diag = ensemble_diagnoses(pipe.main, train_records)
-    test_diag = ensemble_diagnoses(pipe.main, test_records)
-    pt_test = ensemble_diagnoses(pipe.pt, test_records)
+    test_chunks = [store.chunks(rec) for rec in test_records]
+    test_diag = test_diagnoses(pipe.main)
+    pt_test = test_diagnoses(pipe.pt)
 
     # Each tuned member decides a test subject by its own head.
     hits = {mid: 0 for mid in pipe.member_ids}
     detections: dict = {mid: [] for mid in pipe.member_ids}
-    for rec in test_records:
+    for rec, chunks in zip(test_records, test_chunks):
         members = pipe.tuned_members
-        embs = embed_chunks(members, run_chunks(rec))
+        embs = M.embed_chunks(members, chunks)
         for mid, m, emb in zip(pipe.member_ids, members, embs):
             positive = decide(aggregate(M.head_batches(m, emb)[:, 1], scheme),
                               config.threshold) == "positive"
@@ -376,7 +384,7 @@ def _run_metrics(pipe: TrainedPipeline, store: FeatureStore,
             "subjects": len(train_records) + len(test_records),
             "train_subjects": len(train_records),
             "test_subjects": len(test_records),
-            "fusion_samples": sum(len(run_chunks(r)) for r in train_records),
+            "fusion_samples": len(train_chunks),
         },
         "train": _subject_metrics(train_diag, train_records, config.threshold),
         "test": _subject_metrics(test_diag, test_records, config.threshold),
@@ -483,7 +491,7 @@ def diagnose_subject(pipe: TrainedPipeline, record: SubjectRecord,
     plan = chunk_plan(clip.duration, config.chunk_size, config.stride)
     chunks = extract_chunks(clip, plan, config.mfcc_params(), config.mask(),
                             config.arch_frames)
-    return _diagnose(config, pipe.main, record, chunks)
+    return _diagnoses(config, pipe.main, [record], [len(chunks)], chunks)[0]
 
 
 def subject_saliency(pipe: TrainedPipeline, record: SubjectRecord,

@@ -17,8 +17,8 @@ import numpy as np
 from .aggregation import AggregationScheme, aggregate
 from .audio_io import AudioClip, SubjectRecord
 from .chunker import Chunks, chunk_plan, extract_chunks
-from .fusion import FusionModel, embed_chunks, metadata_vector, score_chunks
-from .models import build_registry, head_batches
+from .fusion import FusionModel, metadata_vector, score_chunks
+from .models import build_registry, embed_chunks, head_batches
 
 SALIENCY_CSV_COLUMNS = "subject_id,family,biomarker_id,score"
 

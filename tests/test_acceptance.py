@@ -16,7 +16,7 @@ from ovbm import cli
 from ovbm import nn
 from ovbm.aggregation import AggregationScheme, aggregate, scheme_weights
 from ovbm.audio_io import AudioClip, parse_manifest
-from ovbm.chunker import chunk_plan
+from ovbm.chunker import Chunks, chunk_plan
 from ovbm.degradation import PoissonMaskConfig, apply_poisson_mask, poisson_pmf
 from ovbm.fusion import build_fusion, fuse_from_embeddings, fusion_backward
 from ovbm.mfcc import MfccImage, MfccParams, mfcc, mfcc_oracle
@@ -213,8 +213,9 @@ def test_criterion_04_gradients_match_finite_differences():
 
 def test_criterion_05_transfer_strategy_weight_file_diffs(tmp_path):
     rng = np.random.default_rng(505)
-    data = [(rng.normal(size=(10, 8)) + (2.0 if i % 2 else -2.0), i % 2)
-            for i in range(16)]
+    data = (Chunks(np.stack([rng.normal(size=(10, 8)) + (2.0 if i % 2 else -2.0)
+                             for i in range(16)]), False),
+            [i % 2 for i in range(16)])
     convs = ["stem", "block1.conv1", "block1.conv2"]
     cases = [
         ("frozen", TransferStrategy.frozen(), {"head"}),
@@ -229,7 +230,7 @@ def test_criterion_05_transfer_strategy_weight_file_diffs(tmp_path):
         before_path = tmp_path / f"{name.replace(':', '_')}_before.ovbm"
         after_path = tmp_path / f"{name.replace(':', '_')}_after.ovbm"
         save_model(before_path, model)
-        trained = train(model, data, TrainConfig(epochs=3, seed=507),
+        trained = train(model, *data, TrainConfig(epochs=3, seed=507),
                         strategy).model
         save_model(after_path, trained)
         _, before = read_weight_file(before_path)

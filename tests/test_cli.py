@@ -5,6 +5,7 @@ import os
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -16,7 +17,7 @@ from conftest import (
 )
 from ovbm.audio_io import parse_manifest
 from ovbm.cli import main
-from ovbm.models import save_model
+from ovbm.models import CnnArch, init_cnn, save_model
 from ovbm.pipeline import load_pipeline
 
 
@@ -307,6 +308,30 @@ class TestSaliency:
             "--subjects", "s000", "--out", str(tmp_path / "r"))
         assert code == 2
         assert str(victim) in stderr
+
+    def test_overflowing_member_weights(self, micro_run_dir, corpus_dir,
+                                        tmp_path, capsys):
+        # Finite weights load, but these overflow the member's forward
+        # pass to inf and nan; three blocks, since the run's two would
+        # still end finite at 3e38.
+        broken = str(tmp_path / "broken")
+        shutil.copytree(micro_run_dir, broken)
+        config = load_pipeline(micro_run_dir).config
+        arch = CnnArch((config.arch_frames, config.num_cepstra),
+                       config.stem_channels, 3, config.embedding_dim)
+        member = init_cnn(arch, 2, seed=0, biomarker_id="cough_origin")
+        for name, w in member.weights.items():
+            if not name.startswith("head."):
+                w[...] = 3e38
+        save_model(os.path.join(broken, "models",
+                                "member_tuned_cough_origin.ovbm"), member)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, _, stderr = run_cli(
+                capsys, "saliency", "--run", broken,
+                "--manifest", os.path.join(corpus_dir, "manifest.csv"),
+                "--subjects", "s000", "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert "cough_origin" in stderr
 
     def test_bad_compare(self, micro_run_dir, corpus_dir, tmp_path, capsys):
         code, _, stderr = run_cli(

@@ -20,11 +20,9 @@ from ovbm.fusion import (
     EmptyMembers,
     EnsembleDigestMismatch,
     build_fusion,
-    embed_chunks,
     fuse_from_embeddings,
     fusion_backward,
     load_ensemble,
-    member_inputs,
     metadata_vector,
     save_ensemble,
     score_chunks,
@@ -34,9 +32,11 @@ from ovbm.mfcc import MfccImage, MfccParams
 from ovbm.models import (
     TrainConfig,
     TransferStrategy,
+    embed_chunks,
     forward_batches,
     head_batches,
     init_cnn,
+    member_inputs,
     replace_head,
 )
 
@@ -128,6 +128,26 @@ class TestFuseForward:
                 head_batches(m, e),
                 forward_batches(m, member_inputs(m, chunks))[1])
 
+    def test_per_chunk_metadata_matches_per_subject_scores(self):
+        # One call over several subjects' chunks, laid end to end with a
+        # metadata row per chunk, scores each subject's rows as scoring
+        # that subject's slice with its own vector does. Not bit for bit:
+        # BLAS may round a matrix product's row differently by its
+        # position in the product (edge tiles, and one-row products), so
+        # the bound is 1e-12.
+        fusion = build_fusion(make_members(), seed=2)
+        chunks = make_chunks(75)  # two batches; subjects straddle them
+        counts = [30, 1, 44]
+        vectors = [metadata_vector("F", 70), metadata_vector("M", 45),
+                   metadata_vector()]
+        got = score_chunks(fusion, chunks, np.repeat(vectors, counts, axis=0))
+        ends = np.cumsum(counts)
+        want = [score_chunks(fusion, Chunks(chunks.images[end - n:end], False),
+                             vector)
+                for n, end, vector in zip(counts, ends, vectors)]
+        np.testing.assert_allclose(got, np.concatenate(want), rtol=0,
+                                   atol=1e-12)
+
 
 class TestFusionBackward:
     def test_matches_fd(self):
@@ -204,10 +224,10 @@ class TestTrainFusion:
         result = train_fusion(fusion, *make_samples(),
                               TrainConfig(epochs=3, seed=1),
                               TransferStrategy.frozen())
-        for m, b in zip(result.fusion.members, before):
+        for m, b in zip(result.model.members, before):
             for k, w in m.weights.items():
                 assert w.tobytes() == b[k].tobytes()
-        assert any(not np.array_equal(result.fusion.weights[k],
+        assert any(not np.array_equal(result.model.weights[k],
                                       fusion.weights[k])
                    for k in fusion.weights)
 
@@ -218,7 +238,7 @@ class TestTrainFusion:
         result = train_fusion(fusion, *make_samples(),
                               TrainConfig(epochs=2, seed=2),
                               TransferStrategy.all_layers())
-        for m, b in zip(result.fusion.members, before):
+        for m, b in zip(result.model.members, before):
             assert not np.array_equal(m.weights["stem.w"], b["stem.w"])
             assert not np.array_equal(m.weights["embed.w"], b["embed.w"])
             # member heads sit off the joint loss path
@@ -245,9 +265,9 @@ class TestTrainFusion:
         config = TrainConfig(epochs=2, seed=4)
         a = train_fusion(fusion, *samples, config, TransferStrategy.frozen())
         b = train_fusion(fusion, *samples, config, TransferStrategy.frozen())
-        for k in a.fusion.weights:
-            np.testing.assert_array_equal(a.fusion.weights[k],
-                                          b.fusion.weights[k])
+        for k in a.model.weights:
+            np.testing.assert_array_equal(a.model.weights[k],
+                                          b.model.weights[k])
 
     def test_learns_metadata_only_signal(self):
         # zero member weights kill the embeddings; gender/age alone must
@@ -281,9 +301,9 @@ class TestTrainFusion:
         for t in threads:
             t.join()
         for got in results:
-            for k in want.fusion.weights:
-                np.testing.assert_array_equal(got.fusion.weights[k],
-                                              want.fusion.weights[k])
+            for k in want.model.weights:
+                np.testing.assert_array_equal(got.model.weights[k],
+                                              want.model.weights[k])
 
 
 class TestEnsembleFiles:

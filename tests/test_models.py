@@ -11,6 +11,7 @@ from conftest import (
     record_boundaries,
     replace_descriptor,
 )
+from ovbm.chunker import Chunks
 from ovbm.models import (
     BiomarkerModel,
     CnnArch,
@@ -25,6 +26,7 @@ from ovbm.models import (
     build_registry,
     conv_layer_names,
     cross_entropy_loss,
+    fit,
     forward,
     forward_batch,
     init_cnn,
@@ -36,17 +38,16 @@ from ovbm.models import (
     stratified_split,
     train,
 )
+from ovbm.util import derive_seed
 
 
 def labeled_set(n=20, seed=0, shape=(10, 8), separation=2.0):
-    """Two linearly separable classes of random images."""
+    """(chunks, labels): two linearly separable classes of random images."""
     rng = np.random.default_rng(seed)
-    data = []
-    for i in range(n):
-        label = i % 2
-        img = rng.normal(size=shape) + (separation if label else -separation)
-        data.append((img, label))
-    return data
+    labels = np.arange(n) % 2
+    images = [rng.normal(size=shape) + (separation if label else -separation)
+              for label in labels]
+    return Chunks(np.stack(images), False), labels
 
 
 class TestInit:
@@ -186,7 +187,7 @@ class TestTraining:
     def test_frozen_leaves_body_bit_identical(self):
         model = init_cnn(MICRO_ARCH, 2, seed=1)
         before = {k: w.copy() for k, w in model.weights.items()}
-        result = train(model, labeled_set(), TrainConfig(epochs=2, seed=0),
+        result = train(model, *labeled_set(), TrainConfig(epochs=2, seed=0),
                        TransferStrategy.frozen())
         for k, w in result.model.weights.items():
             if k.startswith("head."):
@@ -198,7 +199,7 @@ class TestTraining:
         improved = 0
         for seed in range(5):
             result = train(init_cnn(MICRO_ARCH, 2, seed=seed),
-                           labeled_set(seed=seed),
+                           *labeled_set(seed=seed),
                            TrainConfig(epochs=6, seed=seed),
                            TransferStrategy.all_layers())
             improved += result.epoch_losses[-1] <= result.epoch_losses[0]
@@ -208,8 +209,8 @@ class TestTraining:
         model = init_cnn(MICRO_ARCH, 2, seed=2)
         data = labeled_set(seed=2)
         config = TrainConfig(epochs=2, seed=5)
-        a = train(model, data, config, TransferStrategy.all_layers())
-        b = train(model, data, config, TransferStrategy.all_layers())
+        a = train(model, *data, config, TransferStrategy.all_layers())
+        b = train(model, *data, config, TransferStrategy.all_layers())
         for k in a.model.weights:
             np.testing.assert_array_equal(a.model.weights[k],
                                           b.model.weights[k])
@@ -218,23 +219,55 @@ class TestTraining:
     def test_input_model_not_mutated(self):
         model = init_cnn(MICRO_ARCH, 2, seed=2)
         before = {k: w.copy() for k, w in model.weights.items()}
-        train(model, labeled_set(), TrainConfig(epochs=1, seed=0),
+        train(model, *labeled_set(), TrainConfig(epochs=1, seed=0),
               TransferStrategy.all_layers())
         for k, w in model.weights.items():
             np.testing.assert_array_equal(w, before[k])
 
     def test_single_class_rejected(self):
-        data = [(img, 0) for img in random_images(6)]
+        chunks = Chunks(np.stack(random_images(6)), False)
         with pytest.raises(SingleClassDataset):
-            train(init_cnn(MICRO_ARCH, 2, seed=0), data,
+            train(init_cnn(MICRO_ARCH, 2, seed=0), chunks, [0] * 6,
                   TrainConfig(epochs=1), TransferStrategy.frozen())
 
     def test_learns_separable_task(self):
         result = train(init_cnn(MICRO_ARCH, 2, seed=1),
-                       labeled_set(n=40, separation=3.0),
+                       *labeled_set(n=40, separation=3.0),
                        TrainConfig(epochs=10, seed=1),
                        TransferStrategy.all_layers())
         assert result.train_accuracy >= 0.9
+
+
+class TestFit:
+    def test_batches_epochs_and_step_index(self):
+        labels = np.arange(23) % 3
+        config = TrainConfig(epochs=3, batch_size=4, seed=9,
+                             split_fraction=0.7)
+        calls = []
+
+        def step(batch, t):
+            calls.append((batch.copy(), t))
+            return float(t)
+
+        train_idx, test_idx, losses = fit(labels, config, step)
+        want_train, want_test = stratified_split(
+            labels, 0.7, np.random.default_rng(derive_seed(9, "split")))
+        assert train_idx.tolist() == want_train
+        assert test_idx.tolist() == want_test
+        shuffle = np.random.default_rng(derive_seed(9, "shuffle"))
+        per_epoch = -(-len(want_train) // 4)
+        assert [t for _, t in calls] == list(range(1, 3 * per_epoch + 1))
+        for epoch in range(3):
+            batches = [b for b, _ in calls[epoch * per_epoch:
+                                           (epoch + 1) * per_epoch]]
+            order = train_idx[shuffle.permutation(len(want_train))]
+            np.testing.assert_array_equal(np.concatenate(batches), order)
+            assert all(len(b) == 4 for b in batches[:-1])
+            # each epoch's loss is the size-weighted mean of its steps'
+            ts = [t for _, t in calls[epoch * per_epoch:
+                                      (epoch + 1) * per_epoch]]
+            assert losses[epoch] == pytest.approx(
+                sum(t * len(b) for t, b in zip(ts, batches)) / len(order))
 
 
 class TestSplit:

@@ -8,14 +8,12 @@ import numpy as np
 import pytest
 
 import ovbm
-import ovbm.fusion as F
 import ovbm.models as M
 import ovbm.pipeline as P
 import ovbm.saliency as S
 from conftest import micro_run_config
 from ovbm.audio_io import parse_manifest
 from ovbm.chunker import Chunks, chunk_plan
-from ovbm.fusion import FusionTrainResult
 from ovbm.pipeline import (
     FeatureStore,
     RunConfig,
@@ -118,11 +116,11 @@ class TestPaths:
 
     def test_feature_store_caches(self, corpus_dir):
         config = micro_run_config(corpus_dir)
-        store = FeatureStore(config.manifest, config.mfcc_params(),
-                             config.mask(), config.arch_frames)
+        store = FeatureStore(config)
         rec = parse_manifest(config.manifest)[0]
-        first = store.chunks(rec, 2.0, 2.0)
-        assert store.chunks(rec, 2.0, 2.0) is first
+        first = store.chunks(rec)
+        assert store.chunks(rec) is first
+        assert list(store._chunks) == [rec.subject_id]
 
 
 class TestTrainedRun:
@@ -310,20 +308,22 @@ class TestEmbeddingMemo:
         config = pipe.config
         records = parse_manifest(config.manifest)
         m = pipe.metrics
-        main = FusionTrainResult(pipe.main,
-                                 m["fusion"]["chunk_train_accuracy"],
-                                 m["fusion"]["chunk_test_accuracy"],
-                                 [m["fusion"]["final_epoch_loss"]])
-        pt = FusionTrainResult(pipe.pt,
-                               m["pt_fusion"]["chunk_train_accuracy"],
-                               m["pt_fusion"]["chunk_test_accuracy"])
+        main = M.TrainResult(pipe.main,
+                             m["fusion"]["chunk_train_accuracy"],
+                             m["fusion"]["chunk_test_accuracy"],
+                             [m["fusion"]["final_epoch_loss"]])
+        pt = M.TrainResult(pipe.pt,
+                           m["pt_fusion"]["chunk_train_accuracy"],
+                           m["pt_fusion"]["chunk_test_accuracy"], [])
         train = [r for r in records if r.subject_id in m["train_subjects"]]
         test = [r for r in records if r.subject_id in m["test_subjects"]]
 
         def outputs():
-            store = FeatureStore(config.manifest, config.mfcc_params(),
-                                 config.mask(), config.arch_frames)
-            metrics = _run_metrics(pipe, store, train, test, main, pt)
+            store = FeatureStore(config)
+            train_chunks = Chunks(np.concatenate(
+                [store.chunks(r).images for r in train]), config.poisson_mask)
+            metrics = _run_metrics(pipe, store, train, train_chunks, test,
+                                   main, pt)
             maps = [subject_saliency(pipe, r, load_clip(
                         config.manifest, r, config.sample_rate)).to_rows()
                     for r in records]
@@ -332,12 +332,12 @@ class TestEmbeddingMemo:
         shared = outputs()
         assert shared[0] == json.dumps(pipe.metrics, sort_keys=True)
 
-        embed_chunks = F.embed_chunks
+        embed_chunks = M.embed_chunks
 
         def alone(members, chunks):  # a fresh, empty cache every call
             return embed_chunks(members, Chunks(chunks.images, chunks.masked))
 
-        for module in (F, P, S):
+        for module in (M, S):
             monkeypatch.setattr(module, "embed_chunks", alone)
         assert outputs() == shared
 
@@ -364,50 +364,89 @@ class TestEmbeddingMemo:
         assert sum(images) == (run_plan_images * run_count
                                + 8 * sum(probe_counts))
 
-    @pytest.mark.parametrize("strategy", ["frozen", "last:1"])
-    def test_fusion_training_images(self, strategy, corpus_dir, monkeypatch):
-        # Member images forwarded inside the main and pretuned
-        # `train_fusion` calls. Under `frozen` the two ensembles share
-        # their bodies, so the pretuned one reuses the main one's
-        # embeddings of the N training chunks: 8 x N images in all.
-        # Under `last:1` each call trains its 8 members on the training
-        # split every epoch, then embeds all N chunks once.
+    @staticmethod
+    def _images_inside(monkeypatch, wrapped) -> list:
+        """Patch `M.forward_batch` to record the images it forwards while
+        a call to one of `wrapped` [(module, name, counted(*args))] runs,
+        and return the list they go to."""
         images, inside = [], []
-        forward_batch, train_fusion = M.forward_batch, P.train_fusion
+        forward_batch = M.forward_batch
 
         def counting(model, x, want_cache=False):
             if inside:
                 images.append(x.shape[0])
             return forward_batch(model, x, want_cache)
 
-        def traced(*args):
-            inside.append(True)
-            try:
-                return train_fusion(*args)
-            finally:
-                inside.pop()
+        def traced(fn, counted):
+            def call(*args):
+                if not counted(*args):
+                    return fn(*args)
+                inside.append(True)
+                try:
+                    return fn(*args)
+                finally:
+                    inside.pop()
+            return call
 
         monkeypatch.setattr(M, "forward_batch", counting)
-        monkeypatch.setattr(P, "train_fusion", traced)
+        for module, name, counted in wrapped:
+            monkeypatch.setattr(module, name,
+                                traced(getattr(module, name), counted))
+        return images
+
+    @staticmethod
+    def _training_run(corpus_dir, strategy):
         config = micro_run_config(corpus_dir, strategy=strategy,
                                   pretrain_epochs=1, tune_epochs=1,
                                   fusion_epochs=2)
-        metrics = run_training(config).metrics
+        return config, run_training(config).metrics
+
+    @pytest.mark.parametrize("strategy", ["frozen", "last:1"])
+    def test_fusion_training_images(self, strategy, corpus_dir, monkeypatch):
+        # Member images forwarded inside the main and pretuned
+        # `train_fusion` calls. Under `frozen` both ensembles have the
+        # pretrained bodies, whose embeddings of the N training chunks
+        # the tune step left on the run's Chunks: 0 images in all.
+        # Under `last:1` each call trains its 8 members on the training
+        # split every epoch, then embeds all N chunks once.
+        images = self._images_inside(
+            monkeypatch, [(P, "train_fusion", lambda *args: True)])
+        config, metrics = self._training_run(corpus_dir, strategy)
         n = metrics["counts"]["fusion_samples"]
         if strategy == "frozen":
-            assert sum(images) == 8 * n
+            assert sum(images) == 0
         else:
             # the split's size depends only on the chunk labels
-            store = FeatureStore(config.manifest, config.mfcc_params(),
-                                 config.mask(), config.arch_frames)
+            store = FeatureStore(config)
             train = [r for r in parse_manifest(config.manifest)
                      if r.subject_id in metrics["train_subjects"]]
             labels = np.repeat([r.label for r in train],
-                               [len(store.chunks(r, 2.0, 2.0)) for r in train])
+                               [len(store.chunks(r)) for r in train])
             assert labels.size == n
             split, _ = M.stratified_split(labels, config.split_fraction,
                                           np.random.default_rng(0))
             assert sum(images) == 2 * 8 * (config.fusion_epochs * len(split) + n)
+
+    def test_frozen_run_embeds_training_chunks_once(self, corpus_dir,
+                                                    monkeypatch):
+        # Member images forwarded inside the tune step's `M.train`
+        # calls, both `train_fusion` calls and `_run_metrics`, under
+        # `frozen`. All three read the pretrained bodies' embeddings of
+        # the run's N training chunks, so those run once per body
+        # (8 x N), and each body runs once on the test subjects' T
+        # chunks (8 x T).
+        images = self._images_inside(monkeypatch, [
+            # pretraining trains every layer; the tune step only heads
+            (M, "train", lambda *args: args[4].kind != "all"),
+            (P, "train_fusion", lambda *args: True),
+            (P, "_run_metrics", lambda *args: True)])
+        config, metrics = self._training_run(corpus_dir, "frozen")
+        store = FeatureStore(config)
+        n = metrics["counts"]["fusion_samples"]
+        t = sum(len(store.chunks(r)) for r in parse_manifest(config.manifest)
+                if r.subject_id in metrics["test_subjects"])
+        assert n > 0 and t > 0
+        assert sum(images) == 8 * n + 8 * t
 
 
 class TestPackage:
