@@ -3,6 +3,8 @@
 Clips are mono float64 arrays in [-1, 1] with an explicit sample rate.
 WAV support covers RIFF/WAVE containers holding 16-bit PCM or 32-bit
 IEEE-float frames, mono or stereo; stereo folds to mono by averaging.
+A header whose block_align is not its channels times the sample width,
+and float samples holding NaN or Inf, raise errors that name the file.
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ class MalformedContainer(ValueError):
 
 class UnsupportedEncoding(ValueError):
     """Container is fine but the sample encoding is not one we decode."""
+
+
+class NonFiniteAudio(ValueError):
+    """Float samples hold NaN or Inf."""
 
 
 class EmptyAudio(ValueError):
@@ -151,13 +157,22 @@ def load_wav(path) -> AudioClip:
         raise MalformedContainer(f"{path}: data chunk not frame-aligned")
 
     if audio_format == _WAVE_PCM and bits == 16:
-        samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+        dtype = "<i2"
     elif audio_format == _WAVE_IEEE_FLOAT and bits == 32:
-        samples = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+        dtype = "<f4"
     else:
         raise UnsupportedEncoding(
             f"{path}: format {audio_format} at {bits} bits unsupported"
         )
+    if block_align != channels * bits // 8:
+        raise MalformedContainer(
+            f"{path}: block_align {block_align} is not {channels} channel(s)"
+            f" of {bits} bits")
+    samples = np.frombuffer(raw, dtype=dtype).astype(np.float64)
+    if audio_format == _WAVE_PCM:
+        samples /= 32768.0
+    elif not np.isfinite(samples).all():
+        raise NonFiniteAudio(f"{path}: float samples hold NaN or Inf")
 
     if channels == 2:
         samples = samples.reshape(-1, 2).mean(axis=1)

@@ -21,55 +21,117 @@ def he_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------- conv
+#
+# The blocks' convolutions and every backward pass work on one
+# channels-major, zero-padded buffer [C, n + 2*(W+3)], n = B*(H+2)*(W+2):
+# the batch's padded images stacked row after row, with one spare pad
+# row above and below and two spare columns at the end. Image b's pixel
+# (i, j) sits at column (W+3) + q, q = (b*(H+2)+i)*(W+2) + j. The window
+# of output pixel (b, i, j) then starts at column q, and tap (di, dj)
+# reads column q + di*(W+2) + dj: each tap is one plain column slice of
+# the buffer, and one 2-D matmul over the whole batch (Vasudevan et al.,
+# "Parallel Multi Channel Convolution using General Matrix
+# Multiplication", ASAP 2017). Outputs live on the n grid columns q;
+# those that fall on pad positions hold values nothing reads.
+
+# Buffer columns one pass of the nine taps covers, in whole images: with
+# eight channels, its input, sum and scratch slices (768 KB) stay in L2
+# across the nine matmuls.
+TILE_COLUMNS = 1 << 12
+
+
+def _grid(cols: np.ndarray, B: int, H: int, W: int) -> np.ndarray:
+    """[C, B, H, W] view of the pixels of grid columns [C, n]."""
+    return cols.reshape(-1, B, H + 2, W + 2)[:, :, :H, :W]
+
+
+def _padded(x: np.ndarray) -> np.ndarray:
+    """x [B, C, H, W] -> its padded buffer [C, n + 2*(W+3)]."""
+    B, C, H, W = x.shape
+    n = B * (H + 2) * (W + 2)
+    xp = np.zeros((C, n + 2 * (W + 3)), dtype=np.float64)
+    _grid(xp[:, W + 3:W + 3 + n], B, H, W)[...] = x.transpose(1, 0, 2, 3)
+    return xp
+
+
+def _taps(w: np.ndarray, W: int) -> list:
+    """(w[:, :, di, dj], di*(W+2) + dj) for the nine taps, row-major."""
+    return [(w[:, :, di, dj], di * (W + 2) + dj)
+            for di in range(3) for dj in range(3)]
+
+
+def _conv_taps(x: np.ndarray, taps, bias: np.ndarray,
+               xp: np.ndarray | None = None) -> np.ndarray:
+    """[B, Co, H, W] for x [B, C, H, W]: on every grid column of x's
+    padded buffer xp, the sum of m @ xp[:, off:off+n] over taps
+    [(m, off), ...] in the order given, plus bias [Co]. Runs one group
+    of whole images at a time, padding each on its own unless the
+    caller passes xp."""
+    B, _, H, W = x.shape
+    size = (H + 2) * (W + 2)
+    group = max(1, TILE_COLUMNS // size)
+    out = np.empty((B, len(bias), H, W), dtype=np.float64)
+    acc = np.empty((len(bias), min(B, group) * size), dtype=np.float64)
+    tmp = np.empty_like(acc)
+    for b0 in range(0, B, group):
+        k = min(group, B - b0)
+        xg = _padded(x[b0:b0 + k]) if xp is None else xp[:, b0 * size:]
+        a, t = acc[:, :k * size], tmp[:, :k * size]
+        (m, off), *rest = taps
+        np.matmul(m, xg[:, off:off + k * size], out=a)
+        for m, off in rest:
+            np.matmul(m, xg[:, off:off + k * size], out=t)
+            a += t
+        np.add(_grid(a, k, H, W).transpose(1, 0, 2, 3), bias[:, None, None],
+               out=out[b0:b0 + k])
+    return out
+
 
 def conv3x3(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x: [B, Ci, H, W], w: [Co, Ci, 3, 3], b: [Co] -> [B, Co, H, W].
 
     A one-channel input (the stem) is copied into [B, 9, H*W] columns,
     one per tap, and each image takes one [Co, 9] @ [9, H*W] matmul
-    (im2col): nine shifted matmuls of inner size 1 would cost as much
-    as a block's. Wider inputs take nine shifted matmuls, one per tap,
-    with no column buffer; on the 64x13 maps the blocks see, that is
-    faster than im2col.
+    (im2col): nine matmuls of inner size 1 would cost as much as a
+    block's. Wider inputs take nine [Co, Ci] @ [Ci, n] matmuls over the
+    padded buffer of the whole batch, one per tap in row-major order,
+    and copy no shifted window.
     """
     B, Ci, H, W = x.shape
     Co = w.shape[0]
-    xp = np.zeros((B, Ci, H + 2, W + 2), dtype=np.float64)
-    xp[:, :, 1:-1, 1:-1] = x
     if Ci == 1:
-        cols = sliding_window_view(xp[:, 0], (H, W), axis=(1, 2))
+        xp = np.zeros((B, H + 2, W + 2), dtype=np.float64)
+        xp[:, 1:-1, 1:-1] = x[:, 0]
+        cols = sliding_window_view(xp, (H, W), axis=(1, 2))
         out = np.matmul(w.reshape(Co, 9), cols.reshape(B, 9, H * W))
         out += b[:, None]
         return out.reshape(B, Co, H, W)
-    acc = np.zeros((B, Co, H * W), dtype=np.float64)
-    for di in range(3):
-        for dj in range(3):
-            xs = xp[:, :, di:di + H, dj:dj + W].reshape(B, Ci, H * W)
-            acc += np.matmul(w[:, :, di, dj], xs)
-    return acc.reshape(B, Co, H, W) + b[None, :, None, None]
+    return _conv_taps(x, _taps(w, W), b)
 
 
 def conv3x3_backward(dout: np.ndarray, x: np.ndarray, w: np.ndarray,
                      need_dx: bool = True):
     """Gradients for conv3x3. Returns (dx, dw, db); dx is None when the
-    caller does not need to propagate further down."""
+    caller does not need to propagate further down.
+
+    dout goes into a padded buffer like x's, so its grid columns d hold
+    dout with exact zeros on the pad positions. Tap (di, dj) at offset
+    off gives dw[:, :, di, dj] = d @ xp[:, off:off+n].T, one reduction
+    over the whole batch. dx is dout's buffer convolved with each tap
+    transposed, at the mirrored offset 2*(W+3) - off, the taps added in
+    row-major order; an image's dx reads only its own dout."""
     B, Ci, H, W = x.shape
-    Co = w.shape[0]
-    dout_r = dout.reshape(B, Co, H * W)
+    n = B * (H + 2) * (W + 2)
     db = dout.sum(axis=(0, 2, 3))
-    dw = np.zeros_like(w)
-    xp = np.zeros((B, Ci, H + 2, W + 2), dtype=np.float64)
-    xp[:, :, 1:-1, 1:-1] = x
-    dxp = np.zeros_like(xp) if need_dx else None
-    for di in range(3):
-        for dj in range(3):
-            xs = xp[:, :, di:di + H, dj:dj + W].reshape(B, Ci, H * W)
-            # [B, Co, HW] @ [B, HW, Ci] summed over batch -> [Co, Ci]
-            dw[:, :, di, dj] = np.matmul(dout_r, xs.transpose(0, 2, 1)).sum(axis=0)
-            if need_dx:
-                contrib = np.matmul(w[:, :, di, dj].T, dout_r).reshape(B, Ci, H, W)
-                dxp[:, :, di:di + H, dj:dj + W] += contrib
-    dx = dxp[:, :, 1:-1, 1:-1] if need_dx else None
+    xp, dp = _padded(x), _padded(dout)
+    d = dp[:, W + 3:W + 3 + n]
+    taps = _taps(w, W)
+    dw = np.stack([d @ xp[:, off:off + n].T for _, off in taps],
+                  axis=-1).reshape(w.shape)
+    if not need_dx:
+        return None, dw, db
+    dx = _conv_taps(dout, [(m.T, 2 * (W + 3) - off) for m, off in taps],
+                    np.zeros(Ci), dp)
     return dx, dw, db
 
 

@@ -13,6 +13,7 @@ from ovbm.audio_io import (
     EmptyAudio,
     MalformedContainer,
     ManifestError,
+    NonFiniteAudio,
     ShrinkRequested,
     SynthSpec,
     UnparseableLabel,
@@ -27,9 +28,10 @@ from ovbm.audio_io import (
 
 
 def _wav_bytes(payload: bytes, audio_format=1, channels=1, rate=16000,
-               bits=16, extra_chunks=b"") -> bytes:
-    """Hand-built RIFF container, independent of write_wav."""
-    block = channels * bits // 8
+               bits=16, extra_chunks=b"", block_align=None) -> bytes:
+    """Hand-built RIFF container, independent of write_wav. block_align
+    defaults to the one channels and bits imply."""
+    block = channels * bits // 8 if block_align is None else block_align
     fmt = struct.pack("<HHIIHH", audio_format, channels, rate,
                       rate * block, block, bits)
     body = (b"fmt " + struct.pack("<I", len(fmt)) + fmt + extra_chunks
@@ -114,6 +116,32 @@ class TestWavParsing:
         path.write_bytes(_wav_bytes(b""))
         with pytest.raises(EmptyAudio):
             load_wav(path)
+
+    @pytest.mark.parametrize("channels,block_align,samples", [
+        (2, 2, 3),   # stereo PCM16 declaring mono frames, odd sample count
+        (2, 2, 4),
+        (1, 4, 4),   # mono PCM16 declaring stereo frames
+        (1, 1, 4),
+        (2, 8, 4),
+    ])
+    def test_block_align_must_match_channels_and_bits(
+            self, tmp_path, channels, block_align, samples):
+        path = tmp_path / "b.wav"
+        payload = np.arange(samples, dtype="<i2").tobytes()
+        path.write_bytes(_wav_bytes(payload, channels=channels,
+                                    block_align=block_align))
+        with pytest.raises(MalformedContainer, match="block_align") as err:
+            load_wav(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_samples(self, tmp_path, bad):
+        path = tmp_path / "f.wav"
+        payload = np.array([0.25, bad, -0.5], dtype="<f4").tobytes()
+        path.write_bytes(_wav_bytes(payload, audio_format=3, bits=32))
+        with pytest.raises(NonFiniteAudio) as err:
+            load_wav(path)
+        assert str(path) in str(err.value)
 
 
 class TestResamplePad:

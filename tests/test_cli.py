@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from conftest import (
 from ovbm.audio_io import parse_manifest
 from ovbm.cli import main
 from ovbm.models import CnnArch, init_cnn, save_model
-from ovbm.pipeline import load_pipeline
+from ovbm.pipeline import load_pipeline, resolve_wav_path
 
 
 def run_cli(capsys, *argv):
@@ -230,6 +231,25 @@ class TestEval:
             "--manifest", os.path.join(corpus_dir, "manifest.csv"))
         assert code == 2
         assert str(victim) in stderr
+
+    def test_wav_block_align_mismatch(self, micro_run_dir, corpus_dir,
+                                      tmp_path, capsys):
+        # stereo PCM16 whose header declares 2-byte frames, 3 samples
+        corpus = str(tmp_path / "corpus")
+        shutil.copytree(corpus_dir, corpus)
+        manifest = os.path.join(corpus, "manifest.csv")
+        victim = resolve_wav_path(manifest, parse_manifest(manifest)[0].wav_path)
+        fmt = struct.pack("<HHIIHH", 1, 2, 16000, 32000, 2, 16)
+        payload = np.array([100, -200, 300], dtype="<i2").tobytes()
+        body = (b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data"
+                + struct.pack("<I", len(payload)) + payload)
+        Path(victim).write_bytes(b"RIFF" + struct.pack("<I", 4 + len(body))
+                                 + b"WAVE" + body)
+        code, _, stderr = run_cli(capsys, "eval", "--run", micro_run_dir,
+                                  "--manifest", manifest)
+        assert code == 2
+        assert victim in stderr
+        assert "block_align" in stderr
 
     def test_pretrained_member_files_are_ignored(self, micro_run_dir,
                                                  corpus_dir, tmp_path, capsys):

@@ -1,7 +1,11 @@
 """Layer-level numerics: direct-convolution oracle and FD grad checks."""
 
+import contextlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ovbm import nn
 
@@ -96,6 +100,95 @@ class TestConv:
         assert dx is None
         assert rel_err(dw, fd_grad(loss, w)) < 1e-6
         assert rel_err(db, fd_grad(loss, b)) < 1e-6
+
+
+def conv_case(B, Ci, Co, H, W, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(B, Ci, H, W)), rng.normal(size=(Co, Ci, 3, 3)),
+            rng.normal(size=Co), rng.normal(size=(B, Co, H, W)))
+
+
+@contextlib.contextmanager
+def tile_columns(columns):
+    """Run with nn.TILE_COLUMNS set, so that small maps too are split
+    into several groups of images, the last one short."""
+    saved, nn.TILE_COLUMNS = nn.TILE_COLUMNS, columns
+    try:
+        yield
+    finally:
+        nn.TILE_COLUMNS = saved
+
+
+# Narrow maps, one-row maps and three or more images are where a shift
+# on the flat padded buffer that is one column off would read the edge
+# of the next image; the examples pin those cases down.
+CONV_SHAPES = dict(B=st.integers(1, 4), Ci=st.integers(1, 5),
+                   Co=st.integers(1, 4), H=st.integers(1, 9),
+                   W=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+                   tile=st.sampled_from([1, 64, nn.TILE_COLUMNS]))
+EDGE_CASES = [dict(B=3, Ci=2, Co=3, H=1, W=1), dict(B=4, Ci=3, Co=2, H=1, W=2),
+              dict(B=3, Ci=5, Co=4, H=9, W=3), dict(B=4, Ci=1, Co=4, H=1, W=3),
+              dict(B=3, Ci=4, Co=1, H=2, W=1)]
+
+
+def conv_properties(test):
+    test = given(**CONV_SHAPES)(test)
+    for i, case in enumerate(EDGE_CASES):
+        for tile in (1, 64, nn.TILE_COLUMNS):
+            test = example(**case, seed=i, tile=tile)(test)
+    return test
+
+
+class TestConvProperties:
+    @conv_properties
+    def test_forward_matches_direct_loops(self, B, Ci, Co, H, W, seed, tile):
+        x, w, b, _ = conv_case(B, Ci, Co, H, W, seed)
+        with tile_columns(tile):
+            out = nn.conv3x3(x, w, b)
+        np.testing.assert_allclose(out, conv3x3_direct(x, w, b), atol=1e-12)
+
+    @conv_properties
+    def test_backward_is_the_adjoint(self, B, Ci, Co, H, W, seed, tile):
+        # conv is linear in x and in w, so for any r:
+        # <r, conv(x, w, 0)> = <dx, x> = <dw, w>
+        x, w, _, r = conv_case(B, Ci, Co, H, W, seed)
+        with tile_columns(tile):
+            dx, dw, db = nn.conv3x3_backward(r, x, w, need_dx=True)
+            no_dx, dw2, db2 = nn.conv3x3_backward(r, x, w, need_dx=False)
+        y = conv3x3_direct(x, w, np.zeros(Co))
+        scale = np.abs(r).sum() * np.abs(y).max() + 1.0
+        inner = float(np.sum(r * y))
+        assert dx.shape == x.shape and dw.shape == w.shape
+        assert abs(float(np.sum(dx * x)) - inner) <= 1e-12 * scale
+        assert abs(float(np.sum(dw * w)) - inner) <= 1e-12 * scale
+        np.testing.assert_allclose(db, r.sum(axis=(0, 2, 3)), rtol=0,
+                                   atol=1e-12)
+        assert no_dx is None
+        np.testing.assert_array_equal(dw2, dw)
+        np.testing.assert_array_equal(db2, db)
+
+    @pytest.mark.parametrize("B,Ci,Co,H,W", [
+        (3, 2, 3, 1, 1), (4, 3, 2, 1, 2), (3, 8, 8, 7, 3), (4, 1, 4, 5, 2),
+        (6, 8, 8, 64, 13),  # two groups of images, the second short
+    ])
+    def test_images_of_a_batch_are_isolated(self, B, Ci, Co, H, W):
+        # every other image's input and upstream gradient changed: image
+        # b's output and dx stay the same bit for bit
+        x, w, b, r = conv_case(B, Ci, Co, H, W, seed=B * H + W)
+        out = nn.conv3x3(x, w, b)
+        dx, _, _ = nn.conv3x3_backward(r, x, w)
+        rng = np.random.default_rng(99)
+        for keep in range(B):
+            others = np.arange(B) != keep
+            x2, r2 = x.copy(), r.copy()
+            x2[others] = rng.normal(scale=1e3, size=x2[others].shape)
+            r2[others] = rng.normal(scale=1e3, size=r2[others].shape)
+            np.testing.assert_array_equal(nn.conv3x3(x2, w, b)[keep],
+                                          out[keep])
+            np.testing.assert_array_equal(
+                nn.conv3x3_backward(r2, x, w)[0][keep], dx[keep])
+            np.testing.assert_array_equal(
+                nn.conv3x3_backward(r, x2, w)[0][keep], dx[keep])
 
 
 class TestPoolingAndLinear:

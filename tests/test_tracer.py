@@ -42,3 +42,7 @@ def test_traced_run_reports_every_layer(corpus_dir):
     assert list(metrics) == [name for name, _, _ in tracing.PER_LAYER]
     assert metrics["models.images"] > 0
     assert metrics["mfcc.frames"] > 0
+    # the conv figures the benchmark reports are timed on the conv path
+    for name in ("nn.conv3x3.block.s", "nn.conv3x3_backward.s",
+                 "nn.conv3x3_backward.gflop"):
+        assert metrics[name] > 0, name
