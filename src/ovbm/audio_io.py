@@ -41,10 +41,6 @@ class EmptyAudio(ValueError):
     """Zero samples where audio content is required."""
 
 
-class ShrinkRequested(ValueError):
-    """pad_to was asked to produce something shorter than the input."""
-
-
 class ManifestError(ValueError):
     """Base for dataset manifest problems; message carries the detail."""
 
@@ -117,6 +113,11 @@ class SynthSpec:
         if total > 1.0 + 1e-12:
             raise ValueError("component amplitudes sum above 1 (would clip)")
 
+    @property
+    def num_samples(self) -> int:
+        """Length of the full render."""
+        return int(round(self.duration * self.sample_rate))
+
 
 def load_wav(path) -> AudioClip:
     """Parse a RIFF/WAVE file into a mono AudioClip.
@@ -175,7 +176,8 @@ def load_wav(path) -> AudioClip:
         raise NonFiniteAudio(f"{path}: float samples hold NaN or Inf")
 
     if channels == 2:
-        samples = samples.reshape(-1, 2).mean(axis=1)
+        # (a + b) / 2, bit for bit what a mean over the pair gives
+        samples = (samples[0::2] + samples[1::2]) / 2.0
     if samples.size == 0:
         raise EmptyAudio(f"{path}: no samples")
     return AudioClip(samples, rate)
@@ -236,23 +238,6 @@ def resample_linear(clip: AudioClip, target_rate: int) -> AudioClip:
     return AudioClip(out, target_rate)
 
 
-def pad_to(clip: AudioClip, duration: float) -> AudioClip:
-    """Zero-pad the tail until the clip lasts `duration` seconds."""
-    if duration < clip.duration - 1e-12:
-        raise ShrinkRequested(
-            f"target {duration} s shorter than clip {clip.duration} s"
-        )
-    target_n = int(round(duration * clip.sample_rate))
-    n = clip.samples.size
-    if target_n < n:
-        raise ShrinkRequested("rounding produced a shorter buffer")
-    if target_n == n:
-        return AudioClip(clip.samples.copy(), clip.sample_rate)
-    out = np.zeros(target_n, dtype=np.float64)
-    out[:n] = clip.samples
-    return AudioClip(out, clip.sample_rate)
-
-
 def parse_manifest(path) -> list[SubjectRecord]:
     """Read a subject manifest CSV.
 
@@ -306,18 +291,26 @@ def parse_manifest(path) -> list[SubjectRecord]:
     return records
 
 
-def synth_clip(spec: SynthSpec) -> AudioClip:
-    """Render a SynthSpec. Same spec (incl. seed) -> identical samples.
+def synth_clip(spec: SynthSpec, start: int = 0,
+               stop: int | None = None) -> AudioClip:
+    """Render samples [start, stop) of a SynthSpec, by default all of
+    them. Same spec (incl. seed) -> identical samples, and a span equals
+    that slice of the full render bit for bit.
 
     Noise draws come from one PCG64 stream consumed in component order,
-    and are uniform in [-amp, amp] so the no-clipping bound holds.
+    and are uniform in [-amp, amp] so the no-clipping bound holds. Each
+    draw takes one step of the stream, so a noise component skips the
+    draws before and after the span by jumping the stream ahead.
     """
-    n = int(round(spec.duration * spec.sample_rate))
+    n = spec.num_samples
     if n <= 0:
         raise EmptyAudio("spec renders zero samples")
-    t = np.arange(n) / spec.sample_rate
+    stop = n if stop is None else stop
+    if not 0 <= start <= stop <= n:
+        raise ValueError(f"span [{start}, {stop}) outside [0, {n})")
+    t = np.arange(start, stop) / spec.sample_rate
     rng = np.random.default_rng(spec.seed)
-    total = np.zeros(n, dtype=np.float64)
+    total = np.zeros(stop - start, dtype=np.float64)
     for kind, freq, amp in spec.components:
         freq = float(freq)
         amp = float(amp)
@@ -328,7 +321,9 @@ def synth_clip(spec: SynthSpec) -> AudioClip:
             phase = freq * t + freq * t * t / (2.0 * spec.duration)
             total += amp * np.sin(2.0 * np.pi * phase)
         elif kind == "noise":
-            total += amp * rng.uniform(-1.0, 1.0, n)
+            rng.bit_generator.advance(start)
+            total += amp * rng.uniform(-1.0, 1.0, stop - start)
+            rng.bit_generator.advance(n - stop)
         else:
             raise ValueError(f"unknown component kind {kind!r}")
     return AudioClip(total, spec.sample_rate)

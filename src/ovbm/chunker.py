@@ -5,7 +5,8 @@ stride multiples starting at zero; the tail is zero-padded so the last
 window is always whole. With the default 2 s stride a 78 s recording at
 chunk size 2 yields exactly 39 chunks. Chunk images are cropped here to
 the member input's frame count, and only the frames the crops read are
-featurized, once for all the chunk plans asked of the recording.
+featurized, once for all the chunk plans asked of the recording, from
+only the span of samples those frames read.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio_io import AudioClip, EmptyAudio, pad_to
+from .audio_io import AudioClip, EmptyAudio, SynthSpec, synth_clip
 from .degradation import PoissonMaskConfig, apply_poisson_mask
 from .mfcc import MfccParams, mfcc
 
@@ -101,47 +102,70 @@ def _crop_rows(windows: list, params: MfccParams, frames: int):
     return keys, rows
 
 
-def _build_frames(samples: np.ndarray, keys: np.ndarray,
+def _read_span(source: AudioClip | SynthSpec, lo: int, hi: int):
+    """Samples [lo, hi) of a recording, zeros past its end, and the clip
+    of the recording's own samples among them. A SynthSpec renders only
+    those."""
+    if isinstance(source, SynthSpec):
+        n = source.num_samples
+        real = synth_clip(source, min(lo, n), min(hi, n))
+    else:
+        real = AudioClip(source.samples[lo:hi], source.sample_rate)
+    tail = hi - lo - real.samples.size
+    if not tail:
+        return real, real.samples
+    return real, np.concatenate([real.samples, np.zeros(tail)])
+
+
+def _build_frames(samples: np.ndarray, offset: int, keys: np.ndarray,
                   params: MfccParams) -> np.ndarray:
     """Pre-emphasized frames for (start, restarts, real) keys: `real`
     samples from `start`, then zeros, computed as `preemphasize` would
-    on a window that begins at `start` if the frame restarts there."""
+    on a window that begins at `start` if the frame restarts there.
+    `samples` hold the recording from sample `offset` on, from one
+    sample before the first frame, for pre-emphasis."""
     s, restart, real = keys.T
     offsets = np.arange(params.frame_len)
     inside = offsets < real[:, None]
-    idx = np.where(inside, s[:, None] + offsets, 0)
+    idx = np.where(inside, (s - offset)[:, None] + offsets, 0)
     frames = samples[idx] - params.preemphasis * samples[np.maximum(idx - 1, 0)]
     first = (restart == 1) | (s == 0)
-    frames[first, 0] = samples[s[first]]
+    frames[first, 0] = samples[s[first] - offset]
     frames[~inside] = 0.0
     return frames
 
 
-def extract_chunks(clip: AudioClip, plans: ChunkPlan | list, params: MfccParams,
-                   mask: PoissonMaskConfig | None, frames: int) -> Chunks:
+def extract_chunks(source: AudioClip | SynthSpec, plans: ChunkPlan | list,
+                   params: MfccParams, mask: PoissonMaskConfig | None,
+                   frames: int) -> Chunks:
     """Chunk images of every plan, each exactly what a member reads.
 
-    `plans` is one ChunkPlan or a list of them; the images of all plans
-    come back in plan order, each plan's in interval order. A chunk
-    image is the crop of `mfcc` of the chunk's own samples (the clip
-    zero-padded out to the last window's end) to `frames` rows: its
-    centre rows, or all of its rows centred between zero rows when it
-    has fewer. Only the distinct frames of the crops are built, and
-    they are featurized in one `mfcc` call, bit for bit as each chunk's
-    own `mfcc` would give them (see `_crop_rows`). An optional Poisson
-    mask is applied once, to those rows; it maps zero rows to zero.
+    `source` is a recording, or the SynthSpec of one. `plans` is one
+    ChunkPlan or a list of them; the images of all plans come back in
+    plan order, each plan's in interval order. A chunk image is the crop
+    of `mfcc` of the chunk's own samples (the recording zero-padded out
+    to the last window's end) to `frames` rows: its centre rows, or all
+    of its rows centred between zero rows when it has fewer. Only the
+    span of samples the crops read is taken from the recording (and,
+    for a SynthSpec, rendered), only the distinct frames of the crops
+    are built, and they are featurized in one `mfcc` call, bit for bit
+    as each chunk's own `mfcc` would give them (see `_crop_rows`). An
+    optional Poisson mask is applied once, to those rows; it maps zero
+    rows to zero.
     """
     plans = [plans] if isinstance(plans, ChunkPlan) else list(plans)
     if not plans or not all(p.intervals for p in plans):
         raise ValueError("plan has no intervals")
-    rate = clip.sample_rate
-    final_end = max(p.intervals[-1][1] for p in plans)
-    padded = pad_to(clip, final_end) if final_end > clip.duration else clip
+    rate = source.sample_rate
     windows = [(int(round(start * rate)), int(round(end * rate)))
                for p in plans for start, end in p.intervals]
     keys, rows = _crop_rows(windows, params, frames)
-    image = mfcc(clip, params,
-                 frames=_build_frames(padded.samples, keys, params))
+    # The crops read from the sample before their first frame (for
+    # pre-emphasis) to their last real sample.
+    lo = max(int(keys[:, 0].min()) - 1, 0)
+    hi = int((keys[:, 0] + keys[:, 2]).max())
+    real, samples = _read_span(source, lo, hi)
+    image = mfcc(real, params, frames=_build_frames(samples, lo, keys, params))
     if mask is not None:
         image = apply_poisson_mask(image, mask)
     table = np.vstack([image.values, np.zeros(params.num_cepstra)])

@@ -99,13 +99,16 @@ def fuse_from_embeddings(fusion: FusionModel, emb: np.ndarray,
     return probs, cache
 
 
-def fusion_backward(fusion: FusionModel, cache: dict, targets: np.ndarray):
-    """Returns (fusion grads, d_input [B, input_dim])."""
+def fusion_backward(fusion: FusionModel, cache: dict, targets: np.ndarray,
+                    need_dx: bool = True):
+    """Returns (fusion grads, d_input [B, input_dim]); d_input is None
+    unless `need_dx`, as when no member layer trains."""
     w = fusion.weights
     dlogits = nn.softmax_ce_backward(cache["probs"], targets)
     dhidden, dhw, dhb = nn.linear_backward(dlogits, cache["hidden"], w["head.w"])
     dhidden = nn.relu_backward(dhidden, cache["hidden"])
-    dx, dw, db = nn.linear_backward(dhidden, cache["x"], w["hidden.w"])
+    dx, dw, db = nn.linear_backward(dhidden, cache["x"], w["hidden.w"],
+                                    need_dx)
     grads = {"head.w": dhw, "head.b": dhb, "hidden.w": dw, "hidden.b": db}
     return grads, dx
 
@@ -161,7 +164,8 @@ def train_fusion(fusion: FusionModel, chunks: Chunks, metadata: np.ndarray,
         _, fcache = fuse_from_embeddings(fusion, emb, meta[batch],
                                          want_cache=True)
         loss = nn.cross_entropy(fcache["logits"], labels[batch])
-        fgrads, dx = fusion_backward(fusion, fcache, labels[batch])
+        fgrads, dx = fusion_backward(fusion, fcache, labels[batch],
+                                     need_dx=not frozen)
         M.adam_step(fusion.weights, fgrads, fusion_state, config, t)
         for i, needed in enumerate(member_needed):
             if needed:

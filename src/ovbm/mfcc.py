@@ -226,22 +226,27 @@ def lifter_weights(num_cepstra: int) -> np.ndarray:
 
 
 # Frames featurized per batch, which bounds the spectra held at once.
-# No batch is shorter than this: a shorter input is zero-padded to it.
-# OpenBLAS rounds small matrix products differently from large ones, and
-# at this size every row comes out as it would in any larger batch.
+# The FFT runs on real frames only, and each row's transform does not
+# depend on the batch, but OpenBLAS rounds small matrix products
+# differently from large ones: a batch's power spectra are zero-padded
+# to at least this many rows before the mel and DCT products, so every
+# row comes out as it would in any larger batch.
 BLOCK_FRAMES = 256
 
 
 def _cepstra(frames: np.ndarray, params: MfccParams) -> np.ndarray:
     """MFCC rows of pre-emphasized frames [F x frame_len]."""
+    total = len(frames)
     ps = power_spectrum(frames, params.fft_size)
+    if total < BLOCK_FRAMES:
+        ps = np.concatenate([ps, np.zeros((BLOCK_FRAMES - total, ps.shape[1]))])
     energies = ps @ mel_filterbank(params).weights.T
     log_energies = np.log(np.maximum(energies, params.log_floor))
     basis = dct2_matrix(params.num_filters)[: params.num_cepstra]
     feat = log_energies @ basis.T
     feat *= lifter_weights(params.num_cepstra)[None, :]
     feat[:, 0] = np.log(np.maximum(ps.sum(axis=1), params.log_floor))
-    return feat
+    return feat[:total]
 
 
 def mfcc(clip: AudioClip, params: MfccParams | None = None,
@@ -251,6 +256,8 @@ def mfcc(clip: AudioClip, params: MfccParams | None = None,
     `frames` [F x frame_len] are pre-emphasized frames cut from the clip
     (the chunker's crop frames); when given, they are featurized in
     place of the clip's own framing. Each row depends only on its frame.
+    Frames go through in blocks of at least BLOCK_FRAMES, and a shorter
+    call transforms only its own frames.
     """
     params = MfccParams() if params is None else params
     params.validate()
@@ -259,15 +266,11 @@ def mfcc(clip: AudioClip, params: MfccParams | None = None,
     elif clip.sample_rate != params.sample_rate:
         raise RateMismatch(f"frames at {clip.sample_rate} Hz, params "
                            f"expect {params.sample_rate} Hz")
-    total = len(frames)
-    if total < BLOCK_FRAMES:
-        frames = np.concatenate(
-            [frames, np.zeros((BLOCK_FRAMES - total, params.frame_len))])
-    parts = len(frames) // BLOCK_FRAMES
+    parts = max(1, len(frames) // BLOCK_FRAMES)
     edges = [len(frames) * i // parts for i in range(parts + 1)]
     feat = np.concatenate([_cepstra(frames[lo:hi], params)
                            for lo, hi in zip(edges[:-1], edges[1:])])
-    return MfccImage(feat[:total], params)
+    return MfccImage(feat, params)
 
 
 def mfcc_oracle(clip: AudioClip, params: MfccParams | None = None) -> MfccImage:

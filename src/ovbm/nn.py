@@ -180,10 +180,12 @@ def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x @ w.T + b
 
 
-def linear_backward(dout: np.ndarray, x: np.ndarray, w: np.ndarray):
+def linear_backward(dout: np.ndarray, x: np.ndarray, w: np.ndarray,
+                    need_dx: bool = True):
+    """(dx, dw, db); dx is None unless `need_dx`."""
     dw = dout.T @ x
     db = dout.sum(axis=0)
-    dx = dout @ w
+    dx = dout @ w if need_dx else None
     return dx, dw, db
 
 

@@ -86,7 +86,8 @@ def surrogate_dataset(entry: RegistryEntry, params: MfccParams, seed: int,
     one member.
 
     Each clip is one chunk, featurized by the chunker like any recording
-    and cropped to `frames` rows. Always-masked members are pretrained
+    and cropped to `frames` rows; the chunker renders only the span of
+    the clip that the crop reads. Always-masked members are pretrained
     on masked features so their train and inference distributions match.
     """
     if n_per_class < 1:
@@ -96,9 +97,8 @@ def surrogate_dataset(entry: RegistryEntry, params: MfccParams, seed: int,
     for class_id in range(entry.num_classes):
         for i in range(n_per_class):
             spec = surrogate_spec(entry, class_id, i, seed, params.sample_rate)
-            clip = synth_clip(spec)
-            plan = chunk_plan(clip.duration, clip.duration)
-            chunks = extract_chunks(clip, plan, params, mask, frames)
+            plan = chunk_plan(spec.duration, spec.duration)
+            chunks = extract_chunks(spec, plan, params, mask, frames)
             dataset.append((chunks.images[0], class_id))
     return dataset
 

@@ -14,12 +14,10 @@ from ovbm.audio_io import (
     MalformedContainer,
     ManifestError,
     NonFiniteAudio,
-    ShrinkRequested,
     SynthSpec,
     UnparseableLabel,
     UnsupportedEncoding,
     load_wav,
-    pad_to,
     parse_manifest,
     resample_linear,
     synth_clip,
@@ -81,6 +79,20 @@ class TestWavParsing:
         out = load_wav(path)
         np.testing.assert_allclose(
             out.samples, (left.astype(float) + right) / 2.0 / 32768.0)
+
+    @pytest.mark.parametrize("dtype,audio_format,bits,scale", [
+        ("<i2", 1, 16, 32768.0), ("<f4", 3, 32, 1.0)],
+        ids=["pcm16", "float32"])
+    def test_stereo_downmix_is_the_mean_of_each_pair(
+            self, tmp_path, dtype, audio_format, bits, scale):
+        rng = np.random.default_rng(12)
+        interleaved = (rng.uniform(-1.0, 1.0, 2 * 997) * scale).astype(dtype)
+        path = tmp_path / "st.wav"
+        path.write_bytes(_wav_bytes(interleaved.tobytes(), channels=2,
+                                    audio_format=audio_format, bits=bits))
+        pairs = interleaved.astype(np.float64).reshape(-1, 2) / scale
+        np.testing.assert_array_equal(load_wav(path).samples,
+                                      pairs.mean(axis=1))
 
     def test_skips_unknown_chunks_word_aligned(self, tmp_path):
         # 3-byte junk chunk must be skipped with its pad byte
@@ -164,17 +176,6 @@ class TestResamplePad:
         t2 = np.arange(out.samples.size) / target
         assert np.max(np.abs(out.samples - np.sin(2 * np.pi * 50 * t2))) < 1e-3
 
-    def test_pad_appends_zeros(self):
-        clip = AudioClip(np.ones(100), 100)
-        out = pad_to(clip, 2.0)
-        assert out.samples.size == 200
-        assert np.all(out.samples[100:] == 0.0)
-        assert np.all(out.samples[:100] == 1.0)
-
-    def test_pad_refuses_shrink(self):
-        with pytest.raises(ShrinkRequested):
-            pad_to(AudioClip(np.ones(100), 100), 0.5)
-
 
 MANIFEST_HEADER = "subject_id,wav_path,label,gender,age"
 
@@ -246,3 +247,40 @@ class TestSynth:
         np.testing.assert_allclose(clip.samples,
                                    0.7 * np.sin(2 * np.pi * 1000.0 * t),
                                    atol=1e-12)
+
+
+@st.composite
+def synth_specs(draw):
+    """Specs mixing a sine, a chirp and two noise components, plus up to
+    two more of any kind, in any order, at 8 or 16 kHz."""
+    kinds = draw(st.permutations(
+        ["sine", "chirp", "noise", "noise"]
+        + draw(st.lists(st.sampled_from(["sine", "chirp", "noise"]),
+                        max_size=2))))
+    components = [(kind, draw(st.floats(20.0, 3000.0)), 1.0 / len(kinds))
+                  for kind in kinds]
+    rate = draw(st.sampled_from([8000, 16000]))
+    return SynthSpec("p", draw(st.integers(1, 3000)) / rate, components,
+                     seed=draw(st.integers(0, 2**32 - 1)), sample_rate=rate)
+
+
+class TestSynthSpan:
+    @given(synth_specs(), st.data())
+    def test_span_is_the_slice_of_the_full_render(self, spec, data):
+        full = synth_clip(spec).samples
+        n = spec.num_samples
+        assert full.size == n
+        a = data.draw(st.integers(0, n))
+        b = data.draw(st.integers(a, n))
+        # whole, empty at both ends and inside, and prefix/suffix/inner
+        for start, stop in [(0, n), (0, 0), (n, n), (a, a), (0, b), (a, n),
+                            (a, b)]:
+            part = synth_clip(spec, start, stop)
+            assert part.sample_rate == spec.sample_rate
+            np.testing.assert_array_equal(part.samples, full[start:stop])
+
+    @pytest.mark.parametrize("start,stop", [(-1, 10), (5, 4), (0, 4001)])
+    def test_span_outside_the_render_is_refused(self, start, stop):
+        spec = SynthSpec("c", 0.25, [("noise", 0.0, 0.3)], seed=9)
+        with pytest.raises(ValueError, match="span"):
+            synth_clip(spec, start, stop)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ovbm.audio_io import AudioClip, SynthSpec, pad_to, synth_clip
+from ovbm.audio_io import AudioClip, SynthSpec, synth_clip
 from ovbm.chunker import chunk_plan, extract_chunks
 import ovbm.chunker as chunker
 from ovbm.degradation import PoissonMaskConfig, apply_poisson_mask
@@ -160,10 +160,11 @@ def _own_mfcc(clip, plan, span, mask, frames):
     """The per-chunk definition: `mfcc` of the chunk's own samples, cut
     from the clip zero-padded to the plan's last window, cropped to
     `frames` rows, then masked."""
-    final_end = plan.intervals[-1][1]
-    padded = pad_to(clip, final_end) if final_end > clip.duration else clip
-    a, b = (int(round(t * clip.sample_rate)) for t in span)
-    image = mfcc(AudioClip(padded.samples[a:b].copy(), clip.sample_rate), FAST)
+    rate = clip.sample_rate
+    tail = int(round(plan.intervals[-1][1] * rate)) - clip.samples.size
+    padded = np.concatenate([clip.samples, np.zeros(max(tail, 0))])
+    a, b = (int(round(t * rate)) for t in span)
+    image = mfcc(AudioClip(padded[a:b].copy(), rate), FAST)
     image = MfccImage(_centre(image.values, frames), FAST)
     return image if mask is None else apply_poisson_mask(image, mask)
 
@@ -251,16 +252,61 @@ class TestOneFeaturization:
 class TestSurrogates:
     """Pretraining images come through the chunker, one window a clip."""
 
-    @pytest.mark.parametrize("biomarker_id", ["poisson_muscular",
-                                              "cough_origin"])
+    @pytest.mark.parametrize("biomarker_id", [
+        e.biomarker_id for e in build_registry().model_entries()])
     def test_image_is_centre_crop_of_clip_mfcc(self, biomarker_id):
         entry = build_registry().by_id(biomarker_id)
         data = surrogate_dataset(entry, FAST, seed=5, n_per_class=2, frames=64)
-        assert [y for _, y in data] == [0, 0, 1, 1]
-        for (image, y), i in zip(data, [0, 1, 0, 1]):
+        assert [y for _, y in data] == [c for c in range(entry.num_classes)
+                                        for _ in range(2)]
+        for (image, y), i in zip(data, [0, 1] * entry.num_classes):
             spec = surrogate_spec(entry, y, i, 5, FAST.sample_rate)
             want = MfccImage(_centre(mfcc(synth_clip(spec), FAST).values, 64),
                              FAST)
             if entry.always_mask:
                 want = apply_poisson_mask(want)
             np.testing.assert_array_equal(image, want.values)
+
+
+@st.composite
+def spans_specs(draw):
+    """A sine, a chirp and two noise components over 0.05-2.5 s."""
+    return SynthSpec("p", draw(st.integers(800, 40000)) / 16000,
+                     [("sine", draw(st.floats(100.0, 3000.0)), 0.3),
+                      ("noise", 0.0, 0.2),
+                      ("chirp", draw(st.floats(100.0, 3000.0)), 0.3),
+                      ("noise", 0.0, 0.2)],
+                     seed=draw(st.integers(0, 2**32 - 1)))
+
+
+# Chunk sizes and strides on a 5 ms grid, from one frame to past any
+# clip drawn here, so windows run past the end and crops fall in padding.
+PLAN_STEPS = st.tuples(st.integers(1, 800), st.integers(1, 400))
+
+
+class TestSpecSource:
+    """A SynthSpec source renders only the span its crops read, and gives
+    the chunk images of its full render bit for bit."""
+
+    @given(spans_specs(), st.lists(PLAN_STEPS, min_size=1, max_size=3),
+           st.sampled_from(MASKS), st.sampled_from([1, 16, 64, 300]))
+    def test_spec_equals_its_render(self, spec, steps, mask, frames):
+        clip = synth_clip(spec)
+        plans = [chunk_plan(clip.duration, size / 200, stride / 200)
+                 for size, stride in steps]
+        got = extract_chunks(spec, plans, FAST, mask, frames)
+        want = extract_chunks(clip, plans, FAST, mask, frames)
+        assert got.masked == want.masked
+        np.testing.assert_array_equal(got.images, want.images)
+
+    def test_renders_only_the_crop_span(self, monkeypatch):
+        spans = []
+        real = chunker.synth_clip
+        monkeypatch.setattr(chunker, "synth_clip", lambda spec, a, b: (
+            spans.append((a, b)) or real(spec, a, b)))
+        spec = SynthSpec("p", 4.0, [("sine", 500.0, 0.5),
+                                    ("noise", 0.0, 0.2)], seed=1)
+        extract_chunks(spec, chunk_plan(4.0, 4.0), FAST, None, 64)
+        # 399 frames; the crop is frames 167-230, and pre-emphasis reads
+        # the sample before frame 167
+        assert spans == [(167 * 160 - 1, 230 * 160 + 320)]

@@ -190,6 +190,20 @@ class TestFusionBackward:
             worst = max(worst, abs(fd - dx[0, i]) / max(abs(fd), abs(dx[0, i]), 1e-8))
         assert worst < 1e-4
 
+    def test_without_dx_gradients_are_unchanged(self):
+        fusion = build_fusion(make_members(), seed=3)
+        rng = np.random.default_rng(5)
+        _, cache = fuse_from_embeddings(fusion, rng.normal(size=(6, 8)),
+                                        rng.normal(size=(6, 3)),
+                                        want_cache=True)
+        y = np.array([0, 1, 1, 0, 1, 0])
+        grads, dx = fusion_backward(fusion, cache, y)
+        bare, none = fusion_backward(fusion, cache, y, need_dx=False)
+        assert dx.shape == (6, fusion.input_dim) and none is None
+        assert list(bare) == list(grads)
+        for key in grads:
+            np.testing.assert_array_equal(bare[key], grads[key])
+
 
 class TestAlwaysMask:
     def test_masked_member_input(self):

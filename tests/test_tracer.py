@@ -42,6 +42,9 @@ def test_traced_run_reports_every_layer(corpus_dir):
     assert list(metrics) == [name for name, _, _ in tracing.PER_LAYER]
     assert metrics["models.images"] > 0
     assert metrics["mfcc.frames"] > 0
+    assert metrics["mfcc.audio_s"] > 0
+    # surrogate images come through the traced chunker, one chunk a clip
+    assert metrics["chunker.chunks"] >= metrics["synthesis.surrogate_clips"] > 0
     # the conv figures the benchmark reports are timed on the conv path
     for name in ("nn.conv3x3.block.s", "nn.conv3x3_backward.s",
                  "nn.conv3x3_backward.gflop"):
