@@ -243,9 +243,10 @@ def parse_manifest(path) -> list[SubjectRecord]:
 
     Header must be exactly `subject_id,wav_path,label,gender,age`.
     Labels accept {0, 1, AD, nonAD} case-insensitively. Gender values
-    other than F/M become "unknown"; age may be blank.
+    other than F/M become "unknown"; age may be blank. A leading UTF-8
+    byte-order mark, as spreadsheet exports write, is skipped.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise ManifestError(f"{path}: empty manifest")

@@ -1,12 +1,15 @@
-"""Overlapping chunk scheduling and chunk feature extraction.
+"""Overlapping chunk scheduling and chunk feature extraction: the
+library's only framing and pre-emphasis.
 
 A recording of any length is cut into fixed-size windows placed at
 stride multiples starting at zero; the tail is zero-padded so the last
 window is always whole. With the default 2 s stride a 78 s recording at
 chunk size 2 yields exactly 39 chunks. Chunk images are cropped here to
 the member input's frame count, and only the frames the crops read are
-featurized, once for all the chunk plans asked of the recording, from
-only the span of samples those frames read.
+built and featurized, once for all the chunk plans asked of the
+recording, from only the span of samples those frames read. A whole
+clip's featurization is the one-window plan `chunk_plan(d, d)` with a
+crop of every frame.
 """
 
 from __future__ import annotations
@@ -76,12 +79,13 @@ def chunk_plan(duration: float, chunk_size: float,
 def _crop_rows(windows: list, params: MfccParams, frames: int):
     """Which frames each window's crop reads.
 
-    A window's own framing (`frame_signal` on its samples) starts frames
-    every frame_step samples; its crop is the centre `frames` of them,
-    or all of them, centred between zero rows, when it has fewer. Each
-    crop frame is keyed by (start sample, restarts, real samples read):
-    pre-emphasis restarts at a window's first frame, and a frame reads
-    zeros past its window's end. Returns (distinct keys [K x 3], rows
+    A window of n samples is framed on its own: 1 + ceil((n - frame_len)
+    / frame_step) frames, and at least one, start every frame_step
+    samples, the last zero-padded past the window's end. Its crop is the
+    centre `frames` of them, or all of them, centred between zero rows,
+    when it has fewer. Each crop frame is keyed by (start sample,
+    restarts, real samples read): pre-emphasis restarts at a window's
+    first frame, and a frame reads zeros past its window's end. Returns (distinct keys [K x 3], rows
     [windows x frames] into them, -1 for a zero row).
     """
     L, S = params.frame_len, params.frame_step
@@ -89,7 +93,7 @@ def _crop_rows(windows: list, params: MfccParams, frames: int):
     for a, b in windows:
         if b <= a:
             raise EmptyAudio("cannot frame an empty chunk")
-        count = 1 + max(0, -(-(b - a - L) // S))  # as frame_signal counts
+        count = 1 + max(0, -(-(b - a - L) // S))
         j = max(0, (count - frames) // 2) + np.arange(min(count, frames))
         s = a + S * j
         # pre-emphasis restarts at a window's first frame (at 0 it does anyway)
@@ -120,8 +124,9 @@ def _read_span(source: AudioClip | SynthSpec, lo: int, hi: int):
 def _build_frames(samples: np.ndarray, offset: int, keys: np.ndarray,
                   params: MfccParams) -> np.ndarray:
     """Pre-emphasized frames for (start, restarts, real) keys: `real`
-    samples from `start`, then zeros, computed as `preemphasize` would
-    on a window that begins at `start` if the frame restarts there.
+    samples from `start`, then zeros. Pre-emphasis is y[n] = x[n] -
+    preemphasis * x[n-1], restarting with y = x at the recording's first
+    sample and at `start` if the frame restarts there.
     `samples` hold the recording from sample `offset` on, from one
     sample before the first frame, for pre-emphasis."""
     s, restart, real = keys.T
@@ -143,16 +148,18 @@ def extract_chunks(source: AudioClip | SynthSpec, plans: ChunkPlan | list,
     `source` is a recording, or the SynthSpec of one. `plans` is one
     ChunkPlan or a list of them; the images of all plans come back in
     plan order, each plan's in interval order. A chunk image is the crop
-    of `mfcc` of the chunk's own samples (the recording zero-padded out
-    to the last window's end) to `frames` rows: its centre rows, or all
-    of its rows centred between zero rows when it has fewer. Only the
-    span of samples the crops read is taken from the recording (and,
-    for a SynthSpec, rendered), only the distinct frames of the crops
-    are built, and they are featurized in one `mfcc` call, bit for bit
-    as each chunk's own `mfcc` would give them (see `_crop_rows`). An
-    optional Poisson mask is applied once, to those rows; it maps zero
-    rows to zero.
+    of the MFCC image of the chunk's own samples (the recording
+    zero-padded out to the last window's end), framed on their own, to
+    `frames` rows: its centre rows, or all of its rows centred between
+    zero rows when it has fewer. Only the span of samples the crops read
+    is taken from the recording (and, for a SynthSpec, rendered), only
+    the distinct frames of the crops are built, and they are featurized
+    in one `mfcc` call, bit for bit as each chunk featurized alone would
+    give them (see `_crop_rows`). An optional Poisson mask is applied
+    once, to those rows; it maps zero rows to zero. `params` are
+    validated first.
     """
+    params.validate()
     plans = [plans] if isinstance(plans, ChunkPlan) else list(plans)
     if not plans or not all(p.intervals for p in plans):
         raise ValueError("plan has no intervals")

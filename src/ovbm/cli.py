@@ -156,10 +156,10 @@ def _config_from_args(args) -> RunConfig:
     if args.config:
         if not os.path.exists(args.config):
             raise FileNotFoundError(f"missing config file {args.config}")
-        with open(args.config) as fh:
+        with open(args.config) as fh, named_errors(args.config):
             data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError("config file must hold a JSON object")
+            if not isinstance(data, dict):
+                raise ValueError("config file must hold a JSON object")
     config = RunConfig.from_dict(data)
     if args.manifest:
         config.manifest = args.manifest

@@ -249,4 +249,8 @@ def load_ensemble(dir_path) -> FusionModel:
     if recorded != [fusion.member_dims, METADATA_DIM]:
         raise ValueError(f"{fusion_path}: member_dims and metadata_dim "
                          f"{recorded} do not match the members")
+    with named_errors(fusion_path):
+        M.check_shapes(weights, {
+            "hidden.w": (HIDDEN_DIM, fusion.input_dim), "hidden.b": (HIDDEN_DIM,),
+            "head.w": (NUM_CLASSES, HIDDEN_DIM), "head.b": (NUM_CLASSES,)})
     return fusion

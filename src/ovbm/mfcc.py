@@ -1,6 +1,7 @@
 """MFCC feature images with a fixed, fully specified parameterization.
 
-Pipeline: pre-emphasis -> rectangular framing -> NumPy real-FFT power
+Pipeline: pre-emphasized rectangular frames (cut by
+`chunker.extract_chunks`, the one framing path) -> NumPy real-FFT power
 spectrum (|X|^2 / fft_size) -> mel triangular filterbank -> log with a
 floor -> orthonormal DCT-II -> sinusoidal liftering -> coefficient 0
 replaced by the log total frame energy.
@@ -16,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import AudioClip, EmptyAudio
 
@@ -72,6 +72,11 @@ class MfccParams:
             raise ValueError(f"preemphasis must be in [0, 1), got {self.preemphasis!r}")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
+        for name, samples in (("window_len", self.frame_len),
+                              ("window_step", self.frame_step)):
+            if samples < 1:
+                raise ValueError(f"{name} {getattr(self, name)!r} s is {samples} "
+                                 f"samples at {self.sample_rate} Hz; need >= 1")
         if self.num_filters < 1 or self.num_cepstra < 1:
             raise ValueError("need at least one filter and one cepstrum")
         if self.num_cepstra > self.num_filters:
@@ -164,36 +169,6 @@ def mel_filterbank(params: MfccParams) -> FilterBank:
     return bank
 
 
-def preemphasize(samples: np.ndarray, coeff: float) -> np.ndarray:
-    """y[n] = x[n] - coeff * x[n-1], with y[0] = x[0]."""
-    out = np.empty_like(samples)
-    out[0] = samples[0]
-    out[1:] = samples[1:] - coeff * samples[:-1]
-    return out
-
-
-def frame_signal(clip: AudioClip, params: MfccParams) -> np.ndarray:
-    """Pre-emphasize then slice into overlapping rectangular frames,
-    returned as a read-only strided view of the padded signal.
-
-    Frame count is 1 + ceil((N - L) / S), and at least 1; the tail frame
-    is zero-padded, so a signal shorter than one frame gives one frame.
-    """
-    if clip.sample_rate != params.sample_rate:
-        raise RateMismatch(
-            f"clip at {clip.sample_rate} Hz, params expect {params.sample_rate} Hz"
-        )
-    if clip.samples.size == 0:
-        raise EmptyAudio("cannot frame an empty clip")
-    y = preemphasize(clip.samples, params.preemphasis)
-    L, S = params.frame_len, params.frame_step
-    num_frames = 1 + max(0, -(-(y.size - L) // S))  # 1 + ceil((N - L) / S)
-    pad = (num_frames - 1) * S + L - y.size
-    if pad > 0:
-        y = np.concatenate([y, np.zeros(pad)])
-    return sliding_window_view(y, L)[::S]
-
-
 def power_spectrum(frames: np.ndarray, fft_size: int) -> np.ndarray:
     """|FFT|^2 / fft_size over the one-sided spectrum (fft_size//2 + 1 bins).
 
@@ -249,21 +224,13 @@ def _cepstra(frames: np.ndarray, params: MfccParams) -> np.ndarray:
     return feat[:total]
 
 
-def mfcc(clip: AudioClip, params: MfccParams | None = None,
-         frames: np.ndarray | None = None) -> MfccImage:
-    """Compute the MFCC image of a clip.
-
-    `frames` [F x frame_len] are pre-emphasized frames cut from the clip
-    (the chunker's crop frames); when given, they are featurized in
-    place of the clip's own framing. Each row depends only on its frame.
-    Frames go through in blocks of at least BLOCK_FRAMES, and a shorter
-    call transforms only its own frames.
-    """
-    params = MfccParams() if params is None else params
+def mfcc(clip: AudioClip, params: MfccParams, frames: np.ndarray) -> MfccImage:
+    """MFCC rows of `frames` [F x frame_len], pre-emphasized frames cut
+    from `clip` by the chunker. Each row depends only on its frame:
+    frames go through in blocks of at least BLOCK_FRAMES, and a shorter
+    call transforms only its own frames."""
     params.validate()
-    if frames is None:
-        frames = frame_signal(clip, params)
-    elif clip.sample_rate != params.sample_rate:
+    if clip.sample_rate != params.sample_rate:
         raise RateMismatch(f"frames at {clip.sample_rate} Hz, params "
                            f"expect {params.sample_rate} Hz")
     parts = max(1, len(frames) // BLOCK_FRAMES)

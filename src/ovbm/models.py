@@ -94,6 +94,29 @@ def layer_names(arch: CnnArch) -> list:
     return conv_layer_names(arch) + ["embed", "head"]
 
 
+def weight_shapes(arch: CnnArch, num_classes: int) -> dict:
+    """Every tensor of a member, name -> shape, in layer order."""
+    C, E = arch.stem_channels, arch.embedding_dim
+    shapes = {"stem.w": (C, 1, 3, 3), "stem.b": (C,)}
+    for name in conv_layer_names(arch)[1:]:
+        shapes[f"{name}.w"], shapes[f"{name}.b"] = (C, C, 3, 3), (C,)
+    shapes.update({"embed.w": (E, C), "embed.b": (E,),
+                   "head.w": (num_classes, E), "head.b": (num_classes,)})
+    return shapes
+
+
+def check_shapes(weights: dict, shapes: dict) -> None:
+    """ValueError unless `weights` are exactly the tensors `shapes`
+    names, each of its shape."""
+    got = {k: np.shape(w) for k, w in weights.items()}
+    bad = [f"{k} is {got.get(k, 'missing')}, expected {shapes.get(k, 'none')}"
+           for k in sorted(got.keys() | shapes.keys())
+           if got.get(k) != shapes.get(k)]
+    if bad:
+        raise ValueError("tensors disagree with the architecture: "
+                         + "; ".join(bad))
+
+
 @dataclass(frozen=True)
 class TransferStrategy:
     """Which layers fine-tuning may touch.
@@ -154,6 +177,7 @@ class BiomarkerModel:
         expected = layer_names(self.arch)
         if sorted(self.trainable) != sorted(expected):
             raise ValueError("trainability mask must cover every layer exactly once")
+        check_shapes(self.weights, weight_shapes(self.arch, self.num_classes))
         for k, w in self.weights.items():
             if not np.isfinite(w).all():
                 raise ValueError(f"non-finite weights in {k}")
@@ -167,20 +191,9 @@ def init_cnn(arch: CnnArch, num_classes: int, seed: int,
     if num_classes < 2:
         raise ValueError("need at least two classes")
     rng = np.random.default_rng(seed)
-    C = arch.stem_channels
-    weights: dict = {}
-    weights["stem.w"] = nn.he_uniform(rng, (C, 1, 3, 3), fan_in=9)
-    weights["stem.b"] = np.zeros(C)
-    for b in range(1, arch.num_blocks + 1):
-        for conv in ("conv1", "conv2"):
-            weights[f"block{b}.{conv}.w"] = nn.he_uniform(rng, (C, C, 3, 3),
-                                                          fan_in=9 * C)
-            weights[f"block{b}.{conv}.b"] = np.zeros(C)
-    weights["embed.w"] = nn.he_uniform(rng, (arch.embedding_dim, C), fan_in=C)
-    weights["embed.b"] = np.zeros(arch.embedding_dim)
-    weights["head.w"] = nn.he_uniform(rng, (num_classes, arch.embedding_dim),
-                                      fan_in=arch.embedding_dim)
-    weights["head.b"] = np.zeros(num_classes)
+    weights = {k: nn.he_uniform(rng, shape, fan_in=int(np.prod(shape[1:])))
+               if k.endswith(".w") else np.zeros(shape)
+               for k, shape in weight_shapes(arch, num_classes).items()}
     trainable = {name: True for name in layer_names(arch)}
     return BiomarkerModel(biomarker_id, arch, num_classes, weights, trainable)
 
@@ -234,15 +247,6 @@ def apply_transfer_strategy(model: BiomarkerModel,
 
 # ------------------------------------------------------------- forward
 
-def prepare_input(model: BiomarkerModel, image) -> np.ndarray:
-    """An image as an array, which must have the arch's input shape."""
-    values = np.asarray(image)
-    if values.shape != model.arch.input_shape:
-        raise ShapeMismatch(f"image is {values.shape}, arch expects "
-                            f"{model.arch.input_shape}")
-    return values
-
-
 def forward_batch(model: BiomarkerModel, x: np.ndarray, want_cache: bool = False):
     """x: [B, H, W] member inputs. Returns (embeddings, probs, cache)."""
     w = model.weights
@@ -281,13 +285,6 @@ def forward_batch(model: BiomarkerModel, x: np.ndarray, want_cache: bool = False
         cache["logits"] = logits
         cache["probs"] = probs
     return emb, probs, cache
-
-
-def forward(model: BiomarkerModel, image):
-    """Single-image inference. Returns (embedding [E], probs [K])."""
-    x = prepare_input(model, image)[None, :, :]
-    emb, probs, _ = forward_batch(model, x)
-    return emb[0], probs[0]
 
 
 def backward_from_embedding(model: BiomarkerModel, cache: dict,
@@ -364,27 +361,6 @@ def backward_batch(model: BiomarkerModel, cache: dict, targets: np.ndarray,
     return grads
 
 
-def backward(model: BiomarkerModel, image, target: int) -> dict:
-    """Spec-level single-sample gradient: one tensor per weight, with
-    exact zeros for layers the trainability mask freezes."""
-    x = prepare_input(model, image)[None, :, :]
-    _, _, cache = forward_batch(model, x, want_cache=True)
-    needed = {name for name, on in model.trainable.items() if on}
-    grads = backward_batch(model, cache, np.array([int(target)]), needed)
-    for name in layer_names(model.arch):
-        for suffix in (".w", ".b"):
-            key = name + suffix
-            if key not in grads:
-                grads[key] = np.zeros_like(model.weights[key])
-    return grads
-
-
-def cross_entropy_loss(model: BiomarkerModel, image, target: int) -> float:
-    x = prepare_input(model, image)[None, :, :]
-    _, _, cache = forward_batch(model, x, want_cache=True)
-    return nn.cross_entropy(cache["logits"], np.array([int(target)]))
-
-
 # -------------------------------------------------------------- train
 
 def adam_step(weights: dict, grads: dict, state: nn.AdamState,
@@ -427,18 +403,6 @@ class TrainResult:
     epoch_losses: list
 
 
-def forward_batches(model: BiomarkerModel, x: np.ndarray):
-    """Inference over member inputs x [N, H, W] in batches of
-    EVAL_BATCH. Returns (embeddings [N, E], probs [N, K])."""
-    embs, probs = [np.zeros((0, model.arch.embedding_dim))], \
-        [np.zeros((0, model.num_classes))]
-    for i in range(0, x.shape[0], EVAL_BATCH):
-        emb, p, _ = forward_batch(model, x[i:i + EVAL_BATCH])
-        embs.append(emb)
-        probs.append(p)
-    return np.concatenate(embs, axis=0), np.concatenate(probs, axis=0)
-
-
 def _head_forward(model: BiomarkerModel, emb: np.ndarray) -> dict:
     """Head outputs over given embeddings, keyed like a forward_batch
     cache so that backward_batch can read them."""
@@ -448,7 +412,8 @@ def _head_forward(model: BiomarkerModel, emb: np.ndarray) -> dict:
 
 def head_batches(model: BiomarkerModel, emb: np.ndarray) -> np.ndarray:
     """Own-head probabilities over embeddings [N, E], computed in the
-    EVAL_BATCH batches of `forward_batches`, so the two agree bit for bit."""
+    EVAL_BATCH batches of `embed_chunks`, so they agree bit for bit with
+    `forward_batch` over those batches."""
     probs = [np.zeros((0, model.num_classes))]
     for i in range(0, emb.shape[0], EVAL_BATCH):
         probs.append(_head_forward(model, emb[i:i + EVAL_BATCH])["probs"])
@@ -643,12 +608,17 @@ def embed_chunks(members: list, chunks: Chunks) -> list:
     Embeddings are kept on `chunks.embeddings` by member body, so calls
     on the same Chunks run each distinct body once: under the `frozen`
     strategy the tune step, both fusion trainings and the run's
-    training-subject scores share the pretrained bodies' embeddings."""
+    training-subject scores share the pretrained bodies' embeddings.
+    Bodies run in batches of EVAL_BATCH."""
     embs = []
     for m in members:
         key = _body_key(m)
         if key not in chunks.embeddings:
-            chunks.embeddings[key] = forward_batches(m, member_inputs(m, chunks))[0]
+            x = member_inputs(m, chunks)
+            chunks.embeddings[key] = np.concatenate(
+                [np.zeros((0, m.arch.embedding_dim))]
+                + [forward_batch(m, x[i:i + EVAL_BATCH])[0]
+                   for i in range(0, len(x), EVAL_BATCH)])
         embs.append(chunks.embeddings[key])
     return embs
 
@@ -730,9 +700,7 @@ def read_weight_file(path):
 
 
 def model_file_bytes(model: BiomarkerModel, meta: dict | None = None) -> bytes:
-    order = []
-    for name in layer_names(model.arch):
-        order += [name + ".w", name + ".b"]
+    order = list(weight_shapes(model.arch, model.num_classes))
     descriptor = {
         "kind": "biomarker",
         "biomarker_id": model.biomarker_id,

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import struct
 import sys
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from ovbm.chunker import chunk_plan, extract_chunks
 from ovbm.models import CnnArch, pack_tensor_records, read_weight_file
 from ovbm.pipeline import RunConfig, TrainedPipeline, run_training, save_pipeline
 from ovbm.synthesis import write_corpus
@@ -83,6 +85,58 @@ def replace_descriptor(path, make) -> None:
     raw = make(descriptor)
     path.write_bytes(buf[:8] + struct.pack("<I", len(raw)) + raw
                      + buf[12 + length:])
+
+
+def replace_tensors(path, edit) -> None:
+    """Rewrite a weight file after `edit(descriptor, weights)`, with
+    records of the edited tensors and a descriptor listing them."""
+    descriptor, weights = read_weight_file(path)
+    edit(descriptor, weights)
+    descriptor["tensors"] = list(weights)
+    raw = json.dumps(descriptor).encode("utf-8")
+    path.write_bytes(path.read_bytes()[:8] + struct.pack("<I", len(raw)) + raw
+                     + pack_tensor_records(weights, list(weights)))
+
+
+# Tensors that disagree with the descriptor's arch or dimensions: each
+# edits a weight file's (descriptor, weights) in place.
+BAD_MODEL_TENSORS = {
+    "stem_w_shape": lambda d, w: w.update({"stem.w": np.zeros((4, 1, 3, 2))}),
+    "only_stem_w": lambda d, w: [w.pop(k) for k in list(w) if k != "stem.w"],
+    "num_classes_vs_head": lambda d, w: d.update(num_classes=5),
+}
+BAD_FUSION_TENSORS = {
+    "hidden_w_vs_input_dim": lambda d, w: w.update(
+        {"hidden.w": w["hidden.w"][:, 1:]}),
+    "hidden_w_vs_hidden_dim": lambda d, w: w.update(
+        {"hidden.w": w["hidden.w"][1:]}),
+    "head_w_vs_hidden_dim": lambda d, w: w.update({"head.w": w["head.w"][:, 1:]}),
+    "no_head_b": lambda d, w: w.pop("head.b"),
+}
+
+
+def own_frames(samples, params) -> np.ndarray:
+    """The framing rule written out, sharing no code with the library:
+    pre-emphasis y[0] = x[0], y[n] = x[n] - preemphasis * x[n-1], then
+    1 + ceil((N - frame_len) / frame_step) rectangular frames (at least
+    one) every frame_step samples, the last zero-padded."""
+    x = np.asarray(samples, dtype=np.float64)
+    y = x.copy()
+    y[1:] = x[1:] - params.preemphasis * x[:-1]
+    L, S = params.frame_len, params.frame_step
+    frames = np.zeros((1 + max(0, math.ceil((y.size - L) / S)), L))
+    for i, frame in enumerate(frames):
+        seg = y[i * S:i * S + L]
+        frame[:seg.size] = seg
+    return frames
+
+
+def clip_image(clip, params) -> np.ndarray:
+    """A whole clip's MFCC image through the product path: the one-window
+    plan over the clip, cropped to every frame."""
+    count = len(own_frames(clip.samples, params))
+    return extract_chunks(clip, chunk_plan(clip.duration, clip.duration),
+                          params, None, count).images[0]
 
 
 def random_images(n: int, shape=(10, 8), seed: int = 0) -> list:

@@ -11,21 +11,22 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import MICRO_ARCH
+from conftest import MICRO_ARCH, own_frames
 from ovbm import cli
 from ovbm import nn
 from ovbm.aggregation import AggregationScheme, aggregate, scheme_weights
 from ovbm.audio_io import AudioClip, parse_manifest
-from ovbm.chunker import Chunks, chunk_plan
+from ovbm.chunker import Chunks, chunk_plan, extract_chunks
 from ovbm.degradation import PoissonMaskConfig, apply_poisson_mask, poisson_pmf
 from ovbm.fusion import build_fusion, fuse_from_embeddings, fusion_backward
-from ovbm.mfcc import MfccImage, MfccParams, mfcc, mfcc_oracle
+from ovbm.mfcc import MfccImage, MfccParams, mfcc_oracle
 from ovbm.models import (
     TrainConfig,
     TransferStrategy,
-    backward,
-    cross_entropy_loss,
+    backward_batch,
+    forward_batch,
     init_cnn,
+    layer_names,
     read_weight_file,
     save_model,
     train,
@@ -57,7 +58,11 @@ def test_criterion_01_mfcc_matches_direct_dft_oracle():
         samples = np.clip(rng.normal(0.0, 0.3, size=int(duration * 16000)),
                           -1.0, 1.0)
         clip = AudioClip(samples, 16000)
-        fast = mfcc(clip, params).values
+        # the product path over a whole clip: a one-window plan, cropped
+        # to every frame
+        count = len(own_frames(samples, params))
+        fast = extract_chunks(clip, chunk_plan(clip.duration, clip.duration),
+                              params, None, frames=count).images[0]
         slow = mfcc_oracle(clip, params).values
         rel = np.linalg.norm(fast - slow) / np.linalg.norm(slow)
         worst = max(worst, float(rel))
@@ -179,11 +184,18 @@ def test_criterion_04_gradients_match_finite_differences():
 
     # the full micro CNN through its own backward pass
     model = init_cnn(MICRO_ARCH, 2, seed=405)
-    img = rng.normal(size=(10, 8))
-    grads = backward(model, img, target=1)
+    x = rng.normal(size=(1, 10, 8))
+    target = np.array([1])
+
+    def member_loss():
+        _, _, cache = forward_batch(model, x, want_cache=True)
+        return nn.cross_entropy(cache["logits"], target)
+
+    _, _, cache = forward_batch(model, x, want_cache=True)
+    grads = backward_batch(model, cache, target, set(layer_names(MICRO_ARCH)))
+    assert len(grads) == len(model.weights)
     for key in grads:
-        fd_check(lambda: cross_entropy_loss(model, img, 1),
-                 [model.weights[key]], [grads[key]], n_coords=4)
+        fd_check(member_loss, [model.weights[key]], [grads[key]], n_coords=4)
 
     # the fusion network, parameters and input side
     members = [init_cnn(MICRO_ARCH, 2, seed=406 + i, biomarker_id=f"m{i}")

@@ -205,6 +205,13 @@ class TestManifest:
                                           "s2,b.wav,NONAD,M,66"])
         assert [r.label for r in parse_manifest(path)] == [1, 0]
 
+    def test_byte_order_mark(self, tmp_path):
+        # spreadsheet exports start a UTF-8 CSV with a BOM
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + (MANIFEST_HEADER
+                                             + "\ns1,a.wav,AD,F,70\n").encode())
+        assert [r.subject_id for r in parse_manifest(path)] == ["s1"]
+
     def test_wrong_column_order(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("wav_path,subject_id,label,gender,age\na.wav,s1,1,F,70\n")

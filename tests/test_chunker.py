@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import own_frames
 from ovbm.audio_io import AudioClip, SynthSpec, synth_clip
 from ovbm.chunker import chunk_plan, extract_chunks
 import ovbm.chunker as chunker
@@ -73,6 +74,11 @@ def _clip(duration):
                                                 ("noise", 0.0, 0.2)], seed=1))
 
 
+def _own(samples):
+    """`mfcc` of samples as one recording, framed by `own_frames`."""
+    return mfcc(AudioClip(samples, 16000), FAST, own_frames(samples, FAST))
+
+
 def _centre(values, frames):
     """The crop rule, stated directly: the centre `frames` rows, or all
     rows centred between zero rows when there are fewer."""
@@ -112,7 +118,7 @@ class TestExtract:
         start, end = plan.intervals[-1]
         tail = clip.samples[int(round(start * 16000)):]
         padded = np.concatenate([tail, np.zeros(32000 - tail.size)])
-        want = mfcc(AudioClip(padded, 16000), FAST).values
+        want = _own(padded).values
         np.testing.assert_array_equal(chunks.images[-1], want)
 
     def test_interior_chunk_matches_direct_slice(self):
@@ -120,7 +126,7 @@ class TestExtract:
         plan = chunk_plan(clip.duration, 2.0, 2.0)
         chunks = extract_chunks(clip, plan, FAST, None, WHOLE)
         piece = clip.samples[32000:64000]
-        want = mfcc(AudioClip(piece, 16000), FAST).values
+        want = _own(piece).values
         np.testing.assert_array_equal(chunks.images[1], want)
 
     def test_mask_flag_and_effect(self):
@@ -141,7 +147,7 @@ class TestCrop:
     def test_short_window_is_centred_between_zero_rows(self):
         clip = _clip(1.0)
         plan = chunk_plan(clip.duration, 0.1, 0.1)  # 9 frames a chunk
-        own = mfcc(AudioClip(clip.samples[1600:3200].copy(), 16000), FAST)
+        own = _own(clip.samples[1600:3200])
         assert own.values.shape[0] == 9
         image = extract_chunks(clip, plan, FAST, None, 16).images[1]
         assert image.shape == (16, FAST.num_cepstra)
@@ -151,20 +157,20 @@ class TestCrop:
     def test_long_window_keeps_its_centre_rows(self):
         clip = _clip(6.0)
         plan = chunk_plan(clip.duration, 2.0, 2.0)  # 199 frames a chunk
-        own = mfcc(AudioClip(clip.samples[32000:64000].copy(), 16000), FAST)
+        own = _own(clip.samples[32000:64000])
         image = extract_chunks(clip, plan, FAST, None, 16).images[1]
         np.testing.assert_array_equal(image, own.values[91:107])
 
 
 def _own_mfcc(clip, plan, span, mask, frames):
     """The per-chunk definition: `mfcc` of the chunk's own samples, cut
-    from the clip zero-padded to the plan's last window, cropped to
-    `frames` rows, then masked."""
+    from the clip zero-padded to the plan's last window and framed by
+    `own_frames`, cropped to `frames` rows, then masked."""
     rate = clip.sample_rate
     tail = int(round(plan.intervals[-1][1] * rate)) - clip.samples.size
     padded = np.concatenate([clip.samples, np.zeros(max(tail, 0))])
     a, b = (int(round(t * rate)) for t in span)
-    image = mfcc(AudioClip(padded[a:b].copy(), rate), FAST)
+    image = _own(padded[a:b])
     image = MfccImage(_centre(image.values, frames), FAST)
     return image if mask is None else apply_poisson_mask(image, mask)
 
@@ -261,7 +267,7 @@ class TestSurrogates:
                                         for _ in range(2)]
         for (image, y), i in zip(data, [0, 1] * entry.num_classes):
             spec = surrogate_spec(entry, y, i, 5, FAST.sample_rate)
-            want = MfccImage(_centre(mfcc(synth_clip(spec), FAST).values, 64),
+            want = MfccImage(_centre(_own(synth_clip(spec).samples).values, 64),
                              FAST)
             if entry.always_mask:
                 want = apply_poisson_mask(want)

@@ -11,10 +11,13 @@ import pytest
 
 from conftest import (
     BAD_FUSION_DESCRIPTORS,
+    BAD_FUSION_TENSORS,
     BAD_MODEL_DESCRIPTORS,
+    BAD_MODEL_TENSORS,
     micro_run_config,
     record_boundaries,
     replace_descriptor,
+    replace_tensors,
 )
 from ovbm.audio_io import parse_manifest
 from ovbm.cli import main
@@ -135,6 +138,30 @@ class TestTrain:
         assert field in stderr
         assert not os.path.exists(tmp_path / "r")
 
+    @pytest.mark.parametrize("field", ["window_len", "window_step"])
+    def test_sub_sample_window(self, field, tmp_path, corpus_dir, capsys):
+        # 1e-5 s is 0 samples at 16 kHz
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({field: 1e-5}))
+        code, _, stderr = run_cli(
+            capsys, "train", "--config", str(config_path),
+            "--manifest", os.path.join(corpus_dir, "manifest.csv"),
+            "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert field in stderr
+        assert not os.path.exists(tmp_path / "r")
+
+    def test_invalid_json_config(self, tmp_path, corpus_dir, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"seed": 1,}')
+        code, _, stderr = run_cli(
+            capsys, "train", "--config", str(config_path),
+            "--manifest", os.path.join(corpus_dir, "manifest.csv"),
+            "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert str(config_path) in stderr
+        assert not os.path.exists(tmp_path / "r")
+
     def test_chunk_shorter_than_window(self, tmp_path, corpus_dir, capsys):
         code, _, stderr = run_cli(
             capsys, "train", "--manifest",
@@ -207,6 +234,24 @@ class TestEval:
         victim = Path(broken, *rel)
         replace_descriptor(victim, {**BAD_MODEL_DESCRIPTORS,
                                     **BAD_FUSION_DESCRIPTORS}[case])
+        code, _, stderr = run_cli(
+            capsys, "eval", "--run", broken,
+            "--manifest", os.path.join(corpus_dir, "manifest.csv"))
+        assert code == 2
+        assert str(victim) in stderr
+
+    @pytest.mark.parametrize("rel,case", [
+        *((("models", "member_tuned_cough_origin.ovbm"), case)
+          for case in sorted(BAD_MODEL_TENSORS)),
+        *((("ensemble_main", "fusion.ovbm"), case)
+          for case in sorted(BAD_FUSION_TENSORS)),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_tensors_disagree_with_descriptor(self, rel, case, micro_run_dir,
+                                              corpus_dir, tmp_path, capsys):
+        broken = str(tmp_path / "broken")
+        shutil.copytree(micro_run_dir, broken)
+        victim = Path(broken, *rel)
+        replace_tensors(victim, {**BAD_MODEL_TENSORS, **BAD_FUSION_TENSORS}[case])
         code, _, stderr = run_cli(
             capsys, "eval", "--run", broken,
             "--manifest", os.path.join(corpus_dir, "manifest.csv"))

@@ -8,9 +8,11 @@ import pytest
 
 from conftest import (
     BAD_FUSION_DESCRIPTORS,
+    BAD_FUSION_TENSORS,
     MICRO_ARCH,
     record_boundaries,
     replace_descriptor,
+    replace_tensors,
 )
 from ovbm.chunker import Chunks
 from ovbm.degradation import apply_poisson_mask
@@ -30,10 +32,11 @@ from ovbm.fusion import (
 )
 from ovbm.mfcc import MfccImage, MfccParams
 from ovbm.models import (
+    EVAL_BATCH,
     TrainConfig,
     TransferStrategy,
     embed_chunks,
-    forward_batches,
+    forward_batch,
     head_batches,
     init_cnn,
     member_inputs,
@@ -124,9 +127,10 @@ class TestFuseForward:
         embs = embed_chunks(retuned, chunks)
         assert len(chunks.embeddings) == 2
         for m, e in zip(retuned, embs):
-            np.testing.assert_array_equal(
-                head_batches(m, e),
-                forward_batches(m, member_inputs(m, chunks))[1])
+            x = member_inputs(m, chunks)
+            np.testing.assert_array_equal(head_batches(m, e), np.concatenate(
+                [forward_batch(m, x[i:i + EVAL_BATCH])[1]
+                 for i in range(0, len(x), EVAL_BATCH)]))
 
     def test_per_chunk_metadata_matches_per_subject_scores(self):
         # One call over several subjects' chunks, laid end to end with a
@@ -371,4 +375,11 @@ class TestEnsembleFiles:
         replace_descriptor(tmp_path / "fusion.ovbm",
                            BAD_FUSION_DESCRIPTORS[case])
         with pytest.raises(ValueError, match="fusion.ovbm"):
+            load_ensemble(tmp_path)
+
+    @pytest.mark.parametrize("case", sorted(BAD_FUSION_TENSORS))
+    def test_tensors_disagree_with_dims(self, case, tmp_path):
+        save_ensemble(tmp_path, build_fusion(make_members(), seed=12))
+        replace_tensors(tmp_path / "fusion.ovbm", BAD_FUSION_TENSORS[case])
+        with pytest.raises(ValueError, match="fusion.ovbm.*disagree"):
             load_ensemble(tmp_path)

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import clip_image, own_frames
 from ovbm.audio_io import AudioClip, SynthSpec, synth_clip
+from ovbm.chunker import chunk_plan, extract_chunks
 from ovbm.mfcc import (
     BLOCK_FRAMES,
     CEP_LIFTER,
@@ -14,7 +16,6 @@ from ovbm.mfcc import (
     RateMismatch,
     TooManyFilters,
     dct2_matrix,
-    frame_signal,
     hz_to_mel,
     lifter_weights,
     mel_filterbank,
@@ -22,7 +23,6 @@ from ovbm.mfcc import (
     mfcc,
     mfcc_oracle,
     power_spectrum,
-    preemphasize,
 )
 
 FAST = MfccParams(num_cepstra=8, num_filters=16, fft_size=512)
@@ -102,40 +102,55 @@ class TestFilterbank:
 
 
 class TestFraming:
+    """The chunker's framing, the library's only one: a clip's image
+    through `extract_chunks` is `mfcc` of frames cut here by hand."""
+
     def test_preemphasis_matches_loop(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=200)
-        y = preemphasize(x, 0.97)
         expected = x.copy()
         for n in range(199, 0, -1):
             expected[n] = x[n] - 0.97 * x[n - 1]
-        np.testing.assert_allclose(y, expected)
-        assert y[0] == x[0]
+        frames = own_frames(x, FAST)
+        np.testing.assert_array_equal(frames[0][:200], expected)
+        assert frames[0][0] == x[0]
+        clip = AudioClip(x, 16000)
+        np.testing.assert_array_equal(clip_image(clip, FAST),
+                                      mfcc(clip, FAST, frames).values)
 
     @given(st.integers(1, 20000))
     def test_frame_count_formula(self, n):
-        clip = AudioClip(np.zeros(n), 16000)
-        frames = frame_signal(clip, MfccParams())
+        # a crop wider than any framing here centres the clip's frames
+        # between exact zero rows; no MFCC row of a frame is all zeros
+        clip = AudioClip(np.random.default_rng(n).normal(size=n), 16000)
+        image = extract_chunks(clip, chunk_plan(clip.duration, clip.duration),
+                               MfccParams(), None, 130).images[0]
         L, S = 320, 160
-        assert frames.shape == (1 + max(0, -(-(n - L) // S)), L)
+        count = 1 + max(0, -(-(n - L) // S))
+        real = np.flatnonzero(np.any(image != 0.0, axis=1))
+        np.testing.assert_array_equal(real, (130 - count) // 2 + np.arange(count))
 
     def test_tail_zero_padded(self):
         x = np.ones(400)  # frame 1 covers 160..480, needs 80 pad samples
-        frames = frame_signal(AudioClip(x, 16000), MfccParams())
-        assert frames.shape[0] == 2
-        y = preemphasize(x, 0.97)
-        np.testing.assert_array_equal(frames[1][:240], y[160:400])
-        np.testing.assert_array_equal(frames[1][240:], np.zeros(80))
+        y = np.full(400, 1.0 - 0.97)
+        y[0] = 1.0
+        frames = np.zeros((2, 320))
+        frames[0] = y[:320]
+        frames[1][:240] = y[160:400]
+        clip = AudioClip(x, 16000)
+        image = clip_image(clip, FAST)
+        assert image.shape == (2, FAST.num_cepstra)
+        np.testing.assert_array_equal(image, mfcc(clip, FAST, frames).values)
 
     def test_frames_match_manual_slices(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=1000)
-        frames = frame_signal(AudioClip(x, 16000), MfccParams())
-        y = preemphasize(x, 0.97)
+        y = np.concatenate([[x[0]], x[1:] - 0.97 * x[:-1]])
         padded = np.concatenate([y, np.zeros(5 * 160 + 320 - 1000)])
-        for i in range(frames.shape[0]):
-            np.testing.assert_array_equal(frames[i],
-                                          padded[i * 160:i * 160 + 320])
+        frames = np.stack([padded[i * 160:i * 160 + 320] for i in range(6)])
+        clip = AudioClip(x, 16000)
+        np.testing.assert_array_equal(clip_image(clip, FAST),
+                                      mfcc(clip, FAST, frames).values)
 
 
 def _direct_power_spectrum(frames, fft_size):
@@ -205,14 +220,14 @@ class TestDctLifter:
 class TestMfccAgainstOracle:
     def test_matches_oracle(self):
         clip = _clip(0.3)
-        fast = mfcc(clip, FAST).values
+        fast = clip_image(clip, FAST)
         slow = mfcc_oracle(clip, FAST).values
         rel = np.linalg.norm(fast - slow) / np.linalg.norm(slow)
         assert rel < 1e-6
 
     def test_reference_params_match_oracle(self):
         clip = _clip(0.2, seed=8)
-        fast = mfcc(clip).values
+        fast = clip_image(clip, MfccParams())
         slow = mfcc_oracle(clip).values
         assert fast.shape[1] == 200
         rel = np.linalg.norm(fast - slow) / np.linalg.norm(slow)
@@ -232,44 +247,45 @@ class TestMfccProperties:
         # frame 0's energy recomputed with a naive DFT, no shared code path
         params = MfccParams(num_cepstra=8, num_filters=16, fft_size=512)
         clip = _clip(0.1)
-        image = mfcc(clip, params).values
-        y = preemphasize(clip.samples, params.preemphasis)
-        half = _direct_power_spectrum(y[:320], 512)
+        image = clip_image(clip, params)
+        half = _direct_power_spectrum(own_frames(clip.samples, params)[0], 512)
         assert image[0, 0] == pytest.approx(np.log(half.sum()), rel=1e-9)
 
     def test_scaling_moves_only_c0(self):
         clip = _clip(0.15, seed=13)
-        a = mfcc(clip, FAST).values
-        b = mfcc(AudioClip(clip.samples * 2.0, clip.sample_rate), FAST).values
+        a = clip_image(clip, FAST)
+        b = clip_image(AudioClip(clip.samples * 2.0, clip.sample_rate), FAST)
         np.testing.assert_allclose(a[:, 1:], b[:, 1:], atol=1e-8)
         assert np.all(b[:, 0] > a[:, 0])
 
     def test_deterministic(self):
         clip = _clip(0.1)
-        np.testing.assert_array_equal(mfcc(clip, FAST).values,
-                                      mfcc(clip, FAST).values)
+        np.testing.assert_array_equal(clip_image(clip, FAST),
+                                      clip_image(clip, FAST))
 
     def test_any_run_of_frames_matches_whole_clip(self):
         # Featurizing a run of a clip's frames on its own, however short,
         # gives exactly the rows of the whole clip's featurization.
         clip = _clip(3.0, seed=21)
-        frames = frame_signal(clip, FAST)
-        whole = mfcc(clip, FAST).values
+        frames = own_frames(clip.samples, FAST)
+        whole = clip_image(clip, FAST)
         assert len(frames) == 299
         for n in range(1, BLOCK_FRAMES + 2):
             lo = 7 * n % (len(frames) - n + 1)
-            got = mfcc(clip, FAST, frames=frames[lo:lo + n]).values
+            got = mfcc(clip, FAST, frames[lo:lo + n]).values
             np.testing.assert_array_equal(got, whole[lo:lo + n])
 
     def test_frames_rate_mismatch(self):
-        frames = frame_signal(_clip(0.1), FAST)
+        clip = AudioClip(np.zeros(800), 8000)
         with pytest.raises(RateMismatch):
-            mfcc(AudioClip(np.zeros(800), 8000), FAST, frames=frames)
+            extract_chunks(clip, chunk_plan(0.1, 0.1), FAST, None, 16)
+        with pytest.raises(RateMismatch):
+            mfcc(clip, FAST, own_frames(_clip(0.1).samples, FAST))
 
     def test_num_cepstra_le_filters_enforced(self):
         with pytest.raises(ValueError):
-            mfcc(_clip(0.05),
-                 MfccParams(num_cepstra=20, num_filters=10, fft_size=512))
+            clip_image(_clip(0.05),
+                       MfccParams(num_cepstra=20, num_filters=10, fft_size=512))
 
 
 class TestParamsValidate:
@@ -284,4 +300,17 @@ class TestParamsValidate:
         with pytest.raises(ValueError, match=field):
             params.validate()
         with pytest.raises(ValueError, match=field):
-            mfcc(_clip(0.05), params)
+            mfcc(_clip(0.05), params, np.zeros((1, 320)))
+        with pytest.raises(ValueError, match=field):
+            extract_chunks(_clip(0.05), chunk_plan(0.05, 0.05), params, None, 4)
+
+    # windows of no sample: an empty frame, or frames that never advance
+    @pytest.mark.parametrize("field,value", [
+        ("window_len", 0.0), ("window_len", 1e-5), ("window_step", 1e-5)])
+    def test_rejects_sub_sample_windows(self, field, value):
+        params = MfccParams(num_cepstra=8, num_filters=16, fft_size=512,
+                            **{field: value})
+        with pytest.raises(ValueError, match=field):
+            params.validate()
+        with pytest.raises(ValueError, match=field):
+            extract_chunks(_clip(0.05), chunk_plan(0.05, 0.05), params, None, 4)

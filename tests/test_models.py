@@ -6,10 +6,12 @@ import pytest
 
 from conftest import (
     BAD_MODEL_DESCRIPTORS,
+    BAD_MODEL_TENSORS,
     MICRO_ARCH,
     random_images,
     record_boundaries,
     replace_descriptor,
+    replace_tensors,
 )
 from ovbm.chunker import Chunks
 from ovbm.models import (
@@ -21,23 +23,23 @@ from ovbm.models import (
     TrainConfig,
     TransferStrategy,
     apply_transfer_strategy,
-    backward,
     backward_batch,
     build_registry,
     conv_layer_names,
-    cross_entropy_loss,
+    embed_chunks,
     fit,
-    forward,
     forward_batch,
+    head_batches,
     init_cnn,
     layer_names,
     load_model,
-    prepare_input,
+    member_inputs,
     replace_head,
     save_model,
     stratified_split,
     train,
 )
+from ovbm import nn
 from ovbm.util import derive_seed
 
 
@@ -80,9 +82,7 @@ class TestInit:
 class TestForward:
     def test_shapes_and_prob_rows(self):
         model = init_cnn(MICRO_ARCH, 3, seed=1)
-        x = np.stack([prepare_input(model, img)
-                      for img in random_images(5)])
-        emb, probs, _ = forward_batch(model, x)
+        emb, probs, _ = forward_batch(model, np.stack(random_images(5)))
         assert emb.shape == (5, 4)
         assert probs.shape == (5, 3)
         np.testing.assert_allclose(probs.sum(axis=1), np.ones(5), atol=1e-12)
@@ -93,30 +93,40 @@ class TestForward:
         model = init_cnn(MICRO_ARCH, 2, seed=1)
         for frames in (4, 9, 11, 30):
             with pytest.raises(ShapeMismatch):
-                prepare_input(model, np.ones((frames, 8)))
+                member_inputs(model, Chunks(np.ones((3, frames, 8)), False))
         with pytest.raises(ShapeMismatch):
-            prepare_input(model, np.ones(80))
+            member_inputs(model, Chunks(np.ones((3, 80)), False))
 
     def test_coeff_mismatch(self):
         model = init_cnn(MICRO_ARCH, 2, seed=1)
         with pytest.raises(ShapeMismatch):
-            prepare_input(model, np.ones((10, 9)))
+            member_inputs(model, Chunks(np.ones((3, 10, 9)), False))
 
     def test_single_matches_batch(self):
+        # one chunk through the product path: embed_chunks, then the head
         model = init_cnn(MICRO_ARCH, 2, seed=2)
-        img = random_images(1, seed=3)[0]
-        emb1, probs1 = forward(model, img)
-        x = prepare_input(model, img)[None]
+        x = random_images(1, seed=3)[0][None]
+        emb1 = embed_chunks([model], Chunks(x, False))[0]
         emb2, probs2, _ = forward_batch(model, x)
-        np.testing.assert_array_equal(emb1, emb2[0])
-        np.testing.assert_array_equal(probs1, probs2[0])
+        np.testing.assert_array_equal(emb1, emb2)
+        np.testing.assert_array_equal(head_batches(model, emb1), probs2)
+
+
+def loss_and_grads(model, img, target, needed):
+    """Cross-entropy of one image and the gradients of the layers in
+    `needed`, through the batch passes."""
+    _, _, cache = forward_batch(model, img[None], want_cache=True)
+    targets = np.array([target])
+    return (nn.cross_entropy(cache["logits"], targets),
+            backward_batch(model, cache, targets, needed))
 
 
 class TestGradients:
     def test_full_model_fd(self):
         model = init_cnn(MICRO_ARCH, 2, seed=3)
         img = random_images(1, seed=4)[0]
-        grads = backward(model, img, target=1)
+        _, grads = loss_and_grads(model, img, 1, set(layer_names(MICRO_ARCH)))
+        assert len(grads) == len(model.weights)
         h = 1e-5
         rng = np.random.default_rng(5)
         worst = 0.0
@@ -126,9 +136,9 @@ class TestGradients:
             for i in idx:
                 orig = flat[i]
                 flat[i] = orig + h
-                up = cross_entropy_loss(model, img, 1)
+                up = loss_and_grads(model, img, 1, set())[0]
                 flat[i] = orig - h
-                down = cross_entropy_loss(model, img, 1)
+                down = loss_and_grads(model, img, 1, set())[0]
                 flat[i] = orig
                 fd = (up - down) / (2 * h)
                 worst = max(worst, abs(fd - g.reshape(-1)[i])
@@ -136,12 +146,13 @@ class TestGradients:
         assert worst < 1e-4
 
     def test_frozen_layers_get_exact_zero(self):
+        # under `frozen` only the head gets a gradient, so an Adam step
+        # leaves every other tensor as it was
         model = apply_transfer_strategy(init_cnn(MICRO_ARCH, 2, seed=3),
                                         TransferStrategy.frozen())
-        grads = backward(model, random_images(1)[0], target=0)
-        for name in ("stem", "block1.conv1", "block1.conv2", "embed"):
-            assert np.all(grads[f"{name}.w"] == 0.0)
-            assert np.all(grads[f"{name}.b"] == 0.0)
+        needed = {name for name, on in model.trainable.items() if on}
+        _, grads = loss_and_grads(model, random_images(1)[0], 0, needed)
+        assert sorted(grads) == ["head.b", "head.w"]
         assert np.any(grads["head.w"] != 0.0)
 
 
@@ -334,6 +345,14 @@ class TestWeightFiles:
         save_model(path, init_cnn(MICRO_ARCH, 2, seed=0))
         replace_descriptor(path, BAD_MODEL_DESCRIPTORS[case])
         with pytest.raises(ValueError, match="m.ovbm"):
+            load_model(path)
+
+    @pytest.mark.parametrize("case", sorted(BAD_MODEL_TENSORS))
+    def test_tensors_disagree_with_arch(self, case, tmp_path):
+        path = tmp_path / "m.ovbm"
+        save_model(path, init_cnn(MICRO_ARCH, 2, seed=0))
+        replace_tensors(path, BAD_MODEL_TENSORS[case])
+        with pytest.raises(ValueError, match="m.ovbm.*disagree"):
             load_model(path)
 
 
