@@ -5,10 +5,15 @@ s000,s001` and `report uniqueness`, under the frozen, last:1 and all
 strategies with the Poisson mask on and off, plus one `report ablation`
 per strategy pairing its mask-off and mask-on runs. One more frozen run
 uses 0.5 s chunks under a 64-frame crop, so every member input there is
-zero-padded. After the digests come two plain lines per run: each
+zero-padded. A last frozen run, mask off with a 64-frame crop, trains on
+the same corpus but evaluates, diagnoses and explains two recordings of
+about 50 s, each the corpus clips end to end, so the chunk-scale probes
+run at length. After the digests come two plain lines per run: each
 subject's decision label from `diagnoses.json`, and every accuracy field
-of `metrics.json`. A change that moves float bits but no decision then
-differs in digest lines only.
+of `metrics.json`; then one line per run and subject with every saliency
+score's `repr`. A change that moves float bits but no decision then
+differs in digest and saliency lines only, and a moved score shows by
+how much.
 
     python3 scripts/output_digests.py --work /tmp/ovbm-digests > a.txt
 
@@ -31,6 +36,9 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 from conftest import micro_run_config  # noqa: E402
+import numpy as np  # noqa: E402
+from ovbm.audio_io import (MANIFEST_COLUMNS, AudioClip, load_wav,  # noqa: E402
+                           parse_manifest, write_wav)
 from ovbm.cli import main as ovbm  # noqa: E402
 from ovbm.synthesis import write_corpus  # noqa: E402
 
@@ -39,6 +47,7 @@ CORPUS_SUBJECTS, CORPUS_SEED = 8, 3  # the test suite's corpus_dir fixture
 # Chunks of 49 frames, shorter than the crop.
 SHORT_CHUNKS = dict(strategy="frozen", chunk_size=0.5, stride=0.5,
                     arch_frames=64)
+LONG_RECORDINGS = dict(strategy="frozen", poisson_mask=False, arch_frames=64)
 
 
 def run(*argv) -> None:
@@ -68,12 +77,37 @@ def outcome_lines(out: str) -> list:
         metrics = json.load(fh)
     labels = " ".join(f"{sid}={d['label']}" for sid, d in sorted(diagnoses.items()))
     accuracies = " ".join(f"{k}={v!r}" for k, v in accuracy_fields(metrics))
-    return [f"labels {name}: {labels}", f"accuracy {name}: {accuracies}"]
+    lines = [f"labels {name}: {labels}", f"accuracy {name}: {accuracies}"]
+    with open(os.path.join(out, "saliency", "saliency.json")) as fh:
+        for smap in json.load(fh):
+            scores = " ".join(f"{e['biomarker_id']}={e['score']!r}"
+                              for e in smap["entries"])
+            lines.append(f"saliency {name} {smap['subject_id']}: {scores}")
+    return lines
 
 
-def run_all(out: str, config: dict, manifest: str) -> str:
-    """Train one config into `out` and run every per-run command on it;
-    returns the run directory."""
+def write_long_manifest(corpus: str) -> str:
+    """A manifest of two recordings, the corpus clips end to end in
+    manifest order and in reverse; returns its path."""
+    records = parse_manifest(os.path.join(corpus, "manifest.csv"))
+    clips = [load_wav(os.path.join(corpus, r.wav_path)) for r in records]
+    rows = []
+    for i, order in enumerate([clips, clips[::-1]]):
+        path = os.path.join(corpus, "wav", f"long{i}.wav")
+        write_wav(path, AudioClip(np.concatenate([c.samples for c in order]),
+                                  clips[0].sample_rate))
+        rows.append(f"l{i:03d},{os.path.relpath(path, corpus)},"
+                    f"{'AD' if i else 'nonAD'},F,70\n")
+    manifest = os.path.join(corpus, "long_manifest.csv")
+    with open(manifest, "w") as fh:
+        fh.write(",".join(MANIFEST_COLUMNS) + "\n" + "".join(rows))
+    return manifest
+
+
+def run_all(out: str, config: dict, manifest: str,
+            compare: str = "s000,s001") -> str:
+    """Train one config into `out` and run every per-run command on it,
+    over the subjects of `manifest`; returns the run directory."""
     os.makedirs(out)
     config_path = os.path.join(out, "config_in.json")
     with open(config_path, "w") as fh:
@@ -85,7 +119,7 @@ def run_all(out: str, config: dict, manifest: str) -> str:
     run("diagnose", "--run", run_dir, "--manifest", manifest,
         "--out", os.path.join(out, "diagnoses.json"))
     run("saliency", "--run", run_dir, "--manifest", manifest,
-        "--subjects", "all", "--compare", "s000,s001",
+        "--subjects", "all", "--compare", compare,
         "--out", os.path.join(out, "saliency"))
     run("report", "uniqueness", "--run", run_dir,
         "--out", os.path.join(out, "uniqueness"))
@@ -116,6 +150,9 @@ def main() -> None:
             "--out", os.path.join(work, f"{name}_ablation"))
     outs.append(os.path.join(work, "short_chunks"))
     run_all(outs[-1], dict(base, **SHORT_CHUNKS), manifest)
+    outs.append(os.path.join(work, "long_recordings"))
+    run_all(outs[-1], dict(base, **LONG_RECORDINGS),
+            write_long_manifest(corpus), compare="l000,l001")
 
     for dirpath, dirnames, filenames in os.walk(work):
         dirnames.sort()

@@ -132,8 +132,9 @@ def load_wav(path) -> AudioClip:
     fmt = None
     raw = None
     pos = 12
+    data = memoryview(data)  # chunk bodies are views, not copies
     while pos + 8 <= len(data):
-        chunk_id = data[pos:pos + 4]
+        chunk_id = bytes(data[pos:pos + 4])
         (chunk_size,) = struct.unpack_from("<I", data, pos + 4)
         body = data[pos + 8: pos + 8 + chunk_size]
         if len(body) < chunk_size:
@@ -169,15 +170,19 @@ def load_wav(path) -> AudioClip:
         raise MalformedContainer(
             f"{path}: block_align {block_align} is not {channels} channel(s)"
             f" of {bits} bits")
-    samples = np.frombuffer(raw, dtype=dtype).astype(np.float64)
-    if audio_format == _WAVE_PCM:
-        samples /= 32768.0
-    elif not np.isfinite(samples).all():
+    frames = np.frombuffer(raw, dtype=dtype)
+    if audio_format == _WAVE_IEEE_FLOAT and not np.isfinite(frames).all():
         raise NonFiniteAudio(f"{path}: float samples hold NaN or Inf")
-
     if channels == 2:
-        # (a + b) / 2, bit for bit what a mean over the pair gives
-        samples = (samples[0::2] + samples[1::2]) / 2.0
+        # (a + b) / 2 in float64, bit for bit what a mean over the pair
+        # gives, without a float64 copy of both channels
+        samples = np.add(frames[0::2], frames[1::2], dtype=np.float64)
+    else:
+        samples = frames.astype(np.float64)
+    if audio_format == _WAVE_PCM:
+        samples /= 32768.0  # a power of two: exact, before or after the sum
+    if channels == 2:
+        samples /= 2.0
     if samples.size == 0:
         raise EmptyAudio(f"{path}: no samples")
     return AudioClip(samples, rate)

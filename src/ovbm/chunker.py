@@ -7,9 +7,11 @@ window is always whole. With the default 2 s stride a 78 s recording at
 chunk size 2 yields exactly 39 chunks. Chunk images are cropped here to
 the member input's frame count, and only the frames the crops read are
 built and featurized, once for all the chunk plans asked of the
-recording, from only the span of samples those frames read. A whole
-clip's featurization is the one-window plan `chunk_plan(d, d)` with a
-crop of every frame.
+recording, from only the span of samples those frames read. Windows
+whose crops read the same frames (at a 2 s stride, the centres of the
+2 s and 14 s windows coincide, as do those of the 8 s and 20 s ones)
+share one crop, which members embed once. A whole clip's featurization
+is the one-window plan `chunk_plan(d, d)` with a crop of every frame.
 """
 
 from __future__ import annotations
@@ -39,20 +41,43 @@ class ChunkPlan:
 
 class Chunks:
     """Every chunk image of one recording, each exactly what a member
-    reads: `images` [N, frames, num_cepstra], read-only. `masked` says
-    whether the run's Poisson mask was applied at extraction.
-    `embeddings` holds member embeddings of these images by member body,
-    filled by `models.embed_chunks`, so every call on the same Chunks runs
-    each distinct body once."""
+    reads. `crops` [K, frames, num_cepstra] are the distinct images, in
+    the order their first chunk comes; `index` [N] maps each chunk to its
+    crop, and `images` [N, ...] is `crops[index]`. All three are
+    read-only. Built from an array of images, each chunk is its own crop.
+    `masked` says whether the run's Poisson mask was applied at
+    extraction. `embeddings` holds member embeddings of the crops by
+    member body, filled by `models.embed_chunks`, so every call on the
+    same Chunks runs each distinct body once over each distinct crop."""
 
-    def __init__(self, images: np.ndarray, masked: bool):
-        self.images = np.asarray(images, dtype=np.float64).view()
-        self.images.flags.writeable = False
+    def __init__(self, crops: np.ndarray, masked: bool,
+                 index: np.ndarray | None = None):
+        self.crops = _read_only(np.asarray(crops, dtype=np.float64).view())
+        self.index = _read_only(np.arange(len(self.crops)) if index is None
+                                else np.asarray(index).view())
+        self.images = _read_only(self.expand(self.crops))
         self.masked = masked
         self.embeddings: dict = {}
 
     def __len__(self) -> int:
         return len(self.images)
+
+    def expand(self, rows: np.ndarray) -> np.ndarray:
+        """Rows [K, ...], one per crop, as rows [N, ...], one per chunk."""
+        return rows if len(self.crops) == len(self.index) else rows[self.index]
+
+    def head(self, n: int) -> "Chunks":
+        """The first `n` chunks. Their crops come first, so they are a
+        prefix of these, and the head shares this Chunks' embeddings."""
+        k = int(self.index[:n].max()) + 1
+        head = Chunks(self.crops[:k], self.masked, self.index[:n])
+        head.embeddings = self.embeddings
+        return head
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def chunk_plan(duration: float, chunk_size: float,
@@ -76,8 +101,9 @@ def chunk_plan(duration: float, chunk_size: float,
     return ChunkPlan(chunk_size, stride, intervals)
 
 
-def _crop_rows(windows: list, params: MfccParams, frames: int):
-    """Which frames each window's crop reads.
+def _crop_rows(windows: list, params: MfccParams, frames: int, end: int):
+    """Which frames each window's crop reads, for a recording of `end`
+    samples.
 
     A window of n samples is framed on its own: 1 + ceil((n - frame_len)
     / frame_step) frames, and at least one, start every frame_step
@@ -85,7 +111,10 @@ def _crop_rows(windows: list, params: MfccParams, frames: int):
     centre `frames` of them, or all of them, centred between zero rows,
     when it has fewer. Each crop frame is keyed by (start sample,
     restarts, real samples read): pre-emphasis restarts at a window's
-    first frame, and a frame reads zeros past its window's end. Returns (distinct keys [K x 3], rows
+    first frame, and a frame reads zeros past its window's end. Every
+    frame that reads nothing before the recording's end (the sample
+    before it included, when pre-emphasis reads it) is all zeros, and
+    shares the key (end, 0, 0). Returns (distinct keys [K x 3], rows
     [windows x frames] into them, -1 for a zero row).
     """
     L, S = params.frame_len, params.frame_step
@@ -97,7 +126,10 @@ def _crop_rows(windows: list, params: MfccParams, frames: int):
         j = max(0, (count - frames) // 2) + np.arange(min(count, frames))
         s = a + S * j
         # pre-emphasis restarts at a window's first frame (at 0 it does anyway)
-        keys.append(np.stack([s, (j == 0) & (a > 0), np.clip(b - s, 0, L)], 1))
+        restart = (j == 0) & (a > 0)
+        key = np.stack([s, restart, np.clip(b - s, 0, L)], 1)
+        key[s + restart > end] = (end, 0, 0)
+        keys.append(key)
         slots.append(max(0, (frames - count) // 2) + np.arange(j.size))
     keys, inverse = np.unique(np.concatenate(keys), axis=0, return_inverse=True)
     rows = np.full((len(windows), frames), -1)
@@ -128,10 +160,12 @@ def _build_frames(samples: np.ndarray, offset: int, keys: np.ndarray,
     preemphasis * x[n-1], restarting with y = x at the recording's first
     sample and at `start` if the frame restarts there.
     `samples` hold the recording from sample `offset` on, from one
-    sample before the first frame, for pre-emphasis."""
+    sample before the first frame that reads any, for pre-emphasis."""
     s, restart, real = keys.T
     offsets = np.arange(params.frame_len)
     inside = offsets < real[:, None]
+    if not samples.size:  # every frame lies in the padding
+        return np.zeros(inside.shape)
     idx = np.where(inside, (s - offset)[:, None] + offsets, 0)
     frames = samples[idx] - params.preemphasis * samples[np.maximum(idx - 1, 0)]
     first = (restart == 1) | (s == 0)
@@ -156,8 +190,9 @@ def extract_chunks(source: AudioClip | SynthSpec, plans: ChunkPlan | list,
     the distinct frames of the crops are built, and they are featurized
     in one `mfcc` call, bit for bit as each chunk featurized alone would
     give them (see `_crop_rows`). An optional Poisson mask is applied
-    once, to those rows; it maps zero rows to zero. `params` are
-    validated first.
+    once, to those rows; it maps zero rows to zero. Chunks whose crops
+    read the same frame rows share one crop (`Chunks.index`), so a
+    member embeds it once. `params` are validated first.
     """
     params.validate()
     plans = [plans] if isinstance(plans, ChunkPlan) else list(plans)
@@ -166,14 +201,23 @@ def extract_chunks(source: AudioClip | SynthSpec, plans: ChunkPlan | list,
     rate = source.sample_rate
     windows = [(int(round(start * rate)), int(round(end * rate)))
                for p in plans for start, end in p.intervals]
-    keys, rows = _crop_rows(windows, params, frames)
+    end = (source.num_samples if isinstance(source, SynthSpec)
+           else source.samples.size)
+    keys, rows = _crop_rows(windows, params, frames, end)
     # The crops read from the sample before their first frame (for
     # pre-emphasis) to their last real sample.
-    lo = max(int(keys[:, 0].min()) - 1, 0)
-    hi = int((keys[:, 0] + keys[:, 2]).max())
+    live = keys[keys[:, 2] > 0]
+    lo = max(int(live[:, 0].min()) - 1, 0) if live.size else 0
+    hi = int((live[:, 0] + live[:, 2]).max()) if live.size else 0
     real, samples = _read_span(source, lo, hi)
     image = mfcc(real, params, frames=_build_frames(samples, lo, keys, params))
     if mask is not None:
         image = apply_poisson_mask(image, mask)
     table = np.vstack([image.values, np.zeros(params.num_cepstra)])
-    return Chunks(table[rows], masked=mask is not None)
+    # Windows whose crops read the same frame rows share one crop,
+    # numbered in the order of the first window that reads each.
+    crops: dict = {}  # frame rows -> (crop, first window)
+    index = [crops.setdefault(r.tobytes(), (len(crops), i))[0]
+             for i, r in enumerate(rows)]
+    return Chunks(table[rows[[i for _, i in crops.values()]]],
+                  mask is not None, np.array(index))

@@ -149,7 +149,7 @@ def train_fusion(fusion: FusionModel, chunks: Chunks, metadata: np.ndarray,
     if frozen:
         emb_all = np.concatenate(M.embed_chunks(members, chunks), axis=1)
     else:
-        inputs = [M.member_inputs(m, chunks) for m in members]
+        inputs = [chunks.expand(M.member_inputs(m, chunks)) for m in members]
     fusion_state = nn.AdamState(fusion.weights)
     member_states = [nn.AdamState(m.weights) for m in members]
     dims = np.cumsum([0] + [m.arch.embedding_dim for m in members])

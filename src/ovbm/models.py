@@ -470,7 +470,7 @@ def train(model: BiomarkerModel, chunks: Chunks, labels, config: TrainConfig,
     needed = {name for name, on in model.trainable.items() if on}
     head_only = needed == {"head"}
     source = (embed_chunks([model], chunks)[0] if head_only
-              else member_inputs(model, chunks))
+              else chunks.expand(member_inputs(model, chunks)))
     state = nn.AdamState(model.weights)
 
     def step(batch, t):
@@ -581,11 +581,12 @@ _ALWAYS_MASK = frozenset(e.biomarker_id for e in build_registry().entries
 
 
 def member_inputs(member: BiomarkerModel, chunks: Chunks) -> np.ndarray:
-    """[N, H, W] inputs of a member over chunks. The degradation-sensitive
+    """[K, H, W] inputs of a member over the chunks' distinct crops
+    (`chunks.expand` gives them per chunk). The degradation-sensitive
     member always sees masked features: chunks not masked at extraction
     are masked here (the mask is elementwise, so masking all images at
     once changes no bit)."""
-    x = chunks.images
+    x = chunks.crops
     if x.shape[1:] != member.arch.input_shape:
         raise ShapeMismatch(f"chunk images are {x.shape[1:]}, arch expects "
                             f"{member.arch.input_shape}")
@@ -605,21 +606,24 @@ def _body_key(member: BiomarkerModel) -> tuple:
 def embed_chunks(members: list, chunks: Chunks) -> list:
     """Each member's embeddings [N, E] of chunks.
 
-    Embeddings are kept on `chunks.embeddings` by member body, so calls
-    on the same Chunks run each distinct body once: under the `frozen`
-    strategy the tune step, both fusion trainings and the run's
-    training-subject scores share the pretrained bodies' embeddings.
-    Bodies run in batches of EVAL_BATCH."""
+    Each body runs over the distinct crops only, in batches of
+    EVAL_BATCH, and the rows are expanded to the chunks by
+    `chunks.index`. Embeddings are kept on `chunks.embeddings` by member
+    body, so calls on the same Chunks (or on its `head`s) run each
+    distinct body once: under the `frozen` strategy the tune step, both
+    fusion trainings and the run's training-subject scores share the
+    pretrained bodies' embeddings."""
     embs = []
+    k = len(chunks.crops)
     for m in members:
         key = _body_key(m)
-        if key not in chunks.embeddings:
+        if len(chunks.embeddings.get(key, ())) < k:
             x = member_inputs(m, chunks)
             chunks.embeddings[key] = np.concatenate(
                 [np.zeros((0, m.arch.embedding_dim))]
                 + [forward_batch(m, x[i:i + EVAL_BATCH])[0]
-                   for i in range(0, len(x), EVAL_BATCH)])
-        embs.append(chunks.embeddings[key])
+                   for i in range(0, k, EVAL_BATCH)])
+        embs.append(chunks.expand(chunks.embeddings[key][:k]))
     return embs
 
 

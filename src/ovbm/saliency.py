@@ -16,8 +16,9 @@ import numpy as np
 
 from .aggregation import AggregationScheme, aggregate
 from .audio_io import AudioClip, SubjectRecord
-from .chunker import Chunks, chunk_plan, extract_chunks
-from .fusion import FusionModel, metadata_vector, score_chunks
+from .chunker import chunk_plan, extract_chunks
+from .fusion import (FusionModel, fuse_from_embeddings, metadata_vector,
+                     score_chunks)
 from .models import build_registry, embed_chunks, head_batches
 
 SALIENCY_CSV_COLUMNS = "subject_id,family,biomarker_id,score"
@@ -79,7 +80,8 @@ def saliency_map(record: SubjectRecord, clip: AudioClip, tuned_members: list,
 
     # Every distinct chunk plan (the run's, then the chunk-scale
     # probes, whose stride is capped so windows keep covering the
-    # recording without gaps), all cut from one featurization.
+    # recording without gaps), all cut from one featurization. Chunks
+    # whose crops coincide share one, so each body embeds it once.
     run_plan = (chunk_size, stride)
     keys = list(dict.fromkeys(
         [run_plan] + [(e.chunk_size, min(stride, e.chunk_size))
@@ -87,14 +89,17 @@ def saliency_map(record: SubjectRecord, clip: AudioClip, tuned_members: list,
                       if e.kind == "ensemble_chunk_size"]))
     plans = [chunk_plan(clip.duration, size, step) for size, step in keys]
     flat = extract_chunks(clip, plans, params, mask, frames)
-    ends = np.cumsum([p.count for p in plans])
-    chunks = {key: Chunks(flat.images[end - plan.count:end], flat.masked)
-              for key, plan, end in zip(keys, plans, ends)}
+    run_chunks = flat.head(plans[0].count)
 
-    # The main, pretuned and tuned members all score the run's chunks,
-    # so each distinct member body runs once on them.
-    main_probs = {key: score_chunks(main, chunks[key], metadata) for key in keys}
-    run_chunks = chunks[run_plan]
+    # The main ensemble scores every plan, each on its own rows; the
+    # pretuned and tuned members score the run's chunks, whose crops
+    # come first. Under `frozen` all three share their bodies.
+    main_emb = np.concatenate(embed_chunks(main.members, flat), axis=1)
+    ends = np.cumsum([p.count for p in plans])
+    main_probs = {
+        key: fuse_from_embeddings(main, main_emb[end - plan.count:end],
+                                  np.tile(metadata, (plan.count, 1)))[0]
+        for key, plan, end in zip(keys, plans, ends)}
     pt_probs = score_chunks(pt, run_chunks, metadata)
     own_healthy = {m.biomarker_id: head_batches(m, emb)[:, 0]
                    for m, emb in zip(tuned_members,

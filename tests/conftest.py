@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import ovbm.models as models
 from ovbm.chunker import chunk_plan, extract_chunks
 from ovbm.models import CnnArch, pack_tensor_records, read_weight_file
 from ovbm.pipeline import RunConfig, TrainedPipeline, run_training, save_pipeline
@@ -137,6 +138,20 @@ def clip_image(clip, params) -> np.ndarray:
     count = len(own_frames(clip.samples, params))
     return extract_chunks(clip, chunk_plan(clip.duration, clip.duration),
                           params, None, count).images[0]
+
+
+def count_forward_images(monkeypatch) -> list:
+    """Patch `models.forward_batch` to record how many images each call
+    forwards, and return the list they go to."""
+    images = []
+    forward_batch = models.forward_batch
+
+    def counting(model, x, want_cache=False):
+        images.append(x.shape[0])
+        return forward_batch(model, x, want_cache)
+
+    monkeypatch.setattr(models, "forward_batch", counting)
+    return images
 
 
 def random_images(n: int, shape=(10, 8), seed: int = 0) -> list:

@@ -94,6 +94,26 @@ class TestWavParsing:
         np.testing.assert_array_equal(load_wav(path).samples,
                                       pairs.mean(axis=1))
 
+    @pytest.mark.parametrize("dtype,audio_format,bits,scale", [
+        ("<i2", 1, 16, 32768.0), ("<f4", 3, 32, 1.0)],
+        ids=["pcm16", "float32"])
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_downmix_over_every_bit_pattern(self, tmp_path_factory, dtype,
+                                            audio_format, bits, scale, seed):
+        # Any finite sample pair, tiny and huge floats and the int16
+        # extremes included, folds to (a / scale + b / scale) / 2 in
+        # float64, bit for bit.
+        rng = np.random.default_rng(seed)
+        raw = rng.integers(0, 256, 4 * 257, dtype=np.uint8).view(dtype)
+        raw = raw[np.isfinite(raw)]
+        raw = raw[:raw.size // 2 * 2]
+        path = tmp_path_factory.mktemp("wav") / "st.wav"
+        path.write_bytes(_wav_bytes(raw.tobytes(), channels=2,
+                                    audio_format=audio_format, bits=bits))
+        pairs = raw.astype(np.float64).reshape(-1, 2) / scale
+        want = (pairs[:, 0] + pairs[:, 1]) / 2.0
+        assert load_wav(path).samples.tobytes() == want.tobytes()
+
     def test_skips_unknown_chunks_word_aligned(self, tmp_path):
         # 3-byte junk chunk must be skipped with its pad byte
         junk = b"junk" + struct.pack("<I", 3) + b"abc\x00"

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from conftest import own_frames
 from ovbm.audio_io import AudioClip, SynthSpec, synth_clip
-from ovbm.chunker import chunk_plan, extract_chunks
+from ovbm.chunker import ChunkPlan, chunk_plan, extract_chunks
 import ovbm.chunker as chunker
 from ovbm.degradation import PoissonMaskConfig, apply_poisson_mask
 from ovbm.mfcc import MfccImage, MfccParams, mfcc
-from ovbm.models import build_registry
+from ovbm.models import CnnArch, build_registry, embed_chunks, init_cnn
 from ovbm.synthesis import surrogate_dataset, surrogate_spec
 
 
@@ -242,7 +242,8 @@ class TestOneFeaturization:
         # Four 8 s windows 0.5 s apart (799 frames each) and one 20 s
         # window on a 9.1 s clip. The 64-frame crops start at 3.67,
         # 4.17, 4.67 and 5.17 s, so they share frames: 214 distinct ones.
-        # The 20 s window's crop starts at 9.67 s, in the padding.
+        # The 20 s window's crop starts at 9.67 s, in the padding: its
+        # 64 all-zero frames are one frame.
         rows = []
         monkeypatch.setattr(
             chunker, "mfcc",
@@ -252,7 +253,7 @@ class TestOneFeaturization:
                  chunk_plan(clip.duration, 20.0, 2.0)]
         assert [p.count for p in plans] == [4, 1]
         extract_chunks(clip, plans, FAST, None, 64)
-        assert rows == [214 + 64]
+        assert rows == [214 + 1]
 
 
 class TestSurrogates:
@@ -316,3 +317,59 @@ class TestSpecSource:
         # 399 frames; the crop is frames 167-230, and pre-emphasis reads
         # the sample before frame 167
         assert spans == [(167 * 160 - 1, 230 * 160 + 320)]
+
+
+class TestSharedCrops:
+    """Chunks whose crops read the same frames share one crop, which
+    members embed once."""
+
+    @given(spans_specs(), st.lists(PLAN_STEPS, min_size=1, max_size=4),
+           st.sampled_from(MASKS), st.sampled_from([2, 16, 64]))
+    def test_each_chunk_is_its_own_crop(self, spec, steps, mask, frames):
+        clip = synth_clip(spec)
+        plans = [chunk_plan(clip.duration, size / 200, stride / 200)
+                 for size, stride in steps]
+        chunks = extract_chunks(clip, plans, FAST, mask, frames)
+        spans = [(p, span) for p in plans for span in p.intervals]
+        assert len(chunks) == len(spans)
+        # crops come in the order of the first chunk that reads each
+        index = chunks.index.tolist()
+        assert sorted(set(index)) == list(range(len(chunks.crops)))
+        assert [index.index(k) for k in range(len(chunks.crops))] == \
+            sorted(index.index(k) for k in range(len(chunks.crops)))
+        for image, k, (plan, span) in zip(chunks.images, index, spans):
+            alone = extract_chunks(clip, ChunkPlan(plan.chunk_size,
+                                                   plan.stride, [span]),
+                                   FAST, mask, frames)
+            np.testing.assert_array_equal(image, alone.images[0])
+            np.testing.assert_array_equal(image, chunks.crops[k])
+        model = init_cnn(CnnArch((frames, FAST.num_cepstra), 2, 1, 4), 2,
+                         seed=1)
+        emb = embed_chunks([model], chunks)[0]
+        for i, k in enumerate(index):
+            np.testing.assert_array_equal(emb[i], emb[index.index(k)])
+
+    def test_probe_crops_coincide_at_a_2s_stride(self):
+        # The 14 s window at t has its centre at t + 7 s, where the 2 s
+        # window at t + 6 s has its own; the 20 s window at t and the
+        # 8 s window at t + 6 s share a centre too.
+        clip = _clip(32.0)
+        plans = [chunk_plan(clip.duration, size, 2.0) for size in (2, 8, 14, 20)]
+        chunks = extract_chunks(clip, plans, FAST, None, 64)
+        assert [p.count for p in plans] == [16, 13, 10, 7]
+        assert len(chunks) == 46
+        assert len(chunks.crops) == 16 + 13
+        np.testing.assert_array_equal(chunks.index[29:39], np.arange(3, 13))
+        np.testing.assert_array_equal(chunks.index[39:], np.arange(19, 26))
+
+    def test_padding_crops_coincide(self):
+        # On a 5 s clip the 14 s and 20 s windows' crops lie wholly in
+        # the zero padding, so they read the same all-zero frames.
+        clip = _clip(5.0)
+        plans = [chunk_plan(clip.duration, size, 2.0) for size in (8, 14, 20)]
+        chunks = extract_chunks(clip, plans, FAST, None, 64)
+        assert chunks.index.tolist() == [0, 1, 1]
+        # alone, such a crop reads no sample of the recording
+        alone = extract_chunks(clip, plans[2], FAST, None, 64)
+        np.testing.assert_array_equal(alone.images[0], chunks.images[2])
+        _assert_own_mfcc(clip, plans[2], alone.images, None, 64)

@@ -8,6 +8,7 @@ from conftest import (
     BAD_MODEL_DESCRIPTORS,
     BAD_MODEL_TENSORS,
     MICRO_ARCH,
+    count_forward_images,
     random_images,
     record_boundaries,
     replace_descriptor,
@@ -15,6 +16,7 @@ from conftest import (
 )
 from ovbm.chunker import Chunks
 from ovbm.models import (
+    EVAL_BATCH,
     BiomarkerModel,
     CnnArch,
     NTooLarge,
@@ -110,6 +112,41 @@ class TestForward:
         emb2, probs2, _ = forward_batch(model, x)
         np.testing.assert_array_equal(emb1, emb2)
         np.testing.assert_array_equal(head_batches(model, emb1), probs2)
+
+
+class TestChunkEmbeddings:
+    def test_array_chunks_embed_every_image(self, monkeypatch):
+        # Built from an array, each chunk is its own crop, even where two
+        # images are equal, so the bodies run the batches they always
+        # did: each EVAL_BATCH slice of the images, byte for byte.
+        model = init_cnn(MICRO_ARCH, 2, seed=2)
+        x = np.stack(random_images(150, seed=5))
+        x[7] = x[3]
+        want = np.concatenate([forward_batch(model, x[i:i + EVAL_BATCH])[0]
+                               for i in range(0, len(x), EVAL_BATCH)])
+        chunks = Chunks(x, False)
+        np.testing.assert_array_equal(chunks.index, np.arange(150))
+        images = count_forward_images(monkeypatch)
+        got = embed_chunks([model], chunks)[0]
+        assert images == [64, 64, 22]
+        assert got.tobytes() == want.tobytes()
+
+    def test_shared_crops_embed_once(self, monkeypatch):
+        model = init_cnn(MICRO_ARCH, 2, seed=2)
+        crops = np.stack(random_images(3, seed=6))
+        index = np.array([0, 1, 0, 2, 1])
+        chunks = Chunks(crops, False, index)
+        np.testing.assert_array_equal(chunks.images, crops[index])
+        images = count_forward_images(monkeypatch)
+        emb = embed_chunks([model], chunks)[0]
+        assert images == [3]
+        np.testing.assert_array_equal(emb, forward_batch(model, crops)[0][index])
+        # the first two chunks read the first two crops, and share the
+        # embeddings already made
+        head = chunks.head(2)
+        assert len(head) == 2 and len(head.crops) == 2
+        np.testing.assert_array_equal(embed_chunks([model], head)[0], emb[:2])
+        assert images == [3]
 
 
 def loss_and_grads(model, img, target, needed):

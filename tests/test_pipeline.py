@@ -11,9 +11,9 @@ import ovbm
 import ovbm.models as M
 import ovbm.pipeline as P
 import ovbm.saliency as S
-from conftest import micro_run_config
-from ovbm.audio_io import parse_manifest
-from ovbm.chunker import Chunks, chunk_plan
+from conftest import count_forward_images, micro_run_config
+from ovbm.audio_io import AudioClip, parse_manifest
+from ovbm.chunker import Chunks, chunk_plan, extract_chunks
 from ovbm.pipeline import (
     FeatureStore,
     RunConfig,
@@ -286,14 +286,23 @@ def last1_pipeline(corpus_dir):
     return run_training(micro_run_config(corpus_dir, strategy="last:1"))
 
 
-def _probe_plan_counts(pipe, clip) -> list:
-    """Chunk counts of the distinct plans one saliency map scores, the
-    run's plan first."""
+def _distinct_images(pipe, clip) -> tuple:
+    """How many distinct chunk images one saliency map scores, over all
+    its plans and over the run's plan alone, told apart by content."""
     config = pipe.config
     keys = [(config.chunk_size, config.stride)] + [
         (e.chunk_size, min(config.stride, e.chunk_size))
         for e in pipe.registry.entries if e.kind == "ensemble_chunk_size"]
-    return [chunk_plan(clip.duration, *k).count for k in dict.fromkeys(keys)]
+    plans = [chunk_plan(clip.duration, *k) for k in dict.fromkeys(keys)]
+    assert len(plans) == 4  # the run's plan, then the 8, 14 and 20 s probes
+    images = extract_chunks(clip, plans, config.mfcc_params(), config.mask(),
+                            config.arch_frames).images.reshape(
+                                sum(p.count for p in plans), -1)
+
+    def distinct(rows):
+        return len(np.unique(rows, axis=0))
+
+    return distinct(images), distinct(images[:plans[0].count])
 
 
 class TestEmbeddingMemo:
@@ -341,28 +350,50 @@ class TestEmbeddingMemo:
             monkeypatch.setattr(module, "embed_chunks", alone)
         assert outputs() == shared
 
-    @pytest.mark.parametrize("fixture,run_plan_images", [
+    @pytest.mark.parametrize("fixture,run_plan_bodies", [
         ("micro_pipeline", 8),    # main, pretuned and tuned share bodies
         ("last1_pipeline", 24)])  # joint and tune training moved them all
-    def test_saliency_images_per_chunk(self, fixture, run_plan_images,
+    def test_saliency_images_per_chunk(self, fixture, run_plan_bodies,
                                        request, monkeypatch):
+        # The main ensemble's 8 bodies embed each distinct crop of every
+        # plan once; bodies only the pretuned and tuned members have
+        # embed the run plan's distinct crops.
         pipe = request.getfixturevalue(fixture)
         config = pipe.config
         rec = parse_manifest(config.manifest)[0]
         clip = load_clip(config.manifest, rec, config.sample_rate)
-        images = []
-        forward_batch = M.forward_batch
-
-        def counting(model, x, want_cache=False):
-            images.append(x.shape[0])
-            return forward_batch(model, x, want_cache)
-
-        monkeypatch.setattr(M, "forward_batch", counting)
+        images = count_forward_images(monkeypatch)
         subject_saliency(pipe, rec, clip)
-        run_count, *probe_counts = _probe_plan_counts(pipe, clip)
-        assert probe_counts  # the 8, 14 and 20 s probes
-        assert sum(images) == (run_plan_images * run_count
-                               + 8 * sum(probe_counts))
+        every, run = _distinct_images(pipe, clip)
+        assert sum(images) == 8 * every + (run_plan_bodies - 8) * run
+
+    def test_long_clip_embeds_each_distinct_crop_once(self, micro_pipeline,
+                                                      monkeypatch):
+        # Corpus recordings end to end, 30 s or more. At the 2 s stride
+        # the crops of the 2 s and 14 s windows coincide, and so do
+        # those of the 8 s and 20 s ones: each is embedded once, by each
+        # of the 8 member bodies the three ensembles share.
+        pipe = micro_pipeline
+        config = pipe.config
+        records = parse_manifest(config.manifest)
+        parts = []
+        while sum(p.size for p in parts) < 30 * config.sample_rate:
+            rec = records[len(parts)]
+            parts.append(load_clip(config.manifest, rec,
+                                   config.sample_rate).samples)
+        clip = AudioClip(np.concatenate(parts), config.sample_rate)
+        rec = records[0]
+        d = diagnose_subject(pipe, rec, clip)
+        images = count_forward_images(monkeypatch)
+        smap = subject_saliency(pipe, rec, clip)
+        every, _ = _distinct_images(pipe, clip)
+        chunks = len(d.chunk_probabilities) + sum(
+            chunk_plan(clip.duration, size, 2.0).count for size in (8, 14, 20))
+        assert every < chunks
+        assert sum(images) == 8 * every
+        for entry_id in ("symbolic_average", "brainos_chunk2"):
+            assert abs(smap.by_id(entry_id).score
+                       - (1.0 - d.probability)) <= 1e-12
 
     @staticmethod
     def _images_inside(monkeypatch, wrapped) -> list:
