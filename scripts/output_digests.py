@@ -19,8 +19,20 @@ how much.
 
 Run it in two checkouts with the same --work (each run's config.json
 records the manifest path) and `diff` the two listings: no difference
-means every artifact and report is byte-identical. It is not part of the
-test suite; it takes a few minutes on two cores.
+means every artifact and report is byte-identical. The listing is not
+part of the test suite; it takes a few minutes on two cores.
+
+    python3 scripts/output_digests.py --work /tmp/ovbm-golden \
+        --golden tests/golden/outputs.json
+
+rewrites the fixture that `tests/test_golden.py` pins outputs to, from
+three of these runs (`GOLDEN_RUNS`): per-subject decisions and chunk
+probabilities, saliency scores, `metrics.json` accuracies and the
+fusion's final epoch loss. Only a change whose stated purpose includes
+an output change may regenerate it, and that change lists every moved
+value, with its largest move, in CHANGES.md. A change that claims
+identical outputs never mends a failing golden test by regenerating the
+fixture.
 """
 
 import argparse
@@ -48,6 +60,9 @@ CORPUS_SUBJECTS, CORPUS_SEED = 8, 3  # the test suite's corpus_dir fixture
 SHORT_CHUNKS = dict(strategy="frozen", chunk_size=0.5, stride=0.5,
                     arch_frames=64)
 LONG_RECORDINGS = dict(strategy="frozen", poisson_mask=False, arch_frames=64)
+# The runs the golden fixture records: training under the frozen and a
+# partly trainable strategy, the mask on and off, and the probes at length.
+GOLDEN_RUNS = ("frozen_mask_on", "last1_mask_off", "long_recordings")
 
 
 def run(*argv) -> None:
@@ -86,6 +101,43 @@ def outcome_lines(out: str) -> list:
     return lines
 
 
+def golden_record(out: str) -> dict:
+    """What the golden fixture records of the run trained into `out`:
+    each subject's decision and chunk probabilities, each saliency
+    score, every accuracy field of `metrics.json`, the run's counts and
+    the fusion's final epoch loss."""
+    with open(os.path.join(out, "diagnoses.json")) as fh:
+        diagnoses = json.load(fh)
+    with open(os.path.join(out, "run", "metrics.json")) as fh:
+        metrics = json.load(fh)
+    with open(os.path.join(out, "saliency", "saliency.json")) as fh:
+        saliency = {smap["subject_id"]: {e["biomarker_id"]: e["score"]
+                                         for e in smap["entries"]}
+                    for smap in json.load(fh)}
+    return {
+        "subjects": {sid: {k: d[k] for k in ("label", "probability",
+                                              "chunk_probabilities")}
+                     for sid, d in sorted(diagnoses.items())},
+        "saliency": saliency,
+        "accuracy": dict(accuracy_fields(metrics)),
+        "counts": metrics["counts"],
+        "final_epoch_loss": metrics["fusion"]["final_epoch_loss"],
+    }
+
+
+def golden_outputs(work: str) -> dict:
+    """Train and score the GOLDEN_RUNS under `work` (emptied first);
+    returns what the golden fixture records of each, by run name."""
+    shutil.rmtree(work, ignore_errors=True)
+    runs = run_plans(work)
+    outs = {}
+    for name in GOLDEN_RUNS:
+        out = os.path.join(work, name)
+        run_all(out, *runs[name])
+        outs[name] = golden_record(out)
+    return outs
+
+
 def write_long_manifest(corpus: str) -> str:
     """A manifest of two recordings, the corpus clips end to end in
     manifest order and in reverse; returns its path."""
@@ -104,8 +156,7 @@ def write_long_manifest(corpus: str) -> str:
     return manifest
 
 
-def run_all(out: str, config: dict, manifest: str,
-            compare: str = "s000,s001") -> str:
+def run_all(out: str, config: dict, manifest: str, compare: str) -> str:
     """Train one config into `out` and run every per-run command on it,
     over the subjects of `manifest`; returns the run directory."""
     os.makedirs(out)
@@ -126,33 +177,51 @@ def run_all(out: str, config: dict, manifest: str,
     return run_dir
 
 
-def main() -> None:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--work", required=True,
-                   help="scratch directory; emptied first")
-    work = os.path.abspath(p.parse_args().work)
-    shutil.rmtree(work, ignore_errors=True)
+def run_plans(work: str) -> dict:
+    """Write the corpus and the long-recording manifest under `work`;
+    returns every run's name -> (config, the manifest it scores, the
+    subjects it compares), in listing order."""
     corpus = os.path.join(work, "corpus")
     write_corpus(corpus, CORPUS_SUBJECTS, seed=CORPUS_SEED)
     manifest = os.path.join(corpus, "manifest.csv")
     base = micro_run_config(corpus).to_dict()
-    outs = []
+    runs = {}
+    for strategy in STRATEGIES:
+        for mask in (True, False):
+            name = f"{strategy.replace(':', '')}_mask_{'on' if mask else 'off'}"
+            runs[name] = (dict(base, strategy=strategy, poisson_mask=mask),
+                          manifest, "s000,s001")
+    runs["short_chunks"] = (dict(base, **SHORT_CHUNKS), manifest, "s000,s001")
+    runs["long_recordings"] = (dict(base, **LONG_RECORDINGS),
+                               write_long_manifest(corpus), "l000,l001")
+    return runs
 
+
+def main() -> None:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--work", required=True,
+                   help="scratch directory; emptied first")
+    p.add_argument("--golden", metavar="PATH",
+                   help="write the golden fixture to PATH instead of the "
+                        "listing")
+    args = p.parse_args()
+    work = os.path.abspath(args.work)
+    if args.golden:
+        with open(args.golden, "w") as fh:
+            json.dump(golden_outputs(work), fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        return
+    shutil.rmtree(work, ignore_errors=True)
+    outs = []
+    for name, plan in run_plans(work).items():
+        outs.append(os.path.join(work, name))
+        run_all(outs[-1], *plan)
     for strategy in STRATEGIES:
         name = strategy.replace(":", "")
-        runs = {}
-        for mask in (True, False):
-            out = os.path.join(work, f"{name}_mask_{'on' if mask else 'off'}")
-            runs[mask] = run_all(out, dict(base, strategy=strategy,
-                                           poisson_mask=mask), manifest)
-            outs.append(out)
-        run("report", "ablation", "--pairs", f"{runs[False]}:{runs[True]}",
+        run("report", "ablation", "--pairs",
+            ":".join(os.path.join(work, f"{name}_mask_{mask}", "run")
+                     for mask in ("off", "on")),
             "--out", os.path.join(work, f"{name}_ablation"))
-    outs.append(os.path.join(work, "short_chunks"))
-    run_all(outs[-1], dict(base, **SHORT_CHUNKS), manifest)
-    outs.append(os.path.join(work, "long_recordings"))
-    run_all(outs[-1], dict(base, **LONG_RECORDINGS),
-            write_long_manifest(corpus), compare="l000,l001")
 
     for dirpath, dirnames, filenames in os.walk(work):
         dirnames.sort()

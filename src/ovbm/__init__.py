@@ -13,7 +13,7 @@ from .audio_io import (
     write_wav,
 )
 from .chunker import ChunkPlan, Chunks, chunk_plan, extract_chunks
-from .degradation import PoissonMaskConfig, apply_poisson_mask, poisson_pmf
+from .degradation import apply_poisson_mask, poisson_pmf
 from .fusion import (
     FusionModel,
     build_fusion,
@@ -60,7 +60,7 @@ __all__ = [
     "AudioClip", "SubjectRecord", "SynthSpec", "load_wav", "parse_manifest",
     "synth_clip", "write_wav",
     "ChunkPlan", "Chunks", "chunk_plan", "extract_chunks",
-    "PoissonMaskConfig", "apply_poisson_mask", "poisson_pmf",
+    "apply_poisson_mask", "poisson_pmf",
     "FusionModel", "build_fusion", "load_ensemble",
     "metadata_vector", "save_ensemble", "train_fusion",
     "MfccImage", "MfccParams", "mfcc", "mfcc_oracle",

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio_io import AudioClip, EmptyAudio, SynthSpec, synth_clip
-from .degradation import PoissonMaskConfig, apply_poisson_mask
-from .mfcc import MfccParams, mfcc
+from .degradation import apply_poisson_mask
+from .mfcc import PREEMPHASIS, MfccParams, mfcc
 
 DEFAULT_STRIDE = 2.0
 
@@ -45,10 +45,10 @@ class Chunks:
     the order their first chunk comes; `index` [N] maps each chunk to its
     crop, and `images` [N, ...] is `crops[index]`. All three are
     read-only. Built from an array of images, each chunk is its own crop.
-    `masked` says whether the run's Poisson mask was applied at
-    extraction. `embeddings` holds member embeddings of the crops by
-    member body, filled by `models.embed_chunks`, so every call on the
-    same Chunks runs each distinct body once over each distinct crop."""
+    `masked` says whether the Poisson mask was applied at extraction.
+    `embeddings` holds member embeddings of the crops by member body,
+    filled by `models.embed_chunks`, so every call on the same Chunks
+    runs each distinct body once over each distinct crop."""
 
     def __init__(self, crops: np.ndarray, masked: bool,
                  index: np.ndarray | None = None):
@@ -114,8 +114,9 @@ def _crop_rows(windows: list, params: MfccParams, frames: int, end: int):
     first frame, and a frame reads zeros past its window's end. Every
     frame that reads nothing before the recording's end (the sample
     before it included, when pre-emphasis reads it) is all zeros, and
-    shares the key (end, 0, 0). Returns (distinct keys [K x 3], rows
-    [windows x frames] into them, -1 for a zero row).
+    shares the key (end, 0, 0). Returns (distinct keys [K x 3], in the
+    order of the first crop frame that reads each, rows [windows x
+    frames] into them, -1 for a zero row).
     """
     L, S = params.frame_len, params.frame_step
     keys, slots = [], []
@@ -131,11 +132,13 @@ def _crop_rows(windows: list, params: MfccParams, frames: int, end: int):
         key[s + restart > end] = (end, 0, 0)
         keys.append(key)
         slots.append(max(0, (frames - count) // 2) + np.arange(j.size))
-    keys, inverse = np.unique(np.concatenate(keys), axis=0, return_inverse=True)
+    distinct: dict = {}  # key -> its row among the distinct keys
+    inverse = [distinct.setdefault(k, len(distinct))
+               for k in map(tuple, np.concatenate(keys).tolist())]
     rows = np.full((len(windows), frames), -1)
     rows[np.repeat(np.arange(len(windows)), [len(t) for t in slots]),
-         np.concatenate(slots)] = inverse.ravel()
-    return keys, rows
+         np.concatenate(slots)] = inverse
+    return np.array(list(distinct)), rows
 
 
 def _read_span(source: AudioClip | SynthSpec, lo: int, hi: int):
@@ -157,7 +160,7 @@ def _build_frames(samples: np.ndarray, offset: int, keys: np.ndarray,
                   params: MfccParams) -> np.ndarray:
     """Pre-emphasized frames for (start, restarts, real) keys: `real`
     samples from `start`, then zeros. Pre-emphasis is y[n] = x[n] -
-    preemphasis * x[n-1], restarting with y = x at the recording's first
+    PREEMPHASIS * x[n-1], restarting with y = x at the recording's first
     sample and at `start` if the frame restarts there.
     `samples` hold the recording from sample `offset` on, from one
     sample before the first frame that reads any, for pre-emphasis."""
@@ -167,7 +170,7 @@ def _build_frames(samples: np.ndarray, offset: int, keys: np.ndarray,
     if not samples.size:  # every frame lies in the padding
         return np.zeros(inside.shape)
     idx = np.where(inside, (s - offset)[:, None] + offsets, 0)
-    frames = samples[idx] - params.preemphasis * samples[np.maximum(idx - 1, 0)]
+    frames = samples[idx] - PREEMPHASIS * samples[np.maximum(idx - 1, 0)]
     first = (restart == 1) | (s == 0)
     frames[first, 0] = samples[s[first] - offset]
     frames[~inside] = 0.0
@@ -175,8 +178,7 @@ def _build_frames(samples: np.ndarray, offset: int, keys: np.ndarray,
 
 
 def extract_chunks(source: AudioClip | SynthSpec, plans: ChunkPlan | list,
-                   params: MfccParams, mask: PoissonMaskConfig | None,
-                   frames: int) -> Chunks:
+                   params: MfccParams, mask: bool, frames: int) -> Chunks:
     """Chunk images of every plan, each exactly what a member reads.
 
     `source` is a recording, or the SynthSpec of one. `plans` is one
@@ -189,9 +191,9 @@ def extract_chunks(source: AudioClip | SynthSpec, plans: ChunkPlan | list,
     is taken from the recording (and, for a SynthSpec, rendered), only
     the distinct frames of the crops are built, and they are featurized
     in one `mfcc` call, bit for bit as each chunk featurized alone would
-    give them (see `_crop_rows`). An optional Poisson mask is applied
-    once, to those rows; it maps zero rows to zero. Chunks whose crops
-    read the same frame rows share one crop (`Chunks.index`), so a
+    give them (see `_crop_rows`). With `mask`, the Poisson mask is
+    applied once, to those rows; it maps zero rows to zero. Chunks whose
+    crops read the same frame rows share one crop (`Chunks.index`), so a
     member embeds it once. `params` are validated first.
     """
     params.validate()
@@ -211,13 +213,13 @@ def extract_chunks(source: AudioClip | SynthSpec, plans: ChunkPlan | list,
     hi = int((live[:, 0] + live[:, 2]).max()) if live.size else 0
     real, samples = _read_span(source, lo, hi)
     image = mfcc(real, params, frames=_build_frames(samples, lo, keys, params))
-    if mask is not None:
-        image = apply_poisson_mask(image, mask)
+    if mask:
+        image = apply_poisson_mask(image)
     table = np.vstack([image.values, np.zeros(params.num_cepstra)])
     # Windows whose crops read the same frame rows share one crop,
     # numbered in the order of the first window that reads each.
     crops: dict = {}  # frame rows -> (crop, first window)
     index = [crops.setdefault(r.tobytes(), (len(crops), i))[0]
              for i, r in enumerate(rows)]
-    return Chunks(table[rows[[i for _, i in crops.values()]]],
-                  mask is not None, np.array(index))
+    return Chunks(table[rows[[i for _, i in crops.values()]]], mask,
+                  np.array(index))

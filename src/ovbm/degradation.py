@@ -1,37 +1,27 @@
 """Deterministic Poisson-likelihood degradation mask for feature images.
 
-Each feature value v is attenuated by the Poisson pmf evaluated at the
-integerized value: out = pmf(round_clamp(v); rate) * v. No sampling is
-involved, so the mask is a pure function and at rate 1.0 it can never
-amplify (max pmf is e^-1).
+Each feature value v is attenuated by the Poisson pmf at rate 1,
+evaluated at the value rounded to the nearest integer and clamped at
+zero: out = pmf(round_clamp(v); 1) * v. No sampling is involved and
+nothing is tunable: the mask is a fixed pure function, switched on or
+off per run, and at rate 1 it can never amplify (max pmf is e^-1).
+It maps zero to zero.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .mfcc import MfccImage
 
 _LOG_SPACE_K = 20  # above this, evaluate the pmf in log space
+MASK_RATE = 1.0  # the mask's Poisson rate (lambda)
 
 
 class NegativeK(ValueError):
     """Poisson pmf queried at a negative count."""
-
-
-@dataclass
-class PoissonMaskConfig:
-    rate: float = 1.0  # the Poisson rate parameter (lambda)
-    value_mapping: str = "round_clamp"
-
-    def validate(self) -> None:
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
-        if self.value_mapping != "round_clamp":
-            raise ValueError(f"unknown value mapping {self.value_mapping!r}")
 
 
 def poisson_pmf(k: int, rate: float = 1.0) -> float:
@@ -50,18 +40,14 @@ def poisson_pmf(k: int, rate: float = 1.0) -> float:
     return math.exp(k * math.log(rate) - rate - math.lgamma(k + 1))
 
 
-def mask_factors(values: np.ndarray, config: PoissonMaskConfig) -> np.ndarray:
-    """Per-element attenuation factors pmf(round_clamp(v); rate)."""
-    config.validate()
+def mask_factors(values: np.ndarray) -> np.ndarray:
+    """Per-element attenuation factors pmf(round_clamp(v); MASK_RATE)."""
     k = np.maximum(np.rint(values), 0.0).astype(np.int64)
     unique, inverse = np.unique(k, return_inverse=True)
-    table = np.array([poisson_pmf(int(u), config.rate) for u in unique])
+    table = np.array([poisson_pmf(int(u), MASK_RATE) for u in unique])
     return table[inverse].reshape(values.shape)
 
 
-def apply_poisson_mask(image: MfccImage,
-                       config: PoissonMaskConfig | None = None) -> MfccImage:
+def apply_poisson_mask(image: MfccImage) -> MfccImage:
     """Return a new image with every value attenuated by its pmf factor."""
-    config = PoissonMaskConfig() if config is None else config
-    factors = mask_factors(image.values, config)
-    return MfccImage(factors * image.values, image.params)
+    return MfccImage(mask_factors(image.values) * image.values, image.params)

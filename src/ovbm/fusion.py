@@ -69,6 +69,17 @@ class FusionModel:
         return sum(self.member_dims) + METADATA_DIM
 
 
+@dataclass
+class TrainResult:
+    """A trained ensemble, its fusion's chunk accuracy on each side of
+    the training split, and its per-epoch mean losses."""
+
+    model: FusionModel
+    train_accuracy: float
+    test_accuracy: float
+    epoch_losses: list
+
+
 def build_fusion(members: list, seed: int = 0) -> FusionModel:
     if not members:
         raise EmptyMembers("no members")
@@ -128,7 +139,7 @@ def score_chunks(fusion: FusionModel, chunks: Chunks,
 
 def train_fusion(fusion: FusionModel, chunks: Chunks, metadata: np.ndarray,
                  labels, config: M.TrainConfig,
-                 member_strategy: M.TransferStrategy) -> M.TrainResult:
+                 member_strategy: M.TransferStrategy) -> TrainResult:
     """Jointly train the fusion layer and whatever member layers the
     strategy permits through `models.fit`, on labeled chunks: `metadata`
     [N, METADATA_DIM] and `labels` [N] are each chunk's subject's. The
@@ -179,11 +190,15 @@ def train_fusion(fusion: FusionModel, chunks: Chunks, metadata: np.ndarray,
     emb_all = np.concatenate(M.embed_chunks(members, chunks), axis=1)
 
     def accuracy(idx):
+        """Share of the chunks at `idx` whose most probable class is the
+        label; NaN for none."""
+        if not idx.size:
+            return float("nan")
         probs, _ = fuse_from_embeddings(fusion, emb_all[idx], meta[idx])
-        return M.accuracy(probs, labels[idx])
+        return float(np.mean(np.argmax(probs, axis=1) == labels[idx]))
 
-    return M.TrainResult(fusion, accuracy(train_idx), accuracy(test_idx),
-                         epoch_losses)
+    return TrainResult(fusion, accuracy(train_idx), accuracy(test_idx),
+                       epoch_losses)
 
 
 # --------------------------------------------------------- persistence

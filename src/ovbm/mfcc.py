@@ -2,9 +2,11 @@
 
 Pipeline: pre-emphasized rectangular frames (cut by
 `chunker.extract_chunks`, the one framing path) -> NumPy real-FFT power
-spectrum (|X|^2 / fft_size) -> mel triangular filterbank -> log with a
-floor -> orthonormal DCT-II -> sinusoidal liftering -> coefficient 0
-replaced by the log total frame energy.
+spectrum (|X|^2 / fft_size) -> mel triangular filterbank from 0 Hz to
+Nyquist -> log with a floor -> orthonormal DCT-II -> sinusoidal
+liftering -> coefficient 0 replaced by the log total frame energy. The
+pre-emphasis coefficient, the filterbank's band and the log floor are
+the module constants below; `MfccParams` holds what a run sets.
 
 `mfcc_oracle` recomputes the whole chain with naive direct-DFT and
 naive DCT sums (O(N^2)); it exists so the fast path can be checked
@@ -21,6 +23,9 @@ import numpy as np
 from .audio_io import AudioClip, EmptyAudio
 
 CEP_LIFTER = 22  # sinusoidal lifter length applied to the cepstra
+PREEMPHASIS = 0.97  # y[n] = x[n] - PREEMPHASIS * x[n-1]
+LOW_FREQ = 0.0  # the filterbank's lower edge, Hz; its upper edge is Nyquist
+LOG_FLOOR = 1e-10  # energies are floored here before the log
 
 
 class RateMismatch(ValueError):
@@ -37,7 +42,7 @@ class OracleTooLarge(ValueError):
 
 @dataclass
 class MfccParams:
-    """Feature extraction knobs. Defaults: 20 ms / 10 ms rectangular
+    """Feature extraction settings. Defaults: 20 ms / 10 ms rectangular
     frames, 200 filters, 200 cepstra, 2048-point FFT at 16 kHz."""
 
     window_len: float = 0.020
@@ -46,10 +51,6 @@ class MfccParams:
     num_filters: int = 200
     fft_size: int = 2048
     sample_rate: int = 16000
-    preemphasis: float = 0.97
-    low_freq: float = 0.0
-    high_freq: float | None = None
-    log_floor: float = 1e-10
 
     @property
     def frame_len(self) -> int:
@@ -59,17 +60,11 @@ class MfccParams:
     def frame_step(self) -> int:
         return int(round(self.window_step * self.sample_rate))
 
-    @property
-    def resolved_high_freq(self) -> float:
-        return self.sample_rate / 2.0 if self.high_freq is None else self.high_freq
-
     def validate(self) -> None:
-        for name in ("window_len", "window_step", "log_floor"):
+        for name in ("window_len", "window_step"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if not 0.0 <= self.preemphasis < 1.0:
-            raise ValueError(f"preemphasis must be in [0, 1), got {self.preemphasis!r}")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
         for name, samples in (("window_len", self.frame_len),
@@ -85,24 +80,6 @@ class MfccParams:
             raise ValueError("fft_size must cover a whole frame")
         if self.fft_size & (self.fft_size - 1) or self.fft_size == 0:
             raise ValueError("fft_size must be a power of two")
-        if not 0.0 <= self.low_freq < self.resolved_high_freq:
-            raise ValueError("need 0 <= low_freq < high_freq")
-        if self.resolved_high_freq > self.sample_rate / 2.0 + 1e-9:
-            raise ValueError("high_freq above Nyquist")
-
-    def to_dict(self) -> dict:
-        return {
-            "window_len": self.window_len,
-            "window_step": self.window_step,
-            "num_cepstra": self.num_cepstra,
-            "num_filters": self.num_filters,
-            "fft_size": self.fft_size,
-            "sample_rate": self.sample_rate,
-            "preemphasis": self.preemphasis,
-            "low_freq": self.low_freq,
-            "high_freq": self.high_freq,
-            "log_floor": self.log_floor,
-        }
 
 
 @dataclass
@@ -133,7 +110,8 @@ _FILTERBANK_CACHE: dict = {}
 
 
 def mel_filterbank(params: MfccParams) -> FilterBank:
-    """Triangular filters with centers equally spaced on the mel axis.
+    """Triangular filters with centers equally spaced on the mel axis
+    from LOW_FREQ to Nyquist.
 
     Centers are quantized to FFT bins; if two adjacent edge/center
     points land on the same bin the bank is over-resolved for this FFT
@@ -142,13 +120,12 @@ def mel_filterbank(params: MfccParams) -> FilterBank:
     """
     params.validate()
     nfft = params.fft_size
-    key = (params.num_filters, nfft, params.sample_rate, params.low_freq,
-           params.resolved_high_freq)
+    key = (params.num_filters, nfft, params.sample_rate)
     if key in _FILTERBANK_CACHE:
         return _FILTERBANK_CACHE[key]
     mel_points = np.linspace(
-        hz_to_mel(params.low_freq),
-        hz_to_mel(params.resolved_high_freq),
+        hz_to_mel(LOW_FREQ),
+        hz_to_mel(params.sample_rate / 2.0),
         params.num_filters + 2,
     )
     hz_points = mel_to_hz(mel_points)
@@ -216,11 +193,11 @@ def _cepstra(frames: np.ndarray, params: MfccParams) -> np.ndarray:
     if total < BLOCK_FRAMES:
         ps = np.concatenate([ps, np.zeros((BLOCK_FRAMES - total, ps.shape[1]))])
     energies = ps @ mel_filterbank(params).weights.T
-    log_energies = np.log(np.maximum(energies, params.log_floor))
+    log_energies = np.log(np.maximum(energies, LOG_FLOOR))
     basis = dct2_matrix(params.num_filters)[: params.num_cepstra]
     feat = log_energies @ basis.T
     feat *= lifter_weights(params.num_cepstra)[None, :]
-    feat[:, 0] = np.log(np.maximum(ps.sum(axis=1), params.log_floor))
+    feat[:, 0] = np.log(np.maximum(ps.sum(axis=1), LOG_FLOOR))
     return feat[:total]
 
 
@@ -259,7 +236,7 @@ def mfcc_oracle(clip: AudioClip, params: MfccParams | None = None) -> MfccImage:
     x = clip.samples
     y = np.empty_like(x)
     for i in range(x.size):
-        y[i] = x[i] if i == 0 else x[i] - params.preemphasis * x[i - 1]
+        y[i] = x[i] if i == 0 else x[i] - PREEMPHASIS * x[i - 1]
 
     L, S = params.frame_len, params.frame_step
     if y.size < L:
@@ -290,7 +267,7 @@ def mfcc_oracle(clip: AudioClip, params: MfccParams | None = None) -> MfccImage:
     energies = np.zeros((num_frames, nfilt))
     for j in range(nfilt):
         energies[:, j] = np.sum(bank.weights[j] * ps, axis=1)
-    loge = np.log(np.maximum(energies, params.log_floor))
+    loge = np.log(np.maximum(energies, LOG_FLOOR))
 
     scale0, scale = math.sqrt(1.0 / nfilt), math.sqrt(2.0 / nfilt)
     feat = np.zeros((num_frames, ncep))
@@ -300,5 +277,5 @@ def mfcc_oracle(clip: AudioClip, params: MfccParams | None = None) -> MfccImage:
         c = np.sum(loge * row, axis=1) * (scale0 if k == 0 else scale)
         feat[:, k] = c * (1.0 + (CEP_LIFTER / 2.0)
                           * math.sin(math.pi * k / CEP_LIFTER))
-    feat[:, 0] = np.log(np.maximum(ps.sum(axis=1), params.log_floor))
+    feat[:, 0] = np.log(np.maximum(ps.sum(axis=1), LOG_FLOOR))
     return MfccImage(feat, params)

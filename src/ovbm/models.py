@@ -17,7 +17,7 @@ import numpy as np
 
 from . import nn
 from .chunker import Chunks
-from .degradation import PoissonMaskConfig, mask_factors
+from .degradation import mask_factors
 from .util import derive_seed, named_errors
 
 WEIGHT_MAGIC = b"OVBM"
@@ -395,14 +395,6 @@ def stratified_split(labels, fraction: float, rng: np.random.Generator):
     return sorted(train_idx), sorted(test_idx)
 
 
-@dataclass
-class TrainResult:
-    model: object  # a BiomarkerModel, or a fusion.FusionModel
-    train_accuracy: float
-    test_accuracy: float
-    epoch_losses: list
-
-
 def _head_forward(model: BiomarkerModel, emb: np.ndarray) -> dict:
     """Head outputs over given embeddings, keyed like a forward_batch
     cache so that backward_batch can read them."""
@@ -447,16 +439,10 @@ def fit(labels: np.ndarray, config: TrainConfig, step):
     return train_idx, np.array(test_idx, dtype=int), epoch_losses
 
 
-def accuracy(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Share of rows whose most probable class is the label; NaN for none."""
-    if probs.shape[0] == 0:
-        return float("nan")
-    return float(np.mean(np.argmax(probs, axis=1) == labels))
-
-
 def train(model: BiomarkerModel, chunks: Chunks, labels, config: TrainConfig,
-          strategy: TransferStrategy) -> TrainResult:
+          strategy: TransferStrategy) -> tuple:
     """Mini-batch Adam through `fit` on chunks and their labels [N].
+    Returns the trained model and its per-epoch mean losses.
 
     The input model is not mutated. With only the head trainable the
     embeddings never change, so they are read once from `embed_chunks`
@@ -483,14 +469,8 @@ def train(model: BiomarkerModel, chunks: Chunks, labels, config: TrainConfig,
         adam_step(model.weights, grads, state, config, t)
         return loss
 
-    train_idx, test_idx, epoch_losses = fit(labels, config, step)
-    emb = embed_chunks([model], chunks)[0]
-    return TrainResult(
-        model,
-        accuracy(_head_forward(model, emb[train_idx])["probs"], labels[train_idx]),
-        accuracy(_head_forward(model, emb[test_idx])["probs"], labels[test_idx]),
-        epoch_losses,
-    )
+    _, _, epoch_losses = fit(labels, config, step)
+    return model, epoch_losses
 
 
 # ----------------------------------------------------------- registry
@@ -591,7 +571,7 @@ def member_inputs(member: BiomarkerModel, chunks: Chunks) -> np.ndarray:
         raise ShapeMismatch(f"chunk images are {x.shape[1:]}, arch expects "
                             f"{member.arch.input_shape}")
     if member.biomarker_id in _ALWAYS_MASK and not chunks.masked:
-        x = mask_factors(x, PoissonMaskConfig()) * x
+        x = mask_factors(x) * x
     return x
 
 

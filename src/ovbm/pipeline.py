@@ -27,9 +27,9 @@ from . import models as M
 from .aggregation import AggregationScheme, Diagnosis, aggregate, decide
 from .audio_io import AudioClip, SubjectRecord, load_wav, parse_manifest, resample_linear
 from .chunker import Chunks, chunk_plan, extract_chunks
-from .degradation import PoissonMaskConfig
 from .fusion import (
     FusionModel,
+    TrainResult,
     build_fusion,
     load_ensemble,
     metadata_vector,
@@ -101,9 +101,6 @@ class RunConfig:
             stem_channels=self.stem_channels, num_blocks=self.num_blocks,
             embedding_dim=self.embedding_dim,
         )
-
-    def mask(self) -> PoissonMaskConfig | None:
-        return PoissonMaskConfig() if self.poisson_mask else None
 
     def parsed_scheme(self) -> AggregationScheme:
         return AggregationScheme.parse(self.scheme)
@@ -189,7 +186,7 @@ class FeatureStore:
             clip = load_clip(config.manifest, record, config.sample_rate)
             plan = chunk_plan(clip.duration, config.chunk_size, config.stride)
             self._chunks[record.subject_id] = extract_chunks(
-                clip, plan, config.mfcc_params(), config.mask(),
+                clip, plan, config.mfcc_params(), config.poisson_mask,
                 config.arch_frames)
         return self._chunks[record.subject_id]
 
@@ -280,16 +277,13 @@ def run_training(config: RunConfig) -> TrainedPipeline:
         model0 = M.init_cnn(arch, entry.num_classes,
                             derive_seed(config.seed, "init", entry.biomarker_id),
                             entry.biomarker_id)
-        result = M.train(model0,
-                         Chunks(np.stack([image for image, _ in data]),
-                                masked=entry.always_mask),
-                         [label for _, label in data],
-                         config.train_config(
-                             config.pretrain_epochs,
-                             derive_seed(config.seed, "pretrain",
-                                         entry.biomarker_id)),
-                         M.TransferStrategy.all_layers())
-        pretrained[entry.biomarker_id] = result.model
+        pretrained[entry.biomarker_id], _ = M.train(
+            model0, Chunks(np.stack([image for image, _ in data]), masked=False),
+            [label for _, label in data],
+            config.train_config(config.pretrain_epochs,
+                                derive_seed(config.seed, "pretrain",
+                                            entry.biomarker_id)),
+            M.TransferStrategy.all_layers())
 
     # chunk-level target dataset from the training subjects: each chunk
     # carries its subject's metadata and label. Every later stage reads
@@ -308,12 +302,11 @@ def run_training(config: RunConfig) -> TrainedPipeline:
         mid = entry.biomarker_id
         member = M.replace_head(pretrained[mid], 2,
                                 derive_seed(config.seed, "tune_head", mid))
-        result = M.train(member, chunks, labels,
-                         config.train_config(
-                             config.tune_epochs,
-                             derive_seed(config.seed, "tune", mid)),
-                         strategy)
-        tuned[mid] = result.model
+        tuned[mid], _ = M.train(member, chunks, labels,
+                                config.train_config(
+                                    config.tune_epochs,
+                                    derive_seed(config.seed, "tune", mid)),
+                                strategy)
 
     # 4. joint fusion training, over the pretrained members (main) and
     # the tuned members (pt)
@@ -336,7 +329,7 @@ def run_training(config: RunConfig) -> TrainedPipeline:
 
 def _run_metrics(pipe: TrainedPipeline, store: FeatureStore,
                  train_records: list, train_chunks: Chunks, test_records: list,
-                 main: M.TrainResult, pt: M.TrainResult) -> dict:
+                 main: TrainResult, pt: TrainResult) -> dict:
     """`train_chunks` holds the training subjects' chunks end to end, in
     `train_records` order, as the run trained on them."""
     config = pipe.config
@@ -489,8 +482,8 @@ def diagnose_subject(pipe: TrainedPipeline, record: SubjectRecord,
                      clip: AudioClip) -> Diagnosis:
     config = pipe.config
     plan = chunk_plan(clip.duration, config.chunk_size, config.stride)
-    chunks = extract_chunks(clip, plan, config.mfcc_params(), config.mask(),
-                            config.arch_frames)
+    chunks = extract_chunks(clip, plan, config.mfcc_params(),
+                            config.poisson_mask, config.arch_frames)
     return _diagnoses(config, pipe.main, [record], [len(chunks)], chunks)[0]
 
 
@@ -500,4 +493,4 @@ def subject_saliency(pipe: TrainedPipeline, record: SubjectRecord,
     return saliency_map(record, clip, pipe.tuned_members, pipe.main, pipe.pt,
                         config.mfcc_params(), config.arch_frames,
                         config.chunk_size, config.stride,
-                        config.parsed_scheme(), config.mask())
+                        config.parsed_scheme(), config.poisson_mask)

@@ -62,14 +62,15 @@ class SaliencyMap:
 def saliency_map(record: SubjectRecord, clip: AudioClip, tuned_members: list,
                  main: FusionModel, pt: FusionModel, params, frames: int,
                  chunk_size: float, stride: float, scheme: AggregationScheme,
-                 mask=None) -> SaliencyMap:
+                 mask: bool) -> SaliencyMap:
     """Score all 16 roster entries for one subject.
 
     Sensory/cognitive scores come from each tuned member's own head;
     chunk-scale scores run the main ensemble at the fixed probe sizes;
     symbolic scores re-aggregate the main ensemble under each scheme
     plus the per-member-pretuned ensemble `pt` under the flat average.
-    `frames` is the members' input frame count.
+    `frames` is the members' input frame count; `mask` says whether the
+    run masks its chunk images.
     """
     registry = build_registry()
     metadata = metadata_vector(record.gender, record.age)

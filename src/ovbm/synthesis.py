@@ -14,7 +14,6 @@ import numpy as np
 
 from .audio_io import MANIFEST_COLUMNS, AudioClip, SynthSpec, synth_clip, write_wav
 from .chunker import chunk_plan, extract_chunks
-from .degradation import PoissonMaskConfig
 from .mfcc import MfccParams
 from .models import RegistryEntry
 from .util import derive_seed
@@ -86,19 +85,19 @@ def surrogate_dataset(entry: RegistryEntry, params: MfccParams, seed: int,
     one member.
 
     Each clip is one chunk, featurized by the chunker like any recording
-    and cropped to `frames` rows; the chunker renders only the span of
-    the clip that the crop reads. Always-masked members are pretrained
-    on masked features so their train and inference distributions match.
+    and cropped to `frames` rows, unmasked; the chunker renders only the
+    span of the clip that the crop reads. A member's own input transform
+    is `models.member_inputs`' to apply.
     """
     if n_per_class < 1:
         raise ValueError("need at least one clip per class")
-    mask = PoissonMaskConfig() if entry.always_mask else None
     dataset = []
     for class_id in range(entry.num_classes):
         for i in range(n_per_class):
             spec = surrogate_spec(entry, class_id, i, seed, params.sample_rate)
             plan = chunk_plan(spec.duration, spec.duration)
-            chunks = extract_chunks(spec, plan, params, mask, frames)
+            chunks = extract_chunks(spec, plan, params, mask=False,
+                                    frames=frames)
             dataset.append((chunks.images[0], class_id))
     return dataset
 

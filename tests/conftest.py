@@ -12,6 +12,7 @@ from hypothesis import settings
 
 import ovbm.models as models
 from ovbm.chunker import chunk_plan, extract_chunks
+from ovbm.mfcc import PREEMPHASIS
 from ovbm.models import CnnArch, pack_tensor_records, read_weight_file
 from ovbm.pipeline import RunConfig, TrainedPipeline, run_training, save_pipeline
 from ovbm.synthesis import write_corpus
@@ -118,12 +119,12 @@ BAD_FUSION_TENSORS = {
 
 def own_frames(samples, params) -> np.ndarray:
     """The framing rule written out, sharing no code with the library:
-    pre-emphasis y[0] = x[0], y[n] = x[n] - preemphasis * x[n-1], then
+    pre-emphasis y[0] = x[0], y[n] = x[n] - PREEMPHASIS * x[n-1], then
     1 + ceil((N - frame_len) / frame_step) rectangular frames (at least
     one) every frame_step samples, the last zero-padded."""
     x = np.asarray(samples, dtype=np.float64)
     y = x.copy()
-    y[1:] = x[1:] - params.preemphasis * x[:-1]
+    y[1:] = x[1:] - PREEMPHASIS * x[:-1]
     L, S = params.frame_len, params.frame_step
     frames = np.zeros((1 + max(0, math.ceil((y.size - L) / S)), L))
     for i, frame in enumerate(frames):
@@ -137,7 +138,7 @@ def clip_image(clip, params) -> np.ndarray:
     plan over the clip, cropped to every frame."""
     count = len(own_frames(clip.samples, params))
     return extract_chunks(clip, chunk_plan(clip.duration, clip.duration),
-                          params, None, count).images[0]
+                          params, False, count).images[0]
 
 
 def count_forward_images(monkeypatch) -> list:

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from conftest import own_frames
 from ovbm.audio_io import AudioClip, SynthSpec, synth_clip
-from ovbm.chunker import ChunkPlan, chunk_plan, extract_chunks
+from ovbm.chunker import ChunkPlan, Chunks, chunk_plan, extract_chunks
 import ovbm.chunker as chunker
-from ovbm.degradation import PoissonMaskConfig, apply_poisson_mask
+from ovbm.degradation import apply_poisson_mask
 from ovbm.mfcc import MfccImage, MfccParams, mfcc
-from ovbm.models import CnnArch, build_registry, embed_chunks, init_cnn
+from ovbm.models import (CnnArch, build_registry, embed_chunks, init_cnn,
+                         member_inputs)
 from ovbm.synthesis import surrogate_dataset, surrogate_spec
 
 
@@ -96,7 +97,7 @@ class TestExtract:
     def test_uniform_shapes_and_spans(self):
         clip = _clip(5.0)
         plan = chunk_plan(clip.duration, 2.0, 1.5)
-        chunks = extract_chunks(clip, plan, FAST, None, WHOLE)
+        chunks = extract_chunks(clip, plan, FAST, False, WHOLE)
         assert len(chunks) == plan.count
         assert chunks.images.shape == (plan.count, WHOLE, FAST.num_cepstra)
         assert not chunks.masked
@@ -105,7 +106,7 @@ class TestExtract:
     def test_images_are_read_only(self):
         clip = _clip(4.0)
         chunks = extract_chunks(clip, chunk_plan(clip.duration, 2.0, 2.0),
-                                FAST, None, 16)
+                                FAST, False, 16)
         with pytest.raises(ValueError):
             chunks.images[0, 0, 0] = 1.0
         with pytest.raises(ValueError):
@@ -114,7 +115,7 @@ class TestExtract:
     def test_final_chunk_zero_padded(self):
         clip = _clip(5.0)
         plan = chunk_plan(clip.duration, 2.0, 1.5)
-        chunks = extract_chunks(clip, plan, FAST, None, WHOLE)
+        chunks = extract_chunks(clip, plan, FAST, False, WHOLE)
         start, end = plan.intervals[-1]
         tail = clip.samples[int(round(start * 16000)):]
         padded = np.concatenate([tail, np.zeros(32000 - tail.size)])
@@ -124,7 +125,7 @@ class TestExtract:
     def test_interior_chunk_matches_direct_slice(self):
         clip = _clip(6.0)
         plan = chunk_plan(clip.duration, 2.0, 2.0)
-        chunks = extract_chunks(clip, plan, FAST, None, WHOLE)
+        chunks = extract_chunks(clip, plan, FAST, False, WHOLE)
         piece = clip.samples[32000:64000]
         want = _own(piece).values
         np.testing.assert_array_equal(chunks.images[1], want)
@@ -132,8 +133,8 @@ class TestExtract:
     def test_mask_flag_and_effect(self):
         clip = _clip(4.0)
         plan = chunk_plan(clip.duration, 2.0, 2.0)
-        plain = extract_chunks(clip, plan, FAST, None, WHOLE)
-        masked = extract_chunks(clip, plan, FAST, PoissonMaskConfig(), WHOLE)
+        plain = extract_chunks(clip, plan, FAST, False, WHOLE)
+        masked = extract_chunks(clip, plan, FAST, True, WHOLE)
         assert masked.masked
         for a, b in zip(plain.images, masked.images):
             assert not np.array_equal(a, b)
@@ -149,7 +150,7 @@ class TestCrop:
         plan = chunk_plan(clip.duration, 0.1, 0.1)  # 9 frames a chunk
         own = _own(clip.samples[1600:3200])
         assert own.values.shape[0] == 9
-        image = extract_chunks(clip, plan, FAST, None, 16).images[1]
+        image = extract_chunks(clip, plan, FAST, False, 16).images[1]
         assert image.shape == (16, FAST.num_cepstra)
         assert np.all(image[:3] == 0.0) and np.all(image[12:] == 0.0)
         np.testing.assert_array_equal(image[3:12], own.values)
@@ -158,7 +159,7 @@ class TestCrop:
         clip = _clip(6.0)
         plan = chunk_plan(clip.duration, 2.0, 2.0)  # 199 frames a chunk
         own = _own(clip.samples[32000:64000])
-        image = extract_chunks(clip, plan, FAST, None, 16).images[1]
+        image = extract_chunks(clip, plan, FAST, False, 16).images[1]
         np.testing.assert_array_equal(image, own.values[91:107])
 
 
@@ -172,7 +173,7 @@ def _own_mfcc(clip, plan, span, mask, frames):
     a, b = (int(round(t * rate)) for t in span)
     image = _own(padded[a:b])
     image = MfccImage(_centre(image.values, frames), FAST)
-    return image if mask is None else apply_poisson_mask(image, mask)
+    return apply_poisson_mask(image) if mask else image
 
 
 def _assert_own_mfcc(clip, plan, images, mask, frames):
@@ -183,7 +184,7 @@ def _assert_own_mfcc(clip, plan, images, mask, frames):
             image, _own_mfcc(clip, plan, span, mask, frames).values)
 
 
-MASKS = [None, PoissonMaskConfig()]
+MASKS = [False, True]
 # A crop inside every chunk, one wider than a 2 s chunk, and one wider
 # than any chunk here.
 CROPS = (16, 300, 1000)
@@ -217,8 +218,8 @@ class TestOneFeaturization:
         clip = _clip(1.0)
         plan = chunk_plan(clip.duration, 0.1, 0.05)
         _assert_own_mfcc(clip, plan,
-                         extract_chunks(clip, plan, FAST, None, 16).images,
-                         None, 16)
+                         extract_chunks(clip, plan, FAST, False, 16).images,
+                         False, 16)
 
     @pytest.mark.parametrize("mask", MASKS, ids=["plain", "masked"])
     def test_saliency_plans_share_one_featurization(self, mask, monkeypatch):
@@ -252,27 +253,53 @@ class TestOneFeaturization:
         plans = [chunk_plan(clip.duration, 8.0, 0.5),
                  chunk_plan(clip.duration, 20.0, 2.0)]
         assert [p.count for p in plans] == [4, 1]
-        extract_chunks(clip, plans, FAST, None, 64)
+        extract_chunks(clip, plans, FAST, False, 64)
         assert rows == [214 + 1]
 
 
-class TestSurrogates:
-    """Pretraining images come through the chunker, one window a clip."""
+MEMBER_IDS = [e.biomarker_id for e in build_registry().model_entries()]
 
-    @pytest.mark.parametrize("biomarker_id", [
-        e.biomarker_id for e in build_registry().model_entries()])
+
+def _surrogate_crop(entry, class_id, index) -> MfccImage:
+    """The centre 64-row crop of a surrogate clip's whole featurization."""
+    spec = surrogate_spec(entry, class_id, index, 5, FAST.sample_rate)
+    return MfccImage(_centre(_own(synth_clip(spec).samples).values, 64), FAST)
+
+
+class TestSurrogates:
+    """Pretraining images come through the chunker, one window a clip,
+    unmasked for every member."""
+
+    @pytest.mark.parametrize("biomarker_id", MEMBER_IDS)
     def test_image_is_centre_crop_of_clip_mfcc(self, biomarker_id):
         entry = build_registry().by_id(biomarker_id)
         data = surrogate_dataset(entry, FAST, seed=5, n_per_class=2, frames=64)
         assert [y for _, y in data] == [c for c in range(entry.num_classes)
                                         for _ in range(2)]
         for (image, y), i in zip(data, [0, 1] * entry.num_classes):
-            spec = surrogate_spec(entry, y, i, 5, FAST.sample_rate)
-            want = MfccImage(_centre(_own(synth_clip(spec).samples).values, 64),
-                             FAST)
+            np.testing.assert_array_equal(image,
+                                          _surrogate_crop(entry, y, i).values)
+
+    @pytest.mark.parametrize("biomarker_id", MEMBER_IDS)
+    def test_only_the_always_masked_member_reads_masked_crops(self,
+                                                              biomarker_id):
+        """`member_inputs` over the pretraining Chunks, built unmasked as
+        `run_training` builds them: the degradation-sensitive member
+        reads the masked centre crop, every other member the crop."""
+        entry = build_registry().by_id(biomarker_id)
+        data = surrogate_dataset(entry, FAST, seed=5, n_per_class=2, frames=64)
+        chunks = Chunks(np.stack([image for image, _ in data]), False)
+        member = init_cnn(CnnArch((64, FAST.num_cepstra), stem_channels=2,
+                                  num_blocks=1, embedding_dim=4),
+                          entry.num_classes, seed=0, biomarker_id=biomarker_id)
+        got = chunks.expand(member_inputs(member, chunks))
+        assert entry.always_mask == (biomarker_id == "poisson_muscular")
+        for x, (image, y), i in zip(got, data, [0, 1] * entry.num_classes):
+            want = _surrogate_crop(entry, y, i)
             if entry.always_mask:
                 want = apply_poisson_mask(want)
-            np.testing.assert_array_equal(image, want.values)
+                assert not np.array_equal(want.values, image)
+            np.testing.assert_array_equal(x, want.values)
 
 
 @st.composite
@@ -313,7 +340,7 @@ class TestSpecSource:
             spans.append((a, b)) or real(spec, a, b)))
         spec = SynthSpec("p", 4.0, [("sine", 500.0, 0.5),
                                     ("noise", 0.0, 0.2)], seed=1)
-        extract_chunks(spec, chunk_plan(4.0, 4.0), FAST, None, 64)
+        extract_chunks(spec, chunk_plan(4.0, 4.0), FAST, False, 64)
         # 399 frames; the crop is frames 167-230, and pre-emphasis reads
         # the sample before frame 167
         assert spans == [(167 * 160 - 1, 230 * 160 + 320)]
@@ -355,7 +382,7 @@ class TestSharedCrops:
         # 8 s window at t + 6 s share a centre too.
         clip = _clip(32.0)
         plans = [chunk_plan(clip.duration, size, 2.0) for size in (2, 8, 14, 20)]
-        chunks = extract_chunks(clip, plans, FAST, None, 64)
+        chunks = extract_chunks(clip, plans, FAST, False, 64)
         assert [p.count for p in plans] == [16, 13, 10, 7]
         assert len(chunks) == 46
         assert len(chunks.crops) == 16 + 13
@@ -367,9 +394,9 @@ class TestSharedCrops:
         # the zero padding, so they read the same all-zero frames.
         clip = _clip(5.0)
         plans = [chunk_plan(clip.duration, size, 2.0) for size in (8, 14, 20)]
-        chunks = extract_chunks(clip, plans, FAST, None, 64)
+        chunks = extract_chunks(clip, plans, FAST, False, 64)
         assert chunks.index.tolist() == [0, 1, 1]
         # alone, such a crop reads no sample of the recording
-        alone = extract_chunks(clip, plans[2], FAST, None, 64)
+        alone = extract_chunks(clip, plans[2], FAST, False, 64)
         np.testing.assert_array_equal(alone.images[0], chunks.images[2])
-        _assert_own_mfcc(clip, plans[2], alone.images, None, 64)
+        _assert_own_mfcc(clip, plans[2], alone.images, False, 64)

@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 
 from ovbm.degradation import (
     NegativeK,
-    PoissonMaskConfig,
     apply_poisson_mask,
     mask_factors,
     poisson_pmf,
@@ -81,7 +80,7 @@ class TestMask:
 
     def test_factors_are_pmf_of_rounded(self):
         v = np.array([0.2, 0.5, 1.5, 7.9, -2.0])
-        factors = mask_factors(v, PoissonMaskConfig())
+        factors = mask_factors(v)
         k = np.clip(np.rint(v), 0, None).astype(int)
         want = np.array([math.exp(-1) / math.factorial(int(x)) for x in k])
         np.testing.assert_allclose(factors, want, rtol=1e-12)
@@ -90,9 +89,3 @@ class TestMask:
         img = _image(np.ones((3, 8)))
         out = apply_poisson_mask(img)
         assert out.params is img.params
-
-    def test_rate_validation(self):
-        with pytest.raises(ValueError):
-            PoissonMaskConfig(rate=0.0).validate()
-        with pytest.raises(ValueError):
-            PoissonMaskConfig(value_mapping="truncate").validate()

@@ -14,6 +14,7 @@ import ovbm.saliency as S
 from conftest import count_forward_images, micro_run_config
 from ovbm.audio_io import AudioClip, parse_manifest
 from ovbm.chunker import Chunks, chunk_plan, extract_chunks
+from ovbm.fusion import TrainResult
 from ovbm.pipeline import (
     FeatureStore,
     RunConfig,
@@ -295,7 +296,8 @@ def _distinct_images(pipe, clip) -> tuple:
         for e in pipe.registry.entries if e.kind == "ensemble_chunk_size"]
     plans = [chunk_plan(clip.duration, *k) for k in dict.fromkeys(keys)]
     assert len(plans) == 4  # the run's plan, then the 8, 14 and 20 s probes
-    images = extract_chunks(clip, plans, config.mfcc_params(), config.mask(),
+    images = extract_chunks(clip, plans, config.mfcc_params(),
+                            config.poisson_mask,
                             config.arch_frames).images.reshape(
                                 sum(p.count for p in plans), -1)
 
@@ -317,13 +319,13 @@ class TestEmbeddingMemo:
         config = pipe.config
         records = parse_manifest(config.manifest)
         m = pipe.metrics
-        main = M.TrainResult(pipe.main,
-                             m["fusion"]["chunk_train_accuracy"],
-                             m["fusion"]["chunk_test_accuracy"],
-                             [m["fusion"]["final_epoch_loss"]])
-        pt = M.TrainResult(pipe.pt,
-                           m["pt_fusion"]["chunk_train_accuracy"],
-                           m["pt_fusion"]["chunk_test_accuracy"], [])
+        main = TrainResult(pipe.main,
+                           m["fusion"]["chunk_train_accuracy"],
+                           m["fusion"]["chunk_test_accuracy"],
+                           [m["fusion"]["final_epoch_loss"]])
+        pt = TrainResult(pipe.pt,
+                         m["pt_fusion"]["chunk_train_accuracy"],
+                         m["pt_fusion"]["chunk_test_accuracy"], [])
         train = [r for r in records if r.subject_id in m["train_subjects"]]
         test = [r for r in records if r.subject_id in m["test_subjects"]]
 

@@ -241,4 +241,4 @@ class TestSaliencyMap:
             saliency_map(record, clip, pipe.tuned_members[:-1],
                          pipe.main, pipe.pt, config.mfcc_params(), config.arch_frames,
                          config.chunk_size, config.stride,
-                         config.parsed_scheme(), config.mask())
+                         config.parsed_scheme(), config.poisson_mask)
