@@ -24,12 +24,12 @@ from .fusion import (
 )
 from .mfcc import MfccImage, MfccParams, mfcc, mfcc_oracle
 from .models import (
+    MEMBERS,
+    ROSTER,
     BiomarkerModel,
-    BiomarkerRegistry,
     CnnArch,
     TrainConfig,
     TransferStrategy,
-    build_registry,
     init_cnn,
     load_model,
     save_model,
@@ -64,8 +64,8 @@ __all__ = [
     "FusionModel", "build_fusion", "load_ensemble",
     "metadata_vector", "save_ensemble", "train_fusion",
     "MfccImage", "MfccParams", "mfcc", "mfcc_oracle",
-    "BiomarkerModel", "BiomarkerRegistry", "CnnArch", "TrainConfig",
-    "TransferStrategy", "build_registry", "init_cnn", "load_model",
+    "MEMBERS", "ROSTER", "BiomarkerModel", "CnnArch", "TrainConfig",
+    "TransferStrategy", "init_cnn", "load_model",
     "save_model", "train",
     "RunConfig", "TrainedPipeline", "load_pipeline", "run_training",
     "save_pipeline", "subject_saliency",

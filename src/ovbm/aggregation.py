@@ -70,18 +70,6 @@ class Diagnosis:
     chunk_size: float = 0.0
     stride: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "subject_id": self.subject_id,
-            "probability": self.probability,
-            "label": self.label,
-            "threshold": self.threshold,
-            "scheme": self.scheme,
-            "chunk_probabilities": list(self.chunk_probabilities),
-            "chunk_size": self.chunk_size,
-            "stride": self.stride,
-        }
-
 
 def decide(probability: float, threshold: float) -> str:
     """Ties go to the positive side: screening prefers a false alarm

@@ -18,9 +18,10 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .audio_io import parse_manifest
-from .models import build_registry
+from .models import MEMBERS
 from .pipeline import (
     RunConfig,
     TrainedPipeline,
@@ -46,23 +47,6 @@ from .saliency import (
 )
 from .util import atomic_write_text, named_errors
 
-# train flags that shadow RunConfig fields (flag dest -> field)
-_TRAIN_OVERRIDES = {
-    "seed": "seed",
-    "label": "label",
-    "chunk_size": "chunk_size",
-    "stride": "stride",
-    "scheme": "scheme",
-    "strategy": "strategy",
-    "lr": "learning_rate",
-    "epochs": "fusion_epochs",
-    "pretrain_epochs": "pretrain_epochs",
-    "tune_epochs": "tune_epochs",
-    "surrogate_per_class": "surrogate_per_class",
-    "threshold": "threshold",
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ovbm",
@@ -77,10 +61,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-rate", type=int, default=16000)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train the full ensemble on a manifest")
+    # Every flag but --out and --config has the RunConfig field it
+    # overrides as its dest; a flag not given sets nothing.
+    p = sub.add_parser("train", help="train the full ensemble on a manifest",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--manifest", help="subject manifest CSV")
     p.add_argument("--out", required=True, help="run output directory")
-    p.add_argument("--config", help="JSON config file; flags override it")
+    p.add_argument("--config", default=None,
+                   help="JSON config file; flags override it")
     p.add_argument("--seed", type=int)
     p.add_argument("--label")
     p.add_argument("--chunk-size", type=float)
@@ -88,8 +76,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poisson-mask", choices=("on", "off"))
     p.add_argument("--scheme", choices=("average", "linpos", "linneg"))
     p.add_argument("--strategy", help="frozen, last:N, or all")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--epochs", type=int, help="joint fusion epochs")
+    p.add_argument("--lr", type=float, dest="learning_rate", metavar="LR")
+    p.add_argument("--epochs", type=int, dest="fusion_epochs",
+                   metavar="EPOCHS", help="joint fusion epochs")
     p.add_argument("--pretrain-epochs", type=int)
     p.add_argument("--tune-epochs", type=int)
     p.add_argument("--surrogate-per-class", type=int)
@@ -152,6 +141,10 @@ def cmd_synth(args) -> int:
 
 
 def _config_from_args(args) -> RunConfig:
+    flags = {k: v for k, v in vars(args).items()
+             if k not in ("command", "func", "out", "config")}
+    if "poisson_mask" in flags:
+        flags["poisson_mask"] = flags["poisson_mask"] == "on"
     data = {}
     if args.config:
         if not os.path.exists(args.config):
@@ -160,15 +153,7 @@ def _config_from_args(args) -> RunConfig:
             data = json.load(fh)
             if not isinstance(data, dict):
                 raise ValueError("config file must hold a JSON object")
-    config = RunConfig.from_dict(data)
-    if args.manifest:
-        config.manifest = args.manifest
-    if args.poisson_mask is not None:
-        config.poisson_mask = args.poisson_mask == "on"
-    for dest, fieldname in _TRAIN_OVERRIDES.items():
-        value = getattr(args, dest)
-        if value is not None:
-            setattr(config, fieldname, value)
+    config = RunConfig.from_dict(dict(data, **flags))
     if not config.manifest:
         raise ValueError("a manifest is required (--manifest or config file)")
     return config
@@ -238,7 +223,7 @@ def cmd_diagnose(args) -> int:
     for rec in records:
         clip = load_clip(args.manifest, rec, pipe.config.sample_rate)
         d = diagnose_subject(pipe, rec, clip)
-        results[rec.subject_id] = d.to_dict()
+        results[rec.subject_id] = asdict(d)
         print(f"{rec.subject_id}: P(positive)={d.probability:.4f} -> {d.label}")
     if args.out:
         atomic_write_text(args.out,
@@ -293,9 +278,9 @@ def cmd_report_uniqueness(args) -> int:
     positives = pipe.metrics.get("test_positives")
     if not detections or positives is None:
         raise ValueError("run has no stored detection metrics; retrain first")
-    cognitive = build_registry().family("cognitive")
     members = (args.members.split(",") if args.members
-               else [e.biomarker_id for e in cognitive])
+               else [e.biomarker_id for e in MEMBERS
+                     if e.family == "cognitive"])
     missing = [m for m in members if m not in detections]
     if missing:
         raise ValueError(f"no detections for members: {', '.join(missing)}")

@@ -1,5 +1,5 @@
 """Residual micro-CNN biomarker models: init, forward/backward, transfer
-strategies, Adam training, the biomarker registry, and weight-file IO.
+strategies, Adam training, the biomarker roster, and weight-file IO.
 
 Topology: stem 3x3 conv -> N residual blocks (conv-ReLU-conv + identity
 skip, ReLU, 2x2 average pool) -> global average pool -> linear embedding
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -65,14 +65,6 @@ class CnnArch:
                     f"block {b + 1} would pool a {h}x{w} map; input too small"
                 )
             h, w = h // 2, w // 2
-
-    def to_dict(self) -> dict:
-        return {
-            "input_shape": list(self.input_shape),
-            "stem_channels": self.stem_channels,
-            "num_blocks": self.num_blocks,
-            "embedding_dim": self.embedding_dim,
-        }
 
     @staticmethod
     def from_dict(d: dict) -> "CnnArch":
@@ -296,17 +288,15 @@ def backward_from_embedding(model: BiomarkerModel, cache: dict,
     convs = conv_layer_names(model.arch)
     grads: dict = {}
 
-    g = cache["g"]
-    if "embed" in needed:
-        grads["embed.w"] = d_emb.T @ g
-        grads["embed.b"] = d_emb.sum(axis=0)
-
     needed_conv_idx = [convs.index(c) for c in needed if c in convs]
+    dg, dw, db = nn.linear_backward(d_emb, cache["g"], w["embed.w"],
+                                    need_dx=bool(needed_conv_idx))
+    if "embed" in needed:
+        grads["embed.w"], grads["embed.b"] = dw, db
     if not needed_conv_idx:
         return grads
     min_needed = min(needed_conv_idx)
 
-    dg = d_emb @ w["embed.w"]
     da = nn.global_avgpool_backward(dg, cache["gap_in_shape"])
 
     for b in range(model.arch.num_blocks, 0, -1):
@@ -350,13 +340,12 @@ def backward_batch(model: BiomarkerModel, cache: dict, targets: np.ndarray,
                    needed: set) -> dict:
     """Gradients of mean cross-entropy w.r.t. the layers in `needed`."""
     dlogits = nn.softmax_ce_backward(cache["probs"], targets)
-    grads: dict = {}
-    if "head" in needed:
-        grads["head.w"] = dlogits.T @ cache["emb"]
-        grads["head.b"] = dlogits.sum(axis=0)
     rest = {n for n in needed if n != "head"}
+    d_emb, dw, db = nn.linear_backward(dlogits, cache["emb"],
+                                       model.weights["head.w"],
+                                       need_dx=bool(rest))
+    grads = {"head.w": dw, "head.b": db} if "head" in needed else {}
     if rest:
-        d_emb = dlogits @ model.weights["head.w"]
         grads.update(backward_from_embedding(model, cache, d_emb, rest))
     return grads
 
@@ -473,13 +462,13 @@ def train(model: BiomarkerModel, chunks: Chunks, labels, config: TrainConfig,
     return model, epoch_losses
 
 
-# ----------------------------------------------------------- registry
+# ------------------------------------------------------------- roster
 
 @dataclass(frozen=True)
 class RegistryEntry:
     biomarker_id: str
     family: str  # sensory | brainos | cognitive | symbolic
-    kind: str
+    kind: str | None = None  # a member's surrogate recipe (`synthesis`)
     num_classes: int | None = None
     chunk_seconds: float | None = None
     keyword: str | None = None
@@ -487,77 +476,50 @@ class RegistryEntry:
     scheme: str | None = None
     always_mask: bool = False
 
-    @property
-    def trainable_model(self) -> bool:
-        """True for entries backed by their own CNN (sensory/cognitive)."""
-        return self.family in ("sensory", "cognitive")
 
+# The fixed 16-entry biomarker roster, four per family. Sensory and
+# cognitive entries are model-backed: each pretrains on a synthetic
+# surrogate task. The brainos family probes the full ensemble at fixed
+# chunk sizes; the symbolic family scores the ensemble under each
+# aggregation scheme, and the per-member-pretuned ensemble (no scheme).
+ROSTER = (
+    RegistryEntry("poisson_muscular", "sensory", "masked_spectral",
+                  num_classes=2, chunk_seconds=4.0, always_mask=True),
+    RegistryEntry("vocal_cords_ww_them", "sensory", "wake_word", num_classes=2,
+                  chunk_seconds=3.0, keyword="them"),
+    RegistryEntry("sentiment_8class", "sensory", "sentiment", num_classes=8,
+                  chunk_seconds=4.0),
+    RegistryEntry("cough_origin", "sensory", "cough", num_classes=2,
+                  chunk_seconds=6.0),
+    RegistryEntry("brainos_chunk2", "brainos", chunk_size=2.0),
+    RegistryEntry("brainos_chunk8", "brainos", chunk_size=8.0),
+    RegistryEntry("brainos_chunk14", "brainos", chunk_size=14.0),
+    RegistryEntry("brainos_chunk20", "brainos", chunk_size=20.0),
+    RegistryEntry("ww_context_kitchen", "cognitive", "wake_word", num_classes=2,
+                  chunk_seconds=3.0, keyword="kitchen"),
+    RegistryEntry("ww_unique_tipping", "cognitive", "wake_word", num_classes=2,
+                  chunk_seconds=3.0, keyword="tipping"),
+    RegistryEntry("ww_inferred_jar", "cognitive", "wake_word", num_classes=2,
+                  chunk_seconds=3.0, keyword="jar"),
+    RegistryEntry("ww_salient_overflow", "cognitive", "wake_word",
+                  num_classes=2, chunk_seconds=3.0, keyword="overflow"),
+    RegistryEntry("symbolic_average", "symbolic", scheme="average"),
+    RegistryEntry("symbolic_linear_positive", "symbolic",
+                  scheme="linear_positive"),
+    RegistryEntry("symbolic_linear_negative", "symbolic",
+                  scheme="linear_negative"),
+    RegistryEntry("symbolic_pretuned", "symbolic"),
+)
 
-@dataclass
-class BiomarkerRegistry:
-    entries: list
-
-    def by_id(self, biomarker_id: str) -> RegistryEntry:
-        for e in self.entries:
-            if e.biomarker_id == biomarker_id:
-                return e
-        raise KeyError(biomarker_id)
-
-    def family(self, name: str) -> list:
-        return [e for e in self.entries if e.family == name]
-
-    def model_entries(self) -> list:
-        return [e for e in self.entries if e.trainable_model]
-
-    def ids(self) -> list:
-        return [e.biomarker_id for e in self.entries]
-
-
-def build_registry() -> BiomarkerRegistry:
-    """The fixed 16-entry biomarker roster: four per family.
-
-    Sensory and cognitive entries are model-backed (each pretrains on a
-    synthetic surrogate task); the brainos family probes the full
-    ensemble at fixed chunk sizes; the symbolic family scores the
-    ensemble under each aggregation scheme plus the per-member-pretuned
-    ensemble variant.
-    """
-    e = RegistryEntry
-    entries = [
-        e("poisson_muscular", "sensory", "masked_spectral", num_classes=2,
-          chunk_seconds=4.0, always_mask=True),
-        e("vocal_cords_ww_them", "sensory", "wake_word", num_classes=2,
-          chunk_seconds=3.0, keyword="them"),
-        e("sentiment_8class", "sensory", "sentiment", num_classes=8,
-          chunk_seconds=4.0),
-        e("cough_origin", "sensory", "cough", num_classes=2, chunk_seconds=6.0),
-        e("brainos_chunk2", "brainos", "ensemble_chunk_size", chunk_size=2.0),
-        e("brainos_chunk8", "brainos", "ensemble_chunk_size", chunk_size=8.0),
-        e("brainos_chunk14", "brainos", "ensemble_chunk_size", chunk_size=14.0),
-        e("brainos_chunk20", "brainos", "ensemble_chunk_size", chunk_size=20.0),
-        e("ww_context_kitchen", "cognitive", "wake_word", num_classes=2,
-          chunk_seconds=3.0, keyword="kitchen"),
-        e("ww_unique_tipping", "cognitive", "wake_word", num_classes=2,
-          chunk_seconds=3.0, keyword="tipping"),
-        e("ww_inferred_jar", "cognitive", "wake_word", num_classes=2,
-          chunk_seconds=3.0, keyword="jar"),
-        e("ww_salient_overflow", "cognitive", "wake_word", num_classes=2,
-          chunk_seconds=3.0, keyword="overflow"),
-        e("symbolic_average", "symbolic", "ensemble_scheme", scheme="average"),
-        e("symbolic_linear_positive", "symbolic", "ensemble_scheme",
-          scheme="linear_positive"),
-        e("symbolic_linear_negative", "symbolic", "ensemble_scheme",
-          scheme="linear_negative"),
-        e("symbolic_pretuned", "symbolic", "ensemble_pt"),
-    ]
-    return BiomarkerRegistry(entries)
+# The model-backed entries, in fusion input order.
+MEMBERS = tuple(e for e in ROSTER if e.family in ("sensory", "cognitive"))
+MEMBER_IDS = tuple(e.biomarker_id for e in MEMBERS)
 
 
 # -------------------------------------------------- chunk embeddings
 
 # Members whose input is always masked, whatever the run's mask setting.
-_ALWAYS_MASK = frozenset(e.biomarker_id for e in build_registry().entries
-                         if e.always_mask)
+_ALWAYS_MASK = frozenset(e.biomarker_id for e in MEMBERS if e.always_mask)
 
 
 def member_inputs(member: BiomarkerModel, chunks: Chunks) -> np.ndarray:
@@ -689,7 +651,7 @@ def model_file_bytes(model: BiomarkerModel, meta: dict | None = None) -> bytes:
         "kind": "biomarker",
         "biomarker_id": model.biomarker_id,
         "num_classes": model.num_classes,
-        "arch": model.arch.to_dict(),
+        "arch": asdict(model.arch),
         "trainable": {k: bool(v) for k, v in sorted(model.trainable.items())},
         "tensors": order,
         "meta": meta or {},

@@ -182,31 +182,31 @@ class FeatureStore:
 
     def chunks(self, record: SubjectRecord) -> Chunks:
         if record.subject_id not in self._chunks:
-            config = self.config
-            clip = load_clip(config.manifest, record, config.sample_rate)
-            plan = chunk_plan(clip.duration, config.chunk_size, config.stride)
-            self._chunks[record.subject_id] = extract_chunks(
-                clip, plan, config.mfcc_params(), config.poisson_mask,
-                config.arch_frames)
+            clip = load_clip(self.config.manifest, record,
+                             self.config.sample_rate)
+            self._chunks[record.subject_id] = _run_chunks(self.config, clip)
         return self._chunks[record.subject_id]
+
+
+def _run_chunks(config: RunConfig, clip: AudioClip) -> Chunks:
+    """A recording's chunks under the run's chunk plan, features, mask
+    and crop."""
+    plan = chunk_plan(clip.duration, config.chunk_size, config.stride)
+    return extract_chunks(clip, plan, config.mfcc_params(),
+                          config.poisson_mask, config.arch_frames)
 
 
 @dataclass
 class TrainedPipeline:
     config: RunConfig
-    registry: M.BiomarkerRegistry
     tuned: dict                 # biomarker_id -> 2-way fine-tuned model
     main: FusionModel
     pt: FusionModel             # fusion over the tuned members
     metrics: dict = field(default_factory=dict)
 
     @property
-    def member_ids(self) -> list:
-        return [e.biomarker_id for e in self.registry.model_entries()]
-
-    @property
     def tuned_members(self) -> list:
-        return [self.tuned[mid] for mid in self.member_ids]
+        return [self.tuned[mid] for mid in M.MEMBER_IDS]
 
 
 def _metadata_rows(records: list, counts: list) -> np.ndarray:
@@ -252,8 +252,6 @@ def _subject_metrics(diagnoses: list, records: list, threshold: float) -> dict:
 def run_training(config: RunConfig) -> TrainedPipeline:
     config.validate()
     records = parse_manifest(config.manifest)
-    registry = M.build_registry()
-    entries = registry.model_entries()
     params = config.mfcc_params()
     arch = config.arch()
     strategy = config.parsed_strategy()
@@ -269,7 +267,7 @@ def run_training(config: RunConfig) -> TrainedPipeline:
 
     # 2. surrogate pretraining, one task per member recipe
     pretrained: dict = {}
-    for entry in entries:
+    for entry in M.MEMBERS:
         data = surrogate_dataset(entry, params,
                                  derive_seed(config.seed, "surrogate",
                                              entry.biomarker_id),
@@ -298,8 +296,7 @@ def run_training(config: RunConfig) -> TrainedPipeline:
     # 3. per-member fine-tune on the target task (kept for saliency and
     # the pretuned ensemble; their own heads never see joint gradients)
     tuned: dict = {}
-    for entry in entries:
-        mid = entry.biomarker_id
+    for mid in M.MEMBER_IDS:
         member = M.replace_head(pretrained[mid], 2,
                                 derive_seed(config.seed, "tune_head", mid))
         tuned[mid], _ = M.train(member, chunks, labels,
@@ -312,7 +309,7 @@ def run_training(config: RunConfig) -> TrainedPipeline:
     # the tuned members (pt)
     results = {}
     for name, source in (("main", pretrained), ("pt", tuned)):
-        fusion0 = build_fusion([source[e.biomarker_id] for e in entries],
+        fusion0 = build_fusion([source[mid] for mid in M.MEMBER_IDS],
                                seed=derive_seed(config.seed, "fusion", name))
         results[name] = train_fusion(
             fusion0, chunks, metadata, labels,
@@ -321,7 +318,7 @@ def run_training(config: RunConfig) -> TrainedPipeline:
             strategy)
     main, pt = results["main"], results["pt"]
 
-    pipe = TrainedPipeline(config, registry, tuned, main.model, pt.model)
+    pipe = TrainedPipeline(config, tuned, main.model, pt.model)
     pipe.metrics = _run_metrics(pipe, store, train_records, chunks,
                                 test_records, main, pt)
     return pipe
@@ -351,19 +348,19 @@ def _run_metrics(pipe: TrainedPipeline, store: FeatureStore,
     pt_test = test_diagnoses(pipe.pt)
 
     # Each tuned member decides a test subject by its own head.
-    hits = {mid: 0 for mid in pipe.member_ids}
-    detections: dict = {mid: [] for mid in pipe.member_ids}
+    hits = {mid: 0 for mid in M.MEMBER_IDS}
+    detections: dict = {mid: [] for mid in M.MEMBER_IDS}
     for rec, chunks in zip(test_records, test_chunks):
         members = pipe.tuned_members
         embs = M.embed_chunks(members, chunks)
-        for mid, m, emb in zip(pipe.member_ids, members, embs):
+        for mid, m, emb in zip(M.MEMBER_IDS, members, embs):
             positive = decide(aggregate(M.head_batches(m, emb)[:, 1], scheme),
                               config.threshold) == "positive"
             hits[mid] += int(positive == bool(rec.label))
             if positive and rec.label == 1:
                 detections[mid].append(rec.subject_id)
     member_acc = {mid: hits[mid] / len(test_records) if test_records else 0.0
-                  for mid in pipe.member_ids}
+                  for mid in M.MEMBER_IDS}
     detections = {mid: sorted(d) for mid, d in detections.items()}
     test_positives = sorted(r.subject_id for r in test_records if r.label == 1)
     best_id = max(member_acc, key=lambda k: (member_acc[k], k))
@@ -423,7 +420,7 @@ def save_pipeline(pipe: TrainedPipeline, out_dir: str) -> None:
                       json.dumps(payload, indent=2, sort_keys=True) + "\n")
     atomic_write_text(os.path.join(out_dir, "metrics.json"),
                       json.dumps(pipe.metrics, indent=2, sort_keys=True) + "\n")
-    for mid in pipe.member_ids:
+    for mid in M.MEMBER_IDS:
         M.save_model(os.path.join(models_dir, f"member_tuned_{mid}.ovbm"),
                      pipe.tuned[mid], meta)
     save_ensemble(os.path.join(out_dir, "ensemble_main"), pipe.main, meta)
@@ -445,15 +442,13 @@ def load_pipeline(out_dir: str) -> TrainedPipeline:
             if not isinstance(metrics, dict):
                 raise ValueError("run metrics must be a JSON object")
 
-    registry = M.build_registry()
     tuned: dict = {}
-    for entry in registry.model_entries():
-        mid = entry.biomarker_id
+    for mid in M.MEMBER_IDS:
         path = os.path.join(out_dir, "models", f"member_tuned_{mid}.ovbm")
         if not os.path.exists(path):
             raise FileNotFoundError(f"missing weight file {path}")
         tuned[mid] = M.load_model(path)
-    return TrainedPipeline(config, registry, tuned,
+    return TrainedPipeline(config, tuned,
                            load_ensemble(os.path.join(out_dir, "ensemble_main")),
                            load_ensemble(os.path.join(out_dir, "ensemble_pt")),
                            metrics)
@@ -480,11 +475,9 @@ def evaluate_manifest(pipe: TrainedPipeline, manifest_path: str) -> dict:
 
 def diagnose_subject(pipe: TrainedPipeline, record: SubjectRecord,
                      clip: AudioClip) -> Diagnosis:
-    config = pipe.config
-    plan = chunk_plan(clip.duration, config.chunk_size, config.stride)
-    chunks = extract_chunks(clip, plan, config.mfcc_params(),
-                            config.poisson_mask, config.arch_frames)
-    return _diagnoses(config, pipe.main, [record], [len(chunks)], chunks)[0]
+    chunks = _run_chunks(pipe.config, clip)
+    return _diagnoses(pipe.config, pipe.main, [record], [len(chunks)],
+                      chunks)[0]
 
 
 def subject_saliency(pipe: TrainedPipeline, record: SubjectRecord,

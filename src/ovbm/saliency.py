@@ -1,6 +1,6 @@
 """Per-subject biomarker saliency maps and the statistical reports.
 
-A saliency map holds one score per registry biomarker (16 entries, four
+A saliency map holds one score per roster biomarker (16 entries, four
 per family). Every score is an aggregated P(healthy) in [0, 1], so
 higher means the biomarker sees a healthier subject and map shapes are
 comparable across subjects and across the roster.
@@ -19,13 +19,13 @@ from .audio_io import AudioClip, SubjectRecord
 from .chunker import chunk_plan, extract_chunks
 from .fusion import (FusionModel, fuse_from_embeddings, metadata_vector,
                      score_chunks)
-from .models import build_registry, embed_chunks, head_batches
+from .models import MEMBERS, ROSTER, embed_chunks, head_batches
 
 SALIENCY_CSV_COLUMNS = "subject_id,family,biomarker_id,score"
 
 
 class MissingBiomarker(ValueError):
-    """A registry entry has no backing model in the trained bundle."""
+    """A roster member has no backing model in the trained bundle."""
 
 
 class RegistryMismatch(ValueError):
@@ -43,12 +43,6 @@ class SaliencyEntry:
 class SaliencyMap:
     subject_id: str
     entries: list = field(default_factory=list)
-
-    def by_id(self, biomarker_id: str) -> SaliencyEntry:
-        for e in self.entries:
-            if e.biomarker_id == biomarker_id:
-                return e
-        raise KeyError(biomarker_id)
 
     def family_mean(self, family: str) -> float:
         scores = [e.score for e in self.entries if e.family == family]
@@ -72,10 +66,9 @@ def saliency_map(record: SubjectRecord, clip: AudioClip, tuned_members: list,
     `frames` is the members' input frame count; `mask` says whether the
     run masks its chunk images.
     """
-    registry = build_registry()
     metadata = metadata_vector(record.gender, record.age)
     tuned_ids = {m.biomarker_id for m in tuned_members}
-    for entry in registry.model_entries():
+    for entry in MEMBERS:
         if entry.biomarker_id not in tuned_ids:
             raise MissingBiomarker(entry.biomarker_id)
 
@@ -84,10 +77,9 @@ def saliency_map(record: SubjectRecord, clip: AudioClip, tuned_members: list,
     # recording without gaps), all cut from one featurization. Chunks
     # whose crops coincide share one, so each body embeds it once.
     run_plan = (chunk_size, stride)
-    keys = list(dict.fromkeys(
-        [run_plan] + [(e.chunk_size, min(stride, e.chunk_size))
-                      for e in registry.entries
-                      if e.kind == "ensemble_chunk_size"]))
+    probes = {e.biomarker_id: (e.chunk_size, min(stride, e.chunk_size))
+              for e in ROSTER if e.family == "brainos"}
+    keys = list(dict.fromkeys([run_plan, *probes.values()]))
     plans = [chunk_plan(clip.duration, size, step) for size, step in keys]
     flat = extract_chunks(clip, plans, params, mask, frames)
     run_chunks = flat.head(plans[0].count)
@@ -107,19 +99,17 @@ def saliency_map(record: SubjectRecord, clip: AudioClip, tuned_members: list,
                                      embed_chunks(tuned_members, run_chunks))}
 
     entries = []
-    for entry in registry.entries:
-        if entry.trainable_model:
+    for entry in ROSTER:
+        if entry in MEMBERS:
             score = aggregate(own_healthy[entry.biomarker_id], scheme)
-        elif entry.kind == "ensemble_chunk_size":
-            probs = main_probs[(entry.chunk_size, min(stride, entry.chunk_size))]
+        elif entry.family == "brainos":
+            probs = main_probs[probes[entry.biomarker_id]]
             score = aggregate(1.0 - probs[:, 1], scheme)
-        elif entry.kind == "ensemble_scheme":
+        elif entry.scheme is not None:
             score = aggregate(main_probs[run_plan][:, 0],
                               AggregationScheme(entry.scheme))
-        elif entry.kind == "ensemble_pt":
+        else:  # the pretuned ensemble
             score = aggregate(1.0 - pt_probs[:, 1], AggregationScheme.AVERAGE)
-        else:
-            raise MissingBiomarker(f"no scorer for {entry.biomarker_id}")
         entries.append(SaliencyEntry(entry.biomarker_id, entry.family,
                                      float(score)))
     return SaliencyMap(record.subject_id, entries)
@@ -186,18 +176,13 @@ def uniqueness_report(detections: dict, positives) -> UniquenessReport:
     sets = {n: set(detections[n]) & set(positives) for n in names}
     k = len(names)
 
-    def subjects_with_signature(sig: frozenset) -> list:
-        out = []
-        for s in positives:
-            detected_by = frozenset(n for n in names if s in sets[n])
-            if detected_by == sig:
-                out.append(s)
-        return out
-
+    # each positive's detection signature: the models that caught it
+    signature = {s: frozenset(n for n in names if s in sets[n])
+                 for s in positives}
     rows = []
 
     def add(label, sig):
-        subjects = subjects_with_signature(sig)
+        subjects = [s for s in positives if signature[s] == sig]
         rows.append(UniquenessRow(label, subjects, len(subjects),
                                   100.0 * len(subjects) / len(positives)))
 

@@ -1,5 +1,6 @@
-"""Every public function and class defined in `src/ovbm` is used by
-product code. A helper that only tests call belongs in the tests."""
+"""Every public function and class defined in `src/ovbm`, and every
+public method and property of such a class, is used by product code. A
+helper that only tests call belongs in the tests."""
 
 import ast
 from pathlib import Path
@@ -14,34 +15,49 @@ ALLOWED = {
 
 
 def public_names_and_uses():
-    """(public top-level function and class name -> module, every name
-    the library's code reads). Package re-exports are not uses."""
-    defined, used = {}, set()
+    """(public name -> module, every name the library's code reads,
+    every attribute it reads). A public name is a top-level function or
+    class, or `Class.method` for a public method or property in the body
+    of a public class. Package re-exports are not uses."""
+    defined, names, attrs = {}, set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                defined[node.name] = path.stem
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")):
+                continue
+            defined[node.name] = path.stem
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_")):
+                        defined[f"{node.name}.{item.name}"] = path.stem
         if path.name == "__init__.py":
             continue
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    return defined, used
+                attrs.add(node.attr)
+    return defined, names, attrs
+
+
+def is_used(name: str, names: set, attrs: set) -> bool:
+    """A method counts as used when the library reads it as an
+    attribute; a top-level name, when it reads it either way."""
+    owner, _, method = name.rpartition(".")
+    return method in attrs if owner else name in names | attrs
 
 
 def test_every_public_name_has_a_product_use():
-    defined, used = public_names_and_uses()
+    defined, names, attrs = public_names_and_uses()
     unused = sorted(f"{module}.{name}" for name, module in defined.items()
-                    if name not in used and name not in ALLOWED)
+                    if not is_used(name, names, attrs) and name not in ALLOWED)
     assert not unused, f"public API no product code uses: {unused}"
 
 
 def test_allowlist_is_current():
-    defined, used = public_names_and_uses()
+    defined, names, attrs = public_names_and_uses()
     stale = sorted(name for name in ALLOWED
-                   if name not in defined or name in used)
+                   if name not in defined or is_used(name, names, attrs))
     assert not stale, f"allowlisted names now used or gone: {stale}"

@@ -11,8 +11,8 @@ from ovbm.chunker import ChunkPlan, Chunks, chunk_plan, extract_chunks
 import ovbm.chunker as chunker
 from ovbm.degradation import apply_poisson_mask
 from ovbm.mfcc import MfccImage, MfccParams, mfcc
-from ovbm.models import (CnnArch, build_registry, embed_chunks, init_cnn,
-                         member_inputs)
+from ovbm.models import (MEMBER_IDS, MEMBERS, ROSTER, CnnArch, embed_chunks,
+                         init_cnn, member_inputs)
 from ovbm.synthesis import surrogate_dataset, surrogate_spec
 
 
@@ -228,8 +228,8 @@ class TestOneFeaturization:
                             lambda *a, **k: calls.append(1) or mfcc(*a, **k))
         clip = _clip(9.1)
         plans = [chunk_plan(clip.duration, size, 2.0)
-                 for size in [4.0] + [e.chunk_size for e in
-                                      build_registry().family("brainos")]]
+                 for size in [4.0] + [e.chunk_size for e in ROSTER
+                                      if e.family == "brainos"]]
         chunks = extract_chunks(clip, plans, FAST, mask, 64)
         assert len(calls) == 1
         assert len(chunks) == sum(p.count for p in plans)
@@ -257,9 +257,6 @@ class TestOneFeaturization:
         assert rows == [214 + 1]
 
 
-MEMBER_IDS = [e.biomarker_id for e in build_registry().model_entries()]
-
-
 def _surrogate_crop(entry, class_id, index) -> MfccImage:
     """The centre 64-row crop of a surrogate clip's whole featurization."""
     spec = surrogate_spec(entry, class_id, index, 5, FAST.sample_rate)
@@ -272,7 +269,7 @@ class TestSurrogates:
 
     @pytest.mark.parametrize("biomarker_id", MEMBER_IDS)
     def test_image_is_centre_crop_of_clip_mfcc(self, biomarker_id):
-        entry = build_registry().by_id(biomarker_id)
+        entry = MEMBERS[MEMBER_IDS.index(biomarker_id)]
         data = surrogate_dataset(entry, FAST, seed=5, n_per_class=2, frames=64)
         assert [y for _, y in data] == [c for c in range(entry.num_classes)
                                         for _ in range(2)]
@@ -286,7 +283,7 @@ class TestSurrogates:
         """`member_inputs` over the pretraining Chunks, built unmasked as
         `run_training` builds them: the degradation-sensitive member
         reads the masked centre crop, every other member the crop."""
-        entry = build_registry().by_id(biomarker_id)
+        entry = MEMBERS[MEMBER_IDS.index(biomarker_id)]
         data = surrogate_dataset(entry, FAST, seed=5, n_per_class=2, frames=64)
         chunks = Chunks(np.stack([image for image, _ in data]), False)
         member = init_cnn(CnnArch((64, FAST.num_cepstra), stem_channels=2,

@@ -20,9 +20,9 @@ from conftest import (
     replace_tensors,
 )
 from ovbm.audio_io import parse_manifest
-from ovbm.cli import main
+from ovbm.cli import _build_parser, _config_from_args, main
 from ovbm.models import CnnArch, init_cnn, save_model
-from ovbm.pipeline import load_pipeline, resolve_wav_path
+from ovbm.pipeline import RunConfig, load_pipeline, resolve_wav_path
 
 
 def run_cli(capsys, *argv):
@@ -68,7 +68,38 @@ class TestSynth:
                 assert fh.read() == want, rel
 
 
+# Every `ovbm train` flag: (flag, argument, RunConfig field, parsed value).
+TRAIN_FLAGS = [
+    ("--manifest", "flag.csv", "manifest", "flag.csv"),
+    ("--seed", "9", "seed", 9),
+    ("--label", "from-flag", "label", "from-flag"),
+    ("--chunk-size", "3.5", "chunk_size", 3.5),
+    ("--stride", "1.5", "stride", 1.5),
+    ("--poisson-mask", "off", "poisson_mask", False),
+    ("--scheme", "linpos", "scheme", "linpos"),
+    ("--strategy", "last:2", "strategy", "last:2"),
+    ("--lr", "0.05", "learning_rate", 0.05),
+    ("--epochs", "7", "fusion_epochs", 7),
+    ("--pretrain-epochs", "3", "pretrain_epochs", 3),
+    ("--tune-epochs", "4", "tune_epochs", 4),
+    ("--surrogate-per-class", "5", "surrogate_per_class", 5),
+    ("--threshold", "0.25", "threshold", 0.25),
+]
+
+
 class TestTrain:
+    @pytest.mark.parametrize("flag,arg,field,value", TRAIN_FLAGS,
+                             ids=[f[0] for f in TRAIN_FLAGS])
+    def test_flag_overrides_its_config_field(self, flag, arg, field, value,
+                                             tmp_path):
+        in_file = RunConfig(manifest="file.csv", label="from-file").to_dict()
+        assert in_file[field] != value
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(in_file))
+        config = _config_from_args(_build_parser().parse_args(
+            ["train", "--out", "run", "--config", str(config_path), flag, arg]))
+        assert config.to_dict() == dict(in_file, **{field: value})
+
     def test_config_file_with_flag_override(self, tmp_path, corpus_dir, capsys):
         config = micro_run_config(corpus_dir, label="from-file",
                                   pretrain_epochs=1, tune_epochs=1,

@@ -17,6 +17,8 @@ from conftest import (
 from ovbm.chunker import Chunks
 from ovbm.models import (
     EVAL_BATCH,
+    MEMBERS,
+    ROSTER,
     BiomarkerModel,
     CnnArch,
     NTooLarge,
@@ -26,7 +28,6 @@ from ovbm.models import (
     TransferStrategy,
     apply_transfer_strategy,
     backward_batch,
-    build_registry,
     conv_layer_names,
     embed_chunks,
     fit,
@@ -393,45 +394,42 @@ class TestWeightFiles:
             load_model(path)
 
 
+def family(name: str) -> list:
+    return [e for e in ROSTER if e.family == name]
+
+
 class TestRegistry:
     def test_roster_shape(self):
-        reg = build_registry()
-        assert len(reg.entries) == 16
-        for family in ("sensory", "brainos", "cognitive", "symbolic"):
-            assert len(reg.family(family)) == 4
-        assert len(set(reg.ids())) == 16
+        assert len(ROSTER) == 16
+        for name in ("sensory", "brainos", "cognitive", "symbolic"):
+            assert len(family(name)) == 4
+        assert len({e.biomarker_id for e in ROSTER}) == 16
 
     def test_model_backed_entries(self):
-        reg = build_registry()
-        ids = [e.biomarker_id for e in reg.model_entries()]
-        assert len(ids) == 8
-        assert reg.by_id("poisson_muscular").always_mask is True
-        assert sum(e.always_mask for e in reg.entries) == 1
-        assert reg.by_id("sentiment_8class").num_classes == 8
-        assert reg.by_id("cough_origin").chunk_seconds == 6.0
+        by_id = {e.biomarker_id: e for e in ROSTER}
+        assert list(MEMBERS) == family("sensory") + family("cognitive")
+        assert by_id["poisson_muscular"].always_mask is True
+        assert sum(e.always_mask for e in ROSTER) == 1
+        assert by_id["sentiment_8class"].num_classes == 8
+        assert by_id["cough_origin"].chunk_seconds == 6.0
         for wid in ("vocal_cords_ww_them", "ww_context_kitchen",
                     "ww_unique_tipping", "ww_inferred_jar",
                     "ww_salient_overflow"):
-            entry = reg.by_id(wid)
+            entry = by_id[wid]
             assert entry.kind == "wake_word"
             assert entry.chunk_seconds == 3.0
-        keywords = {reg.by_id(w).keyword for w in (
+        keywords = {by_id[w].keyword for w in (
             "vocal_cords_ww_them", "ww_context_kitchen", "ww_unique_tipping",
             "ww_inferred_jar", "ww_salient_overflow")}
         assert keywords == {"them", "kitchen", "tipping", "jar", "overflow"}
 
     def test_chunk_probe_sizes_match(self):
-        reg = build_registry()
-        sizes = [e.chunk_size for e in reg.family("brainos")]
+        sizes = [e.chunk_size for e in family("brainos")]
         assert sizes == [2.0, 8.0, 14.0, 20.0]
 
     def test_symbolic_schemes(self):
-        reg = build_registry()
-        schemes = {e.scheme for e in reg.family("symbolic")
-                   if e.kind == "ensemble_scheme"}
-        assert schemes == {"average", "linear_positive", "linear_negative"}
-        assert any(e.kind == "ensemble_pt" for e in reg.family("symbolic"))
-
-    def test_unknown_id(self):
-        with pytest.raises(KeyError):
-            build_registry().by_id("nope")
+        # three aggregation schemes of the main ensemble, then the
+        # pretuned ensemble, which has none
+        schemes = [e.scheme for e in family("symbolic")]
+        assert schemes == ["average", "linear_positive", "linear_negative",
+                           None]

@@ -127,9 +127,9 @@ class TestPaths:
 class TestTrainedRun:
     def test_roster_and_head_widths(self, micro_pipeline):
         pipe = micro_pipeline
-        assert len(pipe.member_ids) == 8
+        assert len(M.MEMBER_IDS) == 8
         main = {m.biomarker_id: m for m in pipe.main.members}
-        for entry in pipe.registry.model_entries():
+        for entry in M.MEMBERS:
             # joint training never touches a member's surrogate-task head
             assert main[entry.biomarker_id].num_classes == entry.num_classes
             assert pipe.tuned[entry.biomarker_id].num_classes == 2
@@ -155,11 +155,11 @@ class TestTrainedRun:
         for split in ("train", "test", "pt_test"):
             assert 0.0 <= m[split]["subject_accuracy"] <= 1.0
             assert 0.0 <= m[split]["chunk_accuracy"] <= 1.0
-        assert set(m["members"]) == set(micro_pipeline.member_ids)
+        assert set(m["members"]) == set(M.MEMBER_IDS)
         best = m["best_member"]
         assert best["test_subject_accuracy"] == max(
             v["test_subject_accuracy"] for v in m["members"].values())
-        assert set(m["detections"]) == set(micro_pipeline.member_ids)
+        assert set(m["detections"]) == set(M.MEMBER_IDS)
         for detected in m["detections"].values():
             assert set(detected) <= set(m["test_positives"])
         assert sorted(m["train_subjects"] + m["test_subjects"]) == \
@@ -171,7 +171,7 @@ class TestTrainedRun:
         for k, w in again.main.weights.items():
             np.testing.assert_array_equal(
                 w, micro_pipeline.main.weights[k])
-        for mid in again.member_ids:
+        for mid in M.MEMBER_IDS:
             for k, w in again.tuned[mid].weights.items():
                 np.testing.assert_array_equal(
                     w, micro_pipeline.tuned[mid].weights[k])
@@ -186,14 +186,13 @@ class TestArtifacts:
             assert os.path.exists(os.path.join(micro_run_dir, sub, "fusion.ovbm"))
         models = os.listdir(os.path.join(micro_run_dir, "models"))
         assert sorted(models) == sorted(
-            f"member_tuned_{e.biomarker_id}.ovbm"
-            for e in M.build_registry().model_entries())
+            f"member_tuned_{mid}.ovbm" for mid in M.MEMBER_IDS)
 
     def test_round_trip(self, micro_pipeline, micro_run_dir):
         loaded = load_pipeline(micro_run_dir)
         assert loaded.config == micro_pipeline.config
         assert loaded.metrics == micro_pipeline.metrics
-        for mid in micro_pipeline.member_ids:
+        for mid in M.MEMBER_IDS:
             want = micro_pipeline.tuned[mid].weights
             got = loaded.tuned[mid].weights
             for k in want:
@@ -277,9 +276,9 @@ class TestOneScoringPath:
             clip = load_clip(config.manifest, rec, config.sample_rate)
             d = diagnose_subject(micro_pipeline, rec, clip)
             smap = subject_saliency(micro_pipeline, rec, clip)
+            scores = {e.biomarker_id: e.score for e in smap.entries}
             for entry_id in ("symbolic_average", "brainos_chunk2"):
-                assert abs(smap.by_id(entry_id).score
-                           - (1.0 - d.probability)) <= 1e-12
+                assert abs(scores[entry_id] - (1.0 - d.probability)) <= 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -293,7 +292,7 @@ def _distinct_images(pipe, clip) -> tuple:
     config = pipe.config
     keys = [(config.chunk_size, config.stride)] + [
         (e.chunk_size, min(config.stride, e.chunk_size))
-        for e in pipe.registry.entries if e.kind == "ensemble_chunk_size"]
+        for e in M.ROSTER if e.family == "brainos"]
     plans = [chunk_plan(clip.duration, *k) for k in dict.fromkeys(keys)]
     assert len(plans) == 4  # the run's plan, then the 8, 14 and 20 s probes
     images = extract_chunks(clip, plans, config.mfcc_params(),
@@ -393,9 +392,9 @@ class TestEmbeddingMemo:
             chunk_plan(clip.duration, size, 2.0).count for size in (8, 14, 20))
         assert every < chunks
         assert sum(images) == 8 * every
+        scores = {e.biomarker_id: e.score for e in smap.entries}
         for entry_id in ("symbolic_average", "brainos_chunk2"):
-            assert abs(smap.by_id(entry_id).score
-                       - (1.0 - d.probability)) <= 1e-12
+            assert abs(scores[entry_id] - (1.0 - d.probability)) <= 1e-12
 
     @staticmethod
     def _images_inside(monkeypatch, wrapped) -> list:

@@ -228,12 +228,6 @@ class TestSaliencyMap:
         assert [(e.biomarker_id, e.score) for e in again.entries] == \
             [(e.biomarker_id, e.score) for e in smap.entries]
 
-    def test_by_id(self, subject_map):
-        _, _, _, smap = subject_map
-        assert smap.by_id("cough_origin").family == "sensory"
-        with pytest.raises(KeyError):
-            smap.by_id("nope")
-
     def test_missing_member_raises(self, subject_map):
         pipe, record, clip, _ = subject_map
         config = pipe.config
