@@ -205,6 +205,8 @@ def _select_records(manifest_path: str, spec: str | None) -> list:
     if spec is None or spec == "all":
         return records
     wanted = [s for s in spec.split(",") if s]
+    if not wanted:
+        raise ValueError("no subjects selected")
     by_id = {r.subject_id: r for r in records}
     missing = [s for s in wanted if s not in by_id]
     if missing:
@@ -237,8 +239,6 @@ def cmd_saliency(args) -> int:
     if not os.path.exists(args.manifest):
         raise FileNotFoundError(f"missing manifest {args.manifest}")
     records = _select_records(args.manifest, args.subjects)
-    if not records:
-        raise ValueError("no subjects selected")
     os.makedirs(args.out, exist_ok=True)
     maps = {}
     for rec in records:

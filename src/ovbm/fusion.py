@@ -171,7 +171,7 @@ def train_fusion(fusion: FusionModel, chunks: Chunks, metadata: np.ndarray,
         else:
             outs = [M.forward_batch(m, x[batch], want_cache=True)
                     for m, x in zip(members, inputs)]
-            emb = np.concatenate([e for e, _, _ in outs], axis=1)
+            emb = np.concatenate([e for e, _ in outs], axis=1)
         _, fcache = fuse_from_embeddings(fusion, emb, meta[batch],
                                          want_cache=True)
         loss = nn.cross_entropy(fcache["logits"], labels[batch])
@@ -181,7 +181,7 @@ def train_fusion(fusion: FusionModel, chunks: Chunks, metadata: np.ndarray,
         for i, needed in enumerate(member_needed):
             if needed:
                 grads = M.backward_from_embedding(
-                    members[i], outs[i][2], dx[:, dims[i]:dims[i + 1]], needed)
+                    members[i], outs[i][1], dx[:, dims[i]:dims[i + 1]], needed)
                 M.adam_step(members[i].weights, grads, member_states[i],
                             config, t)
         return loss

@@ -211,28 +211,27 @@ def replace_head(model: BiomarkerModel, num_classes: int, seed: int) -> Biomarke
     return out
 
 
+def _trainable_convs(strategy: TransferStrategy, arch: CnnArch) -> list:
+    """The conv layers `strategy` lets fine-tuning touch on `arch`."""
+    if strategy.kind not in ("frozen", "last_n", "all"):
+        raise ValueError(f"unknown strategy kind {strategy.kind!r}")
+    convs = conv_layer_names(arch)
+    n = {"frozen": 0, "all": len(convs)}.get(strategy.kind, strategy.n)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > len(convs):
+        raise NTooLarge(f"n={n} but arch has {len(convs)} conv layers")
+    return convs[len(convs) - n:]
+
+
 def apply_transfer_strategy(model: BiomarkerModel,
                             strategy: TransferStrategy) -> BiomarkerModel:
     """Return a copy whose trainability mask reflects the strategy."""
-    convs = conv_layer_names(model.arch)
+    trainable = _trainable_convs(strategy, model.arch)
     out = clone_model(model)
-    if strategy.kind == "frozen":
-        trainable_convs: set = set()
-        embed = False
-    elif strategy.kind == "all":
-        trainable_convs = set(convs)
-        embed = True
-    elif strategy.kind == "last_n":
-        if strategy.n < 0:
-            raise ValueError("n must be nonnegative")
-        if strategy.n > len(convs):
-            raise NTooLarge(f"n={strategy.n} but arch has {len(convs)} conv layers")
-        trainable_convs = set(convs[len(convs) - strategy.n:])
-        embed = False
-    else:
-        raise ValueError(f"unknown strategy kind {strategy.kind!r}")
-    out.trainable = {name: name in trainable_convs for name in convs}
-    out.trainable["embed"] = embed
+    out.trainable = {name: name in trainable
+                     for name in conv_layer_names(model.arch)}
+    out.trainable["embed"] = strategy.kind == "all"
     out.trainable["head"] = True
     return out
 
@@ -240,7 +239,8 @@ def apply_transfer_strategy(model: BiomarkerModel,
 # ------------------------------------------------------------- forward
 
 def forward_batch(model: BiomarkerModel, x: np.ndarray, want_cache: bool = False):
-    """x: [B, H, W] member inputs. Returns (embeddings, probs, cache)."""
+    """x: [B, H, W] member inputs. Returns (embeddings [B, E], cache);
+    the head is `head_forward`'s."""
     w = model.weights
     a = x[:, None, :, :]
     cache: dict = {"x": a} if want_cache else None
@@ -265,18 +265,26 @@ def forward_batch(model: BiomarkerModel, x: np.ndarray, want_cache: bool = False
         cache["gap_in_shape"] = a.shape
 
     g = nn.global_avgpool(a)
-    emb = nn.linear(g, w["embed.w"], w["embed.b"])
-    logits = nn.linear(emb, w["head.w"], w["head.b"])
-    if not (np.isfinite(emb).all() and np.isfinite(logits).all()):
-        raise NonFiniteActivation(f"member {model.biomarker_id!r}: non-finite "
-                                  f"activation; weights corrupt")
-    probs = nn.softmax(logits)
+    emb = _finite(model, nn.linear(g, w["embed.w"], w["embed.b"]))
     if want_cache:
         cache["g"] = g
-        cache["emb"] = emb
-        cache["logits"] = logits
-        cache["probs"] = probs
-    return emb, probs, cache
+    return emb, cache
+
+
+def head_forward(model: BiomarkerModel, emb: np.ndarray) -> tuple:
+    """The member's own classification head over embeddings [B, E]:
+    (logits, probs), each [B, num_classes]."""
+    logits = _finite(model, nn.linear(emb, model.weights["head.w"],
+                                      model.weights["head.b"]))
+    return logits, nn.softmax(logits)
+
+
+def _finite(model: BiomarkerModel, a: np.ndarray) -> np.ndarray:
+    """`a`, unless a value of it is NaN or infinite."""
+    if not np.isfinite(a).all():
+        raise NonFiniteActivation(f"member {model.biomarker_id!r}: non-finite "
+                                  f"activation; weights corrupt")
+    return a
 
 
 def backward_from_embedding(model: BiomarkerModel, cache: dict,
@@ -336,20 +344,6 @@ def backward_from_embedding(model: BiomarkerModel, cache: dict,
     return grads
 
 
-def backward_batch(model: BiomarkerModel, cache: dict, targets: np.ndarray,
-                   needed: set) -> dict:
-    """Gradients of mean cross-entropy w.r.t. the layers in `needed`."""
-    dlogits = nn.softmax_ce_backward(cache["probs"], targets)
-    rest = {n for n in needed if n != "head"}
-    d_emb, dw, db = nn.linear_backward(dlogits, cache["emb"],
-                                       model.weights["head.w"],
-                                       need_dx=bool(rest))
-    grads = {"head.w": dw, "head.b": db} if "head" in needed else {}
-    if rest:
-        grads.update(backward_from_embedding(model, cache, d_emb, rest))
-    return grads
-
-
 # -------------------------------------------------------------- train
 
 def adam_step(weights: dict, grads: dict, state: nn.AdamState,
@@ -384,20 +378,13 @@ def stratified_split(labels, fraction: float, rng: np.random.Generator):
     return sorted(train_idx), sorted(test_idx)
 
 
-def _head_forward(model: BiomarkerModel, emb: np.ndarray) -> dict:
-    """Head outputs over given embeddings, keyed like a forward_batch
-    cache so that backward_batch can read them."""
-    logits = nn.linear(emb, model.weights["head.w"], model.weights["head.b"])
-    return {"emb": emb, "logits": logits, "probs": nn.softmax(logits)}
-
-
 def head_batches(model: BiomarkerModel, emb: np.ndarray) -> np.ndarray:
     """Own-head probabilities over embeddings [N, E], computed in the
-    EVAL_BATCH batches of `embed_chunks`, so they agree bit for bit with
-    `forward_batch` over those batches."""
+    EVAL_BATCH batches of `embed_chunks`: a linear layer's rows depend
+    on the batch around them, and these are the scores' batches."""
     probs = [np.zeros((0, model.num_classes))]
     for i in range(0, emb.shape[0], EVAL_BATCH):
-        probs.append(_head_forward(model, emb[i:i + EVAL_BATCH])["probs"])
+        probs.append(head_forward(model, emb[i:i + EVAL_BATCH])[1])
     return np.concatenate(probs, axis=0)
 
 
@@ -450,13 +437,19 @@ def train(model: BiomarkerModel, chunks: Chunks, labels, config: TrainConfig,
 
     def step(batch, t):
         if head_only:
-            cache = _head_forward(model, source[batch])
+            emb, cache = source[batch], None
         else:
-            _, _, cache = forward_batch(model, source[batch], want_cache=True)
-        loss = nn.cross_entropy(cache["logits"], labels[batch])
-        grads = backward_batch(model, cache, labels[batch], needed)
+            emb, cache = forward_batch(model, source[batch], want_cache=True)
+        logits, probs = head_forward(model, emb)
+        y = labels[batch]
+        d_emb, dw, db = nn.linear_backward(nn.softmax_ce_backward(probs, y),
+                                           emb, model.weights["head.w"],
+                                           need_dx=not head_only)
+        grads = {"head.w": dw, "head.b": db}
+        if not head_only:
+            grads.update(backward_from_embedding(model, cache, d_emb, needed))
         adam_step(model.weights, grads, state, config, t)
-        return loss
+        return nn.cross_entropy(logits, y)
 
     _, _, epoch_losses = fit(labels, config, step)
     return model, epoch_losses

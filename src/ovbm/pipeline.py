@@ -131,7 +131,7 @@ class RunConfig:
         if not 0.0 < self.split_fraction < 1.0:
             raise ValueError("split_fraction must lie in (0, 1)")
         self.parsed_scheme()
-        self.parsed_strategy()
+        M._trainable_convs(self.parsed_strategy(), self.arch())
         self.mfcc_params().validate()
         if self.chunk_size < self.window_len:
             raise ValueError(f"chunk_size {self.chunk_size!r} s is shorter than "

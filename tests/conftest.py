@@ -11,6 +11,7 @@ import pytest
 from hypothesis import settings
 
 import ovbm.models as models
+from ovbm import nn
 from ovbm.chunker import chunk_plan, extract_chunks
 from ovbm.mfcc import PREEMPHASIS
 from ovbm.models import CnnArch, pack_tensor_records, read_weight_file
@@ -153,6 +154,22 @@ def count_forward_images(monkeypatch) -> list:
 
     monkeypatch.setattr(models, "forward_batch", counting)
     return images
+
+
+def member_loss_and_grads(model, x, targets, needed):
+    """A member's mean cross-entropy over images x [B, H, W] and the
+    gradients of the head and of the other layers in `needed`, through
+    the calls each step of `models.train` makes."""
+    emb, cache = models.forward_batch(model, x, want_cache=True)
+    logits, probs = models.head_forward(model, emb)
+    rest = set(needed) - {"head"}
+    d_emb, dw, db = nn.linear_backward(nn.softmax_ce_backward(probs, targets),
+                                       emb, model.weights["head.w"],
+                                       need_dx=bool(rest))
+    grads = {"head.w": dw, "head.b": db}
+    if rest:
+        grads.update(models.backward_from_embedding(model, cache, d_emb, rest))
+    return nn.cross_entropy(logits, targets), grads
 
 
 def random_images(n: int, shape=(10, 8), seed: int = 0) -> list:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import MICRO_ARCH, own_frames
+from conftest import MICRO_ARCH, member_loss_and_grads, own_frames
 from ovbm import cli
 from ovbm import nn
 from ovbm.aggregation import AggregationScheme, aggregate, scheme_weights
@@ -23,8 +23,6 @@ from ovbm.mfcc import MfccImage, MfccParams, mfcc_oracle
 from ovbm.models import (
     TrainConfig,
     TransferStrategy,
-    backward_batch,
-    forward_batch,
     init_cnn,
     layer_names,
     read_weight_file,
@@ -187,11 +185,10 @@ def test_criterion_04_gradients_match_finite_differences():
     target = np.array([1])
 
     def member_loss():
-        _, _, cache = forward_batch(model, x, want_cache=True)
-        return nn.cross_entropy(cache["logits"], target)
+        return member_loss_and_grads(model, x, target, set())[0]
 
-    _, _, cache = forward_batch(model, x, want_cache=True)
-    grads = backward_batch(model, cache, target, set(layer_names(MICRO_ARCH)))
+    _, grads = member_loss_and_grads(model, x, target,
+                                     set(layer_names(MICRO_ARCH)))
     assert len(grads) == len(model.weights)
     for key in grads:
         fd_check(member_loss, [model.weights[key]], [grads[key]], n_coords=4)

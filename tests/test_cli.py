@@ -19,16 +19,31 @@ from conftest import (
     replace_descriptor,
     replace_tensors,
 )
+import ovbm.pipeline as P
 from ovbm.audio_io import parse_manifest
 from ovbm.cli import _build_parser, _config_from_args, main
-from ovbm.models import CnnArch, init_cnn, save_model
-from ovbm.pipeline import RunConfig, load_pipeline, resolve_wav_path
+from ovbm.models import CnnArch, NTooLarge, init_cnn, save_model
+from ovbm.pipeline import (RunConfig, load_pipeline, resolve_wav_path,
+                           save_pipeline)
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def overflowing_member(config, biomarker_id):
+    """A member whose finite weights, exact in float32, overflow its
+    forward pass to inf and nan; three blocks, since the run's two would
+    still end finite at 3e38."""
+    arch = CnnArch((config.arch_frames, config.num_cepstra),
+                   config.stem_channels, 3, config.embedding_dim)
+    member = init_cnn(arch, 2, seed=0, biomarker_id=biomarker_id)
+    for name, w in member.weights.items():
+        if not name.startswith("head."):
+            w[...] = 3e38
+    return member
 
 
 def cut_copy(run_dir: str, tmp_path, *rel) -> tuple:
@@ -202,6 +217,25 @@ class TestTrain:
         assert "chunk_size 0.01" in stderr and "window_len 0.02" in stderr
         assert not os.path.exists(tmp_path / "r")
 
+    @pytest.mark.parametrize("strategy,error,message", [
+        ("last:99", NTooLarge, "n=99 but arch has 7 conv layers"),
+        ("last:-1", ValueError, "n must be nonnegative")])
+    def test_impossible_last_n_fails_before_training(
+            self, strategy, error, message, tmp_path, corpus_dir, capsys,
+            monkeypatch):
+        with pytest.raises(error, match=message):
+            RunConfig(manifest="any.csv", strategy=strategy).validate()
+        rendered = []
+        monkeypatch.setattr(P, "surrogate_dataset",
+                            lambda *args: rendered.append(args))
+        code, _, stderr = run_cli(
+            capsys, "train", "--manifest",
+            os.path.join(corpus_dir, "manifest.csv"),
+            "--out", str(tmp_path / "r"), "--strategy", strategy)
+        assert code == 2
+        assert message in stderr
+        assert rendered == [] and not os.path.exists(tmp_path / "r")
+
     def test_missing_manifest_file(self, tmp_path, capsys):
         code, _, stderr = run_cli(capsys, "train", "--manifest",
                                   str(tmp_path / "nope.csv"),
@@ -370,6 +404,23 @@ class TestDiagnose:
         assert code == 2
         assert "s999" in stderr
 
+    def test_overflowing_member_weights(self, micro_run_dir, corpus_dir,
+                                        tmp_path, capsys):
+        # saved as they are, so every digest in the run verifies
+        pipe = load_pipeline(micro_run_dir)
+        i = pipe.main.member_ids.index("cough_origin")
+        pipe.main.members[i] = overflowing_member(pipe.config, "cough_origin")
+        broken = str(tmp_path / "broken")
+        save_pipeline(pipe, broken)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, stdout, stderr = run_cli(
+                capsys, "diagnose", "--run", broken,
+                "--manifest", os.path.join(corpus_dir, "manifest.csv"),
+                "--subjects", "s000")
+        assert code == 2
+        assert "cough_origin" in stderr and "non-finite" in stderr
+        assert stdout == ""
+
 
 class TestSaliency:
     def test_reports_and_compare(self, micro_run_dir, corpus_dir, tmp_path,
@@ -407,20 +458,12 @@ class TestSaliency:
 
     def test_overflowing_member_weights(self, micro_run_dir, corpus_dir,
                                         tmp_path, capsys):
-        # Finite weights load, but these overflow the member's forward
-        # pass to inf and nan; three blocks, since the run's two would
-        # still end finite at 3e38.
         broken = str(tmp_path / "broken")
         shutil.copytree(micro_run_dir, broken)
-        config = load_pipeline(micro_run_dir).config
-        arch = CnnArch((config.arch_frames, config.num_cepstra),
-                       config.stem_channels, 3, config.embedding_dim)
-        member = init_cnn(arch, 2, seed=0, biomarker_id="cough_origin")
-        for name, w in member.weights.items():
-            if not name.startswith("head."):
-                w[...] = 3e38
         save_model(os.path.join(broken, "models",
-                                "member_tuned_cough_origin.ovbm"), member)
+                                "member_tuned_cough_origin.ovbm"),
+                   overflowing_member(load_pipeline(broken).config,
+                                      "cough_origin"))
         with np.errstate(over="ignore", invalid="ignore"):
             code, _, stderr = run_cli(
                 capsys, "saliency", "--run", broken,
@@ -437,6 +480,20 @@ class TestSaliency:
             "--out", str(tmp_path / "r"))
         assert code == 2
         assert "exactly two" in stderr
+
+
+@pytest.mark.parametrize("command", ["diagnose", "saliency"])
+@pytest.mark.parametrize("spec", ["", ","])
+def test_empty_subject_selection(command, spec, micro_run_dir, corpus_dir,
+                                 tmp_path, capsys):
+    out = tmp_path / "out"
+    code, stdout, stderr = run_cli(
+        capsys, command, "--run", micro_run_dir,
+        "--manifest", os.path.join(corpus_dir, "manifest.csv"),
+        "--subjects", spec, "--out", str(out))
+    assert code == 2
+    assert "no subjects selected" in stderr
+    assert stdout == "" and not out.exists()
 
 
 class TestReports:

@@ -38,6 +38,7 @@ from ovbm.models import (
     embed_chunks,
     forward_batch,
     head_batches,
+    head_forward,
     init_cnn,
     member_inputs,
     replace_head,
@@ -129,7 +130,7 @@ class TestFuseForward:
         for m, e in zip(retuned, embs):
             x = member_inputs(m, chunks)
             np.testing.assert_array_equal(head_batches(m, e), np.concatenate(
-                [forward_batch(m, x[i:i + EVAL_BATCH])[1]
+                [head_forward(m, forward_batch(m, x[i:i + EVAL_BATCH])[0])[1]
                  for i in range(0, len(x), EVAL_BATCH)]))
 
     def test_per_chunk_metadata_matches_per_subject_scores(self):

@@ -9,6 +9,7 @@ from conftest import (
     BAD_MODEL_TENSORS,
     MICRO_ARCH,
     count_forward_images,
+    member_loss_and_grads,
     random_images,
     record_boundaries,
     replace_descriptor,
@@ -21,18 +22,19 @@ from ovbm.models import (
     ROSTER,
     BiomarkerModel,
     CnnArch,
+    NonFiniteActivation,
     NTooLarge,
     ShapeMismatch,
     SingleClassDataset,
     TrainConfig,
     TransferStrategy,
     apply_transfer_strategy,
-    backward_batch,
     conv_layer_names,
     embed_chunks,
     fit,
     forward_batch,
     head_batches,
+    head_forward,
     init_cnn,
     layer_names,
     load_model,
@@ -42,7 +44,6 @@ from ovbm.models import (
     stratified_split,
     train,
 )
-from ovbm import nn
 from ovbm.util import derive_seed
 
 
@@ -85,7 +86,9 @@ class TestInit:
 class TestForward:
     def test_shapes_and_prob_rows(self):
         model = init_cnn(MICRO_ARCH, 3, seed=1)
-        emb, probs, _ = forward_batch(model, np.stack(random_images(5)))
+        emb, cache = forward_batch(model, np.stack(random_images(5)))
+        probs = head_forward(model, emb)[1]
+        assert cache is None
         assert emb.shape == (5, 4)
         assert probs.shape == (5, 3)
         np.testing.assert_allclose(probs.sum(axis=1), np.ones(5), atol=1e-12)
@@ -110,9 +113,35 @@ class TestForward:
         model = init_cnn(MICRO_ARCH, 2, seed=2)
         x = random_images(1, seed=3)[0][None]
         emb1 = embed_chunks([model], Chunks(x, False))[0]
-        emb2, probs2, _ = forward_batch(model, x)
+        emb2, _ = forward_batch(model, x)
         np.testing.assert_array_equal(emb1, emb2)
-        np.testing.assert_array_equal(head_batches(model, emb1), probs2)
+        np.testing.assert_array_equal(head_batches(model, emb1),
+                                      head_forward(model, emb2)[1])
+
+
+class TestNonFiniteActivation:
+    """Finite weights whose products overflow: loading accepts them, the
+    passes refuse what they compute, naming the member."""
+
+    def test_overflowing_embedding(self):
+        model = init_cnn(MICRO_ARCH, 2, seed=0, biomarker_id="probe")
+        for name, w in model.weights.items():
+            if not name.startswith("head."):
+                w[...] = 1e200
+        model.validate()
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteActivation, match="'probe'"):
+            forward_batch(model, np.stack(random_images(2)))
+
+    def test_overflowing_head(self):
+        model = init_cnn(MICRO_ARCH, 2, seed=0, biomarker_id="probe")
+        model.weights["head.w"][...] = 1e300
+        model.validate()
+        emb = np.full((3, 4), 1e300)
+        for head in (head_forward, head_batches):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(NonFiniteActivation, match="'probe'"):
+                head(model, emb)
 
 
 class TestChunkEmbeddings:
@@ -151,12 +180,9 @@ class TestChunkEmbeddings:
 
 
 def loss_and_grads(model, img, target, needed):
-    """Cross-entropy of one image and the gradients of the layers in
-    `needed`, through the batch passes."""
-    _, _, cache = forward_batch(model, img[None], want_cache=True)
-    targets = np.array([target])
-    return (nn.cross_entropy(cache["logits"], targets),
-            backward_batch(model, cache, targets, needed))
+    """Cross-entropy of one image and the gradients of the head and of
+    the layers in `needed`, through the calls `train`'s step makes."""
+    return member_loss_and_grads(model, img[None], np.array([target]), needed)
 
 
 class TestGradients:

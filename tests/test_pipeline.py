@@ -11,6 +11,7 @@ import ovbm
 import ovbm.models as M
 import ovbm.pipeline as P
 import ovbm.saliency as S
+from ovbm import nn
 from conftest import count_forward_images, micro_run_config
 from ovbm.audio_io import AudioClip, parse_manifest
 from ovbm.chunker import Chunks, chunk_plan, extract_chunks
@@ -279,6 +280,49 @@ class TestOneScoringPath:
             scores = {e.biomarker_id: e.score for e in smap.entries}
             for entry_id in ("symbolic_average", "brainos_chunk2"):
                 assert abs(scores[entry_id] - (1.0 - d.probability)) <= 1e-12
+
+
+class TestMemberHeads:
+    """A member's own head runs only where its output is read: the tuned
+    members' own-head saliency scores. Diagnoses read the ensembles'
+    fusions over member embeddings only."""
+
+    @staticmethod
+    def _heads_run(monkeypatch, pipe) -> list:
+        """Patch `nn.linear` to record, in order, which of the run's
+        members' heads each call computes, as (ensemble, member id)."""
+        owners = {id(m.weights["head.w"]): (kind, m.biomarker_id)
+                  for kind, members in (("main", pipe.main.members),
+                                        ("pt", pipe.pt.members),
+                                        ("tuned", pipe.tuned_members))
+                  for m in members}
+        assert len(owners) == 3 * len(M.MEMBER_IDS)
+        ran = []
+        linear = nn.linear
+
+        def recording(x, w, b):
+            if id(w) in owners:
+                ran.append(owners[id(w)])
+            return linear(x, w, b)
+
+        monkeypatch.setattr(nn, "linear", recording)
+        return ran
+
+    def test_diagnose_runs_no_head(self, micro_pipeline, monkeypatch):
+        config = micro_pipeline.config
+        rec = parse_manifest(config.manifest)[0]
+        clip = load_clip(config.manifest, rec, config.sample_rate)
+        ran = self._heads_run(monkeypatch, micro_pipeline)
+        diagnose_subject(micro_pipeline, rec, clip)
+        assert ran == []
+
+    def test_saliency_runs_the_tuned_heads(self, micro_pipeline, monkeypatch):
+        config = micro_pipeline.config
+        rec = parse_manifest(config.manifest)[0]
+        clip = load_clip(config.manifest, rec, config.sample_rate)
+        ran = self._heads_run(monkeypatch, micro_pipeline)
+        subject_saliency(micro_pipeline, rec, clip)
+        assert ran == [("tuned", mid) for mid in M.MEMBER_IDS]
 
 
 @pytest.fixture(scope="module")

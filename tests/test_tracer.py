@@ -46,6 +46,8 @@ def test_traced_run_reports_every_layer(corpus_dir):
     # surrogate images come through the traced chunker, one chunk a clip
     assert metrics["chunker.chunks"] >= metrics["synthesis.surrogate_clips"] > 0
     # the conv figures the benchmark reports are timed on the conv path
+    # and the model figures on the functions the members run
     for name in ("nn.conv3x3.block.s", "nn.conv3x3_backward.s",
-                 "nn.conv3x3_backward.gflop"):
+                 "nn.conv3x3_backward.gflop", "models.forward_batch.calls",
+                 "models.backward_from_embedding.s"):
         assert metrics[name] > 0, name
