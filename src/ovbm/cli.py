@@ -207,6 +207,9 @@ def _select_records(manifest_path: str, spec: str | None) -> list:
     wanted = [s for s in spec.split(",") if s]
     if not wanted:
         raise ValueError("no subjects selected")
+    repeated = sorted({s for s in wanted if wanted.count(s) > 1})
+    if repeated:
+        raise ValueError(f"duplicate subject ids: {', '.join(repeated)}")
     by_id = {r.subject_id: r for r in records}
     missing = [s for s in wanted if s not in by_id]
     if missing:

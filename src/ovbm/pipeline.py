@@ -448,10 +448,15 @@ def load_pipeline(out_dir: str) -> TrainedPipeline:
         if not os.path.exists(path):
             raise FileNotFoundError(f"missing weight file {path}")
         tuned[mid] = M.load_model(path)
-    return TrainedPipeline(config, tuned,
-                           load_ensemble(os.path.join(out_dir, "ensemble_main")),
-                           load_ensemble(os.path.join(out_dir, "ensemble_pt")),
-                           metrics)
+    ensembles = []
+    for name in ("ensemble_main", "ensemble_pt"):
+        fusion = load_ensemble(os.path.join(out_dir, name))
+        if fusion.member_ids != list(M.MEMBER_IDS):
+            raise ValueError(
+                f"{os.path.join(out_dir, name, 'fusion.ovbm')}: members "
+                f"{', '.join(fusion.member_ids)} are not the roster, in order")
+        ensembles.append(fusion)
+    return TrainedPipeline(config, tuned, *ensembles, metrics)
 
 
 # ----------------------------------------------------------- per-subject

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -154,7 +154,7 @@ class UniquenessRow:
 
 @dataclass
 class UniquenessReport:
-    model_names: list
+    models: list
     positives: list
     rows: list = field(default_factory=list)
 
@@ -242,18 +242,7 @@ def saliency_csv(maps: list) -> str:
 
 
 def saliency_json(maps: list) -> str:
-    payload = [
-        {
-            "subject_id": m.subject_id,
-            "entries": [
-                {"biomarker_id": e.biomarker_id, "family": e.family,
-                 "score": e.score}
-                for e in m.entries
-            ],
-        }
-        for m in maps
-    ]
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps([asdict(m) for m in maps], indent=2, sort_keys=True) + "\n"
 
 
 def comparison_csv(cmp: SaliencyComparison) -> str:
@@ -274,16 +263,7 @@ def uniqueness_csv(report: UniquenessReport) -> str:
 
 
 def uniqueness_json(report: UniquenessReport) -> str:
-    payload = {
-        "models": report.model_names,
-        "positives": report.positives,
-        "rows": [
-            {"label": r.label, "subjects": r.subjects, "count": r.count,
-             "percent": r.percent}
-            for r in report.rows
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
 
 
 def ablation_csv(report: AblationReport) -> str:

@@ -305,6 +305,23 @@ class TestEval:
         assert code == 2
         assert str(victim) in stderr
 
+    @pytest.mark.parametrize("ensemble", ["ensemble_main", "ensemble_pt"])
+    def test_members_out_of_roster_order(self, ensemble, micro_run_dir,
+                                         corpus_dir, tmp_path, capsys):
+        # Digests are stored per member and every member dim is equal, so
+        # only the roster sees a reversed member list.
+        broken = str(tmp_path / "broken")
+        shutil.copytree(micro_run_dir, broken)
+        victim = Path(broken, ensemble, "fusion.ovbm")
+        replace_descriptor(victim, lambda d: json.dumps(
+            dict(d, member_ids=d["member_ids"][::-1])).encode("utf-8"))
+        code, stdout, stderr = run_cli(
+            capsys, "eval", "--run", broken,
+            "--manifest", os.path.join(corpus_dir, "manifest.csv"))
+        assert code == 2
+        assert str(victim) in stderr and "roster" in stderr
+        assert stdout == ""
+
     @pytest.mark.parametrize("rel,case", [
         *((("models", "member_tuned_cough_origin.ovbm"), case)
           for case in sorted(BAD_MODEL_TENSORS)),
@@ -482,8 +499,12 @@ class TestSaliency:
         assert "exactly two" in stderr
 
 
+SELECTION_ERRORS = {"": "no subjects selected", ",": "no subjects selected",
+                    "s000,s000": "duplicate subject ids: s000"}
+
+
 @pytest.mark.parametrize("command", ["diagnose", "saliency"])
-@pytest.mark.parametrize("spec", ["", ","])
+@pytest.mark.parametrize("spec", sorted(SELECTION_ERRORS))
 def test_empty_subject_selection(command, spec, micro_run_dir, corpus_dir,
                                  tmp_path, capsys):
     out = tmp_path / "out"
@@ -492,7 +513,7 @@ def test_empty_subject_selection(command, spec, micro_run_dir, corpus_dir,
         "--manifest", os.path.join(corpus_dir, "manifest.csv"),
         "--subjects", spec, "--out", str(out))
     assert code == 2
-    assert "no subjects selected" in stderr
+    assert SELECTION_ERRORS[spec] in stderr
     assert stdout == "" and not out.exists()
 
 
