@@ -20,7 +20,7 @@ how much.
 Run it in two checkouts with the same --work (each run's config.json
 records the manifest path) and `diff` the two listings: no difference
 means every artifact and report is byte-identical. The listing is not
-part of the test suite; it takes a few minutes on two cores.
+part of the test suite; it takes about 8 s on two cores.
 
     python3 scripts/output_digests.py --work /tmp/ovbm-golden \
         --golden tests/golden/outputs.json

@@ -198,14 +198,13 @@ def clone_model(model: BiomarkerModel) -> BiomarkerModel:
     )
 
 
-def replace_head(model: BiomarkerModel, num_classes: int, seed: int) -> BiomarkerModel:
-    """Fresh classification head for a new target task; every other
-    tensor is carried over unchanged."""
+def replace_head(model: BiomarkerModel, num_classes: int) -> BiomarkerModel:
+    """A zero classification head for a new target task; every other
+    tensor is carried over unchanged. Softmax regression is convex and
+    zero is its standard start, so the head needs no draw, and the first
+    steps push no large gradients into the layers below."""
     out = clone_model(model)
-    rng = np.random.default_rng(seed)
-    out.weights["head.w"] = nn.he_uniform(
-        rng, (num_classes, model.arch.embedding_dim), fan_in=model.arch.embedding_dim
-    )
+    out.weights["head.w"] = np.zeros((num_classes, model.arch.embedding_dim))
     out.weights["head.b"] = np.zeros(num_classes)
     out.num_classes = num_classes
     return out

@@ -297,13 +297,11 @@ def run_training(config: RunConfig) -> TrainedPipeline:
     # the pretuned ensemble; their own heads never see joint gradients)
     tuned: dict = {}
     for mid in M.MEMBER_IDS:
-        member = M.replace_head(pretrained[mid], 2,
-                                derive_seed(config.seed, "tune_head", mid))
-        tuned[mid], _ = M.train(member, chunks, labels,
-                                config.train_config(
-                                    config.tune_epochs,
-                                    derive_seed(config.seed, "tune", mid)),
-                                strategy)
+        tuned[mid], _ = M.train(
+            M.replace_head(pretrained[mid], 2), chunks, labels,
+            config.train_config(config.tune_epochs,
+                                derive_seed(config.seed, "tune", mid)),
+            strategy)
 
     # 4. joint fusion training, over the pretrained members (main) and
     # the tuned members (pt)

@@ -1,6 +1,7 @@
 """Acceptance gate: ten numbered, self-contained checks over the whole
 pipeline. Each records exactly one PASS/FAIL verdict line (with the
-measured values); conftest echoes them in the terminal summary."""
+measured values); conftest echoes them in the terminal summary. One
+unnumbered test reads criterion 07's training runs."""
 
 import json
 import math
@@ -23,13 +24,16 @@ from ovbm.mfcc import MfccImage, MfccParams, mfcc_oracle
 from ovbm.models import (
     TrainConfig,
     TransferStrategy,
+    embed_chunks,
+    head_batches,
     init_cnn,
     layer_names,
     read_weight_file,
     save_model,
     train,
 )
-from ovbm.pipeline import RunConfig, load_clip, run_training, subject_saliency
+from ovbm.pipeline import (FeatureStore, RunConfig, load_clip, run_training,
+                           subject_saliency)
 from ovbm.saliency import ablation_report, uniqueness_report
 from ovbm.synthesis import write_corpus
 
@@ -393,6 +397,31 @@ def test_criterion_09_saliency_map_contract(experiment):
                   f"below control {control_id} on all family means="
                   f"{contrast_ok} "
                   f"{ {f: (round(a, 3), round(c, 3)) for f, (a, c) in contrasts.items()} }")
+
+
+def test_tuned_members_fit_their_training_chunks(experiment):
+    """Every tuned member's own head decides at least 0.9 of its run's
+    training chunks right, on each seed of criterion 07's runs. The
+    chunks are rebuilt as the run built them, from its training
+    subjects."""
+    pipes, _ = experiment
+    low = {}
+    for seed, pipe in pipes.items():
+        records = {r.subject_id: r
+                   for r in parse_manifest(pipe.config.manifest)}
+        train_records = [records[s] for s in pipe.metrics["train_subjects"]]
+        store = FeatureStore(pipe.config)
+        parts = [store.chunks(r) for r in train_records]
+        chunks = Chunks(np.concatenate([c.images for c in parts]),
+                        pipe.config.poisson_mask)
+        labels = np.repeat([r.label for r in train_records],
+                           [len(c) for c in parts])
+        members = pipe.tuned_members
+        for m, emb in zip(members, embed_chunks(members, chunks)):
+            accuracy = np.mean(np.argmax(head_batches(m, emb), axis=1) == labels)
+            if accuracy < 0.9:
+                low[(seed, m.biomarker_id)] = round(float(accuracy), 3)
+    assert not low, f"tuned members below 0.9 on their training chunks: {low}"
 
 
 def test_criterion_10_full_cli_determinism(tmp_path):

@@ -116,8 +116,12 @@ class TestFuseForward:
     def test_memo_reuses_bodies_and_keeps_own_heads(self):
         members = make_members()
         fusion = build_fusion(members, seed=2)
-        # same bodies under new heads, as frozen tuning leaves them
-        retuned = [replace_head(m, 2, seed=9) for m in members]
+        # same bodies under new heads, as frozen tuning leaves them; a
+        # zero head would score every chunk 0.5, so give each weights
+        rng = np.random.default_rng(9)
+        retuned = [replace_head(m, 2) for m in members]
+        for m in retuned:
+            m.weights["head.w"] = rng.normal(size=m.weights["head.w"].shape)
         chunks = make_chunks(70)  # two batches
         probs = score_chunks(fusion, chunks, metadata_vector())
         assert len(chunks.embeddings) == 2
