@@ -201,8 +201,8 @@ def clone_model(model: BiomarkerModel) -> BiomarkerModel:
 def replace_head(model: BiomarkerModel, num_classes: int) -> BiomarkerModel:
     """A zero classification head for a new target task; every other
     tensor is carried over unchanged. Softmax regression is convex and
-    zero is its standard start, so the head needs no draw, and the first
-    steps push no large gradients into the layers below."""
+    zero is its standard start, so the head needs no draw, and its first
+    step sends no gradient into the layers below."""
     out = clone_model(model)
     out.weights["head.w"] = np.zeros((num_classes, model.arch.embedding_dim))
     out.weights["head.b"] = np.zeros(num_classes)
