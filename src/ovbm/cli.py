@@ -114,6 +114,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="which members caught which positives")
     r.add_argument("--run", required=True)
     r.add_argument("--members",
+                   default=",".join(e.biomarker_id for e in MEMBERS
+                                    if e.family == "cognitive"),
                    help="comma-separated member ids (default: the four "
                         "word-recall members)")
     r.add_argument("--out", required=True)
@@ -200,21 +202,27 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _id_list(spec: str, what: str, known, where: str) -> list:
+    """The `what` ids of a comma-separated list, in order; refuses an
+    empty list, repeated ids and ids not in `known` (named `where`)."""
+    ids = [s for s in spec.split(",") if s]
+    if not ids:
+        raise ValueError(f"no {what}s selected")
+    repeated = sorted({s for s in ids if ids.count(s) > 1})
+    if repeated:
+        raise ValueError(f"duplicate {what} ids: {', '.join(repeated)}")
+    missing = [s for s in ids if s not in known]
+    if missing:
+        raise ValueError(f"{what}s not in {where}: {', '.join(missing)}")
+    return ids
+
+
 def _select_records(manifest_path: str, spec: str | None) -> list:
     records = parse_manifest(manifest_path)
     if spec is None or spec == "all":
         return records
-    wanted = [s for s in spec.split(",") if s]
-    if not wanted:
-        raise ValueError("no subjects selected")
-    repeated = sorted({s for s in wanted if wanted.count(s) > 1})
-    if repeated:
-        raise ValueError(f"duplicate subject ids: {', '.join(repeated)}")
     by_id = {r.subject_id: r for r in records}
-    missing = [s for s in wanted if s not in by_id]
-    if missing:
-        raise ValueError(f"subjects not in manifest: {', '.join(missing)}")
-    return [by_id[s] for s in wanted]
+    return [by_id[s] for s in _id_list(spec, "subject", by_id, "manifest")]
 
 
 def cmd_diagnose(args) -> int:
@@ -242,6 +250,11 @@ def cmd_saliency(args) -> int:
     if not os.path.exists(args.manifest):
         raise FileNotFoundError(f"missing manifest {args.manifest}")
     records = _select_records(args.manifest, args.subjects)
+    if args.compare is not None:
+        pair = _id_list(args.compare, "--compare subject",
+                        {r.subject_id for r in records}, "--subjects")
+        if len(pair) != 2:
+            raise ValueError("--compare takes exactly two subject ids")
     os.makedirs(args.out, exist_ok=True)
     maps = {}
     for rec in records:
@@ -260,14 +273,7 @@ def cmd_saliency(args) -> int:
                       saliency_json(ordered))
     atomic_write_text(os.path.join(args.out, "saliency.svg"),
                       saliency_svg(ordered))
-    if args.compare:
-        pair = [s for s in args.compare.split(",") if s]
-        if len(pair) != 2:
-            raise ValueError("--compare takes exactly two subject ids")
-        missing = [s for s in pair if s not in maps]
-        if missing:
-            raise ValueError(
-                f"--compare ids must be in --subjects: {', '.join(missing)}")
+    if args.compare is not None:
         cmp = compare_maps(maps[pair[0]], maps[pair[1]])
         atomic_write_text(os.path.join(args.out, "comparison.csv"),
                           comparison_csv(cmp))
@@ -281,12 +287,7 @@ def cmd_report_uniqueness(args) -> int:
     positives = pipe.metrics.get("test_positives")
     if not detections or positives is None:
         raise ValueError("run has no stored detection metrics; retrain first")
-    members = (args.members.split(",") if args.members
-               else [e.biomarker_id for e in MEMBERS
-                     if e.family == "cognitive"])
-    missing = [m for m in members if m not in detections]
-    if missing:
-        raise ValueError(f"no detections for members: {', '.join(missing)}")
+    members = _id_list(args.members, "member", detections, "run detections")
     report = uniqueness_report({m: detections[m] for m in members}, positives)
     os.makedirs(args.out, exist_ok=True)
     atomic_write_text(os.path.join(args.out, "uniqueness.csv"),

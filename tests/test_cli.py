@@ -517,6 +517,40 @@ def test_empty_subject_selection(command, spec, micro_run_dir, corpus_dir,
     assert stdout == "" and not out.exists()
 
 
+# `saliency --compare` and `report uniqueness --members`, refused before
+# any map is computed or report written: (command, arguments, error).
+ID_LIST_ERRORS = {
+    "compare-empty": (["saliency", "--subjects", "s000,s001", "--compare", ""],
+                      "no --compare subjects selected"),
+    "compare-repeated": (["saliency", "--subjects", "s000,s001",
+                          "--compare", "s000,s000"],
+                         "duplicate --compare subject ids: s000"),
+    "compare-one": (["saliency", "--subjects", "s000,s001",
+                     "--compare", "s000"], "exactly two"),
+    "compare-unselected": (["saliency", "--subjects", "s000,s001",
+                            "--compare", "s000,s002"],
+                           "--compare subjects not in --subjects: s002"),
+    "members-empty": (["report", "uniqueness", "--members", ","],
+                      "no members selected"),
+    "members-repeated": (["report", "uniqueness", "--members",
+                          "ww_context_kitchen,ww_context_kitchen"],
+                         "duplicate member ids: ww_context_kitchen"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ID_LIST_ERRORS))
+def test_bad_id_list(case, micro_run_dir, corpus_dir, tmp_path, capsys):
+    argv, error = ID_LIST_ERRORS[case]
+    if argv[0] == "saliency":
+        argv = argv + ["--manifest", os.path.join(corpus_dir, "manifest.csv")]
+    out = tmp_path / "out"
+    code, stdout, stderr = run_cli(capsys, *argv, "--run", micro_run_dir,
+                                   "--out", str(out))
+    assert code == 2
+    assert error in stderr
+    assert stdout == "" and not out.exists()
+
+
 class TestReports:
     def test_uniqueness(self, micro_run_dir, tmp_path, capsys):
         out = str(tmp_path / "reports")
