@@ -544,8 +544,8 @@ def embed_chunks(members: list, chunks: Chunks) -> list:
     EVAL_BATCH, and the rows are expanded to the chunks by
     `chunks.index`. Embeddings are kept on `chunks.embeddings` by member
     body, so calls on the same Chunks (or on its `head`s) run each
-    distinct body once: under the `frozen` strategy the tune step, both
-    fusion trainings and the run's training-subject scores share the
+    distinct body once: under the `frozen` strategy the tune step, the
+    fusion training and the run's training-subject scores share the
     pretrained bodies' embeddings."""
     embs = []
     k = len(chunks.crops)

@@ -6,7 +6,8 @@ A run is fully described by a RunConfig. The stages are
   2. surrogate pretraining of the eight CNN members,
   3. per-member fine-tune to the 2-way target task (own heads),
   4. joint fusion training over the pretrained members (main ensemble)
-     and over the tuned members (pretuned variant),
+     and, if the strategy lets tuning move a member body, over the tuned
+     members (pretuned variant; else it is the main ensemble),
   5. subject-level evaluation via chunk aggregation.
 
 Every random draw comes from a sub-seed named after its stage, so one
@@ -201,7 +202,7 @@ class TrainedPipeline:
     config: RunConfig
     tuned: dict                 # biomarker_id -> 2-way fine-tuned model
     main: FusionModel
-    pt: FusionModel             # fusion over the tuned members
+    pt: FusionModel             # tuned fusion, or `main` (frozen, last:0)
     metrics: dict = field(default_factory=dict)
 
     @property
@@ -303,18 +304,18 @@ def run_training(config: RunConfig) -> TrainedPipeline:
                                 derive_seed(config.seed, "tune", mid)),
             strategy)
 
-    # 4. joint fusion training, over the pretrained members (main) and
-    # the tuned members (pt)
-    results = {}
-    for name, source in (("main", pretrained), ("pt", tuned)):
+    # 4. joint fusion over the pretrained members (main), and over the tuned
+    # ones (pt) only if tuning moved a body, as no fusion reads member heads
+    def fuse(name: str, source: dict) -> TrainResult:
         fusion0 = build_fusion([source[mid] for mid in M.MEMBER_IDS],
                                seed=derive_seed(config.seed, "fusion", name))
-        results[name] = train_fusion(
+        return train_fusion(
             fusion0, chunks, metadata, labels,
             config.train_config(config.fusion_epochs,
                                 derive_seed(config.seed, "fusion_train", name)),
             strategy)
-    main, pt = results["main"], results["pt"]
+    main = fuse("main", pretrained)
+    pt = fuse("pt", tuned) if M._trainable_convs(strategy, arch) else main
 
     pipe = TrainedPipeline(config, tuned, main.model, pt.model)
     pipe.metrics = _run_metrics(pipe, store, train_records, chunks,
@@ -407,7 +408,6 @@ def _artifact_meta(config: RunConfig) -> dict:
 
 
 def save_pipeline(pipe: TrainedPipeline, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     models_dir = os.path.join(out_dir, "models")
     os.makedirs(models_dir, exist_ok=True)
     meta = _artifact_meta(pipe.config)

@@ -62,9 +62,10 @@ def saliency_map(record: SubjectRecord, clip: AudioClip, tuned_members: list,
     Sensory/cognitive scores come from each tuned member's own head;
     chunk-scale scores run the main ensemble at the fixed probe sizes;
     symbolic scores re-aggregate the main ensemble under each scheme
-    plus the per-member-pretuned ensemble `pt` under the flat average.
-    `frames` is the members' input frame count; `mask` says whether the
-    run masks its chunk images.
+    plus the per-member-pretuned ensemble `pt` under the flat average
+    (`frozen` and `last:0` runs pass `main` as `pt`, so those two scores
+    agree up to rounding). `frames` is the members' input frame count;
+    `mask` says whether the run masks its chunk images.
     """
     metadata = metadata_vector(record.gender, record.age)
     tuned_ids = {m.biomarker_id for m in tuned_members}
@@ -131,13 +132,9 @@ def compare_maps(a: SaliencyMap, b: SaliencyMap) -> SaliencyComparison:
         raise RegistryMismatch("maps cover different biomarker rosters")
     rows = [(ea.biomarker_id, ea.family, ea.score - eb.score)
             for ea, eb in zip(a.entries, b.entries)]
-    families = []
-    for _, fam, _ in rows:
-        if fam not in families:
-            families.append(fam)
     family_means = {
         fam: float(np.mean([d for _, f, d in rows if f == fam]))
-        for fam in families
+        for fam in dict.fromkeys(f for _, f, _ in rows)
     }
     return SaliencyComparison(a.subject_id, b.subject_id, rows, family_means)
 

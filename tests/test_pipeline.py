@@ -290,13 +290,16 @@ class TestMemberHeads:
     @staticmethod
     def _heads_run(monkeypatch, pipe) -> list:
         """Patch `nn.linear` to record, in order, which of the run's
-        members' heads each call computes, as (ensemble, member id)."""
+        members' heads each call computes, as (ensemble, member id).
+        Heads are keyed by the ensemble that owns them, so a `pt` that
+        is `main` counts once, as "main"."""
+        ensembles = {id(fusion): (kind, fusion.members)
+                     for kind, fusion in (("pt", pipe.pt), ("main", pipe.main))}
         owners = {id(m.weights["head.w"]): (kind, m.biomarker_id)
-                  for kind, members in (("main", pipe.main.members),
-                                        ("pt", pipe.pt.members),
-                                        ("tuned", pipe.tuned_members))
+                  for kind, members in [*ensembles.values(),
+                                        ("tuned", pipe.tuned_members)]
                   for m in members}
-        assert len(owners) == 3 * len(M.MEMBER_IDS)
+        assert len(owners) == (len(ensembles) + 1) * len(M.MEMBER_IDS)
         ran = []
         linear = nn.linear
 
@@ -323,6 +326,49 @@ class TestMemberHeads:
         ran = self._heads_run(monkeypatch, micro_pipeline)
         subject_saliency(micro_pipeline, rec, clip)
         assert ran == [("tuned", mid) for mid in M.MEMBER_IDS]
+
+
+class TestPretunedEnsemble:
+    """The pretuned ensemble gets a fusion of its own only when the
+    strategy lets tuning move a member body. Otherwise its members
+    differ from the pretrained ones in their heads alone, which no
+    fusion reads, and it is the main ensemble."""
+
+    @pytest.mark.parametrize("strategy,fusions", [
+        ("frozen", 1), ("last:0", 1), ("last:1", 2)])
+    def test_fusions_trained(self, strategy, fusions, corpus_dir,
+                             monkeypatch):
+        calls = []
+        train_fusion = P.train_fusion
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return train_fusion(*args, **kwargs)
+
+        monkeypatch.setattr(P, "train_fusion", counting)
+        pipe = run_training(micro_run_config(corpus_dir, strategy=strategy))
+        assert len(calls) == fusions
+        m = pipe.metrics
+        if fusions == 1:
+            assert pipe.pt is pipe.main
+            assert m["pt_test"] == m["test"]
+            assert m["pt_fusion"] == {k: m["fusion"][k] for k in m["pt_fusion"]}
+        else:
+            moved = [(pre.biomarker_id, key)
+                     for pre, post in zip(pipe.main.members, pipe.pt.members)
+                     for key, w in pre.weights.items()
+                     if not key.startswith("head.")
+                     and w.tobytes() != post.weights[key].tobytes()]
+            assert moved
+
+    def test_saved_pt_is_a_copy_of_main(self, micro_run_dir):
+        main = os.path.join(micro_run_dir, "ensemble_main")
+        pt = os.path.join(micro_run_dir, "ensemble_pt")
+        assert sorted(os.listdir(pt)) == sorted(os.listdir(main))
+        for name in os.listdir(main):
+            with open(os.path.join(main, name), "rb") as a, \
+                    open(os.path.join(pt, name), "rb") as b:
+                assert a.read() == b.read(), name
 
 
 @pytest.fixture(scope="module")
@@ -479,12 +525,12 @@ class TestEmbeddingMemo:
 
     @pytest.mark.parametrize("strategy", ["frozen", "last:1"])
     def test_fusion_training_images(self, strategy, corpus_dir, monkeypatch):
-        # Member images forwarded inside the main and pretuned
-        # `train_fusion` calls. Under `frozen` both ensembles have the
-        # pretrained bodies, whose embeddings of the N training chunks
-        # the tune step left on the run's Chunks: 0 images in all.
-        # Under `last:1` each call trains its 8 members on the training
-        # split every epoch, then embeds all N chunks once.
+        # Member images forwarded inside the `train_fusion` calls.
+        # Under `frozen` one fusion trains, over the pretrained bodies,
+        # whose embeddings of the N training chunks the tune step left
+        # on the run's Chunks: 0 images in all. Under `last:1` the main
+        # and pretuned calls each train their 8 members on the training
+        # split every epoch, then embed all N chunks once.
         images = self._images_inside(
             monkeypatch, [(P, "train_fusion", lambda *args: True)])
         config, metrics = self._training_run(corpus_dir, strategy)
@@ -506,7 +552,7 @@ class TestEmbeddingMemo:
     def test_frozen_run_embeds_training_chunks_once(self, corpus_dir,
                                                     monkeypatch):
         # Member images forwarded inside the tune step's `M.train`
-        # calls, both `train_fusion` calls and `_run_metrics`, under
+        # calls, the `train_fusion` call and `_run_metrics`, under
         # `frozen`. All three read the pretrained bodies' embeddings of
         # the run's N training chunks, so those run once per body
         # (8 x N), and each body runs once on the test subjects' T
