@@ -29,11 +29,11 @@ from .models import (
     BiomarkerModel,
     CnnArch,
     TrainConfig,
-    TransferStrategy,
     init_cnn,
     load_model,
     save_model,
     train,
+    trainable_layers,
 )
 from .pipeline import (
     RunConfig,
@@ -65,8 +65,7 @@ __all__ = [
     "metadata_vector", "save_ensemble", "train_fusion",
     "MfccImage", "MfccParams", "mfcc", "mfcc_oracle",
     "MEMBERS", "ROSTER", "BiomarkerModel", "CnnArch", "TrainConfig",
-    "TransferStrategy", "init_cnn", "load_model",
-    "save_model", "train",
+    "init_cnn", "load_model", "save_model", "train", "trainable_layers",
     "RunConfig", "TrainedPipeline", "load_pipeline", "run_training",
     "save_pipeline", "subject_saliency",
     "SaliencyMap", "ablation_report", "compare_maps", "saliency_map",

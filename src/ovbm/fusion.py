@@ -3,7 +3,7 @@
 Member embeddings are concatenated with a metadata vector (gender
 one-hot + age/100) and fed through one 1024-unit ReLU layer into a
 two-way softmax head. Joint training backpropagates through members via
-their embeddings, honoring each member's transfer strategy; member
+their embeddings into the layers the transfer strategy trains; member
 classification heads sit off the fusion loss path and never move here.
 """
 
@@ -139,24 +139,22 @@ def score_chunks(fusion: FusionModel, chunks: Chunks,
 
 def train_fusion(fusion: FusionModel, chunks: Chunks, metadata: np.ndarray,
                  labels, config: M.TrainConfig,
-                 member_strategy: M.TransferStrategy) -> TrainResult:
-    """Jointly train the fusion layer and whatever member layers the
-    strategy permits through `models.fit`, on labeled chunks: `metadata`
-    [N, METADATA_DIM] and `labels` [N] are each chunk's subject's. The
-    input ensemble is not mutated. Bodies the strategy freezes are
-    embedded through `embed_chunks`, so they run once per Chunks across
-    calls. The result's `model` is the trained FusionModel."""
+                 layers: frozenset) -> TrainResult:
+    """Jointly train the fusion layer and each member's `layers`
+    (`models.trainable_layers`) through `models.fit`, on labeled chunks:
+    `metadata` [N, METADATA_DIM] and `labels` [N] are each chunk's
+    subject's. The input ensemble is not mutated. Bodies that train no
+    layer are embedded through `embed_chunks`, so they run once per
+    Chunks across calls. The result's `model` is the trained ensemble."""
     labels = np.array([int(y) for y in labels])
-    members = [M.apply_transfer_strategy(m, member_strategy)
-               for m in fusion.members]
+    members = [M.with_trainable(m, layers) for m in fusion.members]
     fusion = FusionModel(members, {k: w.copy() for k, w in fusion.weights.items()})
     meta = np.asarray(metadata, dtype=np.float64)
 
-    # Member layers the joint loss can actually reach: everything the
-    # strategy unfroze except the member's own classification head.
-    member_needed = [{name for name, on in m.trainable.items()
-                      if on and name != "head"} for m in members]
-    frozen = not any(member_needed)
+    # Member layers the joint loss can actually reach: every trainable
+    # layer except the member's own classification head.
+    needed = layers - {"head"}
+    frozen = not needed
     if frozen:
         emb_all = np.concatenate(M.embed_chunks(members, chunks), axis=1)
     else:
@@ -178,12 +176,11 @@ def train_fusion(fusion: FusionModel, chunks: Chunks, metadata: np.ndarray,
         fgrads, dx = fusion_backward(fusion, fcache, labels[batch],
                                      need_dx=not frozen)
         M.adam_step(fusion.weights, fgrads, fusion_state, config, t)
-        for i, needed in enumerate(member_needed):
-            if needed:
-                grads = M.backward_from_embedding(
-                    members[i], outs[i][1], dx[:, dims[i]:dims[i + 1]], needed)
-                M.adam_step(members[i].weights, grads, member_states[i],
-                            config, t)
+        if not frozen:
+            for m, (_, cache), state, lo, hi in zip(members, outs, member_states,
+                                                    dims, dims[1:]):
+                grads = M.backward_from_embedding(m, cache, dx[:, lo:hi], needed)
+                M.adam_step(m.weights, grads, state, config, t)
         return loss
 
     train_idx, test_idx, epoch_losses = M.fit(labels, config, step)

@@ -35,7 +35,7 @@ class NonFiniteActivation(ValueError):
 
 
 class NTooLarge(ValueError):
-    """FineTuneLastN asked for more conv layers than the arch has."""
+    """A `last:N` strategy asked for more conv layers than the arch has."""
 
 
 class SingleClassDataset(ValueError):
@@ -109,40 +109,25 @@ def check_shapes(weights: dict, shapes: dict) -> None:
                          + "; ".join(bad))
 
 
-@dataclass(frozen=True)
-class TransferStrategy:
-    """Which layers fine-tuning may touch.
-
-    kind "frozen": only the classification head trains. kind "last_n":
-    the head plus the last n conv layers (counted from the output side).
-    kind "all": everything.
-    """
-
-    kind: str
-    n: int = 0
-
-    @staticmethod
-    def frozen() -> "TransferStrategy":
-        return TransferStrategy("frozen")
-
-    @staticmethod
-    def last_n(n: int) -> "TransferStrategy":
-        return TransferStrategy("last_n", int(n))
-
-    @staticmethod
-    def all_layers() -> "TransferStrategy":
-        return TransferStrategy("all")
-
-    @staticmethod
-    def parse(text: str) -> "TransferStrategy":
-        text = text.strip().lower()
-        if text == "frozen":
-            return TransferStrategy.frozen()
-        if text == "all":
-            return TransferStrategy.all_layers()
-        if text.startswith("last:"):
-            return TransferStrategy.last_n(int(text.split(":", 1)[1]))
+def trainable_layers(strategy: str, arch: CnnArch) -> frozenset:
+    """The layers fine-tuning under `strategy` trains on `arch`: the head
+    under "frozen" and "last:0", the head and the last N conv layers
+    (from the output side) under "last:N", and every layer under "all"."""
+    text = strategy.strip().lower()
+    if text == "all":
+        return frozenset(layer_names(arch))
+    if text == "frozen":
+        n = 0
+    elif text.startswith("last:"):
+        n = int(text.split(":", 1)[1])
+    else:
         raise ValueError(f"unknown strategy {text!r} (frozen | last:N | all)")
+    convs = conv_layer_names(arch)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > len(convs):
+        raise NTooLarge(f"n={n} but arch has {len(convs)} conv layers")
+    return frozenset(convs[len(convs) - n:] + ["head"])
 
 
 @dataclass
@@ -210,28 +195,10 @@ def replace_head(model: BiomarkerModel, num_classes: int) -> BiomarkerModel:
     return out
 
 
-def _trainable_convs(strategy: TransferStrategy, arch: CnnArch) -> list:
-    """The conv layers `strategy` lets fine-tuning touch on `arch`."""
-    if strategy.kind not in ("frozen", "last_n", "all"):
-        raise ValueError(f"unknown strategy kind {strategy.kind!r}")
-    convs = conv_layer_names(arch)
-    n = {"frozen": 0, "all": len(convs)}.get(strategy.kind, strategy.n)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > len(convs):
-        raise NTooLarge(f"n={n} but arch has {len(convs)} conv layers")
-    return convs[len(convs) - n:]
-
-
-def apply_transfer_strategy(model: BiomarkerModel,
-                            strategy: TransferStrategy) -> BiomarkerModel:
-    """Return a copy whose trainability mask reflects the strategy."""
-    trainable = _trainable_convs(strategy, model.arch)
+def with_trainable(model: BiomarkerModel, layers: frozenset) -> BiomarkerModel:
+    """A copy of `model` whose trainability mask marks exactly `layers`."""
     out = clone_model(model)
-    out.trainable = {name: name in trainable
-                     for name in conv_layer_names(model.arch)}
-    out.trainable["embed"] = strategy.kind == "all"
-    out.trainable["head"] = True
+    out.trainable = {name: name in layers for name in layer_names(model.arch)}
     return out
 
 
@@ -415,9 +382,10 @@ def fit(labels: np.ndarray, config: TrainConfig, step):
 
 
 def train(model: BiomarkerModel, chunks: Chunks, labels, config: TrainConfig,
-          strategy: TransferStrategy) -> tuple:
-    """Mini-batch Adam through `fit` on chunks and their labels [N].
-    Returns the trained model and its per-epoch mean losses.
+          layers: frozenset) -> tuple:
+    """Mini-batch Adam through `fit` on `layers` (`trainable_layers`), on
+    chunks and their labels [N]. Returns the trained model and its
+    per-epoch mean losses.
 
     The input model is not mutated. With only the head trainable the
     embeddings never change, so they are read once from `embed_chunks`
@@ -425,11 +393,10 @@ def train(model: BiomarkerModel, chunks: Chunks, labels, config: TrainConfig,
     regression on them.
     """
     labels = np.array([int(y) for y in labels])
-    model = apply_transfer_strategy(model, strategy)
+    model = with_trainable(model, layers)
     if int(labels.max()) >= model.num_classes:
         raise ValueError("label outside the model's class range")
-    needed = {name for name, on in model.trainable.items() if on}
-    head_only = needed == {"head"}
+    head_only = layers == {"head"}
     source = (embed_chunks([model], chunks)[0] if head_only
               else chunks.expand(member_inputs(model, chunks)))
     state = nn.AdamState(model.weights)
@@ -446,7 +413,7 @@ def train(model: BiomarkerModel, chunks: Chunks, labels, config: TrainConfig,
                                            need_dx=not head_only)
         grads = {"head.w": dw, "head.b": db}
         if not head_only:
-            grads.update(backward_from_embedding(model, cache, d_emb, needed))
+            grads.update(backward_from_embedding(model, cache, d_emb, layers))
         adam_step(model.weights, grads, state, config, t)
         return nn.cross_entropy(logits, y)
 

@@ -106,9 +106,6 @@ class RunConfig:
     def parsed_scheme(self) -> AggregationScheme:
         return AggregationScheme.parse(self.scheme)
 
-    def parsed_strategy(self) -> M.TransferStrategy:
-        return M.TransferStrategy.parse(self.strategy)
-
     def validate(self) -> None:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
@@ -132,7 +129,7 @@ class RunConfig:
         if not 0.0 < self.split_fraction < 1.0:
             raise ValueError("split_fraction must lie in (0, 1)")
         self.parsed_scheme()
-        M._trainable_convs(self.parsed_strategy(), self.arch())
+        M.trainable_layers(self.strategy, self.arch())
         self.mfcc_params().validate()
         if self.chunk_size < self.window_len:
             raise ValueError(f"chunk_size {self.chunk_size!r} s is shorter than "
@@ -255,7 +252,7 @@ def run_training(config: RunConfig) -> TrainedPipeline:
     records = parse_manifest(config.manifest)
     params = config.mfcc_params()
     arch = config.arch()
-    strategy = config.parsed_strategy()
+    layers = M.trainable_layers(config.strategy, arch)
     store = FeatureStore(config)
 
     # 1. hold out whole subjects, stratified by label
@@ -282,7 +279,7 @@ def run_training(config: RunConfig) -> TrainedPipeline:
             config.train_config(config.pretrain_epochs,
                                 derive_seed(config.seed, "pretrain",
                                             entry.biomarker_id)),
-            M.TransferStrategy.all_layers())
+            frozenset(M.layer_names(arch)))
 
     # chunk-level target dataset from the training subjects: each chunk
     # carries its subject's metadata and label. Every later stage reads
@@ -302,7 +299,7 @@ def run_training(config: RunConfig) -> TrainedPipeline:
             M.replace_head(pretrained[mid], 2), chunks, labels,
             config.train_config(config.tune_epochs,
                                 derive_seed(config.seed, "tune", mid)),
-            strategy)
+            layers)
 
     # 4. joint fusion over the pretrained members (main), and over the tuned
     # ones (pt) only if tuning moved a body, as no fusion reads member heads
@@ -313,9 +310,9 @@ def run_training(config: RunConfig) -> TrainedPipeline:
             fusion0, chunks, metadata, labels,
             config.train_config(config.fusion_epochs,
                                 derive_seed(config.seed, "fusion_train", name)),
-            strategy)
+            layers)
     main = fuse("main", pretrained)
-    pt = fuse("pt", tuned) if M._trainable_convs(strategy, arch) else main
+    pt = fuse("pt", tuned) if layers - {"head"} else main
 
     pipe = TrainedPipeline(config, tuned, main.model, pt.model)
     pipe.metrics = _run_metrics(pipe, store, train_records, chunks,
@@ -332,8 +329,9 @@ def _run_metrics(pipe: TrainedPipeline, store: FeatureStore,
     scheme = config.parsed_scheme()
 
     # The training subjects are scored on the run's training Chunks,
-    # whose embeddings the training stages left on it; the main,
-    # pretuned and tuned members score each test subject's cached chunks.
+    # whose embeddings the training stages left on it; the main, tuned
+    # and (unless it is main) pretuned members score each test subject's
+    # cached chunks.
     train_diag = _diagnoses(config, pipe.main, train_records,
                             [len(store.chunks(r)) for r in train_records],
                             train_chunks)
@@ -344,7 +342,7 @@ def _run_metrics(pipe: TrainedPipeline, store: FeatureStore,
 
     test_chunks = [store.chunks(rec) for rec in test_records]
     test_diag = test_diagnoses(pipe.main)
-    pt_test = test_diagnoses(pipe.pt)
+    pt_test = test_diag if pipe.pt is pipe.main else test_diagnoses(pipe.pt)
 
     # Each tuned member decides a test subject by its own head.
     hits = {mid: 0 for mid in M.MEMBER_IDS}

@@ -23,7 +23,6 @@ from ovbm.fusion import build_fusion, fuse_from_embeddings, fusion_backward
 from ovbm.mfcc import MfccImage, MfccParams, mfcc_oracle
 from ovbm.models import (
     TrainConfig,
-    TransferStrategy,
     embed_chunks,
     head_batches,
     init_cnn,
@@ -31,6 +30,7 @@ from ovbm.models import (
     read_weight_file,
     save_model,
     train,
+    trainable_layers,
 )
 from ovbm.pipeline import (FeatureStore, RunConfig, load_clip, run_training,
                            subject_saliency)
@@ -230,20 +230,21 @@ def test_criterion_05_transfer_strategy_weight_file_diffs(tmp_path):
             [i % 2 for i in range(16)])
     convs = ["stem", "block1.conv1", "block1.conv2"]
     cases = [
-        ("frozen", TransferStrategy.frozen(), {"head"}),
-        ("last:0", TransferStrategy.last_n(0), {"head"}),
-        ("last:1", TransferStrategy.last_n(1), {"head", "block1.conv2"}),
-        ("last:all", TransferStrategy.last_n(len(convs)),
+        ("frozen", trainable_layers("frozen", MICRO_ARCH), {"head"}),
+        ("last:0", trainable_layers("last:0", MICRO_ARCH), {"head"}),
+        ("last:1", trainable_layers("last:1", MICRO_ARCH),
+         {"head", "block1.conv2"}),
+        ("last:all", trainable_layers(f"last:{len(convs)}", MICRO_ARCH),
          {"head", *convs}),
     ]
     failures = []
-    for name, strategy, expected in cases:
+    for name, layers, expected in cases:
         model = init_cnn(MICRO_ARCH, 2, seed=506, biomarker_id="probe")
         before_path = tmp_path / f"{name.replace(':', '_')}_before.ovbm"
         after_path = tmp_path / f"{name.replace(':', '_')}_after.ovbm"
         save_model(before_path, model)
         trained, _ = train(model, *data, TrainConfig(epochs=3, seed=507),
-                           strategy)
+                           layers)
         save_model(after_path, trained)
         _, before = read_weight_file(before_path)
         _, after = read_weight_file(after_path)

@@ -219,7 +219,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("strategy,error,message", [
         ("last:99", NTooLarge, "n=99 but arch has 7 conv layers"),
-        ("last:-1", ValueError, "n must be nonnegative")])
+        ("last:-1", ValueError, "n must be nonnegative"),
+        ("half", ValueError, "unknown strategy")])
     def test_impossible_last_n_fails_before_training(
             self, strategy, error, message, tmp_path, corpus_dir, capsys,
             monkeypatch):

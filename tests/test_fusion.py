@@ -34,7 +34,7 @@ from ovbm.mfcc import MfccImage, MfccParams
 from ovbm.models import (
     EVAL_BATCH,
     TrainConfig,
-    TransferStrategy,
+    conv_layer_names,
     embed_chunks,
     forward_batch,
     head_batches,
@@ -42,7 +42,11 @@ from ovbm.models import (
     init_cnn,
     member_inputs,
     replace_head,
+    trainable_layers,
 )
+
+FROZEN = trainable_layers("frozen", MICRO_ARCH)
+ALL_LAYERS = trainable_layers("all", MICRO_ARCH)
 
 
 def make_members(n=2, num_classes=3, seed=0):
@@ -246,7 +250,7 @@ class TestTrainFusion:
         before = [{k: w.copy() for k, w in m.weights.items()} for m in members]
         result = train_fusion(fusion, *make_samples(),
                               TrainConfig(epochs=3, seed=1),
-                              TransferStrategy.frozen())
+                              FROZEN)
         for m, b in zip(result.model.members, before):
             for k, w in m.weights.items():
                 assert w.tobytes() == b[k].tobytes()
@@ -260,12 +264,25 @@ class TestTrainFusion:
         before = [{k: w.copy() for k, w in m.weights.items()} for m in members]
         result = train_fusion(fusion, *make_samples(),
                               TrainConfig(epochs=2, seed=2),
-                              TransferStrategy.all_layers())
+                              ALL_LAYERS)
         for m, b in zip(result.model.members, before):
             assert not np.array_equal(m.weights["stem.w"], b["stem.w"])
             assert not np.array_equal(m.weights["embed.w"], b["embed.w"])
             # member heads sit off the joint loss path
             assert m.weights["head.w"].tobytes() == b["head.w"].tobytes()
+
+    def test_last1_moves_only_the_last_conv(self):
+        members = make_members()
+        fusion = build_fusion(members, seed=11)
+        before = [{k: w.copy() for k, w in m.weights.items()} for m in members]
+        result = train_fusion(fusion, *make_samples(),
+                              TrainConfig(epochs=2, seed=7),
+                              trainable_layers("last:1", MICRO_ARCH))
+        last = conv_layer_names(MICRO_ARCH)[-1]
+        for m, b in zip(result.model.members, before):
+            moved = {k for k, w in m.weights.items()
+                     if w.tobytes() != b[k].tobytes()}
+            assert moved == {f"{last}.w", f"{last}.b"}
 
     def test_input_ensemble_not_mutated(self):
         members = make_members()
@@ -274,7 +291,7 @@ class TestTrainFusion:
         before_members = [{k: w.copy() for k, w in m.weights.items()}
                           for m in members]
         train_fusion(fusion, *make_samples(), TrainConfig(epochs=2, seed=3),
-                     TransferStrategy.all_layers())
+                     ALL_LAYERS)
         for k, w in fusion.weights.items():
             np.testing.assert_array_equal(w, before[k])
         for m, b in zip(fusion.members, before_members):
@@ -286,8 +303,8 @@ class TestTrainFusion:
         fusion = build_fusion(members, seed=8)
         samples = make_samples()
         config = TrainConfig(epochs=2, seed=4)
-        a = train_fusion(fusion, *samples, config, TransferStrategy.frozen())
-        b = train_fusion(fusion, *samples, config, TransferStrategy.frozen())
+        a = train_fusion(fusion, *samples, config, FROZEN)
+        b = train_fusion(fusion, *samples, config, FROZEN)
         for k in a.model.weights:
             np.testing.assert_array_equal(a.model.weights[k],
                                           b.model.weights[k])
@@ -302,7 +319,7 @@ class TestTrainFusion:
         fusion = build_fusion(members, seed=9)
         result = train_fusion(fusion, *make_samples(n=40, separation=0.0),
                               TrainConfig(epochs=20, seed=5),
-                              TransferStrategy.frozen())
+                              FROZEN)
         assert result.train_accuracy >= 0.9
 
     def test_thread_parallel_matches_sequential(self):
@@ -311,12 +328,12 @@ class TestTrainFusion:
         samples = make_samples()
         config = TrainConfig(epochs=2, seed=6)
         want = train_fusion(fusion, *samples, config,
-                            TransferStrategy.frozen())
+                            FROZEN)
         results = [None, None]
 
         def work(slot):
             results[slot] = train_fusion(fusion, *samples, config,
-                                         TransferStrategy.frozen())
+                                         FROZEN)
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
         for t in threads:

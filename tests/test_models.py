@@ -1,5 +1,6 @@
-"""Residual CNN members: init, gradients, transfer masks, training,
-weight files, and the fixed biomarker roster."""
+"""Residual CNN members: init, gradients, the layers each transfer
+strategy trains, training, weight files, and the fixed biomarker
+roster."""
 
 import numpy as np
 import pytest
@@ -27,8 +28,6 @@ from ovbm.models import (
     ShapeMismatch,
     SingleClassDataset,
     TrainConfig,
-    TransferStrategy,
-    apply_transfer_strategy,
     conv_layer_names,
     embed_chunks,
     fit,
@@ -43,8 +42,14 @@ from ovbm.models import (
     save_model,
     stratified_split,
     train,
+    trainable_layers,
+    with_trainable,
 )
+from ovbm.pipeline import RunConfig
 from ovbm.util import derive_seed
+
+# The run's default member arch: 7 conv layers.
+DEFAULT_ARCH = RunConfig().arch()
 
 
 def labeled_set(n=20, seed=0, shape=(10, 8), separation=2.0):
@@ -76,6 +81,17 @@ class TestInit:
         assert all(np.all(model.weights[f"{n}.b"] == 0.0)
                    for n in layer_names(MICRO_ARCH))
         assert all(model.trainable.values())
+
+    def test_replace_head_keeps_body(self):
+        base = init_cnn(MICRO_ARCH, 5, seed=0)
+        out = replace_head(base, 2)
+        assert out.num_classes == 2
+        np.testing.assert_array_equal(out.weights["head.w"], np.zeros((2, 4)))
+        np.testing.assert_array_equal(out.weights["head.b"], np.zeros(2))
+        np.testing.assert_array_equal(out.weights["stem.w"],
+                                      base.weights["stem.w"])
+        out.weights["stem.w"][0, 0, 0, 0] += 1.0  # copies, not views
+        assert out.weights["stem.w"][0, 0, 0, 0] != base.weights["stem.w"][0, 0, 0, 0]
 
     def test_arch_rejects_overpooling(self):
         with pytest.raises(ValueError):
@@ -212,51 +228,47 @@ class TestGradients:
     def test_frozen_layers_get_exact_zero(self):
         # under `frozen` only the head gets a gradient, so an Adam step
         # leaves every other tensor as it was
-        model = apply_transfer_strategy(init_cnn(MICRO_ARCH, 2, seed=3),
-                                        TransferStrategy.frozen())
-        needed = {name for name, on in model.trainable.items() if on}
+        model = init_cnn(MICRO_ARCH, 2, seed=3)
+        needed = trainable_layers("frozen", MICRO_ARCH)
         _, grads = loss_and_grads(model, random_images(1)[0], 0, needed)
         assert sorted(grads) == ["head.b", "head.w"]
         assert np.any(grads["head.w"] != 0.0)
 
 
-class TestTransferStrategy:
-    def test_parse(self):
-        assert TransferStrategy.parse("frozen").kind == "frozen"
-        assert TransferStrategy.parse("all").kind == "all"
-        s = TransferStrategy.parse("last:2")
-        assert (s.kind, s.n) == ("last_n", 2)
-        with pytest.raises(ValueError):
-            TransferStrategy.parse("half")
+class TestTrainableLayers:
+    @pytest.mark.parametrize("arch", [MICRO_ARCH, DEFAULT_ARCH],
+                             ids=["micro", "default"])
+    def test_layer_sets(self, arch):
+        convs = conv_layer_names(arch)
+        assert (trainable_layers("frozen", arch)
+                == trainable_layers("last:0", arch) == {"head"})
+        nested = [trainable_layers(f"last:{n}", arch)
+                  for n in range(len(convs) + 1)]
+        for n, layers in enumerate(nested):
+            assert layers - {"head"} == set(convs[len(convs) - n:])
+            assert "head" in layers and (n == 0 or nested[n - 1] < layers)
+        assert trainable_layers("all", arch) == set(layer_names(arch))
+        assert trainable_layers(" Last:1 ", arch) == nested[1]
 
-    def test_masks(self):
+    @pytest.mark.parametrize("strategy,error,message", [
+        ("half", ValueError, "unknown strategy"),
+        ("last:x", ValueError, "invalid literal"),
+        ("last:-1", ValueError, "n must be nonnegative"),
+        ("last:8", NTooLarge, "n=8 but arch has 7 conv layers")],
+        ids=["half", "last:x", "last:-1", "last:8"])
+    def test_rejected(self, strategy, error, message):
+        with pytest.raises(error, match=message):
+            trainable_layers(strategy, DEFAULT_ARCH)
+
+    def test_mask(self):
+        # the mask a weight file records; the input model keeps its own
         base = init_cnn(MICRO_ARCH, 2, seed=0)
-        frozen = apply_transfer_strategy(base, TransferStrategy.frozen())
-        assert frozen.trainable == {"stem": False, "block1.conv1": False,
-                                    "block1.conv2": False, "embed": False,
-                                    "head": True}
-        last1 = apply_transfer_strategy(base, TransferStrategy.last_n(1))
-        assert last1.trainable["block1.conv2"] is True
-        assert last1.trainable["block1.conv1"] is False
-        assert last1.trainable["embed"] is False
-        everything = apply_transfer_strategy(base, TransferStrategy.all_layers())
-        assert all(everything.trainable.values())
-
-    def test_n_too_large(self):
-        base = init_cnn(MICRO_ARCH, 2, seed=0)
-        with pytest.raises(NTooLarge):
-            apply_transfer_strategy(base, TransferStrategy.last_n(4))
-
-    def test_replace_head_keeps_body(self):
-        base = init_cnn(MICRO_ARCH, 5, seed=0)
-        out = replace_head(base, 2)
-        assert out.num_classes == 2
-        np.testing.assert_array_equal(out.weights["head.w"], np.zeros((2, 4)))
-        np.testing.assert_array_equal(out.weights["head.b"], np.zeros(2))
-        np.testing.assert_array_equal(out.weights["stem.w"],
-                                      base.weights["stem.w"])
-        out.weights["stem.w"][0, 0, 0, 0] += 1.0  # copies, not views
-        assert out.weights["stem.w"][0, 0, 0, 0] != base.weights["stem.w"][0, 0, 0, 0]
+        last1 = with_trainable(base, trainable_layers("last:1", MICRO_ARCH))
+        assert last1.trainable == {"stem": False, "block1.conv1": False,
+                                   "block1.conv2": True, "embed": False,
+                                   "head": True}
+        assert all(base.trainable.values())
+        assert last1.weights["stem.w"] is not base.weights["stem.w"]
 
 
 class TestTraining:
@@ -264,7 +276,7 @@ class TestTraining:
         model = init_cnn(MICRO_ARCH, 2, seed=1)
         before = {k: w.copy() for k, w in model.weights.items()}
         trained, _ = train(model, *labeled_set(), TrainConfig(epochs=2, seed=0),
-                           TransferStrategy.frozen())
+                           trainable_layers("frozen", MICRO_ARCH))
         for k, w in trained.weights.items():
             if k.startswith("head."):
                 assert not np.array_equal(w, before[k])
@@ -277,7 +289,7 @@ class TestTraining:
             _, losses = train(init_cnn(MICRO_ARCH, 2, seed=seed),
                               *labeled_set(seed=seed),
                               TrainConfig(epochs=6, seed=seed),
-                              TransferStrategy.all_layers())
+                              trainable_layers("all", MICRO_ARCH))
             improved += losses[-1] <= losses[0]
         assert improved >= 4
 
@@ -285,8 +297,9 @@ class TestTraining:
         model = init_cnn(MICRO_ARCH, 2, seed=2)
         data = labeled_set(seed=2)
         config = TrainConfig(epochs=2, seed=5)
-        a, a_losses = train(model, *data, config, TransferStrategy.all_layers())
-        b, b_losses = train(model, *data, config, TransferStrategy.all_layers())
+        layers = trainable_layers("all", MICRO_ARCH)
+        a, a_losses = train(model, *data, config, layers)
+        b, b_losses = train(model, *data, config, layers)
         for k in a.weights:
             np.testing.assert_array_equal(a.weights[k], b.weights[k])
         assert a_losses == b_losses
@@ -295,7 +308,7 @@ class TestTraining:
         model = init_cnn(MICRO_ARCH, 2, seed=2)
         before = {k: w.copy() for k, w in model.weights.items()}
         train(model, *labeled_set(), TrainConfig(epochs=1, seed=0),
-              TransferStrategy.all_layers())
+              trainable_layers("all", MICRO_ARCH))
         for k, w in model.weights.items():
             np.testing.assert_array_equal(w, before[k])
 
@@ -303,13 +316,13 @@ class TestTraining:
         chunks = Chunks(np.stack(random_images(6)), False)
         with pytest.raises(SingleClassDataset):
             train(init_cnn(MICRO_ARCH, 2, seed=0), chunks, [0] * 6,
-                  TrainConfig(epochs=1), TransferStrategy.frozen())
+                  TrainConfig(epochs=1), trainable_layers("frozen", MICRO_ARCH))
 
     def test_learns_separable_task(self):
         chunks, labels = labeled_set(n=40, separation=3.0)
         model, _ = train(init_cnn(MICRO_ARCH, 2, seed=1), chunks, labels,
                          TrainConfig(epochs=10, seed=1),
-                         TransferStrategy.all_layers())
+                         trainable_layers("all", MICRO_ARCH))
         probs = head_batches(model, embed_chunks([model], chunks)[0])
         assert np.mean(np.argmax(probs, axis=1) == labels) >= 0.9
 
@@ -360,7 +373,7 @@ class TestSplit:
 class TestWeightFiles:
     def test_round_trip_exact(self, tmp_path):
         model = init_cnn(MICRO_ARCH, 3, seed=4, biomarker_id="demo")
-        model = apply_transfer_strategy(model, TransferStrategy.last_n(1))
+        model = with_trainable(model, trainable_layers("last:1", MICRO_ARCH))
         path = tmp_path / "m.ovbm"
         save_model(path, model, meta={"seed": 4})
         out = load_model(path)

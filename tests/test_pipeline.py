@@ -338,17 +338,26 @@ class TestPretunedEnsemble:
         ("frozen", 1), ("last:0", 1), ("last:1", 2)])
     def test_fusions_trained(self, strategy, fusions, corpus_dir,
                              monkeypatch):
-        calls = []
-        train_fusion = P.train_fusion
+        # Each fusion trains once, and `_run_metrics` scores each test
+        # subject once per distinct ensemble.
+        calls, scored = [], []
+        train_fusion, diagnoses = P.train_fusion, P._diagnoses
 
         def counting(*args, **kwargs):
             calls.append(args[0])
             return train_fusion(*args, **kwargs)
 
+        def scoring(config, fusion, records, counts, chunks):
+            scored.extend(r.subject_id for r in records)
+            return diagnoses(config, fusion, records, counts, chunks)
+
         monkeypatch.setattr(P, "train_fusion", counting)
+        monkeypatch.setattr(P, "_diagnoses", scoring)
         pipe = run_training(micro_run_config(corpus_dir, strategy=strategy))
         assert len(calls) == fusions
         m = pipe.metrics
+        test = m["test_subjects"]
+        assert sorted(s for s in scored if s in test) == sorted(test * fusions)
         if fusions == 1:
             assert pipe.pt is pipe.main
             assert m["pt_test"] == m["test"]
@@ -559,7 +568,7 @@ class TestEmbeddingMemo:
         # chunks (8 x T).
         images = self._images_inside(monkeypatch, [
             # pretraining trains every layer; the tune step only heads
-            (M, "train", lambda *args: args[4].kind != "all"),
+            (M, "train", lambda *args: "embed" not in args[4]),
             (P, "train_fusion", lambda *args: True),
             (P, "_run_metrics", lambda *args: True)])
         config, metrics = self._training_run(corpus_dir, "frozen")
