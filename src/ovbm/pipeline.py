@@ -2,9 +2,11 @@
 
 A run is fully described by a RunConfig. The stages are
 
-  1. subject-level stratified split of the manifest,
-  2. surrogate pretraining of the eight CNN members,
-  3. per-member fine-tune to the 2-way target task (own heads),
+  1. subject-level stratified split of the manifest, and the training
+     subjects' chunks,
+  2. surrogate pretraining of the eight CNN members, and
+  3. per-member fine-tune to the 2-way target task (own heads), on those
+     chunks: one task per member, run in worker processes (`_map`),
   4. joint fusion training over the pretrained members (main ensemble)
      and, if the strategy lets tuning move a member body, over the tuned
      members (pretuned variant; else it is the main ensemble),
@@ -16,9 +18,12 @@ Every random draw comes from a sub-seed named after its stage, so one
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import glob
 import json
 import math
+import multiprocessing
 import os
 from dataclasses import dataclass, field
 
@@ -263,24 +268,6 @@ def run_training(config: RunConfig) -> TrainedPipeline:
     train_records = [records[i] for i in train_idx]
     test_records = [records[i] for i in test_idx]
 
-    # 2. surrogate pretraining, one task per member recipe
-    pretrained: dict = {}
-    for entry in M.MEMBERS:
-        data = surrogate_dataset(entry, params,
-                                 derive_seed(config.seed, "surrogate",
-                                             entry.biomarker_id),
-                                 config.surrogate_per_class, config.arch_frames)
-        model0 = M.init_cnn(arch, entry.num_classes,
-                            derive_seed(config.seed, "init", entry.biomarker_id),
-                            entry.biomarker_id)
-        pretrained[entry.biomarker_id], _ = M.train(
-            model0, Chunks(np.stack([image for image, _ in data]), masked=False),
-            [label for _, label in data],
-            config.train_config(config.pretrain_epochs,
-                                derive_seed(config.seed, "pretrain",
-                                            entry.biomarker_id)),
-            frozenset(M.layer_names(arch)))
-
     # chunk-level target dataset from the training subjects: each chunk
     # carries its subject's metadata and label. Every later stage reads
     # this one Chunks, so each distinct member body embeds it once.
@@ -291,15 +278,40 @@ def run_training(config: RunConfig) -> TrainedPipeline:
     metadata = _metadata_rows(train_records, counts)
     labels = np.repeat([r.label for r in train_records], counts)
 
-    # 3. per-member fine-tune on the target task (kept for saliency and
-    # the pretuned ensemble; their own heads never see joint gradients)
-    tuned: dict = {}
-    for mid in M.MEMBER_IDS:
-        tuned[mid], _ = M.train(
-            M.replace_head(pretrained[mid], 2), chunks, labels,
+    # 2-3. one task per member: surrogate pretraining on the member's own
+    # recipe, then the fine-tune on the target task (kept for saliency and
+    # the pretuned ensemble; their own heads never see joint gradients).
+    # A task returns the embeddings it left on `chunks`, as a worker's
+    # copy of `chunks` is not the parent's.
+    def member(entry: M.RegistryEntry) -> tuple:
+        mid = entry.biomarker_id
+        known = set(chunks.embeddings)
+        data = surrogate_dataset(entry, params,
+                                 derive_seed(config.seed, "surrogate", mid),
+                                 config.surrogate_per_class, config.arch_frames)
+        model0 = M.init_cnn(arch, entry.num_classes,
+                            derive_seed(config.seed, "init", mid), mid)
+        pretrained, _ = M.train(
+            model0, Chunks(np.stack([image for image, _ in data]), masked=False),
+            [label for _, label in data],
+            config.train_config(config.pretrain_epochs,
+                                derive_seed(config.seed, "pretrain", mid)),
+            frozenset(M.layer_names(arch)))
+        tuned, _ = M.train(
+            M.replace_head(pretrained, 2), chunks, labels,
             config.train_config(config.tune_epochs,
                                 derive_seed(config.seed, "tune", mid)),
             layers)
+        new = {k: e for k, e in chunks.embeddings.items() if k not in known}
+        return pretrained, tuned, new
+
+    # the 8-class member pretrains on the most clips, so it starts first
+    entries = sorted(M.MEMBERS, key=lambda e: -e.num_classes)
+    results = dict(zip([e.biomarker_id for e in entries], _map(member, entries)))
+    pretrained = {mid: results[mid][0] for mid in M.MEMBER_IDS}
+    tuned = {mid: results[mid][1] for mid in M.MEMBER_IDS}
+    for mid in M.MEMBER_IDS:
+        chunks.embeddings.update(results[mid][2])
 
     # 4. joint fusion over the pretrained members (main), and over the tuned
     # ones (pt) only if tuning moved a body, as no fusion reads member heads
@@ -318,6 +330,61 @@ def run_training(config: RunConfig) -> TrainedPipeline:
     pipe.metrics = _run_metrics(pipe, store, train_records, chunks,
                                 test_records, main, pt)
     return pipe
+
+
+# ------------------------------------------------------- member workers
+
+def _map(fn, items: list) -> list:
+    """`[fn(item) for item in items]`, in order, over a `fork` pool of
+    one worker per CPU this process may run on (at most one per item),
+    each handed the next item as it comes free; with one worker, in this
+    process. Forked workers inherit `fn` and `items`, so neither is
+    pickled; results and a worker's exception come back pickled. The
+    pool is joined on return and on failure."""
+    workers = min(len(items), len(os.sched_getaffinity(0)))
+    if workers <= 1:
+        return list(map(fn, items))
+    pool = multiprocessing.get_context("fork").Pool(
+        workers, _start_worker, (fn, items))
+    try:
+        out = pool.map(_run_item, range(len(items)), chunksize=1)
+    except BaseException:
+        pool.terminate()
+        raise
+    else:
+        pool.close()
+    finally:
+        pool.join()
+    return out
+
+
+_worker_task: tuple = ()  # (fn, items), set in a `_map` worker only
+
+
+def _start_worker(fn, items: list) -> None:
+    global _worker_task
+    _worker_task = (fn, items)
+    _one_blas_thread()
+
+
+def _run_item(i: int):
+    fn, items = _worker_task
+    return fn(items[i])
+
+
+def _one_blas_thread() -> None:
+    """Run NumPy's bundled OpenBLAS on one thread in this process, as
+    `_map` runs as many workers as CPUs. Leaves BLAS as it is where
+    that library is absent."""
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs",
+                                       "libscipy_openblas64_*.so")):
+        try:
+            set_threads = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads.restype = None
+        set_threads(1)
 
 
 def _run_metrics(pipe: TrainedPipeline, store: FeatureStore,

@@ -1,7 +1,10 @@
 """End-to-end training runs: config handling, staged training, metrics,
 artifact round trips."""
 
+import ctypes
+import glob
 import json
+import multiprocessing
 import os
 
 import numpy as np
@@ -14,6 +17,7 @@ import ovbm.saliency as S
 from ovbm import nn
 from conftest import count_forward_images, micro_run_config
 from ovbm.audio_io import AudioClip, parse_manifest
+from ovbm.cli import main
 from ovbm.chunker import Chunks, chunk_plan, extract_chunks
 from ovbm.fusion import TrainResult
 from ovbm.pipeline import (
@@ -565,7 +569,9 @@ class TestEmbeddingMemo:
         # `frozen`. All three read the pretrained bodies' embeddings of
         # the run's N training chunks, so those run once per body
         # (8 x N), and each body runs once on the test subjects' T
-        # chunks (8 x T).
+        # chunks (8 x T). The member tasks run in this process, where
+        # the count sees them.
+        monkeypatch.setattr(P, "_map", lambda fn, items: list(map(fn, items)))
         images = self._images_inside(monkeypatch, [
             # pretraining trains every layer; the tune step only heads
             (M, "train", lambda *args: "embed" not in args[4]),
@@ -578,6 +584,90 @@ class TestEmbeddingMemo:
                 if r.subject_id in metrics["test_subjects"])
         assert n > 0 and t > 0
         assert sum(images) == 8 * n + 8 * t
+
+
+class WorkerFailure(ValueError):
+    """Raised inside a member task. Module-level, so a worker can send it
+    back pickled."""
+
+
+def _two_workers(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def _files(root) -> dict:
+    """Every file under `root` by relative path, with its bytes."""
+    out = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
+    return out
+
+
+class TestMemberWorkers:
+    """Stages 2 and 3 run one task per member through `pipeline._map`:
+    in this process, or in a pool of worker processes."""
+
+    @pytest.mark.parametrize("strategy", ["frozen", "last:1"])
+    def test_worker_count_changes_no_byte(self, strategy, corpus_dir,
+                                          tmp_path, monkeypatch):
+        config = micro_run_config(corpus_dir, strategy=strategy)
+        with monkeypatch.context() as patch:
+            patch.setattr(P, "_map", lambda fn, items: list(map(fn, items)))
+            save_pipeline(run_training(config), str(tmp_path / "serial"))
+
+        # each surrogate render leaves a file named after its process
+        pids = tmp_path / "pids"
+        pids.mkdir()
+        surrogate_dataset = P.surrogate_dataset
+
+        def rendering(*args):
+            (pids / str(os.getpid())).touch()
+            return surrogate_dataset(*args)
+
+        _two_workers(monkeypatch)
+        monkeypatch.setattr(P, "surrogate_dataset", rendering)
+        save_pipeline(run_training(config), str(tmp_path / "workers"))
+        assert multiprocessing.active_children() == []
+        assert os.listdir(pids) and str(os.getpid()) not in os.listdir(pids)
+
+        serial = _files(tmp_path / "serial")
+        assert "metrics.json" in serial
+        assert _files(tmp_path / "workers") == serial
+
+    def test_worker_error_reaches_the_parent(self, corpus_dir, tmp_path,
+                                             capsys, monkeypatch):
+        def failing(entry, *args):
+            raise WorkerFailure(f"no surrogate for {entry.biomarker_id}")
+
+        _two_workers(monkeypatch)
+        monkeypatch.setattr(P, "surrogate_dataset", failing)
+        config = micro_run_config(corpus_dir)
+        with pytest.raises(WorkerFailure, match="^no surrogate for "):
+            run_training(config)
+        assert multiprocessing.active_children() == []
+
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config.to_dict()))
+        code = main(["train", "--config", str(config_path),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "no surrogate for " in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        assert not os.path.exists(tmp_path / "run")
+
+    def test_workers_run_one_blas_thread(self, monkeypatch):
+        libs = glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs",
+                                      "libscipy_openblas64_*.so"))
+        if not libs:
+            pytest.skip("NumPy bundles no scipy-openblas")
+        threads = ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_
+        threads.restype = ctypes.c_int
+        _two_workers(monkeypatch)
+        assert P._map(lambda _: threads(), [0, 1]) == [1, 1]
+        assert multiprocessing.active_children() == []
 
 
 class TestPackage:
