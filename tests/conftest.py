@@ -142,6 +142,17 @@ def clip_image(clip, params) -> np.ndarray:
                           params, False, count).images[0]
 
 
+def tree_bytes(root) -> dict:
+    """Every file under `root` by relative path, with its bytes."""
+    out = {}
+    for dirpath, _, filenames in os.walk(root):
+        for name in filenames:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
+    return out
+
+
 def count_forward_images(monkeypatch) -> list:
     """Patch `models.forward_batch` to record how many images each call
     forwards, and return the list they go to."""

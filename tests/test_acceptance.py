@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import MICRO_ARCH, member_loss_and_grads, own_frames
+from conftest import MICRO_ARCH, member_loss_and_grads, own_frames, tree_bytes
 from ovbm import cli
 from ovbm import nn
 from ovbm.aggregation import AggregationScheme, aggregate, scheme_weights
@@ -462,15 +462,6 @@ def test_criterion_10_full_cli_determinism(tmp_path):
         ):
             assert cli.main(argv) == 0, argv
         return root
-
-    def tree_bytes(root: str) -> dict:
-        out = {}
-        for dirpath, _, filenames in os.walk(root):
-            for name in filenames:
-                path = os.path.join(dirpath, name)
-                with open(path, "rb") as fh:
-                    out[os.path.relpath(path, root)] = fh.read()
-        return out
 
     a = tree_bytes(full_run("a"))
     b = tree_bytes(full_run("b"))

@@ -15,10 +15,10 @@ import ovbm.models as M
 import ovbm.pipeline as P
 import ovbm.saliency as S
 from ovbm import nn
-from conftest import count_forward_images, micro_run_config
+from conftest import count_forward_images, micro_run_config, tree_bytes
 from ovbm.audio_io import AudioClip, parse_manifest
-from ovbm.cli import main
 from ovbm.chunker import Chunks, chunk_plan, extract_chunks
+from ovbm.cli import main
 from ovbm.fusion import TrainResult
 from ovbm.pipeline import (
     FeatureStore,
@@ -595,17 +595,6 @@ def _two_workers(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
-def _files(root) -> dict:
-    """Every file under `root` by relative path, with its bytes."""
-    out = {}
-    for dirpath, _, names in os.walk(root):
-        for name in names:
-            path = os.path.join(dirpath, name)
-            with open(path, "rb") as fh:
-                out[os.path.relpath(path, root)] = fh.read()
-    return out
-
-
 class TestMemberWorkers:
     """Stages 2 and 3 run one task per member through `pipeline._map`:
     in this process, or in a pool of worker processes."""
@@ -633,9 +622,9 @@ class TestMemberWorkers:
         assert multiprocessing.active_children() == []
         assert os.listdir(pids) and str(os.getpid()) not in os.listdir(pids)
 
-        serial = _files(tmp_path / "serial")
+        serial = tree_bytes(tmp_path / "serial")
         assert "metrics.json" in serial
-        assert _files(tmp_path / "workers") == serial
+        assert tree_bytes(tmp_path / "workers") == serial
 
     def test_worker_error_reaches_the_parent(self, corpus_dir, tmp_path,
                                              capsys, monkeypatch):
