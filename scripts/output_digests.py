@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print one sha256 per file that the micro test config produces through
+r"""Print one sha256 per file that the micro test config produces through
 `ovbm train`, `eval`, `diagnose`, `saliency --subjects all --compare
 s000,s001` and `report uniqueness`, under the frozen, last:1 and all
 strategies with the Poisson mask on and off, plus one `report ablation`
@@ -13,7 +13,11 @@ subject's decision label from `diagnoses.json`, and every accuracy field
 of `metrics.json`; then one line per run and subject with every saliency
 score's `repr`. A change that moves float bits but no decision then
 differs in digest and saliency lines only, and a moved score shows by
-how much.
+how much. A change to weight-file bytes alone (a descriptor field, say)
+differs in `.ovbm` digest lines only; the plain decision, accuracy and
+saliency lines, with the other digests, are then the numeric check:
+
+    diff <(grep -v '\.ovbm' a.txt) <(grep -v '\.ovbm' b.txt)
 
     python3 scripts/output_digests.py --work /tmp/ovbm-digests > a.txt
 

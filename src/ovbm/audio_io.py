@@ -273,6 +273,8 @@ def parse_manifest(path) -> list[SubjectRecord]:
         subject_id, wav_path, label_raw, gender_raw, age_raw = (c.strip() for c in row)
         if not subject_id:
             raise ManifestError(f"{path}:{lineno}: empty subject_id")
+        if not wav_path:
+            raise ManifestError(f"{path}:{lineno}: empty wav_path")
         if subject_id in seen:
             raise DuplicateSubject(f"{path}:{lineno}: duplicate subject {subject_id}")
         seen.add(subject_id)

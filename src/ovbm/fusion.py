@@ -147,7 +147,7 @@ def train_fusion(fusion: FusionModel, chunks: Chunks, metadata: np.ndarray,
     layer are embedded through `embed_chunks`, so they run once per
     Chunks across calls. The result's `model` is the trained ensemble."""
     labels = np.array([int(y) for y in labels])
-    members = [M.with_trainable(m, layers) for m in fusion.members]
+    members = [M.clone_model(m) for m in fusion.members]
     fusion = FusionModel(members, {k: w.copy() for k, w in fusion.weights.items()})
     meta = np.asarray(metadata, dtype=np.float64)
 

@@ -10,6 +10,7 @@ hand in numpy so gradients can be checked against finite differences.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 
@@ -145,15 +146,11 @@ class BiomarkerModel:
     arch: CnnArch
     num_classes: int
     weights: dict
-    trainable: dict  # layer name -> bool
 
     def validate(self) -> None:
         self.arch.validate()
         if self.num_classes < 2:
             raise ValueError("need at least two classes")
-        expected = layer_names(self.arch)
-        if sorted(self.trainable) != sorted(expected):
-            raise ValueError("trainability mask must cover every layer exactly once")
         check_shapes(self.weights, weight_shapes(self.arch, self.num_classes))
         for k, w in self.weights.items():
             if not np.isfinite(w).all():
@@ -171,16 +168,13 @@ def init_cnn(arch: CnnArch, num_classes: int, seed: int,
     weights = {k: nn.he_uniform(rng, shape, fan_in=int(np.prod(shape[1:])))
                if k.endswith(".w") else np.zeros(shape)
                for k, shape in weight_shapes(arch, num_classes).items()}
-    trainable = {name: True for name in layer_names(arch)}
-    return BiomarkerModel(biomarker_id, arch, num_classes, weights, trainable)
+    return BiomarkerModel(biomarker_id, arch, num_classes, weights)
 
 
 def clone_model(model: BiomarkerModel) -> BiomarkerModel:
     return BiomarkerModel(
         model.biomarker_id, model.arch, model.num_classes,
-        {k: w.copy() for k, w in model.weights.items()},
-        dict(model.trainable),
-    )
+        {k: w.copy() for k, w in model.weights.items()})
 
 
 def replace_head(model: BiomarkerModel, num_classes: int) -> BiomarkerModel:
@@ -192,13 +186,6 @@ def replace_head(model: BiomarkerModel, num_classes: int) -> BiomarkerModel:
     out.weights["head.w"] = np.zeros((num_classes, model.arch.embedding_dim))
     out.weights["head.b"] = np.zeros(num_classes)
     out.num_classes = num_classes
-    return out
-
-
-def with_trainable(model: BiomarkerModel, layers: frozenset) -> BiomarkerModel:
-    """A copy of `model` whose trainability mask marks exactly `layers`."""
-    out = clone_model(model)
-    out.trainable = {name: name in layers for name in layer_names(model.arch)}
     return out
 
 
@@ -393,7 +380,7 @@ def train(model: BiomarkerModel, chunks: Chunks, labels, config: TrainConfig,
     regression on them.
     """
     labels = np.array([int(y) for y in labels])
-    model = with_trainable(model, layers)
+    model = clone_model(model)
     if int(labels.max()) >= model.num_classes:
         raise ValueError("label outside the model's class range")
     head_only = layers == {"head"}
@@ -565,7 +552,7 @@ def unpack_tensor_records(buf: bytes, offset: int) -> dict:
         need(4 * rank)
         dims = struct.unpack_from(f"<{rank}I", buf, offset)
         offset += 4 * rank
-        count = int(np.prod(dims)) if rank else 1
+        count = math.prod(dims)
         need(4 * count)
         data = np.frombuffer(buf, dtype="<f4", count=count, offset=offset)
         offset += 4 * count
@@ -597,7 +584,7 @@ def read_weight_file(path):
     with named_errors(path):  # only a JSON object takes a string key
         descriptor = json.loads(buf[12:12 + desc_len].decode("utf-8"))
         tensors = descriptor["tensors"]
-    weights = unpack_tensor_records(buf, 12 + desc_len)
+        weights = unpack_tensor_records(buf, 12 + desc_len)
     if list(weights) != tensors:
         raise ValueError(f"{path}: tensor records do not match the "
                          f"descriptor (truncated or tampered weight file)")
@@ -611,7 +598,6 @@ def model_file_bytes(model: BiomarkerModel, meta: dict | None = None) -> bytes:
         "biomarker_id": model.biomarker_id,
         "num_classes": model.num_classes,
         "arch": asdict(model.arch),
-        "trainable": {k: bool(v) for k, v in sorted(model.trainable.items())},
         "tensors": order,
         "meta": meta or {},
     }
@@ -631,8 +617,6 @@ def load_model(path) -> BiomarkerModel:
     with named_errors(path):
         model = BiomarkerModel(
             descriptor["biomarker_id"], CnnArch.from_dict(descriptor["arch"]),
-            descriptor["num_classes"], weights,
-            {k: bool(v) for k, v in descriptor["trainable"].items()},
-        )
+            descriptor["num_classes"], weights)
         model.validate()
     return model

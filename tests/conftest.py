@@ -69,7 +69,6 @@ BAD_MODEL_DESCRIPTORS = dict(BAD_DESCRIPTORS, **{
     "arch_is_a_number": _edited(lambda d: d.update(arch=5)),
     "input_shape_is_a_number": _edited(
         lambda d: d["arch"].update(input_shape=5)),
-    "trainable_is_a_list": _edited(lambda d: d.update(trainable=[])),
 })
 BAD_FUSION_DESCRIPTORS = dict(BAD_DESCRIPTORS, **{
     "member_digests_is_a_list": _edited(lambda d: d.update(member_digests=[])),

@@ -249,6 +249,12 @@ class TestManifest:
         with pytest.raises(UnparseableLabel):
             parse_manifest(path)
 
+    def test_empty_wav_path(self, tmp_path):
+        # joined to the manifest's directory it would name a directory
+        path = _write_manifest(tmp_path, ["s1,a.wav,AD,F,70", "s2, ,nonAD,M,66"])
+        with pytest.raises(ManifestError, match=r"m\.csv:3: empty wav_path"):
+            parse_manifest(path)
+
 
 class TestSynth:
     def test_deterministic(self):

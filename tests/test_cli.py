@@ -237,6 +237,18 @@ class TestTrain:
         assert message in stderr
         assert rendered == [] and not os.path.exists(tmp_path / "r")
 
+    def test_empty_wav_path(self, tmp_path, corpus_dir, capsys):
+        manifest = tmp_path / "manifest.csv"
+        lines = Path(corpus_dir, "manifest.csv").read_text().splitlines()
+        fields = lines[1].split(",")
+        lines[1] = ",".join(fields[:1] + [""] + fields[2:])
+        manifest.write_text("\n".join(lines) + "\n")
+        code, _, stderr = run_cli(capsys, "train", "--manifest", str(manifest),
+                                  "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert f"{manifest}:2: empty wav_path" in stderr
+        assert not os.path.exists(tmp_path / "r")
+
     def test_missing_manifest_file(self, tmp_path, capsys):
         code, _, stderr = run_cli(capsys, "train", "--manifest",
                                   str(tmp_path / "nope.csv"),
@@ -467,6 +479,19 @@ class TestSaliency:
                              capsys):
         broken, victim = cut_copy(micro_run_dir, tmp_path, "models",
                                   "member_tuned_cough_origin.ovbm")
+        code, _, stderr = run_cli(
+            capsys, "saliency", "--run", broken,
+            "--manifest", os.path.join(corpus_dir, "manifest.csv"),
+            "--subjects", "s000", "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert str(victim) in stderr
+
+    def test_member_file_cut_inside_a_record(self, micro_run_dir, corpus_dir,
+                                             tmp_path, capsys):
+        broken = str(tmp_path / "broken")
+        shutil.copytree(micro_run_dir, broken)
+        victim = Path(broken, "models", "member_tuned_cough_origin.ovbm")
+        victim.write_bytes(victim.read_bytes()[:-3])
         code, _, stderr = run_cli(
             capsys, "saliency", "--run", broken,
             "--manifest", os.path.join(corpus_dir, "manifest.csv"),

@@ -2,6 +2,8 @@
 strategy trains, training, weight files, and the fixed biomarker
 roster."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from conftest import (
     BAD_MODEL_DESCRIPTORS,
     BAD_MODEL_TENSORS,
     MICRO_ARCH,
+    _edited,
     count_forward_images,
     member_loss_and_grads,
     random_images,
@@ -43,7 +46,6 @@ from ovbm.models import (
     stratified_split,
     train,
     trainable_layers,
-    with_trainable,
 )
 from ovbm.pipeline import RunConfig
 from ovbm.util import derive_seed
@@ -80,7 +82,6 @@ class TestInit:
         assert model.weights["head.w"].shape == (3, 4)
         assert all(np.all(model.weights[f"{n}.b"] == 0.0)
                    for n in layer_names(MICRO_ARCH))
-        assert all(model.trainable.values())
 
     def test_replace_head_keeps_body(self):
         base = init_cnn(MICRO_ARCH, 5, seed=0)
@@ -260,16 +261,6 @@ class TestTrainableLayers:
         with pytest.raises(error, match=message):
             trainable_layers(strategy, DEFAULT_ARCH)
 
-    def test_mask(self):
-        # the mask a weight file records; the input model keeps its own
-        base = init_cnn(MICRO_ARCH, 2, seed=0)
-        last1 = with_trainable(base, trainable_layers("last:1", MICRO_ARCH))
-        assert last1.trainable == {"stem": False, "block1.conv1": False,
-                                   "block1.conv2": True, "embed": False,
-                                   "head": True}
-        assert all(base.trainable.values())
-        assert last1.weights["stem.w"] is not base.weights["stem.w"]
-
 
 class TestTraining:
     def test_frozen_leaves_body_bit_identical(self):
@@ -373,13 +364,11 @@ class TestSplit:
 class TestWeightFiles:
     def test_round_trip_exact(self, tmp_path):
         model = init_cnn(MICRO_ARCH, 3, seed=4, biomarker_id="demo")
-        model = with_trainable(model, trainable_layers("last:1", MICRO_ARCH))
         path = tmp_path / "m.ovbm"
         save_model(path, model, meta={"seed": 4})
         out = load_model(path)
         assert out.biomarker_id == "demo"
         assert out.num_classes == 3
-        assert out.trainable == model.trainable
         assert out.arch == model.arch
         for k in model.weights:
             np.testing.assert_array_equal(out.weights[k],
@@ -399,8 +388,38 @@ class TestWeightFiles:
         path = tmp_path / "m.ovbm"
         save_model(path, init_cnn(MICRO_ARCH, 2, seed=0))
         path.write_bytes(path.read_bytes()[:-20])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="m.ovbm"):
             load_model(path)
+
+    def test_overflowing_dims(self, tmp_path):
+        # 65536**4 is 2**64: a product taken in int64 wraps to 0
+        path = tmp_path / "m.ovbm"
+        save_model(path, init_cnn(MICRO_ARCH, 2, seed=0))
+        raw = path.read_bytes()
+        start = record_boundaries(path)[-1]
+        (name_len,) = struct.unpack_from("<I", raw, start)
+        rank_at = start + 4 + name_len
+        (rank,) = struct.unpack_from("<I", raw, rank_at)
+        path.write_bytes(raw[:rank_at] + struct.pack("<5I", 4, *(65536,) * 4)
+                         + raw[rank_at + 4 + 4 * rank:])
+        with pytest.raises(ValueError, match="m.ovbm.*truncated"):
+            load_model(path)
+
+    def test_old_trainable_mask_is_ignored(self, tmp_path):
+        # files written before the run's layer set was the only record
+        # of what trains carry a per-layer mask in their descriptor
+        path = tmp_path / "m.ovbm"
+        model = init_cnn(MICRO_ARCH, 3, seed=4, biomarker_id="demo")
+        save_model(path, model)
+        new = load_model(path)
+        mask = {name: name == "head" for name in layer_names(MICRO_ARCH)}
+        replace_descriptor(path, _edited(lambda d: d.update(trainable=mask)))
+        old = load_model(path)
+        assert (old.biomarker_id, old.arch, old.num_classes) == \
+            (new.biomarker_id, new.arch, new.num_classes)
+        assert list(old.weights) == list(new.weights)
+        for k, w in new.weights.items():
+            assert old.weights[k].tobytes() == w.tobytes()
 
     def test_cut_at_record_boundary(self, tmp_path):
         path = tmp_path / "m.ovbm"
