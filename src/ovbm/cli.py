@@ -9,7 +9,8 @@
     ovbm report uniqueness --run runs/a --out reports/
     ovbm report ablation --pairs runs/nomask:runs/mask --out reports/
 
-Exit codes: 0 ok, 2 bad inputs or config, 3 missing/unreadable files.
+Exit codes: 0 ok, 2 bad inputs or config, 3 missing/unreadable files,
+4 a training worker process died (`ovbm train`; no run is written).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
 
 from .audio_io import parse_manifest
@@ -25,6 +27,7 @@ from .models import MEMBERS
 from .pipeline import (
     RunConfig,
     TrainedPipeline,
+    diagnose_subject,
     evaluate_manifest,
     load_clip,
     load_pipeline,
@@ -187,10 +190,16 @@ def _load_run(run_dir: str) -> TrainedPipeline:
     return load_pipeline(run_dir)
 
 
-def cmd_eval(args) -> int:
+def _load_run_for_manifest(args) -> TrainedPipeline:
+    """The run at --run, once --manifest is known to exist."""
     pipe = _load_run(args.run)
     if not os.path.exists(args.manifest):
         raise FileNotFoundError(f"missing manifest {args.manifest}")
+    return pipe
+
+
+def cmd_eval(args) -> int:
+    pipe = _load_run_for_manifest(args)
     result = evaluate_manifest(pipe, args.manifest)
     print(f"subjects={result['num_subjects']} "
           f"subject_accuracy={result['subject_accuracy']:.3f} "
@@ -226,11 +235,7 @@ def _select_records(manifest_path: str, spec: str | None) -> list:
 
 
 def cmd_diagnose(args) -> int:
-    from .pipeline import diagnose_subject
-
-    pipe = _load_run(args.run)
-    if not os.path.exists(args.manifest):
-        raise FileNotFoundError(f"missing manifest {args.manifest}")
+    pipe = _load_run_for_manifest(args)
     records = _select_records(args.manifest, args.subjects)
     results = {}
     for rec in records:
@@ -246,9 +251,7 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_saliency(args) -> int:
-    pipe = _load_run(args.run)
-    if not os.path.exists(args.manifest):
-        raise FileNotFoundError(f"missing manifest {args.manifest}")
+    pipe = _load_run_for_manifest(args)
     records = _select_records(args.manifest, args.subjects)
     if args.compare is not None:
         pair = _id_list(args.compare, "--compare subject",
@@ -337,6 +340,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenProcessPool as exc:
+        print(f"error: a worker process died: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

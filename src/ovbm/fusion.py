@@ -10,6 +10,7 @@ classification heads sit off the fusion loss path and never move here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -135,6 +136,18 @@ def score_chunks(fusion: FusionModel, chunks: Chunks,
     return probs
 
 
+def score_subject(main: FusionModel, pt: FusionModel, tuned: list,
+                  chunks: Chunks, metadata: np.ndarray) -> tuple:
+    """One subject's chunk scores [N, 2]: the main ensemble's, the
+    pretuned one's (the main array itself when `pt is main`), and each
+    tuned member's own head's, by biomarker id."""
+    main_probs = score_chunks(main, chunks, metadata)
+    pt_probs = main_probs if pt is main else score_chunks(pt, chunks, metadata)
+    return main_probs, pt_probs, {
+        m.biomarker_id: M.head_batches(m, emb)
+        for m, emb in zip(tuned, M.embed_chunks(tuned, chunks))}
+
+
 # -------------------------------------------------------------- train
 
 def train_fusion(fusion: FusionModel, chunks: Chunks, metadata: np.ndarray,
@@ -220,8 +233,6 @@ def save_ensemble(dir_path, fusion: FusionModel,
                   meta: dict | None = None) -> None:
     """One weight file per member plus a fusion file that records each
     member file's digest, so mismatched mixtures refuse to load."""
-    from pathlib import Path
-
     dir_path = Path(dir_path)
     digests = {}
     for m in fusion.members:
@@ -234,8 +245,6 @@ def save_ensemble(dir_path, fusion: FusionModel,
 
 def load_ensemble(dir_path) -> FusionModel:
     """The saved ensemble, after digest verification of every member."""
-    from pathlib import Path
-
     dir_path = Path(dir_path)
     fusion_path = dir_path / "fusion.ovbm"
     descriptor, weights = M.read_weight_file(fusion_path)

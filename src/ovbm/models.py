@@ -13,6 +13,7 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -300,8 +301,8 @@ def backward_from_embedding(model: BiomarkerModel, cache: dict,
 # -------------------------------------------------------------- train
 
 def adam_step(weights: dict, grads: dict, state: nn.AdamState,
-              config: TrainConfig, t: int):
-    """One Adam update over every tensor present in `grads`."""
+              config: TrainConfig, t: int) -> None:
+    """One Adam update, in place, over every tensor present in `grads`."""
     if t < 1:
         raise ValueError("step index starts at 1")
     for key, g in grads.items():
@@ -309,7 +310,6 @@ def adam_step(weights: dict, grads: dict, state: nn.AdamState,
             weights[key], g, state.m[key], state.v[key], t,
             config.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
         )
-    return weights, state
 
 
 def stratified_split(labels, fraction: float, rng: np.random.Generator):
@@ -571,8 +571,6 @@ def read_weight_file(path):
     """Returns (descriptor dict, weights dict). The tensor records must
     be exactly the descriptor's `tensors` list, in order, so a file cut
     at a record boundary fails here rather than at first use."""
-    from pathlib import Path
-
     buf = Path(path).read_bytes()
     if len(buf) < 12 or buf[:4] != WEIGHT_MAGIC:
         raise ValueError(f"{path}: not a weight file")

@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import ctypes
 import dataclasses
+import filecmp
 import glob
 import json
 import math
 import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +43,7 @@ from .fusion import (
     metadata_vector,
     save_ensemble,
     score_chunks,
+    score_subject,
     train_fusion,
 )
 from .mfcc import MfccParams
@@ -218,16 +221,13 @@ def _metadata_rows(records: list, counts: list) -> np.ndarray:
                      counts, axis=0)
 
 
-def _diagnoses(config: RunConfig, fusion: FusionModel, records: list,
-               counts: list, chunks: Chunks) -> list:
-    """Score subjects' chunks (`counts[i]` of `records[i]`, laid end to
-    end) through an ensemble once; aggregate and threshold each
-    subject's."""
-    probs = score_chunks(fusion, chunks, _metadata_rows(records, counts))
+def _diagnoses(config: RunConfig, records: list, probs) -> list:
+    """Aggregate and threshold each subject's chunk class probabilities,
+    an iterable of arrays [n, 2], one per record, in `records` order."""
     scheme = config.parsed_scheme()
     diagnoses = []
-    for record, p in zip(records, np.split(probs[:, 1], np.cumsum(counts)[:-1])):
-        chunk_probs = [float(x) for x in p]
+    for record, p in zip(records, probs):
+        chunk_probs = p[:, 1].tolist()
         probability = aggregate(chunk_probs, scheme)
         diagnoses.append(Diagnosis(
             record.subject_id, probability, decide(probability, config.threshold),
@@ -237,18 +237,15 @@ def _diagnoses(config: RunConfig, fusion: FusionModel, records: list,
 
 
 def _subject_metrics(diagnoses: list, records: list, threshold: float) -> dict:
-    labels = {r.subject_id: r.label for r in records}
-    subj_hits = chunk_hits = chunk_total = 0
-    for d in diagnoses:
-        want = labels[d.subject_id]
-        subj_hits += int((d.label == "positive") == bool(want))
-        for p in d.chunk_probabilities:
-            chunk_hits += int((decide(p, threshold) == "positive") == bool(want))
-            chunk_total += 1
+    labels = {r.subject_id: bool(r.label) for r in records}
+    subjects = [(d.label == "positive") == labels[d.subject_id]
+                for d in diagnoses]
+    chunks = [(decide(p, threshold) == "positive") == labels[d.subject_id]
+              for d in diagnoses for p in d.chunk_probabilities]
     return {
         "num_subjects": len(diagnoses),
-        "subject_accuracy": subj_hits / len(diagnoses) if diagnoses else 0.0,
-        "chunk_accuracy": chunk_hits / chunk_total if chunk_total else 0.0,
+        "subject_accuracy": sum(subjects) / len(subjects) if subjects else 0.0,
+        "chunk_accuracy": sum(chunks) / len(chunks) if chunks else 0.0,
     }
 
 
@@ -338,24 +335,20 @@ def _map(fn, items: list) -> list:
     """`[fn(item) for item in items]`, in order, over a `fork` pool of
     one worker per CPU this process may run on (at most one per item),
     each handed the next item as it comes free; with one worker, in this
-    process. Forked workers inherit `fn` and `items`, so neither is
-    pickled; results and a worker's exception come back pickled. The
-    pool is joined on return and on failure."""
+    process. Workers inherit `fn` and `items` unpickled; results come
+    back pickled, and an item's exception once the items before it and
+    any running item finish. A dead worker raises `BrokenProcessPool`
+    at once. Items not started are dropped, and workers joined."""
     workers = min(len(items), len(os.sched_getaffinity(0)))
     if workers <= 1:
         return list(map(fn, items))
-    pool = multiprocessing.get_context("fork").Pool(
-        workers, _start_worker, (fn, items))
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               initializer=_start_worker,
+                               initargs=(fn, items))
     try:
-        out = pool.map(_run_item, range(len(items)), chunksize=1)
-    except BaseException:
-        pool.terminate()
-        raise
-    else:
-        pool.close()
+        return list(pool.map(_run_item, range(len(items))))
     finally:
-        pool.join()
-    return out
+        pool.shutdown(cancel_futures=True)
 
 
 _worker_task: tuple = ()  # (fn, items), set in a `_map` worker only
@@ -393,39 +386,28 @@ def _run_metrics(pipe: TrainedPipeline, store: FeatureStore,
     """`train_chunks` holds the training subjects' chunks end to end, in
     `train_records` order, as the run trained on them."""
     config = pipe.config
-    scheme = config.parsed_scheme()
 
     # The training subjects are scored on the run's training Chunks,
-    # whose embeddings the training stages left on it; the main, tuned
-    # and (unless it is main) pretuned members score each test subject's
-    # cached chunks.
-    train_diag = _diagnoses(config, pipe.main, train_records,
-                            [len(store.chunks(r)) for r in train_records],
-                            train_chunks)
-
-    def test_diagnoses(fusion):
-        return [_diagnoses(config, fusion, [rec], [len(c)], c)[0]
-                for rec, c in zip(test_records, test_chunks)]
-
-    test_chunks = [store.chunks(rec) for rec in test_records]
-    test_diag = test_diagnoses(pipe.main)
-    pt_test = test_diag if pipe.pt is pipe.main else test_diagnoses(pipe.pt)
-
-    # Each tuned member decides a test subject by its own head.
-    hits = {mid: 0 for mid in M.MEMBER_IDS}
-    detections: dict = {mid: [] for mid in M.MEMBER_IDS}
-    for rec, chunks in zip(test_records, test_chunks):
-        members = pipe.tuned_members
-        embs = M.embed_chunks(members, chunks)
-        for mid, m, emb in zip(M.MEMBER_IDS, members, embs):
-            positive = decide(aggregate(M.head_batches(m, emb)[:, 1], scheme),
-                              config.threshold) == "positive"
-            hits[mid] += int(positive == bool(rec.label))
-            if positive and rec.label == 1:
-                detections[mid].append(rec.subject_id)
-    member_acc = {mid: hits[mid] / len(test_records) if test_records else 0.0
-                  for mid in M.MEMBER_IDS}
-    detections = {mid: sorted(d) for mid, d in detections.items()}
+    # whose embeddings the training stages left on it; each test
+    # subject's cached chunks, by `score_subject`, as saliency scores a
+    # run plan: main, pretuned, and each tuned member by its own head.
+    counts = [len(store.chunks(r)) for r in train_records]
+    train_diag = _diagnoses(config, train_records, np.split(score_chunks(
+        pipe.main, train_chunks, _metadata_rows(train_records, counts)),
+        np.cumsum(counts)[:-1]))
+    scores = [score_subject(pipe.main, pipe.pt, pipe.tuned_members,
+                            store.chunks(r), metadata_vector(r.gender, r.age))
+              for r in test_records]
+    test_diag = _diagnoses(config, test_records, (s[0] for s in scores))
+    pt_test = _diagnoses(config, test_records, (s[1] for s in scores))
+    members = {mid: _diagnoses(config, test_records,
+                               (s[2][mid] for s in scores))
+               for mid in M.MEMBER_IDS}
+    member_acc = {mid: _subject_metrics(d, test_records, config.threshold)
+                  ["subject_accuracy"] for mid, d in members.items()}
+    detections = {mid: sorted(d.subject_id for d, r in zip(ds, test_records)
+                              if d.label == "positive" and r.label == 1)
+                  for mid, ds in members.items()}
     test_positives = sorted(r.subject_id for r in test_records if r.label == 1)
     best_id = max(member_acc, key=lambda k: (member_acc[k], k))
 
@@ -511,14 +493,18 @@ def load_pipeline(out_dir: str) -> TrainedPipeline:
         if not os.path.exists(path):
             raise FileNotFoundError(f"missing weight file {path}")
         tuned[mid] = M.load_model(path)
+    paths = [os.path.join(out_dir, name, "fusion.ovbm")
+             for name in ("ensemble_main", "ensemble_pt")]
     ensembles = []
-    for name in ("ensemble_main", "ensemble_pt"):
-        fusion = load_ensemble(os.path.join(out_dir, name))
+    for path in paths:
+        fusion = load_ensemble(os.path.dirname(path))
         if fusion.member_ids != list(M.MEMBER_IDS):
-            raise ValueError(
-                f"{os.path.join(out_dir, name, 'fusion.ovbm')}: members "
-                f"{', '.join(fusion.member_ids)} are not the roster, in order")
+            raise ValueError(f"{path}: members {', '.join(fusion.member_ids)} "
+                             f"are not the roster, in order")
         ensembles.append(fusion)
+    # fusion files record their members' digests: equal files, one ensemble
+    if filecmp.cmp(*paths, shallow=False):
+        ensembles[1] = ensembles[0]
     return TrainedPipeline(config, tuned, *ensembles, metrics)
 
 
@@ -543,9 +529,9 @@ def evaluate_manifest(pipe: TrainedPipeline, manifest_path: str) -> dict:
 
 def diagnose_subject(pipe: TrainedPipeline, record: SubjectRecord,
                      clip: AudioClip) -> Diagnosis:
-    chunks = _run_chunks(pipe.config, clip)
-    return _diagnoses(pipe.config, pipe.main, [record], [len(chunks)],
-                      chunks)[0]
+    probs = score_chunks(pipe.main, _run_chunks(pipe.config, clip),
+                         metadata_vector(record.gender, record.age))
+    return _diagnoses(pipe.config, [record], [probs])[0]
 
 
 def subject_saliency(pipe: TrainedPipeline, record: SubjectRecord,

@@ -18,8 +18,8 @@ from .aggregation import AggregationScheme, aggregate
 from .audio_io import AudioClip, SubjectRecord
 from .chunker import chunk_plan, extract_chunks
 from .fusion import (FusionModel, fuse_from_embeddings, metadata_vector,
-                     score_chunks)
-from .models import MEMBERS, ROSTER, embed_chunks, head_batches
+                     score_subject)
+from .models import MEMBERS, ROSTER, embed_chunks
 
 SALIENCY_CSV_COLUMNS = "subject_id,family,biomarker_id,score"
 
@@ -59,12 +59,13 @@ def saliency_map(record: SubjectRecord, clip: AudioClip, tuned_members: list,
                  mask: bool) -> SaliencyMap:
     """Score all 16 roster entries for one subject.
 
-    Sensory/cognitive scores come from each tuned member's own head;
-    chunk-scale scores run the main ensemble at the fixed probe sizes;
-    symbolic scores re-aggregate the main ensemble under each scheme
-    plus the per-member-pretuned ensemble `pt` under the flat average
-    (`frozen` and `last:0` runs pass `main` as `pt`, so those two scores
-    agree up to rounding). `frames` is the members' input frame count;
+    `fusion.score_subject` scores the run's chunks, as it does a run's
+    test subjects: sensory/cognitive scores aggregate each tuned
+    member's own head; symbolic scores, the main ensemble under each
+    scheme plus the per-member-pretuned ensemble `pt` under the flat
+    average (`frozen` and `last:0` runs pass `main` as `pt`, so those
+    two agree up to rounding). Chunk-scale scores run the main fusion
+    on each probe plan. `frames` is the members' input frame count;
     `mask` says whether the run masks its chunk images.
     """
     metadata = metadata_vector(record.gender, record.age)
@@ -83,26 +84,24 @@ def saliency_map(record: SubjectRecord, clip: AudioClip, tuned_members: list,
     keys = list(dict.fromkeys([run_plan, *probes.values()]))
     plans = [chunk_plan(clip.duration, size, step) for size, step in keys]
     flat = extract_chunks(clip, plans, params, mask, frames)
-    run_chunks = flat.head(plans[0].count)
 
-    # The main ensemble scores every plan, each on its own rows; the
-    # pretuned and tuned members score the run's chunks, whose crops
-    # come first. Under `frozen` all three share their bodies.
+    # The main bodies embed every plan's crops at once, and the main
+    # fusion scores each probe plan on its own rows. The run's chunks,
+    # whose crops come first, read those embeddings in `score_subject`.
+    # Under `frozen` the pretuned and tuned members share the bodies too.
     main_emb = np.concatenate(embed_chunks(main.members, flat), axis=1)
     ends = np.cumsum([p.count for p in plans])
     main_probs = {
         key: fuse_from_embeddings(main, main_emb[end - plan.count:end],
                                   np.tile(metadata, (plan.count, 1)))[0]
-        for key, plan, end in zip(keys, plans, ends)}
-    pt_probs = score_chunks(pt, run_chunks, metadata)
-    own_healthy = {m.biomarker_id: head_batches(m, emb)[:, 0]
-                   for m, emb in zip(tuned_members,
-                                     embed_chunks(tuned_members, run_chunks))}
+        for key, plan, end in zip(keys[1:], plans[1:], ends[1:])}
+    main_probs[run_plan], pt_probs, own = score_subject(
+        main, pt, tuned_members, flat.head(plans[0].count), metadata)
 
     entries = []
     for entry in ROSTER:
         if entry in MEMBERS:
-            score = aggregate(own_healthy[entry.biomarker_id], scheme)
+            score = aggregate(own[entry.biomarker_id][:, 0], scheme)
         elif entry.family == "brainos":
             probs = main_probs[probes[entry.biomarker_id]]
             score = aggregate(1.0 - probs[:, 1], scheme)

@@ -1,16 +1,20 @@
 """End-to-end training runs: config handling, staged training, metrics,
 artifact round trips."""
 
+import contextlib
 import ctypes
 import glob
 import json
 import multiprocessing
 import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 import ovbm
+import ovbm.fusion as F
 import ovbm.models as M
 import ovbm.pipeline as P
 import ovbm.saliency as S
@@ -343,25 +347,35 @@ class TestPretunedEnsemble:
     def test_fusions_trained(self, strategy, fusions, corpus_dir,
                              monkeypatch):
         # Each fusion trains once, and `_run_metrics` scores each test
-        # subject once per distinct ensemble.
-        calls, scored = [], []
-        train_fusion, diagnoses = P.train_fusion, P._diagnoses
+        # subject once per distinct ensemble. Scoring calls are keyed by
+        # the ensemble and told apart by their chunk images.
+        config = micro_run_config(corpus_dir, strategy=strategy)
+        store = FeatureStore(config)
+        subject_of = {store.chunks(r).images.tobytes(): r.subject_id
+                      for r in parse_manifest(config.manifest)}
+        calls, scored = [], {}
+        train_fusion, score_chunks = P.train_fusion, F.score_chunks
 
         def counting(*args, **kwargs):
             calls.append(args[0])
             return train_fusion(*args, **kwargs)
 
-        def scoring(config, fusion, records, counts, chunks):
-            scored.extend(r.subject_id for r in records)
-            return diagnoses(config, fusion, records, counts, chunks)
+        def scoring(fusion, chunks, metadata):
+            scored.setdefault(id(fusion), []).append(
+                subject_of.get(chunks.images.tobytes()))
+            return score_chunks(fusion, chunks, metadata)
 
         monkeypatch.setattr(P, "train_fusion", counting)
-        monkeypatch.setattr(P, "_diagnoses", scoring)
-        pipe = run_training(micro_run_config(corpus_dir, strategy=strategy))
+        for module in (P, F):
+            monkeypatch.setattr(module, "score_chunks", scoring)
+        pipe = run_training(config)
         assert len(calls) == fusions
         m = pipe.metrics
         test = m["test_subjects"]
-        assert sorted(s for s in scored if s in test) == sorted(test * fusions)
+        ensembles = {id(fusion): sorted(test) for fusion in (pipe.main, pipe.pt)}
+        assert len(ensembles) == fusions
+        assert {key: sorted(s for s in ids if s in test)
+                for key, ids in scored.items()} == ensembles
         if fusions == 1:
             assert pipe.pt is pipe.main
             assert m["pt_test"] == m["test"]
@@ -382,6 +396,16 @@ class TestPretunedEnsemble:
             with open(os.path.join(main, name), "rb") as a, \
                     open(os.path.join(pt, name), "rb") as b:
                 assert a.read() == b.read(), name
+
+    def test_loaded_pt_is_main_when_saved_twice(self, micro_run_dir,
+                                                last1_pipeline, tmp_path):
+        # The frozen run saved one ensemble twice and loads it once; the
+        # last:1 run's two ensembles differ and load as two.
+        frozen = load_pipeline(micro_run_dir)
+        assert frozen.pt is frozen.main
+        save_pipeline(last1_pipeline, str(tmp_path / "last1"))
+        last1 = load_pipeline(str(tmp_path / "last1"))
+        assert last1.pt is not last1.main
 
 
 @pytest.fixture(scope="module")
@@ -595,6 +619,23 @@ def _two_workers(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Fail the test if the block still runs after `seconds`, so a pool
+    that waits forever fails here instead of hanging the suite. Forked
+    workers do not inherit the timer."""
+    def expired(signum, frame):
+        pytest.fail(f"still waiting after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestMemberWorkers:
     """Stages 2 and 3 run one task per member through `pipeline._map`:
     in this process, or in a pool of worker processes."""
@@ -644,6 +685,37 @@ class TestMemberWorkers:
                      "--out", str(tmp_path / "run")])
         assert code == 2
         assert "no surrogate for " in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        assert not os.path.exists(tmp_path / "run")
+
+    def test_killed_worker_is_a_named_failure(self, corpus_dir, tmp_path,
+                                              capsys, monkeypatch):
+        # The 8-class member's task runs; every other task SIGKILLs its
+        # worker, so a task is lost while the other worker is busy. The
+        # test process itself is never killed.
+        surrogate_dataset = P.surrogate_dataset
+        first = max(M.MEMBERS, key=lambda e: e.num_classes)
+        parent = os.getpid()
+
+        def killing(entry, *args):
+            if entry is not first and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return surrogate_dataset(entry, *args)
+
+        _two_workers(monkeypatch)
+        monkeypatch.setattr(P, "surrogate_dataset", killing)
+        config = micro_run_config(corpus_dir)
+        with _deadline(15.0), pytest.raises(BrokenProcessPool):
+            run_training(config)
+        assert multiprocessing.active_children() == []
+
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config.to_dict()))
+        with _deadline(15.0):
+            code = main(["train", "--config", str(config_path),
+                         "--out", str(tmp_path / "run")])
+        assert code == 4
+        assert "worker process died" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
         assert not os.path.exists(tmp_path / "run")
 
