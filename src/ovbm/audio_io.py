@@ -244,7 +244,7 @@ def resample_linear(clip: AudioClip, target_rate: int) -> AudioClip:
 
 
 def parse_manifest(path) -> list[SubjectRecord]:
-    """Read a subject manifest CSV.
+    """Read a subject manifest CSV: a header and at least one subject row.
 
     Header must be exactly `subject_id,wav_path,label,gender,age`.
     Labels accept {0, 1, AD, nonAD} case-insensitively. Gender values
@@ -296,6 +296,8 @@ def parse_manifest(path) -> list[SubjectRecord]:
                 raise ManifestError(f"{path}:{lineno}: negative age")
 
         records.append(SubjectRecord(subject_id, wav_path, label, gender, age))
+    if not records:
+        raise ManifestError(f"{path}: no subject rows")
     return records
 
 

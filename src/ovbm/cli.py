@@ -286,10 +286,9 @@ def cmd_saliency(args) -> int:
 
 def cmd_report_uniqueness(args) -> int:
     pipe = _load_run(args.run)
-    detections = pipe.metrics.get("detections")
-    positives = pipe.metrics.get("test_positives")
-    if not detections or positives is None:
-        raise ValueError("run has no stored detection metrics; retrain first")
+    with named_errors(os.path.join(args.run, "metrics.json")):
+        detections = pipe.metrics["detections"]
+        positives = pipe.metrics["test_positives"]
     members = _id_list(args.members, "member", detections, "run detections")
     report = uniqueness_report({m: detections[m] for m in members}, positives)
     os.makedirs(args.out, exist_ok=True)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import ctypes
 import dataclasses
-import filecmp
 import glob
 import json
 import math
@@ -244,8 +243,8 @@ def _subject_metrics(diagnoses: list, records: list, threshold: float) -> dict:
               for d in diagnoses for p in d.chunk_probabilities]
     return {
         "num_subjects": len(diagnoses),
-        "subject_accuracy": sum(subjects) / len(subjects) if subjects else 0.0,
-        "chunk_accuracy": sum(chunks) / len(chunks) if chunks else 0.0,
+        "subject_accuracy": sum(subjects) / len(subjects),
+        "chunk_accuracy": sum(chunks) / len(chunks),
     }
 
 
@@ -264,6 +263,8 @@ def run_training(config: RunConfig) -> TrainedPipeline:
                                              split_rng)
     train_records = [records[i] for i in train_idx]
     test_records = [records[i] for i in test_idx]
+    if not test_records:
+        raise ValueError(f"{config.manifest}: the split leaves no test subject")
 
     # chunk-level target dataset from the training subjects: each chunk
     # carries its subject's metadata and label. Every later stage reads
@@ -469,23 +470,23 @@ def save_pipeline(pipe: TrainedPipeline, out_dir: str) -> None:
         M.save_model(os.path.join(models_dir, f"member_tuned_{mid}.ovbm"),
                      pipe.tuned[mid], meta)
     save_ensemble(os.path.join(out_dir, "ensemble_main"), pipe.main, meta)
-    save_ensemble(os.path.join(out_dir, "ensemble_pt"), pipe.pt, meta)
+    if M.trainable_layers(pipe.config.strategy, pipe.config.arch()) - {"head"}:
+        save_ensemble(os.path.join(out_dir, "ensemble_pt"), pipe.pt, meta)
 
 
 def load_pipeline(out_dir: str) -> TrainedPipeline:
     config_path = os.path.join(out_dir, "config.json")
-    if not os.path.exists(config_path):
-        raise FileNotFoundError(f"missing run config {config_path}")
+    metrics_path = os.path.join(out_dir, "metrics.json")
+    for path in (config_path, metrics_path):
+        if not os.path.exists(path):
+            raise FileNotFoundError(f"missing run file {path}")
     with named_errors(config_path), open(config_path, encoding="utf-8") as fh:
         config = RunConfig.from_dict(json.load(fh)["config"])
         config.validate()
-    metrics_path = os.path.join(out_dir, "metrics.json")
-    metrics = {}
-    if os.path.exists(metrics_path):
-        with named_errors(metrics_path), open(metrics_path, encoding="utf-8") as fh:
-            metrics = json.load(fh)
-            if not isinstance(metrics, dict):
-                raise ValueError("run metrics must be a JSON object")
+    with named_errors(metrics_path), open(metrics_path, encoding="utf-8") as fh:
+        metrics = json.load(fh)
+        if not isinstance(metrics, dict):
+            raise ValueError("run metrics must be a JSON object")
 
     tuned: dict = {}
     for mid in M.MEMBER_IDS:
@@ -493,19 +494,17 @@ def load_pipeline(out_dir: str) -> TrainedPipeline:
         if not os.path.exists(path):
             raise FileNotFoundError(f"missing weight file {path}")
         tuned[mid] = M.load_model(path)
-    paths = [os.path.join(out_dir, name, "fusion.ovbm")
-             for name in ("ensemble_main", "ensemble_pt")]
+    # pt is main unless tuning moves a body (an older run's copy is unread)
+    bodies = M.trainable_layers(config.strategy, config.arch()) - {"head"}
     ensembles = []
-    for path in paths:
+    for name in ("ensemble_main", "ensemble_pt") if bodies else ("ensemble_main",):
+        path = os.path.join(out_dir, name, "fusion.ovbm")
         fusion = load_ensemble(os.path.dirname(path))
         if fusion.member_ids != list(M.MEMBER_IDS):
             raise ValueError(f"{path}: members {', '.join(fusion.member_ids)} "
                              f"are not the roster, in order")
         ensembles.append(fusion)
-    # fusion files record their members' digests: equal files, one ensemble
-    if filecmp.cmp(*paths, shallow=False):
-        ensembles[1] = ensembles[0]
-    return TrainedPipeline(config, tuned, *ensembles, metrics)
+    return TrainedPipeline(config, tuned, ensembles[0], ensembles[-1], metrics)
 
 
 # ----------------------------------------------------------- per-subject

@@ -217,3 +217,15 @@ def micro_run_dir(micro_pipeline, tmp_path_factory) -> str:
     path = str(tmp_path_factory.mktemp("run"))
     save_pipeline(micro_pipeline, path)
     return path
+
+
+@pytest.fixture(scope="session")
+def last1_pipeline(corpus_dir) -> TrainedPipeline:
+    return run_training(micro_run_config(corpus_dir, strategy="last:1"))
+
+
+@pytest.fixture(scope="session")
+def last1_run_dir(last1_pipeline, tmp_path_factory) -> str:
+    path = str(tmp_path_factory.mktemp("run_last1"))
+    save_pipeline(last1_pipeline, path)
+    return path

@@ -255,6 +255,11 @@ class TestManifest:
         with pytest.raises(ManifestError, match=r"m\.csv:3: empty wav_path"):
             parse_manifest(path)
 
+    def test_header_without_subject_rows(self, tmp_path):
+        path = _write_manifest(tmp_path, [])
+        with pytest.raises(ManifestError, match=r"m\.csv: no subject rows"):
+            parse_manifest(path)
+
 
 class TestSynth:
     def test_deterministic(self):

@@ -318,13 +318,16 @@ class TestEval:
         assert code == 2
         assert str(victim) in stderr
 
-    @pytest.mark.parametrize("ensemble", ["ensemble_main", "ensemble_pt"])
-    def test_members_out_of_roster_order(self, ensemble, micro_run_dir,
-                                         corpus_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("ensemble,run", [
+        ("ensemble_main", "micro_run_dir"),
+        ("ensemble_pt", "last1_run_dir"),   # read only where a body trains
+    ], ids=["ensemble_main", "ensemble_pt"])
+    def test_members_out_of_roster_order(self, ensemble, run, corpus_dir,
+                                         tmp_path, capsys, request):
         # Digests are stored per member and every member dim is equal, so
         # only the roster sees a reversed member list.
         broken = str(tmp_path / "broken")
-        shutil.copytree(micro_run_dir, broken)
+        shutil.copytree(request.getfixturevalue(run), broken)
         victim = Path(broken, ensemble, "fusion.ovbm")
         replace_descriptor(victim, lambda d: json.dumps(
             dict(d, member_ids=d["member_ids"][::-1])).encode("utf-8"))
@@ -409,6 +412,43 @@ class TestEval:
             assert code == 0
             outputs.append(Path(out).read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command", ["eval", "uniqueness", "ablation"])
+    def test_missing_metrics(self, command, micro_run_dir, corpus_dir,
+                             tmp_path, capsys):
+        broken = str(tmp_path / "broken")
+        shutil.copytree(micro_run_dir, broken)
+        victim = os.path.join(broken, "metrics.json")
+        os.unlink(victim)
+        argv = {
+            "eval": ["eval", "--run", broken, "--manifest",
+                     os.path.join(corpus_dir, "manifest.csv")],
+            "uniqueness": ["report", "uniqueness", "--run", broken,
+                           "--out", str(tmp_path / "r")],
+            "ablation": ["report", "ablation", "--pairs",
+                         f"{micro_run_dir}:{broken}", "--out",
+                         str(tmp_path / "r")],
+        }[command]
+        code, stdout, stderr = run_cli(capsys, *argv)
+        assert code == 3
+        assert victim in stderr
+        assert stdout == ""
+
+    @pytest.mark.parametrize("command", [
+        ["eval"], ["diagnose"], ["saliency", "--subjects", "all"], ["train"]],
+        ids=lambda argv: argv[0])
+    def test_manifest_without_subject_rows(self, command, micro_run_dir,
+                                           tmp_path, capsys):
+        manifest = tmp_path / "empty.csv"
+        manifest.write_text("subject_id,wav_path,label,gender,age\n")
+        out = tmp_path / "out"
+        run = [] if command[0] == "train" else ["--run", micro_run_dir]
+        code, stdout, stderr = run_cli(capsys, *command, *run, "--manifest",
+                                       str(manifest), "--out", str(out))
+        assert code == 2
+        assert f"{manifest}: no subject rows" in stderr
+        assert stdout == ""
+        assert not out.exists()
 
 
 class TestDiagnose:

@@ -7,6 +7,7 @@ import glob
 import json
 import multiprocessing
 import os
+import shutil
 import signal
 from concurrent.futures.process import BrokenProcessPool
 
@@ -186,16 +187,47 @@ class TestTrainedRun:
                     w, micro_pipeline.tuned[mid].weights[k])
         assert again.metrics == micro_pipeline.metrics
 
+    def test_split_without_test_subject_is_refused(self, corpus_dir,
+                                                   tmp_path, monkeypatch):
+        # one subject per label: the split keeps both for training
+        with open(os.path.join(corpus_dir, "manifest.csv")) as fh:
+            header, *rows = fh.read().splitlines()
+        manifest = tmp_path / "two.csv"
+        manifest.write_text("\n".join([header] + [
+            row.replace("wav/", os.path.join(corpus_dir, "wav") + "/")
+            for row in rows[:2]]) + "\n")
+        assert sorted(r.label for r in parse_manifest(str(manifest))) == [0, 1]
+
+        def no_stage(*args):
+            raise AssertionError("a training stage ran")
+
+        monkeypatch.setattr(P, "_map", no_stage)
+        monkeypatch.setattr(P.FeatureStore, "chunks", no_stage)
+        config = micro_run_config(corpus_dir, manifest=str(manifest))
+        with pytest.raises(ValueError, match="no test subject"):
+            run_training(config)
+        out = tmp_path / "run"
+        assert main(["train", "--manifest", str(manifest),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestArtifacts:
-    def test_layout(self, micro_run_dir):
-        assert os.path.exists(os.path.join(micro_run_dir, "config.json"))
-        assert os.path.exists(os.path.join(micro_run_dir, "metrics.json"))
-        for sub in ("ensemble_main", "ensemble_pt"):
-            assert os.path.exists(os.path.join(micro_run_dir, sub, "fusion.ovbm"))
-        models = os.listdir(os.path.join(micro_run_dir, "models"))
-        assert sorted(models) == sorted(
-            f"member_tuned_{mid}.ovbm" for mid in M.MEMBER_IDS)
+    def test_layout(self, micro_run_dir, last1_run_dir):
+        # ensemble_pt/ is saved only when the strategy trains a member
+        # body: not under the micro run's "frozen", but under last:1
+        for run_dir, ensembles in ((micro_run_dir, ["ensemble_main"]),
+                                   (last1_run_dir, ["ensemble_main",
+                                                    "ensemble_pt"])):
+            assert sorted(os.listdir(run_dir)) == sorted(
+                ["config.json", "metrics.json", "models", *ensembles])
+            for sub in ensembles:
+                assert sorted(os.listdir(os.path.join(run_dir, sub))) == \
+                    sorted(["fusion.ovbm", *(f"member_{mid}.ovbm"
+                                             for mid in M.MEMBER_IDS)])
+            models = os.listdir(os.path.join(run_dir, "models"))
+            assert sorted(models) == sorted(
+                f"member_tuned_{mid}.ovbm" for mid in M.MEMBER_IDS)
 
     def test_round_trip(self, micro_pipeline, micro_run_dir):
         loaded = load_pipeline(micro_run_dir)
@@ -224,23 +256,24 @@ class TestArtifacts:
             load_pipeline(str(tmp_path))
         assert "config.json" in str(err.value)
 
-    def test_reload_then_save_is_stable(self, micro_run_dir, tmp_path):
+    def test_missing_metrics(self, micro_run_dir, tmp_path):
+        broken = str(tmp_path / "broken")
+        shutil.copytree(micro_run_dir, broken)
+        victim = os.path.join(broken, "metrics.json")
+        os.unlink(victim)
+        with pytest.raises(FileNotFoundError) as err:
+            load_pipeline(broken)
+        assert victim in str(err.value)
+
+    def test_reload_then_save_is_stable(self, micro_run_dir, last1_run_dir,
+                                        tmp_path):
         # weights are stored in float32; a load/save cycle must be a
-        # fixed point so re-serialized runs stay byte-comparable
-        loaded = load_pipeline(micro_run_dir)
-        out = str(tmp_path / "resaved")
-        save_pipeline(loaded, out)
-        for name in ("config.json", "metrics.json"):
-            with open(os.path.join(micro_run_dir, name), "rb") as fh:
-                want = fh.read()
-            with open(os.path.join(out, name), "rb") as fh:
-                assert fh.read() == want
-        for sub in ("models", "ensemble_main", "ensemble_pt"):
-            for fname in sorted(os.listdir(os.path.join(micro_run_dir, sub))):
-                with open(os.path.join(micro_run_dir, sub, fname), "rb") as fh:
-                    want = fh.read()
-                with open(os.path.join(out, sub, fname), "rb") as fh:
-                    assert fh.read() == want
+        # fixed point so re-serialized runs stay byte-comparable, file
+        # for file, under a strategy with one ensemble and one with two
+        for run_dir in (micro_run_dir, last1_run_dir):
+            out = str(tmp_path / os.path.basename(run_dir))
+            save_pipeline(load_pipeline(run_dir), out)
+            assert tree_bytes(out) == tree_bytes(run_dir)
 
 
 class TestInference:
@@ -388,29 +421,35 @@ class TestPretunedEnsemble:
                      and w.tobytes() != post.weights[key].tobytes()]
             assert moved
 
-    def test_saved_pt_is_a_copy_of_main(self, micro_run_dir):
-        main = os.path.join(micro_run_dir, "ensemble_main")
-        pt = os.path.join(micro_run_dir, "ensemble_pt")
-        assert sorted(os.listdir(pt)) == sorted(os.listdir(main))
-        for name in os.listdir(main):
-            with open(os.path.join(main, name), "rb") as a, \
-                    open(os.path.join(pt, name), "rb") as b:
-                assert a.read() == b.read(), name
+    def test_old_pt_copy_is_ignored(self, micro_run_dir, corpus_dir,
+                                    tmp_path, capsys):
+        # frozen runs saved before ensemble_pt/ was dropped hold a byte
+        # copy of ensemble_main/ there; they load as one ensemble and
+        # score as the run without the copy
+        old = str(tmp_path / "old_layout")
+        shutil.copytree(micro_run_dir, old)
+        shutil.copytree(os.path.join(old, "ensemble_main"),
+                        os.path.join(old, "ensemble_pt"))
+        loaded = load_pipeline(old)
+        assert loaded.pt is loaded.main
+        outputs = []
+        for run_dir, name in ((micro_run_dir, "new.json"), (old, "old.json")):
+            out = tmp_path / name
+            assert main(["eval", "--run", run_dir, "--manifest",
+                         os.path.join(corpus_dir, "manifest.csv"),
+                         "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        capsys.readouterr()
+        assert outputs[0] == outputs[1]
 
-    def test_loaded_pt_is_main_when_saved_twice(self, micro_run_dir,
-                                                last1_pipeline, tmp_path):
-        # The frozen run saved one ensemble twice and loads it once; the
-        # last:1 run's two ensembles differ and load as two.
+    def test_loaded_pt_is_main_unless_a_body_trains(self, micro_run_dir,
+                                                    last1_run_dir):
+        # The frozen run saved one ensemble and loads it as both; the
+        # last:1 run saved two, which load as two.
         frozen = load_pipeline(micro_run_dir)
         assert frozen.pt is frozen.main
-        save_pipeline(last1_pipeline, str(tmp_path / "last1"))
-        last1 = load_pipeline(str(tmp_path / "last1"))
+        last1 = load_pipeline(last1_run_dir)
         assert last1.pt is not last1.main
-
-
-@pytest.fixture(scope="module")
-def last1_pipeline(corpus_dir):
-    return run_training(micro_run_config(corpus_dir, strategy="last:1"))
 
 
 def _distinct_images(pipe, clip) -> tuple:
