@@ -251,8 +251,12 @@ def parse_manifest(path) -> list[SubjectRecord]:
     other than F/M become "unknown"; age may be blank. A leading UTF-8
     byte-order mark, as spreadsheet exports write, is skipped.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except UnicodeDecodeError as e:
+        raise ManifestError(f"{path}: not UTF-8 text (it holds byte "
+                            f"0x{e.object[e.start]:02x})") from None
     if not rows:
         raise ManifestError(f"{path}: empty manifest")
 

@@ -70,17 +70,6 @@ class FusionModel:
         return sum(self.member_dims) + METADATA_DIM
 
 
-@dataclass
-class TrainResult:
-    """A trained ensemble, its fusion's chunk accuracy on each side of
-    the training split, and its per-epoch mean losses."""
-
-    model: FusionModel
-    train_accuracy: float
-    test_accuracy: float
-    epoch_losses: list
-
-
 def build_fusion(members: list, seed: int = 0) -> FusionModel:
     if not members:
         raise EmptyMembers("no members")
@@ -152,13 +141,14 @@ def score_subject(main: FusionModel, pt: FusionModel, tuned: list,
 
 def train_fusion(fusion: FusionModel, chunks: Chunks, metadata: np.ndarray,
                  labels, config: M.TrainConfig,
-                 layers: frozenset) -> TrainResult:
+                 layers: frozenset) -> tuple:
     """Jointly train the fusion layer and each member's `layers`
     (`models.trainable_layers`) through `models.fit`, on labeled chunks:
     `metadata` [N, METADATA_DIM] and `labels` [N] are each chunk's
-    subject's. The input ensemble is not mutated. Bodies that train no
+    subject's. Returns the trained ensemble and its per-epoch mean
+    losses; the input ensemble is not mutated. Bodies that train no
     layer are embedded through `embed_chunks`, so they run once per
-    Chunks across calls. The result's `model` is the trained ensemble."""
+    Chunks across calls."""
     labels = np.array([int(y) for y in labels])
     members = [M.clone_model(m) for m in fusion.members]
     fusion = FusionModel(members, {k: w.copy() for k, w in fusion.weights.items()})
@@ -196,19 +186,7 @@ def train_fusion(fusion: FusionModel, chunks: Chunks, metadata: np.ndarray,
                 M.adam_step(m.weights, grads, state, config, t)
         return loss
 
-    train_idx, test_idx, epoch_losses = M.fit(labels, config, step)
-    emb_all = np.concatenate(M.embed_chunks(members, chunks), axis=1)
-
-    def accuracy(idx):
-        """Share of the chunks at `idx` whose most probable class is the
-        label; NaN for none."""
-        if not idx.size:
-            return float("nan")
-        probs, _ = fuse_from_embeddings(fusion, emb_all[idx], meta[idx])
-        return float(np.mean(np.argmax(probs, axis=1) == labels[idx]))
-
-    return TrainResult(fusion, accuracy(train_idx), accuracy(test_idx),
-                       epoch_losses)
+    return fusion, M.fit(labels, config, step)
 
 
 # --------------------------------------------------------- persistence

@@ -118,15 +118,14 @@ def trainable_layers(strategy: str, arch: CnnArch) -> frozenset:
     text = strategy.strip().lower()
     if text == "all":
         return frozenset(layer_names(arch))
+    digits = text.removeprefix("last:")
     if text == "frozen":
         n = 0
-    elif text.startswith("last:"):
-        n = int(text.split(":", 1)[1])
+    elif digits != text and digits.isascii() and digits.isdigit():
+        n = int(digits)
     else:
         raise ValueError(f"unknown strategy {text!r} (frozen | last:N | all)")
     convs = conv_layer_names(arch)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     if n > len(convs):
         raise NTooLarge(f"n={n} but arch has {len(convs)} conv layers")
     return frozenset(convs[len(convs) - n:] + ["head"])
@@ -347,13 +346,13 @@ def fit(labels: np.ndarray, config: TrainConfig, step):
     training side in mini-batches. `step(batch, t)` takes one Adam step
     on the items at indices `batch` (step index t, from 1) and returns
     their mean loss. The split and the shuffles are drawn from sub-seeds
-    of config.seed. Returns (train indices, test indices, epoch losses).
+    of config.seed. Returns the epoch losses.
     """
     if len(set(labels.tolist())) < 2:
         raise SingleClassDataset("training data has fewer than two classes")
     split_rng = np.random.default_rng(derive_seed(config.seed, "split"))
-    train_idx, test_idx = stratified_split(labels, config.split_fraction, split_rng)
-    train_idx = np.array(train_idx, dtype=int)
+    train_idx = np.array(stratified_split(labels, config.split_fraction,
+                                          split_rng)[0], dtype=int)
     shuffle_rng = np.random.default_rng(derive_seed(config.seed, "shuffle"))
     epoch_losses: list = []
     t = 0
@@ -365,7 +364,7 @@ def fit(labels: np.ndarray, config: TrainConfig, step):
             t += 1
             losses.append(step(batch, t) * batch.size)
         epoch_losses.append(float(np.sum(losses) / order.size))
-    return train_idx, np.array(test_idx, dtype=int), epoch_losses
+    return epoch_losses
 
 
 def train(model: BiomarkerModel, chunks: Chunks, labels, config: TrainConfig,
@@ -404,8 +403,7 @@ def train(model: BiomarkerModel, chunks: Chunks, labels, config: TrainConfig,
         adam_step(model.weights, grads, state, config, t)
         return nn.cross_entropy(logits, y)
 
-    _, _, epoch_losses = fit(labels, config, step)
-    return model, epoch_losses
+    return model, fit(labels, config, step)
 
 
 # ------------------------------------------------------------- roster

@@ -36,7 +36,6 @@ from .audio_io import AudioClip, SubjectRecord, load_wav, parse_manifest, resamp
 from .chunker import Chunks, chunk_plan, extract_chunks
 from .fusion import (
     FusionModel,
-    TrainResult,
     build_fusion,
     load_ensemble,
     metadata_vector,
@@ -313,7 +312,7 @@ def run_training(config: RunConfig) -> TrainedPipeline:
 
     # 4. joint fusion over the pretrained members (main), and over the tuned
     # ones (pt) only if tuning moved a body, as no fusion reads member heads
-    def fuse(name: str, source: dict) -> TrainResult:
+    def fuse(name: str, source: dict) -> tuple:
         fusion0 = build_fusion([source[mid] for mid in M.MEMBER_IDS],
                                seed=derive_seed(config.seed, "fusion", name))
         return train_fusion(
@@ -321,12 +320,12 @@ def run_training(config: RunConfig) -> TrainedPipeline:
             config.train_config(config.fusion_epochs,
                                 derive_seed(config.seed, "fusion_train", name)),
             layers)
-    main = fuse("main", pretrained)
-    pt = fuse("pt", tuned) if layers - {"head"} else main
+    main, main_losses = fuse("main", pretrained)
+    pt = fuse("pt", tuned)[0] if layers - {"head"} else main
 
-    pipe = TrainedPipeline(config, tuned, main.model, pt.model)
+    pipe = TrainedPipeline(config, tuned, main, pt)
     pipe.metrics = _run_metrics(pipe, store, train_records, chunks,
-                                test_records, main, pt)
+                                test_records, main_losses[-1])
     return pipe
 
 
@@ -383,9 +382,10 @@ def _one_blas_thread() -> None:
 
 def _run_metrics(pipe: TrainedPipeline, store: FeatureStore,
                  train_records: list, train_chunks: Chunks, test_records: list,
-                 main: TrainResult, pt: TrainResult) -> dict:
+                 fusion_loss: float) -> dict:
     """`train_chunks` holds the training subjects' chunks end to end, in
-    `train_records` order, as the run trained on them."""
+    `train_records` order, as the run trained on them; `fusion_loss` is
+    the main fusion's final epoch loss."""
     config = pipe.config
 
     # The training subjects are scored on the run's training Chunks,
@@ -426,15 +426,7 @@ def _run_metrics(pipe: TrainedPipeline, store: FeatureStore,
         "train": _subject_metrics(train_diag, train_records, config.threshold),
         "test": _subject_metrics(test_diag, test_records, config.threshold),
         "pt_test": _subject_metrics(pt_test, test_records, config.threshold),
-        "fusion": {
-            "chunk_train_accuracy": main.train_accuracy,
-            "chunk_test_accuracy": main.test_accuracy,
-            "final_epoch_loss": main.epoch_losses[-1] if main.epoch_losses else None,
-        },
-        "pt_fusion": {
-            "chunk_train_accuracy": pt.train_accuracy,
-            "chunk_test_accuracy": pt.test_accuracy,
-        },
+        "fusion": {"final_epoch_loss": fusion_loss},
         "members": {mid: {"test_subject_accuracy": member_acc[mid]}
                     for mid in member_acc},
         "best_member": {

@@ -255,6 +255,15 @@ class TestManifest:
         with pytest.raises(ManifestError, match=r"m\.csv:3: empty wav_path"):
             parse_manifest(path)
 
+    def test_not_utf8(self, tmp_path):
+        # a Latin-1 export: the gender cell is "F\xe9"
+        path = tmp_path / "m.csv"
+        path.write_bytes((MANIFEST_HEADER + "\ns1,a.wav,AD,F").encode()
+                         + b"\xe9,70\n")
+        with pytest.raises(ManifestError,
+                           match=r"m\.csv: not UTF-8 text .*0xe9"):
+            parse_manifest(path)
+
     def test_header_without_subject_rows(self, tmp_path):
         path = _write_manifest(tmp_path, [])
         with pytest.raises(ManifestError, match=r"m\.csv: no subject rows"):

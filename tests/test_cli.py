@@ -219,7 +219,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("strategy,error,message", [
         ("last:99", NTooLarge, "n=99 but arch has 7 conv layers"),
-        ("last:-1", ValueError, "n must be nonnegative"),
+        ("last:-1", ValueError, "unknown strategy 'last:-1'"),
+        ("last:1.5", ValueError, "unknown strategy 'last:1.5'"),
         ("half", ValueError, "unknown strategy")])
     def test_impossible_last_n_fails_before_training(
             self, strategy, error, message, tmp_path, corpus_dir, capsys,
@@ -247,6 +248,16 @@ class TestTrain:
                                   "--out", str(tmp_path / "r"))
         assert code == 2
         assert f"{manifest}:2: empty wav_path" in stderr
+        assert not os.path.exists(tmp_path / "r")
+
+    def test_manifest_not_utf8(self, tmp_path, corpus_dir, capsys):
+        manifest = tmp_path / "manifest.csv"
+        text = Path(corpus_dir, "manifest.csv").read_text()
+        manifest.write_bytes(text.replace(",F,", ",F\xe9,", 1).encode("latin-1"))
+        code, _, stderr = run_cli(capsys, "train", "--manifest", str(manifest),
+                                  "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert f"{manifest}: not UTF-8 text" in stderr
         assert not os.path.exists(tmp_path / "r")
 
     def test_missing_manifest_file(self, tmp_path, capsys):

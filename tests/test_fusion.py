@@ -248,13 +248,12 @@ class TestTrainFusion:
         members = make_members()
         fusion = build_fusion(members, seed=5)
         before = [{k: w.copy() for k, w in m.weights.items()} for m in members]
-        result = train_fusion(fusion, *make_samples(),
-                              TrainConfig(epochs=3, seed=1),
-                              FROZEN)
-        for m, b in zip(result.model.members, before):
+        trained, _ = train_fusion(fusion, *make_samples(),
+                                  TrainConfig(epochs=3, seed=1), FROZEN)
+        for m, b in zip(trained.members, before):
             for k, w in m.weights.items():
                 assert w.tobytes() == b[k].tobytes()
-        assert any(not np.array_equal(result.model.weights[k],
+        assert any(not np.array_equal(trained.weights[k],
                                       fusion.weights[k])
                    for k in fusion.weights)
 
@@ -262,10 +261,9 @@ class TestTrainFusion:
         members = make_members()
         fusion = build_fusion(members, seed=6)
         before = [{k: w.copy() for k, w in m.weights.items()} for m in members]
-        result = train_fusion(fusion, *make_samples(),
-                              TrainConfig(epochs=2, seed=2),
-                              ALL_LAYERS)
-        for m, b in zip(result.model.members, before):
+        trained, _ = train_fusion(fusion, *make_samples(),
+                                  TrainConfig(epochs=2, seed=2), ALL_LAYERS)
+        for m, b in zip(trained.members, before):
             assert not np.array_equal(m.weights["stem.w"], b["stem.w"])
             assert not np.array_equal(m.weights["embed.w"], b["embed.w"])
             # member heads sit off the joint loss path
@@ -275,11 +273,11 @@ class TestTrainFusion:
         members = make_members()
         fusion = build_fusion(members, seed=11)
         before = [{k: w.copy() for k, w in m.weights.items()} for m in members]
-        result = train_fusion(fusion, *make_samples(),
-                              TrainConfig(epochs=2, seed=7),
-                              trainable_layers("last:1", MICRO_ARCH))
+        trained, _ = train_fusion(fusion, *make_samples(),
+                                  TrainConfig(epochs=2, seed=7),
+                                  trainable_layers("last:1", MICRO_ARCH))
         last = conv_layer_names(MICRO_ARCH)[-1]
-        for m, b in zip(result.model.members, before):
+        for m, b in zip(trained.members, before):
             moved = {k for k, w in m.weights.items()
                      if w.tobytes() != b[k].tobytes()}
             assert moved == {f"{last}.w", f"{last}.b"}
@@ -303,11 +301,11 @@ class TestTrainFusion:
         fusion = build_fusion(members, seed=8)
         samples = make_samples()
         config = TrainConfig(epochs=2, seed=4)
-        a = train_fusion(fusion, *samples, config, FROZEN)
-        b = train_fusion(fusion, *samples, config, FROZEN)
-        for k in a.model.weights:
-            np.testing.assert_array_equal(a.model.weights[k],
-                                          b.model.weights[k])
+        a, a_losses = train_fusion(fusion, *samples, config, FROZEN)
+        b, b_losses = train_fusion(fusion, *samples, config, FROZEN)
+        assert a_losses == b_losses and len(a_losses) == config.epochs
+        for k in a.weights:
+            np.testing.assert_array_equal(a.weights[k], b.weights[k])
 
     def test_learns_metadata_only_signal(self):
         # zero member weights kill the embeddings; gender/age alone must
@@ -317,23 +315,23 @@ class TestTrainFusion:
             for k in m.weights:
                 m.weights[k][:] = 0.0
         fusion = build_fusion(members, seed=9)
-        result = train_fusion(fusion, *make_samples(n=40, separation=0.0),
-                              TrainConfig(epochs=20, seed=5),
-                              FROZEN)
-        assert result.train_accuracy >= 0.9
+        chunks, metadata, labels = make_samples(n=40, separation=0.0)
+        trained, _ = train_fusion(fusion, chunks, metadata, labels,
+                                  TrainConfig(epochs=20, seed=5), FROZEN)
+        probs = score_chunks(trained, chunks, metadata)
+        assert np.mean(np.argmax(probs, axis=1) == labels) >= 0.9
 
     def test_thread_parallel_matches_sequential(self):
         members = make_members()
         fusion = build_fusion(members, seed=10)
         samples = make_samples()
         config = TrainConfig(epochs=2, seed=6)
-        want = train_fusion(fusion, *samples, config,
-                            FROZEN)
+        want, _ = train_fusion(fusion, *samples, config, FROZEN)
         results = [None, None]
 
         def work(slot):
-            results[slot] = train_fusion(fusion, *samples, config,
-                                         FROZEN)
+            results[slot], _ = train_fusion(fusion, *samples, config,
+                                            FROZEN)
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
         for t in threads:
@@ -341,9 +339,8 @@ class TestTrainFusion:
         for t in threads:
             t.join()
         for got in results:
-            for k in want.model.weights:
-                np.testing.assert_array_equal(got.model.weights[k],
-                                              want.model.weights[k])
+            for k in want.weights:
+                np.testing.assert_array_equal(got.weights[k], want.weights[k])
 
 
 class TestEnsembleFiles:

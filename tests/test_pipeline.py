@@ -5,6 +5,7 @@ import contextlib
 import ctypes
 import glob
 import json
+import math
 import multiprocessing
 import os
 import shutil
@@ -24,7 +25,6 @@ from conftest import count_forward_images, micro_run_config, tree_bytes
 from ovbm.audio_io import AudioClip, parse_manifest
 from ovbm.chunker import Chunks, chunk_plan, extract_chunks
 from ovbm.cli import main
-from ovbm.fusion import TrainResult
 from ovbm.pipeline import (
     FeatureStore,
     RunConfig,
@@ -175,6 +175,28 @@ class TestTrainedRun:
         assert sorted(m["train_subjects"] + m["test_subjects"]) == \
             [f"s{i:03d}" for i in range(8)]
         assert m["config_digest"] == micro_pipeline.config.digest()
+        # The held-out estimate is subject-level: a chunk split of the
+        # training subjects is within-subject and is not reported.
+        assert set(m) == {
+            "format_version", "seed", "config_digest", "label", "counts",
+            "train", "test", "pt_test", "fusion", "members", "best_member",
+            "detections", "test_positives", "train_subjects",
+            "test_subjects"}
+        loss = m["fusion"]["final_epoch_loss"]
+        assert m["fusion"] == {"final_epoch_loss": loss}
+        assert isinstance(loss, float) and math.isfinite(loss)
+
+        def paths(tree, prefix=""):
+            for key, value in tree.items():
+                path = prefix + ("*" if prefix == "members." else key)
+                yield path
+                if isinstance(value, dict):
+                    yield from paths(value, path + ".")
+
+        assert {p for p in paths(m) if "test" in p.rsplit(".", 1)[-1]} == {
+            "test", "pt_test", "members.*.test_subject_accuracy",
+            "best_member.test_subject_accuracy", "test_positives",
+            "test_subjects", "counts.test_subjects"}
 
     def test_determinism(self, corpus_dir, micro_pipeline):
         again = run_training(micro_run_config(corpus_dir))
@@ -412,7 +434,6 @@ class TestPretunedEnsemble:
         if fusions == 1:
             assert pipe.pt is pipe.main
             assert m["pt_test"] == m["test"]
-            assert m["pt_fusion"] == {k: m["fusion"][k] for k in m["pt_fusion"]}
         else:
             moved = [(pre.biomarker_id, key)
                      for pre, post in zip(pipe.main.members, pipe.pt.members)
@@ -484,13 +505,6 @@ class TestEmbeddingMemo:
         config = pipe.config
         records = parse_manifest(config.manifest)
         m = pipe.metrics
-        main = TrainResult(pipe.main,
-                           m["fusion"]["chunk_train_accuracy"],
-                           m["fusion"]["chunk_test_accuracy"],
-                           [m["fusion"]["final_epoch_loss"]])
-        pt = TrainResult(pipe.pt,
-                         m["pt_fusion"]["chunk_train_accuracy"],
-                         m["pt_fusion"]["chunk_test_accuracy"], [])
         train = [r for r in records if r.subject_id in m["train_subjects"]]
         test = [r for r in records if r.subject_id in m["test_subjects"]]
 
@@ -499,7 +513,7 @@ class TestEmbeddingMemo:
             train_chunks = Chunks(np.concatenate(
                 [store.chunks(r).images for r in train]), config.poisson_mask)
             metrics = _run_metrics(pipe, store, train, train_chunks, test,
-                                   main, pt)
+                                   m["fusion"]["final_epoch_loss"])
             maps = [subject_saliency(pipe, r, load_clip(
                         config.manifest, r, config.sample_rate)).to_rows()
                     for r in records]
@@ -606,7 +620,7 @@ class TestEmbeddingMemo:
         # whose embeddings of the N training chunks the tune step left
         # on the run's Chunks: 0 images in all. Under `last:1` the main
         # and pretuned calls each train their 8 members on the training
-        # split every epoch, then embed all N chunks once.
+        # split every epoch, and forward nothing more.
         images = self._images_inside(
             monkeypatch, [(P, "train_fusion", lambda *args: True)])
         config, metrics = self._training_run(corpus_dir, strategy)
@@ -623,7 +637,7 @@ class TestEmbeddingMemo:
             assert labels.size == n
             split, _ = M.stratified_split(labels, config.split_fraction,
                                           np.random.default_rng(0))
-            assert sum(images) == 2 * 8 * (config.fusion_epochs * len(split) + n)
+            assert sum(images) == 2 * 8 * config.fusion_epochs * len(split)
 
     def test_frozen_run_embeds_training_chunks_once(self, corpus_dir,
                                                     monkeypatch):
