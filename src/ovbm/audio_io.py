@@ -18,6 +18,10 @@ import numpy as np
 
 MANIFEST_COLUMNS = ["subject_id", "wav_path", "label", "gender", "age"]
 
+# A subject id or run label is one field of the CSV reports, and ids are
+# picked by name from comma-separated lists; these characters split it.
+REPORT_UNSAFE = ',;"\r\n'
+
 # Accepted label spellings, case-insensitive. 1/AD = positive class.
 _LABELS = {"0": 0, "nonad": 0, "1": 1, "ad": 1}
 
@@ -277,6 +281,9 @@ def parse_manifest(path) -> list[SubjectRecord]:
         subject_id, wav_path, label_raw, gender_raw, age_raw = (c.strip() for c in row)
         if not subject_id:
             raise ManifestError(f"{path}:{lineno}: empty subject_id")
+        if set(subject_id) & set(REPORT_UNSAFE):
+            raise ManifestError(f"{path}:{lineno}: subject_id {subject_id!r} "
+                                f"holds one of {REPORT_UNSAFE!r}")
         if not wav_path:
             raise ManifestError(f"{path}:{lineno}: empty wav_path")
         if subject_id in seen:

@@ -169,6 +169,8 @@ def cmd_train(args) -> int:
     config.validate()
     if not os.path.exists(config.manifest):
         raise FileNotFoundError(f"missing manifest {config.manifest}")
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise NotADirectoryError(f"--out {args.out} is not a directory")
     pipe = run_training(config)
     save_pipeline(pipe, args.out)
     m = pipe.metrics

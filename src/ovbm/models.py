@@ -50,9 +50,9 @@ class CnnArch:
     input; `chunker.extract_chunks` crops chunk images to it."""
 
     input_shape: tuple
-    stem_channels: int = 8
-    num_blocks: int = 3
-    embedding_dim: int = 64
+    stem_channels: int
+    num_blocks: int
+    embedding_dim: int
 
     def validate(self) -> None:
         frames, coeffs = self.input_shape

@@ -32,7 +32,8 @@ import numpy as np
 
 from . import models as M
 from .aggregation import AggregationScheme, Diagnosis, aggregate, decide
-from .audio_io import AudioClip, SubjectRecord, load_wav, parse_manifest, resample_linear
+from .audio_io import (REPORT_UNSAFE, AudioClip, SubjectRecord, load_wav,
+                       parse_manifest, resample_linear)
 from .chunker import Chunks, chunk_plan, extract_chunks
 from .fusion import (
     FusionModel,
@@ -121,6 +122,8 @@ class RunConfig:
                 raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
         if not self.manifest:
             raise ValueError("manifest path is required")
+        if set(self.label) & set(REPORT_UNSAFE):
+            raise ValueError(f"label {self.label!r} holds one of {REPORT_UNSAFE!r}")
         for name in ("chunk_size", "stride", "learning_rate"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):

@@ -21,21 +21,14 @@ def derive_seed(root: int, *names: str) -> int:
     return int.from_bytes(digest[:8], "little") & (2**63 - 1)
 
 
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def config_digest(obj) -> str:
     """Hex digest of a canonical JSON rendering; embedded in artifacts."""
-    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
-
-
-def sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def sha256_file(path) -> str:
-    return sha256_bytes(Path(path).read_bytes())
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 @contextmanager

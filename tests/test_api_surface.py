@@ -3,7 +3,10 @@ public method and property of such a class, is used by product code. A
 helper that only tests call belongs in the tests."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import ovbm
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ovbm"
 
@@ -61,3 +64,29 @@ def test_allowlist_is_current():
     stale = sorted(name for name in ALLOWED
                    if name not in defined or is_used(name, names, attrs))
     assert not stale, f"allowlisted names now used or gone: {stale}"
+
+
+def test_package_root_binds_only_version():
+    """The API is the submodules; the package root imports, defines and
+    assigns nothing but `__version__`."""
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+    assert bound == {"__version__"}, sorted(bound - {"__version__"})
+
+
+def test_no_package_attribute_hides_a_submodule():
+    hidden = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "__init__":
+            module = importlib.import_module(f"ovbm.{path.stem}")
+            if getattr(ovbm, path.stem) is not module:
+                hidden.append(path.stem)
+    assert not hidden, f"package attributes that hide a submodule: {hidden}"

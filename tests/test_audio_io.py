@@ -255,6 +255,16 @@ class TestManifest:
         with pytest.raises(ManifestError, match=r"m\.csv:3: empty wav_path"):
             parse_manifest(path)
 
+    @pytest.mark.parametrize("subject_id", [
+        '"s,000"', "s;000", '"s""000"', '"s\n000"', '"s\r000"'])
+    def test_subject_id_that_would_split_a_report(self, tmp_path, subject_id):
+        # a quoted field parses, but the reports and the comma-separated
+        # --subjects/--compare lists would split it
+        path = _write_manifest(tmp_path, ["s1,a.wav,AD,F,70",
+                                          f"{subject_id},b.wav,nonAD,M,66"])
+        with pytest.raises(ManifestError, match=r"m\.csv:3: subject_id"):
+            parse_manifest(path)
+
     def test_not_utf8(self, tmp_path):
         # a Latin-1 export: the gender cell is "F\xe9"
         path = tmp_path / "m.csv"

@@ -260,6 +260,42 @@ class TestTrain:
         assert f"{manifest}: not UTF-8 text" in stderr
         assert not os.path.exists(tmp_path / "r")
 
+    def test_label_that_would_split_a_report(self, tmp_path, corpus_dir,
+                                             capsys):
+        code, _, stderr = run_cli(
+            capsys, "train", "--manifest",
+            os.path.join(corpus_dir, "manifest.csv"),
+            "--out", str(tmp_path / "r"), "--label", "mask,v2")
+        assert code == 2
+        assert "label 'mask,v2'" in stderr
+        assert not os.path.exists(tmp_path / "r")
+
+    def test_subject_id_that_would_split_a_report(self, tmp_path, corpus_dir,
+                                                  capsys):
+        manifest = tmp_path / "manifest.csv"
+        lines = Path(corpus_dir, "manifest.csv").read_text().splitlines()
+        fields = lines[1].split(",")
+        lines[1] = ",".join(['"s,000"'] + fields[1:])
+        manifest.write_text("\n".join(lines) + "\n")
+        code, _, stderr = run_cli(capsys, "train", "--manifest", str(manifest),
+                                  "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert f"{manifest}:2: subject_id 's,000'" in stderr
+        assert not os.path.exists(tmp_path / "r")
+
+    def test_out_is_a_file(self, tmp_path, corpus_dir, capsys, monkeypatch):
+        # refused before training, not when the run is saved
+        monkeypatch.setattr("ovbm.cli.run_training",
+                            lambda config: pytest.fail("training ran"))
+        out = tmp_path / "afile"
+        out.write_text("kept")
+        code, _, stderr = run_cli(capsys, "train", "--manifest",
+                                  os.path.join(corpus_dir, "manifest.csv"),
+                                  "--out", str(out))
+        assert code == 3
+        assert f"--out {out} is not a directory" in stderr
+        assert out.read_text() == "kept"
+
     def test_missing_manifest_file(self, tmp_path, capsys):
         code, _, stderr = run_cli(capsys, "train", "--manifest",
                                   str(tmp_path / "nope.csv"),

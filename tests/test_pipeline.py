@@ -15,7 +15,6 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-import ovbm
 import ovbm.fusion as F
 import ovbm.models as M
 import ovbm.pipeline as P
@@ -94,6 +93,12 @@ class TestRunConfig:
         config = RunConfig(**{"manifest": "m.csv", **overrides})
         with pytest.raises(ValueError):
             config.validate()
+
+    @pytest.mark.parametrize("label", ["mask,v2", "a;b", 'a"b', "a\nb",
+                                       "a\rb"])
+    def test_rejects_label_that_would_split_a_report(self, label):
+        with pytest.raises(ValueError, match="label"):
+            RunConfig(manifest="m.csv", label=label).validate()
 
     def test_dict_round_trip(self):
         config = RunConfig(manifest="m.csv", seed=4, scheme="linpos")
@@ -782,9 +787,3 @@ class TestMemberWorkers:
         _two_workers(monkeypatch)
         assert P._map(lambda _: threads(), [0, 1]) == [1, 1]
         assert multiprocessing.active_children() == []
-
-
-class TestPackage:
-    def test_every_exported_name_resolves(self):
-        for name in ovbm.__all__:
-            assert hasattr(ovbm, name), name
