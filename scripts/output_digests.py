@@ -53,8 +53,8 @@ sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 from conftest import micro_run_config  # noqa: E402
 import numpy as np  # noqa: E402
-from ovbm.audio_io import (MANIFEST_COLUMNS, AudioClip, load_wav,  # noqa: E402
-                           parse_manifest, write_wav)
+from ovbm.audio_io import (MANIFEST_COLUMNS, AudioClip,  # noqa: E402
+                           WavRecording, parse_manifest, write_wav)
 from ovbm.cli import main as ovbm  # noqa: E402
 from ovbm.synthesis import write_corpus  # noqa: E402
 
@@ -146,12 +146,12 @@ def write_long_manifest(corpus: str) -> str:
     """A manifest of two recordings, the corpus clips end to end in
     manifest order and in reverse; returns its path."""
     records = parse_manifest(os.path.join(corpus, "manifest.csv"))
-    clips = [load_wav(os.path.join(corpus, r.wav_path)) for r in records]
+    wavs = [WavRecording(os.path.join(corpus, r.wav_path)) for r in records]
+    clips = [w.read(0, w.num_samples) for w in wavs]
     rows = []
     for i, order in enumerate([clips, clips[::-1]]):
         path = os.path.join(corpus, "wav", f"long{i}.wav")
-        write_wav(path, AudioClip(np.concatenate([c.samples for c in order]),
-                                  clips[0].sample_rate))
+        write_wav(path, AudioClip(np.concatenate(order), wavs[0].sample_rate))
         rows.append(f"l{i:03d},{os.path.relpath(path, corpus)},"
                     f"{'AD' if i else 'nonAD'},F,70\n")
     manifest = os.path.join(corpus, "long_manifest.csv")

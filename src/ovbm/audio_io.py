@@ -1,18 +1,26 @@
 """Audio loading, synthesis, resampling, and dataset manifest parsing.
 
 Clips are mono float64 arrays in [-1, 1] with an explicit sample rate.
-WAV support covers RIFF/WAVE containers holding 16-bit PCM or 32-bit
-IEEE-float frames, mono or stereo; stereo folds to mono by averaging.
-A header whose block_align is not its channels times the sample width,
-and float samples holding NaN or Inf, raise errors that name the file.
+Every recording the chunker reads is a `Recording`: a sample rate, a
+length and `read(lo, hi)`, the float64 mono samples [lo, hi). A WAV file
+is validated whole when opened, then read from disk and decoded only
+where it is read, and `Resampled` interpolates only the spans read from
+it. WAV support covers
+RIFF/WAVE containers, plain or WAVE_FORMAT_EXTENSIBLE, holding 16-bit
+PCM or 32-bit IEEE-float frames, mono or stereo; stereo folds to mono by
+averaging. A header whose block_align is not its channels times the
+sample width, and float samples holding NaN or Inf, raise errors that
+name the file.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Protocol
 
 import numpy as np
 
@@ -27,6 +35,12 @@ _LABELS = {"0": 0, "nonad": 0, "1": 1, "ad": 1}
 
 _WAVE_PCM = 1
 _WAVE_IEEE_FLOAT = 3
+_WAVE_EXTENSIBLE = 0xFFFE
+# The KSDATAFORMAT_SUBTYPE GUIDs of PCM and IEEE float, past their
+# leading 16-bit format code, as stored (little-endian fields).
+_SUBFORMAT_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+# Float frames are checked for NaN and Inf this many values at a time.
+_SCAN_VALUES = 1 << 18
 
 
 class MalformedContainer(ValueError):
@@ -61,6 +75,26 @@ class UnparseableLabel(ManifestError):
     pass
 
 
+class Recording(Protocol):
+    """Audio the chunker reads span by span."""
+
+    sample_rate: int
+    duration: float
+
+    @property
+    def num_samples(self) -> int: ...
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        """Samples [lo, hi), 0 <= lo <= hi <= num_samples, as a new
+        float64 mono array."""
+        ...
+
+
+def _check_span(lo: int, hi: int, n: int) -> None:
+    if not 0 <= lo <= hi <= n:
+        raise ValueError(f"span [{lo}, {hi}) outside [0, {n})")
+
+
 @dataclass
 class AudioClip:
     """Mono audio buffer. samples: float64 [-1, 1], 1-D."""
@@ -81,6 +115,14 @@ class AudioClip:
     @property
     def duration(self) -> float:
         return self.samples.size / self.sample_rate
+
+    @property
+    def num_samples(self) -> int:
+        return self.samples.size
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        _check_span(lo, hi, self.num_samples)
+        return self.samples[lo:hi].copy()
 
 
 @dataclass
@@ -122,74 +164,121 @@ class SynthSpec:
         """Length of the full render."""
         return int(round(self.duration * self.sample_rate))
 
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        """Renders only samples [lo, hi)."""
+        return synth_clip(self, lo, hi).samples
 
-def load_wav(path) -> AudioClip:
-    """Parse a RIFF/WAVE file into a mono AudioClip.
 
-    Int16 PCM scales by 1/32768 so 32767 maps just below 1.0. Stereo
-    averages the two channels.
+class WavRecording:
+    """A RIFF/WAVE file, validated whole when opened and then read from
+    disk only where it is read.
+
+    Opening checks the container, the encoding, frame alignment, that
+    there is at least one frame, and that float frames hold no NaN or
+    Inf anywhere, scanning them in blocks. `read(lo, hi)` reads and
+    decodes frames [lo, hi): int16 PCM scales by 1/32768 so 32767 maps
+    just below 1.0, and stereo averages the two channels.
     """
-    data = Path(path).read_bytes()
-    if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise MalformedContainer(f"{path}: not a RIFF/WAVE file")
 
-    fmt = None
-    raw = None
-    pos = 12
-    data = memoryview(data)  # chunk bodies are views, not copies
-    while pos + 8 <= len(data):
-        chunk_id = bytes(data[pos:pos + 4])
-        (chunk_size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8: pos + 8 + chunk_size]
-        if len(body) < chunk_size:
-            raise MalformedContainer(f"{path}: truncated {chunk_id!r} chunk")
-        if chunk_id == b"fmt ":
-            if chunk_size < 16:
-                raise MalformedContainer(f"{path}: fmt chunk too small")
-            fmt = struct.unpack_from("<HHIIHH", body)
-        elif chunk_id == b"data":
-            raw = body
-        pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
+    def __init__(self, path):
+        self.path = path
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            head = fh.read(12)
+            if len(head) < 12 or head[:4] != b"RIFF" or head[8:12] != b"WAVE":
+                raise MalformedContainer(f"{path}: not a RIFF/WAVE file")
 
-    if fmt is None or raw is None:
-        raise MalformedContainer(f"{path}: missing fmt or data chunk")
+            fmt = None
+            data = None  # (offset, size) of the data chunk's body
+            pos = 12
+            while pos + 8 <= size:
+                fh.seek(pos)
+                chunk_id, chunk_size = struct.unpack("<4sI", fh.read(8))
+                if pos + 8 + chunk_size > size:
+                    raise MalformedContainer(
+                        f"{path}: truncated {chunk_id!r} chunk")
+                if chunk_id == b"fmt ":
+                    if chunk_size < 16:
+                        raise MalformedContainer(f"{path}: fmt chunk too small")
+                    fmt = fh.read(chunk_size)
+                elif chunk_id == b"data":
+                    data = (pos + 8, chunk_size)
+                pos += 8 + chunk_size + (chunk_size & 1)  # word-aligned chunks
 
-    audio_format, channels, rate, _byte_rate, block_align, bits = fmt
-    if rate <= 0 or block_align <= 0:
-        raise MalformedContainer(f"{path}: nonsense fmt fields")
-    if channels not in (1, 2):
-        raise UnsupportedEncoding(f"{path}: {channels} channels unsupported")
-    if len(raw) % block_align:
-        raise MalformedContainer(f"{path}: data chunk not frame-aligned")
+            if fmt is None or data is None:
+                raise MalformedContainer(f"{path}: missing fmt or data chunk")
 
-    if audio_format == _WAVE_PCM and bits == 16:
-        dtype = "<i2"
-    elif audio_format == _WAVE_IEEE_FLOAT and bits == 32:
-        dtype = "<f4"
-    else:
-        raise UnsupportedEncoding(
-            f"{path}: format {audio_format} at {bits} bits unsupported"
-        )
-    if block_align != channels * bits // 8:
-        raise MalformedContainer(
-            f"{path}: block_align {block_align} is not {channels} channel(s)"
-            f" of {bits} bits")
-    frames = np.frombuffer(raw, dtype=dtype)
-    if audio_format == _WAVE_IEEE_FLOAT and not np.isfinite(frames).all():
-        raise NonFiniteAudio(f"{path}: float samples hold NaN or Inf")
-    if channels == 2:
-        # (a + b) / 2 in float64, bit for bit what a mean over the pair
-        # gives, without a float64 copy of both channels
-        samples = np.add(frames[0::2], frames[1::2], dtype=np.float64)
-    else:
-        samples = frames.astype(np.float64)
-    if audio_format == _WAVE_PCM:
-        samples /= 32768.0  # a power of two: exact, before or after the sum
-    if channels == 2:
-        samples /= 2.0
-    if samples.size == 0:
-        raise EmptyAudio(f"{path}: no samples")
-    return AudioClip(samples, rate)
+            audio_format, channels, rate, _byte_rate, block_align, bits = \
+                struct.unpack_from("<HHIIHH", fmt)
+            if rate <= 0 or block_align <= 0:
+                raise MalformedContainer(f"{path}: nonsense fmt fields")
+            if channels not in (1, 2):
+                raise UnsupportedEncoding(
+                    f"{path}: {channels} channels unsupported")
+            if data[1] % block_align:
+                raise MalformedContainer(f"{path}: data chunk not frame-aligned")
+            if audio_format == _WAVE_EXTENSIBLE:
+                # the SubFormat GUID at byte 24 of the extension; PCM and
+                # IEEE float are their format codes then one fixed tail
+                if len(fmt) < 40:
+                    raise MalformedContainer(f"{path}: fmt extension too small")
+                if fmt[26:40] != _SUBFORMAT_TAIL:
+                    raise UnsupportedEncoding(f"{path}: extensible sub-format "
+                                              f"{fmt[24:40].hex()} unsupported")
+                (audio_format,) = struct.unpack_from("<H", fmt, 24)
+
+            if audio_format == _WAVE_PCM and bits == 16:
+                dtype = "<i2"
+            elif audio_format == _WAVE_IEEE_FLOAT and bits == 32:
+                dtype = "<f4"
+            else:
+                raise UnsupportedEncoding(
+                    f"{path}: format {audio_format} at {bits} bits unsupported"
+                )
+            if block_align != channels * bits // 8:
+                raise MalformedContainer(
+                    f"{path}: block_align {block_align} is not {channels} "
+                    f"channel(s) of {bits} bits")
+            if audio_format == _WAVE_IEEE_FLOAT:
+                fh.seek(data[0])
+                block = np.empty(_SCAN_VALUES, dtype)
+                for start in range(0, data[1] // 4, _SCAN_VALUES):
+                    part = block[:data[1] // 4 - start]
+                    fh.readinto(part)
+                    if not np.isfinite(part).all():
+                        raise NonFiniteAudio(
+                            f"{path}: float samples hold NaN or Inf")
+        if data[1] == 0:
+            raise EmptyAudio(f"{path}: no samples")
+        self.sample_rate = rate
+        self.num_samples = data[1] // block_align
+        self._offset, self._block_align = data[0], block_align
+        self._dtype, self._channels = dtype, channels
+        self._pcm = audio_format == _WAVE_PCM
+
+    @property
+    def duration(self) -> float:
+        return self.num_samples / self.sample_rate
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        _check_span(lo, hi, self.num_samples)
+        with open(self.path, "rb") as fh:
+            fh.seek(self._offset + lo * self._block_align)
+            raw = fh.read((hi - lo) * self._block_align)
+        if len(raw) != (hi - lo) * self._block_align:
+            raise MalformedContainer(f"{self.path}: cut short since opened")
+        frames = np.frombuffer(raw, self._dtype).reshape(-1, self._channels)
+        if self._channels == 2:
+            # (a + b) / 2 in float64, bit for bit what a mean over the
+            # pair gives, without a float64 copy of both channels
+            samples = np.add(frames[:, 0], frames[:, 1], dtype=np.float64)
+        else:
+            samples = frames[:, 0].astype(np.float64)
+        if self._pcm:
+            samples /= 32768.0  # a power of two: exact, before or after the sum
+        if self._channels == 2:
+            samples /= 2.0
+        return samples
 
 
 def write_wav(path, clip: AudioClip, encoding: str = "pcm16") -> None:
@@ -227,24 +316,46 @@ def write_wav(path, clip: AudioClip, encoding: str = "pcm16") -> None:
     Path(path).write_bytes(header + payload)
 
 
-def resample_linear(clip: AudioClip, target_rate: int) -> AudioClip:
-    """Linear-interpolation resampler.
+class Resampled:
+    """`source` at `sample_rate`, by linear interpolation, computed only
+    where it is read.
 
-    Matching rates return an identical clip. Output length is chosen so
-    duration is preserved to within one sample period.
+    Output sample k sits at source position k * (source rate / rate), so
+    any span reads bit for bit what the whole resampled recording holds
+    there. The length keeps the duration to within one sample period. At
+    the source's own rate, reads pass straight through.
     """
-    target_rate = int(target_rate)
-    if target_rate <= 0:
-        raise ValueError("target rate must be positive")
-    if target_rate == clip.sample_rate:
-        return AudioClip(clip.samples.copy(), clip.sample_rate)
-    n = clip.samples.size
-    if n == 0:
-        raise EmptyAudio("cannot resample an empty clip")
-    m = max(1, int(round(n * target_rate / clip.sample_rate)))
-    positions = np.arange(m) * (clip.sample_rate / target_rate)
-    out = np.interp(positions, np.arange(n), clip.samples)
-    return AudioClip(out, target_rate)
+
+    def __init__(self, source: Recording, sample_rate: int):
+        sample_rate = int(sample_rate)
+        if sample_rate <= 0:
+            raise ValueError("target rate must be positive")
+        n = source.num_samples
+        if n == 0:
+            raise EmptyAudio("cannot resample an empty clip")
+        self.source = source
+        self.sample_rate = sample_rate
+        self._step = source.sample_rate / sample_rate
+        self.num_samples = max(1, int(round(n * sample_rate
+                                            / source.sample_rate)))
+
+    @property
+    def duration(self) -> float:
+        return self.num_samples / self.sample_rate
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        _check_span(lo, hi, self.num_samples)
+        if self.sample_rate == self.source.sample_rate:
+            return self.source.read(lo, hi)
+        if lo == hi:
+            return np.zeros(0)
+        positions = np.arange(lo, hi) * self._step
+        # the source samples around those positions; past the last one,
+        # interpolation holds the last sample
+        n = self.source.num_samples
+        i0 = min(int(positions[0]), n - 1)
+        i1 = min(int(positions[-1]) + 2, n)
+        return np.interp(positions, np.arange(i0, i1), self.source.read(i0, i1))
 
 
 def parse_manifest(path) -> list[SubjectRecord]:
@@ -327,8 +438,7 @@ def synth_clip(spec: SynthSpec, start: int = 0,
     if n <= 0:
         raise EmptyAudio("spec renders zero samples")
     stop = n if stop is None else stop
-    if not 0 <= start <= stop <= n:
-        raise ValueError(f"span [{start}, {stop}) outside [0, {n})")
+    _check_span(start, stop, n)
     t = np.arange(start, stop) / spec.sample_rate
     rng = np.random.default_rng(spec.seed)
     total = np.zeros(stop - start, dtype=np.float64)

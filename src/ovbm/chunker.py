@@ -7,7 +7,7 @@ window is always whole. With the default 2 s stride a 78 s recording at
 chunk size 2 yields exactly 39 chunks. Chunk images are cropped here to
 the member input's frame count, and only the frames the crops read are
 built and featurized, once for all the chunk plans asked of the
-recording, from only the span of samples those frames read. Windows
+recording, from only the sample ranges those frames read. Windows
 whose crops read the same frames (at a 2 s stride, the centres of the
 2 s and 14 s windows coincide, as do those of the 8 s and 20 s ones)
 share one crop, which members embed once. A whole clip's featurization
@@ -20,8 +20,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio_io import AudioClip, EmptyAudio, SynthSpec, synth_clip
+from .audio_io import AudioClip, EmptyAudio, Recording
 from .degradation import apply_poisson_mask
 from .mfcc import PREEMPHASIS, MfccParams, mfcc
 
@@ -141,19 +142,27 @@ def _crop_rows(windows: list, params: MfccParams, frames: int, end: int):
     return np.array(list(distinct)), rows
 
 
-def _read_span(source: AudioClip | SynthSpec, lo: int, hi: int):
-    """Samples [lo, hi) of a recording, zeros past its end, and the clip
-    of the recording's own samples among them. A SynthSpec renders only
-    those."""
-    if isinstance(source, SynthSpec):
-        n = source.num_samples
-        real = synth_clip(source, min(lo, n), min(hi, n))
-    else:
-        real = AudioClip(source.samples[lo:hi], source.sample_rate)
-    tail = hi - lo - real.samples.size
-    if not tail:
-        return real, real.samples
-    return real, np.concatenate([real.samples, np.zeros(tail)])
+def _read_ranges(source: Recording, keys: np.ndarray):
+    """The samples the (start, restarts, real) frames read, from the
+    sample before the first of them (for pre-emphasis) on: a zero buffer
+    filled from `source` over the merged ranges that the frames read,
+    each from one sample before its frame, up to the recording's end.
+    Returns (samples, the sample the buffer starts at)."""
+    live = keys[keys[:, 2] > 0]
+    if not live.size:
+        return np.zeros(0), 0
+    starts = np.maximum(live[:, 0] - 1, 0)
+    stops = live[:, 0] + live[:, 2]
+    order = np.argsort(starts, kind="stable")
+    starts, stops = starts[order], np.maximum.accumulate(stops[order])
+    # a range that starts past every earlier one's end opens a new run
+    opens = np.flatnonzero(np.r_[True, starts[1:] > stops[:-1]])
+    closes = np.minimum(stops[np.r_[opens[1:] - 1, -1]], source.num_samples)
+    lo = int(starts[0])
+    samples = np.zeros(int(stops[-1]) - lo)
+    for a, b in zip(starts[opens].tolist(), closes.tolist()):
+        samples[a - lo:b - lo] = source.read(a, b)
+    return samples, lo
 
 
 def _build_frames(samples: np.ndarray, offset: int, keys: np.ndarray,
@@ -163,35 +172,42 @@ def _build_frames(samples: np.ndarray, offset: int, keys: np.ndarray,
     PREEMPHASIS * x[n-1], restarting with y = x at the recording's first
     sample and at `start` if the frame restarts there.
     `samples` hold the recording from sample `offset` on, from one
-    sample before the first frame that reads any, for pre-emphasis."""
+    sample before the first frame that reads any, for pre-emphasis.
+    The buffer is pre-emphasized once, and each frame is cut from it."""
     s, restart, real = keys.T
-    offsets = np.arange(params.frame_len)
-    inside = offsets < real[:, None]
+    L = params.frame_len
     if not samples.size:  # every frame lies in the padding
-        return np.zeros(inside.shape)
-    idx = np.where(inside, (s - offset)[:, None] + offsets, 0)
-    frames = samples[idx] - PREEMPHASIS * samples[np.maximum(idx - 1, 0)]
+        return np.zeros((len(keys), L))
+    y = np.zeros(samples.size + L)  # the frame at samples.size is all zero
+    y[0] = samples[0]
+    np.subtract(samples[1:], PREEMPHASIS * samples[:-1], out=y[1:samples.size])
+    frames = sliding_window_view(y, L)[np.where(real > 0, s - offset,
+                                                samples.size)]
     first = (restart == 1) | (s == 0)
     frames[first, 0] = samples[s[first] - offset]
-    frames[~inside] = 0.0
+    short = np.flatnonzero(real < L)
+    cut = frames[short]
+    cut[np.arange(L) >= real[short, None]] = 0.0
+    frames[short] = cut
     return frames
 
 
-def extract_chunks(source: AudioClip | SynthSpec, plans: ChunkPlan | list,
+def extract_chunks(source: Recording, plans: ChunkPlan | list,
                    params: MfccParams, mask: bool, frames: int) -> Chunks:
     """Chunk images of every plan, each exactly what a member reads.
 
-    `source` is a recording, or the SynthSpec of one. `plans` is one
-    ChunkPlan or a list of them; the images of all plans come back in
-    plan order, each plan's in interval order. A chunk image is the crop
-    of the MFCC image of the chunk's own samples (the recording
-    zero-padded out to the last window's end), framed on their own, to
-    `frames` rows: its centre rows, or all of its rows centred between
-    zero rows when it has fewer. Only the span of samples the crops read
-    is taken from the recording (and, for a SynthSpec, rendered), only
-    the distinct frames of the crops are built, and they are featurized
-    in one `mfcc` call, bit for bit as each chunk featurized alone would
-    give them (see `_crop_rows`). With `mask`, the Poisson mask is
+    `source` is any Recording: a clip, a WAV file, a resampled view of
+    one, or the SynthSpec of a recording. `plans` is one ChunkPlan or a
+    list of them; the images of all plans come back in plan order, each
+    plan's in interval order. A chunk image is the crop of the MFCC image
+    of the chunk's own samples (the recording zero-padded out to the last
+    window's end), framed on their own, to `frames` rows: its centre
+    rows, or all of its rows centred between zero rows when it has fewer.
+    Only the sample ranges the crop frames read are taken from the
+    recording (and decoded, resampled or rendered), only the distinct
+    frames of the crops are built, and they are featurized in one `mfcc`
+    call, bit for bit as each chunk featurized alone would give them
+    (see `_crop_rows`). With `mask`, the Poisson mask is
     applied once, to those rows; it maps zero rows to zero. Chunks whose
     crops read the same frame rows share one crop (`Chunks.index`), so a
     member embeds it once. `params` are validated first.
@@ -203,15 +219,10 @@ def extract_chunks(source: AudioClip | SynthSpec, plans: ChunkPlan | list,
     rate = source.sample_rate
     windows = [(int(round(start * rate)), int(round(end * rate)))
                for p in plans for start, end in p.intervals]
-    end = (source.num_samples if isinstance(source, SynthSpec)
-           else source.samples.size)
+    end = source.num_samples
     keys, rows = _crop_rows(windows, params, frames, end)
-    # The crops read from the sample before their first frame (for
-    # pre-emphasis) to their last real sample.
-    live = keys[keys[:, 2] > 0]
-    lo = max(int(live[:, 0].min()) - 1, 0) if live.size else 0
-    hi = int((live[:, 0] + live[:, 2]).max()) if live.size else 0
-    real, samples = _read_span(source, lo, hi)
+    samples, lo = _read_ranges(source, keys)
+    real = AudioClip(samples[:end - lo], rate)
     image = mfcc(real, params, frames=_build_frames(samples, lo, keys, params))
     if mask:
         image = apply_poisson_mask(image)

@@ -169,8 +169,15 @@ def cmd_train(args) -> int:
     config.validate()
     if not os.path.exists(config.manifest):
         raise FileNotFoundError(f"missing manifest {config.manifest}")
-    if os.path.exists(args.out) and not os.path.isdir(args.out):
-        raise NotADirectoryError(f"--out {args.out} is not a directory")
+    # the run is saved only after training: refuse an --out that is, or
+    # lies under, something other than a directory now
+    found = os.path.abspath(args.out)
+    while not os.path.exists(found):
+        found = os.path.dirname(found)
+    if not os.path.isdir(found):
+        under = ("" if found == os.path.abspath(args.out)
+                 else f" is under {found}, which")
+        raise NotADirectoryError(f"--out {args.out}{under} is not a directory")
     pipe = run_training(config)
     save_pipeline(pipe, args.out)
     m = pipe.metrics

@@ -32,8 +32,8 @@ import numpy as np
 
 from . import models as M
 from .aggregation import AggregationScheme, Diagnosis, aggregate, decide
-from .audio_io import (REPORT_UNSAFE, AudioClip, SubjectRecord, load_wav,
-                       parse_manifest, resample_linear)
+from .audio_io import (REPORT_UNSAFE, Recording, Resampled, SubjectRecord,
+                       WavRecording, parse_manifest)
 from .chunker import Chunks, chunk_plan, extract_chunks
 from .fusion import (
     FusionModel,
@@ -174,9 +174,11 @@ def resolve_wav_path(manifest_path: str, wav_path: str) -> str:
 
 
 def load_clip(manifest_path: str, record: SubjectRecord,
-              sample_rate: int) -> AudioClip:
-    clip = load_wav(resolve_wav_path(manifest_path, record.wav_path))
-    return resample_linear(clip, sample_rate)
+              sample_rate: int) -> Resampled:
+    """A manifest row's recording at `sample_rate`: validated whole here,
+    decoded and resampled only where the chunker reads it."""
+    wav = WavRecording(resolve_wav_path(manifest_path, record.wav_path))
+    return Resampled(wav, sample_rate)
 
 
 class FeatureStore:
@@ -195,7 +197,7 @@ class FeatureStore:
         return self._chunks[record.subject_id]
 
 
-def _run_chunks(config: RunConfig, clip: AudioClip) -> Chunks:
+def _run_chunks(config: RunConfig, clip: Recording) -> Chunks:
     """A recording's chunks under the run's chunk plan, features, mask
     and crop."""
     plan = chunk_plan(clip.duration, config.chunk_size, config.stride)
@@ -522,14 +524,14 @@ def evaluate_manifest(pipe: TrainedPipeline, manifest_path: str) -> dict:
 
 
 def diagnose_subject(pipe: TrainedPipeline, record: SubjectRecord,
-                     clip: AudioClip) -> Diagnosis:
+                     clip: Recording) -> Diagnosis:
     probs = score_chunks(pipe.main, _run_chunks(pipe.config, clip),
                          metadata_vector(record.gender, record.age))
     return _diagnoses(pipe.config, [record], [probs])[0]
 
 
 def subject_saliency(pipe: TrainedPipeline, record: SubjectRecord,
-                     clip: AudioClip) -> SaliencyMap:
+                     clip: Recording) -> SaliencyMap:
     config = pipe.config
     return saliency_map(record, clip, pipe.tuned_members, pipe.main, pipe.pt,
                         config.mfcc_params(), config.arch_frames,

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .aggregation import AggregationScheme, aggregate
-from .audio_io import AudioClip, SubjectRecord
+from .audio_io import Recording, SubjectRecord
 from .chunker import chunk_plan, extract_chunks
 from .fusion import (FusionModel, fuse_from_embeddings, metadata_vector,
                      score_subject)
@@ -53,7 +53,7 @@ class SaliencyMap:
                 for e in self.entries]
 
 
-def saliency_map(record: SubjectRecord, clip: AudioClip, tuned_members: list,
+def saliency_map(record: SubjectRecord, clip: Recording, tuned_members: list,
                  main: FusionModel, pt: FusionModel, params, frames: int,
                  chunk_size: float, stride: float, scheme: AggregationScheme,
                  mask: bool) -> SaliencyMap:

@@ -37,6 +37,19 @@ MICRO_ARCH = CnnArch(input_shape=(10, 8), stem_channels=2, num_blocks=1,
                      embedding_dim=4)
 
 
+class ReadLog:
+    """A recording that logs the spans read from it."""
+
+    def __init__(self, clip):
+        self.clip, self.spans = clip, []
+        self.sample_rate, self.duration = clip.sample_rate, clip.duration
+        self.num_samples = clip.num_samples
+
+    def read(self, lo, hi):
+        self.spans.append((lo, hi))
+        return self.clip.read(lo, hi)
+
+
 @pytest.fixture
 def micro_arch() -> CnnArch:
     return MICRO_ARCH

@@ -1,10 +1,11 @@
 """WAV container round trips, manifest parsing, synthetic signals."""
 
 import struct
+import uuid
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ovbm.audio_io import (
@@ -14,27 +15,45 @@ from ovbm.audio_io import (
     MalformedContainer,
     ManifestError,
     NonFiniteAudio,
+    Resampled,
     SynthSpec,
     UnparseableLabel,
     UnsupportedEncoding,
-    load_wav,
+    WavRecording,
     parse_manifest,
-    resample_linear,
     synth_clip,
     write_wav,
 )
+from ovbm.chunker import chunk_plan, extract_chunks
+from ovbm.mfcc import MfccParams
 
 
 def _wav_bytes(payload: bytes, audio_format=1, channels=1, rate=16000,
-               bits=16, extra_chunks=b"", block_align=None) -> bytes:
+               bits=16, extra_chunks=b"", block_align=None,
+               sub_format=None) -> bytes:
     """Hand-built RIFF container, independent of write_wav. block_align
-    defaults to the one channels and bits imply."""
+    defaults to the one channels and bits imply. A `sub_format` GUID
+    writes a WAVE_FORMAT_EXTENSIBLE header carrying it."""
     block = channels * bits // 8 if block_align is None else block_align
     fmt = struct.pack("<HHIIHH", audio_format, channels, rate,
                       rate * block, block, bits)
+    if sub_format is not None:
+        fmt += struct.pack("<HHI", 22, bits, 0) + sub_format.bytes_le
     body = (b"fmt " + struct.pack("<I", len(fmt)) + fmt + extra_chunks
             + b"data" + struct.pack("<I", len(payload)) + payload)
     return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+def _decoded(path) -> AudioClip:
+    """The whole file, decoded."""
+    wav = WavRecording(path)
+    return AudioClip(wav.read(0, wav.num_samples), wav.sample_rate)
+
+
+def _resampled(clip: AudioClip, target_rate: int) -> AudioClip:
+    """The whole clip, resampled."""
+    view = Resampled(clip, target_rate)
+    return AudioClip(view.read(0, view.num_samples), target_rate)
 
 
 class TestWavRoundTrip:
@@ -43,7 +62,7 @@ class TestWavRoundTrip:
         x = rng.uniform(-0.9, 0.9, 500)
         path = tmp_path / "a.wav"
         write_wav(path, AudioClip(x, 16000))
-        out = load_wav(path)
+        out = _decoded(path)
         assert out.sample_rate == 16000
         assert out.samples.size == 500
         # quantized to the nearest 1/32768 step
@@ -54,7 +73,7 @@ class TestWavRoundTrip:
         x = np.linspace(-1.0, 1.0, 97)
         path = tmp_path / "a.wav"
         write_wav(path, AudioClip(x, 8000), encoding="float32")
-        out = load_wav(path)
+        out = _decoded(path)
         np.testing.assert_array_equal(out.samples,
                                       x.astype(np.float32).astype(np.float64))
 
@@ -64,7 +83,7 @@ class TestWavRoundTrip:
         x = rng.uniform(-1.0, 1.0, n)
         path = tmp_path_factory.mktemp("wav") / "a.wav"
         write_wav(path, AudioClip(x, 16000))
-        out = load_wav(path)
+        out = _decoded(path)
         assert np.max(np.abs(out.samples - x)) <= 1.0 / 32768.0
 
 
@@ -76,7 +95,7 @@ class TestWavParsing:
         interleaved[0::2], interleaved[1::2] = left, right
         path = tmp_path / "st.wav"
         path.write_bytes(_wav_bytes(interleaved.tobytes(), channels=2))
-        out = load_wav(path)
+        out = _decoded(path)
         np.testing.assert_allclose(
             out.samples, (left.astype(float) + right) / 2.0 / 32768.0)
 
@@ -91,7 +110,7 @@ class TestWavParsing:
         path.write_bytes(_wav_bytes(interleaved.tobytes(), channels=2,
                                     audio_format=audio_format, bits=bits))
         pairs = interleaved.astype(np.float64).reshape(-1, 2) / scale
-        np.testing.assert_array_equal(load_wav(path).samples,
+        np.testing.assert_array_equal(_decoded(path).samples,
                                       pairs.mean(axis=1))
 
     @pytest.mark.parametrize("dtype,audio_format,bits,scale", [
@@ -112,7 +131,7 @@ class TestWavParsing:
                                     audio_format=audio_format, bits=bits))
         pairs = raw.astype(np.float64).reshape(-1, 2) / scale
         want = (pairs[:, 0] + pairs[:, 1]) / 2.0
-        assert load_wav(path).samples.tobytes() == want.tobytes()
+        assert _decoded(path).samples.tobytes() == want.tobytes()
 
     def test_skips_unknown_chunks_word_aligned(self, tmp_path):
         # 3-byte junk chunk must be skipped with its pad byte
@@ -120,7 +139,7 @@ class TestWavParsing:
         payload = np.array([123, -456], dtype="<i2").tobytes()
         path = tmp_path / "j.wav"
         path.write_bytes(_wav_bytes(payload, extra_chunks=junk))
-        out = load_wav(path)
+        out = _decoded(path)
         np.testing.assert_allclose(out.samples,
                                    np.array([123, -456]) / 32768.0)
 
@@ -128,26 +147,26 @@ class TestWavParsing:
         path = tmp_path / "x.wav"
         path.write_bytes(b"OggS" + b"\x00" * 40)
         with pytest.raises(MalformedContainer):
-            load_wav(path)
+            _decoded(path)
 
     def test_truncated_data(self, tmp_path):
         good = _wav_bytes(np.zeros(10, dtype="<i2").tobytes())
         path = tmp_path / "t.wav"
         path.write_bytes(good[:-6])
         with pytest.raises(MalformedContainer):
-            load_wav(path)
+            _decoded(path)
 
     def test_mulaw_rejected(self, tmp_path):
         path = tmp_path / "m.wav"
         path.write_bytes(_wav_bytes(b"\x00" * 16, audio_format=7, bits=8))
         with pytest.raises(UnsupportedEncoding):
-            load_wav(path)
+            _decoded(path)
 
     def test_empty_payload(self, tmp_path):
         path = tmp_path / "e.wav"
         path.write_bytes(_wav_bytes(b""))
         with pytest.raises(EmptyAudio):
-            load_wav(path)
+            _decoded(path)
 
     @pytest.mark.parametrize("channels,block_align,samples", [
         (2, 2, 3),   # stereo PCM16 declaring mono frames, odd sample count
@@ -163,7 +182,7 @@ class TestWavParsing:
         path.write_bytes(_wav_bytes(payload, channels=channels,
                                     block_align=block_align))
         with pytest.raises(MalformedContainer, match="block_align") as err:
-            load_wav(path)
+            _decoded(path)
         assert str(path) in str(err.value)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -172,27 +191,173 @@ class TestWavParsing:
         payload = np.array([0.25, bad, -0.5], dtype="<f4").tobytes()
         path.write_bytes(_wav_bytes(payload, audio_format=3, bits=32))
         with pytest.raises(NonFiniteAudio) as err:
-            load_wav(path)
+            _decoded(path)
         assert str(path) in str(err.value)
+
+
+PCM_GUID = uuid.UUID("00000001-0000-0010-8000-00aa00389b71")
+FLOAT_GUID = uuid.UUID("00000003-0000-0010-8000-00aa00389b71")
+
+
+class TestExtensible:
+    """WAVE_FORMAT_EXTENSIBLE (0xFFFE) headers carry the encoding as a
+    SubFormat GUID; PCM16 and float32 decode like their plain files."""
+
+    @pytest.mark.parametrize("dtype,audio_format,bits,guid", [
+        ("<i2", 1, 16, PCM_GUID), ("<f4", 3, 32, FLOAT_GUID)],
+        ids=["pcm16", "float32"])
+    def test_decodes_like_the_plain_file(self, tmp_path, dtype, audio_format,
+                                         bits, guid):
+        rng = np.random.default_rng(5)
+        scale = 32767 if audio_format == 1 else 1.0
+        payload = (rng.uniform(-1, 1, 2 * 501) * scale).astype(dtype).tobytes()
+        plain, extensible = tmp_path / "p.wav", tmp_path / "x.wav"
+        plain.write_bytes(_wav_bytes(payload, audio_format, channels=2,
+                                     rate=22050, bits=bits))
+        extensible.write_bytes(_wav_bytes(payload, 0xFFFE, channels=2,
+                                          rate=22050, bits=bits,
+                                          sub_format=guid))
+        want, got = _decoded(plain), _decoded(extensible)
+        assert got.sample_rate == want.sample_rate == 22050
+        assert got.samples.size == 501
+        assert got.samples.tobytes() == want.samples.tobytes()
+
+    @pytest.mark.parametrize("bits,guid", [
+        (8, PCM_GUID), (24, PCM_GUID), (16, FLOAT_GUID),
+        (16, uuid.UUID("00000006-0000-0010-8000-00aa00389b71")),  # A-law
+        (16, uuid.UUID("00000001-0000-0010-8000-00aa00389b72"))],
+        ids=["pcm8", "pcm24", "float16", "alaw", "foreign-guid"])
+    def test_other_sub_formats_refused(self, tmp_path, bits, guid):
+        path = tmp_path / "x.wav"
+        path.write_bytes(_wav_bytes(b"\x00" * 48, 0xFFFE, bits=bits,
+                                    sub_format=guid))
+        with pytest.raises(UnsupportedEncoding) as err:
+            WavRecording(path)
+        assert str(path) in str(err.value)
+
+    def test_missing_extension_is_malformed(self, tmp_path):
+        path = tmp_path / "x.wav"
+        path.write_bytes(_wav_bytes(b"\x00" * 8, 0xFFFE))
+        with pytest.raises(MalformedContainer, match="extension"):
+            WavRecording(path)
+
+
+def _reference(frames: np.ndarray, pcm: bool, rate: int,
+               target: int) -> np.ndarray:
+    """The whole recording decoded and resampled at once, stated
+    directly: frames [n, channels] scaled, averaged over channels, then
+    interpolated at positions k * rate / target."""
+    x = frames.astype(np.float64) / (32768.0 if pcm else 1.0)
+    x = x.mean(axis=1)
+    m = max(1, int(round(x.size * target / rate)))
+    return np.interp(np.arange(m) * (rate / target), np.arange(x.size), x)
+
+
+SOURCE_RATES = [8000, 11025, 16000, 22050, 44100, 48000]
+
+
+@st.composite
+def wav_files(draw, max_seconds):
+    """(file bytes, frames [n, channels], pcm, rate): PCM16 or float32,
+    mono or stereo, at one of SOURCE_RATES, from one frame to
+    `max_seconds` long: in the shortest, middle or longest tenth of that
+    range alike."""
+    pcm = draw(st.booleans())
+    channels = draw(st.sampled_from([1, 2]))
+    rate = draw(st.sampled_from(SOURCE_RATES))
+    longest = int(max_seconds * rate)
+    start = draw(st.sampled_from([0, 45, 90])) * longest // 100
+    n = draw(st.integers(max(start, 1), start + longest // 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if pcm:
+        frames = rng.integers(-32768, 32768, (n, channels)).astype("<i2")
+    else:
+        frames = rng.uniform(-1.0, 1.0, (n, channels)).astype("<f4")
+    data = _wav_bytes(frames.tobytes(), 1 if pcm else 3, channels, rate,
+                      16 if pcm else 32)
+    return data, frames, pcm, rate
+
+
+class TestSpanReads:
+    """A WAV file resampled to 16 kHz, read span by span, gives the
+    whole-file decode and resample bit for bit."""
+
+    @given(wav_files(max_seconds=2.0), st.data())
+    def test_any_span_is_the_slice_of_the_whole(self, tmp_path_factory,
+                                                wav, data):
+        raw, frames, pcm, rate = wav
+        path = tmp_path_factory.mktemp("wav") / "a.wav"
+        path.write_bytes(raw)
+        want = _reference(frames, pcm, rate, 16000)
+        view = Resampled(WavRecording(path), 16000)
+        m = view.num_samples
+        assert (m, view.sample_rate) == (want.size, 16000)
+        spans = [(0, m), (0, 0), (m, m), (0, 1), (m - 1, m)]
+        for _ in range(20):
+            a = data.draw(st.integers(0, m))
+            spans.append((a, data.draw(st.integers(a, m))))
+        for a, b in spans:
+            assert view.read(a, b).tobytes() == want[a:b].tobytes(), (a, b)
+
+    def test_file_cut_short_after_opening(self, tmp_path):
+        path = tmp_path / "a.wav"
+        path.write_bytes(_wav_bytes(np.arange(16, dtype="<i2").tobytes()))
+        wav = WavRecording(path)
+        path.write_bytes(path.read_bytes()[:-8])
+        assert wav.read(0, 12).tolist() == [k / 32768 for k in range(12)]
+        with pytest.raises(MalformedContainer, match="cut short"):
+            wav.read(10, 16)
+
+    @pytest.mark.parametrize("lo,hi", [(-1, 3), (4, 3), (0, 17)])
+    def test_span_outside_the_recording_is_refused(self, tmp_path, lo, hi):
+        path = tmp_path / "a.wav"
+        path.write_bytes(_wav_bytes(np.zeros(16, "<i2").tobytes()))
+        for source in (WavRecording(path),
+                       Resampled(WavRecording(path), 16000),
+                       AudioClip(np.zeros(16), 16000)):
+            with pytest.raises(ValueError, match="span"):
+                source.read(lo, hi)
+
+    @settings(max_examples=25)
+    @given(wav_files(max_seconds=24.0),
+           st.lists(st.sampled_from([(2, 2), (4, 2), (8, 2), (14, 2), (20, 2),
+                                     (0.5, 0.5)]),
+                    min_size=1, max_size=6, unique=True),
+           st.booleans())
+    def test_chunks_equal_the_whole_clip_path(self, tmp_path_factory, wav,
+                                              steps, mask):
+        raw, frames, pcm, rate = wav
+        path = tmp_path_factory.mktemp("wav") / "a.wav"
+        path.write_bytes(raw)
+        params = MfccParams(num_cepstra=8, num_filters=16, fft_size=512)
+        view = Resampled(WavRecording(path), 16000)
+        whole = AudioClip(_reference(frames, pcm, rate, 16000), 16000)
+        assert view.duration == whole.duration
+        plans = [chunk_plan(whole.duration, size, stride)
+                 for size, stride in steps]
+        got = extract_chunks(view, plans, params, mask, 64)
+        want = extract_chunks(whole, plans, params, mask, 64)
+        assert got.crops.tobytes() == want.crops.tobytes()
+        np.testing.assert_array_equal(got.index, want.index)
 
 
 class TestResamplePad:
     def test_identity_copies(self):
         clip = AudioClip(np.arange(8.0), 16000)
-        out = resample_linear(clip, 16000)
+        out = _resampled(clip, 16000)
         np.testing.assert_array_equal(out.samples, clip.samples)
         assert out.samples is not clip.samples
 
     def test_length_rule(self):
         clip = AudioClip(np.zeros(16000), 16000)
-        assert resample_linear(clip, 8000).samples.size == 8000
-        assert resample_linear(clip, 44100).samples.size == 44100
+        assert _resampled(clip, 8000).samples.size == 8000
+        assert _resampled(clip, 44100).samples.size == 44100
 
     def test_low_freq_sine_preserved(self):
         sr, target = 16000, 8000
         t = np.arange(sr) / sr
         clip = AudioClip(np.sin(2 * np.pi * 50 * t), sr)
-        out = resample_linear(clip, target)
+        out = _resampled(clip, target)
         t2 = np.arange(out.samples.size) / target
         assert np.max(np.abs(out.samples - np.sin(2 * np.pi * 50 * t2))) < 1e-3
 

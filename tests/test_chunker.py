@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import own_frames
+from conftest import ReadLog, own_frames
+import ovbm.audio_io as audio_io
 from ovbm.audio_io import AudioClip, SynthSpec, synth_clip
 from ovbm.chunker import ChunkPlan, Chunks, chunk_plan, extract_chunks
 import ovbm.chunker as chunker
@@ -332,8 +333,8 @@ class TestSpecSource:
 
     def test_renders_only_the_crop_span(self, monkeypatch):
         spans = []
-        real = chunker.synth_clip
-        monkeypatch.setattr(chunker, "synth_clip", lambda spec, a, b: (
+        real = audio_io.synth_clip
+        monkeypatch.setattr(audio_io, "synth_clip", lambda spec, a, b: (
             spans.append((a, b)) or real(spec, a, b)))
         spec = SynthSpec("p", 4.0, [("sine", 500.0, 0.5),
                                     ("noise", 0.0, 0.2)], seed=1)
@@ -341,6 +342,36 @@ class TestSpecSource:
         # 399 frames; the crop is frames 167-230, and pre-emphasis reads
         # the sample before frame 167
         assert spans == [(167 * 160 - 1, 230 * 160 + 320)]
+
+
+class TestReadRanges:
+    """Only the sample ranges the crop frames read are read, each from
+    the sample before its frame, merged where they meet or overlap."""
+
+    def test_separate_crops_read_separate_ranges(self):
+        # 2 s windows at a 4 s stride on a 9.1 s clip: the three crops
+        # (frames 67-130 of each window, 10 ms apart) lie 4 s apart.
+        log = ReadLog(_clip(9.1))
+        plan = chunk_plan(log.duration, 2.0, 4.0)
+        got = extract_chunks(log, plan, FAST, False, 64)
+        want = [(a + 67 * 160 - 1, a + 130 * 160 + 320)
+                for a in (0, 64000, 128000)]
+        assert log.spans == [(a, min(b, log.num_samples)) for a, b in want]
+        np.testing.assert_array_equal(
+            got.images, extract_chunks(log.clip, plan, FAST, False, 64).images)
+
+    def test_overlapping_crops_read_one_range(self):
+        # 8 s windows 0.5 s apart: the four crops overlap (see
+        # test_only_crop_frames_are_featurized), so one range is read.
+        log = ReadLog(_clip(9.1))
+        extract_chunks(log, chunk_plan(log.duration, 8.0, 0.5), FAST, False, 64)
+        assert len(log.spans) == 1
+
+    def test_crops_in_the_padding_read_nothing(self):
+        log = ReadLog(_clip(5.0))
+        extract_chunks(log, chunk_plan(log.duration, 20.0, 2.0), FAST, False,
+                       64)
+        assert log.spans == []
 
 
 class TestSharedCrops:

@@ -14,13 +14,15 @@ from conftest import (
     BAD_FUSION_TENSORS,
     BAD_MODEL_DESCRIPTORS,
     BAD_MODEL_TENSORS,
+    ReadLog,
     micro_run_config,
     record_boundaries,
     replace_descriptor,
     replace_tensors,
 )
 import ovbm.pipeline as P
-from ovbm.audio_io import parse_manifest
+from ovbm.audio_io import (AudioClip, MalformedContainer, NonFiniteAudio,
+                           parse_manifest, write_wav)
 from ovbm.cli import _build_parser, _config_from_args, main
 from ovbm.models import CnnArch, NTooLarge, init_cnn, save_model
 from ovbm.pipeline import (RunConfig, load_pipeline, resolve_wav_path,
@@ -296,6 +298,22 @@ class TestTrain:
         assert f"--out {out} is not a directory" in stderr
         assert out.read_text() == "kept"
 
+    @pytest.mark.parametrize("below", ["run", "a/b/run"])
+    def test_out_under_a_file(self, tmp_path, corpus_dir, capsys, monkeypatch,
+                              below):
+        monkeypatch.setattr("ovbm.cli.run_training",
+                            lambda config: pytest.fail("training ran"))
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        out = os.path.join(afile, below)
+        code, _, stderr = run_cli(capsys, "train", "--manifest",
+                                  os.path.join(corpus_dir, "manifest.csv"),
+                                  "--out", out)
+        assert code == 3
+        assert f"--out {out} is under {afile}, which is not a directory" \
+            in stderr
+        assert afile.read_text() == "kept"
+
     def test_missing_manifest_file(self, tmp_path, capsys):
         code, _, stderr = run_cli(capsys, "train", "--manifest",
                                   str(tmp_path / "nope.csv"),
@@ -499,6 +517,41 @@ class TestEval:
 
 
 class TestDiagnose:
+    @pytest.mark.parametrize("damage", ["nan_where_no_crop_reads",
+                                        "truncated_data"])
+    def test_recording_validated_whole(self, micro_run_dir, corpus_dir,
+                                       tmp_path, capsys, damage):
+        # A 6 s float recording, 2 s chunks: each window's 64-frame crop
+        # starts 67 frames in, so no crop reads sample 5 (the logged
+        # reads of the intact recording show it). Opening the file still
+        # finds a NaN there, or a data chunk cut short.
+        corpus = str(tmp_path / "corpus")
+        shutil.copytree(corpus_dir, corpus)
+        manifest = os.path.join(corpus, "manifest.csv")
+        rec = parse_manifest(manifest)[0]
+        victim = resolve_wav_path(manifest, rec.wav_path)
+        samples = np.random.default_rng(4).uniform(-0.5, 0.5, 6 * 16000)
+        write_wav(victim, AudioClip(samples, 16000), encoding="float32")
+        log = ReadLog(P.load_clip(manifest, rec, 16000))
+        P.diagnose_subject(load_pipeline(micro_run_dir), rec, log)
+        assert min(lo for lo, _ in log.spans) > 5
+        data = bytearray(Path(victim).read_bytes())
+        if damage == "truncated_data":
+            data = data[:-6]
+            error = MalformedContainer
+        else:
+            data[44 + 4 * 5:44 + 4 * 6] = np.float32(np.nan).tobytes()
+            error = NonFiniteAudio
+        Path(victim).write_bytes(bytes(data))
+        with pytest.raises(error):
+            P.load_clip(manifest, rec, 16000)
+        code, stdout, stderr = run_cli(capsys, "diagnose", "--run",
+                                       micro_run_dir, "--manifest", manifest,
+                                       "--subjects", rec.subject_id)
+        assert code == 2
+        assert victim in stderr
+        assert stdout == ""
+
     def test_selected_subject(self, micro_run_dir, corpus_dir, tmp_path,
                               capsys):
         out = str(tmp_path / "diag.json")

@@ -565,8 +565,8 @@ class TestEmbeddingMemo:
         parts = []
         while sum(p.size for p in parts) < 30 * config.sample_rate:
             rec = records[len(parts)]
-            parts.append(load_clip(config.manifest, rec,
-                                   config.sample_rate).samples)
+            part = load_clip(config.manifest, rec, config.sample_rate)
+            parts.append(part.read(0, part.num_samples))
         clip = AudioClip(np.concatenate(parts), config.sample_rate)
         rec = records[0]
         d = diagnose_subject(pipe, rec, clip)

@@ -4,11 +4,14 @@ rebinds a traced function shows here, not only under `--trace 1`."""
 
 import importlib.util
 import os
+import struct
+
+import numpy as np
 
 import ovbm.models as M
 import ovbm.pipeline as P
 from conftest import micro_run_config
-from ovbm.audio_io import parse_manifest
+from ovbm.audio_io import SubjectRecord, parse_manifest
 
 TRACER_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
                            "tracer.py")
@@ -52,3 +55,34 @@ def test_traced_run_reports_every_layer(corpus_dir, monkeypatch):
                  "nn.conv3x3_backward.gflop", "models.forward_batch.calls",
                  "models.backward_from_embedding.s"):
         assert metrics[name] > 0, name
+
+
+def test_traced_screen_of_a_resampled_stereo_recording(micro_pipeline,
+                                                       tmp_path):
+    # 44.1 kHz stereo float32, as the long screen reads: the traced
+    # load, diagnosis and saliency map run every hook they reach
+    rate = 44100
+    frames = np.random.default_rng(2).uniform(-0.4, 0.4, (5 * rate, 2))
+    payload = frames.astype("<f4").tobytes()
+    fmt = struct.pack("<HHIIHH", 3, 2, rate, rate * 8, 8, 32)
+    body = (b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data"
+            + struct.pack("<I", len(payload)) + payload)
+    (tmp_path / "long.wav").write_bytes(
+        b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
+    manifest = str(tmp_path / "manifest.csv")
+    record = SubjectRecord("long", "long.wav", 1, "F", 70)
+    pipe = micro_pipeline
+    tracing = load_tracer()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        clip = P.load_clip(manifest, record, pipe.config.sample_rate)
+        P.diagnose_subject(pipe, record, clip)
+        P.subject_saliency(pipe, record, clip)
+    finally:
+        tracer.uninstall()
+
+    metrics = tracing.metrics(tracer, pass_s=1.0)
+    assert metrics["mfcc.frames"] > 0
+    assert metrics["chunker.extract_chunks.calls"] == 2
+    assert metrics["models.images"] > 0
