@@ -368,10 +368,13 @@ def parse_manifest(path) -> list[SubjectRecord]:
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+            reader = csv.reader(fh)
+            rows = [row for row in reader if row]
     except UnicodeDecodeError as e:
         raise ManifestError(f"{path}: not UTF-8 text (it holds byte "
                             f"0x{e.object[e.start]:02x})") from None
+    except csv.Error as e:  # a field over csv's size limit
+        raise ManifestError(f"{path}:{reader.line_num}: {e}") from None
     if not rows:
         raise ManifestError(f"{path}: empty manifest")
 

@@ -26,7 +26,6 @@ from .audio_io import parse_manifest
 from .models import MEMBERS
 from .pipeline import (
     RunConfig,
-    TrainedPipeline,
     diagnose_subject,
     evaluate_manifest,
     load_clip,
@@ -152,8 +151,6 @@ def _config_from_args(args) -> RunConfig:
         flags["poisson_mask"] = flags["poisson_mask"] == "on"
     data = {}
     if args.config:
-        if not os.path.exists(args.config):
-            raise FileNotFoundError(f"missing config file {args.config}")
         with open(args.config) as fh, named_errors(args.config):
             data = json.load(fh)
             if not isinstance(data, dict):
@@ -167,8 +164,6 @@ def _config_from_args(args) -> RunConfig:
 def cmd_train(args) -> int:
     config = _config_from_args(args)
     config.validate()
-    if not os.path.exists(config.manifest):
-        raise FileNotFoundError(f"missing manifest {config.manifest}")
     # the run is saved only after training: refuse an --out that is, or
     # lies under, something other than a directory now
     found = os.path.abspath(args.out)
@@ -193,22 +188,8 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_run(run_dir: str) -> TrainedPipeline:
-    if not os.path.isdir(run_dir):
-        raise FileNotFoundError(f"missing run directory {run_dir}")
-    return load_pipeline(run_dir)
-
-
-def _load_run_for_manifest(args) -> TrainedPipeline:
-    """The run at --run, once --manifest is known to exist."""
-    pipe = _load_run(args.run)
-    if not os.path.exists(args.manifest):
-        raise FileNotFoundError(f"missing manifest {args.manifest}")
-    return pipe
-
-
 def cmd_eval(args) -> int:
-    pipe = _load_run_for_manifest(args)
+    pipe = load_pipeline(args.run)
     result = evaluate_manifest(pipe, args.manifest)
     print(f"subjects={result['num_subjects']} "
           f"subject_accuracy={result['subject_accuracy']:.3f} "
@@ -244,7 +225,7 @@ def _select_records(manifest_path: str, spec: str | None) -> list:
 
 
 def cmd_diagnose(args) -> int:
-    pipe = _load_run_for_manifest(args)
+    pipe = load_pipeline(args.run)
     records = _select_records(args.manifest, args.subjects)
     results = {}
     for rec in records:
@@ -260,7 +241,7 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_saliency(args) -> int:
-    pipe = _load_run_for_manifest(args)
+    pipe = load_pipeline(args.run)
     records = _select_records(args.manifest, args.subjects)
     if args.compare is not None:
         pair = _id_list(args.compare, "--compare subject",
@@ -294,7 +275,7 @@ def cmd_saliency(args) -> int:
 
 
 def cmd_report_uniqueness(args) -> int:
-    pipe = _load_run(args.run)
+    pipe = load_pipeline(args.run)
     with named_errors(os.path.join(args.run, "metrics.json")):
         detections = pipe.metrics["detections"]
         positives = pipe.metrics["test_positives"]
@@ -319,7 +300,7 @@ def cmd_report_ablation(args) -> int:
             raise ValueError(f"bad pair {pair!r}; expected without:with")
         accuracies = []
         for run_dir in parts:
-            pipe = _load_run(run_dir)
+            pipe = load_pipeline(run_dir)
             with named_errors(os.path.join(run_dir, "metrics.json")):
                 accuracies.append(100.0 * pipe.metrics["test"]["subject_accuracy"])
         # the label is the with-mask run's, as the pair's last

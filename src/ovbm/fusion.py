@@ -85,7 +85,7 @@ def build_fusion(members: list, seed: int = 0) -> FusionModel:
 
 
 def fuse_from_embeddings(fusion: FusionModel, emb: np.ndarray,
-                         metadata: np.ndarray, want_cache: bool = False):
+                         metadata: np.ndarray):
     """emb: [B, sum(member_dims)], metadata: [B, METADATA_DIM].
     Returns (probs [B, 2], cache)."""
     x = np.concatenate([emb, metadata], axis=1)
@@ -95,9 +95,7 @@ def fuse_from_embeddings(fusion: FusionModel, emb: np.ndarray,
     hidden = nn.relu(nn.linear(x, w["hidden.w"], w["hidden.b"]))
     logits = nn.linear(hidden, w["head.w"], w["head.b"])
     probs = nn.softmax(logits)
-    cache = {"x": x, "hidden": hidden, "logits": logits, "probs": probs} \
-        if want_cache else None
-    return probs, cache
+    return probs, {"x": x, "hidden": hidden, "logits": logits, "probs": probs}
 
 
 def fusion_backward(fusion: FusionModel, cache: dict, targets: np.ndarray,
@@ -170,11 +168,10 @@ def train_fusion(fusion: FusionModel, chunks: Chunks, metadata: np.ndarray,
         if frozen:
             emb = emb_all[batch]
         else:
-            outs = [M.forward_batch(m, x[batch], want_cache=True)
+            outs = [M.forward_batch(m, x[batch])
                     for m, x in zip(members, inputs)]
             emb = np.concatenate([e for e, _ in outs], axis=1)
-        _, fcache = fuse_from_embeddings(fusion, emb, meta[batch],
-                                         want_cache=True)
+        _, fcache = fuse_from_embeddings(fusion, emb, meta[batch])
         loss = nn.cross_entropy(fcache["logits"], labels[batch])
         fgrads, dx = fusion_backward(fusion, fcache, labels[batch],
                                      need_dx=not frozen)
@@ -235,8 +232,6 @@ def load_ensemble(dir_path) -> FusionModel:
     members = []
     for mid, expected in zip(member_ids, digests):
         path = dir_path / f"member_{mid}.ovbm"
-        if not path.exists():
-            raise FileNotFoundError(f"missing member weight file {path}")
         digest = sha256_file(path)
         if digest != expected:
             raise EnsembleDigestMismatch(

@@ -191,19 +191,14 @@ def replace_head(model: BiomarkerModel, num_classes: int) -> BiomarkerModel:
 
 # ------------------------------------------------------------- forward
 
-def forward_batch(model: BiomarkerModel, x: np.ndarray, want_cache: bool = False):
-    """x: [B, H, W] member inputs. Returns (embeddings [B, E], cache);
-    the head is `head_forward`'s."""
+def forward_batch(model: BiomarkerModel, x: np.ndarray):
+    """x: [B, H, W] member inputs. Returns (embeddings [B, E], the
+    activations `backward_from_embedding` reads); the head is
+    `head_forward`'s."""
     w = model.weights
-    a = x[:, None, :, :]
-    cache: dict = {"x": a} if want_cache else None
-
-    stem_out = nn.relu(nn.conv3x3(a, w["stem.w"], w["stem.b"]))
-    if want_cache:
-        cache["stem_relu"] = stem_out
-    a = stem_out
-
-    blocks = []
+    x = x[:, None, :, :]
+    stem = nn.relu(nn.conv3x3(x, w["stem.w"], w["stem.b"]))
+    a, blocks = stem, []
     for b in range(1, model.arch.num_blocks + 1):
         block_in = a
         r1 = nn.relu(nn.conv3x3(block_in, w[f"block{b}.conv1.w"],
@@ -211,17 +206,12 @@ def forward_batch(model: BiomarkerModel, x: np.ndarray, want_cache: bool = False
         z2 = nn.conv3x3(r1, w[f"block{b}.conv2.w"], w[f"block{b}.conv2.b"])
         s = nn.relu(z2 + block_in)
         a = nn.avgpool2(s)
-        if want_cache:
-            blocks.append({"in": block_in, "r1": r1, "s": s})
-    if want_cache:
-        cache["blocks"] = blocks
-        cache["gap_in_shape"] = a.shape
+        blocks.append({"in": block_in, "r1": r1, "s": s})
 
     g = nn.global_avgpool(a)
     emb = _finite(model, nn.linear(g, w["embed.w"], w["embed.b"]))
-    if want_cache:
-        cache["g"] = g
-    return emb, cache
+    return emb, {"x": x, "stem_relu": stem, "blocks": blocks,
+                 "gap_in_shape": a.shape, "g": g}
 
 
 def head_forward(model: BiomarkerModel, emb: np.ndarray) -> tuple:
@@ -391,7 +381,7 @@ def train(model: BiomarkerModel, chunks: Chunks, labels, config: TrainConfig,
         if head_only:
             emb, cache = source[batch], None
         else:
-            emb, cache = forward_batch(model, source[batch], want_cache=True)
+            emb, cache = forward_batch(model, source[batch])
         logits, probs = head_forward(model, emb)
         y = labels[batch]
         d_emb, dw, db = nn.linear_backward(nn.softmax_ce_backward(probs, y),

@@ -25,6 +25,7 @@ import json
 import math
 import multiprocessing
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -120,6 +121,8 @@ class RunConfig:
             if (not isinstance(value, _FIELD_TYPES[f.type])
                     or (f.type != "bool" and isinstance(value, bool))):
                 raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
+            if isinstance(value, int) and abs(value) > sys.float_info.max:
+                raise ValueError(f"{f.name} is too large for a float")
         if not self.manifest:
             raise ValueError("manifest path is required")
         if set(self.label) & set(REPORT_UNSAFE):
@@ -138,12 +141,13 @@ class RunConfig:
         if not 0.0 < self.split_fraction < 1.0:
             raise ValueError("split_fraction must lie in (0, 1)")
         self.parsed_scheme()
+        # the arch first: `trainable_layers` lists every one of its layers
+        self.arch().validate()
         M.trainable_layers(self.strategy, self.arch())
         self.mfcc_params().validate()
         if self.chunk_size < self.window_len:
             raise ValueError(f"chunk_size {self.chunk_size!r} s is shorter than "
                              f"one window (window_len {self.window_len!r} s)")
-        self.arch().validate()
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -284,10 +288,10 @@ def run_training(config: RunConfig) -> TrainedPipeline:
     # recipe, then the fine-tune on the target task (kept for saliency and
     # the pretuned ensemble; their own heads never see joint gradients).
     # A task returns the embeddings it left on `chunks`, as a worker's
-    # copy of `chunks` is not the parent's.
+    # copy of `chunks` is not the parent's (whose cache is empty until
+    # every task is done).
     def member(entry: M.RegistryEntry) -> tuple:
         mid = entry.biomarker_id
-        known = set(chunks.embeddings)
         data = surrogate_dataset(entry, params,
                                  derive_seed(config.seed, "surrogate", mid),
                                  config.surrogate_per_class, config.arch_frames)
@@ -304,8 +308,7 @@ def run_training(config: RunConfig) -> TrainedPipeline:
             config.train_config(config.tune_epochs,
                                 derive_seed(config.seed, "tune", mid)),
             layers)
-        new = {k: e for k, e in chunks.embeddings.items() if k not in known}
-        return pretrained, tuned, new
+        return pretrained, tuned, chunks.embeddings
 
     # the 8-class member pretrains on the most clips, so it starts first
     entries = sorted(M.MEMBERS, key=lambda e: -e.num_classes)
@@ -467,16 +470,13 @@ def save_pipeline(pipe: TrainedPipeline, out_dir: str) -> None:
         M.save_model(os.path.join(models_dir, f"member_tuned_{mid}.ovbm"),
                      pipe.tuned[mid], meta)
     save_ensemble(os.path.join(out_dir, "ensemble_main"), pipe.main, meta)
-    if M.trainable_layers(pipe.config.strategy, pipe.config.arch()) - {"head"}:
+    if pipe.pt is not pipe.main:
         save_ensemble(os.path.join(out_dir, "ensemble_pt"), pipe.pt, meta)
 
 
 def load_pipeline(out_dir: str) -> TrainedPipeline:
     config_path = os.path.join(out_dir, "config.json")
     metrics_path = os.path.join(out_dir, "metrics.json")
-    for path in (config_path, metrics_path):
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"missing run file {path}")
     with named_errors(config_path), open(config_path, encoding="utf-8") as fh:
         config = RunConfig.from_dict(json.load(fh)["config"])
         config.validate()
@@ -487,10 +487,8 @@ def load_pipeline(out_dir: str) -> TrainedPipeline:
 
     tuned: dict = {}
     for mid in M.MEMBER_IDS:
-        path = os.path.join(out_dir, "models", f"member_tuned_{mid}.ovbm")
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"missing weight file {path}")
-        tuned[mid] = M.load_model(path)
+        tuned[mid] = M.load_model(
+            os.path.join(out_dir, "models", f"member_tuned_{mid}.ovbm"))
     # pt is main unless tuning moves a body (an older run's copy is unread)
     bodies = M.trainable_layers(config.strategy, config.arch()) - {"head"}
     ensembles = []
@@ -532,8 +530,4 @@ def diagnose_subject(pipe: TrainedPipeline, record: SubjectRecord,
 
 def subject_saliency(pipe: TrainedPipeline, record: SubjectRecord,
                      clip: Recording) -> SaliencyMap:
-    config = pipe.config
-    return saliency_map(record, clip, pipe.tuned_members, pipe.main, pipe.pt,
-                        config.mfcc_params(), config.arch_frames,
-                        config.chunk_size, config.stride,
-                        config.parsed_scheme(), config.poisson_mask)
+    return saliency_map(record, clip, pipe)

@@ -17,15 +17,10 @@ import numpy as np
 from .aggregation import AggregationScheme, aggregate
 from .audio_io import Recording, SubjectRecord
 from .chunker import chunk_plan, extract_chunks
-from .fusion import (FusionModel, fuse_from_embeddings, metadata_vector,
-                     score_subject)
+from .fusion import fuse_from_embeddings, metadata_vector, score_subject
 from .models import MEMBERS, ROSTER, embed_chunks
 
 SALIENCY_CSV_COLUMNS = "subject_id,family,biomarker_id,score"
-
-
-class MissingBiomarker(ValueError):
-    """A roster member has no backing model in the trained bundle."""
 
 
 class RegistryMismatch(ValueError):
@@ -53,37 +48,32 @@ class SaliencyMap:
                 for e in self.entries]
 
 
-def saliency_map(record: SubjectRecord, clip: Recording, tuned_members: list,
-                 main: FusionModel, pt: FusionModel, params, frames: int,
-                 chunk_size: float, stride: float, scheme: AggregationScheme,
-                 mask: bool) -> SaliencyMap:
-    """Score all 16 roster entries for one subject.
+def saliency_map(record: SubjectRecord, clip: Recording, pipe) -> SaliencyMap:
+    """Score all 16 roster entries for one subject under the trained
+    pipeline `pipe` (`pipeline.TrainedPipeline`).
 
     `fusion.score_subject` scores the run's chunks, as it does a run's
     test subjects: sensory/cognitive scores aggregate each tuned
     member's own head; symbolic scores, the main ensemble under each
-    scheme plus the per-member-pretuned ensemble `pt` under the flat
-    average (`frozen` and `last:0` runs pass `main` as `pt`, so those
-    two agree up to rounding). Chunk-scale scores run the main fusion
-    on each probe plan. `frames` is the members' input frame count;
-    `mask` says whether the run masks its chunk images.
+    scheme plus the per-member-pretuned ensemble `pipe.pt` under the
+    flat average (`frozen` and `last:0` runs hold `main` as `pt`, so
+    those two agree up to rounding). Chunk-scale scores run the main
+    fusion on each probe plan.
     """
+    config, main = pipe.config, pipe.main
     metadata = metadata_vector(record.gender, record.age)
-    tuned_ids = {m.biomarker_id for m in tuned_members}
-    for entry in MEMBERS:
-        if entry.biomarker_id not in tuned_ids:
-            raise MissingBiomarker(entry.biomarker_id)
 
     # Every distinct chunk plan (the run's, then the chunk-scale
     # probes, whose stride is capped so windows keep covering the
     # recording without gaps), all cut from one featurization. Chunks
     # whose crops coincide share one, so each body embeds it once.
-    run_plan = (chunk_size, stride)
-    probes = {e.biomarker_id: (e.chunk_size, min(stride, e.chunk_size))
+    run_plan = (config.chunk_size, config.stride)
+    probes = {e.biomarker_id: (e.chunk_size, min(config.stride, e.chunk_size))
               for e in ROSTER if e.family == "brainos"}
     keys = list(dict.fromkeys([run_plan, *probes.values()]))
     plans = [chunk_plan(clip.duration, size, step) for size, step in keys]
-    flat = extract_chunks(clip, plans, params, mask, frames)
+    flat = extract_chunks(clip, plans, config.mfcc_params(),
+                          config.poisson_mask, config.arch_frames)
 
     # The main bodies embed every plan's crops at once, and the main
     # fusion scores each probe plan on its own rows. The run's chunks,
@@ -96,8 +86,9 @@ def saliency_map(record: SubjectRecord, clip: Recording, tuned_members: list,
                                   np.tile(metadata, (plan.count, 1)))[0]
         for key, plan, end in zip(keys[1:], plans[1:], ends[1:])}
     main_probs[run_plan], pt_probs, own = score_subject(
-        main, pt, tuned_members, flat.head(plans[0].count), metadata)
+        main, pipe.pt, pipe.tuned_members, flat.head(plans[0].count), metadata)
 
+    scheme = config.parsed_scheme()
     entries = []
     for entry in ROSTER:
         if entry in MEMBERS:

@@ -33,11 +33,13 @@ def sha256_file(path) -> str:
 
 @contextmanager
 def named_errors(path):
-    """Reading a decoded file's fields: bad bytes or JSON, a missing key
-    or a field of the wrong type raises a ValueError naming the file."""
+    """Reading a decoded file's fields: bad bytes or JSON (nested too
+    deep to parse included), a missing key or a field of the wrong type
+    raises a ValueError naming the file."""
     try:
         yield
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError,
+            RecursionError) as exc:
         raise ValueError(f"{path}: malformed file: {exc!r}") from None
 
 

@@ -171,9 +171,9 @@ def count_forward_images(monkeypatch) -> list:
     images = []
     forward_batch = models.forward_batch
 
-    def counting(model, x, want_cache=False):
+    def counting(model, x):
         images.append(x.shape[0])
-        return forward_batch(model, x, want_cache)
+        return forward_batch(model, x)
 
     monkeypatch.setattr(models, "forward_batch", counting)
     return images
@@ -183,7 +183,7 @@ def member_loss_and_grads(model, x, targets, needed):
     """A member's mean cross-entropy over images x [B, H, W] and the
     gradients of the head and of the other layers in `needed`, through
     the calls each step of `models.train` makes."""
-    emb, cache = models.forward_batch(model, x, want_cache=True)
+    emb, cache = models.forward_batch(model, x)
     logits, probs = models.head_forward(model, emb)
     rest = set(needed) - {"head"}
     d_emb, dw, db = nn.linear_backward(nn.softmax_ce_backward(probs, targets),

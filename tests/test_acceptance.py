@@ -206,11 +206,10 @@ def test_criterion_04_gradients_match_finite_differences():
     y = np.array([0, 1, 1])
 
     def fusion_loss():
-        probs, cache = fuse_from_embeddings(fusion, emb, meta,
-                                            want_cache=True)
+        probs, cache = fuse_from_embeddings(fusion, emb, meta)
         return nn.cross_entropy(cache["logits"], y)
 
-    _, cache = fuse_from_embeddings(fusion, emb, meta, want_cache=True)
+    _, cache = fuse_from_embeddings(fusion, emb, meta)
     fgrads, demb = fusion_backward(fusion, cache, y)
     fd_check(fusion_loss, [fusion.weights[k] for k in fgrads],
              [fgrads[k] for k in fgrads])

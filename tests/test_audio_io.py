@@ -88,6 +88,17 @@ class TestWavRoundTrip:
 
 
 class TestWavParsing:
+    def test_streaming_data_size(self, tmp_path):
+        # a stream writer that never learns the length leaves 0xFFFFFFFF
+        # as the data size: refused, as the file holds less than that
+        raw = bytearray(_wav_bytes(np.zeros(8, "<i2").tobytes()))
+        raw[40:44] = struct.pack("<I", 0xFFFFFFFF)
+        path = tmp_path / "stream.wav"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(MalformedContainer,
+                           match=r"truncated b'data' chunk"):
+            WavRecording(path)
+
     def test_stereo_averages_channels(self, tmp_path):
         left = np.array([1000, -2000, 3000], dtype="<i2")
         right = np.array([3000, 2000, -1000], dtype="<i2")
@@ -442,6 +453,15 @@ class TestManifest:
     def test_header_without_subject_rows(self, tmp_path):
         path = _write_manifest(tmp_path, [])
         with pytest.raises(ManifestError, match=r"m\.csv: no subject rows"):
+            parse_manifest(path)
+
+    def test_field_over_the_csv_limit(self, tmp_path):
+        # the csv module refuses a field over 131,072 characters with
+        # its own error type, which is no ValueError
+        path = _write_manifest(tmp_path, ["s1,a.wav,AD,F,70",
+                                          f"s2,{'b' * 140_000}.wav,AD,F,70"])
+        with pytest.raises(ManifestError,
+                           match=r"m\.csv:3: field larger than field limit"):
             parse_manifest(path)
 
 

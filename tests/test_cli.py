@@ -145,6 +145,18 @@ class TestTrain:
         assert code == 2
         assert "unknown config keys" in stderr
 
+    def test_deeply_nested_config(self, tmp_path, corpus_dir, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text("[" * 200_000)
+        code, stdout, stderr = run_cli(
+            capsys, "train", "--config", str(config_path),
+            "--manifest", os.path.join(corpus_dir, "manifest.csv"),
+            "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert f"{config_path}: malformed file" in stderr
+        assert stdout == ""
+        assert not os.path.exists(tmp_path / "r")
+
     def test_manifest_required(self, tmp_path, capsys):
         code, _, stderr = run_cli(capsys, "train", "--out", str(tmp_path / "r"))
         assert code == 2
@@ -515,16 +527,48 @@ class TestEval:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["eval"], ["diagnose"], ["saliency", "--subjects", "all"], ["train"]],
+        ids=lambda argv: argv[0])
+    def test_manifest_field_over_the_csv_limit(self, command, micro_run_dir,
+                                               tmp_path, capsys):
+        manifest = tmp_path / "long.csv"
+        manifest.write_text("subject_id,wav_path,label,gender,age\n"
+                            f"s0,{'a' * 140_000}.wav,1,F,70\n")
+        out = tmp_path / "out"
+        run = [] if command[0] == "train" else ["--run", micro_run_dir]
+        code, stdout, stderr = run_cli(capsys, *command, *run, "--manifest",
+                                       str(manifest), "--out", str(out))
+        assert code == 2
+        assert f"{manifest}:2: field larger than field limit" in stderr
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_deeply_nested_metrics(self, micro_run_dir, corpus_dir, tmp_path,
+                                   capsys):
+        # JSON nested past Python's recursion limit fails to parse
+        broken = str(tmp_path / "broken")
+        shutil.copytree(micro_run_dir, broken)
+        victim = os.path.join(broken, "metrics.json")
+        Path(victim).write_text("[" * 200_000)
+        code, stdout, stderr = run_cli(
+            capsys, "eval", "--run", broken,
+            "--manifest", os.path.join(corpus_dir, "manifest.csv"))
+        assert code == 2
+        assert f"{victim}: malformed file" in stderr
+        assert stdout == ""
+
 
 class TestDiagnose:
     @pytest.mark.parametrize("damage", ["nan_where_no_crop_reads",
-                                        "truncated_data"])
+                                        "truncated_data", "streaming_size"])
     def test_recording_validated_whole(self, micro_run_dir, corpus_dir,
                                        tmp_path, capsys, damage):
         # A 6 s float recording, 2 s chunks: each window's 64-frame crop
         # starts 67 frames in, so no crop reads sample 5 (the logged
         # reads of the intact recording show it). Opening the file still
-        # finds a NaN there, or a data chunk cut short.
+        # finds a NaN there, a data chunk cut short, or one whose size is
+        # a stream writer's 0xFFFFFFFF placeholder.
         corpus = str(tmp_path / "corpus")
         shutil.copytree(corpus_dir, corpus)
         manifest = os.path.join(corpus, "manifest.csv")
@@ -538,6 +582,9 @@ class TestDiagnose:
         data = bytearray(Path(victim).read_bytes())
         if damage == "truncated_data":
             data = data[:-6]
+            error = MalformedContainer
+        elif damage == "streaming_size":
+            data[40:44] = struct.pack("<I", 0xFFFFFFFF)
             error = MalformedContainer
         else:
             data[44 + 4 * 5:44 + 4 * 6] = np.float32(np.nan).tobytes()

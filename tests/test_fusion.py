@@ -174,7 +174,7 @@ class TestFusionBackward:
             probs, _ = fuse_from_embeddings(fusion, emb, meta)
             return -float(np.mean(np.log(probs[np.arange(4), y])))
 
-        _, cache = fuse_from_embeddings(fusion, emb, meta, want_cache=True)
+        _, cache = fuse_from_embeddings(fusion, emb, meta)
         grads, dx = fusion_backward(fusion, cache, y)
         h = 1e-6
         worst = 0.0
@@ -207,8 +207,7 @@ class TestFusionBackward:
         fusion = build_fusion(make_members(), seed=3)
         rng = np.random.default_rng(5)
         _, cache = fuse_from_embeddings(fusion, rng.normal(size=(6, 8)),
-                                        rng.normal(size=(6, 3)),
-                                        want_cache=True)
+                                        rng.normal(size=(6, 3)))
         y = np.array([0, 1, 1, 0, 1, 0])
         grads, dx = fusion_backward(fusion, cache, y)
         bare, none = fusion_backward(fusion, cache, y, need_dx=False)

@@ -41,6 +41,7 @@ from ovbm.models import (
     layer_names,
     load_model,
     member_inputs,
+    read_weight_file,
     replace_head,
     save_model,
     stratified_split,
@@ -103,9 +104,8 @@ class TestInit:
 class TestForward:
     def test_shapes_and_prob_rows(self):
         model = init_cnn(MICRO_ARCH, 3, seed=1)
-        emb, cache = forward_batch(model, np.stack(random_images(5)))
+        emb, _ = forward_batch(model, np.stack(random_images(5)))
         probs = head_forward(model, emb)[1]
-        assert cache is None
         assert emb.shape == (5, 4)
         assert probs.shape == (5, 3)
         np.testing.assert_allclose(probs.sum(axis=1), np.ones(5), atol=1e-12)
@@ -437,6 +437,14 @@ class TestWeightFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_model(tmp_path / "nope.ovbm")
+
+    def test_deeply_nested_descriptor(self, tmp_path):
+        # JSON nested past Python's recursion limit fails to parse
+        path = tmp_path / "m.ovbm"
+        save_model(path, init_cnn(MICRO_ARCH, 2, seed=0))
+        replace_descriptor(path, lambda d: b"[" * 200_000)
+        with pytest.raises(ValueError, match="m.ovbm: malformed file"):
+            read_weight_file(path)
 
     @pytest.mark.parametrize("case", sorted(BAD_MODEL_DESCRIPTORS))
     def test_malformed_descriptor(self, case, tmp_path):

@@ -88,6 +88,11 @@ class TestRunConfig:
         {"manifest": 5},
         {"label": None},
         {"strategy": 1},
+        {"chunk_size": 2**1024},     # JSON integers past any float
+        {"learning_rate": 10**400},
+        {"window_len": -10**400},
+        {"sample_rate": 2**1024},
+        {"num_blocks": 10**12},      # refused before its layers are listed
     ])
     def test_rejects(self, overrides):
         config = RunConfig(**{"manifest": "m.csv", **overrides})
@@ -589,10 +594,10 @@ class TestEmbeddingMemo:
         images, inside = [], []
         forward_batch = M.forward_batch
 
-        def counting(model, x, want_cache=False):
+        def counting(model, x):
             if inside:
                 images.append(x.shape[0])
-            return forward_batch(model, x, want_cache)
+            return forward_batch(model, x)
 
         def traced(fn, counted):
             def call(*args):

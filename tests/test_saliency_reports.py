@@ -10,7 +10,6 @@ from ovbm.audio_io import parse_manifest
 from ovbm.pipeline import load_clip, subject_saliency
 from ovbm.saliency import (
     SALIENCY_CSV_COLUMNS,
-    MissingBiomarker,
     RegistryMismatch,
     SaliencyEntry,
     SaliencyMap,
@@ -21,7 +20,6 @@ from ovbm.saliency import (
     comparison_csv,
     saliency_csv,
     saliency_json,
-    saliency_map,
     saliency_svg,
     uniqueness_csv,
     uniqueness_json,
@@ -227,12 +225,3 @@ class TestSaliencyMap:
         again = subject_saliency(pipe, record, clip)
         assert [(e.biomarker_id, e.score) for e in again.entries] == \
             [(e.biomarker_id, e.score) for e in smap.entries]
-
-    def test_missing_member_raises(self, subject_map):
-        pipe, record, clip, _ = subject_map
-        config = pipe.config
-        with pytest.raises(MissingBiomarker):
-            saliency_map(record, clip, pipe.tuned_members[:-1],
-                         pipe.main, pipe.pt, config.mfcc_params(), config.arch_frames,
-                         config.chunk_size, config.stride,
-                         config.parsed_scheme(), config.poisson_mask)
