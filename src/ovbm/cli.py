@@ -10,7 +10,8 @@
     ovbm report ablation --pairs runs/nomask:runs/mask --out reports/
 
 Exit codes: 0 ok, 2 bad inputs or config, 3 missing/unreadable files,
-4 a training worker process died (`ovbm train`; no run is written).
+4 a worker process died (`ovbm train`, `eval`, `diagnose`, `saliency`;
+nothing is written).
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .pipeline import (
     RunConfig,
     diagnose_subject,
     evaluate_manifest,
-    load_clip,
     load_pipeline,
+    map_subjects,
     run_training,
     save_pipeline,
     subject_saliency,
@@ -228,9 +229,8 @@ def cmd_diagnose(args) -> int:
     pipe = load_pipeline(args.run)
     records = _select_records(args.manifest, args.subjects)
     results = {}
-    for rec in records:
-        clip = load_clip(args.manifest, rec, pipe.config.sample_rate)
-        d = diagnose_subject(pipe, rec, clip)
+    for rec, d in zip(records, map_subjects(diagnose_subject, pipe,
+                                            args.manifest, records)):
         results[rec.subject_id] = asdict(d)
         print(f"{rec.subject_id}: P(positive)={d.probability:.4f} -> {d.label}")
     if args.out:
@@ -248,18 +248,14 @@ def cmd_saliency(args) -> int:
                         {r.subject_id for r in records}, "--subjects")
         if len(pair) != 2:
             raise ValueError("--compare takes exactly two subject ids")
+    ordered = map_subjects(subject_saliency, pipe, args.manifest, records)
     os.makedirs(args.out, exist_ok=True)
-    maps = {}
-    for rec in records:
-        clip = load_clip(args.manifest, rec, pipe.config.sample_rate)
-        maps[rec.subject_id] = subject_saliency(pipe, rec, clip)
-        families = sorted({e.family for e in maps[rec.subject_id].entries})
-        means = " ".join(
-            f"{fam}={maps[rec.subject_id].family_mean(fam):.3f}"
-            for fam in families)
+    for rec, smap in zip(records, ordered):
+        families = sorted({e.family for e in smap.entries})
+        means = " ".join(f"{fam}={smap.family_mean(fam):.3f}"
+                         for fam in families)
         print(f"{rec.subject_id}: {means}")
 
-    ordered = [maps[r.subject_id] for r in records]
     atomic_write_text(os.path.join(args.out, "saliency.csv"),
                       saliency_csv(ordered))
     atomic_write_text(os.path.join(args.out, "saliency.json"),
@@ -267,6 +263,7 @@ def cmd_saliency(args) -> int:
     atomic_write_text(os.path.join(args.out, "saliency.svg"),
                       saliency_svg(ordered))
     if args.compare is not None:
+        maps = {r.subject_id: smap for r, smap in zip(records, ordered)}
         cmp = compare_maps(maps[pair[0]], maps[pair[1]])
         atomic_write_text(os.path.join(args.out, "comparison.csv"),
                           comparison_csv(cmp))

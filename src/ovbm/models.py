@@ -9,9 +9,12 @@ hand in numpy so gradients can be checked against finite differences.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -479,6 +482,33 @@ def _body_key(member: BiomarkerModel) -> tuple:
                   if not name.startswith("head.")))
 
 
+# A call that embeds at least this many distinct crops runs its bodies
+# on threads, one per CPU. Measured on a trained run's 8 members (2 CPUs,
+# one BLAS thread, 30 alternations): two threads beat one in 29 of 30
+# calls of 24 crops (1.21-1.23x), 25 of 30 of 16 and 19 of 30 of 8, and
+# lost all 10 of 4 crops; the serial scoring after a threaded call of
+# 24 was no slower. Pools on every small call slowed that later serial
+# work (glibc's per-thread malloc arenas).
+THREADED_CROPS = 24
+_threaded_bodies = True  # False in a `_map` worker, one of one per CPU
+
+
+def serial_bodies() -> None:
+    """Run every `embed_chunks` call's bodies on this thread from now on,
+    in a process that has one CPU's share of the machine."""
+    global _threaded_bodies
+    _threaded_bodies = False
+
+
+def _embed(member: BiomarkerModel, chunks: Chunks) -> np.ndarray:
+    """One body's embeddings [K, E] of the chunks' distinct crops, in
+    batches of EVAL_BATCH."""
+    x = member_inputs(member, chunks)
+    return np.concatenate([np.zeros((0, member.arch.embedding_dim))]
+                          + [forward_batch(member, x[i:i + EVAL_BATCH])[0]
+                             for i in range(0, len(x), EVAL_BATCH)])
+
+
 def embed_chunks(members: list, chunks: Chunks) -> list:
     """Each member's embeddings [N, E] of chunks.
 
@@ -488,19 +518,24 @@ def embed_chunks(members: list, chunks: Chunks) -> list:
     body, so calls on the same Chunks (or on its `head`s) run each
     distinct body once: under the `frozen` strategy the tune step, the
     fusion training and the run's training-subject scores share the
-    pretrained bodies' embeddings."""
-    embs = []
+    pretrained bodies' embeddings. Two or more bodies still to run over
+    THREADED_CROPS or more crops run on threads, one per CPU (none after
+    `serial_bodies`), that end with the call; each computes the same
+    rows as on this thread, in the caller's NumPy error state."""
     k = len(chunks.crops)
-    for m in members:
-        key = _body_key(m)
-        if len(chunks.embeddings.get(key, ())) < k:
-            x = member_inputs(m, chunks)
-            chunks.embeddings[key] = np.concatenate(
-                [np.zeros((0, m.arch.embedding_dim))]
-                + [forward_batch(m, x[i:i + EVAL_BATCH])[0]
-                   for i in range(0, k, EVAL_BATCH)])
-        embs.append(chunks.expand(chunks.embeddings[key][:k]))
-    return embs
+    keys = [_body_key(m) for m in members]
+    todo = {key: m for key, m in zip(keys, members)
+            if len(chunks.embeddings.get(key, ())) < k}
+    threads = min(len(todo), len(os.sched_getaffinity(0)))
+    if threads > 1 and k >= THREADED_CROPS and _threaded_bodies:
+        with ThreadPoolExecutor(threads) as pool:
+            done = [pool.submit(contextvars.copy_context().run, _embed, m,
+                                chunks) for m in todo.values()]
+            embedded = [task.result() for task in done]
+    else:
+        embedded = [_embed(m, chunks) for m in todo.values()]
+    chunks.embeddings.update(zip(todo, embedded))
+    return [chunks.expand(chunks.embeddings[key][:k]) for key in keys]
 
 
 # ---------------------------------------------------------- weight IO

@@ -337,16 +337,18 @@ def run_training(config: RunConfig) -> TrainedPipeline:
     return pipe
 
 
-# ------------------------------------------------------- member workers
+# ------------------------------------------- member and subject workers
 
 def _map(fn, items: list) -> list:
     """`[fn(item) for item in items]`, in order, over a `fork` pool of
     one worker per CPU this process may run on (at most one per item),
     each handed the next item as it comes free; with one worker, in this
-    process. Workers inherit `fn` and `items` unpickled; results come
-    back pickled, and an item's exception once the items before it and
-    any running item finish. A dead worker raises `BrokenProcessPool`
-    at once. Items not started are dropped, and workers joined."""
+    process. Training runs one task per member through it, and the
+    screens one task per subject. Workers inherit `fn` and `items`
+    unpickled; results come back pickled, and an item's exception once
+    the items before it and any running item finish. A dead worker
+    raises `BrokenProcessPool` at once. Items not started are dropped,
+    and workers joined."""
     workers = min(len(items), len(os.sched_getaffinity(0)))
     if workers <= 1:
         return list(map(fn, items))
@@ -363,9 +365,12 @@ _worker_task: tuple = ()  # (fn, items), set in a `_map` worker only
 
 
 def _start_worker(fn, items: list) -> None:
+    """A worker is one of as many as CPUs: BLAS and the member bodies
+    run on its one thread."""
     global _worker_task
     _worker_task = (fn, items)
     _one_blas_thread()
+    M.serial_bodies()
 
 
 def _run_item(i: int):
@@ -508,17 +513,22 @@ def evaluate_manifest(pipe: TrainedPipeline, manifest_path: str) -> dict:
     """Subject accuracy of the saved main ensemble on a manifest."""
     config = pipe.config
     records = parse_manifest(manifest_path)
-    diagnoses = [
-        diagnose_subject(pipe, rec,
-                         load_clip(manifest_path, rec, config.sample_rate))
-        for rec in records
-    ]
+    diagnoses = map_subjects(diagnose_subject, pipe, manifest_path, records)
     out = _subject_metrics(diagnoses, records, config.threshold)
     out["subjects"] = {
         d.subject_id: {"probability": d.probability, "label": d.label}
         for d in diagnoses
     }
     return out
+
+
+def map_subjects(score, pipe: TrainedPipeline, manifest_path: str,
+                 records: list) -> list:
+    """`score(pipe, record, clip)` of each manifest record, in order, one
+    task per subject through `_map`."""
+    rate = pipe.config.sample_rate
+    return _map(lambda rec: score(pipe, rec, load_clip(manifest_path, rec, rate)),
+                records)
 
 
 def diagnose_subject(pipe: TrainedPipeline, record: SubjectRecord,

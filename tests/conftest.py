@@ -179,6 +179,19 @@ def count_forward_images(monkeypatch) -> list:
     return images
 
 
+def overflowing_member(config, biomarker_id):
+    """A member whose finite weights, exact in float32, overflow its
+    forward pass to inf and nan; three blocks, since the run's two would
+    still end finite at 3e38."""
+    arch = CnnArch((config.arch_frames, config.num_cepstra),
+                   config.stem_channels, 3, config.embedding_dim)
+    member = models.init_cnn(arch, 2, seed=0, biomarker_id=biomarker_id)
+    for name, w in member.weights.items():
+        if not name.startswith("head."):
+            w[...] = 3e38
+    return member
+
+
 def member_loss_and_grads(model, x, targets, needed):
     """A member's mean cross-entropy over images x [B, H, W] and the
     gradients of the head and of the other layers in `needed`, through

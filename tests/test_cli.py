@@ -16,6 +16,7 @@ from conftest import (
     BAD_MODEL_TENSORS,
     ReadLog,
     micro_run_config,
+    overflowing_member,
     record_boundaries,
     replace_descriptor,
     replace_tensors,
@@ -24,7 +25,7 @@ import ovbm.pipeline as P
 from ovbm.audio_io import (AudioClip, MalformedContainer, NonFiniteAudio,
                            parse_manifest, write_wav)
 from ovbm.cli import _build_parser, _config_from_args, main
-from ovbm.models import CnnArch, NTooLarge, init_cnn, save_model
+from ovbm.models import NTooLarge, save_model
 from ovbm.pipeline import (RunConfig, load_pipeline, resolve_wav_path,
                            save_pipeline)
 
@@ -33,19 +34,6 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def overflowing_member(config, biomarker_id):
-    """A member whose finite weights, exact in float32, overflow its
-    forward pass to inf and nan; three blocks, since the run's two would
-    still end finite at 3e38."""
-    arch = CnnArch((config.arch_frames, config.num_cepstra),
-                   config.stem_channels, 3, config.embedding_dim)
-    member = init_cnn(arch, 2, seed=0, biomarker_id=biomarker_id)
-    for name, w in member.weights.items():
-        if not name.startswith("head."):
-            w[...] = 3e38
-    return member
 
 
 def cut_copy(run_dir: str, tmp_path, *rel) -> tuple:

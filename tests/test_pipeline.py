@@ -10,6 +10,8 @@ import multiprocessing
 import os
 import shutil
 import signal
+import threading
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -20,8 +22,9 @@ import ovbm.models as M
 import ovbm.pipeline as P
 import ovbm.saliency as S
 from ovbm import nn
-from conftest import count_forward_images, micro_run_config, tree_bytes
-from ovbm.audio_io import AudioClip, parse_manifest
+from conftest import (MICRO_ARCH, count_forward_images, micro_run_config,
+                      overflowing_member, random_images, tree_bytes)
+from ovbm.audio_io import AudioClip, parse_manifest, write_wav
 from ovbm.chunker import Chunks, chunk_plan, extract_chunks
 from ovbm.cli import main
 from ovbm.pipeline import (
@@ -503,6 +506,19 @@ def _distinct_images(pipe, clip) -> tuple:
     return distinct(images), distinct(images[:plans[0].count])
 
 
+def _long_clip(pipe, first: int = 0) -> AudioClip:
+    """The corpus recordings end to end from the `first`-th on, wrapping
+    round, until they last 30 s or more."""
+    config = pipe.config
+    records = parse_manifest(config.manifest)
+    parts = []
+    while sum(p.size for p in parts) < 30 * config.sample_rate:
+        rec = records[(first + len(parts)) % len(records)]
+        part = load_clip(config.manifest, rec, config.sample_rate)
+        parts.append(part.read(0, part.num_samples))
+    return AudioClip(np.concatenate(parts), config.sample_rate)
+
+
 class TestEmbeddingMemo:
     """Scoring calls on the same Chunks, which keep their embeddings by
     member body, run each distinct member body once per chunk, and give
@@ -565,15 +581,8 @@ class TestEmbeddingMemo:
         # those of the 8 s and 20 s ones: each is embedded once, by each
         # of the 8 member bodies the three ensembles share.
         pipe = micro_pipeline
-        config = pipe.config
-        records = parse_manifest(config.manifest)
-        parts = []
-        while sum(p.size for p in parts) < 30 * config.sample_rate:
-            rec = records[len(parts)]
-            part = load_clip(config.manifest, rec, config.sample_rate)
-            parts.append(part.read(0, part.num_samples))
-        clip = AudioClip(np.concatenate(parts), config.sample_rate)
-        rec = records[0]
+        clip = _long_clip(pipe)
+        rec = parse_manifest(pipe.config.manifest)[0]
         d = diagnose_subject(pipe, rec, clip)
         images = count_forward_images(monkeypatch)
         smap = subject_saliency(pipe, rec, clip)
@@ -792,3 +801,224 @@ class TestMemberWorkers:
         _two_workers(monkeypatch)
         assert P._map(lambda _: threads(), [0, 1]) == [1, 1]
         assert multiprocessing.active_children() == []
+
+
+def _cpus(patch, n: int) -> None:
+    patch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _forward_threads(patch) -> set:
+    """Patch `M.forward_batch` to record the threads it runs on, and
+    return the set they go to."""
+    threads = set()
+    forward_batch = M.forward_batch
+
+    def recording(model, x):
+        threads.add(threading.get_ident())
+        return forward_batch(model, x)
+
+    patch.setattr(M, "forward_batch", recording)
+    return threads
+
+
+def _process_log(patch, root) -> list:
+    """Patch `P.load_clip` to log the process each recording is opened
+    in, as a file named after it under `root`; returns a reader of the
+    logged process ids."""
+    root.mkdir()
+    load_clip = P.load_clip
+
+    def logging(*args):
+        (root / str(os.getpid())).touch()
+        return load_clip(*args)
+
+    patch.setattr(P, "load_clip", logging)
+    return lambda: sorted(int(name) for name in os.listdir(root))
+
+
+@pytest.fixture(scope="module")
+def long_manifest(micro_pipeline, tmp_path_factory) -> str:
+    """Three float32 recordings of 30 s or more, made of the corpus
+    recordings from different starts: one negative subject, two
+    positive."""
+    root = tmp_path_factory.mktemp("long")
+    rows = ["subject_id,wav_path,label,gender,age"]
+    for i, label in enumerate((0, 1, 1)):
+        write_wav(str(root / f"long{i}.wav"), _long_clip(micro_pipeline, 3 * i),
+                  encoding="float32")
+        rows.append(f"long{i},long{i}.wav,{label},F,70")
+    (root / "manifest.csv").write_text("\n".join(rows) + "\n")
+    return str(root / "manifest.csv")
+
+
+class TestBodyThreads:
+    """A call with two or more member bodies to run over THREADED_CROPS
+    or more distinct crops runs them on threads, one per CPU, that end
+    with the call; every row is the bits the caller's thread computes.
+    The micro corpus's 30 s recordings embed about 15 (diagnosis) and 30
+    (saliency map) crops a call, so these tests lower the cut-off to 8."""
+
+    def test_threads_change_no_bit(self, monkeypatch):
+        members = [M.init_cnn(MICRO_ARCH, 2, seed=i, biomarker_id=mid)
+                   for i, mid in enumerate(M.MEMBER_IDS)]
+        x = np.stack(random_images(M.THREADED_CROPS + 3, seed=4))
+        embs, keys, ran = {}, {}, {}
+        for cpus in (1, 2):
+            with monkeypatch.context() as patch:
+                _cpus(patch, cpus)
+                ran[cpus] = _forward_threads(patch)
+                chunks = Chunks(x, False)
+                before = threading.active_count()
+                embs[cpus] = M.embed_chunks(members, chunks)
+                assert threading.active_count() == before
+                keys[cpus] = list(chunks.embeddings)
+                # one crop short of the cut-off: on this thread only
+                ran[cpus, "short"] = _forward_threads(patch)
+                M.embed_chunks(members, Chunks(x[:M.THREADED_CROPS - 1], False))
+        me = {threading.get_ident()}
+        assert ran[1] == ran[1, "short"] == ran[2, "short"] == me
+        assert len(ran[2] - me) == 2
+        assert keys[1] == keys[2] == [M._body_key(m) for m in members]
+        for serial, threaded in zip(embs[1], embs[2]):
+            np.testing.assert_array_equal(serial, threaded)
+
+    def test_long_recording_scores(self, micro_pipeline, monkeypatch):
+        pipe = micro_pipeline
+        rec = parse_manifest(pipe.config.manifest)[0]
+        clip = _long_clip(pipe)
+        every, _ = _distinct_images(pipe, clip)
+        monkeypatch.setattr(M, "THREADED_CROPS", 8)
+        out = {}
+        for cpus in (1, 2):
+            with monkeypatch.context() as patch:
+                _cpus(patch, cpus)
+                ran = _forward_threads(patch)
+                d = diagnose_subject(pipe, rec, clip)
+                images = count_forward_images(patch)
+                smap = subject_saliency(pipe, rec, clip)
+                assert sum(images) == 8 * every
+                assert len(ran) == cpus
+                out[cpus] = (d, smap.to_rows())
+        assert out[1] == out[2]
+
+    def test_overflowing_member(self, micro_run_dir, long_manifest,
+                                tmp_path, capsys, monkeypatch):
+        # Each task runs in a copy of the caller's context, so NumPy's
+        # error state (per thread) is the caller's: the overflow warns
+        # nowhere, as on the caller's thread, and the member is named.
+        pipe = load_pipeline(micro_run_dir)
+        i = pipe.main.member_ids.index("cough_origin")
+        pipe.main.members[i] = overflowing_member(pipe.config, "cough_origin")
+        broken = str(tmp_path / "broken")
+        save_pipeline(pipe, broken)
+        rec = parse_manifest(long_manifest)[0]
+        monkeypatch.setattr(M, "THREADED_CROPS", 8)
+        _two_workers(monkeypatch)
+        ran = _forward_threads(monkeypatch)
+        with warnings.catch_warnings(), \
+                np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("error")
+            with pytest.raises(M.NonFiniteActivation, match="'cough_origin'"):
+                diagnose_subject(pipe, rec, P.load_clip(
+                    long_manifest, rec, pipe.config.sample_rate))
+            assert len(ran - {threading.get_ident()}) == 2
+            # one subject scores here, on threads; three, in workers
+            for subjects in (["--subjects", rec.subject_id], []):
+                code = main(["diagnose", "--run", broken, "--manifest",
+                             long_manifest, *subjects])
+                captured = capsys.readouterr()
+                assert code == 2
+                assert "cough_origin" in captured.err
+                assert "non-finite" in captured.err
+                assert captured.out == ""
+        assert multiprocessing.active_children() == []
+
+    def test_no_threads_in_subject_workers(self, micro_pipeline,
+                                           long_manifest, tmp_path,
+                                           monkeypatch):
+        monkeypatch.setattr(M, "THREADED_CROPS", 8)
+        parent = os.getpid()
+        pool = M.ThreadPoolExecutor
+
+        def parent_only(*args):
+            if os.getpid() != parent:
+                raise AssertionError("a thread pool started in a worker")
+            return pool(*args)
+
+        monkeypatch.setattr(M, "ThreadPoolExecutor", parent_only)
+        logged = _process_log(monkeypatch, tmp_path / "pids")
+        _cpus(monkeypatch, 1)
+        serial = evaluate_manifest(micro_pipeline, long_manifest)
+        assert logged() == [parent]
+        _two_workers(monkeypatch)
+        assert evaluate_manifest(micro_pipeline, long_manifest) == serial
+        assert len(logged()) > 1
+        assert multiprocessing.active_children() == []
+
+
+class TestSubjectWorkers:
+    """`ovbm eval`, `diagnose` and `saliency` score one subject per task
+    through `pipeline._map`, and print and write in manifest order."""
+
+    def test_worker_count_changes_no_byte(self, micro_run_dir, corpus_dir,
+                                          tmp_path, capsys, monkeypatch):
+        manifest = os.path.join(corpus_dir, "manifest.csv")
+        out = tmp_path / "out"
+        commands = [
+            ["eval", "--out", str(out / "eval.json")],
+            ["diagnose", "--out", str(out / "diagnose.json")],
+            ["saliency", "--subjects", "all", "--compare", "s000,s001",
+             "--out", str(out / "saliency")]]
+        results = {}
+        for cpus in (1, 2):
+            with monkeypatch.context() as patch:
+                _cpus(patch, cpus)
+                logged = _process_log(patch, tmp_path / f"pids{cpus}")
+                stdout = []
+                for command, *flags in commands:
+                    assert main([command, "--run", micro_run_dir,
+                                 "--manifest", manifest, *flags]) == 0
+                    stdout.append(capsys.readouterr().out)
+                results[cpus] = stdout, tree_bytes(out)
+                shutil.rmtree(out)
+                assert (os.getpid() in logged()) == (cpus == 1)
+                assert multiprocessing.active_children() == []
+        assert len(results[1][1]) == 6
+        assert results[2] == results[1]
+
+    @pytest.mark.parametrize("command", [
+        ["eval", "--out"], ["diagnose", "--out"],
+        ["saliency", "--subjects", "all", "--out"]], ids=lambda c: c[0])
+    def test_killed_worker_is_a_named_failure(self, command, micro_run_dir,
+                                              corpus_dir, tmp_path, capsys,
+                                              monkeypatch):
+        # The first subject's task runs; every other task SIGKILLs its
+        # worker. The test process itself is never killed.
+        manifest = os.path.join(corpus_dir, "manifest.csv")
+        first = parse_manifest(manifest)[0]
+        load_clip = P.load_clip
+        parent = os.getpid()
+
+        def killing(path, record, rate):
+            if record != first and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return load_clip(path, record, rate)
+
+        _two_workers(monkeypatch)
+        monkeypatch.setattr(P, "load_clip", killing)
+        out = tmp_path / "out"
+        with _deadline(15.0):
+            code = main([command[0], "--run", micro_run_dir, "--manifest",
+                         manifest, *command[1:], str(out)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert "worker process died" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_workers_run_bodies_serially(self, monkeypatch):
+        # a worker is one of one per CPU; this process is not
+        _two_workers(monkeypatch)
+        assert P._map(lambda _: M._threaded_bodies, [0, 1]) == [False, False]
+        assert M._threaded_bodies
