@@ -156,24 +156,28 @@ def _config_from_args(args) -> RunConfig:
             data = json.load(fh)
             if not isinstance(data, dict):
                 raise ValueError("config file must hold a JSON object")
-    config = RunConfig.from_dict(dict(data, **flags))
-    if not config.manifest:
-        raise ValueError("a manifest is required (--manifest or config file)")
-    return config
+    return RunConfig.from_dict(dict(data, **flags))
+
+
+def _check_out(out: str, is_file: bool = False) -> None:
+    """Outputs are written only after the work: refuse now an --out that
+    is, or lies under, something other than a directory, or that is a
+    directory where a file goes (`is_file`)."""
+    path = os.path.abspath(out)
+    if is_file and os.path.isdir(path):
+        raise IsADirectoryError(f"--out {out} is a directory")
+    found = os.path.dirname(path) if is_file else path
+    while not os.path.exists(found):
+        found = os.path.dirname(found)
+    if not os.path.isdir(found):
+        under = "" if found == path else f" is under {found}, which"
+        raise NotADirectoryError(f"--out {out}{under} is not a directory")
 
 
 def cmd_train(args) -> int:
     config = _config_from_args(args)
     config.validate()
-    # the run is saved only after training: refuse an --out that is, or
-    # lies under, something other than a directory now
-    found = os.path.abspath(args.out)
-    while not os.path.exists(found):
-        found = os.path.dirname(found)
-    if not os.path.isdir(found):
-        under = ("" if found == os.path.abspath(args.out)
-                 else f" is under {found}, which")
-        raise NotADirectoryError(f"--out {args.out}{under} is not a directory")
+    _check_out(args.out)
     pipe = run_training(config)
     save_pipeline(pipe, args.out)
     m = pipe.metrics
@@ -191,6 +195,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     pipe = load_pipeline(args.run)
+    if args.out:
+        _check_out(args.out, is_file=True)
     result = evaluate_manifest(pipe, args.manifest)
     print(f"subjects={result['num_subjects']} "
           f"subject_accuracy={result['subject_accuracy']:.3f} "
@@ -227,6 +233,8 @@ def _select_records(manifest_path: str, spec: str | None) -> list:
 
 def cmd_diagnose(args) -> int:
     pipe = load_pipeline(args.run)
+    if args.out:
+        _check_out(args.out, is_file=True)
     records = _select_records(args.manifest, args.subjects)
     results = {}
     for rec, d in zip(records, map_subjects(diagnose_subject, pipe,
@@ -242,6 +250,7 @@ def cmd_diagnose(args) -> int:
 
 def cmd_saliency(args) -> int:
     pipe = load_pipeline(args.run)
+    _check_out(args.out)
     records = _select_records(args.manifest, args.subjects)
     if args.compare is not None:
         pair = _id_list(args.compare, "--compare subject",

@@ -123,13 +123,15 @@ def score_chunks(fusion: FusionModel, chunks: Chunks,
     return probs
 
 
-def score_subject(main: FusionModel, pt: FusionModel, tuned: list,
-                  chunks: Chunks, metadata: np.ndarray) -> tuple:
-    """One subject's chunk scores [N, 2]: the main ensemble's, the
-    pretuned one's (the main array itself when `pt is main`), and each
+def score_subject(pipe, chunks: Chunks, metadata: np.ndarray) -> tuple:
+    """One subject's chunk scores [N, 2] under the trained pipeline `pipe`
+    (`pipeline.TrainedPipeline`): the main ensemble's, the pretuned
+    one's (the main array itself when `pipe.pt is pipe.main`), and each
     tuned member's own head's, by biomarker id."""
-    main_probs = score_chunks(main, chunks, metadata)
-    pt_probs = main_probs if pt is main else score_chunks(pt, chunks, metadata)
+    main_probs = score_chunks(pipe.main, chunks, metadata)
+    pt_probs = (main_probs if pipe.pt is pipe.main
+                else score_chunks(pipe.pt, chunks, metadata))
+    tuned = pipe.tuned_members
     return main_probs, pt_probs, {
         m.biomarker_id: M.head_batches(m, emb)
         for m, emb in zip(tuned, M.embed_chunks(tuned, chunks))}
@@ -190,18 +192,16 @@ def train_fusion(fusion: FusionModel, chunks: Chunks, metadata: np.ndarray,
 
 def fusion_file_bytes(fusion: FusionModel, member_digests: dict,
                       meta: dict | None = None) -> bytes:
-    order = ["hidden.w", "hidden.b", "head.w", "head.b"]
-    descriptor = {
+    return M.weight_file_bytes({
         "kind": "fusion",
         "member_ids": fusion.member_ids,
         "member_dims": fusion.member_dims,
         "metadata_dim": METADATA_DIM,
         "hidden_dim": HIDDEN_DIM,
         "member_digests": dict(sorted(member_digests.items())),
-        "tensors": order,
+        "tensors": ["hidden.w", "hidden.b", "head.w", "head.b"],
         "meta": meta or {},
-    }
-    return M._weight_file_bytes(descriptor, fusion.weights, order)
+    }, fusion.weights)
 
 
 def save_ensemble(dir_path, fusion: FusionModel,

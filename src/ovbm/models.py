@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextvars
 import json
 import math
+import multiprocessing
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -23,7 +24,7 @@ import numpy as np
 from . import nn
 from .chunker import Chunks
 from .degradation import mask_factors
-from .util import derive_seed, named_errors
+from .util import atomic_write_bytes, derive_seed, named_errors
 
 WEIGHT_MAGIC = b"OVBM"
 WEIGHT_FORMAT_VERSION = 1
@@ -255,8 +256,6 @@ def backward_from_embedding(model: BiomarkerModel, cache: dict,
 
     for b in range(model.arch.num_blocks, 0, -1):
         idx1, idx2 = 2 * b - 1, 2 * b
-        if min_needed > idx2:
-            break
         blk = cache["blocks"][b - 1]
         da = nn.avgpool2_backward(da, blk["s"].shape)
         ds = nn.relu_backward(da, blk["s"])
@@ -490,14 +489,6 @@ def _body_key(member: BiomarkerModel) -> tuple:
 # 24 was no slower. Pools on every small call slowed that later serial
 # work (glibc's per-thread malloc arenas).
 THREADED_CROPS = 24
-_threaded_bodies = True  # False in a `_map` worker, one of one per CPU
-
-
-def serial_bodies() -> None:
-    """Run every `embed_chunks` call's bodies on this thread from now on,
-    in a process that has one CPU's share of the machine."""
-    global _threaded_bodies
-    _threaded_bodies = False
 
 
 def _embed(member: BiomarkerModel, chunks: Chunks) -> np.ndarray:
@@ -519,15 +510,18 @@ def embed_chunks(members: list, chunks: Chunks) -> list:
     distinct body once: under the `frozen` strategy the tune step, the
     fusion training and the run's training-subject scores share the
     pretrained bodies' embeddings. Two or more bodies still to run over
-    THREADED_CROPS or more crops run on threads, one per CPU (none after
-    `serial_bodies`), that end with the call; each computes the same
-    rows as on this thread, in the caller's NumPy error state."""
+    THREADED_CROPS or more crops run on threads, one per CPU, that end
+    with the call; each computes the same rows as on this thread, in the
+    caller's NumPy error state. A process that `multiprocessing` started
+    (a `pipeline._map` worker, one of one per CPU) runs them on this
+    thread."""
     k = len(chunks.crops)
     keys = [_body_key(m) for m in members]
     todo = {key: m for key, m in zip(keys, members)
             if len(chunks.embeddings.get(key, ())) < k}
     threads = min(len(todo), len(os.sched_getaffinity(0)))
-    if threads > 1 and k >= THREADED_CROPS and _threaded_bodies:
+    if (threads > 1 and k >= THREADED_CROPS
+            and multiprocessing.parent_process() is None):
         with ThreadPoolExecutor(threads) as pool:
             done = [pool.submit(contextvars.copy_context().run, _embed, m,
                                 chunks) for m in todo.values()]
@@ -583,11 +577,13 @@ def unpack_tensor_records(buf: bytes, offset: int) -> dict:
     return weights
 
 
-def _weight_file_bytes(descriptor: dict, weights: dict, order: list) -> bytes:
+def weight_file_bytes(descriptor: dict, weights: dict) -> bytes:
+    """A weight file: the header, the descriptor, then the tensors that
+    `descriptor["tensors"]` lists, in that order (`read_weight_file`)."""
     desc = json.dumps(descriptor, sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
     header = WEIGHT_MAGIC + struct.pack("<II", WEIGHT_FORMAT_VERSION, len(desc))
-    return header + desc + pack_tensor_records(weights, order)
+    return header + desc + pack_tensor_records(weights, descriptor["tensors"])
 
 
 def read_weight_file(path):
@@ -613,21 +609,17 @@ def read_weight_file(path):
 
 
 def model_file_bytes(model: BiomarkerModel, meta: dict | None = None) -> bytes:
-    order = list(weight_shapes(model.arch, model.num_classes))
-    descriptor = {
+    return weight_file_bytes({
         "kind": "biomarker",
         "biomarker_id": model.biomarker_id,
         "num_classes": model.num_classes,
         "arch": asdict(model.arch),
-        "tensors": order,
+        "tensors": list(weight_shapes(model.arch, model.num_classes)),
         "meta": meta or {},
-    }
-    return _weight_file_bytes(descriptor, model.weights, order)
+    }, model.weights)
 
 
 def save_model(path, model: BiomarkerModel, meta: dict | None = None) -> None:
-    from .util import atomic_write_bytes
-
     atomic_write_bytes(path, model_file_bytes(model, meta))
 
 

@@ -47,7 +47,7 @@ from .fusion import (
     train_fusion,
 )
 from .mfcc import MfccParams
-from .saliency import SaliencyMap, saliency_map
+from .saliency import saliency_map
 from .synthesis import surrogate_dataset
 from .util import atomic_write_text, config_digest, derive_seed, named_errors
 
@@ -365,12 +365,11 @@ _worker_task: tuple = ()  # (fn, items), set in a `_map` worker only
 
 
 def _start_worker(fn, items: list) -> None:
-    """A worker is one of as many as CPUs: BLAS and the member bodies
-    run on its one thread."""
+    """A worker is one of as many as CPUs: BLAS runs on its one thread,
+    as do the member bodies (`embed_chunks` sees a started process)."""
     global _worker_task
     _worker_task = (fn, items)
     _one_blas_thread()
-    M.serial_bodies()
 
 
 def _run_item(i: int):
@@ -409,8 +408,8 @@ def _run_metrics(pipe: TrainedPipeline, store: FeatureStore,
     train_diag = _diagnoses(config, train_records, np.split(score_chunks(
         pipe.main, train_chunks, _metadata_rows(train_records, counts)),
         np.cumsum(counts)[:-1]))
-    scores = [score_subject(pipe.main, pipe.pt, pipe.tuned_members,
-                            store.chunks(r), metadata_vector(r.gender, r.age))
+    scores = [score_subject(pipe, store.chunks(r),
+                            metadata_vector(r.gender, r.age))
               for r in test_records]
     test_diag = _diagnoses(config, test_records, (s[0] for s in scores))
     pt_test = _diagnoses(config, test_records, (s[1] for s in scores))
@@ -426,9 +425,7 @@ def _run_metrics(pipe: TrainedPipeline, store: FeatureStore,
     best_id = max(member_acc, key=lambda k: (member_acc[k], k))
 
     return {
-        "format_version": FORMAT_VERSION,
-        "seed": config.seed,
-        "config_digest": config.digest(),
+        **_artifact_meta(config),
         "label": config.label,
         "counts": {
             "subjects": len(train_records) + len(test_records),
@@ -538,6 +535,4 @@ def diagnose_subject(pipe: TrainedPipeline, record: SubjectRecord,
     return _diagnoses(pipe.config, [record], [probs])[0]
 
 
-def subject_saliency(pipe: TrainedPipeline, record: SubjectRecord,
-                     clip: Recording) -> SaliencyMap:
-    return saliency_map(record, clip, pipe)
+subject_saliency = saliency_map  # a `map_subjects` score, as is the above

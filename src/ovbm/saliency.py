@@ -48,7 +48,7 @@ class SaliencyMap:
                 for e in self.entries]
 
 
-def saliency_map(record: SubjectRecord, clip: Recording, pipe) -> SaliencyMap:
+def saliency_map(pipe, record: SubjectRecord, clip: Recording) -> SaliencyMap:
     """Score all 16 roster entries for one subject under the trained
     pipeline `pipe` (`pipeline.TrainedPipeline`).
 
@@ -86,7 +86,7 @@ def saliency_map(record: SubjectRecord, clip: Recording, pipe) -> SaliencyMap:
                                   np.tile(metadata, (plan.count, 1)))[0]
         for key, plan, end in zip(keys[1:], plans[1:], ends[1:])}
     main_probs[run_plan], pt_probs, own = score_subject(
-        main, pipe.pt, pipe.tuned_members, flat.head(plans[0].count), metadata)
+        pipe, flat.head(plans[0].count), metadata)
 
     scheme = config.parsed_scheme()
     entries = []

@@ -90,3 +90,35 @@ def test_no_package_attribute_hides_a_submodule():
             if getattr(ovbm, path.stem) is not module:
                 hidden.append(path.stem)
     assert not hidden, f"package attributes that hide a submodule: {hidden}"
+
+
+def private_reads() -> list:
+    """Every `_`-prefixed name that an `ovbm` module imports from another
+    `ovbm` module, or reads as an attribute of one: "module: name"."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        modules = set()  # the local names of `ovbm` modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules |= {a.asname for a in node.names
+                            if a.name.startswith("ovbm.") and a.asname}
+            elif isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("ovbm")):
+                for a in node.names:
+                    if a.name.startswith("_"):
+                        found.append(f"{path.stem}: {a.name}")
+                    elif node.module in (None, "ovbm"):
+                        modules.add(a.asname or a.name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in modules
+                    and node.attr.startswith("_")
+                    and not node.attr.endswith("__")):
+                found.append(f"{path.stem}: {node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    assert private_reads() == []

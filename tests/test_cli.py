@@ -752,6 +752,52 @@ def test_bad_id_list(case, micro_run_dir, corpus_dir, tmp_path, capsys):
     assert stdout == "" and not out.exists()
 
 
+class TestScreenOut:
+    """`eval`, `diagnose` and `saliency` refuse an --out they could not
+    write once the run is loaded, before they open a recording, with
+    `train`'s messages."""
+
+    @pytest.mark.parametrize("command", [
+        ["eval", "--out", "e.json"], ["diagnose", "--out", "d.json"],
+        ["saliency", "--subjects", "all", "--out", "s"]], ids=lambda c: c[0])
+    def test_out_under_a_file(self, command, micro_run_dir, corpus_dir,
+                              tmp_path, capsys, monkeypatch):
+        def opening(*args):
+            raise AssertionError("a recording was opened")
+
+        monkeypatch.setattr(P, "load_clip", opening)
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        out = os.path.join(afile, command[-1])
+        code, stdout, stderr = run_cli(
+            capsys, command[0], "--run", micro_run_dir, "--manifest",
+            os.path.join(corpus_dir, "manifest.csv"), *command[1:-1], out)
+        assert code == 3
+        assert f"--out {out} is under {afile}, which is not a directory" \
+            in stderr
+        assert stdout == ""
+        assert os.listdir(tmp_path) == ["afile"]
+        assert afile.read_text() == "kept"
+
+    @pytest.mark.parametrize("command", ["eval", "diagnose"])
+    def test_file_out_is_a_directory(self, command, micro_run_dir,
+                                     corpus_dir, tmp_path, capsys,
+                                     monkeypatch):
+        def opening(*args):
+            raise AssertionError("a recording was opened")
+
+        monkeypatch.setattr(P, "load_clip", opening)
+        out = tmp_path / "adir"
+        out.mkdir()
+        code, stdout, stderr = run_cli(
+            capsys, command, "--run", micro_run_dir, "--manifest",
+            os.path.join(corpus_dir, "manifest.csv"), "--out", str(out))
+        assert code == 3
+        assert f"--out {out} is a directory" in stderr
+        assert stdout == ""
+        assert os.listdir(out) == []
+
+
 class TestReports:
     def test_uniqueness(self, micro_run_dir, tmp_path, capsys):
         out = str(tmp_path / "reports")

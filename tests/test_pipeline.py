@@ -821,6 +821,20 @@ def _forward_threads(patch) -> set:
     return threads
 
 
+def _pools(patch) -> list:
+    """Patch `M.ThreadPoolExecutor` to record the size of each pool
+    `embed_chunks` opens, and return the list they go to."""
+    sizes = []
+    pool = M.ThreadPoolExecutor
+
+    def recording(workers):
+        sizes.append(workers)
+        return pool(workers)
+
+    patch.setattr(M, "ThreadPoolExecutor", recording)
+    return sizes
+
+
 def _process_log(patch, root) -> list:
     """Patch `P.load_clip` to log the process each recording is opened
     in, as a file named after it under `root`; returns a reader of the
@@ -856,28 +870,35 @@ class TestBodyThreads:
     or more distinct crops runs them on threads, one per CPU, that end
     with the call; every row is the bits the caller's thread computes.
     The micro corpus's 30 s recordings embed about 15 (diagnosis) and 30
-    (saliency map) crops a call, so these tests lower the cut-off to 8."""
+    (saliency map) crops a call, so these tests lower the cut-off to 8.
+    They check the pools the calls open and that the bodies leave the
+    caller's thread, not which pool thread the OS gives each body."""
 
     def test_threads_change_no_bit(self, monkeypatch):
         members = [M.init_cnn(MICRO_ARCH, 2, seed=i, biomarker_id=mid)
                    for i, mid in enumerate(M.MEMBER_IDS)]
         x = np.stack(random_images(M.THREADED_CROPS + 3, seed=4))
-        embs, keys, ran = {}, {}, {}
+        embs, keys, ran, pools = {}, {}, {}, {}
         for cpus in (1, 2):
             with monkeypatch.context() as patch:
                 _cpus(patch, cpus)
                 ran[cpus] = _forward_threads(patch)
+                pools[cpus] = _pools(patch)
                 chunks = Chunks(x, False)
                 before = threading.active_count()
                 embs[cpus] = M.embed_chunks(members, chunks)
+                ran[cpus] = set(ran[cpus])  # the short call's go there too
                 assert threading.active_count() == before
                 keys[cpus] = list(chunks.embeddings)
                 # one crop short of the cut-off: on this thread only
                 ran[cpus, "short"] = _forward_threads(patch)
+                pools[cpus, "short"] = _pools(patch)
                 M.embed_chunks(members, Chunks(x[:M.THREADED_CROPS - 1], False))
         me = {threading.get_ident()}
         assert ran[1] == ran[1, "short"] == ran[2, "short"] == me
-        assert len(ran[2] - me) == 2
+        assert pools[1] == pools[1, "short"] == pools[2, "short"] == []
+        assert pools[2] == [2]
+        assert ran[2] and me.isdisjoint(ran[2])
         assert keys[1] == keys[2] == [M._body_key(m) for m in members]
         for serial, threaded in zip(embs[1], embs[2]):
             np.testing.assert_array_equal(serial, threaded)
@@ -893,11 +914,15 @@ class TestBodyThreads:
             with monkeypatch.context() as patch:
                 _cpus(patch, cpus)
                 ran = _forward_threads(patch)
+                pools = _pools(patch)
                 d = diagnose_subject(pipe, rec, clip)
                 images = count_forward_images(patch)
                 smap = subject_saliency(pipe, rec, clip)
                 assert sum(images) == 8 * every
-                assert len(ran) == cpus
+                # one pool for the diagnosis, one for the map's plans
+                # (the tuned members read the frozen bodies' rows)
+                assert pools == ([] if cpus == 1 else [2, 2])
+                assert (threading.get_ident() in ran) == (cpus == 1)
                 out[cpus] = (d, smap.to_rows())
         assert out[1] == out[2]
 
@@ -915,13 +940,15 @@ class TestBodyThreads:
         monkeypatch.setattr(M, "THREADED_CROPS", 8)
         _two_workers(monkeypatch)
         ran = _forward_threads(monkeypatch)
+        pools = _pools(monkeypatch)
         with warnings.catch_warnings(), \
                 np.errstate(over="ignore", invalid="ignore"):
             warnings.simplefilter("error")
             with pytest.raises(M.NonFiniteActivation, match="'cough_origin'"):
                 diagnose_subject(pipe, rec, P.load_clip(
                     long_manifest, rec, pipe.config.sample_rate))
-            assert len(ran - {threading.get_ident()}) == 2
+            assert pools == [2]
+            assert ran and threading.get_ident() not in ran
             # one subject scores here, on threads; three, in workers
             for subjects in (["--subjects", rec.subject_id], []):
                 code = main(["diagnose", "--run", broken, "--manifest",
@@ -1018,7 +1045,22 @@ class TestSubjectWorkers:
         assert multiprocessing.active_children() == []
 
     def test_workers_run_bodies_serially(self, monkeypatch):
-        # a worker is one of one per CPU; this process is not
+        # A `_map` worker is one of one per CPU, and a process that
+        # `multiprocessing` started: its bodies run on its own thread.
+        # This process opens a pool for the same call.
+        members = [M.init_cnn(MICRO_ARCH, 2, seed=i, biomarker_id=mid)
+                   for i, mid in enumerate(M.MEMBER_IDS)]
+        x = np.stack(random_images(M.THREADED_CROPS, seed=5))
         _two_workers(monkeypatch)
-        assert P._map(lambda _: M._threaded_bodies, [0, 1]) == [False, False]
-        assert M._threaded_bodies
+        ran = _forward_threads(monkeypatch)
+        pools = _pools(monkeypatch)
+
+        def embed(_):
+            ran.clear()
+            pools.clear()
+            M.embed_chunks(members, Chunks(x, False))
+            return ran == {threading.get_ident()}, list(pools)
+
+        assert P._map(embed, [0, 1]) == [(True, []), (True, [])]
+        assert embed(None) == (False, [2])
+        assert multiprocessing.active_children() == []

@@ -51,7 +51,7 @@ def test_traced_run_reports_every_layer(corpus_dir, monkeypatch):
     assert metrics["chunker.chunks"] >= metrics["synthesis.surrogate_clips"] > 0
     # the conv figures the benchmark reports are timed on the conv path,
     # the model figures on the functions the members run, and the map's
-    # time on the `saliency_map` that `subject_saliency` calls
+    # time on `saliency_map`, which `subject_saliency` names
     for name in ("nn.conv3x3.block.s", "nn.conv3x3_backward.s",
                  "nn.conv3x3_backward.gflop", "models.forward_batch.calls",
                  "models.backward_from_embedding.s",
