@@ -86,9 +86,10 @@ def build_fusion(members: list, seed: int = 0) -> FusionModel:
 
 def fuse_from_embeddings(fusion: FusionModel, emb: np.ndarray,
                          metadata: np.ndarray):
-    """emb: [B, sum(member_dims)], metadata: [B, METADATA_DIM].
-    Returns (probs [B, 2], cache)."""
-    x = np.concatenate([emb, metadata], axis=1)
+    """emb: [B, sum(member_dims)], metadata: [B, METADATA_DIM], or one
+    subject's vector for every row. Returns (probs [B, 2], cache)."""
+    meta = np.broadcast_to(metadata, (len(emb), np.shape(metadata)[-1]))
+    x = np.concatenate([emb, meta], axis=1)
     if x.shape[1] != fusion.input_dim:
         raise DimMismatch(f"fusion input is {x.shape[1]}, expected {fusion.input_dim}")
     w = fusion.weights
@@ -117,10 +118,8 @@ def score_chunks(fusion: FusionModel, chunks: Chunks,
     """Ensemble class probabilities [N, 2] of chunks, given each chunk's
     subject's metadata [N, METADATA_DIM] (or one subject's vector, for
     every chunk)."""
-    embs = M.embed_chunks(fusion.members, chunks)
-    meta = np.broadcast_to(metadata, (len(chunks), METADATA_DIM)).copy()
-    probs, _ = fuse_from_embeddings(fusion, np.concatenate(embs, axis=1), meta)
-    return probs
+    emb = np.concatenate(M.embed_chunks(fusion.members, chunks), axis=1)
+    return fuse_from_embeddings(fusion, emb, metadata)[0]
 
 
 def score_subject(pipe, chunks: Chunks, metadata: np.ndarray) -> tuple:
@@ -131,10 +130,9 @@ def score_subject(pipe, chunks: Chunks, metadata: np.ndarray) -> tuple:
     main_probs = score_chunks(pipe.main, chunks, metadata)
     pt_probs = (main_probs if pipe.pt is pipe.main
                 else score_chunks(pipe.pt, chunks, metadata))
-    tuned = pipe.tuned_members
     return main_probs, pt_probs, {
         m.biomarker_id: M.head_batches(m, emb)
-        for m, emb in zip(tuned, M.embed_chunks(tuned, chunks))}
+        for m, emb in zip(pipe.tuned, M.embed_chunks(pipe.tuned, chunks))}
 
 
 # -------------------------------------------------------------- train
@@ -244,7 +242,7 @@ def load_ensemble(dir_path) -> FusionModel:
         raise ValueError(f"{fusion_path}: member_dims and metadata_dim "
                          f"{recorded} do not match the members")
     with named_errors(fusion_path):
-        M.check_shapes(weights, {
+        M.check_tensors(weights, {
             "hidden.w": (HIDDEN_DIM, fusion.input_dim), "hidden.b": (HIDDEN_DIM,),
             "head.w": (NUM_CLASSES, HIDDEN_DIM), "head.b": (NUM_CLASSES,)})
     return fusion

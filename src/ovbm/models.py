@@ -103,9 +103,9 @@ def weight_shapes(arch: CnnArch, num_classes: int) -> dict:
     return shapes
 
 
-def check_shapes(weights: dict, shapes: dict) -> None:
+def check_tensors(weights: dict, shapes: dict) -> None:
     """ValueError unless `weights` are exactly the tensors `shapes`
-    names, each of its shape."""
+    names, each of its shape, with every value finite."""
     got = {k: np.shape(w) for k, w in weights.items()}
     bad = [f"{k} is {got.get(k, 'missing')}, expected {shapes.get(k, 'none')}"
            for k in sorted(got.keys() | shapes.keys())
@@ -113,6 +113,9 @@ def check_shapes(weights: dict, shapes: dict) -> None:
     if bad:
         raise ValueError("tensors disagree with the architecture: "
                          + "; ".join(bad))
+    for k, w in weights.items():
+        if not np.isfinite(w).all():
+            raise ValueError(f"non-finite weights in {k}")
 
 
 def trainable_layers(strategy: str, arch: CnnArch) -> frozenset:
@@ -155,10 +158,7 @@ class BiomarkerModel:
         self.arch.validate()
         if self.num_classes < 2:
             raise ValueError("need at least two classes")
-        check_shapes(self.weights, weight_shapes(self.arch, self.num_classes))
-        for k, w in self.weights.items():
-            if not np.isfinite(w).all():
-                raise ValueError(f"non-finite weights in {k}")
+        check_tensors(self.weights, weight_shapes(self.arch, self.num_classes))
 
 
 def init_cnn(arch: CnnArch, num_classes: int, seed: int,

@@ -21,6 +21,7 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import glob
+import itertools
 import json
 import math
 import multiprocessing
@@ -212,14 +213,10 @@ def _run_chunks(config: RunConfig, clip: Recording) -> Chunks:
 @dataclass
 class TrainedPipeline:
     config: RunConfig
-    tuned: dict                 # biomarker_id -> 2-way fine-tuned model
+    tuned: list                 # 2-way fine-tuned models, in roster order
     main: FusionModel
     pt: FusionModel             # tuned fusion, or `main` (frozen, last:0)
     metrics: dict = field(default_factory=dict)
-
-    @property
-    def tuned_members(self) -> list:
-        return [self.tuned[mid] for mid in M.MEMBER_IDS]
 
 
 def _metadata_rows(records: list, counts: list) -> np.ndarray:
@@ -312,17 +309,15 @@ def run_training(config: RunConfig) -> TrainedPipeline:
 
     # the 8-class member pretrains on the most clips, so it starts first
     entries = sorted(M.MEMBERS, key=lambda e: -e.num_classes)
-    results = dict(zip([e.biomarker_id for e in entries], _map(member, entries)))
-    pretrained = {mid: results[mid][0] for mid in M.MEMBER_IDS}
-    tuned = {mid: results[mid][1] for mid in M.MEMBER_IDS}
-    for mid in M.MEMBER_IDS:
-        chunks.embeddings.update(results[mid][2])
+    results = dict(zip(entries, _map(member, entries)))
+    pretrained, tuned, embeddings = map(list, zip(*map(results.get, M.MEMBERS)))
+    for cached in embeddings:
+        chunks.embeddings.update(cached)
 
     # 4. joint fusion over the pretrained members (main), and over the tuned
     # ones (pt) only if tuning moved a body, as no fusion reads member heads
-    def fuse(name: str, source: dict) -> tuple:
-        fusion0 = build_fusion([source[mid] for mid in M.MEMBER_IDS],
-                               seed=derive_seed(config.seed, "fusion", name))
+    def fuse(name: str, members: list) -> tuple:
+        fusion0 = build_fusion(members, derive_seed(config.seed, "fusion", name))
         return train_fusion(
             fusion0, chunks, metadata, labels,
             config.train_config(config.fusion_epochs,
@@ -458,8 +453,6 @@ def _artifact_meta(config: RunConfig) -> dict:
 
 
 def save_pipeline(pipe: TrainedPipeline, out_dir: str) -> None:
-    models_dir = os.path.join(out_dir, "models")
-    os.makedirs(models_dir, exist_ok=True)
     meta = _artifact_meta(pipe.config)
 
     payload = dict(meta)
@@ -468,9 +461,9 @@ def save_pipeline(pipe: TrainedPipeline, out_dir: str) -> None:
                       json.dumps(payload, indent=2, sort_keys=True) + "\n")
     atomic_write_text(os.path.join(out_dir, "metrics.json"),
                       json.dumps(pipe.metrics, indent=2, sort_keys=True) + "\n")
-    for mid in M.MEMBER_IDS:
-        M.save_model(os.path.join(models_dir, f"member_tuned_{mid}.ovbm"),
-                     pipe.tuned[mid], meta)
+    for m in pipe.tuned:
+        M.save_model(os.path.join(out_dir, "models", f"member_tuned_"
+                                  f"{m.biomarker_id}.ovbm"), m, meta)
     save_ensemble(os.path.join(out_dir, "ensemble_main"), pipe.main, meta)
     if pipe.pt is not pipe.main:
         save_ensemble(os.path.join(out_dir, "ensemble_pt"), pipe.pt, meta)
@@ -487,21 +480,29 @@ def load_pipeline(out_dir: str) -> TrainedPipeline:
         if not isinstance(metrics, dict):
             raise ValueError("run metrics must be a JSON object")
 
-    tuned: dict = {}
-    for mid in M.MEMBER_IDS:
-        tuned[mid] = M.load_model(
-            os.path.join(out_dir, "models", f"member_tuned_{mid}.ovbm"))
+    paths = {mid: os.path.join(out_dir, "models", f"member_tuned_{mid}.ovbm")
+             for mid in M.MEMBER_IDS}
+    tuned = [M.load_model(path) for path in paths.values()]
+    _check_roster(tuned, paths.get, two_way=True)
     # pt is main unless tuning moves a body (an older run's copy is unread)
     bodies = M.trainable_layers(config.strategy, config.arch()) - {"head"}
     ensembles = []
     for name in ("ensemble_main", "ensemble_pt") if bodies else ("ensemble_main",):
         path = os.path.join(out_dir, name, "fusion.ovbm")
-        fusion = load_ensemble(os.path.dirname(path))
-        if fusion.member_ids != list(M.MEMBER_IDS):
-            raise ValueError(f"{path}: members {', '.join(fusion.member_ids)} "
-                             f"are not the roster, in order")
-        ensembles.append(fusion)
+        ensembles.append(load_ensemble(os.path.dirname(path)))
+        _check_roster(ensembles[-1].members, lambda mid: path)
     return TrainedPipeline(config, tuned, ensembles[0], ensembles[-1], metrics)
+
+
+def _check_roster(members: list, file_at, two_way: bool = False) -> None:
+    """ValueError unless `members` are the roster's members, in order,
+    each with a 2-way head where `two_way`. It names `file_at(mid)`, the
+    file that put another member in roster member `mid`'s place."""
+    for mid, m in itertools.zip_longest(M.MEMBER_IDS, members):
+        if not m or m.biomarker_id != mid or (two_way and m.num_classes != 2):
+            found = f"{m.biomarker_id} of {m.num_classes} classes" if m else "none"
+            raise ValueError(f"{file_at(mid)}: member {found} where the roster, in "
+                             f"order, has {mid}{' of 2 classes' if two_way else ''}")
 
 
 # ----------------------------------------------------------- per-subject

@@ -83,7 +83,7 @@ def saliency_map(pipe, record: SubjectRecord, clip: Recording) -> SaliencyMap:
     ends = np.cumsum([p.count for p in plans])
     main_probs = {
         key: fuse_from_embeddings(main, main_emb[end - plan.count:end],
-                                  np.tile(metadata, (plan.count, 1)))[0]
+                                  metadata)[0]
         for key, plan, end in zip(keys[1:], plans[1:], ends[1:])}
     main_probs[run_plan], pt_probs, own = score_subject(
         pipe, flat.head(plans[0].count), metadata)

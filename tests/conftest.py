@@ -130,6 +130,19 @@ BAD_FUSION_TENSORS = {
 }
 
 
+def nan_at(name: str):
+    """An edit of a weight file's (descriptor, weights) that writes a NaN
+    to the first value of tensor `name`."""
+    def edit(descriptor, weights):
+        weights[name].flat[0] = np.nan
+    return edit
+
+
+# Tensors of the right names and shapes holding a non-finite value.
+NON_FINITE_MODEL_TENSORS = {"nan_in_stem_w": nan_at("stem.w")}
+NON_FINITE_FUSION_TENSORS = {"nan_in_hidden_w": nan_at("hidden.w")}
+
+
 def own_frames(samples, params) -> np.ndarray:
     """The framing rule written out, sharing no code with the library:
     pre-emphasis y[0] = x[0], y[n] = x[n] - PREEMPHASIS * x[n-1], then

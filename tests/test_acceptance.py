@@ -399,7 +399,7 @@ def test_criterion_09_saliency_map_contract(experiment):
                   f"{ {f: (round(a, 3), round(c, 3)) for f, (a, c) in contrasts.items()} }")
 
 
-def test_tuned_members_fit_their_training_chunks(experiment):
+def test_tuned_member_heads_fit_their_training_chunks(experiment):
     """Every tuned member's own head decides at least 0.9 of its run's
     training chunks right, on each seed of criterion 07's runs. The
     chunks are rebuilt as the run built them, from its training
@@ -416,7 +416,7 @@ def test_tuned_members_fit_their_training_chunks(experiment):
                         pipe.config.poisson_mask)
         labels = np.repeat([r.label for r in train_records],
                            [len(c) for c in parts])
-        members = pipe.tuned_members
+        members = pipe.tuned
         for m, emb in zip(members, embed_chunks(members, chunks)):
             accuracy = np.mean(np.argmax(head_batches(m, emb), axis=1) == labels)
             if accuracy < 0.9:

@@ -14,6 +14,8 @@ from conftest import (
     BAD_FUSION_TENSORS,
     BAD_MODEL_DESCRIPTORS,
     BAD_MODEL_TENSORS,
+    NON_FINITE_FUSION_TENSORS,
+    NON_FINITE_MODEL_TENSORS,
     ReadLog,
     micro_run_config,
     overflowing_member,
@@ -44,6 +46,36 @@ def cut_copy(run_dir: str, tmp_path, *rel) -> tuple:
     victim = Path(broken, *rel)
     victim.write_bytes(victim.read_bytes()[:record_boundaries(victim)[-1]])
     return broken, victim
+
+
+def reversed_members(ensemble: str):
+    """A tamper of a run copy that reverses the member list `ensemble`'s
+    fusion file records. Digests are stored per member and every member
+    dim is equal, so only the roster sees it."""
+    def tamper(run: Path) -> Path:
+        victim = run / ensemble / "fusion.ovbm"
+        replace_descriptor(victim, lambda d: json.dumps(
+            dict(d, member_ids=d["member_ids"][::-1])).encode("utf-8"))
+        return victim
+    return tamper
+
+
+def swapped_tuned(run: Path) -> Path:
+    """Swap two tuned member files, each valid on its own."""
+    victim, other = (run / "models" / f"member_tuned_{mid}.ovbm"
+                     for mid in ("poisson_muscular", "cough_origin"))
+    raw = victim.read_bytes()
+    victim.write_bytes(other.read_bytes())
+    other.write_bytes(raw)
+    return victim
+
+
+def surrogate_as_tuned(run: Path) -> Path:
+    """Copy the 8-way pretrained member over its 2-way tuned file."""
+    victim = run / "models" / "member_tuned_sentiment_8class.ovbm"
+    shutil.copyfile(run / "ensemble_main" / "member_sentiment_8class.ovbm",
+                    victim)
+    return victim
 
 
 class TestSynth:
@@ -383,43 +415,49 @@ class TestEval:
         assert code == 2
         assert str(victim) in stderr
 
-    @pytest.mark.parametrize("ensemble,run", [
-        ("ensemble_main", "micro_run_dir"),
-        ("ensemble_pt", "last1_run_dir"),   # read only where a body trains
-    ], ids=["ensemble_main", "ensemble_pt"])
-    def test_members_out_of_roster_order(self, ensemble, run, corpus_dir,
+    @pytest.mark.parametrize("run,tamper", [
+        ("micro_run_dir", reversed_members("ensemble_main")),
+        # ensemble_pt is read only where a body trains
+        ("last1_run_dir", reversed_members("ensemble_pt")),
+        ("micro_run_dir", swapped_tuned),
+        ("micro_run_dir", surrogate_as_tuned),
+    ], ids=["ensemble_main", "ensemble_pt", "tuned_swapped", "tuned_8_way"])
+    def test_members_out_of_roster_order(self, run, tamper, corpus_dir,
                                          tmp_path, capsys, request):
-        # Digests are stored per member and every member dim is equal, so
-        # only the roster sees a reversed member list.
-        broken = str(tmp_path / "broken")
+        broken = tmp_path / "broken"
         shutil.copytree(request.getfixturevalue(run), broken)
-        victim = Path(broken, ensemble, "fusion.ovbm")
-        replace_descriptor(victim, lambda d: json.dumps(
-            dict(d, member_ids=d["member_ids"][::-1])).encode("utf-8"))
-        code, stdout, stderr = run_cli(
-            capsys, "eval", "--run", broken,
-            "--manifest", os.path.join(corpus_dir, "manifest.csv"))
-        assert code == 2
-        assert str(victim) in stderr and "roster" in stderr
-        assert stdout == ""
+        victim = tamper(broken)
+        eval_out, reports = tmp_path / "eval.json", tmp_path / "reports"
+        for argv in (["eval", "--out", str(eval_out)],
+                     ["saliency", "--subjects", "all", "--out", str(reports)]):
+            code, stdout, stderr = run_cli(
+                capsys, *argv, "--run", str(broken),
+                "--manifest", os.path.join(corpus_dir, "manifest.csv"))
+            assert code == 2
+            assert str(victim) in stderr and "roster" in stderr
+            assert stdout == ""
+        assert not eval_out.exists() and not reports.exists()
 
     @pytest.mark.parametrize("rel,case", [
         *((("models", "member_tuned_cough_origin.ovbm"), case)
-          for case in sorted(BAD_MODEL_TENSORS)),
+          for case in sorted({**BAD_MODEL_TENSORS, **NON_FINITE_MODEL_TENSORS})),
         *((("ensemble_main", "fusion.ovbm"), case)
-          for case in sorted(BAD_FUSION_TENSORS)),
+          for case in sorted({**BAD_FUSION_TENSORS, **NON_FINITE_FUSION_TENSORS})),
     ], ids=lambda v: v if isinstance(v, str) else v[0])
     def test_tensors_disagree_with_descriptor(self, rel, case, micro_run_dir,
                                               corpus_dir, tmp_path, capsys):
         broken = str(tmp_path / "broken")
         shutil.copytree(micro_run_dir, broken)
         victim = Path(broken, *rel)
-        replace_tensors(victim, {**BAD_MODEL_TENSORS, **BAD_FUSION_TENSORS}[case])
-        code, _, stderr = run_cli(
+        replace_tensors(victim, {**BAD_MODEL_TENSORS, **BAD_FUSION_TENSORS,
+                                 **NON_FINITE_MODEL_TENSORS,
+                                 **NON_FINITE_FUSION_TENSORS}[case])
+        code, stdout, stderr = run_cli(
             capsys, "eval", "--run", broken,
             "--manifest", os.path.join(corpus_dir, "manifest.csv"))
         assert code == 2
         assert str(victim) in stderr
+        assert stdout == ""
 
     @pytest.mark.parametrize("edit", [
         lambda saved: "[]",

@@ -10,6 +10,7 @@ from conftest import (
     BAD_FUSION_DESCRIPTORS,
     BAD_FUSION_TENSORS,
     MICRO_ARCH,
+    NON_FINITE_FUSION_TENSORS,
     record_boundaries,
     replace_descriptor,
     replace_tensors,
@@ -400,4 +401,11 @@ class TestEnsembleFiles:
         save_ensemble(tmp_path, build_fusion(make_members(), seed=12))
         replace_tensors(tmp_path / "fusion.ovbm", BAD_FUSION_TENSORS[case])
         with pytest.raises(ValueError, match="fusion.ovbm.*disagree"):
+            load_ensemble(tmp_path)
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE_FUSION_TENSORS))
+    def test_non_finite_tensor(self, case, tmp_path):
+        save_ensemble(tmp_path, build_fusion(make_members(), seed=12))
+        replace_tensors(tmp_path / "fusion.ovbm", NON_FINITE_FUSION_TENSORS[case])
+        with pytest.raises(ValueError, match="fusion.ovbm.*non-finite"):
             load_ensemble(tmp_path)

@@ -5,6 +5,7 @@ or fail with a ValueError or an OSError, which the CLI reports as exit
 
 import dataclasses
 import os
+import shutil
 import struct
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ovbm.audio_io import AudioClip, WavRecording, parse_manifest, write_wav
+from ovbm.fusion import load_ensemble
 from ovbm.models import load_model
 from ovbm.pipeline import RunConfig
 
@@ -74,23 +76,40 @@ def test_mutated_wav(encoding, tmp_path_factory, scratch):
     check()
 
 
-@pytest.mark.parametrize("rel", [
-    os.path.join("models", "member_tuned_cough_origin.ovbm"),
-    os.path.join("ensemble_main", "fusion.ovbm")],
-    ids=["member", "fusion"])
-def test_mutated_weight_file(rel, micro_run_dir, scratch):
+def ensemble_tensors(path: Path) -> list:
+    """The tensors of the ensemble whose fusion file is `path`."""
+    fusion = load_ensemble(path.parent)
+    return [fusion.weights, *(m.weights for m in fusion.members)]
+
+
+# Each weight file reader: the file it reads in a run directory, and the
+# tensors it loads from that file's path.
+READERS = {
+    "member": (os.path.join("models", "member_tuned_cough_origin.ovbm"),
+               lambda path: [load_model(path).weights]),
+    "fusion": (os.path.join("ensemble_main", "fusion.ovbm"), ensemble_tensors),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_mutated_weight_file(reader, micro_run_dir, scratch):
+    # the file is mutated in a copy of its directory, so the fusion file
+    # is read with its members
+    rel, tensors = READERS[reader]
     raw = Path(micro_run_dir, rel).read_bytes()
     (desc_len,) = struct.unpack_from("<I", raw, 8)
-    path = scratch / "m.ovbm"
+    shutil.copytree(Path(micro_run_dir, rel).parent, scratch / reader)
+    path = scratch / reader / os.path.basename(rel)
 
     @settings(max_examples=120)
     @given(data=mutated(raw, 12 + desc_len + 64))
     def check(data):
         path.write_bytes(data)
         try:
-            load_model(path)
+            loaded = tensors(path)
         except REFUSED:
-            pass
+            return
+        assert all(np.isfinite(w).all() for ws in loaded for w in ws.values())
 
     check()
 

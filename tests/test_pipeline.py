@@ -152,17 +152,18 @@ class TestTrainedRun:
         pipe = micro_pipeline
         assert len(M.MEMBER_IDS) == 8
         main = {m.biomarker_id: m for m in pipe.main.members}
-        for entry in M.MEMBERS:
+        assert [m.biomarker_id for m in pipe.tuned] == list(M.MEMBER_IDS)
+        for entry, tuned in zip(M.MEMBERS, pipe.tuned):
             # joint training never touches a member's surrogate-task head
             assert main[entry.biomarker_id].num_classes == entry.num_classes
-            assert pipe.tuned[entry.biomarker_id].num_classes == 2
+            assert tuned.num_classes == 2
 
     def test_frozen_tuning_kept_bodies(self, micro_pipeline):
         # run strategy is "frozen": fine-tuning and joint training may
         # only move heads, so every other tensor of a tuned member must
         # match the main ensemble's (pretrained) member bit for bit
         pipe = micro_pipeline
-        for pre, tuned in zip(pipe.main.members, pipe.tuned_members):
+        for pre, tuned in zip(pipe.main.members, pipe.tuned):
             assert pre.biomarker_id == tuned.biomarker_id
             for key, w in tuned.weights.items():
                 if key.startswith("head."):
@@ -216,10 +217,9 @@ class TestTrainedRun:
         for k, w in again.main.weights.items():
             np.testing.assert_array_equal(
                 w, micro_pipeline.main.weights[k])
-        for mid in M.MEMBER_IDS:
-            for k, w in again.tuned[mid].weights.items():
-                np.testing.assert_array_equal(
-                    w, micro_pipeline.tuned[mid].weights[k])
+        for m, want in zip(again.tuned, micro_pipeline.tuned, strict=True):
+            for k, w in m.weights.items():
+                np.testing.assert_array_equal(w, want.weights[k])
         assert again.metrics == micro_pipeline.metrics
 
     def test_split_without_test_subject_is_refused(self, corpus_dir,
@@ -268,9 +268,9 @@ class TestArtifacts:
         loaded = load_pipeline(micro_run_dir)
         assert loaded.config == micro_pipeline.config
         assert loaded.metrics == micro_pipeline.metrics
-        for mid in M.MEMBER_IDS:
-            want = micro_pipeline.tuned[mid].weights
-            got = loaded.tuned[mid].weights
+        for m, saved in zip(loaded.tuned, micro_pipeline.tuned, strict=True):
+            assert m.biomarker_id == saved.biomarker_id
+            want, got = saved.weights, m.weights
             for k in want:
                 np.testing.assert_array_equal(
                     got[k], want[k].astype(np.float32).astype(np.float64))
@@ -373,7 +373,7 @@ class TestMemberHeads:
                      for kind, fusion in (("pt", pipe.pt), ("main", pipe.main))}
         owners = {id(m.weights["head.w"]): (kind, m.biomarker_id)
                   for kind, members in [*ensembles.values(),
-                                        ("tuned", pipe.tuned_members)]
+                                        ("tuned", pipe.tuned)]
                   for m in members}
         assert len(owners) == (len(ensembles) + 1) * len(M.MEMBER_IDS)
         ran = []
