@@ -152,7 +152,7 @@ def _config_from_args(args) -> RunConfig:
         flags["poisson_mask"] = flags["poisson_mask"] == "on"
     data = {}
     if args.config:
-        with open(args.config) as fh, named_errors(args.config):
+        with open(args.config, encoding="utf-8") as fh, named_errors(args.config):
             data = json.load(fh)
             if not isinstance(data, dict):
                 raise ValueError("config file must hold a JSON object")

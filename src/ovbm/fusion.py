@@ -141,49 +141,23 @@ def train_fusion(fusion: FusionModel, chunks: Chunks, metadata: np.ndarray,
                  labels, config: M.TrainConfig,
                  layers: frozenset) -> tuple:
     """Jointly train the fusion layer and each member's `layers`
-    (`models.trainable_layers`) through `models.fit`, on labeled chunks:
-    `metadata` [N, METADATA_DIM] and `labels` [N] are each chunk's
-    subject's. Returns the trained ensemble and its per-epoch mean
-    losses; the input ensemble is not mutated. Bodies that train no
-    layer are embedded through `embed_chunks`, so they run once per
-    Chunks across calls."""
+    (`models.trainable_layers`) through `models.fit_bodies`, on labeled
+    chunks: `metadata` [N, METADATA_DIM] and `labels` [N] are each
+    chunk's subject's. Returns the trained ensemble and its per-epoch
+    mean losses; the input ensemble is not mutated."""
     labels = np.array([int(y) for y in labels])
     members = [M.clone_model(m) for m in fusion.members]
     fusion = FusionModel(members, {k: w.copy() for k, w in fusion.weights.items()})
     meta = np.asarray(metadata, dtype=np.float64)
+    state = nn.AdamState(fusion.weights)
 
-    # Member layers the joint loss can actually reach: every trainable
-    # layer except the member's own classification head.
-    needed = layers - {"head"}
-    frozen = not needed
-    if frozen:
-        emb_all = np.concatenate(M.embed_chunks(members, chunks), axis=1)
-    else:
-        inputs = [chunks.expand(M.member_inputs(m, chunks)) for m in members]
-    fusion_state = nn.AdamState(fusion.weights)
-    member_states = [nn.AdamState(m.weights) for m in members]
-    dims = np.cumsum([0] + [m.arch.embedding_dim for m in members])
+    def head(emb, batch, t, need_dx):
+        _, cache = fuse_from_embeddings(fusion, emb, meta[batch])
+        grads, dx = fusion_backward(fusion, cache, labels[batch], need_dx)
+        M.adam_step(fusion.weights, grads, state, config, t)
+        return nn.cross_entropy(cache["logits"], labels[batch]), dx
 
-    def step(batch, t):
-        if frozen:
-            emb = emb_all[batch]
-        else:
-            outs = [M.forward_batch(m, x[batch])
-                    for m, x in zip(members, inputs)]
-            emb = np.concatenate([e for e, _ in outs], axis=1)
-        _, fcache = fuse_from_embeddings(fusion, emb, meta[batch])
-        loss = nn.cross_entropy(fcache["logits"], labels[batch])
-        fgrads, dx = fusion_backward(fusion, fcache, labels[batch],
-                                     need_dx=not frozen)
-        M.adam_step(fusion.weights, fgrads, fusion_state, config, t)
-        if not frozen:
-            for m, (_, cache), state, lo, hi in zip(members, outs, member_states,
-                                                    dims, dims[1:]):
-                grads = M.backward_from_embedding(m, cache, dx[:, lo:hi], needed)
-                M.adam_step(m.weights, grads, state, config, t)
-        return loss
-
-    return fusion, M.fit(labels, config, step)
+    return fusion, M.fit_bodies(members, chunks, labels, config, layers, head)
 
 
 # --------------------------------------------------------- persistence

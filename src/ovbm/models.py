@@ -359,43 +359,63 @@ def fit(labels: np.ndarray, config: TrainConfig, step):
     return epoch_losses
 
 
+def fit_bodies(members: list, chunks: Chunks, labels: np.ndarray,
+               config: TrainConfig, layers: frozenset, head) -> list:
+    """The body half of every training step, through `fit` on chunks and
+    their labels [N]. Each step hands the members' embeddings of the
+    batch, concatenated [B, sum of E], to `head(emb, batch, t, need_dx)`,
+    which steps the network above the bodies and returns (loss, d_emb);
+    each member then takes its own Adam step, in place, on its layers in
+    `layers` from its own columns of d_emb. With no body layer in
+    `layers` the embeddings never change, so they are read once from
+    `embed_chunks` (which keeps them on the Chunks) and `head` is asked
+    for no d_emb. Returns the epoch losses."""
+    needed = layers - {"head"}
+    if not needed:
+        emb = np.concatenate(embed_chunks(members, chunks), axis=1)
+        return fit(labels, config,
+                   lambda batch, t: head(emb[batch], batch, t, False)[0])
+    inputs = [chunks.expand(member_inputs(m, chunks)) for m in members]
+    states = [nn.AdamState({k: w for k, w in m.weights.items()
+                            if k.rpartition(".")[0] in needed})
+              for m in members]
+    dims = np.cumsum([0] + [m.arch.embedding_dim for m in members])
+
+    def step(batch, t):
+        outs = [forward_batch(m, x[batch]) for m, x in zip(members, inputs)]
+        loss, d_emb = head(np.concatenate([e for e, _ in outs], axis=1),
+                           batch, t, True)
+        for m, (_, cache), state, lo, hi in zip(members, outs, states,
+                                                dims, dims[1:]):
+            adam_step(m.weights, backward_from_embedding(
+                m, cache, d_emb[:, lo:hi], needed), state, config, t)
+        return loss
+
+    return fit(labels, config, step)
+
+
 def train(model: BiomarkerModel, chunks: Chunks, labels, config: TrainConfig,
           layers: frozenset) -> tuple:
-    """Mini-batch Adam through `fit` on `layers` (`trainable_layers`), on
+    """Mini-batch Adam on the member's own softmax head and on its body
+    layers in `layers` (`trainable_layers`), through `fit_bodies`, on
     chunks and their labels [N]. Returns the trained model and its
-    per-epoch mean losses.
-
-    The input model is not mutated. With only the head trainable the
-    embeddings never change, so they are read once from `embed_chunks`
-    (which keeps them on the Chunks) and each step is a softmax
-    regression on them.
-    """
+    per-epoch mean losses; the input model is not mutated."""
     labels = np.array([int(y) for y in labels])
     model = clone_model(model)
     if int(labels.max()) >= model.num_classes:
         raise ValueError("label outside the model's class range")
-    head_only = layers == {"head"}
-    source = (embed_chunks([model], chunks)[0] if head_only
-              else chunks.expand(member_inputs(model, chunks)))
-    state = nn.AdamState(model.weights)
+    w = model.weights
+    state = nn.AdamState({k: w[k] for k in ("head.w", "head.b")})
 
-    def step(batch, t):
-        if head_only:
-            emb, cache = source[batch], None
-        else:
-            emb, cache = forward_batch(model, source[batch])
+    def head(emb, batch, t, need_dx):
         logits, probs = head_forward(model, emb)
         y = labels[batch]
         d_emb, dw, db = nn.linear_backward(nn.softmax_ce_backward(probs, y),
-                                           emb, model.weights["head.w"],
-                                           need_dx=not head_only)
-        grads = {"head.w": dw, "head.b": db}
-        if not head_only:
-            grads.update(backward_from_embedding(model, cache, d_emb, layers))
-        adam_step(model.weights, grads, state, config, t)
-        return nn.cross_entropy(logits, y)
+                                           emb, w["head.w"], need_dx=need_dx)
+        adam_step(w, {"head.w": dw, "head.b": db}, state, config, t)
+        return nn.cross_entropy(logits, y), d_emb
 
-    return model, fit(labels, config, step)
+    return model, fit_bodies([model], chunks, labels, config, layers, head)
 
 
 # ------------------------------------------------------------- roster

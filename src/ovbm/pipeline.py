@@ -268,6 +268,9 @@ def run_training(config: RunConfig) -> TrainedPipeline:
                                              split_rng)
     train_records = [records[i] for i in train_idx]
     test_records = [records[i] for i in test_idx]
+    if len(set(labels)) < 2:
+        raise ValueError(f"{config.manifest}: every subject is labeled "
+                         f"{('nonAD', 'AD')[labels[0]]}; training needs both")
     if not test_records:
         raise ValueError(f"{config.manifest}: the split leaves no test subject")
 

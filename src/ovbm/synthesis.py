@@ -154,7 +154,7 @@ def write_corpus(out_dir: str, n_subjects: int, seed: int,
         rows.append([subject_id, rel_path, "AD" if label else "nonAD",
                      gender, str(age)])
     manifest_path = os.path.join(out_dir, "manifest.csv")
-    with open(manifest_path, "w", newline="") as fh:
+    with open(manifest_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_COLUMNS)
         writer.writerows(rows)

@@ -208,7 +208,8 @@ def overflowing_member(config, biomarker_id):
 def member_loss_and_grads(model, x, targets, needed):
     """A member's mean cross-entropy over images x [B, H, W] and the
     gradients of the head and of the other layers in `needed`, through
-    the calls each step of `models.train` makes."""
+    the calls one step of `models.train` makes: its head's in
+    `models.train`, its body's in `models.fit_bodies`."""
     emb, cache = models.forward_batch(model, x)
     logits, probs = models.head_forward(model, emb)
     rest = set(needed) - {"head"}

@@ -4,6 +4,8 @@ import json
 import os
 import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +105,29 @@ class TestSynth:
                 want = fh.read()
             with open(os.path.join(b, rel), "rb") as fh:
                 assert fh.read() == want, rel
+
+
+def test_text_files_are_utf8_whatever_the_locale(tmp_path):
+    """`synth` writes its manifest and `train` reads its config as UTF-8:
+    under -X warn_default_encoding, with EncodingWarning an error, neither
+    command opens a text file in the locale's encoding."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 1}), encoding="utf-8")
+
+    def ovbm(*argv):
+        return subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding",
+             "-W", "error::EncodingWarning", "-m", "ovbm.cli", *argv],
+            cwd=tmp_path, env=env, capture_output=True, encoding="utf-8")
+
+    synth = ovbm("synth", "--out", "corpus", "--n-subjects", "2")
+    assert synth.returncode == 0, synth.stderr
+    train = ovbm("train", "--config", str(config), "--out", "run")
+    assert train.returncode == 2, train.stderr
+    assert "manifest path is required" in train.stderr
 
 
 # Every `ovbm train` flag: (flag, argument, RunConfig field, parsed value).

@@ -282,6 +282,23 @@ class TestTrainFusion:
                      if w.tobytes() != b[k].tobytes()}
             assert moved == {f"{last}.w", f"{last}.b"}
 
+    def test_each_body_trains_from_its_own_columns(self):
+        # with the last member's columns of hidden.w zero, its body gets no
+        # gradient on the first step, while the first member's body does
+        members = make_members()
+        fusion = build_fusion(members, seed=12)
+        dims = fusion.member_dims
+        fusion.weights["hidden.w"][:, sum(dims[:-1]):sum(dims)] = 0.0
+        chunks, metadata, labels = make_samples()
+        trained, _ = train_fusion(
+            fusion, chunks, metadata, labels,
+            TrainConfig(epochs=1, batch_size=len(labels), seed=8), ALL_LAYERS)
+        first, last = trained.members
+        for k, w in last.weights.items():
+            assert w.tobytes() == members[-1].weights[k].tobytes(), k
+        assert not np.array_equal(first.weights["stem.w"],
+                                  members[0].weights["stem.w"])
+
     def test_input_ensemble_not_mutated(self):
         members = make_members()
         fusion = build_fusion(members, seed=7)

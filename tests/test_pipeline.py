@@ -222,16 +222,22 @@ class TestTrainedRun:
                 np.testing.assert_array_equal(w, want.weights[k])
         assert again.metrics == micro_pipeline.metrics
 
-    def test_split_without_test_subject_is_refused(self, corpus_dir,
-                                                   tmp_path, monkeypatch):
+    @pytest.mark.parametrize("pick, labels, message", [
         # one subject per label: the split keeps both for training
+        (lambda rows: rows[:2], [0, 1], "no test subject"),
+        # the four nonAD subjects: no split gives training a second label
+        (lambda rows: rows[::2], [0] * 4, "every subject is labeled nonAD"),
+    ], ids=["one_per_label", "one_label"])
+    def test_split_without_test_subject_is_refused(self, corpus_dir, tmp_path,
+                                                   monkeypatch, capsys, pick,
+                                                   labels, message):
         with open(os.path.join(corpus_dir, "manifest.csv")) as fh:
             header, *rows = fh.read().splitlines()
-        manifest = tmp_path / "two.csv"
+        manifest = tmp_path / "picked.csv"
         manifest.write_text("\n".join([header] + [
             row.replace("wav/", os.path.join(corpus_dir, "wav") + "/")
-            for row in rows[:2]]) + "\n")
-        assert sorted(r.label for r in parse_manifest(str(manifest))) == [0, 1]
+            for row in pick(rows)]) + "\n")
+        assert sorted(r.label for r in parse_manifest(str(manifest))) == labels
 
         def no_stage(*args):
             raise AssertionError("a training stage ran")
@@ -239,11 +245,13 @@ class TestTrainedRun:
         monkeypatch.setattr(P, "_map", no_stage)
         monkeypatch.setattr(P.FeatureStore, "chunks", no_stage)
         config = micro_run_config(corpus_dir, manifest=str(manifest))
-        with pytest.raises(ValueError, match="no test subject"):
+        with pytest.raises(ValueError, match=message):
             run_training(config)
         out = tmp_path / "run"
         assert main(["train", "--manifest", str(manifest),
                      "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(manifest) in err and message in err
         assert not out.exists()
 
 
