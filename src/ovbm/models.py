@@ -533,7 +533,7 @@ def embed_chunks(members: list, chunks: Chunks) -> list:
     THREADED_CROPS or more crops run on threads, one per CPU, that end
     with the call; each computes the same rows as on this thread, in the
     caller's NumPy error state. A process that `multiprocessing` started
-    (a `pipeline._map` worker, one of one per CPU) runs them on this
+    (a `util.map_tasks` worker, one of one per CPU) runs them on this
     thread."""
     k = len(chunks.crops)
     keys = [_body_key(m) for m in members]

@@ -6,7 +6,8 @@ A run is fully described by a RunConfig. The stages are
      subjects' chunks,
   2. surrogate pretraining of the eight CNN members, and
   3. per-member fine-tune to the 2-way target task (own heads), on those
-     chunks: one task per member, run in worker processes (`_map`),
+     chunks: one task per member, run in worker processes
+     (`util.map_tasks`),
   4. joint fusion training over the pretrained members (main ensemble)
      and, if the strategy lets tuning move a member body, over the tuned
      members (pretuned variant; else it is the main ensemble),
@@ -18,16 +19,12 @@ Every random draw comes from a sub-seed named after its stage, so one
 
 from __future__ import annotations
 
-import ctypes
 import dataclasses
-import glob
 import itertools
 import json
 import math
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +47,8 @@ from .fusion import (
 from .mfcc import MfccParams
 from .saliency import saliency_map
 from .synthesis import surrogate_dataset
-from .util import atomic_write_text, config_digest, derive_seed, named_errors
+from .util import (atomic_write_text, config_digest, derive_seed, map_tasks,
+                   named_errors)
 
 FORMAT_VERSION = 1
 
@@ -312,7 +310,7 @@ def run_training(config: RunConfig) -> TrainedPipeline:
 
     # the 8-class member pretrains on the most clips, so it starts first
     entries = sorted(M.MEMBERS, key=lambda e: -e.num_classes)
-    results = dict(zip(entries, _map(member, entries)))
+    results = dict(zip(entries, map_tasks(member, entries)))
     pretrained, tuned, embeddings = map(list, zip(*map(results.get, M.MEMBERS)))
     for cached in embeddings:
         chunks.embeddings.update(cached)
@@ -333,61 +331,6 @@ def run_training(config: RunConfig) -> TrainedPipeline:
     pipe.metrics = _run_metrics(pipe, store, train_records, chunks,
                                 test_records, main_losses[-1])
     return pipe
-
-
-# ------------------------------------------- member and subject workers
-
-def _map(fn, items: list) -> list:
-    """`[fn(item) for item in items]`, in order, over a `fork` pool of
-    one worker per CPU this process may run on (at most one per item),
-    each handed the next item as it comes free; with one worker, in this
-    process. Training runs one task per member through it, and the
-    screens one task per subject. Workers inherit `fn` and `items`
-    unpickled; results come back pickled, and an item's exception once
-    the items before it and any running item finish. A dead worker
-    raises `BrokenProcessPool` at once. Items not started are dropped,
-    and workers joined."""
-    workers = min(len(items), len(os.sched_getaffinity(0)))
-    if workers <= 1:
-        return list(map(fn, items))
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                               initializer=_start_worker,
-                               initargs=(fn, items))
-    try:
-        return list(pool.map(_run_item, range(len(items))))
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-_worker_task: tuple = ()  # (fn, items), set in a `_map` worker only
-
-
-def _start_worker(fn, items: list) -> None:
-    """A worker is one of as many as CPUs: BLAS runs on its one thread,
-    as do the member bodies (`embed_chunks` sees a started process)."""
-    global _worker_task
-    _worker_task = (fn, items)
-    _one_blas_thread()
-
-
-def _run_item(i: int):
-    fn, items = _worker_task
-    return fn(items[i])
-
-
-def _one_blas_thread() -> None:
-    """Run NumPy's bundled OpenBLAS on one thread in this process, as
-    `_map` runs as many workers as CPUs. Leaves BLAS as it is where
-    that library is absent."""
-    for path in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs",
-                                       "libscipy_openblas64_*.so")):
-        try:
-            set_threads = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        set_threads.argtypes = [ctypes.c_int]
-        set_threads.restype = None
-        set_threads(1)
 
 
 def _run_metrics(pipe: TrainedPipeline, store: FeatureStore,
@@ -526,10 +469,11 @@ def evaluate_manifest(pipe: TrainedPipeline, manifest_path: str) -> dict:
 def map_subjects(score, pipe: TrainedPipeline, manifest_path: str,
                  records: list) -> list:
     """`score(pipe, record, clip)` of each manifest record, in order, one
-    task per subject through `_map`."""
+    task per subject through `map_tasks`."""
     rate = pipe.config.sample_rate
-    return _map(lambda rec: score(pipe, rec, load_clip(manifest_path, rec, rate)),
-                records)
+    return map_tasks(
+        lambda rec: score(pipe, rec, load_clip(manifest_path, rec, rate)),
+        records)
 
 
 def diagnose_subject(pipe: TrainedPipeline, record: SubjectRecord,

@@ -16,7 +16,7 @@ from .audio_io import MANIFEST_COLUMNS, AudioClip, SynthSpec, synth_clip, write_
 from .chunker import chunk_plan, extract_chunks
 from .mfcc import MfccParams
 from .models import RegistryEntry
-from .util import derive_seed
+from .util import derive_seed, map_tasks
 
 # Class-0-vs-1 spectral anchors, in Hz. Wake-word surrogates put the
 # keyword tone against a low distractor; the corpus separates healthy
@@ -137,22 +137,24 @@ def write_corpus(out_dir: str, n_subjects: int, seed: int,
 
     Subjects alternate nonAD/AD so any prefix is near-balanced. WAV
     paths in the manifest are relative to the manifest's directory.
+    Each subject renders and writes its WAV in its own `map_tasks` task;
+    the manifest is written last, once every WAV is.
     """
     if n_subjects < 2:
         raise ValueError("need at least two subjects (one per class)")
-    os.makedirs(out_dir, exist_ok=True)
-    wav_dir = os.path.join(out_dir, "wav")
-    os.makedirs(wav_dir, exist_ok=True)
-    rows = []
-    for i in range(n_subjects):
+    os.makedirs(os.path.join(out_dir, "wav"), exist_ok=True)
+
+    def subject(i: int) -> list:
         label = i % 2
         subject_id = f"s{i:03d}"
-        clip = corpus_clip(i, label, seed, sample_rate)
         rel_path = os.path.join("wav", f"{subject_id}.wav")
-        write_wav(os.path.join(out_dir, rel_path), clip)
+        write_wav(os.path.join(out_dir, rel_path),
+                  corpus_clip(i, label, seed, sample_rate))
         gender, age = corpus_metadata(i, seed)
-        rows.append([subject_id, rel_path, "AD" if label else "nonAD",
-                     gender, str(age)])
+        return [subject_id, rel_path, "AD" if label else "nonAD",
+                gender, str(age)]
+
+    rows = map_tasks(subject, list(range(n_subjects)))
     manifest_path = os.path.join(out_dir, "manifest.csv")
     with open(manifest_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -21,7 +21,7 @@ import ovbm.fusion as F
 import ovbm.models as M
 import ovbm.pipeline as P
 import ovbm.saliency as S
-from ovbm import nn
+from ovbm import nn, synthesis
 from conftest import (MICRO_ARCH, count_forward_images, micro_run_config,
                       overflowing_member, random_images, tree_bytes)
 from ovbm.audio_io import AudioClip, parse_manifest, write_wav
@@ -41,6 +41,7 @@ from ovbm.pipeline import (
     save_pipeline,
     subject_saliency,
 )
+from ovbm.util import map_tasks
 
 
 class TestRunConfig:
@@ -242,7 +243,7 @@ class TestTrainedRun:
         def no_stage(*args):
             raise AssertionError("a training stage ran")
 
-        monkeypatch.setattr(P, "_map", no_stage)
+        monkeypatch.setattr(P, "map_tasks", no_stage)
         monkeypatch.setattr(P.FeatureStore, "chunks", no_stage)
         config = micro_run_config(corpus_dir, manifest=str(manifest))
         with pytest.raises(ValueError, match=message):
@@ -675,7 +676,7 @@ class TestEmbeddingMemo:
         # (8 x N), and each body runs once on the test subjects' T
         # chunks (8 x T). The member tasks run in this process, where
         # the count sees them.
-        monkeypatch.setattr(P, "_map", lambda fn, items: list(map(fn, items)))
+        monkeypatch.setattr(P, "map_tasks", _serial)
         images = self._images_inside(monkeypatch, [
             # pretraining trains every layer; the tune step only heads
             (M, "train", lambda *args: "embed" not in args[4]),
@@ -693,6 +694,10 @@ class TestEmbeddingMemo:
 class WorkerFailure(ValueError):
     """Raised inside a member task. Module-level, so a worker can send it
     back pickled."""
+
+
+def _serial(fn, items: list) -> list:
+    return list(map(fn, items))
 
 
 def _two_workers(monkeypatch):
@@ -717,7 +722,7 @@ def _deadline(seconds: float):
 
 
 class TestMemberWorkers:
-    """Stages 2 and 3 run one task per member through `pipeline._map`:
+    """Stages 2 and 3 run one task per member through `util.map_tasks`:
     in this process, or in a pool of worker processes."""
 
     @pytest.mark.parametrize("strategy", ["frozen", "last:1"])
@@ -725,7 +730,7 @@ class TestMemberWorkers:
                                           tmp_path, monkeypatch):
         config = micro_run_config(corpus_dir, strategy=strategy)
         with monkeypatch.context() as patch:
-            patch.setattr(P, "_map", lambda fn, items: list(map(fn, items)))
+            patch.setattr(P, "map_tasks", _serial)
             save_pipeline(run_training(config), str(tmp_path / "serial"))
 
         # each surrogate render leaves a file named after its process
@@ -807,7 +812,7 @@ class TestMemberWorkers:
         threads = ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_
         threads.restype = ctypes.c_int
         _two_workers(monkeypatch)
-        assert P._map(lambda _: threads(), [0, 1]) == [1, 1]
+        assert map_tasks(lambda _: threads(), [0, 1]) == [1, 1]
         assert multiprocessing.active_children() == []
 
 
@@ -993,7 +998,7 @@ class TestBodyThreads:
 
 class TestSubjectWorkers:
     """`ovbm eval`, `diagnose` and `saliency` score one subject per task
-    through `pipeline._map`, and print and write in manifest order."""
+    through `util.map_tasks`, and print and write in manifest order."""
 
     def test_worker_count_changes_no_byte(self, micro_run_dir, corpus_dir,
                                           tmp_path, capsys, monkeypatch):
@@ -1053,7 +1058,7 @@ class TestSubjectWorkers:
         assert multiprocessing.active_children() == []
 
     def test_workers_run_bodies_serially(self, monkeypatch):
-        # A `_map` worker is one of one per CPU, and a process that
+        # A `map_tasks` worker is one of one per CPU, and a process that
         # `multiprocessing` started: its bodies run on its own thread.
         # This process opens a pool for the same call.
         members = [M.init_cnn(MICRO_ARCH, 2, seed=i, biomarker_id=mid)
@@ -1069,6 +1074,121 @@ class TestSubjectWorkers:
             M.embed_chunks(members, Chunks(x, False))
             return ran == {threading.get_ident()}, list(pools)
 
-        assert P._map(embed, [0, 1]) == [(True, []), (True, [])]
+        assert map_tasks(embed, [0, 1]) == [(True, []), (True, [])]
         assert embed(None) == (False, [2])
+        assert multiprocessing.active_children() == []
+
+
+class TestCorpusWorkers:
+    """`write_corpus` renders and writes one subject per `map_tasks`
+    task, and writes the manifest once every task is done."""
+
+    def test_worker_count_changes_no_byte(self, tmp_path, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(synthesis, "map_tasks", _serial)
+            synthesis.write_corpus(str(tmp_path / "serial"), 9, seed=5)
+
+        # each render leaves a file named after its process
+        pids = tmp_path / "pids"
+        pids.mkdir()
+        corpus_clip = synthesis.corpus_clip
+
+        def rendering(*args):
+            (pids / str(os.getpid())).touch()
+            return corpus_clip(*args)
+
+        _two_workers(monkeypatch)
+        monkeypatch.setattr(synthesis, "corpus_clip", rendering)
+        synthesis.write_corpus(str(tmp_path / "workers"), 9, seed=5)
+        assert multiprocessing.active_children() == []
+        assert os.listdir(pids) and str(os.getpid()) not in os.listdir(pids)
+
+        serial = tree_bytes(tmp_path / "serial")
+        assert len(serial) == 10 and "manifest.csv" in serial
+        assert tree_bytes(tmp_path / "workers") == serial
+
+    def test_render_error_reaches_the_caller(self, tmp_path, capsys,
+                                             monkeypatch):
+        corpus_clip = synthesis.corpus_clip
+
+        def failing(i, *args):
+            if i == 4:
+                raise WorkerFailure("no voice for subject 4")
+            return corpus_clip(i, *args)
+
+        _two_workers(monkeypatch)
+        monkeypatch.setattr(synthesis, "corpus_clip", failing)
+        with pytest.raises(WorkerFailure, match="^no voice for subject 4$"):
+            synthesis.write_corpus(str(tmp_path / "corpus"), 9, seed=5)
+        assert not (tmp_path / "corpus" / "manifest.csv").exists()
+        assert multiprocessing.active_children() == []
+
+        out = tmp_path / "synth"
+        assert main(["synth", "--out", str(out), "--n-subjects", "9"]) == 2
+        assert "no voice for subject 4" in capsys.readouterr().err
+        assert not (out / "manifest.csv").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_killed_worker_is_a_named_failure(self, tmp_path, capsys,
+                                              monkeypatch):
+        # Subject 0 renders; every other render SIGKILLs its worker. The
+        # test process itself is never killed.
+        corpus_clip = synthesis.corpus_clip
+        parent = os.getpid()
+
+        def killing(i, *args):
+            if i > 0 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return corpus_clip(i, *args)
+
+        _two_workers(monkeypatch)
+        monkeypatch.setattr(synthesis, "corpus_clip", killing)
+        out = tmp_path / "synth"
+        with _deadline(15.0):
+            code = main(["synth", "--out", str(out), "--n-subjects", "9"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert "worker process died" in captured.err
+        assert captured.out == ""
+        assert not (out / "manifest.csv").exists()
+        assert multiprocessing.active_children() == []
+
+
+def _doubled(items: list) -> list:
+    return map_tasks(lambda x: x * 2, items)
+
+
+def _in_pool_worker(fn, *args):
+    """`fn(*args)` in the worker of a fork `multiprocessing.Pool(1)`: a
+    daemonic process, which may start no child process."""
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        return pool.apply(fn, args)
+
+
+class TestPoolInWorkers:
+    """A process that `multiprocessing` started runs `map_tasks` items
+    itself: it may not be allowed children, and as a pool worker it is
+    already one of one per CPU."""
+
+    def test_pool_worker_runs_the_items(self, tmp_path, monkeypatch):
+        _two_workers(monkeypatch)
+        assert _in_pool_worker(_doubled, [1, 2, 3]) == [2, 4, 6]
+        synthesis.write_corpus(str(tmp_path / "here"), 5, seed=11)
+        _in_pool_worker(synthesis.write_corpus, str(tmp_path / "worker"),
+                        5, 11)
+        here = tree_bytes(tmp_path / "here")
+        assert len(here) == 6
+        assert tree_bytes(tmp_path / "worker") == here
+        assert multiprocessing.active_children() == []
+
+    def test_nested_call_starts_no_child(self, monkeypatch):
+        _two_workers(monkeypatch)
+
+        def nested(_):
+            ran = map_tasks(
+                lambda _: (os.getpid(), multiprocessing.active_children()),
+                [0, 1])
+            return ran == [(os.getpid(), [])] * 2
+
+        assert map_tasks(nested, [0, 1]) == [True, True]
         assert multiprocessing.active_children() == []

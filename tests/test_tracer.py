@@ -25,7 +25,7 @@ def load_tracer():
 
 
 def test_traced_run_reports_every_layer(corpus_dir, monkeypatch):
-    monkeypatch.setattr(P, "_map", lambda fn, items: list(map(fn, items)))
+    monkeypatch.setattr(P, "map_tasks", lambda fn, items: list(map(fn, items)))
     tracing = load_tracer()
     config = micro_run_config(corpus_dir, pretrain_epochs=1, tune_epochs=1,
                               fusion_epochs=1, surrogate_per_class=2)
