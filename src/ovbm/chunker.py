@@ -210,9 +210,8 @@ def extract_chunks(source: Recording, plans: ChunkPlan | list,
     (see `_crop_rows`). With `mask`, the Poisson mask is
     applied once, to those rows; it maps zero rows to zero. Chunks whose
     crops read the same frame rows share one crop (`Chunks.index`), so a
-    member embeds it once. `params` are validated first.
+    member embeds it once.
     """
-    params.validate()
     plans = [plans] if isinstance(plans, ChunkPlan) else list(plans)
     if not plans or not all(p.intervals for p in plans):
         raise ValueError("plan has no intervals")

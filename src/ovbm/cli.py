@@ -10,8 +10,8 @@
     ovbm report ablation --pairs runs/nomask:runs/mask --out reports/
 
 Exit codes: 0 ok, 2 bad inputs or config, 3 missing/unreadable files,
-4 a worker process died (`ovbm train`, `eval`, `diagnose`, `saliency`;
-nothing is written).
+4 a worker process died (`ovbm synth`, `train`, `eval`, `diagnose`,
+`saliency`; nothing is written).
 """
 
 from __future__ import annotations
@@ -176,7 +176,6 @@ def _check_out(out: str, is_file: bool = False) -> None:
 
 def cmd_train(args) -> int:
     config = _config_from_args(args)
-    config.validate()
     _check_out(args.out)
     pipe = run_training(config)
     save_pipeline(pipe, args.out)
@@ -258,7 +257,6 @@ def cmd_saliency(args) -> int:
         if len(pair) != 2:
             raise ValueError("--compare takes exactly two subject ids")
     ordered = map_subjects(subject_saliency, pipe, args.manifest, records)
-    os.makedirs(args.out, exist_ok=True)
     for rec, smap in zip(records, ordered):
         families = sorted({e.family for e in smap.entries})
         means = " ".join(f"{fam}={smap.family_mean(fam):.3f}"
@@ -287,7 +285,6 @@ def cmd_report_uniqueness(args) -> int:
         positives = pipe.metrics["test_positives"]
     members = _id_list(args.members, "member", detections, "run detections")
     report = uniqueness_report({m: detections[m] for m in members}, positives)
-    os.makedirs(args.out, exist_ok=True)
     atomic_write_text(os.path.join(args.out, "uniqueness.csv"),
                       uniqueness_csv(report))
     atomic_write_text(os.path.join(args.out, "uniqueness.json"),
@@ -312,7 +309,6 @@ def cmd_report_ablation(args) -> int:
         # the label is the with-mask run's, as the pair's last
         rows.append((pipe.config.label, *accuracies))
     report = ablation_report(rows)
-    os.makedirs(args.out, exist_ok=True)
     atomic_write_text(os.path.join(args.out, "ablation.csv"),
                       ablation_csv(report))
     atomic_write_text(os.path.join(args.out, "ablation.json"),

@@ -52,10 +52,17 @@ def metadata_vector(gender: str = "unknown", age: int | None = None) -> np.ndarr
 @dataclass
 class FusionModel:
     """An ensemble: its members, in fusion input order, and the fusion
-    network's weights."""
+    network's weights, checked when built."""
 
     members: list
     weights: dict  # hidden.w/b, head.w/b
+
+    def __post_init__(self) -> None:
+        if not self.members:
+            raise EmptyMembers("no members")
+        M.check_tensors(self.weights, {
+            "hidden.w": (HIDDEN_DIM, self.input_dim), "hidden.b": (HIDDEN_DIM,),
+            "head.w": (NUM_CLASSES, HIDDEN_DIM), "head.b": (NUM_CLASSES,)})
 
     @property
     def member_ids(self) -> list:
@@ -71,8 +78,6 @@ class FusionModel:
 
 
 def build_fusion(members: list, seed: int = 0) -> FusionModel:
-    if not members:
-        raise EmptyMembers("no members")
     input_dim = sum(m.arch.embedding_dim for m in members) + METADATA_DIM
     rng = np.random.default_rng(seed)
     weights = {
@@ -211,12 +216,9 @@ def load_ensemble(dir_path) -> FusionModel:
                 f"fusion manifest"
             )
         members.append(M.load_model(path))
-    fusion = FusionModel(members, weights)
+    with named_errors(fusion_path):
+        fusion = FusionModel(members, weights)
     if recorded != [fusion.member_dims, METADATA_DIM]:
         raise ValueError(f"{fusion_path}: member_dims and metadata_dim "
                          f"{recorded} do not match the members")
-    with named_errors(fusion_path):
-        M.check_tensors(weights, {
-            "hidden.w": (HIDDEN_DIM, fusion.input_dim), "hidden.b": (HIDDEN_DIM,),
-            "head.w": (NUM_CLASSES, HIDDEN_DIM), "head.b": (NUM_CLASSES,)})
     return fusion

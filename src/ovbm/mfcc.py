@@ -15,6 +15,7 @@ against an independent route and is limited to short clips.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -40,7 +41,20 @@ class OracleTooLarge(ValueError):
     """The O(N^2) oracle only accepts short clips."""
 
 
-@dataclass
+def duration_samples(name: str, seconds: float, sample_rate: int) -> int:
+    """`seconds` in whole samples at `sample_rate`; ValueError naming
+    `name` unless `seconds` is positive and finite and its length in
+    samples lies below 2**53, up to which a float counts exactly."""
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise ValueError(f"{name} must be positive and finite, got {seconds!r}")
+    samples = seconds * sample_rate
+    if not samples < 2**53:
+        raise ValueError(f"{name} {seconds!r} s is {samples!r} samples at "
+                         f"{sample_rate} Hz; need < 2**53")
+    return round(samples)
+
+
+@dataclass(frozen=True)
 class MfccParams:
     """Feature extraction settings. Defaults: 20 ms / 10 ms rectangular
     frames, 200 filters, 200 cepstra, 2048-point FFT at 16 kHz."""
@@ -60,18 +74,15 @@ class MfccParams:
     def frame_step(self) -> int:
         return int(round(self.window_step * self.sample_rate))
 
-    def validate(self) -> None:
-        for name in ("window_len", "window_step"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    def __post_init__(self) -> None:
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
-        for name, samples in (("window_len", self.frame_len),
-                              ("window_step", self.frame_step)):
+        for name in ("window_len", "window_step"):
+            value = getattr(self, name)
+            samples = duration_samples(name, value, self.sample_rate)
             if samples < 1:
-                raise ValueError(f"{name} {getattr(self, name)!r} s is {samples} "
-                                 f"samples at {self.sample_rate} Hz; need >= 1")
+                raise ValueError(f"{name} {value!r} s is {samples} samples at "
+                                 f"{self.sample_rate} Hz; need >= 1")
         if self.num_filters < 1 or self.num_cepstra < 1:
             raise ValueError("need at least one filter and one cepstrum")
         if self.num_cepstra > self.num_filters:
@@ -106,9 +117,6 @@ def mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
-_FILTERBANK_CACHE: dict = {}
-
-
 def mel_filterbank(params: MfccParams) -> FilterBank:
     """Triangular filters with centers equally spaced on the mel axis
     from LOW_FREQ to Nyquist.
@@ -118,22 +126,18 @@ def mel_filterbank(params: MfccParams) -> FilterBank:
     size and we refuse rather than silently merging filters. Banks are
     cached by the parameters they depend on and returned read-only.
     """
-    params.validate()
-    nfft = params.fft_size
-    key = (params.num_filters, nfft, params.sample_rate)
-    if key in _FILTERBANK_CACHE:
-        return _FILTERBANK_CACHE[key]
+    return _filterbank(params.num_filters, params.fft_size, params.sample_rate)
+
+
+@functools.cache
+def _filterbank(num_filters: int, nfft: int, sample_rate: int) -> FilterBank:
     mel_points = np.linspace(
-        hz_to_mel(LOW_FREQ),
-        hz_to_mel(params.sample_rate / 2.0),
-        params.num_filters + 2,
-    )
+        hz_to_mel(LOW_FREQ), hz_to_mel(sample_rate / 2.0), num_filters + 2)
     hz_points = mel_to_hz(mel_points)
-    bins = np.floor((nfft + 1) * hz_points / params.sample_rate).astype(np.int64)
+    bins = np.floor((nfft + 1) * hz_points / sample_rate).astype(np.int64)
     if np.any(np.diff(bins) == 0):
         raise TooManyFilters(
-            f"{params.num_filters} filters collide on a {nfft}-point FFT grid"
-        )
+            f"{num_filters} filters collide on a {nfft}-point FFT grid")
     i = np.arange(nfft // 2 + 1)[None, :]
     left, center, right = bins[:-2, None], bins[1:-1, None], bins[2:, None]
     rising = (i - left) / (center - left)
@@ -141,9 +145,7 @@ def mel_filterbank(params: MfccParams) -> FilterBank:
     weights = np.maximum(0.0, np.minimum(rising, falling))
     weights.setflags(write=False)
     bins.setflags(write=False)
-    bank = FilterBank(weights, bins)
-    _FILTERBANK_CACHE[key] = bank
-    return bank
+    return FilterBank(weights, bins)
 
 
 def power_spectrum(frames: np.ndarray, fft_size: int) -> np.ndarray:
@@ -155,21 +157,17 @@ def power_spectrum(frames: np.ndarray, fft_size: int) -> np.ndarray:
     return (spec.real**2 + spec.imag**2) / fft_size
 
 
-_DCT_CACHE: dict = {}
-
-
+@functools.cache
 def dct2_matrix(size: int) -> np.ndarray:
     """Orthonormal DCT-II basis; row k dotted with a signal gives
     coefficient k. Cached by size and returned read-only."""
-    if size not in _DCT_CACHE:
-        j = np.arange(size, dtype=np.float64)
-        k = np.arange(size, dtype=np.float64)[:, None]
-        mat = np.cos(np.pi * k * (2.0 * j + 1.0) / (2.0 * size))
-        mat[0] *= math.sqrt(1.0 / size)
-        mat[1:] *= math.sqrt(2.0 / size)
-        mat.setflags(write=False)
-        _DCT_CACHE[size] = mat
-    return _DCT_CACHE[size]
+    j = np.arange(size, dtype=np.float64)
+    k = np.arange(size, dtype=np.float64)[:, None]
+    mat = np.cos(np.pi * k * (2.0 * j + 1.0) / (2.0 * size))
+    mat[0] *= math.sqrt(1.0 / size)
+    mat[1:] *= math.sqrt(2.0 / size)
+    mat.setflags(write=False)
+    return mat
 
 
 def lifter_weights(num_cepstra: int) -> np.ndarray:
@@ -206,7 +204,6 @@ def mfcc(clip: AudioClip, params: MfccParams, frames: np.ndarray) -> MfccImage:
     from `clip` by the chunker. Each row depends only on its frame:
     frames go through in blocks of at least BLOCK_FRAMES, and a shorter
     call transforms only its own frames."""
-    params.validate()
     if clip.sample_rate != params.sample_rate:
         raise RateMismatch(f"frames at {clip.sample_rate} Hz, params "
                            f"expect {params.sample_rate} Hz")
@@ -225,7 +222,6 @@ def mfcc_oracle(clip: AudioClip, params: MfccParams | None = None) -> MfccImage:
     literal DCT-II formula. Refuses clips longer than two seconds.
     """
     params = MfccParams() if params is None else params
-    params.validate()
     if clip.duration > 2.0 + 1e-9:
         raise OracleTooLarge(f"oracle limited to 2 s, got {clip.duration:.3f} s")
     if clip.samples.size == 0:

@@ -58,7 +58,7 @@ class CnnArch:
     num_blocks: int
     embedding_dim: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         frames, coeffs = self.input_shape
         if frames < 1 or coeffs < 1:
             raise ShapeMismatch("input_shape must be positive")
@@ -149,13 +149,14 @@ class TrainConfig:
 
 @dataclass
 class BiomarkerModel:
+    """A member network, checked when built (`check_tensors`)."""
+
     biomarker_id: str
     arch: CnnArch
     num_classes: int
     weights: dict
 
-    def validate(self) -> None:
-        self.arch.validate()
+    def __post_init__(self) -> None:
         if self.num_classes < 2:
             raise ValueError("need at least two classes")
         check_tensors(self.weights, weight_shapes(self.arch, self.num_classes))
@@ -165,9 +166,6 @@ def init_cnn(arch: CnnArch, num_classes: int, seed: int,
              biomarker_id: str = "") -> BiomarkerModel:
     """He-style uniform weights (scaled by fan-in), zero biases. The
     draw order is fixed so one seed always produces one network."""
-    arch.validate()
-    if num_classes < 2:
-        raise ValueError("need at least two classes")
     rng = np.random.default_rng(seed)
     weights = {k: nn.he_uniform(rng, shape, fan_in=int(np.prod(shape[1:])))
                if k.endswith(".w") else np.zeros(shape)
@@ -186,11 +184,10 @@ def replace_head(model: BiomarkerModel, num_classes: int) -> BiomarkerModel:
     tensor is carried over unchanged. Softmax regression is convex and
     zero is its standard start, so the head needs no draw, and its first
     step sends no gradient into the layers below."""
-    out = clone_model(model)
-    out.weights["head.w"] = np.zeros((num_classes, model.arch.embedding_dim))
-    out.weights["head.b"] = np.zeros(num_classes)
-    out.num_classes = num_classes
-    return out
+    weights = {k: w.copy() for k, w in model.weights.items()}
+    weights["head.w"] = np.zeros((num_classes, model.arch.embedding_dim))
+    weights["head.b"] = np.zeros(num_classes)
+    return BiomarkerModel(model.biomarker_id, model.arch, num_classes, weights)
 
 
 # ------------------------------------------------------------- forward
@@ -648,8 +645,6 @@ def load_model(path) -> BiomarkerModel:
     if descriptor.get("kind") != "biomarker":
         raise ValueError(f"{path}: not a biomarker model file")
     with named_errors(path):
-        model = BiomarkerModel(
+        return BiomarkerModel(
             descriptor["biomarker_id"], CnnArch.from_dict(descriptor["arch"]),
             descriptor["num_classes"], weights)
-        model.validate()
-    return model

@@ -44,7 +44,7 @@ from .fusion import (
     score_subject,
     train_fusion,
 )
-from .mfcc import MfccParams
+from .mfcc import MfccParams, duration_samples
 from .saliency import saliency_map
 from .synthesis import surrogate_dataset
 from .util import (atomic_write_text, config_digest, derive_seed, map_tasks,
@@ -61,9 +61,10 @@ class UnknownConfigKey(ValueError):
 _FIELD_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything a training run depends on, flat and JSON-friendly."""
+    """Everything a training run depends on, flat and JSON-friendly,
+    checked when built."""
 
     manifest: str = ""
     seed: int = 0
@@ -113,7 +114,7 @@ class RunConfig:
     def parsed_scheme(self) -> AggregationScheme:
         return AggregationScheme.parse(self.scheme)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             # a bool is an int to Python, but never a number here
@@ -126,10 +127,9 @@ class RunConfig:
             raise ValueError("manifest path is required")
         if set(self.label) & set(REPORT_UNSAFE):
             raise ValueError(f"label {self.label!r} holds one of {REPORT_UNSAFE!r}")
-        for name in ("chunk_size", "stride", "learning_rate"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be positive and finite, "
+                             f"got {self.learning_rate!r}")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
         for name in ("pretrain_epochs", "tune_epochs", "fusion_epochs",
@@ -140,10 +140,12 @@ class RunConfig:
         if not 0.0 < self.split_fraction < 1.0:
             raise ValueError("split_fraction must lie in (0, 1)")
         self.parsed_scheme()
-        # the arch first: `trainable_layers` lists every one of its layers
-        self.arch().validate()
+        # building the arch checks it before `trainable_layers` lists
+        # every one of its layers
         M.trainable_layers(self.strategy, self.arch())
-        self.mfcc_params().validate()
+        self.mfcc_params()
+        for name in ("chunk_size", "stride"):
+            duration_samples(name, getattr(self, name), self.sample_rate)
         if self.chunk_size < self.window_len:
             raise ValueError(f"chunk_size {self.chunk_size!r} s is shorter than "
                              f"one window (window_len {self.window_len!r} s)")
@@ -252,7 +254,6 @@ def _subject_metrics(diagnoses: list, records: list, threshold: float) -> dict:
 
 
 def run_training(config: RunConfig) -> TrainedPipeline:
-    config.validate()
     records = parse_manifest(config.manifest)
     params = config.mfcc_params()
     arch = config.arch()
@@ -420,7 +421,6 @@ def load_pipeline(out_dir: str) -> TrainedPipeline:
     metrics_path = os.path.join(out_dir, "metrics.json")
     with named_errors(config_path), open(config_path, encoding="utf-8") as fh:
         config = RunConfig.from_dict(json.load(fh)["config"])
-        config.validate()
     with named_errors(metrics_path), open(metrics_path, encoding="utf-8") as fh:
         metrics = json.load(fh)
         if not isinstance(metrics, dict):

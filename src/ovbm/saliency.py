@@ -281,6 +281,9 @@ _SVG_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd"]
 def saliency_svg(maps: list) -> str:
     """Static line chart of one or more maps over the 16-entry roster.
     Pure string assembly so identical maps give identical bytes."""
+    # imported here: it loads urllib.request, megabytes no scorer needs
+    from xml.sax.saxutils import escape
+
     if not maps:
         raise ValueError("nothing to plot")
     ids = [e.biomarker_id for e in maps[0].entries]
@@ -334,6 +337,6 @@ def saliency_svg(maps: list) -> str:
             parts.append(f'<circle cx="{xs[i]:.1f}" cy="{y_of(e.score):.1f}" '
                          f'r="2.5" fill="{color}"/>')
         parts.append(f'<text x="{left + 6 + 150 * mi:.1f}" y="{top - 10:.1f}" '
-                     f'fill="{color}">{m.subject_id}</text>')
+                     f'fill="{color}">{escape(m.subject_id)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -256,6 +257,25 @@ class TestTrain:
         assert field in stderr
         assert not os.path.exists(tmp_path / "r")
 
+    # sample counts a float cannot hold exactly: refused when the config
+    # is built, before any extraction rounds them
+    @pytest.mark.parametrize("data,field", [
+        ({"window_step": 1.2e304}, "window_step"),
+        ({"chunk_size": 1e305}, "chunk_size"),
+        ({"stride": 1e305, "chunk_size": 2.0}, "stride")])
+    def test_overflowing_duration(self, data, field, tmp_path, corpus_dir,
+                                  capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(data))
+        code, stdout, stderr = run_cli(
+            capsys, "train", "--config", str(config_path),
+            "--manifest", os.path.join(corpus_dir, "manifest.csv"),
+            "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert field in stderr and "samples" in stderr
+        assert stdout == ""
+        assert not os.path.exists(tmp_path / "r")
+
     def test_invalid_json_config(self, tmp_path, corpus_dir, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text('{"seed": 1,}')
@@ -285,7 +305,7 @@ class TestTrain:
             self, strategy, error, message, tmp_path, corpus_dir, capsys,
             monkeypatch):
         with pytest.raises(error, match=message):
-            RunConfig(manifest="any.csv", strategy=strategy).validate()
+            RunConfig(manifest="any.csv", strategy=strategy)
         rendered = []
         monkeypatch.setattr(P, "surrogate_dataset",
                             lambda *args: rendered.append(args))
@@ -490,7 +510,10 @@ class TestEval:
         lambda saved: "{",
         lambda saved: json.dumps(
             dict(saved, config=dict(saved["config"], chunk_size="2"))),
-    ], ids=["list", "config_is_a_list", "invalid_json", "field_of_wrong_type"])
+        lambda saved: json.dumps(
+            dict(saved, config=dict(saved["config"], window_step=1.2e304))),
+    ], ids=["list", "config_is_a_list", "invalid_json", "field_of_wrong_type",
+            "overflowing_duration"])
     def test_malformed_run_config(self, edit, micro_run_dir, corpus_dir,
                                   tmp_path, capsys):
         broken = str(tmp_path / "broken")
@@ -712,6 +735,24 @@ class TestSaliency:
         with open(os.path.join(out, "comparison.csv")) as fh:
             assert fh.readline().strip() == \
                 "biomarker_id,family,delta_s000_minus_s001"
+
+    def test_svg_escapes_subject_ids(self, micro_run_dir, corpus_dir,
+                                     tmp_path, capsys):
+        # a manifest id may hold the characters XML marks up with
+        sid = "a&b<c>d"
+        lines = Path(corpus_dir, "manifest.csv").read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[:2] = [sid, os.path.join(corpus_dir, fields[1])]
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(lines[0] + "\n" + ",".join(fields) + "\n")
+        out = tmp_path / "reports"
+        code, _, _ = run_cli(capsys, "saliency", "--run", micro_run_dir,
+                             "--manifest", str(manifest), "--subjects", sid,
+                             "--out", str(out))
+        assert code == 0
+        svg = ElementTree.fromstring((out / "saliency.svg").read_text())
+        texts = [t.text for t in svg.iter("{http://www.w3.org/2000/svg}text")]
+        assert sid in texts
 
     def test_cut_member_file(self, micro_run_dir, corpus_dir, tmp_path,
                              capsys):

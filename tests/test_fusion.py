@@ -22,6 +22,7 @@ from ovbm.fusion import (
     DimMismatch,
     EmptyMembers,
     EnsembleDigestMismatch,
+    FusionModel,
     build_fusion,
     fuse_from_embeddings,
     fusion_backward,
@@ -104,6 +105,19 @@ class TestFuseForward:
     def test_empty_members(self):
         with pytest.raises(EmptyMembers):
             build_fusion([])
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda w: w["hidden.w"].__setitem__((0, 0), np.nan),
+         "non-finite weights in hidden.w"),
+        (lambda w: w.__setitem__("hidden.w", w["hidden.w"][:, 1:]),
+         "hidden.w is"),
+    ], ids=["nan", "wrong_width"])
+    def test_checked_when_built(self, edit, message):
+        members = make_members()
+        weights = build_fusion(members, seed=1).weights
+        edit(weights)
+        with pytest.raises(ValueError, match=message):
+            FusionModel(members, weights)
 
     def test_single_chunk_prob(self):
         members = make_members()

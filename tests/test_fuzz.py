@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ovbm.audio_io import AudioClip, WavRecording, parse_manifest, write_wav
@@ -154,11 +154,16 @@ JSON_VALUES = SCALARS | st.recursive(
 @settings(max_examples=200)
 @given(overrides=st.dictionaries(st.sampled_from(FIELDS), JSON_VALUES,
                                  min_size=1, max_size=2))
+# durations whose sample counts overflow a float's integers
+@example(overrides={"window_step": 1.1235582092889475e+304})
+@example(overrides={"window_len": 1.1235582092889475e+304})
+@example(overrides={"chunk_size": 1e305})
+@example(overrides={"stride": 1e305, "chunk_size": 2.0})
 def test_arbitrary_config_values(overrides):
     # a valid config with one or two fields replaced, so that each check
     # is reached with the others passing
     data = dict(RunConfig(manifest="m.csv").to_dict(), **overrides)
     try:
-        RunConfig.from_dict(data).validate()
+        RunConfig.from_dict(data)
     except REFUSED:
         pass

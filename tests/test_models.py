@@ -52,7 +52,7 @@ from ovbm.pipeline import RunConfig
 from ovbm.util import derive_seed
 
 # The run's default member arch: 7 conv layers.
-DEFAULT_ARCH = RunConfig().arch()
+DEFAULT_ARCH = RunConfig(manifest="m.csv").arch()
 
 
 def labeled_set(n=20, seed=0, shape=(10, 8), separation=2.0):
@@ -95,10 +95,16 @@ class TestInit:
         out.weights["stem.w"][0, 0, 0, 0] += 1.0  # copies, not views
         assert out.weights["stem.w"][0, 0, 0, 0] != base.weights["stem.w"][0, 0, 0, 0]
 
+    def test_checked_when_built(self):
+        weights = init_cnn(MICRO_ARCH, 2, seed=0).weights
+        del weights["head.b"]
+        with pytest.raises(ValueError, match="head.b is missing"):
+            BiomarkerModel("probe", MICRO_ARCH, 2, weights)
+
     def test_arch_rejects_overpooling(self):
         with pytest.raises(ValueError):
             CnnArch(input_shape=(4, 4), stem_channels=2, num_blocks=3,
-                    embedding_dim=4).validate()
+                    embedding_dim=4)
 
 
 class TestForward:
@@ -145,7 +151,7 @@ class TestNonFiniteActivation:
         for name, w in model.weights.items():
             if not name.startswith("head."):
                 w[...] = 1e200
-        model.validate()
+        model = BiomarkerModel("probe", MICRO_ARCH, 2, model.weights)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NonFiniteActivation, match="'probe'"):
             forward_batch(model, np.stack(random_images(2)))
@@ -153,7 +159,7 @@ class TestNonFiniteActivation:
     def test_overflowing_head(self):
         model = init_cnn(MICRO_ARCH, 2, seed=0, biomarker_id="probe")
         model.weights["head.w"][...] = 1e300
-        model.validate()
+        model = BiomarkerModel("probe", MICRO_ARCH, 2, model.weights)
         emb = np.full((3, 4), 1e300)
         for head in (head_forward, head_batches):
             with np.errstate(over="ignore", invalid="ignore"), \

@@ -3,6 +3,7 @@ artifact round trips."""
 
 import contextlib
 import ctypes
+import dataclasses
 import glob
 import json
 import math
@@ -46,8 +47,12 @@ from ovbm.util import map_tasks
 
 class TestRunConfig:
     def test_defaults_validate(self):
+        RunConfig(manifest="m.csv")
+
+    def test_frozen(self):
         config = RunConfig(manifest="m.csv")
-        config.validate()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.chunk_size = 1e305
 
     @pytest.mark.parametrize("overrides", [
         {"manifest": ""},
@@ -97,17 +102,20 @@ class TestRunConfig:
         {"window_len": -10**400},
         {"sample_rate": 2**1024},
         {"num_blocks": 10**12},      # refused before its layers are listed
+        {"window_len": 1.2e304},     # sample counts past 2**53
+        {"window_step": 1.2e304},
+        {"chunk_size": 2**53 / 16000},
+        {"stride": 1e305},
     ])
     def test_rejects(self, overrides):
-        config = RunConfig(**{"manifest": "m.csv", **overrides})
         with pytest.raises(ValueError):
-            config.validate()
+            RunConfig(**{"manifest": "m.csv", **overrides})
 
     @pytest.mark.parametrize("label", ["mask,v2", "a;b", 'a"b', "a\nb",
                                        "a\rb"])
     def test_rejects_label_that_would_split_a_report(self, label):
         with pytest.raises(ValueError, match="label"):
-            RunConfig(manifest="m.csv", label=label).validate()
+            RunConfig(manifest="m.csv", label=label)
 
     def test_dict_round_trip(self):
         config = RunConfig(manifest="m.csv", seed=4, scheme="linpos")
