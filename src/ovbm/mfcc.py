@@ -43,21 +43,28 @@ class OracleTooLarge(ValueError):
 
 def duration_samples(name: str, seconds: float, sample_rate: int) -> int:
     """`seconds` in whole samples at `sample_rate`; ValueError naming
-    `name` unless `seconds` is positive and finite and its length in
-    samples lies below 2**53, up to which a float counts exactly."""
+    `name` unless `seconds` is positive and finite, rounds to at least
+    one sample, and its length in samples lies below 2**53, up to which
+    a float counts exactly."""
     if not (math.isfinite(seconds) and seconds > 0):
         raise ValueError(f"{name} must be positive and finite, got {seconds!r}")
     samples = seconds * sample_rate
     if not samples < 2**53:
         raise ValueError(f"{name} {seconds!r} s is {samples!r} samples at "
                          f"{sample_rate} Hz; need < 2**53")
-    return round(samples)
+    whole = round(samples)
+    if whole < 1:
+        raise ValueError(f"{name} {seconds!r} s is {whole} samples at "
+                         f"{sample_rate} Hz; need >= 1")
+    return whole
 
 
 @dataclass(frozen=True)
 class MfccParams:
     """Feature extraction settings. Defaults: 20 ms / 10 ms rectangular
-    frames, 200 filters, 200 cepstra, 2048-point FFT at 16 kHz."""
+    frames, 200 filters, 200 cepstra, 2048-point FFT at 16 kHz.
+    `frame_len` and `frame_step`, a frame's length and step in samples,
+    are set when built and are not fields."""
 
     window_len: float = 0.020
     window_step: float = 0.010
@@ -66,23 +73,13 @@ class MfccParams:
     fft_size: int = 2048
     sample_rate: int = 16000
 
-    @property
-    def frame_len(self) -> int:
-        return int(round(self.window_len * self.sample_rate))
-
-    @property
-    def frame_step(self) -> int:
-        return int(round(self.window_step * self.sample_rate))
-
     def __post_init__(self) -> None:
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
-        for name in ("window_len", "window_step"):
-            value = getattr(self, name)
-            samples = duration_samples(name, value, self.sample_rate)
-            if samples < 1:
-                raise ValueError(f"{name} {value!r} s is {samples} samples at "
-                                 f"{self.sample_rate} Hz; need >= 1")
+        object.__setattr__(self, "frame_len", duration_samples(
+            "window_len", self.window_len, self.sample_rate))
+        object.__setattr__(self, "frame_step", duration_samples(
+            "window_step", self.window_step, self.sample_rate))
         if self.num_filters < 1 or self.num_cepstra < 1:
             raise ValueError("need at least one filter and one cepstrum")
         if self.num_cepstra > self.num_filters:

@@ -12,8 +12,6 @@ from __future__ import annotations
 import contextvars
 import json
 import math
-import multiprocessing
-import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -24,7 +22,7 @@ import numpy as np
 from . import nn
 from .chunker import Chunks
 from .degradation import mask_factors
-from .util import atomic_write_bytes, derive_seed, named_errors
+from .util import atomic_write_bytes, cpus, derive_seed, named_errors
 
 WEIGHT_MAGIC = b"OVBM"
 WEIGHT_FORMAT_VERSION = 1
@@ -527,18 +525,16 @@ def embed_chunks(members: list, chunks: Chunks) -> list:
     distinct body once: under the `frozen` strategy the tune step, the
     fusion training and the run's training-subject scores share the
     pretrained bodies' embeddings. Two or more bodies still to run over
-    THREADED_CROPS or more crops run on threads, one per CPU, that end
-    with the call; each computes the same rows as on this thread, in the
-    caller's NumPy error state. A process that `multiprocessing` started
-    (a `util.map_tasks` worker, one of one per CPU) runs them on this
-    thread."""
+    THREADED_CROPS or more crops run on threads, one per CPU that
+    `util.cpus` grants (a `map_tasks` worker gets one, this thread), that
+    end with the call; each computes the same rows as on this thread, in
+    the caller's NumPy error state."""
     k = len(chunks.crops)
     keys = [_body_key(m) for m in members]
     todo = {key: m for key, m in zip(keys, members)
             if len(chunks.embeddings.get(key, ())) < k}
-    threads = min(len(todo), len(os.sched_getaffinity(0)))
-    if (threads > 1 and k >= THREADED_CROPS
-            and multiprocessing.parent_process() is None):
+    threads = min(len(todo), cpus())
+    if threads > 1 and k >= THREADED_CROPS:
         with ThreadPoolExecutor(threads) as pool:
             done = [pool.submit(contextvars.copy_context().run, _embed, m,
                                 chunks) for m in todo.values()]

@@ -20,6 +20,7 @@ Every random draw comes from a sub-seed named after its stage, so one
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -64,7 +65,10 @@ _FIELD_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a training run depends on, flat and JSON-friendly,
-    checked when built."""
+    checked when built. The objects its fields describe are built with
+    it, once, as read-only attributes that are not fields: `params`
+    (MfccParams), `arch` (CnnArch), `aggregation` (the parsed `scheme`)
+    and `layers` (what `strategy` trains on `arch`)."""
 
     manifest: str = ""
     seed: int = 0
@@ -97,23 +101,6 @@ class RunConfig:
     num_blocks: int = 3
     embedding_dim: int = 32
 
-    def mfcc_params(self) -> MfccParams:
-        return MfccParams(
-            window_len=self.window_len, window_step=self.window_step,
-            num_cepstra=self.num_cepstra, num_filters=self.num_filters,
-            fft_size=self.fft_size, sample_rate=self.sample_rate,
-        )
-
-    def arch(self) -> M.CnnArch:
-        return M.CnnArch(
-            input_shape=(self.arch_frames, self.num_cepstra),
-            stem_channels=self.stem_channels, num_blocks=self.num_blocks,
-            embedding_dim=self.embedding_dim,
-        )
-
-    def parsed_scheme(self) -> AggregationScheme:
-        return AggregationScheme.parse(self.scheme)
-
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
@@ -139,16 +126,28 @@ class RunConfig:
                 raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
         if not 0.0 < self.split_fraction < 1.0:
             raise ValueError("split_fraction must lie in (0, 1)")
-        self.parsed_scheme()
+        derive = functools.partial(object.__setattr__, self)
+        derive("aggregation", AggregationScheme.parse(self.scheme))
         # building the arch checks it before `trainable_layers` lists
         # every one of its layers
-        M.trainable_layers(self.strategy, self.arch())
-        self.mfcc_params()
+        derive("arch", M.CnnArch(
+            input_shape=(self.arch_frames, self.num_cepstra),
+            stem_channels=self.stem_channels, num_blocks=self.num_blocks,
+            embedding_dim=self.embedding_dim))
+        derive("layers", M.trainable_layers(self.strategy, self.arch))
+        derive("params", MfccParams(
+            window_len=self.window_len, window_step=self.window_step,
+            num_cepstra=self.num_cepstra, num_filters=self.num_filters,
+            fft_size=self.fft_size, sample_rate=self.sample_rate))
         for name in ("chunk_size", "stride"):
             duration_samples(name, getattr(self, name), self.sample_rate)
         if self.chunk_size < self.window_len:
             raise ValueError(f"chunk_size {self.chunk_size!r} s is shorter than "
                              f"one window (window_len {self.window_len!r} s)")
+        # one window per stride: no more windows than the recording has frames
+        if self.stride < self.window_step:
+            raise ValueError(f"stride {self.stride!r} s is shorter than one "
+                             f"frame step (window_step {self.window_step!r} s)")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -206,7 +205,7 @@ def _run_chunks(config: RunConfig, clip: Recording) -> Chunks:
     """A recording's chunks under the run's chunk plan, features, mask
     and crop."""
     plan = chunk_plan(clip.duration, config.chunk_size, config.stride)
-    return extract_chunks(clip, plan, config.mfcc_params(),
+    return extract_chunks(clip, plan, config.params,
                           config.poisson_mask, config.arch_frames)
 
 
@@ -228,7 +227,7 @@ def _metadata_rows(records: list, counts: list) -> np.ndarray:
 def _diagnoses(config: RunConfig, records: list, probs) -> list:
     """Aggregate and threshold each subject's chunk class probabilities,
     an iterable of arrays [n, 2], one per record, in `records` order."""
-    scheme = config.parsed_scheme()
+    scheme = config.aggregation
     diagnoses = []
     for record, p in zip(records, probs):
         chunk_probs = p[:, 1].tolist()
@@ -255,9 +254,6 @@ def _subject_metrics(diagnoses: list, records: list, threshold: float) -> dict:
 
 def run_training(config: RunConfig) -> TrainedPipeline:
     records = parse_manifest(config.manifest)
-    params = config.mfcc_params()
-    arch = config.arch()
-    layers = M.trainable_layers(config.strategy, arch)
     store = FeatureStore(config)
 
     # 1. hold out whole subjects, stratified by label
@@ -291,22 +287,22 @@ def run_training(config: RunConfig) -> TrainedPipeline:
     # every task is done).
     def member(entry: M.RegistryEntry) -> tuple:
         mid = entry.biomarker_id
-        data = surrogate_dataset(entry, params,
+        data = surrogate_dataset(entry, config.params,
                                  derive_seed(config.seed, "surrogate", mid),
                                  config.surrogate_per_class, config.arch_frames)
-        model0 = M.init_cnn(arch, entry.num_classes,
+        model0 = M.init_cnn(config.arch, entry.num_classes,
                             derive_seed(config.seed, "init", mid), mid)
         pretrained, _ = M.train(
             model0, Chunks(np.stack([image for image, _ in data]), masked=False),
             [label for _, label in data],
             config.train_config(config.pretrain_epochs,
                                 derive_seed(config.seed, "pretrain", mid)),
-            frozenset(M.layer_names(arch)))
+            frozenset(M.layer_names(config.arch)))
         tuned, _ = M.train(
             M.replace_head(pretrained, 2), chunks, labels,
             config.train_config(config.tune_epochs,
                                 derive_seed(config.seed, "tune", mid)),
-            layers)
+            config.layers)
         return pretrained, tuned, chunks.embeddings
 
     # the 8-class member pretrains on the most clips, so it starts first
@@ -324,9 +320,9 @@ def run_training(config: RunConfig) -> TrainedPipeline:
             fusion0, chunks, metadata, labels,
             config.train_config(config.fusion_epochs,
                                 derive_seed(config.seed, "fusion_train", name)),
-            layers)
+            config.layers)
     main, main_losses = fuse("main", pretrained)
-    pt = fuse("pt", tuned)[0] if layers - {"head"} else main
+    pt = fuse("pt", tuned)[0] if config.layers - {"head"} else main
 
     pipe = TrainedPipeline(config, tuned, main, pt)
     pipe.metrics = _run_metrics(pipe, store, train_records, chunks,
@@ -431,7 +427,7 @@ def load_pipeline(out_dir: str) -> TrainedPipeline:
     tuned = [M.load_model(path) for path in paths.values()]
     _check_roster(tuned, paths.get, two_way=True)
     # pt is main unless tuning moves a body (an older run's copy is unread)
-    bodies = M.trainable_layers(config.strategy, config.arch()) - {"head"}
+    bodies = config.layers - {"head"}
     ensembles = []
     for name in ("ensemble_main", "ensemble_pt") if bodies else ("ensemble_main",):
         path = os.path.join(out_dir, name, "fusion.ovbm")

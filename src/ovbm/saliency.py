@@ -72,7 +72,7 @@ def saliency_map(pipe, record: SubjectRecord, clip: Recording) -> SaliencyMap:
               for e in ROSTER if e.family == "brainos"}
     keys = list(dict.fromkeys([run_plan, *probes.values()]))
     plans = [chunk_plan(clip.duration, size, step) for size, step in keys]
-    flat = extract_chunks(clip, plans, config.mfcc_params(),
+    flat = extract_chunks(clip, plans, config.params,
                           config.poisson_mask, config.arch_frames)
 
     # The main bodies embed every plan's crops at once, and the main
@@ -88,7 +88,7 @@ def saliency_map(pipe, record: SubjectRecord, clip: Recording) -> SaliencyMap:
     main_probs[run_plan], pt_probs, own = score_subject(
         pipe, flat.head(plans[0].count), metadata)
 
-    scheme = config.parsed_scheme()
+    scheme = config.aggregation
     entries = []
     for entry in ROSTER:
         if entry in MEMBERS:

@@ -68,6 +68,14 @@ def atomic_write_text(path, text: str) -> None:
 
 # ----------------------------------------------------------- worker pool
 
+def cpus() -> int:
+    """The CPUs a fan-out in this process may use: one in a process that
+    `multiprocessing` started (a `map_tasks` worker, one of as many as
+    CPUs), else every CPU this process may run on."""
+    started = multiprocessing.parent_process() is not None
+    return 1 if started else len(os.sched_getaffinity(0))
+
+
 def map_tasks(fn, items: list) -> list:
     """`[fn(item) for item in items]`, in order, over a `fork` pool of
     one worker per CPU this process may run on (at most one per item),
@@ -79,8 +87,8 @@ def map_tasks(fn, items: list) -> list:
     exception once the items before it and any running item finish. A
     dead worker raises `BrokenProcessPool` at once. Items not started
     are dropped, and workers joined."""
-    workers = min(len(items), len(os.sched_getaffinity(0)))
-    if workers <= 1 or multiprocessing.parent_process() is not None:
+    workers = min(len(items), cpus())
+    if workers <= 1:
         return list(map(fn, items))
     pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
                                initializer=_start_worker,
@@ -96,7 +104,7 @@ _worker_task: tuple = ()  # (fn, items), set in a `map_tasks` worker only
 
 def _start_worker(fn, items: list) -> None:
     """A worker is one of as many as CPUs: BLAS runs on its one thread,
-    as do the member bodies (`embed_chunks` sees a started process)."""
+    as do the member bodies (`cpus` is one in it)."""
     global _worker_task
     _worker_task = (fn, items)
     _one_blas_thread()

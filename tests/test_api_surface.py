@@ -122,3 +122,44 @@ def private_reads() -> list:
 
 def test_no_module_reads_another_modules_private_names():
     assert private_reads() == []
+
+
+def builder_calls() -> set:
+    """(callee, enclosing function) of every call in `src/ovbm` that
+    builds a run's MfccParams, CnnArch, scheme or trained layers. The
+    callee gains "()" when the call passes no argument; the function is
+    named `Class.method` inside a class."""
+    builders = ("MfccParams", "CnnArch", "AggregationScheme.parse",
+                "trainable_layers")
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                callee = ast.unparse(child.func)
+                for name in builders:
+                    if callee == name or callee.endswith("." + name):
+                        bare = not (child.args or child.keywords)
+                        found.add((name + "()" * bare, ".".join(scope)))
+            visit(child, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), [])
+    return found
+
+
+def test_run_settings_are_derived_only_with_the_run_config():
+    """A run's derived objects are built once, with its RunConfig.
+    `mfcc_oracle` defaults to the reference MfccParams(), and
+    `CnnArch.from_dict` reads a weight file's own arch."""
+    built_with_config = "RunConfig.__post_init__"
+    allowed = {("MfccParams", built_with_config),
+               ("CnnArch", built_with_config),
+               ("AggregationScheme.parse", built_with_config),
+               ("trainable_layers", built_with_config),
+               ("MfccParams()", "mfcc_oracle"),
+               ("CnnArch", "CnnArch.from_dict")}
+    assert builder_calls() == allowed

@@ -276,6 +276,22 @@ class TestTrain:
         assert stdout == ""
         assert not os.path.exists(tmp_path / "r")
 
+    # a plan lists one window per stride: 1e-300 s is 0 samples, and
+    # 3.75e-5 s rounds to 1, under the 160-sample frame step
+    @pytest.mark.parametrize("stride", [1e-300, 3.75e-5, 0.005])
+    def test_stride_under_one_frame_step(self, stride, tmp_path, corpus_dir,
+                                         capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"stride": stride}))
+        code, stdout, stderr = run_cli(
+            capsys, "train", "--config", str(config_path),
+            "--manifest", os.path.join(corpus_dir, "manifest.csv"),
+            "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert "stride" in stderr
+        assert stdout == ""
+        assert not os.path.exists(tmp_path / "r")
+
     def test_invalid_json_config(self, tmp_path, corpus_dir, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text('{"seed": 1,}')

@@ -159,6 +159,9 @@ JSON_VALUES = SCALARS | st.recursive(
 @example(overrides={"window_len": 1.1235582092889475e+304})
 @example(overrides={"chunk_size": 1e305})
 @example(overrides={"stride": 1e305, "chunk_size": 2.0})
+# strides under one frame step, whose plans would list a window per stride
+@example(overrides={"stride": 1e-300})
+@example(overrides={"stride": 3.75e-5})
 def test_arbitrary_config_values(overrides):
     # a valid config with one or two fields replaced, so that each check
     # is reached with the others passing

@@ -52,7 +52,7 @@ from ovbm.pipeline import RunConfig
 from ovbm.util import derive_seed
 
 # The run's default member arch: 7 conv layers.
-DEFAULT_ARCH = RunConfig(manifest="m.csv").arch()
+DEFAULT_ARCH = RunConfig(manifest="m.csv").arch
 
 
 def labeled_set(n=20, seed=0, shape=(10, 8), separation=2.0):

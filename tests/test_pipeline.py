@@ -106,6 +106,9 @@ class TestRunConfig:
         {"window_step": 1.2e304},
         {"chunk_size": 2**53 / 16000},
         {"stride": 1e305},
+        {"stride": 1e-300},          # 0 samples
+        {"stride": 3.75e-5},         # rounds to 1 sample, under one step
+        {"stride": 0.005},           # half a 10 ms frame step
     ])
     def test_rejects(self, overrides):
         with pytest.raises(ValueError):
@@ -116,6 +119,39 @@ class TestRunConfig:
     def test_rejects_label_that_would_split_a_report(self, label):
         with pytest.raises(ValueError, match="label"):
             RunConfig(manifest="m.csv", label=label)
+
+    def test_derived_settings_built_once(self, micro_pipeline, monkeypatch):
+        config = RunConfig(manifest="m.csv")
+        for name in ("params", "arch", "aggregation", "layers"):
+            assert getattr(config, name) is getattr(config, name)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(config, name, None)
+        assert (config.params.frame_len, config.arch.input_shape,
+                config.aggregation.value, config.layers) == (
+                    320, (64, 13), "average", {"head"})
+        assert list(config.to_dict()) == [
+            f.name for f in dataclasses.fields(RunConfig)]
+        assert len(config.to_dict()) == 26
+        assert config == RunConfig(manifest="m.csv")
+        assert hash(config) == hash(RunConfig(manifest="m.csv"))
+
+        # every featurization of an eval and of a saliency screen reads
+        # the run's one MfccParams
+        pipe, seen = micro_pipeline, []
+
+        def featurize(clip, plans, params, *rest):
+            seen.append(params)
+            return extract_chunks(clip, plans, params, *rest)
+
+        monkeypatch.setattr(P, "map_tasks",
+                            lambda fn, items: list(map(fn, items)))
+        monkeypatch.setattr(P, "extract_chunks", featurize)
+        monkeypatch.setattr(S, "extract_chunks", featurize)
+        records = parse_manifest(pipe.config.manifest)
+        evaluate_manifest(pipe, pipe.config.manifest)
+        P.map_subjects(subject_saliency, pipe, pipe.config.manifest, records)
+        assert len(seen) == 2 * len(records)
+        assert all(params is pipe.config.params for params in seen)
 
     def test_dict_round_trip(self):
         config = RunConfig(manifest="m.csv", seed=4, scheme="linpos")
@@ -512,7 +548,7 @@ def _distinct_images(pipe, clip) -> tuple:
         for e in M.ROSTER if e.family == "brainos"]
     plans = [chunk_plan(clip.duration, *k) for k in dict.fromkeys(keys)]
     assert len(plans) == 4  # the run's plan, then the 8, 14 and 20 s probes
-    images = extract_chunks(clip, plans, config.mfcc_params(),
+    images = extract_chunks(clip, plans, config.params,
                             config.poisson_mask,
                             config.arch_frames).images.reshape(
                                 sum(p.count for p in plans), -1)
