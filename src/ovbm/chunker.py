@@ -3,21 +3,21 @@ library's only framing and pre-emphasis.
 
 A recording of any length is cut into fixed-size windows placed at
 stride multiples starting at zero; the tail is zero-padded so the last
-window is always whole. With the default 2 s stride a 78 s recording at
-chunk size 2 yields exactly 39 chunks. Chunk images are cropped here to
-the member input's frame count, and only the frames the crops read are
-built and featurized, once for all the chunk plans asked of the
-recording, from only the sample ranges those frames read. Windows
-whose crops read the same frames (at a 2 s stride, the centres of the
-2 s and 14 s windows coincide, as do those of the 8 s and 20 s ones)
-share one crop, which members embed once. A whole clip's featurization
-is the one-window plan `chunk_plan(d, d)` with a crop of every frame.
+window is always whole. A chunk plan is its list of (start_s, end_s)
+windows: at a 2 s stride a 78 s recording at chunk size 2 yields
+exactly 39 of them. Chunk images are cropped here to the member
+input's frame count, and only the frames the crops read are built and
+featurized, once for all the windows asked of the recording, from only
+the sample ranges those frames read. Windows whose crops read the same
+frames (at a 2 s stride, the centres of the 2 s and 14 s windows
+coincide, as do those of the 8 s and 20 s ones) share one crop, which
+members embed once. A whole clip's featurization is the one window
+`[(0, d)]` with a crop of every frame.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -25,19 +25,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .audio_io import AudioClip, EmptyAudio, Recording
 from .degradation import apply_poisson_mask
 from .mfcc import PREEMPHASIS, MfccParams, mfcc
-
-DEFAULT_STRIDE = 2.0
-
-
-@dataclass
-class ChunkPlan:
-    chunk_size: float
-    stride: float
-    intervals: list = field(default_factory=list)  # [(start_s, end_s), ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.intervals)
 
 
 class Chunks:
@@ -81,9 +68,8 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def chunk_plan(duration: float, chunk_size: float,
-               stride: float = DEFAULT_STRIDE) -> ChunkPlan:
-    """Plan window placement over `duration` seconds.
+def chunk_plan(duration: float, chunk_size: float, stride: float) -> list:
+    """The windows [(start_s, end_s), ...] over `duration` seconds.
 
     Windows start at 0, stride, 2*stride, ...; the count is the smallest
     c with (c-1)*stride + chunk_size >= duration, i.e. the duration is
@@ -98,8 +84,7 @@ def chunk_plan(duration: float, chunk_size: float,
         count = 1
     else:
         count = 1 + math.ceil((duration - chunk_size) / stride)
-    intervals = [(i * stride, i * stride + chunk_size) for i in range(count)]
-    return ChunkPlan(chunk_size, stride, intervals)
+    return [(i * stride, i * stride + chunk_size) for i in range(count)]
 
 
 def _crop_rows(windows: list, params: MfccParams, frames: int, end: int):
@@ -192,14 +177,15 @@ def _build_frames(samples: np.ndarray, offset: int, keys: np.ndarray,
     return frames
 
 
-def extract_chunks(source: Recording, plans: ChunkPlan | list,
-                   params: MfccParams, mask: bool, frames: int) -> Chunks:
-    """Chunk images of every plan, each exactly what a member reads.
+def extract_chunks(source: Recording, windows: list, params: MfccParams,
+                   mask: bool, frames: int) -> Chunks:
+    """Chunk images of `windows`, each exactly what a member reads.
 
     `source` is any Recording: a clip, a WAV file, a resampled view of
-    one, or the SynthSpec of a recording. `plans` is one ChunkPlan or a
-    list of them; the images of all plans come back in plan order, each
-    plan's in interval order. A chunk image is the crop of the MFCC image
+    one, or the SynthSpec of a recording. `windows` [(start_s, end_s),
+    ...] is one chunk plan, or several plans' windows one after another;
+    a whole clip of d seconds is the one window [(0, d)]. The images come
+    back in window order. A chunk image is the crop of the MFCC image
     of the chunk's own samples (the recording zero-padded out to the last
     window's end), framed on their own, to `frames` rows: its centre
     rows, or all of its rows centred between zero rows when it has fewer.
@@ -212,12 +198,11 @@ def extract_chunks(source: Recording, plans: ChunkPlan | list,
     crops read the same frame rows share one crop (`Chunks.index`), so a
     member embeds it once.
     """
-    plans = [plans] if isinstance(plans, ChunkPlan) else list(plans)
-    if not plans or not all(p.intervals for p in plans):
-        raise ValueError("plan has no intervals")
+    if not windows:
+        raise ValueError("no windows to extract")
     rate = source.sample_rate
     windows = [(int(round(start * rate)), int(round(end * rate)))
-               for p in plans for start, end in p.intervals]
+               for start, end in windows]
     end = source.num_samples
     keys, rows = _crop_rows(windows, params, frames, end)
     samples, lo = _read_ranges(source, keys)

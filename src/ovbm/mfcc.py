@@ -88,6 +88,16 @@ class MfccParams:
             raise ValueError("fft_size must cover a whole frame")
         if self.fft_size & (self.fft_size - 1) or self.fft_size == 0:
             raise ValueError("fft_size must be a power of two")
+        # The bank's edges are equally spaced in mel from LOW_FREQ (0 Hz,
+        # bin 0), and Hz is convex in mel, so the first gap is the
+        # narrowest: two edges share an FFT bin exactly when the second
+        # edge, placed as `_filterbank` places it, falls in bin 0.
+        edge = mel_to_hz(np.array([(hz_to_mel(self.sample_rate / 2.0)
+                                    - hz_to_mel(LOW_FREQ))
+                                   / (self.num_filters + 1)]))[0]
+        if (self.fft_size + 1) * edge / self.sample_rate < 1:
+            raise TooManyFilters(f"{self.num_filters} filters collide on a "
+                                 f"{self.fft_size}-point FFT grid")
 
 
 @dataclass
@@ -118,10 +128,10 @@ def mel_filterbank(params: MfccParams) -> FilterBank:
     """Triangular filters with centers equally spaced on the mel axis
     from LOW_FREQ to Nyquist.
 
-    Centers are quantized to FFT bins; if two adjacent edge/center
-    points land on the same bin the bank is over-resolved for this FFT
-    size and we refuse rather than silently merging filters. Banks are
-    cached by the parameters they depend on and returned read-only.
+    Centers are quantized to FFT bins; `MfccParams` refuses, when built,
+    a filter count whose adjacent edge/center points would share a bin
+    (`TooManyFilters`), rather than merging filters. Banks are cached by
+    the parameters they depend on and returned read-only.
     """
     return _filterbank(params.num_filters, params.fft_size, params.sample_rate)
 
@@ -132,9 +142,6 @@ def _filterbank(num_filters: int, nfft: int, sample_rate: int) -> FilterBank:
         hz_to_mel(LOW_FREQ), hz_to_mel(sample_rate / 2.0), num_filters + 2)
     hz_points = mel_to_hz(mel_points)
     bins = np.floor((nfft + 1) * hz_points / sample_rate).astype(np.int64)
-    if np.any(np.diff(bins) == 0):
-        raise TooManyFilters(
-            f"{num_filters} filters collide on a {nfft}-point FFT grid")
     i = np.arange(nfft // 2 + 1)[None, :]
     left, center, right = bins[:-2, None], bins[1:-1, None], bins[2:, None]
     rising = (i - left) / (center - left)

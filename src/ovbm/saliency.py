@@ -72,7 +72,7 @@ def saliency_map(pipe, record: SubjectRecord, clip: Recording) -> SaliencyMap:
               for e in ROSTER if e.family == "brainos"}
     keys = list(dict.fromkeys([run_plan, *probes.values()]))
     plans = [chunk_plan(clip.duration, size, step) for size, step in keys]
-    flat = extract_chunks(clip, plans, config.params,
+    flat = extract_chunks(clip, sum(plans, []), config.params,
                           config.poisson_mask, config.arch_frames)
 
     # The main bodies embed every plan's crops at once, and the main
@@ -80,13 +80,13 @@ def saliency_map(pipe, record: SubjectRecord, clip: Recording) -> SaliencyMap:
     # whose crops come first, read those embeddings in `score_subject`.
     # Under `frozen` the pretuned and tuned members share the bodies too.
     main_emb = np.concatenate(embed_chunks(main.members, flat), axis=1)
-    ends = np.cumsum([p.count for p in plans])
+    ends = np.cumsum([len(p) for p in plans])
     main_probs = {
-        key: fuse_from_embeddings(main, main_emb[end - plan.count:end],
+        key: fuse_from_embeddings(main, main_emb[end - len(plan):end],
                                   metadata)[0]
         for key, plan, end in zip(keys[1:], plans[1:], ends[1:])}
     main_probs[run_plan], pt_probs, own = score_subject(
-        pipe, flat.head(plans[0].count), metadata)
+        pipe, flat.head(len(plans[0])), metadata)
 
     scheme = config.aggregation
     entries = []

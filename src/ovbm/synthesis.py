@@ -13,7 +13,7 @@ import os
 import numpy as np
 
 from .audio_io import MANIFEST_COLUMNS, AudioClip, SynthSpec, synth_clip, write_wav
-from .chunker import chunk_plan, extract_chunks
+from .chunker import extract_chunks
 from .mfcc import MfccParams
 from .models import RegistryEntry
 from .util import derive_seed, map_tasks
@@ -95,9 +95,8 @@ def surrogate_dataset(entry: RegistryEntry, params: MfccParams, seed: int,
     for class_id in range(entry.num_classes):
         for i in range(n_per_class):
             spec = surrogate_spec(entry, class_id, i, seed, params.sample_rate)
-            plan = chunk_plan(spec.duration, spec.duration)
-            chunks = extract_chunks(spec, plan, params, mask=False,
-                                    frames=frames)
+            chunks = extract_chunks(spec, [(0.0, spec.duration)], params,
+                                    mask=False, frames=frames)
             dataset.append((chunks.images[0], class_id))
     return dataset
 

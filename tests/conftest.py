@@ -12,7 +12,7 @@ from hypothesis import settings
 
 import ovbm.models as models
 from ovbm import nn
-from ovbm.chunker import chunk_plan, extract_chunks
+from ovbm.chunker import extract_chunks
 from ovbm.mfcc import PREEMPHASIS
 from ovbm.models import CnnArch, pack_tensor_records, read_weight_file
 from ovbm.pipeline import RunConfig, TrainedPipeline, run_training, save_pipeline
@@ -160,11 +160,11 @@ def own_frames(samples, params) -> np.ndarray:
 
 
 def clip_image(clip, params) -> np.ndarray:
-    """A whole clip's MFCC image through the product path: the one-window
-    plan over the clip, cropped to every frame."""
+    """A whole clip's MFCC image through the product path: the one
+    window over the clip, cropped to every frame."""
     count = len(own_frames(clip.samples, params))
-    return extract_chunks(clip, chunk_plan(clip.duration, clip.duration),
-                          params, False, count).images[0]
+    return extract_chunks(clip, [(0.0, clip.duration)], params, False,
+                          count).images[0]
 
 
 def tree_bytes(root) -> dict:

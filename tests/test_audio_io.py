@@ -346,8 +346,8 @@ class TestSpanReads:
         assert view.duration == whole.duration
         plans = [chunk_plan(whole.duration, size, stride)
                  for size, stride in steps]
-        got = extract_chunks(view, plans, params, mask, 64)
-        want = extract_chunks(whole, plans, params, mask, 64)
+        got = extract_chunks(view, sum(plans, []), params, mask, 64)
+        want = extract_chunks(whole, sum(plans, []), params, mask, 64)
         assert got.crops.tobytes() == want.crops.tobytes()
         np.testing.assert_array_equal(got.index, want.index)
 

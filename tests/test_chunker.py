@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import ReadLog, own_frames
 import ovbm.audio_io as audio_io
 from ovbm.audio_io import AudioClip, SynthSpec, synth_clip
-from ovbm.chunker import ChunkPlan, Chunks, chunk_plan, extract_chunks
+from ovbm.chunker import Chunks, chunk_plan, extract_chunks
 import ovbm.chunker as chunker
 from ovbm.degradation import apply_poisson_mask
 from ovbm.mfcc import MfccImage, MfccParams, mfcc
@@ -30,15 +30,14 @@ def enumerate_windows(duration, size, stride):
 class TestPlan:
     def test_worked_example(self):
         plan = chunk_plan(8.0, 4.0, 2.0)
-        assert plan.intervals == [(0.0, 4.0), (2.0, 6.0), (4.0, 8.0)]
-        assert plan.count == 3
+        assert plan == [(0.0, 4.0), (2.0, 6.0), (4.0, 8.0)]
+        assert type(plan) is list
 
     def test_78s_at_2_2_gives_39(self):
-        assert chunk_plan(78.0, 2.0, 2.0).count == 39
+        assert len(chunk_plan(78.0, 2.0, 2.0)) == 39
 
     def test_short_clip_single_chunk(self):
-        plan = chunk_plan(1.0, 4.0, 2.0)
-        assert plan.intervals == [(0.0, 4.0)]
+        assert chunk_plan(1.0, 4.0, 2.0) == [(0.0, 4.0)]
 
     # quarter-second grid keeps the float arithmetic exact, so the
     # formula and the enumerator must agree to the last chunk
@@ -47,8 +46,8 @@ class TestPlan:
         duration, size, stride = duration4 / 4, size4 / 4, stride4 / 4
         plan = chunk_plan(duration, size, stride)
         want = enumerate_windows(duration, size, stride)
-        assert plan.count == len(want)
-        np.testing.assert_allclose(plan.intervals, want, atol=1e-9)
+        assert len(plan) == len(want)
+        np.testing.assert_allclose(plan, want, atol=1e-9)
 
     @given(st.integers(20, 160), st.integers(1, 160),
            st.integers(4, 24), st.integers(2, 16))
@@ -56,7 +55,7 @@ class TestPlan:
         d1, size, stride = d4 / 4, size4 / 4, stride4 / 4
         short = chunk_plan(d1, size, stride)
         long = chunk_plan(d1 + extra4 / 4, size, stride)
-        assert long.intervals[:short.count] == short.intervals
+        assert long[:len(short)] == short
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -99,8 +98,8 @@ class TestExtract:
         clip = _clip(5.0)
         plan = chunk_plan(clip.duration, 2.0, 1.5)
         chunks = extract_chunks(clip, plan, FAST, False, WHOLE)
-        assert len(chunks) == plan.count
-        assert chunks.images.shape == (plan.count, WHOLE, FAST.num_cepstra)
+        assert len(chunks) == len(plan)
+        assert chunks.images.shape == (len(plan), WHOLE, FAST.num_cepstra)
         assert not chunks.masked
         assert chunks.embeddings == {}
 
@@ -117,7 +116,7 @@ class TestExtract:
         clip = _clip(5.0)
         plan = chunk_plan(clip.duration, 2.0, 1.5)
         chunks = extract_chunks(clip, plan, FAST, False, WHOLE)
-        start, end = plan.intervals[-1]
+        start, end = plan[-1]
         tail = clip.samples[int(round(start * 16000)):]
         padded = np.concatenate([tail, np.zeros(32000 - tail.size)])
         want = _own(padded).values
@@ -130,6 +129,10 @@ class TestExtract:
         piece = clip.samples[32000:64000]
         want = _own(piece).values
         np.testing.assert_array_equal(chunks.images[1], want)
+
+    def test_no_windows(self):
+        with pytest.raises(ValueError):
+            extract_chunks(_clip(1.0), [], FAST, False, 16)
 
     def test_mask_flag_and_effect(self):
         clip = _clip(4.0)
@@ -169,7 +172,7 @@ def _own_mfcc(clip, plan, span, mask, frames):
     from the clip zero-padded to the plan's last window and framed by
     `own_frames`, cropped to `frames` rows, then masked."""
     rate = clip.sample_rate
-    tail = int(round(plan.intervals[-1][1] * rate)) - clip.samples.size
+    tail = int(round(plan[-1][1] * rate)) - clip.samples.size
     padded = np.concatenate([clip.samples, np.zeros(max(tail, 0))])
     a, b = (int(round(t * rate)) for t in span)
     image = _own(padded[a:b])
@@ -178,9 +181,9 @@ def _own_mfcc(clip, plan, span, mask, frames):
 
 
 def _assert_own_mfcc(clip, plan, images, mask, frames):
-    """`images` are the plan's chunk images, in interval order."""
-    assert len(images) == plan.count
-    for image, span in zip(images, plan.intervals):
+    """`images` are the plan's chunk images, in window order."""
+    assert len(images) == len(plan)
+    for image, span in zip(images, plan):
         np.testing.assert_array_equal(
             image, _own_mfcc(clip, plan, span, mask, frames).values)
 
@@ -231,14 +234,29 @@ class TestOneFeaturization:
         plans = [chunk_plan(clip.duration, size, 2.0)
                  for size in [4.0] + [e.chunk_size for e in ROSTER
                                       if e.family == "brainos"]]
-        chunks = extract_chunks(clip, plans, FAST, mask, 64)
+        chunks = extract_chunks(clip, sum(plans, []), FAST, mask, 64)
         assert len(calls) == 1
-        assert len(chunks) == sum(p.count for p in plans)
+        assert len(chunks) == sum(len(p) for p in plans)
         start = 0
         for plan in plans:
             _assert_own_mfcc(clip, plan,
-                             chunks.images[start:start + plan.count], mask, 64)
-            start += plan.count
+                             chunks.images[start:start + len(plan)], mask, 64)
+            start += len(plan)
+
+    # a plan is its windows: plans concatenate as lists, and each
+    # plan's images come out as they do alone, bit for bit
+    @pytest.mark.parametrize("mask", MASKS, ids=["plain", "masked"])
+    @pytest.mark.parametrize("a,b", [
+        ((2.0, 2.0), (8.0, 2.0)), ((2.0, 1.5), (0.1, 0.05)),
+        ((20.0, 2.0), (4.0, 0.5)), ((2.005, 2.0), (2.005, 2.0))])
+    def test_plans_concatenate(self, a, b, mask):
+        clip = _clip(9.1)
+        a, b = (chunk_plan(clip.duration, *steps) for steps in (a, b))
+        both = extract_chunks(clip, a + b, FAST, mask, 64).images
+        np.testing.assert_array_equal(
+            both, np.concatenate([extract_chunks(clip, plan, FAST, mask,
+                                                 64).images
+                                  for plan in (a, b)]))
 
     def test_only_crop_frames_are_featurized(self, monkeypatch):
         # Four 8 s windows 0.5 s apart (799 frames each) and one 20 s
@@ -253,8 +271,8 @@ class TestOneFeaturization:
         clip = _clip(9.1)
         plans = [chunk_plan(clip.duration, 8.0, 0.5),
                  chunk_plan(clip.duration, 20.0, 2.0)]
-        assert [p.count for p in plans] == [4, 1]
-        extract_chunks(clip, plans, FAST, False, 64)
+        assert [len(p) for p in plans] == [4, 1]
+        extract_chunks(clip, sum(plans, []), FAST, False, 64)
         assert rows == [214 + 1]
 
 
@@ -326,8 +344,8 @@ class TestSpecSource:
         clip = synth_clip(spec)
         plans = [chunk_plan(clip.duration, size / 200, stride / 200)
                  for size, stride in steps]
-        got = extract_chunks(spec, plans, FAST, mask, frames)
-        want = extract_chunks(clip, plans, FAST, mask, frames)
+        got = extract_chunks(spec, sum(plans, []), FAST, mask, frames)
+        want = extract_chunks(clip, sum(plans, []), FAST, mask, frames)
         assert got.masked == want.masked
         np.testing.assert_array_equal(got.images, want.images)
 
@@ -338,7 +356,7 @@ class TestSpecSource:
             spans.append((a, b)) or real(spec, a, b)))
         spec = SynthSpec("p", 4.0, [("sine", 500.0, 0.5),
                                     ("noise", 0.0, 0.2)], seed=1)
-        extract_chunks(spec, chunk_plan(4.0, 4.0), FAST, False, 64)
+        extract_chunks(spec, [(0.0, 4.0)], FAST, False, 64)
         # 399 frames; the crop is frames 167-230, and pre-emphasis reads
         # the sample before frame 167
         assert spans == [(167 * 160 - 1, 230 * 160 + 320)]
@@ -384,18 +402,16 @@ class TestSharedCrops:
         clip = synth_clip(spec)
         plans = [chunk_plan(clip.duration, size / 200, stride / 200)
                  for size, stride in steps]
-        chunks = extract_chunks(clip, plans, FAST, mask, frames)
-        spans = [(p, span) for p in plans for span in p.intervals]
+        spans = sum(plans, [])
+        chunks = extract_chunks(clip, spans, FAST, mask, frames)
         assert len(chunks) == len(spans)
         # crops come in the order of the first chunk that reads each
         index = chunks.index.tolist()
         assert sorted(set(index)) == list(range(len(chunks.crops)))
         assert [index.index(k) for k in range(len(chunks.crops))] == \
             sorted(index.index(k) for k in range(len(chunks.crops)))
-        for image, k, (plan, span) in zip(chunks.images, index, spans):
-            alone = extract_chunks(clip, ChunkPlan(plan.chunk_size,
-                                                   plan.stride, [span]),
-                                   FAST, mask, frames)
+        for image, k, span in zip(chunks.images, index, spans):
+            alone = extract_chunks(clip, [span], FAST, mask, frames)
             np.testing.assert_array_equal(image, alone.images[0])
             np.testing.assert_array_equal(image, chunks.crops[k])
         model = init_cnn(CnnArch((frames, FAST.num_cepstra), 2, 1, 4), 2,
@@ -410,8 +426,8 @@ class TestSharedCrops:
         # 8 s window at t + 6 s share a centre too.
         clip = _clip(32.0)
         plans = [chunk_plan(clip.duration, size, 2.0) for size in (2, 8, 14, 20)]
-        chunks = extract_chunks(clip, plans, FAST, False, 64)
-        assert [p.count for p in plans] == [16, 13, 10, 7]
+        chunks = extract_chunks(clip, sum(plans, []), FAST, False, 64)
+        assert [len(p) for p in plans] == [16, 13, 10, 7]
         assert len(chunks) == 46
         assert len(chunks.crops) == 16 + 13
         np.testing.assert_array_equal(chunks.index[29:39], np.arange(3, 13))
@@ -422,7 +438,7 @@ class TestSharedCrops:
         # the zero padding, so they read the same all-zero frames.
         clip = _clip(5.0)
         plans = [chunk_plan(clip.duration, size, 2.0) for size in (8, 14, 20)]
-        chunks = extract_chunks(clip, plans, FAST, False, 64)
+        chunks = extract_chunks(clip, sum(plans, []), FAST, False, 64)
         assert chunks.index.tolist() == [0, 1, 1]
         # alone, such a crop reads no sample of the recording
         alone = extract_chunks(clip, plans[2], FAST, False, 64)

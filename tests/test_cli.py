@@ -292,6 +292,25 @@ class TestTrain:
         assert stdout == ""
         assert not os.path.exists(tmp_path / "r")
 
+    def test_too_many_filters(self, tmp_path, corpus_dir, capsys, monkeypatch):
+        # 60 filters' mel edges collide on the 512-point FFT grid: refused
+        # when the config is read, before training featurizes a subject
+        # or starts a worker
+        def no_training(config):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr("ovbm.cli.run_training", no_training)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"num_filters": 60}))
+        code, stdout, stderr = run_cli(
+            capsys, "train", "--config", str(config_path),
+            "--manifest", os.path.join(corpus_dir, "manifest.csv"),
+            "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert "60 filters collide on a 512-point FFT grid" in stderr
+        assert stdout == ""
+        assert not os.path.exists(tmp_path / "r")
+
     def test_invalid_json_config(self, tmp_path, corpus_dir, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text('{"seed": 1,}')
@@ -528,8 +547,10 @@ class TestEval:
             dict(saved, config=dict(saved["config"], chunk_size="2"))),
         lambda saved: json.dumps(
             dict(saved, config=dict(saved["config"], window_step=1.2e304))),
+        lambda saved: json.dumps(
+            dict(saved, config=dict(saved["config"], num_filters=60))),
     ], ids=["list", "config_is_a_list", "invalid_json", "field_of_wrong_type",
-            "overflowing_duration"])
+            "overflowing_duration", "too_many_filters"])
     def test_malformed_run_config(self, edit, micro_run_dir, corpus_dir,
                                   tmp_path, capsys):
         broken = str(tmp_path / "broken")

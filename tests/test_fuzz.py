@@ -162,6 +162,9 @@ JSON_VALUES = SCALARS | st.recursive(
 # strides under one frame step, whose plans would list a window per stride
 @example(overrides={"stride": 1e-300})
 @example(overrides={"stride": 3.75e-5})
+# more mel filters than the FFT grid holds, refused without building
+# the bank's edges
+@example(overrides={"num_filters": 2**60, "fft_size": 2**62})
 def test_arbitrary_config_values(overrides):
     # a valid config with one or two fields replaced, so that each check
     # is reached with the others passing

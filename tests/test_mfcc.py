@@ -1,6 +1,7 @@
 """Feature extraction vs independent brute-force oracles."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -9,10 +10,11 @@ from hypothesis import strategies as st
 
 from conftest import clip_image, own_frames
 from ovbm.audio_io import AudioClip, SynthSpec, synth_clip
-from ovbm.chunker import chunk_plan, extract_chunks
+from ovbm.chunker import extract_chunks
 from ovbm.mfcc import (
     BLOCK_FRAMES,
     CEP_LIFTER,
+    LOW_FREQ,
     MfccParams,
     OracleTooLarge,
     RateMismatch,
@@ -64,10 +66,37 @@ class TestFilterbank:
         expected = np.floor((512 + 1) * mel_to_hz(mels) / 16000).astype(int)
         np.testing.assert_array_equal(fb.bin_points, expected)
 
-    def test_too_many_filters(self):
+    # the last two are refused without building their banks' edges
+    @pytest.mark.parametrize("num_filters,fft_size", [
+        (300, 512), (2**60, 2**62), (10**300, 512)])
+    def test_too_many_filters(self, num_filters, fft_size):
         with pytest.raises(TooManyFilters):
-            mel_filterbank(MfccParams(num_cepstra=8, num_filters=300,
-                                      fft_size=512))
+            MfccParams(num_cepstra=8, num_filters=num_filters,
+                       fft_size=fft_size)
+
+    def test_refuses_exactly_the_colliding_banks(self):
+        # the oracle builds every edge bin as the filterbank places it
+        def collides(num_filters, nfft, rate):
+            mels = np.linspace(hz_to_mel(LOW_FREQ), hz_to_mel(rate / 2.0),
+                               num_filters + 2)
+            bins = np.floor((nfft + 1) * mel_to_hz(mels) / rate)
+            return bool(np.any(np.diff(bins) == 0))
+
+        def refused(num_filters, nfft, rate):
+            try:
+                MfccParams(window_len=0.01, num_cepstra=1,
+                           num_filters=num_filters, fft_size=nfft,
+                           sample_rate=rate)
+            except TooManyFilters:
+                return True
+            return False
+
+        outcomes = set()
+        for config in itertools.product(range(1, 601), (512, 1024, 2048, 4096),
+                                        (8000, 16000, 22050, 44100)):
+            assert refused(*config) == collides(*config), config
+            outcomes.add(collides(*config))
+        assert outcomes == {False, True}
 
     @pytest.mark.parametrize("params", [
         FAST,
@@ -123,8 +152,8 @@ class TestFraming:
         # a crop wider than any framing here centres the clip's frames
         # between exact zero rows; no MFCC row of a frame is all zeros
         clip = AudioClip(np.random.default_rng(n).normal(size=n), 16000)
-        image = extract_chunks(clip, chunk_plan(clip.duration, clip.duration),
-                               MfccParams(), False, 130).images[0]
+        image = extract_chunks(clip, [(0.0, clip.duration)], MfccParams(),
+                               False, 130).images[0]
         L, S = 320, 160
         count = 1 + max(0, -(-(n - L) // S))
         real = np.flatnonzero(np.any(image != 0.0, axis=1))
@@ -278,7 +307,7 @@ class TestMfccProperties:
     def test_frames_rate_mismatch(self):
         clip = AudioClip(np.zeros(800), 8000)
         with pytest.raises(RateMismatch):
-            extract_chunks(clip, chunk_plan(0.1, 0.1), FAST, False, 16)
+            extract_chunks(clip, [(0.0, 0.1)], FAST, False, 16)
         with pytest.raises(RateMismatch):
             mfcc(clip, FAST, own_frames(_clip(0.1).samples, FAST))
 

@@ -109,6 +109,8 @@ class TestRunConfig:
         {"stride": 1e-300},          # 0 samples
         {"stride": 3.75e-5},         # rounds to 1 sample, under one step
         {"stride": 0.005},           # half a 10 ms frame step
+        {"num_filters": 60},         # mel edges collide on a 512-point FFT
+        {"num_filters": 300},
     ])
     def test_rejects(self, overrides):
         with pytest.raises(ValueError):
@@ -139,9 +141,9 @@ class TestRunConfig:
         # the run's one MfccParams
         pipe, seen = micro_pipeline, []
 
-        def featurize(clip, plans, params, *rest):
+        def featurize(clip, windows, params, *rest):
             seen.append(params)
-            return extract_chunks(clip, plans, params, *rest)
+            return extract_chunks(clip, windows, params, *rest)
 
         monkeypatch.setattr(P, "map_tasks",
                             lambda fn, items: list(map(fn, items)))
@@ -548,15 +550,16 @@ def _distinct_images(pipe, clip) -> tuple:
         for e in M.ROSTER if e.family == "brainos"]
     plans = [chunk_plan(clip.duration, *k) for k in dict.fromkeys(keys)]
     assert len(plans) == 4  # the run's plan, then the 8, 14 and 20 s probes
-    images = extract_chunks(clip, plans, config.params,
+    windows = sum(plans, [])
+    images = extract_chunks(clip, windows, config.params,
                             config.poisson_mask,
                             config.arch_frames).images.reshape(
-                                sum(p.count for p in plans), -1)
+                                len(windows), -1)
 
     def distinct(rows):
         return len(np.unique(rows, axis=0))
 
-    return distinct(images), distinct(images[:plans[0].count])
+    return distinct(images), distinct(images[:len(plans[0])])
 
 
 def _long_clip(pipe, first: int = 0) -> AudioClip:
@@ -641,7 +644,7 @@ class TestEmbeddingMemo:
         smap = subject_saliency(pipe, rec, clip)
         every, _ = _distinct_images(pipe, clip)
         chunks = len(d.chunk_probabilities) + sum(
-            chunk_plan(clip.duration, size, 2.0).count for size in (8, 14, 20))
+            len(chunk_plan(clip.duration, size, 2.0)) for size in (8, 14, 20))
         assert every < chunks
         assert sum(images) == 8 * every
         scores = {e.biomarker_id: e.score for e in smap.entries}

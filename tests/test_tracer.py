@@ -12,6 +12,7 @@ import ovbm.models as M
 import ovbm.pipeline as P
 from conftest import micro_run_config
 from ovbm.audio_io import SubjectRecord, parse_manifest
+from ovbm.chunker import chunk_plan
 
 TRACER_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
                            "tracer.py")
@@ -87,4 +88,14 @@ def test_traced_screen_of_a_resampled_stereo_recording(micro_pipeline,
     metrics = tracing.metrics(tracer, pass_s=1.0)
     assert metrics["mfcc.frames"] > 0
     assert metrics["chunker.extract_chunks.calls"] == 2
+    # the diagnosis extracts the run plan's windows, the map those of
+    # its distinct plans: the run's, then the chunk-scale probes'
+    config = pipe.config
+    run_plan = (config.chunk_size, config.stride)
+    keys = dict.fromkeys([run_plan] + [
+        (e.chunk_size, min(config.stride, e.chunk_size))
+        for e in M.ROSTER if e.family == "brainos"])
+    assert metrics["chunker.chunks"] == sum(
+        len(chunk_plan(clip.duration, size, step))
+        for size, step in [run_plan, *keys])
     assert metrics["models.images"] > 0
