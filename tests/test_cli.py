@@ -951,6 +951,11 @@ class TestReports:
         assert len(payload["models"]) == 4
         assert sum(r["count"] for r in payload["rows"]) == \
             len(payload["positives"])
+        # one printed line per row of the file, in its order
+        assert stdout.splitlines() == [
+            *(f"{r['label']}: {r['count']} ({r['percent']:.1f}%)"
+              for r in payload["rows"]),
+            f"wrote reports to {out}"]
 
     def test_uniqueness_unknown_member(self, micro_run_dir, tmp_path, capsys):
         code, _, stderr = run_cli(capsys, "report", "uniqueness",
@@ -970,6 +975,15 @@ class TestReports:
         with open(os.path.join(out, "ablation.csv")) as fh:
             lines = fh.read().strip().splitlines()
         assert lines[-1] == "Avg improvement,,,0.0"
+        # one printed line per row of the file, in its order
+        with open(os.path.join(out, "ablation.json")) as fh:
+            payload = json.load(fh)
+        assert len(payload["rows"]) == 1
+        assert stdout.splitlines() == [
+            *(f"{r['model']}: {r['without_mask']:.1f} -> "
+              f"{r['with_mask']:.1f} ({r['improvement']:+.1f})"
+              for r in payload["rows"]),
+            f"avg improvement: {payload['avg_improvement_display']}"]
 
     @pytest.mark.parametrize("report", ["uniqueness", "ablation"])
     @pytest.mark.parametrize("text", ["[]", "{"], ids=["list", "invalid_json"])

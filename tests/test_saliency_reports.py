@@ -39,14 +39,16 @@ def fake_map(subject_id="s0", base=0.5):
 
 
 class TestUniqueness:
+    DETECTIONS = {
+        "A": ["s1", "s2", "s5"],
+        "B": ["s2", "s3", "s5"],
+        "C": ["s4", "s5"],
+    }
+    POSITIVES = [f"s{i}" for i in range(7)]
+
     def test_three_model_partition(self):
-        detections = {
-            "A": ["s1", "s2", "s5"],
-            "B": ["s2", "s3", "s5"],
-            "C": ["s4", "s5"],
-        }
-        positives = [f"s{i}" for i in range(7)]
-        report = uniqueness_report(detections, positives)
+        positives = self.POSITIVES
+        report = uniqueness_report(self.DETECTIONS, positives)
         by_label = {r.label: r for r in report.rows}
         assert set(by_label) == {
             "Only in A", "Only in B", "Only in C",
@@ -198,6 +200,193 @@ class TestWriters:
         other.entries[3].biomarker_id = "odd_one"
         with pytest.raises(RegistryMismatch):
             saliency_svg([fake_map(), other])
+
+
+# The exact bytes each report writer gives, pinned here so that a change
+# to how a report is built cannot change a file it writes.
+UNIQUENESS_CSV = """\
+group,count,percent,subjects
+"Only in A",1,14.3,"s1"
+"Only in B",1,14.3,"s3"
+"Only in C",1,14.3,"s4"
+"In A and B",1,14.3,"s2"
+"In A and C",0,0.0,""
+"In B and C",0,0.0,""
+"In all 3",1,14.3,"s5"
+"In neither of the 3",2,28.6,"s0;s6"
+"""
+
+UNIQUENESS_JSON = """\
+{
+  "models": [
+    "A",
+    "B",
+    "C"
+  ],
+  "positives": [
+    "s0",
+    "s1",
+    "s2",
+    "s3",
+    "s4",
+    "s5",
+    "s6"
+  ],
+  "rows": [
+    {
+      "count": 1,
+      "label": "Only in A",
+      "percent": 14.285714285714286,
+      "subjects": [
+        "s1"
+      ]
+    },
+    {
+      "count": 1,
+      "label": "Only in B",
+      "percent": 14.285714285714286,
+      "subjects": [
+        "s3"
+      ]
+    },
+    {
+      "count": 1,
+      "label": "Only in C",
+      "percent": 14.285714285714286,
+      "subjects": [
+        "s4"
+      ]
+    },
+    {
+      "count": 1,
+      "label": "In A and B",
+      "percent": 14.285714285714286,
+      "subjects": [
+        "s2"
+      ]
+    },
+    {
+      "count": 0,
+      "label": "In A and C",
+      "percent": 0.0,
+      "subjects": []
+    },
+    {
+      "count": 0,
+      "label": "In B and C",
+      "percent": 0.0,
+      "subjects": []
+    },
+    {
+      "count": 1,
+      "label": "In all 3",
+      "percent": 14.285714285714286,
+      "subjects": [
+        "s5"
+      ]
+    },
+    {
+      "count": 2,
+      "label": "In neither of the 3",
+      "percent": 28.571428571428573,
+      "subjects": [
+        "s0",
+        "s6"
+      ]
+    }
+  ]
+}
+"""
+
+ABLATION_CSV = """\
+model,without_mask_pct,with_mask_pct,improvement_pct
+baseline,65.6,68.8,3.2
+cough,75.0,75.0,0.0
+intonation,68.8,75.0,6.2
+wake_word,75.0,78.1,3.1
+multi_modal,90.6,93.8,3.2
+Avg improvement,,,3.1
+"""
+
+ABLATION_JSON = """\
+{
+  "avg_improvement": 3.1400000000000006,
+  "avg_improvement_display": "3.1",
+  "rows": [
+    {
+      "improvement": 3.200000000000003,
+      "model": "baseline",
+      "with_mask": 68.8,
+      "without_mask": 65.6
+    },
+    {
+      "improvement": 0.0,
+      "model": "cough",
+      "with_mask": 75.0,
+      "without_mask": 75.0
+    },
+    {
+      "improvement": 6.200000000000003,
+      "model": "intonation",
+      "with_mask": 75.0,
+      "without_mask": 68.8
+    },
+    {
+      "improvement": 3.0999999999999943,
+      "model": "wake_word",
+      "with_mask": 78.1,
+      "without_mask": 75.0
+    },
+    {
+      "improvement": 3.200000000000003,
+      "model": "multi_modal",
+      "with_mask": 93.8,
+      "without_mask": 90.6
+    }
+  ]
+}
+"""
+
+COMPARISON_CSV = """\
+biomarker_id,family,delta_sA_minus_sB
+sensory_0,sensory,0.100000
+sensory_1,sensory,0.100000
+sensory_2,sensory,0.100000
+sensory_3,sensory,0.100000
+brainos_0,brainos,0.100000
+brainos_1,brainos,0.100000
+brainos_2,brainos,0.100000
+brainos_3,brainos,0.100000
+cognitive_0,cognitive,0.100000
+cognitive_1,cognitive,0.100000
+cognitive_2,cognitive,0.100000
+cognitive_3,cognitive,0.100000
+symbolic_0,symbolic,0.100000
+symbolic_1,symbolic,0.100000
+symbolic_2,symbolic,0.100000
+symbolic_3,symbolic,0.100000
+family_mean_sensory,sensory,0.100000
+family_mean_brainos,brainos,0.100000
+family_mean_cognitive,cognitive,0.100000
+family_mean_symbolic,symbolic,0.100000
+"""
+
+
+class TestReportBytes:
+    def test_uniqueness(self):
+        report = uniqueness_report(TestUniqueness.DETECTIONS,
+                                   TestUniqueness.POSITIVES)
+        assert uniqueness_csv(report) == UNIQUENESS_CSV
+        assert uniqueness_json(report) == UNIQUENESS_JSON
+
+    def test_ablation(self):
+        report = ablation_report(TestAblation.RUNS)
+        assert ablation_csv(report) == ABLATION_CSV
+        assert ablation_json(report) == ABLATION_JSON
+
+    def test_comparison(self):
+        cmp = compare_maps(fake_map("sA", 0.6), fake_map("sB", 0.5))
+        assert comparison_csv(cmp) == COMPARISON_CSV
 
 
 @pytest.fixture(scope="module")
