@@ -37,15 +37,14 @@ from .pipeline import (
 )
 from .saliency import (
     ablation_csv,
-    ablation_json,
     ablation_report,
     comparison_csv,
     compare_maps,
+    report_json,
     saliency_csv,
     saliency_json,
     saliency_svg,
     uniqueness_csv,
-    uniqueness_json,
     uniqueness_report,
 )
 from .util import atomic_write_text, named_errors
@@ -201,8 +200,7 @@ def cmd_eval(args) -> int:
           f"subject_accuracy={result['subject_accuracy']:.3f} "
           f"chunk_accuracy={result['chunk_accuracy']:.3f}")
     if args.out:
-        atomic_write_text(args.out,
-                          json.dumps(result, indent=2, sort_keys=True) + "\n")
+        atomic_write_text(args.out, report_json(result))
         print(f"wrote {args.out}")
     return 0
 
@@ -241,8 +239,7 @@ def cmd_diagnose(args) -> int:
         results[rec.subject_id] = asdict(d)
         print(f"{rec.subject_id}: P(positive)={d.probability:.4f} -> {d.label}")
     if args.out:
-        atomic_write_text(args.out,
-                          json.dumps(results, indent=2, sort_keys=True) + "\n")
+        atomic_write_text(args.out, report_json(results))
         print(f"wrote {args.out}")
     return 0
 
@@ -288,9 +285,9 @@ def cmd_report_uniqueness(args) -> int:
     atomic_write_text(os.path.join(args.out, "uniqueness.csv"),
                       uniqueness_csv(report))
     atomic_write_text(os.path.join(args.out, "uniqueness.json"),
-                      uniqueness_json(report))
-    for row in report.rows:
-        print(f"{row.label}: {row.count} ({row.percent:.1f}%)")
+                      report_json(report))
+    for row in report["rows"]:
+        print(f"{row['label']}: {row['count']} ({row['percent']:.1f}%)")
     print(f"wrote reports to {args.out}")
     return 0
 
@@ -312,11 +309,11 @@ def cmd_report_ablation(args) -> int:
     atomic_write_text(os.path.join(args.out, "ablation.csv"),
                       ablation_csv(report))
     atomic_write_text(os.path.join(args.out, "ablation.json"),
-                      ablation_json(report))
-    for row in report.rows:
-        print(f"{row.label}: {row.without_mask:.1f} -> {row.with_mask:.1f} "
-              f"({row.improvement:+.1f})")
-    print(f"avg improvement: {report.avg_improvement_display}")
+                      report_json(report))
+    for row in report["rows"]:
+        print(f"{row['model']}: {row['without_mask']:.1f} -> "
+              f"{row['with_mask']:.1f} ({row['improvement']:+.1f})")
+    print(f"avg improvement: {report['avg_improvement_display']}")
     return 0
 
 

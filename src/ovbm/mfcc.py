@@ -27,6 +27,12 @@ CEP_LIFTER = 22  # sinusoidal lifter length applied to the cepstra
 PREEMPHASIS = 0.97  # y[n] = x[n] - PREEMPHASIS * x[n-1]
 LOW_FREQ = 0.0  # the filterbank's lower edge, Hz; its upper edge is Nyquist
 LOG_FLOOR = 1e-10  # energies are floored here before the log
+# The largest FFT a run may ask for, four times the reference
+# extractor's 2048. A bank holds num_filters x (fft_size/2 + 1) float64
+# weights, and at low sample rates the most filters that do not collide
+# tend to fft_size/2, so its worst case is about (fft_size/2)**2 * 8
+# bytes: 128 MiB here, 30 MB for the most filters at 16 kHz.
+MAX_FFT_SIZE = 2**13
 
 
 class RateMismatch(ValueError):
@@ -98,6 +104,11 @@ class MfccParams:
         if (self.fft_size + 1) * edge / self.sample_rate < 1:
             raise TooManyFilters(f"{self.num_filters} filters collide on a "
                                  f"{self.fft_size}-point FFT grid")
+        # after the collision check: a colliding bank is TooManyFilters
+        # at any fft_size
+        if self.fft_size > MAX_FFT_SIZE:
+            raise ValueError(f"fft_size {self.fft_size} exceeds "
+                             f"MAX_FFT_SIZE {MAX_FFT_SIZE}")
 
 
 @dataclass

@@ -4,6 +4,10 @@ A saliency map holds one score per roster biomarker (16 entries, four
 per family). Every score is an aggregated P(healthy) in [0, 1], so
 higher means the biomarker sees a healthier subject and map shapes are
 comparable across subjects and across the roster.
+
+A report (a map comparison, detection uniqueness, the masking
+ablation) is the plain dict its JSON file holds; `report_json` is the
+one JSON writer, and the CSV writers read the same keys.
 """
 
 from __future__ import annotations
@@ -106,15 +110,7 @@ def saliency_map(pipe, record: SubjectRecord, clip: Recording) -> SaliencyMap:
     return SaliencyMap(record.subject_id, entries)
 
 
-@dataclass
-class SaliencyComparison:
-    subject_a: str
-    subject_b: str
-    rows: list = field(default_factory=list)  # (biomarker_id, family, delta)
-    family_means: dict = field(default_factory=dict)
-
-
-def compare_maps(a: SaliencyMap, b: SaliencyMap) -> SaliencyComparison:
+def compare_maps(a: SaliencyMap, b: SaliencyMap) -> dict:
     """Per-biomarker score deltas (a - b) plus family-mean deltas."""
     ids_a = [e.biomarker_id for e in a.entries]
     ids_b = [e.biomarker_id for e in b.entries]
@@ -126,27 +122,13 @@ def compare_maps(a: SaliencyMap, b: SaliencyMap) -> SaliencyComparison:
         fam: float(np.mean([d for _, f, d in rows if f == fam]))
         for fam in dict.fromkeys(f for _, f, _ in rows)
     }
-    return SaliencyComparison(a.subject_id, b.subject_id, rows, family_means)
+    return {"subject_a": a.subject_id, "subject_b": b.subject_id,
+            "rows": rows, "family_means": family_means}
 
 
 # ----------------------------------------------------------- reports
 
-@dataclass
-class UniquenessRow:
-    label: str
-    subjects: list
-    count: int
-    percent: float
-
-
-@dataclass
-class UniquenessReport:
-    models: list
-    positives: list
-    rows: list = field(default_factory=list)
-
-
-def uniqueness_report(detections: dict, positives) -> UniquenessReport:
+def uniqueness_report(detections: dict, positives) -> dict:
     """Partition true positives by which models detected them.
 
     detections: model name -> iterable of detected subject ids. Rows
@@ -170,8 +152,9 @@ def uniqueness_report(detections: dict, positives) -> UniquenessReport:
 
     def add(label, sig):
         subjects = [s for s in positives if signature[s] == sig]
-        rows.append(UniquenessRow(label, subjects, len(subjects),
-                                  100.0 * len(subjects) / len(positives)))
+        rows.append({"label": label, "subjects": subjects,
+                     "count": len(subjects),
+                     "percent": 100.0 * len(subjects) / len(positives)})
 
     for n in names:
         add(f"Only in {n}", frozenset([n]))
@@ -183,42 +166,26 @@ def uniqueness_report(detections: dict, positives) -> UniquenessReport:
             add("Exactly in " + " + ".join(combo), frozenset(combo))
     add(f"In all {k}", frozenset(names))
     add(f"In neither of the {k}", frozenset())
-    return UniquenessReport(names, positives, rows)
+    return {"models": names, "positives": positives, "rows": rows}
 
 
-@dataclass
-class AblationRow:
-    label: str
-    without_mask: float
-    with_mask: float
-
-    @property
-    def improvement(self) -> float:
-        return self.with_mask - self.without_mask
-
-
-@dataclass
-class AblationReport:
-    rows: list
-
-    @property
-    def avg_improvement(self) -> float:
-        return float(np.mean([r.improvement for r in self.rows]))
-
-    @property
-    def avg_improvement_display(self) -> str:
-        return f"{self.avg_improvement:.1f}"
-
-
-def ablation_report(runs: list) -> AblationReport:
+def ablation_report(runs: list) -> dict:
     """runs: (label, accuracy_without_mask, accuracy_with_mask) rows."""
     if not runs:
         raise ValueError("no runs to compare")
-    return AblationReport([AblationRow(l, float(a), float(b))
-                           for l, a, b in runs])
+    rows = [{"model": label, "without_mask": float(a), "with_mask": float(b),
+             "improvement": float(b) - float(a)} for label, a, b in runs]
+    avg = float(np.mean([r["improvement"] for r in rows]))
+    return {"rows": rows, "avg_improvement": avg,
+            "avg_improvement_display": f"{avg:.1f}"}
 
 
 # ------------------------------------------------------------ writers
+
+def report_json(obj) -> str:
+    """The one JSON writer: every JSON report is a plain object."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
 
 def saliency_csv(maps: list) -> str:
     lines = [SALIENCY_CSV_COLUMNS]
@@ -229,50 +196,35 @@ def saliency_csv(maps: list) -> str:
 
 
 def saliency_json(maps: list) -> str:
-    return json.dumps([asdict(m) for m in maps], indent=2, sort_keys=True) + "\n"
+    return report_json([asdict(m) for m in maps])
 
 
-def comparison_csv(cmp: SaliencyComparison) -> str:
-    lines = [f"biomarker_id,family,delta_{cmp.subject_a}_minus_{cmp.subject_b}"]
-    for bid, fam, delta in cmp.rows:
+def comparison_csv(cmp: dict) -> str:
+    lines = [f"biomarker_id,family,"
+             f"delta_{cmp['subject_a']}_minus_{cmp['subject_b']}"]
+    for bid, fam, delta in cmp["rows"]:
         lines.append(f"{bid},{fam},{delta:.6f}")
-    for fam in cmp.family_means:
-        lines.append(f"family_mean_{fam},{fam},{cmp.family_means[fam]:.6f}")
+    for fam, mean in cmp["family_means"].items():
+        lines.append(f"family_mean_{fam},{fam},{mean:.6f}")
     return "\n".join(lines) + "\n"
 
 
-def uniqueness_csv(report: UniquenessReport) -> str:
+def uniqueness_csv(report: dict) -> str:
     lines = ["group,count,percent,subjects"]
-    for row in report.rows:
-        subjects = ";".join(row.subjects)
-        lines.append(f"\"{row.label}\",{row.count},{row.percent:.1f},\"{subjects}\"")
+    for row in report["rows"]:
+        subjects = ";".join(row["subjects"])
+        lines.append(f"\"{row['label']}\",{row['count']},"
+                     f"{row['percent']:.1f},\"{subjects}\"")
     return "\n".join(lines) + "\n"
 
 
-def uniqueness_json(report: UniquenessReport) -> str:
-    return json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
-
-
-def ablation_csv(report: AblationReport) -> str:
+def ablation_csv(report: dict) -> str:
     lines = ["model,without_mask_pct,with_mask_pct,improvement_pct"]
-    for r in report.rows:
-        lines.append(f"{r.label},{r.without_mask:.1f},{r.with_mask:.1f},"
-                     f"{r.improvement:.1f}")
-    lines.append(f"Avg improvement,,,{report.avg_improvement_display}")
+    for r in report["rows"]:
+        lines.append(f"{r['model']},{r['without_mask']:.1f},"
+                     f"{r['with_mask']:.1f},{r['improvement']:.1f}")
+    lines.append(f"Avg improvement,,,{report['avg_improvement_display']}")
     return "\n".join(lines) + "\n"
-
-
-def ablation_json(report: AblationReport) -> str:
-    payload = {
-        "rows": [
-            {"model": r.label, "without_mask": r.without_mask,
-             "with_mask": r.with_mask, "improvement": r.improvement}
-            for r in report.rows
-        ],
-        "avg_improvement": report.avg_improvement,
-        "avg_improvement_display": report.avg_improvement_display,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 _SVG_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd"]

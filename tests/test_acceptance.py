@@ -336,14 +336,14 @@ def test_criterion_08_report_formats():
         ("wake_word", 75.0, 78.1),
         ("multi_modal", 90.6, 93.8),
     ]
-    display = ablation_report(table).avg_improvement_display
+    display = ablation_report(table)["avg_improvement_display"]
 
     detections = {"A": ["s1", "s4"], "B": ["s2", "s4"], "C": ["s3", "s4"]}
     positives = [f"s{i}" for i in range(6)]
     rep = uniqueness_report(detections, positives)
-    labels = [r.label for r in rep.rows]
+    labels = [r["label"] for r in rep["rows"]]
     vocab_ok = "In all 3" in labels and "In neither of the 3" in labels
-    sums_ok = sum(r.count for r in rep.rows) == len(positives)
+    sums_ok = sum(r["count"] for r in rep["rows"]) == len(positives)
 
     rng = np.random.default_rng(808)
     for _ in range(25):
@@ -352,7 +352,7 @@ def test_criterion_08_report_formats():
         dets = {f"M{j}": [s for s in pos if rng.random() < 0.5]
                 for j in range(k)}
         r = uniqueness_report(dets, pos)
-        sums_ok &= sum(row.count for row in r.rows) == len(pos)
+        sums_ok &= sum(row["count"] for row in r["rows"]) == len(pos)
 
     ok = display == "3.1" and vocab_ok and sums_ok
     report(8, ok, f"avg improvement display {display!r} (want '3.1'); "

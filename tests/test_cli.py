@@ -311,6 +311,25 @@ class TestTrain:
         assert stdout == ""
         assert not os.path.exists(tmp_path / "r")
 
+    def test_fft_size_past_the_bound(self, tmp_path, corpus_dir, capsys,
+                                     monkeypatch):
+        # refused when the config is read: a 2**40-point FFT's bank and
+        # transforms would not fit in memory
+        def no_training(config):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr("ovbm.cli.run_training", no_training)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"fft_size": 2**40}))
+        code, stdout, stderr = run_cli(
+            capsys, "train", "--config", str(config_path),
+            "--manifest", os.path.join(corpus_dir, "manifest.csv"),
+            "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert f"fft_size {2**40} exceeds MAX_FFT_SIZE" in stderr
+        assert stdout == ""
+        assert not os.path.exists(tmp_path / "r")
+
     def test_invalid_json_config(self, tmp_path, corpus_dir, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text('{"seed": 1,}')

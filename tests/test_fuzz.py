@@ -165,6 +165,8 @@ JSON_VALUES = SCALARS | st.recursive(
 # more mel filters than the FFT grid holds, refused without building
 # the bank's edges
 @example(overrides={"num_filters": 2**60, "fft_size": 2**62})
+# an FFT whose bank and transforms would not fit in memory
+@example(overrides={"fft_size": 2**40})
 def test_arbitrary_config_values(overrides):
     # a valid config with one or two fields replaced, so that each check
     # is reached with the others passing

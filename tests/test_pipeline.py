@@ -111,6 +111,8 @@ class TestRunConfig:
         {"stride": 0.005},           # half a 10 ms frame step
         {"num_filters": 60},         # mel edges collide on a 512-point FFT
         {"num_filters": 300},
+        {"fft_size": 2**14},         # past MAX_FFT_SIZE
+        {"fft_size": 2**40},
     ])
     def test_rejects(self, overrides):
         with pytest.raises(ValueError):

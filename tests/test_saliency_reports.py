@@ -14,15 +14,14 @@ from ovbm.saliency import (
     SaliencyEntry,
     SaliencyMap,
     ablation_csv,
-    ablation_json,
     ablation_report,
     compare_maps,
     comparison_csv,
+    report_json,
     saliency_csv,
     saliency_json,
     saliency_svg,
     uniqueness_csv,
-    uniqueness_json,
     uniqueness_report,
 )
 
@@ -49,21 +48,21 @@ class TestUniqueness:
     def test_three_model_partition(self):
         positives = self.POSITIVES
         report = uniqueness_report(self.DETECTIONS, positives)
-        by_label = {r.label: r for r in report.rows}
+        by_label = {r["label"]: r for r in report["rows"]}
         assert set(by_label) == {
             "Only in A", "Only in B", "Only in C",
             "In A and B", "In A and C", "In B and C",
             "In all 3", "In neither of the 3",
         }
-        assert by_label["Only in A"].subjects == ["s1"]
-        assert by_label["Only in B"].subjects == ["s3"]
-        assert by_label["Only in C"].subjects == ["s4"]
-        assert by_label["In A and B"].subjects == ["s2"]
-        assert by_label["In A and C"].count == 0
-        assert by_label["In all 3"].subjects == ["s5"]
-        assert by_label["In neither of the 3"].subjects == ["s0", "s6"]
-        assert sum(r.count for r in report.rows) == len(positives)
-        assert abs(sum(r.percent for r in report.rows) - 100.0) < 1e-9
+        assert by_label["Only in A"]["subjects"] == ["s1"]
+        assert by_label["Only in B"]["subjects"] == ["s3"]
+        assert by_label["Only in C"]["subjects"] == ["s4"]
+        assert by_label["In A and B"]["subjects"] == ["s2"]
+        assert by_label["In A and C"]["count"] == 0
+        assert by_label["In all 3"]["subjects"] == ["s5"]
+        assert by_label["In neither of the 3"]["subjects"] == ["s0", "s6"]
+        assert sum(r["count"] for r in report["rows"]) == len(positives)
+        assert abs(sum(r["percent"] for r in report["rows"]) - 100.0) < 1e-9
 
     def test_four_model_partition_has_triples(self):
         detections = {
@@ -71,20 +70,20 @@ class TestUniqueness:
             "C": ["s0", "s1"], "D": ["s0"],
         }
         report = uniqueness_report(detections, ["s0", "s1", "s2"])
-        by_label = {r.label: r for r in report.rows}
-        assert by_label["Exactly in A + B + C"].subjects == ["s1"]
-        assert by_label["In all 4"].subjects == ["s0"]
-        assert by_label["In neither of the 4"].subjects == ["s2"]
-        assert sum(r.count for r in report.rows) == 3
+        by_label = {r["label"]: r for r in report["rows"]}
+        assert by_label["Exactly in A + B + C"]["subjects"] == ["s1"]
+        assert by_label["In all 4"]["subjects"] == ["s0"]
+        assert by_label["In neither of the 4"]["subjects"] == ["s2"]
+        assert sum(r["count"] for r in report["rows"]) == 3
         # every exact signature appears exactly once: 4 singles + 6
         # pairs + 4 triples + all + neither
-        assert len(report.rows) == 16
+        assert len(report["rows"]) == 16
 
     def test_detections_outside_positives_ignored(self):
         report = uniqueness_report({"A": ["s9"], "B": []}, ["s0"])
-        by_label = {r.label: r for r in report.rows}
-        assert by_label["In neither of the 2"].count == 1
-        assert sum(r.count for r in report.rows) == 1
+        by_label = {r["label"]: r for r in report["rows"]}
+        assert by_label["In neither of the 2"]["count"] == 1
+        assert sum(r["count"] for r in report["rows"]) == 1
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -98,7 +97,7 @@ class TestUniqueness:
         text = uniqueness_csv(report)
         assert text.splitlines()[0] == "group,count,percent,subjects"
         assert '"In all 2",1,33.3,"s0"' in text
-        payload = json.loads(uniqueness_json(report))
+        payload = json.loads(report_json(report))
         assert payload["models"] == ["A", "B"]
         assert sum(r["count"] for r in payload["rows"]) == 3
 
@@ -114,13 +113,13 @@ class TestAblation:
 
     def test_row_improvements(self):
         report = ablation_report(self.RUNS)
-        imps = [round(r.improvement, 1) for r in report.rows]
+        imps = [round(r["improvement"], 1) for r in report["rows"]]
         assert imps == [3.2, 0.0, 6.2, 3.1, 3.2]
 
     def test_average_display(self):
         report = ablation_report(self.RUNS)
-        assert abs(report.avg_improvement - 15.7 / 5) < 1e-9
-        assert report.avg_improvement_display == "3.1"
+        assert abs(report["avg_improvement"] - 15.7 / 5) < 1e-9
+        assert report["avg_improvement_display"] == "3.1"
 
     def test_csv_last_line(self):
         text = ablation_csv(ablation_report(self.RUNS))
@@ -130,7 +129,7 @@ class TestAblation:
         assert lines[-1] == "Avg improvement,,,3.1"
 
     def test_json(self):
-        payload = json.loads(ablation_json(ablation_report(self.RUNS)))
+        payload = json.loads(report_json(ablation_report(self.RUNS)))
         assert payload["avg_improvement_display"] == "3.1"
         assert len(payload["rows"]) == 5
 
@@ -144,13 +143,13 @@ class TestCompareMaps:
         a = fake_map("sA", base=0.6)
         b = fake_map("sB", base=0.5)
         cmp = compare_maps(a, b)
-        assert cmp.subject_a == "sA" and cmp.subject_b == "sB"
-        assert len(cmp.rows) == 16
-        for _, _, delta in cmp.rows:
+        assert cmp["subject_a"] == "sA" and cmp["subject_b"] == "sB"
+        assert len(cmp["rows"]) == 16
+        for _, _, delta in cmp["rows"]:
             assert abs(delta - 0.1) < 1e-12
-        assert set(cmp.family_means) == set(FAMILIES)
+        assert set(cmp["family_means"]) == set(FAMILIES)
         for fam in FAMILIES:
-            assert abs(cmp.family_means[fam] - 0.1) < 1e-12
+            assert abs(cmp["family_means"][fam] - 0.1) < 1e-12
 
     def test_roster_mismatch(self):
         a = fake_map()
@@ -377,12 +376,12 @@ class TestReportBytes:
         report = uniqueness_report(TestUniqueness.DETECTIONS,
                                    TestUniqueness.POSITIVES)
         assert uniqueness_csv(report) == UNIQUENESS_CSV
-        assert uniqueness_json(report) == UNIQUENESS_JSON
+        assert report_json(report) == UNIQUENESS_JSON
 
     def test_ablation(self):
         report = ablation_report(TestAblation.RUNS)
         assert ablation_csv(report) == ABLATION_CSV
-        assert ablation_json(report) == ABLATION_JSON
+        assert report_json(report) == ABLATION_JSON
 
     def test_comparison(self):
         cmp = compare_maps(fake_map("sA", 0.6), fake_map("sB", 0.5))
