@@ -436,6 +436,12 @@ def synth_clip(spec: SynthSpec, start: int = 0,
     and are uniform in [-amp, amp] so the no-clipping bound holds. Each
     draw takes one step of the stream, so a noise component skips the
     draws before and after the span by jumping the stream ahead.
+
+    Each component is computed in one scratch buffer and added into the
+    clip, each step the same IEEE operation as the whole-array formula
+    (`amp * sin(2 pi f t)`, `amp * uniform(-1, 1)`), so the samples are
+    those bits: `2u - 1` on the stream's doubles `u` is `uniform(-1,
+    1)`'s `-1 + 2u` exactly.
     """
     n = spec.num_samples
     if n <= 0:
@@ -445,19 +451,27 @@ def synth_clip(spec: SynthSpec, start: int = 0,
     t = np.arange(start, stop) / spec.sample_rate
     rng = np.random.default_rng(spec.seed)
     total = np.zeros(stop - start, dtype=np.float64)
+    buf = np.empty_like(total)
     for kind, freq, amp in spec.components:
         freq = float(freq)
         amp = float(amp)
         if kind == "sine":
-            total += amp * np.sin(2.0 * np.pi * freq * t)
+            np.multiply(2.0 * np.pi * freq, t, out=buf)
+            np.sin(buf, out=buf)
         elif kind == "chirp":
             # Instantaneous frequency ramps f -> 2f across the clip.
-            phase = freq * t + freq * t * t / (2.0 * spec.duration)
-            total += amp * np.sin(2.0 * np.pi * phase)
+            np.multiply(freq, t, out=buf)
+            buf += buf * t / (2.0 * spec.duration)
+            buf *= 2.0 * np.pi
+            np.sin(buf, out=buf)
         elif kind == "noise":
             rng.bit_generator.advance(start)
-            total += amp * rng.uniform(-1.0, 1.0, stop - start)
+            rng.random(out=buf)
+            buf *= 2.0
+            buf -= 1.0
             rng.bit_generator.advance(n - stop)
         else:
             raise ValueError(f"unknown component kind {kind!r}")
+        buf *= amp
+        total += buf
     return AudioClip(total, spec.sample_rate)

@@ -28,6 +28,17 @@ WEIGHT_MAGIC = b"OVBM"
 WEIGHT_FORMAT_VERSION = 1
 EVAL_BATCH = 64  # images per inference forward pass
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# The largest member a run may ask for, each field bounded on its own:
+# - stem_channels, 32 times the default 8: a conv layer holds
+#   channels**2 * 9 float64 weights, 4.7 MB at 256.
+# - arch_frames: 2048 rows cover the 20 s probe window's 2,000 frames at
+#   the default 10 ms step; a longer crop only adds zero rows.
+# - embedding_dim, 16 times the default 32: the fusion's hidden layer
+#   reads all eight embeddings, 33.6 MB of float64 weights at 512, which
+#   Adam holds four times over (weights, gradient, two moments).
+MAX_STEM_CHANNELS = 256
+MAX_ARCH_FRAMES = 2048
+MAX_EMBEDDING_DIM = 512
 
 
 class ShapeMismatch(ValueError):
@@ -49,7 +60,8 @@ class SingleClassDataset(ValueError):
 @dataclass(frozen=True)
 class CnnArch:
     """input_shape: (frames, coefficients), the exact shape of a member
-    input; `chunker.extract_chunks` crops chunk images to it."""
+    input; `chunker.extract_chunks` crops chunk images to it. `frames` is
+    a run's `arch_frames`; it and the widths are bounded above."""
 
     input_shape: tuple
     stem_channels: int
@@ -62,6 +74,13 @@ class CnnArch:
             raise ShapeMismatch("input_shape must be positive")
         if self.stem_channels < 1 or self.num_blocks < 1 or self.embedding_dim < 1:
             raise ValueError("arch sizes must be positive")
+        for name, value, bound in [
+                ("stem_channels", self.stem_channels, MAX_STEM_CHANNELS),
+                ("arch_frames", frames, MAX_ARCH_FRAMES),
+                ("embedding_dim", self.embedding_dim, MAX_EMBEDDING_DIM)]:
+            if value > bound:
+                raise ValueError(f"{name} {value} exceeds "
+                                 f"MAX_{name.upper()} {bound}")
         h, w = frames, coeffs
         for b in range(self.num_blocks):
             if h < 2 or w < 2:

@@ -47,7 +47,7 @@ from .fusion import (
 )
 from .mfcc import MfccParams, duration_samples
 from .saliency import saliency_map
-from .synthesis import surrogate_dataset
+from .synthesis import MAX_SURROGATE_PER_CLASS, surrogate_dataset
 from .util import (atomic_write_text, config_digest, derive_seed, map_tasks,
                    named_errors)
 
@@ -124,6 +124,10 @@ class RunConfig:
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+        if self.surrogate_per_class > MAX_SURROGATE_PER_CLASS:
+            raise ValueError(f"surrogate_per_class {self.surrogate_per_class} "
+                             f"exceeds MAX_SURROGATE_PER_CLASS "
+                             f"{MAX_SURROGATE_PER_CLASS}")
         if not 0.0 < self.split_fraction < 1.0:
             raise ValueError("split_fraction must lie in (0, 1)")
         derive = functools.partial(object.__setattr__, self)

@@ -38,6 +38,11 @@ _GENDERS = ("F", "M", "unknown")
 _AGE_RANGE = (55, 90)
 _DURATION_RANGE = (5.0, 8.0)
 _JITTER = 0.04  # relative tone jitter within a class
+# The most surrogate clips per class a run may ask for, 64 times the
+# default 16. A member holds its classes x n pretraining images in
+# memory, rendered and featurized one by one: 8,192 for the 8-class
+# sentiment member, 54 MB at the default 64 x 13 crop.
+MAX_SURROGATE_PER_CLASS = 1024
 
 
 class UnknownRecipe(ValueError):

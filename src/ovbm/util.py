@@ -104,10 +104,12 @@ _worker_task: tuple = ()  # (fn, items), set in a `map_tasks` worker only
 
 def _start_worker(fn, items: list) -> None:
     """A worker is one of as many as CPUs: BLAS runs on its one thread,
-    as do the member bodies (`cpus` is one in it)."""
+    as do the member bodies (`cpus` is one in it). It keeps the heap its
+    tasks free for the next task to reuse (`_keep_heap`)."""
     global _worker_task
     _worker_task = (fn, items)
     _one_blas_thread()
+    _keep_heap()
 
 
 def _run_item(i: int):
@@ -128,3 +130,22 @@ def _one_blas_thread() -> None:
         set_threads.argtypes = [ctypes.c_int]
         set_threads.restype = None
         set_threads(1)
+
+
+def _keep_heap() -> None:
+    """Keep freed heap in this process, as a `map_tasks` worker lives
+    for one call and hands its heap back when it exits. glibc's malloc
+    otherwise serves each block of 128 KiB or more with its own mmap and
+    trims freed heap top back to the kernel, at thresholds that rise
+    only as such blocks are freed, so a worker's tasks fault the same
+    pages in again and again. Both thresholds are set: setting either
+    one turns glibc's adjustment off and pins the other at its default.
+    Leaves malloc as it is where libc has no `mallopt`."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD, at glibc's 64-bit limit
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD

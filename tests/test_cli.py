@@ -330,6 +330,29 @@ class TestTrain:
         assert stdout == ""
         assert not os.path.exists(tmp_path / "r")
 
+    @pytest.mark.parametrize("field,value,bound", [
+        ("stem_channels", 10**7, "MAX_STEM_CHANNELS 256"),
+        ("arch_frames", 10**9, "MAX_ARCH_FRAMES 2048"),
+        ("embedding_dim", 10**9, "MAX_EMBEDDING_DIM 512")])
+    def test_member_size_past_the_bound(self, field, value, bound, tmp_path,
+                                        corpus_dir, capsys, monkeypatch):
+        # refused when the config is read, before any worker starts: such
+        # a member's weights or crops would not fit in memory
+        def no_training(config):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr("ovbm.cli.run_training", no_training)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({field: value}))
+        code, stdout, stderr = run_cli(
+            capsys, "train", "--config", str(config_path),
+            "--manifest", os.path.join(corpus_dir, "manifest.csv"),
+            "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert f"{field} {value} exceeds {bound}" in stderr
+        assert stdout == ""
+        assert not os.path.exists(tmp_path / "r")
+
     def test_invalid_json_config(self, tmp_path, corpus_dir, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text('{"seed": 1,}')
@@ -568,8 +591,10 @@ class TestEval:
             dict(saved, config=dict(saved["config"], window_step=1.2e304))),
         lambda saved: json.dumps(
             dict(saved, config=dict(saved["config"], num_filters=60))),
+        lambda saved: json.dumps(
+            dict(saved, config=dict(saved["config"], stem_channels=10**7))),
     ], ids=["list", "config_is_a_list", "invalid_json", "field_of_wrong_type",
-            "overflowing_duration", "too_many_filters"])
+            "overflowing_duration", "too_many_filters", "member_too_wide"])
     def test_malformed_run_config(self, edit, micro_run_dir, corpus_dir,
                                   tmp_path, capsys):
         broken = str(tmp_path / "broken")

@@ -167,6 +167,9 @@ JSON_VALUES = SCALARS | st.recursive(
 @example(overrides={"num_filters": 2**60, "fft_size": 2**62})
 # an FFT whose bank and transforms would not fit in memory
 @example(overrides={"fft_size": 2**40})
+# members and pretraining sets that would not fit in memory
+@example(overrides={"stem_channels": 10**7, "embedding_dim": 10**9})
+@example(overrides={"arch_frames": 10**9, "surrogate_per_class": 10**12})
 def test_arbitrary_config_values(overrides):
     # a valid config with one or two fields replaced, so that each check
     # is reached with the others passing

@@ -11,6 +11,9 @@ import multiprocessing
 import os
 import shutil
 import signal
+import subprocess
+import sys
+import textwrap
 import threading
 import warnings
 from concurrent.futures.process import BrokenProcessPool
@@ -113,6 +116,14 @@ class TestRunConfig:
         {"num_filters": 300},
         {"fft_size": 2**14},         # past MAX_FFT_SIZE
         {"fft_size": 2**40},
+        {"stem_channels": 257},      # past models.MAX_STEM_CHANNELS
+        {"stem_channels": 10**7},
+        {"arch_frames": 2049},       # past models.MAX_ARCH_FRAMES
+        {"arch_frames": 10**9},
+        {"embedding_dim": 513},      # past models.MAX_EMBEDDING_DIM
+        {"embedding_dim": 10**9},
+        {"surrogate_per_class": 1025},  # past MAX_SURROGATE_PER_CLASS
+        {"surrogate_per_class": 10**12},
     ])
     def test_rejects(self, overrides):
         with pytest.raises(ValueError):
@@ -863,6 +874,44 @@ class TestMemberWorkers:
         _two_workers(monkeypatch)
         assert map_tasks(lambda _: threads(), [0, 1]) == [1, 1]
         assert multiprocessing.active_children() == []
+
+    def test_workers_keep_their_heap(self):
+        # A worker inherits its parent's malloc thresholds, which earlier
+        # tests in this process may have raised: start from a fresh
+        # interpreter's. Each task frees three 0.5 MB arrays a round;
+        # once the first round has faulted their pages in, later rounds
+        # reuse them.
+        if not hasattr(ctypes.CDLL(None), "mallopt"):
+            pytest.skip("libc has no mallopt")
+        script = textwrap.dedent("""
+            import os, resource
+            import numpy as np
+            from ovbm.util import map_tasks
+
+            def churn(rounds):
+                faults = 0
+                for r in range(rounds + 1):
+                    if r == 1:
+                        faults = resource.getrusage(
+                            resource.RUSAGE_SELF).ru_minflt
+                    arrays = [np.ones(65_536) for _ in range(3)]
+                    del arrays
+                return resource.getrusage(
+                    resource.RUSAGE_SELF).ru_minflt - faults
+
+            os.sched_getaffinity = lambda pid: {0, 1}
+            print(map_tasks(churn, [50, 50]))
+        """)
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           os.pardir, "src")
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=os.path.abspath(src)), timeout=60)
+        assert done.returncode == 0, done.stderr
+        # 50 rounds of 1.5 MB: a worker that hands the pages back takes
+        # hundreds of faults a round
+        assert all(faults < 50 for faults in json.loads(done.stdout)), \
+            done.stdout
 
 
 def _cpus(patch, n: int) -> None:
